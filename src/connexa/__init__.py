@@ -4,16 +4,15 @@ over the 2-dimensional nilpotent base germ, with Euler-field analysis."""
 from .scalars import S, Scalar
 from .series import AffinePoly1, Laurent, TSeries, ZTSeries
 from .connmat import (
+    ConstMat,
     GaugeMap,
     Mat2,
     OriginRestriction,
     TEStruct,
     apply_gauge,
-    apply_isomorphism,
     compose_gauges,
     flatness_residuals,
     induced_euler,
-    mat_mul,
     restrict_origin,
 )
 from .formalnf import (
@@ -29,7 +28,6 @@ from .formalnf import (
 )
 from .origin import (
     BirkhoffData,
-    ConstMat,
     birkhoff_invariants,
     birkhoff_iso_decision,
     birkhoff_reduce,

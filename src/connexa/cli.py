@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import selftest
-from .connmat import flatness_residuals
+from .connmat import ConstMat, flatness_residuals
 from .docio import (
     Report,
     dumps_document,
@@ -21,7 +21,7 @@ from .euler import EulerField, euler_normal_form, realizable_by_te, frobenius_re
 from .fixtures import resolve_structure, write_fixtures
 from .formalnf import formal_iso_decision, formal_normal_form, to_prenormal
 from .malgrange import classify_holomorphic, malgrange_connection, malgrange_xy
-from .origin import BirkhoffData, ConstMat, birkhoff_iso_decision
+from .origin import BirkhoffData, birkhoff_iso_decision
 from .scalars import Scalar
 from .series import TSeries
 
@@ -216,9 +216,7 @@ def cmd_euler_realizable(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_all(
-        fast=args.fast, order_z=args.order_z, order_t=args.order_t
-    )
+    results = selftest.run_all(fast=args.fast)
     out = Report("selftest")
     ok = True
     for name, passed, detail in results:

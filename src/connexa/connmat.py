@@ -7,6 +7,9 @@ with the product table
     C2*D  = C2     D*C2 = -C2     D*E = E      E*D = -E
     C2*E  = (C1 - D)/2            E*C2 = (C1 + D)/2
 
+Products are computed entrywise, through (m11, m12, m21, m22) =
+(c1 + d, e, c2, c1 - d), which satisfies that table.
+
 A structure is a triple (A1, A2, B) of such matrices over the z/t series
 ring, with connection data z^{-1} A_i dt_i + z^{-2} B dz.
 """
@@ -27,6 +30,75 @@ from .scalars import HALF, ONE, ZERO, Scalar
 from .series import TSeries, ZTSeries
 
 _NEG_HALF = -HALF
+
+
+def _mul_entries(a: tuple, b: tuple) -> tuple:
+    """Product of two 2x2 matrices given as (m11, m12, m21, m22) over any
+    commutative ring: eight ring products."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
+
+
+@dataclass(frozen=True)
+class ConstMat:
+    """Coordinates of a constant 2x2 matrix in the {C1, C2, D, E} basis."""
+
+    c1: Scalar
+    c2: Scalar
+    d: Scalar
+    e: Scalar
+
+    @staticmethod
+    def zero() -> ConstMat:
+        return ConstMat(ZERO, ZERO, ZERO, ZERO)
+
+    @staticmethod
+    def identity() -> ConstMat:
+        return ConstMat(ONE, ZERO, ZERO, ZERO)
+
+    def __add__(self, o: ConstMat) -> ConstMat:
+        return ConstMat(self.c1 + o.c1, self.c2 + o.c2, self.d + o.d, self.e + o.e)
+
+    def __sub__(self, o: ConstMat) -> ConstMat:
+        return ConstMat(self.c1 - o.c1, self.c2 - o.c2, self.d - o.d, self.e - o.e)
+
+    def __neg__(self) -> ConstMat:
+        return ConstMat(-self.c1, -self.c2, -self.d, -self.e)
+
+    def scale(self, t: Scalar) -> ConstMat:
+        return ConstMat(self.c1 * t, self.c2 * t, self.d * t, self.e * t)
+
+    def __mul__(self, o: ConstMat) -> ConstMat:
+        return ConstMat.from_entries(*_mul_entries(self.entries(), o.entries()))
+
+    def det(self) -> Scalar:
+        return self.c1 * self.c1 - self.d * self.d - self.c2 * self.e
+
+    def inverse(self) -> ConstMat:
+        dt = self.det()
+        if dt.is_zero():
+            raise NotInvertibleError("singular constant matrix")
+        return ConstMat(self.c1 / dt, -self.c2 / dt, -self.d / dt, -self.e / dt)
+
+    def conjugate_by(self, s: ConstMat) -> ConstMat:
+        return s.inverse() * self * s
+
+    def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+        """(m11, m12, m21, m22)."""
+        return (self.c1 + self.d, self.e, self.c2, self.c1 - self.d)
+
+    @staticmethod
+    def from_entries(m11, m12, m21, m22) -> ConstMat:
+        return ConstMat((m11 + m22) * HALF, m21, (m11 - m22) * HALF, m12)
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for x in (self.c1, self.c2, self.d, self.e))
 
 
 @dataclass(frozen=True)
@@ -72,16 +144,7 @@ class Mat2:
         comp[which] = ZTSeries.const(coeff, nz, nt)
         return Mat2(**comp)
 
-    @staticmethod
-    def from_consts(c1, c2, d, e, nz: int, nt: int) -> Mat2:
-        return Mat2(
-            ZTSeries.const(c1, nz, nt),
-            ZTSeries.const(c2, nz, nt),
-            ZTSeries.const(d, nz, nt),
-            ZTSeries.const(e, nz, nt),
-        )
-
-    # -- entrywise view (oracle) -------------------------------------------
+    # -- entrywise view ------------------------------------------------------
 
     def entries(self) -> tuple[ZTSeries, ZTSeries, ZTSeries, ZTSeries]:
         """(m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d)."""
@@ -111,13 +174,7 @@ class Mat2:
         return Mat2(self.c1 * q, self.c2 * q, self.d * q, self.e * q)
 
     def __mul__(self, o: Mat2) -> Mat2:
-        x1, x2, x3, x4 = self.c1, self.c2, self.d, self.e
-        y1, y2, y3, y4 = o.c1, o.c2, o.d, o.e
-        c1 = x1 * y1 + x3 * y3 + (x2 * y4 + x4 * y2).scale(HALF)
-        c2 = x1 * y2 + x2 * y1 + x2 * y3 - x3 * y2
-        d = x1 * y3 + x3 * y1 + (x4 * y2 - x2 * y4).scale(HALF)
-        e = x1 * y4 + x4 * y1 + x3 * y4 - x4 * y3
-        return Mat2(c1, c2, d, e)
+        return Mat2.from_entries(*_mul_entries(self.entries(), o.entries()))
 
     def commutator(self, o: Mat2) -> Mat2:
         return self * o - o * self
@@ -176,29 +233,20 @@ class Mat2:
     # -- inversion -------------------------------------------------------------
 
     def inverse(self) -> Mat2:
-        """Series inverse by Newton iteration; needs invertible constant term."""
+        """Adjugate over the determinant, exact on the whole window.
+
+        M^{-1} = (c1, -c2, -d, -e) / (c1^2 - d^2 - c2 e): one series
+        inversion and seven series products.  Needs a t1-free matrix with
+        an invertible constant term.
+        """
         if not self.is_t1_free():
             raise T1DegreeError("only t1-free matrices are inverted")
-        a, b, c, dd = self.const_term()
-        det = a * a - c * c - b * dd
-        if det.is_zero():
+        if ConstMat(*self.const_term()).det().is_zero():
             raise NotInvertibleError("constant term is singular")
-        nz, nt = self.orders
-        inv0 = Mat2.from_consts(a / det, -b / det, -c / det, -dd / det, nz, nt)
-        ident = Mat2.identity(nz, nt)
-        x = inv0
-        for _ in range(1 + max(nz + nt, 2).bit_length()):
-            err = ident - self * x
-            if err.is_zero():
-                return x
-            x = x + x * err
-        if (ident - self * x).is_zero():
-            return x
-        raise NotInvertibleError("Newton iteration failed to converge")
-
-
-def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return a * b
+        c1, c2, d, e = self.c1, self.c2, self.d, self.e
+        q = (c1 * c1 - d * d - c2 * e).invert()
+        nq = -q
+        return Mat2(c1 * q, c2 * nq, d * nq, e * nq)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +360,13 @@ class GaugeMap:
     def __post_init__(self):
         if not self.tmat.is_t1_free():
             raise T1DegreeError("gauge matrices must be t1-free")
-        a, b, c, d = self.tmat.const_term()
-        if (a * a - c * c - b * d).is_zero():
+        if ConstMat(*self.tmat.const_term()).det().is_zero():
             raise NotInvertibleError("gauge constant term is singular")
         if self.lam is not None:
             if not self.lam.at0().is_zero():
                 raise ShapeError("base map must fix the origin")
             if self.lam.order > 1 and self.lam[1].is_zero():
                 raise NotInvertibleError("base map must be invertible at 0")
-
-    def is_identity_base(self) -> bool:
-        return self.lam is None
-
-
-def identity_gauge(nz: int, nt: int) -> GaugeMap:
-    return GaugeMap(Mat2.identity(nz, nt))
 
 
 def scalar_exp_gauge(sigma_z: TSeries, nz: int, nt: int) -> GaugeMap:
@@ -411,11 +451,6 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     a2 = tinv_r * (zdt2 + a2c.map(lambda c: c.mul_t(lam_dot)) * t_r)
     b = tinv_r * (t.z2dz().truncate(nz, ntr) + bc * t_r)
     return TEStruct(a1, a2, b, s.kind)
-
-
-def apply_isomorphism(s: TEStruct, g: GaugeMap) -> TEStruct:
-    """Alias separating the covered-base-map case in reports."""
-    return apply_gauge(s, g)
 
 
 def gauge_residuals(s: TEStruct, g: GaugeMap, out: TEStruct) -> list[Mat2]:

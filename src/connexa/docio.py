@@ -95,7 +95,12 @@ def structure_from_document(doc: Any) -> TEStruct:
         nt = int(orders["nt"])
     except (KeyError, ValueError, TypeError) as exc:
         raise DocumentError("orders must carry integer nz/nt") from exc
-    if orders.get("t1_degree", 1) > 1:
+    if nz < 1 or nt < 1:
+        raise DocumentError("orders nz/nt must be positive")
+    t1_degree = orders.get("t1_degree", 1)
+    if not isinstance(t1_degree, int):
+        raise DocumentError("t1_degree must be an integer")
+    if t1_degree > 1:
         raise DocumentError("documents with t1-degree above 1 are rejected")
     mats = doc.get("matrices")
     if not isinstance(mats, dict):

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connmat import (
+    ConstMat,
     GaugeMap,
     Mat2,
     TEStruct,
@@ -23,7 +24,6 @@ from .formalnf import (
 from .origin import (
     BirkhoffData,
     BirkhoffIsoReport,
-    ConstMat,
     birkhoff_invariants,
     birkhoff_iso_decision,
     birkhoff_reduce,

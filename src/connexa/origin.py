@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .connmat import Mat2, OriginRestriction
+from .connmat import ConstMat, Mat2, OriginRestriction
 from .errors import (
     ExactFieldError,
-    NotInvertibleError,
     ReductionFailedError,
     ShapeError,
 )
@@ -18,71 +17,6 @@ from .formalnf import PreNormalForm
 from .odekit import FuchsProblem, fuchs_regular_singular, solve_linear_system
 from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
 from .series import Laurent, TSeries, ZTSeries
-
-
-# ---------------------------------------------------------------------------
-# constant 2x2 matrices in the basis coordinates
-
-
-@dataclass(frozen=True)
-class ConstMat:
-    c1: Scalar
-    c2: Scalar
-    d: Scalar
-    e: Scalar
-
-    @staticmethod
-    def zero() -> ConstMat:
-        return ConstMat(ZERO, ZERO, ZERO, ZERO)
-
-    @staticmethod
-    def identity() -> ConstMat:
-        return ConstMat(ONE, ZERO, ZERO, ZERO)
-
-    def __add__(self, o: ConstMat) -> ConstMat:
-        return ConstMat(self.c1 + o.c1, self.c2 + o.c2, self.d + o.d, self.e + o.e)
-
-    def __sub__(self, o: ConstMat) -> ConstMat:
-        return ConstMat(self.c1 - o.c1, self.c2 - o.c2, self.d - o.d, self.e - o.e)
-
-    def __neg__(self) -> ConstMat:
-        return ConstMat(-self.c1, -self.c2, -self.d, -self.e)
-
-    def scale(self, t: Scalar) -> ConstMat:
-        return ConstMat(self.c1 * t, self.c2 * t, self.d * t, self.e * t)
-
-    def __mul__(self, o: ConstMat) -> ConstMat:
-        x1, x2, x3, x4 = self.c1, self.c2, self.d, self.e
-        y1, y2, y3, y4 = o.c1, o.c2, o.d, o.e
-        return ConstMat(
-            x1 * y1 + x3 * y3 + (x2 * y4 + x4 * y2) * HALF,
-            x1 * y2 + x2 * y1 + x2 * y3 - x3 * y2,
-            x1 * y3 + x3 * y1 + (x4 * y2 - x2 * y4) * HALF,
-            x1 * y4 + x4 * y1 + x3 * y4 - x4 * y3,
-        )
-
-    def det(self) -> Scalar:
-        return self.c1 * self.c1 - self.d * self.d - self.c2 * self.e
-
-    def inverse(self) -> ConstMat:
-        dt = self.det()
-        if dt.is_zero():
-            raise NotInvertibleError("singular constant matrix")
-        return ConstMat(self.c1 / dt, -self.c2 / dt, -self.d / dt, -self.e / dt)
-
-    def conjugate_by(self, s: ConstMat) -> ConstMat:
-        return s.inverse() * self * s
-
-    def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        """(m11, m12, m21, m22)."""
-        return (self.c1 + self.d, self.e, self.c2, self.c1 - self.d)
-
-    @staticmethod
-    def from_entries(m11, m12, m21, m22) -> ConstMat:
-        return ConstMat((m11 + m22) * HALF, m21, (m11 - m22) * HALF, m12)
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in (self.c1, self.c2, self.d, self.e))
 
 
 def zmat(c1: TSeries, c2: TSeries, d: TSeries, e: TSeries) -> Mat2:

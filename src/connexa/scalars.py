@@ -38,6 +38,22 @@ def _frac_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def _iroot(m: int, n: int) -> int:
+    """Floor of the real n-th root of an integer m >= 0.
+
+    The integer iteration x -> ((n-1) x + m // x^(n-1)) // n, started above
+    the root, decreases strictly until it reaches the floor of the root.
+    """
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
 def _frac_nth_root(q: Fraction, n: int) -> Fraction | None:
     """Exact real n-th root of a rational, or None."""
     if n <= 0:
@@ -49,16 +65,8 @@ def _frac_nth_root(q: Fraction, n: int) -> Fraction | None:
         return None
     a = abs(q)
     num, den = a.numerator, a.denominator
-
-    def iroot(m: int) -> int | None:
-        r = round(m ** (1.0 / n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c**n == m:
-                return c
-        return None
-
-    rn, rd = iroot(num), iroot(den)
-    if rn is None or rd is None:
+    rn, rd = _iroot(num, n), _iroot(den, n)
+    if rn**n != num or rd**n != den:
         return None
     root = Fraction(rn, rd)
     return -root if neg else root
@@ -110,12 +118,12 @@ class Scalar:
                     body = "-1"
                 try:
                     im = Fraction(body)
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise DocumentError(f"bad scalar literal {text!r}") from exc
             else:
                 try:
                     re = re + Fraction(part)
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise DocumentError(f"bad scalar literal {text!r}") from exc
         return Scalar(re, im)
 
@@ -183,9 +191,6 @@ class Scalar:
             k >>= 1
         return out
 
-    def conj(self) -> Scalar:
-        return Scalar(self.re, -self.im)
-
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -193,9 +198,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1

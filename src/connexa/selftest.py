@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import odekit
 from .connmat import (
+    ConstMat,
     GaugeMap,
     Mat2,
     apply_gauge,
@@ -38,7 +39,6 @@ from .malgrange import (
 )
 from .origin import (
     BirkhoffData,
-    ConstMat,
     OriginRestriction,
     birkhoff_iso_decision,
     cyclic_fuchs,
@@ -520,7 +520,7 @@ CRITERIA = [
 ]
 
 
-def run_all(fast=False, order_z=16, order_t=16):
+def run_all(fast=False):
     results = []
     for name, fn in CRITERIA:
         if fast and name.startswith("1"):

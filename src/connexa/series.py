@@ -231,20 +231,23 @@ class TSeries:
         return acc
 
     def reverse(self) -> TSeries:
-        """Compositional inverse of lam with lam(0)=0, lam'(0) != 0."""
+        """Compositional inverse of lam with lam(0)=0, lam'(0) != 0.
+
+        Lagrange inversion: with h = (lam/x)^{-1}, the inverse has
+        coefficient [x^{m-1}] h^m / m at x^m.
+        """
         if not self.coeffs[0].is_zero():
             raise NotInvertibleError("map does not fix 0")
         l1 = self.coeffs[1] if self.order > 1 else ZERO
         if l1.is_zero():
             raise NotInvertibleError("derivative vanishes at 0")
         n = self.order
+        h = TSeries(self.coeffs[1:]).invert()
         mu = [ZERO] * n
-        if n > 1:
-            mu[1] = ONE / l1
-        for m in range(2, n):
-            cur = TSeries(tuple(mu))
-            err = self.compose(cur).coeffs[m]
-            mu[m] = -err / l1
+        hm = TSeries.one(n - 1)
+        for m in range(1, n):
+            hm = hm * h
+            mu[m] = hm[m - 1] / integer(m)
         return TSeries(tuple(mu))
 
     def exp(self) -> TSeries:
@@ -364,11 +367,6 @@ class AffinePoly1:
     def scale(self, c: Scalar) -> AffinePoly1:
         return AffinePoly1(self.const.scale(c), self.slope.scale(c))
 
-    def scale_int(self, k: int) -> AffinePoly1:
-        if k == 0:
-            return AffinePoly1.zero(self.order)
-        return self.scale(integer(k))
-
     def __mul__(self, other: AffinePoly1) -> AffinePoly1:
         s_sl = self.slope.is_zero()
         o_sl = other.slope.is_zero()
@@ -392,9 +390,6 @@ class AffinePoly1:
 
     def truncate(self, order: int) -> AffinePoly1:
         return AffinePoly1(self.const.truncate(order), self.slope.truncate(order))
-
-    def eval_t2_0(self) -> tuple[Scalar, Scalar]:
-        return self.const.at0(), self.slope.at0()
 
     def is_t2_free(self) -> bool:
         return self.const.is_constant() and self.slope.is_constant()
@@ -631,12 +626,6 @@ class ZTSeries:
             if not a.is_zero():
                 rows.append(f"z^{n}*({a.const}{'' if a.slope.is_zero() else ' + t1*' + str(a.slope)})")
         return " + ".join(rows) if rows else "0"
-
-
-def zt_eq_truncated(a: ZTSeries, b: ZTSeries) -> bool:
-    nz = min(a.nz, b.nz)
-    nt = min(a.nt, b.nt)
-    return a.truncate(nz, nt) == b.truncate(nz, nt)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,35 @@ def test_document_rejections():
         structure_from_document(doc)
 
 
+def _t1_degree_text(doc):
+    doc["orders"]["t1_degree"] = "x"
+
+
+def _nz_zero(doc):
+    doc["orders"]["nz"] = 0
+    for mat in doc["matrices"].values():
+        for key in mat:
+            mat[key] = []
+
+
+def _scalar_zero_denominator(doc):
+    doc["matrices"]["A1"]["c1"][0][0][0] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "mutate", [_t1_degree_text, _nz_zero, _scalar_zero_denominator]
+)
+def test_cli_malformed_document_exits_2(tmp_path, mutate):
+    doc = structure_to_document(build_fixture("nf3_1", 4, 4))
+    mutate(doc)
+    target = tmp_path / "bad.json"
+    target.write_text(dumps_document(doc))
+    out = _run("verify", str(target))
+    assert out.returncode == 2
+    assert "parse error" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_verify_fixture():
     out = _run("--order-z", "6", "--order-t", "6", "verify", "f1_r2")
     assert out.returncode == 0

@@ -1,11 +1,11 @@
 import pytest
 
 from connexa.connmat import (
+    ConstMat,
     GaugeMap,
     Mat2,
     TEStruct,
     apply_gauge,
-    apply_isomorphism,
     compose_gauges,
     flatness_residuals,
     gauge_residuals,
@@ -19,7 +19,7 @@ from connexa.formalnf import NormalFormId, build_normal_form
 from connexa.scalars import HALF, S, ZERO
 from connexa.series import TSeries, ZTSeries
 
-from conftest import rand_scalar
+from conftest import rand_nonzero, rand_scalar
 
 NZ = NT = 8
 
@@ -28,17 +28,31 @@ def basis(which):
     return Mat2.basis(which, 4, 4)
 
 
+# (left, right) -> (c1, c2, d, e) coordinates of the product
+PRODUCT_TABLE = {
+    ("c1", "c1"): (1, 0, 0, 0), ("c1", "c2"): (0, 1, 0, 0),
+    ("c1", "d"): (0, 0, 1, 0), ("c1", "e"): (0, 0, 0, 1),
+    ("c2", "c1"): (0, 1, 0, 0), ("c2", "c2"): (0, 0, 0, 0),
+    ("c2", "d"): (0, 1, 0, 0), ("c2", "e"): ("1/2", 0, "-1/2", 0),
+    ("d", "c1"): (0, 0, 1, 0), ("d", "c2"): (0, -1, 0, 0),
+    ("d", "d"): (1, 0, 0, 0), ("d", "e"): (0, 0, 0, 1),
+    ("e", "c1"): (0, 0, 0, 1), ("e", "c2"): ("1/2", 0, "1/2", 0),
+    ("e", "d"): (0, 0, 0, -1), ("e", "e"): (0, 0, 0, 0),
+}
+
+
+def _const_mat2(coords, nz, nt) -> Mat2:
+    return Mat2(*(ZTSeries.const(S(x), nz, nt) for x in coords))
+
+
 def test_product_table():
+    names = ("c1", "c2", "d", "e")
+    for (x, y), coords in PRODUCT_TABLE.items():
+        assert basis(x) * basis(y) == _const_mat2(coords, 4, 4), (x, y)
+        cx = ConstMat(*(S(int(k == x)) for k in names))
+        cy = ConstMat(*(S(int(k == y)) for k in names))
+        assert cx * cy == ConstMat(*map(S, coords)), (x, y)
     c1, c2, d, e = basis("c1"), basis("c2"), basis("d"), basis("e")
-    assert c2 * c2 == Mat2.zero(4, 4)
-    assert d * d == c1
-    assert e * e == Mat2.zero(4, 4)
-    assert c2 * d == c2
-    assert d * c2 == -c2
-    assert d * e == e
-    assert e * d == -e
-    assert c2 * e == (c1 - d).scale(HALF)
-    assert e * c2 == (c1 + d).scale(HALF)
     assert c2.commutator(d) == c2.scale(S(2))
     assert c2.commutator(e) == -d
     assert d.commutator(e) == e.scale(S(2))
@@ -54,14 +68,16 @@ def test_mat_mul_matches_entrywise(rng):
                 [TSeries.of(vals, 3)], 3))
         a = Mat2(*comps[:4])
         b = Mat2(*comps[4:])
-        prod = a * b
-        a11, a12, a21, a22 = a.entries()
-        b11, b12, b21, b22 = b.entries()
-        m11 = a11 * b11 + a12 * b21
-        m12 = a11 * b12 + a12 * b22
-        m21 = a21 * b11 + a22 * b21
-        m22 = a21 * b12 + a22 * b22
-        assert prod == Mat2.from_entries(m11, m12, m21, m22)
+        # reference: the 16-product expansion of the basis product table
+        x1, x2, x3, x4 = a.c1, a.c2, a.d, a.e
+        y1, y2, y3, y4 = b.c1, b.c2, b.d, b.e
+        ref = Mat2(
+            x1 * y1 + x3 * y3 + (x2 * y4 + x4 * y2).scale(HALF),
+            x1 * y2 + x2 * y1 + x2 * y3 - x3 * y2,
+            x1 * y3 + x3 * y1 + (x4 * y2 - x2 * y4).scale(HALF),
+            x1 * y4 + x4 * y1 + x3 * y4 - x4 * y3,
+        )
+        assert a * b == ref
 
 
 def test_inverse(rng):
@@ -79,6 +95,37 @@ def test_inverse(rng):
         assert inv * m == Mat2.identity(5, 4)
     with pytest.raises(NotInvertibleError):
         Mat2.basis("c2", 4, 4).inverse()
+
+
+def test_inverse_dense(rng):
+    nz, nt = 6, 4
+
+    def dense():
+        rows = [
+            TSeries.of([rand_nonzero(rng, 2) for _ in range(nt)], nt)
+            for _ in range(nz)
+        ]
+        return ZTSeries.from_zcoeffs(rows, nz)
+
+    ident = Mat2.identity(nz, nt)
+    checked = 0
+    while checked < 3:
+        m = Mat2(dense(), dense(), dense(), dense())
+        if ConstMat(*m.const_term()).det().is_zero():
+            continue
+        inv = m.inverse()
+        assert m * inv == ident
+        assert inv * m == ident
+        checked += 1
+    checked = 0
+    while checked < 10:
+        c = ConstMat(*(rand_scalar(rng, 3) for _ in range(4)))
+        if c.det().is_zero():
+            continue
+        checked += 1
+        ci = c.inverse()
+        m = _const_mat2((c.c1, c.c2, c.d, c.e), nz, nt)
+        assert m.inverse() == _const_mat2((ci.c1, ci.c2, ci.d, ci.e), nz, nt)
 
 
 def _nf(family, **params):
@@ -129,7 +176,7 @@ def test_scalar_gauge_clears_tail():
 def test_isomorphism_flip():
     s = _nf("F1", c=S(1), alpha=S("1/2"), c0=S(2))
     lam = TSeries.var(NT).scale(S(-1))
-    out = apply_isomorphism(s, GaugeMap(Mat2.basis("d", NZ, NT), lam))
+    out = apply_gauge(s, GaugeMap(Mat2.basis("d", NZ, NT), lam))
     target = _nf("F1", c=S(1), alpha=S("1/2"), c0=S(-2))
     assert out == target.truncate(*out.orders)
 
@@ -182,7 +229,7 @@ def test_induced_euler_transforms_correctly(rng):
     s = _nf("NF3-2", c=S(1), alpha=S(0))
     e = induced_euler(s)
     g = _mobius_gauge(S(2), S(1), S("1/2"), NZ, NT)
-    out = apply_isomorphism(s, g)
+    out = apply_gauge(s, g)
     e2 = induced_euler(out)
     lam_inv = g.lam.truncate(out.orders[1]).reverse()
     pushed = push_forward_g(e.g, lam_inv)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +79,17 @@ def test_nth_root():
     assert S(16).nth_root(4) in (S(2), S(-2), S(0, 2), S(0, -2))
     assert S(-8).nth_root(3) == S(-2)
     assert S(5).nth_root(3) is None
+
+
+def test_nth_root_large_integers():
+    # beyond float precision and beyond the float range
+    big = 10**20 + 3
+    assert S(big**3).nth_root(3) == S(big)
+    assert S(-(big**3)).nth_root(3) == S(-big)
+    assert S(Fraction(big**5, 7**5)).nth_root(5) == S(Fraction(big, 7))
+    assert S(big**3 + 1).nth_root(3) is None
+    assert S(10**400).nth_root(3) is None
+    assert S(10**402).nth_root(3) == S(10**134)
 
 
 def test_integer_cache():

@@ -19,6 +19,8 @@ from connexa.series import (
     geometric,
 )
 
+from conftest import rand_nonzero
+
 ORDER = 7
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -108,6 +110,17 @@ def test_reverse_examples():
     assert lam.reverse() == TSeries.of([0, 1, -1, 2, -5, 14], 6)
     with pytest.raises(NotInvertibleError):
         t.pow_int(2).reverse()
+
+
+def test_reverse_edge_orders(rng):
+    with pytest.raises(NotInvertibleError):
+        TSeries.of([0], 1).reverse()
+    l1 = S("2/3", 1)
+    assert TSeries.of([0, l1], 2).reverse() == TSeries.of([0, ONE / l1], 2)
+    lam = TSeries.of([0] + [rand_nonzero(rng, 3) for _ in range(15)], 16)
+    rev = lam.reverse()
+    assert lam.compose(rev) == TSeries.var(16)
+    assert rev.compose(lam) == TSeries.var(16)
 
 
 @given(maps)
