@@ -8,8 +8,10 @@ and the valuation test for a regular singularity in companion form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     NoFormalSolutionError,
@@ -290,6 +292,13 @@ def solve_riccati_unique_c(
     (n - r) tau_n = sum_{j+k+p=n; k,p<=n-1} f_j tau_k tau_p
                     + c * sum_{j+k+p+s=n-r} tau_j tau_k tau_p f_s
     determines everything.
+
+    Both sums are read off running products: with q = tau^2 and
+    P_n = sum_{k=1}^{n-1} tau_k tau_{n-k}, the triple sum is
+    f_0 P_n + sum_{j>=1} f_j q_{n-j}, and q_n = P_n + 2 tau_0 tau_n once
+    tau_n is known; the quadruple sum is sum_s f_s (tau^3)_{n-r-s}, with
+    tau^3 = tau * q filled as far as n - r < n.  Each new coefficient
+    costs O(n) scalar products over the support of f, O(n^2) in all.
     """
     if r < 1:
         raise UnsupportedShapeError("r must be a positive integer")
@@ -299,44 +308,55 @@ def solve_riccati_unique_c(
     order = f.order
     if r >= order:
         raise UnsupportedShapeError("truncation order must exceed r")
+    f_tail = [(j, fj) for j, fj in enumerate(f.coeffs) if j and not fj.is_zero()]
+    f_support = [(0, f0)] + f_tail
     tau: list[Scalar] = [integer(r) / f0]
+    q: list[Scalar] = [tau[0] * tau[0]]
+    cube: list[Scalar] = []
 
-    def conv3(n: int) -> Scalar:
-        # sum over j+k+p = n with k, p <= n-1 of f_j tau_k tau_p
+    def pair_sum(n: int) -> Scalar:
+        # P_n = sum_{k=1}^{n-1} tau_k tau_{n-k}
         acc = ZERO
-        for k in range(min(n, len(tau))):
-            tk = tau[k]
-            if tk.is_zero():
-                continue
-            for p in range(min(n - k, n - 1) + 1):
-                tp = tau[p]
-                if not tp.is_zero():
-                    acc = acc + f[n - k - p] * tk * tp
+        for k in range(1, (n + 1) // 2):
+            acc = acc + tau[k] * tau[n - k]
+        acc = acc + acc
+        if n % 2 == 0:
+            acc = acc + tau[n // 2] * tau[n // 2]
         return acc
 
-    def conv4(n: int) -> Scalar:
-        # sum over j+k+p+s = n of tau_j tau_k tau_p f_s
-        acc = ZERO
-        for j in range(n + 1):
-            tj = tau[j]
-            if tj.is_zero():
-                continue
-            for k in range(n - j + 1):
-                tk = tau[k]
-                if tk.is_zero():
-                    continue
-                for p in range(n - j - k + 1):
-                    tp = tau[p]
-                    if not tp.is_zero():
-                        acc = acc + tj * tk * tp * f[n - j - k - p]
+    def conv3(n: int, p_n: Scalar) -> Scalar:
+        acc = f0 * p_n
+        for j, fj in f_tail:
+            if j > n:
+                break
+            acc = acc + fj * q[n - j]
         return acc
 
-    for n in range(1, r):
-        tau.append(conv3(n) / integer(n - r))
-    c = -(conv3(r)) / (tau[0] ** 3 * f0)
-    tau.append(tau_r)
-    for n in range(r + 1, order):
-        tau.append((conv3(n) + c * conv4(n - r)) / integer(n - r))
+    def conv4(m: int) -> Scalar:
+        while len(cube) <= m:
+            k = len(cube)
+            acc = ZERO
+            for i in range(k + 1):
+                acc = acc + tau[i] * q[k - i]
+            cube.append(acc)
+        acc = ZERO
+        for s, fs in f_support:
+            if s > m:
+                break
+            acc = acc + fs * cube[m - s]
+        return acc
+
+    two_tau0 = tau[0] + tau[0]
+    for n in range(1, order):
+        p_n = pair_sum(n)
+        if n < r:
+            tau.append(conv3(n, p_n) / integer(n - r))
+        elif n == r:
+            c = -(conv3(r, p_n)) / (tau[0] ** 3 * f0)
+            tau.append(tau_r)
+        else:
+            tau.append((conv3(n, p_n) + c * conv4(n - r)) / integer(n - r))
+        q.append(p_n + two_tau0 * tau[n])
     tau_series = TSeries(tuple(tau))
     cert = None
     if with_certificate:
@@ -405,21 +425,28 @@ def search_convergence_certificate(
 
 
 def check_convolution_inequality(l: int, b: int) -> dict:
-    """Exact comparison of sum over compositions against C^{l-1} b^{-2}."""
+    """Exact comparison of sum over compositions against C^{l-1} b^{-2}.
+
+    The left side sums prod 1/a_i^2 over the compositions a_1 + ... + a_l
+    = b.  It is computed over one shared denominator: with the integer
+    weights w_a = L / a^2, L = lcm(1..b)^2, the l-fold convolution of w is
+    an integer at b, reduced once as a fraction over L^l.  That is at most
+    l b^2 / 2 integer products and a single gcd.
+    """
     if not (2 <= l <= b):
         raise UnsupportedShapeError("need 2 <= l <= b")
-    inv_sq = [Fraction(0)] + [Fraction(1, a * a) for a in range(1, b + 1)]
-    conv = inv_sq[:]  # l = 1
-    for _ in range(l - 1):
-        nxt = [Fraction(0)] * (b + 1)
-        for total in range(2, b + 1):
-            acc = Fraction(0)
-            for a in range(1, total):
-                if conv[total - a]:
-                    acc += conv[total - a] * inv_sq[a]
-            nxt[total] = acc
-        conv = nxt
-    lhs = conv[b]
+    big_l = math.lcm(*range(1, b + 1)) ** 2
+    weights = [0] + [big_l // (a * a) for a in range(1, b + 1)]
+    conv = weights  # one part
+    for k in range(1, l):
+        # conv sums k parts, so it vanishes below k; the l - k - 1 parts
+        # still to come take at least 1 each, so k + 1 parts are needed
+        # only up to b - (l - k - 1).
+        conv = [0] * (k + 1) + [
+            sum(map(mul, conv[t - 1 : k - 1 : -1], weights[1 : t - k + 1]))
+            for t in range(k + 1, b - l + k + 2)
+        ]
+    lhs = Fraction(conv[b], big_l**l)
     rhs = CONV_CONSTANT ** (l - 1) / (b * b)
     return {"l": l, "b": b, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
 

@@ -72,6 +72,66 @@ def _frac_nth_root(q: Fraction, n: int) -> Fraction | None:
     return -root if neg else root
 
 
+def _fixed_sqrt(x: int, y: int, p: int) -> tuple[int, int]:
+    """Principal square root of (x + iy) / 2^p, in the same fixed point."""
+    # One part comes from |z| + |x|, free of cancellation, the other from y
+    # over twice it: taking both from |z| -+ x loses half the bits near the
+    # real axis.
+    r = math.isqrt(x * x + y * y)
+    if x >= 0:
+        u = math.isqrt((r + x) << (p - 1))
+        return u, (y << p) // (2 * u)
+    v = math.isqrt((r - x) << (p - 1))
+    if y < 0:
+        v = -v
+    return (y << p) // (2 * v), v
+
+
+def _fixed_unit_power(x: int, y: int, num: int, den: int, p: int) -> tuple[int, int]:
+    """(x + iy) / 2^p, a unit, to the power num/den in [0, 1), fixed point.
+
+    Multiplies the repeated square roots selected by the binary digits of
+    num/den, so the angle is exact to 2^-p and each step adds a few units
+    in the last place.
+    """
+    ux, uy = 1 << p, 0
+    for _ in range(p):
+        x, y = _fixed_sqrt(x, y, p)
+        num += num
+        if num >= den:
+            num -= den
+            ux, uy = (ux * x - uy * y) >> p, (ux * y + uy * x) >> p
+    return ux, uy
+
+
+def _gauss_nth_root(a: int, b: int, n: int) -> Scalar | None:
+    """A Gaussian integer y with y^n = a + bi, or None when there is none.
+
+    The norm of y is the exact integer n-th root of a^2 + b^2.  Every root
+    is one of the n complex n-th roots of a + bi, computed in integer fixed
+    point with error below 1/4 and rounded to the nearest Gaussian integer.
+    """
+    norm = a * a + b * b
+    rho_sq = _iroot(norm, n)
+    if rho_sq**n != norm:
+        return None
+    bits = rho_sq.bit_length() // 2 + 1
+    p = bits + bits.bit_length() + 32
+    rho = math.isqrt(rho_sq << (2 * p))
+    mag = math.isqrt(norm << (2 * p))
+    dx, dy = _fixed_unit_power((a << (2 * p)) // mag, (b << (2 * p)) // mag, 1, n, p)
+    zx, zy = _fixed_unit_power(-1 << p, 0, 2, n, p)
+    wx, wy = (rho * dx) >> p, (rho * dy) >> p
+    half = 1 << (p - 1)
+    target = Scalar(Fraction(a), Fraction(b))
+    for _ in range(n):
+        y = Scalar(Fraction((wx + half) >> p), Fraction((wy + half) >> p))
+        if y**n == target:
+            return y
+        wx, wy = (wx * zx - wy * zy) >> p, (wx * zy + wy * zx) >> p
+    return None
+
+
 @dataclass(frozen=True)
 class Scalar:
     """An element of Q(i), kept in normalized fraction form."""
@@ -238,10 +298,11 @@ class Scalar:
         return root
 
     def nth_root(self, n: int) -> Scalar | None:
-        """An exact n-th root in Q(i) when one is easily certified.
+        """An exact n-th root in Q(i), or None when none exists.
 
-        Handles rational inputs and the fourth roots of unity factor; a
-        None result means "no root found in Q(i)", not a proof of absence.
+        Rational and equal-modulus candidates times the fourth roots of
+        unity are tried first.  Otherwise self = M / d^n with M a Gaussian
+        integer, and a root is y / d with y a Gaussian n-th root of M.
         """
         if n == 1:
             return self
@@ -270,7 +331,12 @@ class Scalar:
                 root = cand * unit
                 if root**n == self:
                     return root
-        return None
+        d = math.lcm(self.re.denominator, self.im.denominator)
+        scale = d ** (n - 1)
+        y = _gauss_nth_root(
+            int(self.re * d) * scale, int(self.im * d) * scale, n
+        )
+        return None if y is None else Scalar(y.re / d, y.im / d)
 
 
 ZERO = Scalar(_FRAC_ZERO, _FRAC_ZERO)

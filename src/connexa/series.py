@@ -123,7 +123,9 @@ class TSeries:
         return TSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> TSeries:
-        return TSeries(tuple(-a for a in self.coeffs))
+        if self.is_zero():
+            return self
+        return TSeries(tuple(a if a.is_zero() else -a for a in self.coeffs))
 
     def scale(self, c: Scalar) -> TSeries:
         if c.is_zero() or self.is_zero():
@@ -224,8 +226,12 @@ class TSeries:
         _check_order(self, lam)
         if not lam.coeffs[0].is_zero():
             raise CompositionError("inner series must vanish at 0")
-        acc = TSeries.const(self.coeffs[-1], self.order)
-        for k in range(self.order - 2, -1, -1):
+        # Horner from the last nonzero coefficient: above it acc stays 0.
+        top = self.order - 1
+        while top > 0 and self.coeffs[top].is_zero():
+            top -= 1
+        acc = TSeries.const(self.coeffs[top], self.order)
+        for k in range(top - 1, -1, -1):
             acc = acc * lam
             acc = TSeries((acc.coeffs[0] + self.coeffs[k],) + acc.coeffs[1:])
         return acc

@@ -147,6 +147,15 @@ def test_cli_euler_and_exit_codes():
     assert out.returncode == 3
 
 
+def test_cli_euler_gaussian_root():
+    # 2 + 11i = (2 + i)^3, the leading coefficient of an E4 field with r = 4
+    out = _run("euler-nf", "--g", "0,0,0,0,2+11*i")
+    data = json.loads(out.stdout)
+    assert out.returncode == 0
+    assert data["verdicts"]["automorphism_found"] is True
+    assert data["warnings"] == []
+
+
 def test_cli_malgrange_document(tmp_path):
     target = tmp_path / "univ.json"
     out = _run(

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from connexa import odekit
 from connexa.errors import NoFormalSolutionError, NotAUnitError, UnsupportedShapeError
-from connexa.scalars import HALF, I, ONE, S, ZERO
+from connexa.scalars import HALF, I, ONE, S, ZERO, integer
 from connexa.series import Laurent, TSeries
 
 from conftest import rand_nonzero, rand_scalar
@@ -146,6 +147,80 @@ def test_riccati_parameter_family():
     assert odekit.riccati_residual(s1, f).is_zero()
 
 
+def _riccati_oracle(f, r, tau_r):
+    """The recursion with every triple and quadruple sum recomputed, O(n^4)."""
+    f0 = f[0]
+    tau = [integer(r) / f0]
+
+    def conv3(n):
+        acc = ZERO
+        for k in range(min(n, len(tau))):
+            tk = tau[k]
+            if tk.is_zero():
+                continue
+            for p in range(min(n - k, n - 1) + 1):
+                tp = tau[p]
+                if not tp.is_zero():
+                    acc = acc + f[n - k - p] * tk * tp
+        return acc
+
+    def conv4(n):
+        acc = ZERO
+        for j in range(n + 1):
+            tj = tau[j]
+            if tj.is_zero():
+                continue
+            for k in range(n - j + 1):
+                tk = tau[k]
+                if tk.is_zero():
+                    continue
+                for p in range(n - j - k + 1):
+                    tp = tau[p]
+                    if not tp.is_zero():
+                        acc = acc + tj * tk * tp * f[n - j - k - p]
+        return acc
+
+    for n in range(1, r):
+        tau.append(conv3(n) / integer(n - r))
+    c = -(conv3(r)) / (tau[0] ** 3 * f0)
+    tau.append(tau_r)
+    for n in range(r + 1, f.order):
+        tau.append((conv3(n) + c * conv4(n - r)) / integer(n - r))
+    return c, TSeries(tuple(tau))
+
+
+def _riccati_inputs(rng):
+    """Every r = 1..5 at every order r+1..16, cycling dense, sparse and E4 f."""
+    for r in range(1, 6):
+        for order in range(r + 1, 17):
+            dense = [rand_nonzero(rng, 3)] + [
+                rand_scalar(rng, 3) for _ in range(order - 1)
+            ]
+            kind = (r + order) % 3
+            if kind == 0:
+                yield TSeries(tuple(dense)), r
+            elif kind == 1:
+                # zero interior coefficients, nonzero top
+                sparse = [v if k == 0 or rng.random() < 0.3 else ZERO
+                          for k, v in enumerate(dense)]
+                sparse[-1] = rand_nonzero(rng, 3)
+                yield TSeries(tuple(sparse)), r
+            else:
+                # the E4 normal form solves with f = -(g / t^r)^{-1}
+                yield -(TSeries(tuple(dense)).invert()), r
+
+
+def test_riccati_matches_full_convolution_oracle(rng):
+    for f, r in _riccati_inputs(rng):
+        tau_r = rand_scalar(rng, 3) if rng.random() < 0.7 else ZERO
+        c, tau = _riccati_oracle(f, r, tau_r)
+        sol = odekit.solve_riccati_unique_c(f, r, tau_r, with_certificate=True)
+        assert (sol.c, sol.tau, sol.r, sol.free_index_value) == (c, tau, r, tau_r)
+        assert odekit.solve_riccati_unique_c(f, r, tau_r) == replace(
+            sol, certificate=None
+        )
+
+
 def test_riccati_certificate():
     # the tail inequality needs roughly C^2 M0^2 + r orders of evidence,
     # so a certificate appears only on a long enough window
@@ -168,6 +243,33 @@ def test_convolution_inequality_examples():
         assert rep["lhs"] == 1 and rep["holds"]
     with pytest.raises(UnsupportedShapeError):
         odekit.check_convolution_inequality(3, 2)
+
+
+def _convolution_oracle(l, b):
+    """The composition sum with a Fraction per term, reduced every step."""
+    inv_sq = [Fraction(0)] + [Fraction(1, a * a) for a in range(1, b + 1)]
+    conv = inv_sq[:]
+    for _ in range(l - 1):
+        nxt = [Fraction(0)] * (b + 1)
+        for total in range(2, b + 1):
+            acc = Fraction(0)
+            for a in range(1, total):
+                acc += conv[total - a] * inv_sq[a]
+            nxt[total] = acc
+        conv = nxt
+    lhs = conv[b]
+    rhs = odekit.CONV_CONSTANT ** (l - 1) / (b * b)
+    return {"l": l, "b": b, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
+
+
+def test_convolution_matches_fraction_oracle():
+    pairs = [(l, b) for b in range(2, 21) for l in range(2, b + 1)]
+    pairs += [(2, 30), (3, 30), (17, 30), (30, 30)]
+    for l, b in pairs:
+        rep = odekit.check_convolution_inequality(l, b)
+        want = _convolution_oracle(l, b)
+        assert rep == want
+        assert str(rep["lhs"]) == str(want["lhs"])
 
 
 def test_fuchs_criterion():

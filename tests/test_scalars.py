@@ -92,6 +92,31 @@ def test_nth_root_large_integers():
     assert S(10**402).nth_root(3) == S(10**134)
 
 
+def test_nth_root_gaussian_powers():
+    assert S(2, 11).nth_root(3) == S(2, 1)
+    assert S(-4).nth_root(4) ** 4 == S(-4)
+    third = S(Fraction(2, 3), Fraction(1, 3))
+    assert (third**3).nth_root(3) == third
+    big = S(3**200 + 7, 5**150 - 1)
+    assert (big**3).nth_root(3) == big
+    assert (big**3 + ONE).nth_root(3) is None
+
+
+def test_nth_root_brute_force_sweep():
+    # any root of a + bi with |a|, |b| <= 30 lies in |re|, |im| <= 5
+    box = [S(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+    for n in range(3, 7):
+        powers = {y**n for y in box}
+        for x in range(-30, 31):
+            for y in range(-30, 31):
+                m = S(x, y)
+                root = m.nth_root(n)
+                if m in powers:
+                    assert root is not None and root**n == m
+                else:
+                    assert root is None
+
+
 def test_integer_cache():
     assert integer(7) == S(7)
     assert integer(7) is integer(7)

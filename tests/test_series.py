@@ -95,6 +95,33 @@ def test_compose_examples():
         f.compose(TSeries.one(8))
 
 
+def test_compose_matches_full_horner():
+    def horner(f, lam):
+        acc = TSeries.const(f[f.order - 1], f.order)
+        for k in range(f.order - 2, -1, -1):
+            acc = acc * lam
+            acc = TSeries((acc[0] + f[k],) + acc.coeffs[1:])
+        return acc
+
+    lam = TSeries.of([0, 2, -1, S("1/3", 1)], 8)
+    for f in (
+        TSeries.zero(8),
+        TSeries.const(S(3, -2), 8),
+        TSeries.of([1, 0, 5], 8),
+        TSeries.of([0, 0, 0, S("1/2"), 0, 0, 7], 8),
+        TSeries.of([1, 2, 3, 4, 5, 6, 7, 8], 8),
+    ):
+        assert f.compose(lam) == horner(f, lam)
+
+
+def test_neg_keeps_zeros():
+    zero = TSeries.zero(5)
+    assert -zero is zero
+    f = TSeries.of([0, S(1, -2), 0, 3], 5)
+    assert -f == TSeries.of([0, S(-1, 2), 0, -3], 5)
+    assert (-f)[0] is f[0]
+
+
 @given(series, maps, maps)
 def test_compose_associativity(f, lam, mu):
     lhs = f.compose(lam).compose(mu)
