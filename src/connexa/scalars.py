@@ -54,24 +54,6 @@ def _iroot(m: int, n: int) -> int:
         x = y
 
 
-def _frac_nth_root(q: Fraction, n: int) -> Fraction | None:
-    """Exact real n-th root of a rational, or None."""
-    if n <= 0:
-        raise ValueError("root index must be positive")
-    if q == 0:
-        return _FRAC_ZERO
-    neg = q < 0
-    if neg and n % 2 == 0:
-        return None
-    a = abs(q)
-    num, den = a.numerator, a.denominator
-    rn, rd = _iroot(num, n), _iroot(den, n)
-    if rn**n != num or rd**n != den:
-        return None
-    root = Fraction(rn, rd)
-    return -root if neg else root
-
-
 def _fixed_sqrt(x: int, y: int, p: int) -> tuple[int, int]:
     """Principal square root of (x + iy) / 2^p, in the same fixed point."""
     # One part comes from |z| + |x|, free of cancellation, the other from y
@@ -300,9 +282,9 @@ class Scalar:
     def nth_root(self, n: int) -> Scalar | None:
         """An exact n-th root in Q(i), or None when none exists.
 
-        Rational and equal-modulus candidates times the fourth roots of
-        unity are tried first.  Otherwise self = M / d^n with M a Gaussian
-        integer, and a root is y / d with y a Gaussian n-th root of M.
+        self = M / d^n with M a Gaussian integer, and a root is y / d with
+        y a Gaussian n-th root of M.  The roots are tried from the principal
+        one on, so a positive real input gets its positive real root.
         """
         if n == 1:
             return self
@@ -310,27 +292,6 @@ class Scalar:
             return self.sqrt()
         if self.is_zero():
             return ZERO
-        candidates: list[Scalar] = []
-        if self.im == 0:
-            r = _frac_nth_root(self.re, n)
-            if r is not None:
-                candidates.append(Scalar(r, _FRAC_ZERO))
-            r = _frac_nth_root(-self.re, n)
-            if r is not None:
-                candidates.append(Scalar(_FRAC_ZERO, r))
-        else:
-            mag = _frac_nth_root(self.norm_sq(), n)
-            if mag is not None:
-                half = _frac_sqrt(mag)
-                if half is not None:
-                    for cre in (half, -half):
-                        candidates.append(Scalar(cre, half))
-                        candidates.append(Scalar(cre, -half))
-        for cand in candidates:
-            for unit in (ONE, -ONE, I, -I):
-                root = cand * unit
-                if root**n == self:
-                    return root
         d = math.lcm(self.re.denominator, self.im.denominator)
         scale = d ** (n - 1)
         y = _gauss_nth_root(

@@ -78,6 +78,8 @@ def test_nth_root():
     assert S(8).nth_root(3) == S(2)
     assert S(16).nth_root(4) in (S(2), S(-2), S(0, 2), S(0, -2))
     assert S(-8).nth_root(3) == S(-2)
+    assert S(-64).nth_root(6) == S(0, 2)
+    assert S(Fraction(1, 81)).nth_root(4) == S(Fraction(1, 3))
     assert S(5).nth_root(3) is None
 
 
