@@ -31,10 +31,6 @@ EXIT_PRECONDITION = 3
 EXIT_FLAGGED = 4
 
 
-def _parse_scalar(text: str) -> Scalar:
-    return Scalar.parse(text)
-
-
 def _parse_series(text: str, order: int) -> TSeries:
     parts = [p for p in text.split(",") if p.strip()]
     return TSeries.of([Scalar.parse(p) for p in parts], order)
@@ -154,8 +150,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_birkhoff_iso(args) -> int:
-    left = [_parse_scalar(x) for x in args.left.split(",")]
-    right = [_parse_scalar(x) for x in args.right.split(",")]
+    left = [Scalar.parse(x) for x in args.left.split(",")]
+    right = [Scalar.parse(x) for x in args.right.split(",")]
     if len(left) != 4 or len(right) != 4:
         raise DocumentError("tuples must be c,alpha,c0,c1")
     d1 = BirkhoffData(*left)
@@ -171,13 +167,13 @@ def cmd_birkhoff_iso(args) -> int:
 
 
 def cmd_malgrange(args) -> int:
-    entries = [_parse_scalar(x) for x in args.binf.split(",")]
+    entries = [Scalar.parse(x) for x in args.binf.split(",")]
     if len(entries) != 4:
         raise DocumentError("binf must be b11,b12,b21,b22")
     b11, b12, b21, b22 = entries
     binf = ConstMat.from_entries(b11, b12, b21, b22)
-    st = malgrange_xy(binf, _parse_scalar(args.c0), args.order_t)
-    s = malgrange_connection(st, _parse_scalar(args.c), args.order_z)
+    st = malgrange_xy(binf, Scalar.parse(args.c0), args.order_t)
+    s = malgrange_connection(st, Scalar.parse(args.c), args.order_z)
     text = dumps_document(structure_to_document(s))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -189,7 +185,7 @@ def cmd_malgrange(args) -> int:
 
 def cmd_euler_nf(args) -> int:
     g = _parse_series(args.g, args.order_t)
-    e = EulerField(_parse_scalar(args.c), g)
+    e = EulerField(Scalar.parse(args.c), g)
     nz = euler_normal_form(e)
     out = Report("euler-nf")
     out.verdicts["family"] = nz.normal_form.family
@@ -203,7 +199,7 @@ def cmd_euler_nf(args) -> int:
 
 def cmd_euler_realizable(args) -> int:
     g = _parse_series(args.g, args.order_t)
-    e = EulerField(_parse_scalar(args.c), g)
+    e = EulerField(Scalar.parse(args.c), g)
     nz = euler_normal_form(e)
     out = Report("euler-realizable")
     out.verdicts["family"] = nz.normal_form.family

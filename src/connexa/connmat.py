@@ -405,52 +405,38 @@ def invert_gauge(g: GaugeMap) -> GaugeMap:
 
 
 def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
-    """Image structure; for a pure gauge
+    """Image structure
 
-        A~_i = T^{-1}(z di(T) + A_i T),   B~ = T^{-1}(z^2 dz(T) + B T)
+        A~_i = T^{-1}(z di(T) + A_i T),   B~ = T^{-1}(z^2 dz(T) + B T),
 
-    and for a base change the A2/B inputs are first composed with lam and
-    the A2 relation picks up the lam' factor.
+    where for a base change the inputs are first composed with lam and A2
+    picks up the lam' factor.  The t-order drops by one unless T is a
+    t2-free pure gauge.
     """
     nz = min(s.orders[0], g.tmat.nz)
     nt = min(s.orders[1], g.tmat.nt)
-    s = s.truncate(nz, nt)
     t = g.tmat.truncate(nz, nt)
-    tinv = t.inverse()
-    if g.lam is None:
-        if t.is_t2_free():
-            ntr = nt
-            a2_src = s.A2
-            b_src = s.B
-            a1_src = s.A1
-            t_r = t
-            tinv_r = tinv
-            zdt2 = Mat2.zero(nz, ntr)
-        else:
-            ntr = nt - 1
-            a2_src = s.A2.truncate(nz, ntr)
-            b_src = s.B.truncate(nz, ntr)
-            a1_src = s.A1.truncate(nz, ntr)
-            t_r = t.truncate(nz, ntr)
-            tinv_r = tinv.truncate(nz, ntr)
-            zdt2 = t.dt().shift_z(1)
-        a1 = tinv_r * (a1_src * t_r)
-        a2 = tinv_r * (zdt2 + a2_src * t_r)
-        b = tinv_r * (t.z2dz().truncate(nz, ntr) + b_src * t_r)
-        return TEStruct(a1, a2, b, s.kind)
-    lam = g.lam.truncate(nt)
-    ntr = nt - 1
-    lam_dot = lam.derivative()
-    a1c = s.A1.compose_t2(lam).truncate(nz, ntr)
-    a2c = s.A2.compose_t2(lam).truncate(nz, ntr)
-    bc = s.B.compose_t2(lam).truncate(nz, ntr)
+    if g.lam is None and t.is_t2_free():
+        ntr = nt
+        zdt2 = Mat2.zero(nz, ntr)
+    else:
+        ntr = nt - 1
+        zdt2 = t.dt().shift_z(1)
+    a1, a2, b = (m.truncate(nz, ntr) for m in (s.A1, s.A2, s.B))
+    if g.lam is not None:
+        lam = g.lam.truncate(nt)
+        lam_dot = lam.derivative()
+        lam_r = lam.truncate(ntr)
+        a1, a2, b = (m.compose_t2(lam_r) for m in (a1, a2, b))
+        a2 = a2.map(lambda c: c.mul_t(lam_dot))
     t_r = t.truncate(nz, ntr)
-    tinv_r = tinv.truncate(nz, ntr)
-    zdt2 = t.dt().shift_z(1)
-    a1 = tinv_r * (a1c * t_r)
-    a2 = tinv_r * (zdt2 + a2c.map(lambda c: c.mul_t(lam_dot)) * t_r)
-    b = tinv_r * (t.z2dz().truncate(nz, ntr) + bc * t_r)
-    return TEStruct(a1, a2, b, s.kind)
+    tinv_r = t_r.inverse()
+    return TEStruct(
+        tinv_r * (a1 * t_r),
+        tinv_r * (zdt2 + a2 * t_r),
+        tinv_r * (t.z2dz().truncate(nz, ntr) + b * t_r),
+        s.kind,
+    )
 
 
 def gauge_residuals(s: TEStruct, g: GaugeMap, out: TEStruct) -> list[Mat2]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from . import odekit
 from .errors import UnsupportedShapeError
 from .scalars import ONE, ZERO, Scalar, integer
-from .series import AffinePoly1, TSeries, ts_eq_truncated
+from .series import AffinePoly1, TSeries
 
 
 @dataclass(frozen=True)
@@ -91,27 +91,21 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
     (free index fixed to 0 for determinism; c1 does not depend on it).
     """
     g = e.g
-    order = g.order
     notes: list[str] = []
     val = g.valuation()
     if val is None:
         return EulerNormalization(EulerNormalForm("E2", {"c": e.c}), None)
     if val == 0:
-        # solve t*w' + w = 1/g; then lam = t*w
-        sol = odekit.solve_linear_t_ode([[TSeries.one(order)]], [g.invert()])
-        lam = sol.u[0].shift(1)
+        # lam' = 1/g: lam = int dt/g
+        lam = g.invert().integral()
         return EulerNormalization(EulerNormalForm("E1", {"c": e.c}), lam)
     if val == 1:
-        # g = t/f with f a unit; c0 = 1/f(0); t*w' + (1 - c0 f) w = 0
+        # g = t/f with f a unit, c0 = 1/f(0); lam = t w with
+        # t w' = (c0 f - 1) w, w(0) = 1: w = exp(c0 int (f - f(0))/t)
         unit = TSeries(g.coeffs[1:])  # g/t, exact one order lower
         f = unit.invert()
         c0 = ONE / f.at0()
-        coeff = TSeries.one(f.order) - f.scale(c0)
-        sol = odekit.solve_linear_t_ode([[coeff]], [TSeries.zero(f.order)])
-        w = sol.u[0]
-        if (0, 0) in sol.free_parameters:
-            # deliberate one-parameter freedom at the resonant step; pin w(0)=1
-            w = _resolve_linear_homogeneous(coeff, TSeries.one(f.order))
+        w = TSeries(f.coeffs[1:] + (ZERO,)).integral().scale(c0).exp()
         lam = TSeries(w.coeffs + (ZERO,)).shift(1)  # t*w, exact
         return EulerNormalization(
             EulerNormalForm("E3", {"c": e.c, "c0": c0}), lam
@@ -141,21 +135,6 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
     )
 
 
-def _resolve_linear_homogeneous(coeff: TSeries, w0: TSeries) -> TSeries:
-    """Re-run t w' + coeff w = 0 with w(0) pinned to the given value."""
-    order = coeff.order
-    out = [w0.at0()]
-    for n in range(1, order):
-        acc = ZERO
-        for k in range(1, n + 1):
-            ck = coeff[k]
-            if not ck.is_zero():
-                acc = acc + ck * out[n - k]
-        denom = integer(n) + coeff[0]
-        out.append(-acc / denom)
-    return TSeries(tuple(out))
-
-
 def euler_orbit_decision(n1: EulerNormalForm, n2: EulerNormalForm) -> bool:
     """Distinct normal forms lie in distinct orbits."""
     return n1.key() == n2.key()
@@ -178,4 +157,4 @@ def verify_normalization(e: EulerField, nz: EulerNormalization) -> bool:
         return e.g.is_zero() if nz.normal_form.family == "E2" else False
     pushed = push_forward_g(e.g, nz.lam)
     target = nz.normal_form.g_series(pushed.order)
-    return ts_eq_truncated(pushed, target)
+    return pushed == target

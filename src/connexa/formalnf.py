@@ -163,16 +163,13 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
     f, b2, b1 = prenormal_components(s)
     c, alpha = b1[0], b1[1] if nz > 1 else ZERO
     p = PreNormalForm(f, b2, c, alpha)
-    _validate_against(s, p, b1)
+    _validate_against(s, p)
     p.validate()
-    tail = TSeries((ZERO, ZERO) + b1.coeffs[2:])
+    # the C1 pole tail b1 - c - alpha z, divided by z^2
+    tail = TSeries(b1.coeffs[2:] + (ZERO, ZERO))
     if tail.is_zero():
         return p, GaugeMap(Mat2.identity(nz, nt))
-    sigma = TSeries(
-        (ZERO,)
-        + tuple(-b1[k + 1] / integer(k) for k in range(1, nz - 1))
-        + (ZERO,)
-    )
+    sigma = -tail.integral()
     gauge = scalar_exp_gauge(sigma, nz, nt)
     out = apply_gauge(s, gauge)
     f2, b22, b12 = prenormal_components(out)
@@ -181,7 +178,7 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
     return p, gauge
 
 
-def _validate_against(s: TEStruct, p: PreNormalForm, b1: TSeries):
+def _validate_against(s: TEStruct, p: PreNormalForm):
     """Check the derived pole components match the structure."""
     nz, nt = s.orders
     b3 = p.b3()
@@ -376,19 +373,17 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     tau1 = [ONE] + [ZERO] * (nz - 1)
     tau2 = [ZERO] * nz
     if nz > 1:
-        tau2[0] = integer(-2) * tau1[0] * diffs[1] if nz > 1 else ZERO
+        tau2[0] = integer(-2) * tau1[0] * diffs[1]
     for n in range(2, nz + 1):
-        if n - 1 < nz:
-            acc = ZERO
-            for l in range(2, n + 1):
-                if n - l < nz and l - 1 < len(diffs):
-                    acc = acc + tau2[n - l] * diffs[l - 1]
-            tau1[n - 1] = -acc / integer(n - 1)
-            acc = ZERO
-            for l in range(1, n + 1):
-                if l < len(diffs):
-                    acc = acc + tau1[n - l] * diffs[l]
-            tau2[n - 1] = -acc / (integer(n) - HALF)
+        acc = ZERO
+        for l in range(2, n + 1):
+            acc = acc + tau2[n - l] * diffs[l - 1]
+        tau1[n - 1] = -acc / integer(n - 1)
+        acc = ZERO
+        for l in range(1, n + 1):
+            if l < len(diffs):
+                acc = acc + tau1[n - l] * diffs[l]
+        tau2[n - 1] = -acc / (integer(n) - HALF)
     zero = ZTSeries.zero(nz, nt)
     tmat = Mat2(
         ZTSeries.from_zseries(TSeries(tuple(tau1)), nz, nt),

@@ -54,13 +54,9 @@ class MalgrangeState:
     closed_form_checked: bool
 
 
-def _binf_entries(binf: ConstMat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    return binf.entries()  # (B11, B12, B21, B22)
-
-
 def malgrange_xy(binf: ConstMat, c0: Scalar, order: int) -> MalgrangeState:
     """Solve the coordinate system by exact polynomial recursion."""
-    b11, b12, b21, b22 = _binf_entries(binf)
+    b11, b12, b21, b22 = binf.entries()
     diff = b11 - b22
     decay = b22 - b11 - ONE
     x = [ZERO] * order
@@ -88,7 +84,7 @@ def malgrange_xy(binf: ConstMat, c0: Scalar, order: int) -> MalgrangeState:
 def _pencil_roots(binf: ConstMat, c0: Scalar) -> tuple[Scalar, Scalar] | None:
     """Roots of B21 x^2 - (B11-B22) x - B12, ordered by the fixed square-root
     convention, when they exist in Q(i)."""
-    b11, b12, b21, b22 = _binf_entries(binf)
+    b11, b12, b21, b22 = binf.entries()
     if b21.is_zero():
         return None
     ssum = (b11 - b22) / b21
@@ -103,7 +99,7 @@ def _pencil_roots(binf: ConstMat, c0: Scalar) -> tuple[Scalar, Scalar] | None:
 
 
 def xy_residuals(st: MalgrangeState) -> tuple[TSeries, TSeries]:
-    b11, b12, b21, b22 = _binf_entries(st.binf)
+    b11, b12, b21, b22 = st.binf.entries()
     n = st.x.order - 1
     x = st.x.truncate(n)
     y = st.y.truncate(n)
@@ -122,7 +118,7 @@ def xy_residuals(st: MalgrangeState) -> tuple[TSeries, TSeries]:
 def _cross_check_closed_form(
     binf: ConstMat, c0: Scalar, x: TSeries, y: TSeries, roots
 ) -> bool:
-    b11, b12, b21, b22 = _binf_entries(binf)
+    b11, b12, b21, b22 = binf.entries()
     order = x.order
     if b21.is_zero():
         k = b11 - b22
@@ -265,7 +261,7 @@ def holo_normal_form_second_type(
     c0 = b0o.c2
     if not (b0o.d.is_zero() and b0o.e.is_zero()) or c0.is_zero():
         raise ShapeError("pencil head must be c*C1 + c0*C2 with c0 != 0")
-    b11, b12, b21, b22 = _binf_entries(binf)
+    b11, b12, b21, b22 = binf.entries()
     if b12 != c0 or b11 - b22 != -HALF:
         raise ShapeError("z-part must be normalized: B12 = c0, B11 - B22 = -1/2")
     if b21.is_zero():
@@ -354,7 +350,7 @@ def first_type_normal_form(
     """The B21 = 0 branch lands on the unit-family normal form."""
     c = b0o.c1
     c0 = b0o.c2
-    b11, b12, b21, b22 = _binf_entries(binf)
+    b11, b12, b21, b22 = binf.entries()
     if not b21.is_zero() or b12 != c0 or b11 - b22 != -HALF or c0.is_zero():
         raise ShapeError("first-type branch needs B21 = 0, B12 = c0 != 0")
     alpha = (b11 + b22) * HALF
@@ -411,9 +407,7 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
     )
     out = apply_gauge(s, GaugeMap(shear))
     ntr = out.orders[1]
-    mu2 = TSeries(
-        (ZERO,) + tuple(y[k] / integer(k + 1) for k in range(ntr - 1))
-    )
+    mu2 = y.truncate(ntr).integral()
     return apply_gauge(
         out, GaugeMap(Mat2.identity(nz, ntr), mu2.reverse())
     )

@@ -9,7 +9,7 @@ and the valuation test for a regular singularity in companion form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -269,7 +269,6 @@ class RiccatiSolution:
     tau: TSeries
     r: int
     free_index_value: Scalar
-    certificate: ConvergenceCertificate | None = field(default=None)
 
 
 def riccati_residual(sol: RiccatiSolution, f: TSeries, c: Scalar | None = None) -> TSeries:
@@ -282,9 +281,7 @@ def riccati_residual(sol: RiccatiSolution, f: TSeries, c: Scalar | None = None) 
     return lhs - tau * tau * f * tail
 
 
-def solve_riccati_unique_c(
-    f: TSeries, r: int, tau_r: Scalar, with_certificate: bool = False
-) -> RiccatiSolution:
+def solve_riccati_unique_c(f: TSeries, r: int, tau_r: Scalar) -> RiccatiSolution:
     """The unique constant c making the family solvable, plus one solution.
 
     tau_0 = r/f_0; below index r the coefficients are forced, the index-r
@@ -357,11 +354,7 @@ def solve_riccati_unique_c(
         else:
             tau.append((conv3(n, p_n) + c * conv4(n - r)) / integer(n - r))
         q.append(p_n + two_tau0 * tau[n])
-    tau_series = TSeries(tuple(tau))
-    cert = None
-    if with_certificate:
-        cert = search_convergence_certificate(f, tau_series, r, c)
-    return RiccatiSolution(c, tau_series, r, tau_r, cert)
+    return RiccatiSolution(c, TSeries(tuple(tau)), r, tau_r)
 
 
 def search_convergence_certificate(

@@ -286,7 +286,7 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
         u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
         s = ConstMat.from_entries(v[0], u[0], v[1], u[1])
         cur = _const_gauge(cur, s)
-        pre = pre * _embed_const(s, nz)
+        pre = pre * zmat_from_consts([s], nz)
         log.append("residue conjugated to lower-triangular form")
         res = zmat_coeff(cur, 0)
         c0 = res.c2
@@ -398,17 +398,8 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
     return BirkhoffReduction(b0, binf, total, tuple(log))
 
 
-def _embed_const(s: ConstMat, nz: int) -> Mat2:
-    return zmat(
-        TSeries.const(s.c1, nz),
-        TSeries.const(s.c2, nz),
-        TSeries.const(s.d, nz),
-        TSeries.const(s.e, nz),
-    )
-
-
 def _const_gauge(mat: Mat2, s: ConstMat) -> Mat2:
-    return _z_gauge(mat, _embed_const(s, mat.nz))
+    return _z_gauge(mat, zmat_from_consts([s], mat.nz))
 
 
 def _z_gauge(mat: Mat2, t: Mat2) -> Mat2:

@@ -124,15 +124,17 @@ class Scalar:
     # -- construction ------------------------------------------------
 
     @staticmethod
-    def of(re=0, im=0) -> Scalar:
-        return Scalar(_as_fraction(re), _as_fraction(im))
-
-    @staticmethod
     def parse(text: str) -> Scalar:
-        """Parse the canonical text form "p/q+r/s*i" (either part optional)."""
+        """Parse the canonical text form "p/q+r/s*i" (either part optional).
+
+        Exponent notation is refused: "1e999999999" would build a
+        billion-digit integer.
+        """
         s = text.replace(" ", "")
         if not s:
             raise DocumentError("empty scalar literal")
+        if "e" in s or "E" in s:
+            raise DocumentError(f"exponent in scalar literal {text!r}")
         # split into at most two signed parts at top level
         parts: list[str] = []
         start = 0
@@ -302,7 +304,6 @@ class Scalar:
 
 ZERO = Scalar(_FRAC_ZERO, _FRAC_ZERO)
 ONE = Scalar(_FRAC_ONE, _FRAC_ZERO)
-TWO = Scalar(Fraction(2), _FRAC_ZERO)
 HALF = Scalar(Fraction(1, 2), _FRAC_ZERO)
 QUARTER = Scalar(Fraction(1, 4), _FRAC_ZERO)
 I = Scalar(_FRAC_ZERO, _FRAC_ONE)

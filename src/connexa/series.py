@@ -187,6 +187,17 @@ class TSeries:
             )
         )
 
+    def integral(self) -> TSeries:
+        """Primitive vanishing at 0, at the same order: the top coefficient
+        drops out of the window."""
+        return TSeries(
+            (ZERO,)
+            + tuple(
+                ZERO if c.is_zero() else c / integer(n + 1)
+                for n, c in enumerate(self.coeffs[:-1])
+            )
+        )
+
     def derivative_exact(self) -> TSeries:
         """Same-order derivative of a stored polynomial.
 
@@ -304,12 +315,6 @@ class TSeries:
         return "[" + ", ".join(terms) + f"; O({self.order})]"
 
 
-def ts_eq_truncated(a: TSeries, b: TSeries) -> bool:
-    """Equality on the common exact window."""
-    n = min(a.order, b.order)
-    return a.truncate(n) == b.truncate(n)
-
-
 def exp_linear(theta: Scalar, order: int) -> TSeries:
     """exp(theta * x) as an exact series."""
     out = [ONE]
@@ -406,10 +411,6 @@ class ZTSeries:
     """Truncated series in z with AffinePoly1 coefficients."""
 
     zc: tuple[AffinePoly1, ...]
-
-    @property
-    def order(self) -> int:  # z-order; t-order via .nt
-        return len(self.zc)
 
     @property
     def nz(self) -> int:

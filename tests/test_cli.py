@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from connexa import cli
 from connexa.connmat import Mat2, TEStruct
 from connexa.docio import (
     dumps_document,
@@ -86,8 +91,13 @@ def _scalar_zero_denominator(doc):
     doc["matrices"]["A1"]["c1"][0][0][0] = "1/0"
 
 
+def _scalar_exponent(doc):
+    doc["matrices"]["A1"]["c1"][0][0][0] = "1e400"
+
+
 @pytest.mark.parametrize(
-    "mutate", [_t1_degree_text, _nz_zero, _scalar_zero_denominator]
+    "mutate",
+    [_t1_degree_text, _nz_zero, _scalar_zero_denominator, _scalar_exponent],
 )
 def test_cli_malformed_document_exits_2(tmp_path, mutate):
     doc = structure_to_document(build_fixture("nf3_1", 4, 4))
@@ -156,6 +166,15 @@ def test_cli_euler_gaussian_root():
     assert data["warnings"] == []
 
 
+def test_cli_exponent_literal_exits_2():
+    # the text form has no exponent; "1e400" would be a 401-digit integer
+    for g in ("1e400,1", "1,1E400*i"):
+        out = _run("euler-nf", f"--g={g}")
+        assert out.returncode == 2
+        assert "parse error" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_cli_malgrange_document(tmp_path):
     target = tmp_path / "univ.json"
     out = _run(
@@ -184,3 +203,25 @@ def test_cli_fixtures_dir(tmp_path):
         env=env,
     )
     assert res.returncode == 0
+
+
+# Exit code and stdout digest of every fixture report at the CLI's default
+# (16, 16) window, as recorded for the benchmark.
+RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_fixture_reports_match_recording(tmp_path):
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))["fixture-reports"]
+    write_fixtures(str(tmp_path), 16, 16)
+    checked = 0
+    for name in fixture_names():
+        for cmd in ("verify", "prenormal", "formal-nf", "classify"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = cli.main([cmd, str(tmp_path / f"{name}.json")])
+            digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            assert [code, digest] == recorded[f"{cmd} {name}"], (cmd, name)
+            checked += 1
+    assert checked == 68

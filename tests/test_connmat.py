@@ -160,6 +160,20 @@ def test_gauge_identity_and_round_trip(rng):
     back = apply_gauge(out, invert_gauge(g))
     assert back == s.truncate(*back.orders)
     assert all(r.is_zero() for r in gauge_residuals(s, g, out))
+    # a t2-free pure gauge keeps the window; a t2-dependent gauge and a
+    # base change lose one t2-order
+    shear = Mat2.identity(NZ, NT) + Mat2.basis("e", NZ, NT).scale_zt(
+        ZTSeries.t2(NZ, NT)
+    )
+    lam = TSeries.of([0, 2, 0, "1/3"], NT)
+    for g, nt in (
+        (g, NT),
+        (GaugeMap(shear), NT - 1),
+        (GaugeMap(Mat2.basis("d", NZ, NT), lam), NT - 1),
+    ):
+        out = apply_gauge(s, g)
+        assert out.orders == (NZ, nt)
+        assert all(r.is_zero() for r in gauge_residuals(s, g, out))
 
 
 def test_scalar_gauge_clears_tail():

@@ -1,5 +1,6 @@
 import pytest
 
+from connexa import odekit
 from connexa.euler import (
     EulerField,
     EulerNormalForm,
@@ -11,10 +12,10 @@ from connexa.euler import (
     realizable_by_te,
     verify_normalization,
 )
-from connexa.scalars import ONE, S, ZERO
+from connexa.scalars import ONE, S, ZERO, integer
 from connexa.series import AffinePoly1, TSeries
 
-from conftest import rand_scalar
+from conftest import rand_nonzero, rand_scalar
 
 NT = 14
 
@@ -76,6 +77,44 @@ def test_higher_order_cases():
     nz = euler_normal_form(e)
     assert nz.normal_form.params["r"] == 3
     assert verify_normalization(e, nz)
+
+
+def _lam_by_recursion(g: TSeries) -> TSeries:
+    """E1/E3 automorphism by the t w' + A w = b coefficient recursion."""
+    order = g.order
+    if g.valuation() == 0:
+        # t w' + w = 1/g, lam = t w
+        sol = odekit.solve_linear_t_ode([[TSeries.one(order)]], [g.invert()])
+        return sol.u[0].shift(1)
+    # g = t/f: t w' + (1 - c0 f) w = 0, singular at n = 0; pin w(0) = 1
+    f = TSeries(g.coeffs[1:]).invert()
+    coeff = TSeries.one(f.order) - f.scale(ONE / f.at0())
+    sol = odekit.solve_linear_t_ode([[coeff]], [TSeries.zero(f.order)])
+    assert (0, 0) in sol.free_parameters
+    w = [ONE]
+    for n in range(1, f.order):
+        acc = ZERO
+        for k in range(1, n + 1):
+            if not coeff[k].is_zero():
+                acc = acc + coeff[k] * w[n - k]
+        w.append(-acc / (integer(n) + coeff[0]))
+    return TSeries(tuple(w) + (ZERO,)).shift(1)
+
+
+def test_closed_form_automorphisms_match_recursion(rng):
+    for order in range(2, 19):
+        for val in (0, 1):
+            for sparse in (False, True):
+                vals = [ZERO] * val + [rand_nonzero(rng, 3)]
+                while len(vals) < order:
+                    keep = not sparse or rng.random() < 0.3
+                    vals.append(rand_scalar(rng, 3) if keep else ZERO)
+                g = TSeries(tuple(vals))
+                nz = euler_normal_form(EulerField(S(0), g))
+                assert nz.normal_form.family == ("E1", "E3")[val]
+                assert nz.lam == _lam_by_recursion(g), (order, val, sparse)
+                if order > 2:  # the replay needs a window above lam's linear term
+                    assert verify_normalization(EulerField(S(0), g), nz)
 
 
 def test_idempotency_on_normal_forms():

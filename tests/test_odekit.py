@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -214,23 +213,19 @@ def test_riccati_matches_full_convolution_oracle(rng):
     for f, r in _riccati_inputs(rng):
         tau_r = rand_scalar(rng, 3) if rng.random() < 0.7 else ZERO
         c, tau = _riccati_oracle(f, r, tau_r)
-        sol = odekit.solve_riccati_unique_c(f, r, tau_r, with_certificate=True)
+        sol = odekit.solve_riccati_unique_c(f, r, tau_r)
         assert (sol.c, sol.tau, sol.r, sol.free_index_value) == (c, tau, r, tau_r)
-        assert odekit.solve_riccati_unique_c(f, r, tau_r) == replace(
-            sol, certificate=None
-        )
 
 
 def test_riccati_certificate():
     # the tail inequality needs roughly C^2 M0^2 + r orders of evidence,
     # so a certificate appears only on a long enough window
-    f = TSeries.one(60)
-    sol = odekit.solve_riccati_unique_c(f, 1, ZERO, with_certificate=True)
-    assert sol.certificate is not None
-    short = odekit.solve_riccati_unique_c(
-        TSeries.one(12), 1, ZERO, with_certificate=True
-    )
-    assert short.certificate is None  # absence is a warning, not an error
+    for order, found in ((60, True), (12, False)):
+        f = TSeries.one(order)
+        sol = odekit.solve_riccati_unique_c(f, 1, ZERO)
+        cert = odekit.search_convergence_certificate(f, sol.tau, 1, sol.c)
+        # absence is a warning, not an error
+        assert (cert is not None) == found
 
 
 def test_convolution_inequality_examples():

@@ -168,6 +168,19 @@ def test_derivative():
         TSeries.of([0] * 5 + [1], 6).derivative_exact()
 
 
+def test_integral():
+    # order 1: only the vanishing constant term is left
+    assert TSeries.of([5], 1).integral() == TSeries.of([0], 1)
+    f = TSeries.of([3, 0, S(1, 2), 0, 7, 9], 6)
+    prim = f.integral()
+    assert prim.order == f.order
+    # hand-built primitive; the top coefficient 9 falls out of the window
+    assert prim == TSeries.of([0, 3, 0, S(1, 2) / S(3), 0, S("7/5")], 6)
+    assert prim[2] is ZERO and prim[4] is ZERO  # zeros are kept, not divided
+    assert prim.derivative() == f.truncate(5)
+    assert TSeries.zero(4).integral() == TSeries.zero(4)
+
+
 def test_exp_and_pow():
     e = exp_linear(ONE, 6)
     assert e[3] == S("1/6")
