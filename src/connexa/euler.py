@@ -101,11 +101,14 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
         return EulerNormalization(EulerNormalForm("E1", {"c": e.c}), lam)
     if val == 1:
         # g = t/f with f a unit, c0 = 1/f(0); lam = t w with
-        # t w' = (c0 f - 1) w, w(0) = 1: w = exp(c0 int (f - f(0))/t)
+        # t w' = (c0 f - 1) w, w(0) = 1.  For v = w - 1 the n = 0 step
+        # 0 * v_0 = c0 f(0) - 1 = 0 is the resonance; v_0 = 0 pins w(0) = 1.
         unit = TSeries(g.coeffs[1:])  # g/t, exact one order lower
         f = unit.invert()
         c0 = ONE / f.at0()
-        w = TSeries(f.coeffs[1:] + (ZERO,)).integral().scale(c0).exp()
+        rate = f.scale(c0) - TSeries.one(f.order)
+        sol = odekit.solve_linear_t_ode([[-rate]], [rate])
+        w = sol.u[0] + TSeries.one(f.order)
         lam = TSeries(w.coeffs + (ZERO,)).shift(1)  # t*w, exact
         return EulerNormalization(
             EulerNormalForm("E3", {"c": e.c, "c0": c0}), lam

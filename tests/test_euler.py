@@ -101,7 +101,7 @@ def _lam_by_recursion(g: TSeries) -> TSeries:
     return TSeries(tuple(w) + (ZERO,)).shift(1)
 
 
-def test_closed_form_automorphisms_match_recursion(rng):
+def test_euler_automorphisms_match_recursion(rng):
     for order in range(2, 19):
         for val in (0, 1):
             for sparse in (False, True):
