@@ -33,7 +33,16 @@ EXIT_FLAGGED = 4
 
 def _parse_series(text: str, order: int) -> TSeries:
     parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) > order:
+        raise DocumentError(f"{len(parts)} coefficients exceed the order {order}")
     return TSeries.of([Scalar.parse(p) for p in parts], order)
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"order must be at least 1, not {n}")
+    return n
 
 
 def _nf_entry(nfid) -> dict:
@@ -238,8 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classification of rank-2 pole-order-1 structures "
         "over the nilpotent base germ",
     )
-    ap.add_argument("--order-z", type=int, default=16, help="z truncation order")
-    ap.add_argument("--order-t", type=int, default=16, help="t2 truncation order")
+    ap.add_argument(
+        "--order-z", type=positive_int, default=16, help="z truncation order"
+    )
+    ap.add_argument(
+        "--order-t", type=positive_int, default=16, help="t2 truncation order"
+    )
     ap.add_argument("--nmax", type=int, default=64, help="chain-index search bound")
     ap.add_argument("--kmax", type=int, default=None, help="eigen-section search bound")
     ap.add_argument("--fixtures", default=None, help="extra fixtures directory")

@@ -34,17 +34,20 @@ class EulerNormalForm:
             raise UnsupportedShapeError("E4 requires integer r >= 2")
 
     def g_series(self, order: int) -> TSeries:
+        """g on the window of the given order; terms above it drop out."""
         if self.family == "E1":
             return TSeries.one(order)
         if self.family == "E2":
             return TSeries.zero(order)
         if self.family == "E3":
-            return TSeries.monomial(self.params["c0"], 1, order)
-        r = self.params["r"]
-        g = TSeries.monomial(ONE, r, order)
-        c1 = self.params["c1"]
-        if not c1.is_zero():
-            g = g + TSeries.monomial(c1, 2 * r - 1, order)
+            terms = [(self.params["c0"], 1)]
+        else:
+            r = self.params["r"]
+            terms = [(ONE, r), (self.params["c1"], 2 * r - 1)]
+        g = TSeries.zero(order)
+        for c, k in terms:
+            if k < order:
+                g = g + TSeries.monomial(c, k, order)
         return g
 
     def key(self) -> tuple:
@@ -78,9 +81,11 @@ def is_euler(d1_coeff: AffinePoly1, d2_coeff: AffinePoly1) -> EulerField | None:
 def push_forward_g(g: TSeries, lam: TSeries) -> TSeries:
     """The d/dt2-coefficient of the image field: (lam' * g) o lam^{-1}."""
     n = min(g.order, lam.order) - 1
-    lam_t = lam.truncate(n)
-    num = lam.truncate(n + 1).derivative() * g.truncate(n)
-    return num.compose(lam_t.reverse())
+    lam = lam.truncate(n + 1)
+    num = lam.derivative() * g.truncate(n)
+    # Coefficient m of the reverse needs lam_1..lam_m only, so reversing at
+    # n + 1 and truncating is exact, and keeps lam_1 in the window at n = 1.
+    return num.compose(lam.reverse().truncate(n))
 
 
 def euler_normal_form(e: EulerField) -> EulerNormalization:

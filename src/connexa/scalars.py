@@ -130,6 +130,12 @@ class Scalar:
         Exponent notation is refused: "1e999999999" would build a
         billion-digit integer.
         """
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return integer(int(text))
+            except ValueError as exc:  # past the int/str conversion limit
+                raise DocumentError(f"bad scalar literal {text!r}") from exc
         s = text.replace(" ", "")
         if not s:
             raise DocumentError("empty scalar literal")

@@ -20,6 +20,8 @@ index n only involves inputs at index <= n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     CompositionError,
@@ -30,21 +32,102 @@ from .errors import (
 )
 from .scalars import ONE, ZERO, S, Scalar, integer
 
+_FRAC_ZERO = ZERO.re
 
-def _check_order(a, b):
-    if a.order != b.order:
+
+def _check_order(a: TSeries, b: TSeries):
+    if len(a.re) != len(b.re):
         raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
 
 
-@dataclass(frozen=True)
-class TSeries:
-    """Truncated series sum(coeffs[n] * x^n, n < order) in one variable."""
+def _scalar(re: int, im: int, den: int) -> Scalar:
+    """The coefficient (re + im i) / den; every zero is the shared ZERO."""
+    if not im:
+        if not re:
+            return ZERO
+        if den == 1:
+            return integer(re)
+        return Scalar(Fraction(re, den), _FRAC_ZERO)
+    return Scalar(Fraction(re, den) if re else _FRAC_ZERO, Fraction(im, den))
 
-    coeffs: tuple[Scalar, ...]
+
+def _gaussian(c: Scalar) -> tuple[int, int, int]:
+    """c as (p + q i) / d with p, q, d integers and d > 0."""
+    dr, di = c.re.denominator, c.im.denominator
+    d = lcm(dr, di)
+    return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
+
+
+class TSeries:
+    """Truncated series sum(coeffs[n] * x^n, n < order) in one variable.
+
+    Stored as Gaussian-integer numerators over one denominator: coefficient
+    n is (re[n] + im[n] i) / den with den > 0 and gcd(den, re, im) = 1, so
+    the zero series has den = 1 and equal series have equal fields.  The
+    constructor takes a sequence of Scalars; ``coeffs`` builds the Scalar
+    tuple on first use and keeps it.
+    """
+
+    __slots__ = ("re", "im", "den", "_coeffs")
+
+    def __init__(self, coeffs) -> None:
+        den = lcm(*[c.re.denominator for c in coeffs],
+                  *[c.im.denominator for c in coeffs])
+        if den == 1:
+            self.re = [c.re.numerator for c in coeffs]
+            self.im = [c.im.numerator for c in coeffs]
+        else:
+            self.re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
+            self.im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+        self.den = den
+        self._coeffs = None
+
+    @staticmethod
+    def _ints(re: list[int], im: list[int], den: int, g: int | None = None) -> TSeries:
+        """(re + im i) / den, reduced to the canonical form.
+
+        ``g`` is a known multiple of gcd(den, re, im); g = 1 skips the
+        reduction.
+        """
+        if g is None:
+            g = den
+        if g != 1:
+            g = gcd(g, *re, *im)
+            if g != 1:
+                re = [x // g for x in re]
+                im = [x // g for x in im]
+                den //= g
+        out = object.__new__(TSeries)
+        out.re = re
+        out.im = im
+        out.den = den
+        out._coeffs = None
+        return out
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.re)
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = self._coeffs = tuple(
+                _scalar(a, b, den) for a, b in zip(self.re, self.im)
+            )
+        return cs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TSeries):
+            return NotImplemented
+        return self.den == other.den and self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.re), tuple(self.im), self.den))
+
+    def __repr__(self) -> str:
+        return f"TSeries({self.coeffs!r})"
 
     # -- constructors --------------------------------------------------
 
@@ -54,11 +137,11 @@ class TSeries:
         if len(vals) > order:
             raise ValueError("more coefficients than the truncation order")
         vals.extend([ZERO] * (order - len(vals)))
-        return TSeries(tuple(vals))
+        return TSeries(vals)
 
     @staticmethod
     def zero(order: int) -> TSeries:
-        return TSeries((ZERO,) * order)
+        return TSeries._ints([0] * order, [0] * order, 1, 1)
 
     @staticmethod
     def const(c, order: int) -> TSeries:
@@ -79,32 +162,31 @@ class TSeries:
             vals[k] = S(c)
         elif not S(c).is_zero() and k >= order:
             raise ValueError("monomial beyond truncation order")
-        return TSeries(tuple(vals))
+        return TSeries(vals)
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        flag = self.__dict__.get("_zf")
-        if flag is None:
-            flag = all(c.is_zero() for c in self.coeffs)
-            self.__dict__["_zf"] = flag
-        return flag
+        return self.den == 1 and not (any(self.re) or any(self.im))
 
     def valuation(self) -> int | None:
         """Least index with nonzero coefficient, None for the zero window."""
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for n, (a, b) in enumerate(zip(self.re, self.im)):
+            if a or b:
                 return n
         return None
 
     def at0(self) -> Scalar:
-        return self.coeffs[0]
+        return self[0]
 
     def __getitem__(self, n: int) -> Scalar:
-        return self.coeffs[n]
+        cs = self._coeffs
+        if cs is not None:
+            return cs[n]
+        return _scalar(self.re[n], self.im[n], self.den)
 
     def is_constant(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return not (any(self.re[1:]) or any(self.im[1:]))
 
     # -- ring operations ---------------------------------------------------
 
@@ -114,88 +196,123 @@ class TSeries:
             return other
         if other.is_zero():
             return self
-        return TSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(other, 1)
 
     def __sub__(self, other: TSeries) -> TSeries:
         _check_order(self, other)
         if other.is_zero():
             return self
-        return TSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(other, -1)
+
+    def _sum(self, other: TSeries, sign: int) -> TSeries:
+        """self + sign * other over lcm(den, other.den).
+
+        The sum can only be reduced by a factor of gcd(den, other.den).
+        """
+        g = gcd(self.den, other.den)
+        ma = other.den // g
+        mb = sign * (self.den // g)
+        re = [x * ma + y * mb for x, y in zip(self.re, other.re)]
+        im = [x * ma + y * mb for x, y in zip(self.im, other.im)]
+        return TSeries._ints(re, im, self.den * ma, g)
 
     def __neg__(self) -> TSeries:
         if self.is_zero():
             return self
-        return TSeries(tuple(a if a.is_zero() else -a for a in self.coeffs))
+        return TSeries._ints([-x for x in self.re], [-y for y in self.im], self.den, 1)
 
     def scale(self, c: Scalar) -> TSeries:
         if c.is_zero() or self.is_zero():
             return TSeries.zero(self.order)
-        return TSeries(tuple(ZERO if a.is_zero() else a * c for a in self.coeffs))
+        p, q, d = _gaussian(c)
+        if q:
+            re = [x * p - y * q for x, y in zip(self.re, self.im)]
+            im = [x * q + y * p for x, y in zip(self.re, self.im)]
+        else:
+            re = [x * p for x in self.re]
+            im = [y * p for y in self.im]
+        return TSeries._ints(re, im, self.den * d)
 
     def __mul__(self, other: TSeries) -> TSeries:
+        """Schoolbook product of the numerators over the support of other;
+        real operands skip the imaginary parts."""
         _check_order(self, other)
-        n = self.order
+        n = len(self.re)
         if self.is_zero() or other.is_zero():
             return TSeries.zero(n)
-        support = [
-            (j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()
-        ]
-        out = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            top = n - i
-            for j, b in support:
-                if j >= top:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return TSeries(tuple(out))
+        are, aim, bre, bim = self.re, self.im, other.re, other.im
+        re = [0] * n
+        im = [0] * n
+        if any(aim) or any(bim):
+            sb = [(j, bre[j], bim[j]) for j in range(n) if bre[j] or bim[j]]
+            for i in range(n):
+                x = are[i]
+                y = aim[i]
+                if x or y:
+                    for j, u, v in sb:
+                        k = i + j
+                        if k >= n:
+                            break
+                        re[k] += x * u - y * v
+                        im[k] += x * v + y * u
+        else:
+            sb = [(j, u) for j, u in enumerate(bre) if u]
+            for i, x in enumerate(are):
+                if x:
+                    for j, u in sb:
+                        k = i + j
+                        if k >= n:
+                            break
+                        re[k] += x * u
+        return TSeries._ints(re, im, self.den * other.den)
 
     def shift(self, k: int) -> TSeries:
         """Multiply by x^k (k >= 0); coefficients above the window drop."""
         if k == 0:
             return self
-        return TSeries((ZERO,) * min(k, self.order) + self.coeffs[: self.order - k])
+        n = len(self.re)
+        pad = [0] * min(k, n)
+        return TSeries._ints(pad + self.re[: n - k], pad + self.im[: n - k], self.den)
 
     def truncate(self, order: int) -> TSeries:
         if order > self.order:
             raise OrderMismatchError("cannot extend a truncated series")
-        return TSeries(self.coeffs[:order])
+        if order == self.order:
+            return self
+        return TSeries._ints(self.re[:order], self.im[:order], self.den)
 
     def pad_poly(self, order: int) -> TSeries:
         """Extend by zeros; only valid when the series is an exact polynomial."""
         if order < self.order:
             return self.truncate(order)
-        return TSeries(self.coeffs + (ZERO,) * (order - self.order))
+        pad = [0] * (order - self.order)
+        return TSeries._ints(self.re + pad, self.im + pad, self.den, 1)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self) -> TSeries:
-        return TSeries(
-            tuple(
-                ZERO if c.is_zero() else integer(n) * c
-                for n, c in enumerate(self.coeffs)
-            )[1:]
+        return TSeries._ints(
+            [k * x for k, x in enumerate(self.re)][1:],
+            [k * y for k, y in enumerate(self.im)][1:],
+            self.den,
         )
 
     def xdx(self) -> TSeries:
         """x * d/dx, exact at the same order."""
-        return TSeries(
-            tuple(
-                ZERO if c.is_zero() else integer(n) * c
-                for n, c in enumerate(self.coeffs)
-            )
+        return TSeries._ints(
+            [k * x for k, x in enumerate(self.re)],
+            [k * y for k, y in enumerate(self.im)],
+            self.den,
         )
 
     def integral(self) -> TSeries:
         """Primitive vanishing at 0, at the same order: the top coefficient
         drops out of the window."""
-        return TSeries(
-            (ZERO,)
-            + tuple(
-                ZERO if c.is_zero() else c / integer(n + 1)
-                for n, c in enumerate(self.coeffs[:-1])
-            )
+        m = lcm(*range(1, self.order))
+        return TSeries._ints(
+            [0] + [x * (m // k) for k, x in enumerate(self.re[:-1], 1)],
+            [0] + [y * (m // k) for k, y in enumerate(self.im[:-1], 1)],
+            self.den * m,
         )
 
     def derivative_exact(self) -> TSeries:
@@ -204,30 +321,34 @@ class TSeries:
         Valid only when the top coefficient vanishes, so nothing unknown
         is shifted into the window.
         """
-        if not self.coeffs[-1].is_zero():
+        if self.re[-1] or self.im[-1]:
             raise OrderMismatchError(
                 "same-order derivative needs a vanishing top coefficient"
             )
-        der = [integer(n) * c for n, c in enumerate(self.coeffs)][1:]
-        return TSeries(tuple(der) + (ZERO,))
+        return TSeries._ints(
+            [k * x for k, x in enumerate(self.re)][1:] + [0],
+            [k * y for k, y in enumerate(self.im)][1:] + [0],
+            self.den,
+        )
 
     # -- multiplicative structure ---------------------------------------------
 
     def invert(self) -> TSeries:
-        f0 = self.coeffs[0]
+        f0 = self[0]
         if f0.is_zero():
             raise NotAUnitError("constant term vanishes")
         n = self.order
+        f = self.coeffs
         out = [ZERO] * n
         out[0] = ONE / f0
         for m in range(1, n):
             acc = ZERO
             for k in range(1, m + 1):
-                fk = self.coeffs[k]
+                fk = f[k]
                 if not fk.is_zero():
                     acc = acc + fk * out[m - k]
             out[m] = -acc / f0
-        return TSeries(tuple(out))
+        return TSeries(out)
 
     def div(self, other: TSeries) -> TSeries:
         return self * other.invert()
@@ -235,16 +356,21 @@ class TSeries:
     def compose(self, lam: TSeries) -> TSeries:
         """Substitute lam (with lam(0) = 0) into self."""
         _check_order(self, lam)
-        if not lam.coeffs[0].is_zero():
+        if lam.re[0] or lam.im[0]:
             raise CompositionError("inner series must vanish at 0")
+        n = self.order
+        zeros = [0] * (n - 1)
+
+        def term(k: int) -> TSeries:
+            return TSeries._ints([self.re[k]] + zeros, [self.im[k]] + zeros, self.den)
+
         # Horner from the last nonzero coefficient: above it acc stays 0.
-        top = self.order - 1
-        while top > 0 and self.coeffs[top].is_zero():
+        top = n - 1
+        while top > 0 and not (self.re[top] or self.im[top]):
             top -= 1
-        acc = TSeries.const(self.coeffs[top], self.order)
+        acc = term(top)
         for k in range(top - 1, -1, -1):
-            acc = acc * lam
-            acc = TSeries((acc.coeffs[0] + self.coeffs[k],) + acc.coeffs[1:])
+            acc = acc * lam + term(k)
         return acc
 
     def reverse(self) -> TSeries:
@@ -253,39 +379,39 @@ class TSeries:
         Lagrange inversion: with h = (lam/x)^{-1}, the inverse has
         coefficient [x^{m-1}] h^m / m at x^m.
         """
-        if not self.coeffs[0].is_zero():
+        if self.re[0] or self.im[0]:
             raise NotInvertibleError("map does not fix 0")
-        l1 = self.coeffs[1] if self.order > 1 else ZERO
-        if l1.is_zero():
-            raise NotInvertibleError("derivative vanishes at 0")
         n = self.order
-        h = TSeries(self.coeffs[1:]).invert()
+        if n < 2 or not (self.re[1] or self.im[1]):
+            raise NotInvertibleError("derivative vanishes at 0")
+        h = TSeries._ints(self.re[1:], self.im[1:], self.den).invert()
         mu = [ZERO] * n
         hm = TSeries.one(n - 1)
         for m in range(1, n):
             hm = hm * h
             mu[m] = hm[m - 1] / integer(m)
-        return TSeries(tuple(mu))
+        return TSeries(mu)
 
     def exp(self) -> TSeries:
         """exp of a series with zero constant term."""
-        if not self.coeffs[0].is_zero():
+        if self.re[0] or self.im[0]:
             raise CompositionError("exponent must vanish at 0")
         n = self.order
+        f = self.coeffs
         out = [ZERO] * n
         out[0] = ONE
         for m in range(1, n):
             acc = ZERO
             for k in range(1, m + 1):
-                fk = self.coeffs[k]
+                fk = f[k]
                 if not fk.is_zero():
                     acc = acc + integer(k) * fk * out[m - k]
             out[m] = acc / integer(m)
-        return TSeries(tuple(out))
+        return TSeries(out)
 
     def pow_scalar(self, rho: Scalar) -> TSeries:
         """(1 + u)^rho for self = 1 + u with u(0) = 0, rho in Q(i)."""
-        if self.coeffs[0] != ONE:
+        if self[0] != ONE:
             raise NotAUnitError("base must have constant term 1")
         n = self.order
         u = self.coeffs
@@ -298,7 +424,7 @@ class TSeries:
                 if not uj.is_zero():
                     acc = acc + (rho * integer(j) - integer(m - j)) * uj * out[m - j]
             out[m] = acc / integer(m)
-        return TSeries(tuple(out))
+        return TSeries(out)
 
     def pow_int(self, k: int) -> TSeries:
         out = TSeries.one(self.order)
@@ -322,7 +448,7 @@ def exp_linear(theta: Scalar, order: int) -> TSeries:
     for n in range(1, order):
         acc = acc * theta / integer(n)
         out.append(acc)
-    return TSeries(tuple(out))
+    return TSeries(out)
 
 
 def geometric(c: Scalar, order: int) -> TSeries:
@@ -332,7 +458,7 @@ def geometric(c: Scalar, order: int) -> TSeries:
     for _ in range(1, order):
         acc = acc * c
         out.append(acc)
-    return TSeries(tuple(out))
+    return TSeries(out)
 
 
 @dataclass(frozen=True)

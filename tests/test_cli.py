@@ -175,6 +175,22 @@ def test_cli_exponent_literal_exits_2():
         assert "Traceback" not in out.stderr
 
 
+def test_cli_series_longer_than_order_exits_2():
+    out = _run("--order-t", "2", "euler-nf", "--g", "1,2,3")
+    assert out.returncode == 2
+    assert "parse error" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--order-z", "--order-t"])
+def test_cli_order_below_one_exits_2(flag):
+    for value in ("0", "-1"):
+        out = _run(flag, value, "malgrange", "--c0", "1", "--binf", "0,0,0,0")
+        assert out.returncode == 2
+        assert "order must be at least 1" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_cli_malgrange_document(tmp_path):
     target = tmp_path / "univ.json"
     out = _run(

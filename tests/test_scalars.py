@@ -122,3 +122,16 @@ def test_nth_root_brute_force_sweep():
 def test_integer_cache():
     assert integer(7) == S(7)
     assert integer(7) is integer(7)
+
+
+def test_parse_integer_fast_path():
+    # plain integers skip the general parser; "+0*i" sends the same value
+    # through it
+    for text in ("0", "-0", "007", "-12", "9" * 150 + "1" * 150):
+        fast = Scalar.parse(text)
+        assert fast == Scalar.parse(text + "+0*i")
+        assert fast == Scalar(Fraction(int(text)), Fraction(0))
+    # beyond the interpreter's int/str conversion limit, like the general path
+    for text in ("1" * 5000, "1" * 5000 + "+0*i"):
+        with pytest.raises(DocumentError):
+            Scalar.parse(text)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,3 +258,122 @@ def test_laurent():
     d = a.dz()
     assert d.valuation() == -3
     assert d.ser[0] == S(-2)
+
+
+# -- the integer kernel against Scalar-tuple oracles ---------------------------
+#
+# The oracles are the Scalar-coefficient loops the integer numerators
+# replaced; every result must also be in canonical form.
+
+
+def _oracle_mul(a, b):
+    n = len(a)
+    support = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    out = [ZERO] * n
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in support:
+            if j >= n - i:
+                break
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def _oracle_scale(a, c):
+    return tuple(ZERO if x.is_zero() else x * c for x in a)
+
+
+def _oracle_shift(a, k):
+    return (ZERO,) * min(k, len(a)) + a[: len(a) - k]
+
+
+def _oracle_derivative(a):
+    return tuple(S(n) * x for n, x in enumerate(a))[1:]
+
+
+def _oracle_xdx(a):
+    return tuple(S(n) * x for n, x in enumerate(a))
+
+
+def _oracle_integral(a):
+    return (ZERO,) + tuple(x / S(n + 1) for n, x in enumerate(a[:-1]))
+
+
+def _assert_canonical(s):
+    assert s.den > 0
+    assert gcd(s.den, *s.re, *s.im) == 1
+    if s.is_zero():
+        assert s.den == 1
+
+
+wide_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+coefficient_kinds = {
+    "gauss": st.builds(Scalar, wide_fractions, wide_fractions),
+    "real": st.builds(Scalar, wide_fractions, st.just(Fraction(0))),
+    "sparse": st.one_of(
+        st.just(ZERO), st.just(ZERO), st.builds(Scalar, wide_fractions, wide_fractions)
+    ),
+}
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 16))
+
+    def one():
+        coeff = coefficient_kinds[draw(st.sampled_from(sorted(coefficient_kinds)))]
+        return TSeries(tuple(draw(st.lists(coeff, min_size=n, max_size=n))))
+
+    return one(), one()
+
+
+@given(series_pairs(), coefficient_kinds["sparse"], st.integers(0, 17))
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_matches_scalar_oracle(pair, c, k):
+    a, b = pair
+    n = a.order
+    ca, cb = a.coeffs, b.coeffs
+    cases = [
+        (a * b, _oracle_mul(ca, cb)),
+        (a + b, tuple(x + y for x, y in zip(ca, cb))),
+        (a - b, tuple(x - y for x, y in zip(ca, cb))),
+        (-a, tuple(-x for x in ca)),
+        (a.scale(c), _oracle_scale(ca, c)),
+        (a.shift(k), _oracle_shift(ca, k)),
+        (a.truncate(min(k, n)), ca[: min(k, n)]),
+        (a.derivative(), _oracle_derivative(ca)),
+        (a.xdx(), _oracle_xdx(ca)),
+        (a.integral(), _oracle_integral(ca)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.coeffs == want
+        assert got == TSeries(want)
+
+
+def test_canonical_form():
+    a = TSeries.of([S("1/2"), S(1, "1/3"), 0, S("-5/6")], 4)
+    b = TSeries.of([S(2, 1), 0, S("3/4")], 4)
+    # the same values, built from Scalars and by ring operations
+    pairs = [
+        (a * b - b * a, TSeries.zero(4)),
+        ((a + b) - b, a),
+        (a.scale(S(1, 1)).scale(S(1, -1)), a.scale(S(2))),
+        (a.scale(S(6)), TSeries.of([3, S(6, 2), 0, -5], 4)),
+        (TSeries.of([S("1/2"), S("1/4")], 2).truncate(1), TSeries.of([S("1/2")], 1)),
+        (TSeries.of([S("1/4"), S("1/2")], 2).shift(1), TSeries.of([0, S("1/4")], 2)),
+        (TSeries.of([S("1/3"), S("1/3")], 2).xdx(), TSeries.of([0, S("1/3")], 2)),
+        (a.integral().derivative(), a.truncate(3)),
+        (b * b.invert(), TSeries.one(4)),
+    ]
+    for built, direct in pairs:
+        _assert_canonical(built)
+        _assert_canonical(direct)
+        assert built == direct
+        assert hash(built) == hash(direct)
+        assert (built.re, built.im, built.den) == (direct.re, direct.im, direct.den)
+    zero = a - a
+    assert (zero.re, zero.im, zero.den) == ([0] * 4, [0] * 4, 1)
+    assert zero.is_zero() and zero == TSeries.zero(4)
+    assert a != a.truncate(3) and a != TSeries.zero(4)
