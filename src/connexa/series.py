@@ -63,22 +63,21 @@ class TSeries:
 
     Stored as Gaussian-integer numerators over one denominator: coefficient
     n is (re[n] + im[n] i) / den with den > 0 and gcd(den, re, im) = 1, so
-    the zero series has den = 1 and equal series have equal fields.  The
-    constructor takes a sequence of Scalars; ``coeffs`` builds the Scalar
-    tuple on first use and keeps it.
+    the zero series has den = 1 and equal series have equal fields.  ``re``
+    and ``im`` are lists that must never be changed in place: operations
+    may return an operand itself, and ``==``, ``hash`` and the canonical
+    form read them.  The constructor takes a sequence of Scalars;
+    ``coeffs`` builds the Scalar tuple on first use and keeps it.
     """
 
     __slots__ = ("re", "im", "den", "_coeffs")
 
     def __init__(self, coeffs) -> None:
-        den = lcm(*[c.re.denominator for c in coeffs],
-                  *[c.im.denominator for c in coeffs])
-        if den == 1:
-            self.re = [c.re.numerator for c in coeffs]
-            self.im = [c.im.numerator for c in coeffs]
-        else:
-            self.re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-            self.im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+        re = [c.re.as_integer_ratio() for c in coeffs]
+        im = [c.im.as_integer_ratio() for c in coeffs]
+        den = lcm(*[d for _, d in re], *[d for _, d in im])
+        self.re = [p * (den // d) for p, d in re]
+        self.im = [p * (den // d) for p, d in im]
         self.den = den
         self._coeffs = None
 
@@ -180,9 +179,6 @@ class TSeries:
         return self[0]
 
     def __getitem__(self, n: int) -> Scalar:
-        cs = self._coeffs
-        if cs is not None:
-            return cs[n]
         return _scalar(self.re[n], self.im[n], self.den)
 
     def is_constant(self) -> bool:
@@ -225,45 +221,28 @@ class TSeries:
         if c.is_zero() or self.is_zero():
             return TSeries.zero(self.order)
         p, q, d = _gaussian(c)
-        if q:
-            re = [x * p - y * q for x, y in zip(self.re, self.im)]
-            im = [x * q + y * p for x, y in zip(self.re, self.im)]
-        else:
-            re = [x * p for x in self.re]
-            im = [y * p for y in self.im]
+        re = [x * p - y * q for x, y in zip(self.re, self.im)]
+        im = [x * q + y * p for x, y in zip(self.re, self.im)]
         return TSeries._ints(re, im, self.den * d)
 
     def __mul__(self, other: TSeries) -> TSeries:
-        """Schoolbook product of the numerators over the support of other;
-        real operands skip the imaginary parts."""
+        """Schoolbook product of the numerators over the support of other."""
         _check_order(self, other)
         n = len(self.re)
         if self.is_zero() or other.is_zero():
             return TSeries.zero(n)
-        are, aim, bre, bim = self.re, self.im, other.re, other.im
+        bre, bim = other.re, other.im
+        sb = [(j, bre[j], bim[j]) for j in range(n) if bre[j] or bim[j]]
         re = [0] * n
         im = [0] * n
-        if any(aim) or any(bim):
-            sb = [(j, bre[j], bim[j]) for j in range(n) if bre[j] or bim[j]]
-            for i in range(n):
-                x = are[i]
-                y = aim[i]
-                if x or y:
-                    for j, u, v in sb:
-                        k = i + j
-                        if k >= n:
-                            break
-                        re[k] += x * u - y * v
-                        im[k] += x * v + y * u
-        else:
-            sb = [(j, u) for j, u in enumerate(bre) if u]
-            for i, x in enumerate(are):
-                if x:
-                    for j, u in sb:
-                        k = i + j
-                        if k >= n:
-                            break
-                        re[k] += x * u
+        for i, (x, y) in enumerate(zip(self.re, self.im)):
+            if x or y:
+                for j, u, v in sb:
+                    k = i + j
+                    if k >= n:
+                        break
+                    re[k] += x * u - y * v
+                    im[k] += x * v + y * u
         return TSeries._ints(re, im, self.den * other.den)
 
     def shift(self, k: int) -> TSeries:
@@ -271,7 +250,9 @@ class TSeries:
         if k == 0:
             return self
         n = len(self.re)
-        pad = [0] * min(k, n)
+        if k >= n:
+            return TSeries.zero(n)
+        pad = [0] * k
         return TSeries._ints(pad + self.re[: n - k], pad + self.im[: n - k], self.den)
 
     def truncate(self, order: int) -> TSeries:

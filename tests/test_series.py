@@ -285,7 +285,8 @@ def _oracle_scale(a, c):
 
 
 def _oracle_shift(a, k):
-    return (ZERO,) * min(k, len(a)) + a[: len(a) - k]
+    n = len(a)
+    return (ZERO,) * min(k, n) + a[: max(n - k, 0)]
 
 
 def _oracle_derivative(a):
@@ -350,6 +351,7 @@ def test_integer_kernel_matches_scalar_oracle(pair, c, k):
         _assert_canonical(got)
         assert got.coeffs == want
         assert got == TSeries(want)
+    assert a.shift(k).order == n
 
 
 def test_canonical_form():
@@ -363,6 +365,7 @@ def test_canonical_form():
         (a.scale(S(6)), TSeries.of([3, S(6, 2), 0, -5], 4)),
         (TSeries.of([S("1/2"), S("1/4")], 2).truncate(1), TSeries.of([S("1/2")], 1)),
         (TSeries.of([S("1/4"), S("1/2")], 2).shift(1), TSeries.of([0, S("1/4")], 2)),
+        (a.shift(6), TSeries.zero(4)),
         (TSeries.of([S("1/3"), S("1/3")], 2).xdx(), TSeries.of([0, S("1/3")], 2)),
         (a.integral().derivative(), a.truncate(3)),
         (b * b.invert(), TSeries.one(4)),
