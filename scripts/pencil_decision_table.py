@@ -36,7 +36,7 @@ def main():
     ]
     for u in sorted(set(probes)):
         left = BirkhoffData(ZERO, ZERO, ONE, Scalar(u, Fraction(0)))
-        rep = birkhoff_iso_decision(left, right, n_max=max(64, args.nmax))
+        rep = birkhoff_iso_decision(left, right)
         mark = "critical" if u in critical else "        "
         print(f"  u = {str(u):>8}  {mark}  isomorphic = {rep.isomorphic}"
               + (f" (n = {rep.n})" if rep.n else ""))

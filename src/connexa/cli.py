@@ -129,7 +129,7 @@ def cmd_formal_iso(args) -> int:
 
 def cmd_classify(args) -> int:
     s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
-    rep = classify_holomorphic(s, n_max=args.nmax, k_max=args.kmax)
+    rep = classify_holomorphic(s, k_max=args.kmax)
     out = Report("classify")
     out.verdicts["elementary"] = rep.elementary
     if rep.normal_form is not None:
@@ -165,7 +165,7 @@ def cmd_birkhoff_iso(args) -> int:
         raise DocumentError("tuples must be c,alpha,c0,c1")
     d1 = BirkhoffData(*left)
     d2 = BirkhoffData(*right)
-    rep = birkhoff_iso_decision(d1, d2, n_max=args.nmax)
+    rep = birkhoff_iso_decision(d1, d2)
     out = Report("birkhoff-iso")
     out.verdicts["isomorphic"] = rep.isomorphic
     out.verdicts["certificate"] = rep.certificate
@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--order-t", type=positive_int, default=16, help="t2 truncation order"
     )
-    ap.add_argument("--nmax", type=int, default=64, help="chain-index search bound")
     ap.add_argument("--kmax", type=int, default=None, help="eigen-section search bound")
     ap.add_argument("--fixtures", default=None, help="extra fixtures directory")
     sub = ap.add_subparsers(dest="command", required=True)

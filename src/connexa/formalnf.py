@@ -87,6 +87,8 @@ class PreNormalForm:
     alpha: Scalar
 
     def __post_init__(self):
+        if self.b2.nz < 2:
+            raise ShapeError("pre-normal data needs z-order at least 2")
         if self.f.nz != self.b2.nz - 1 or self.f.nt != self.b2.nt:
             raise ShapeError("f must live one z-order below b2")
         if not (self.f.is_t1_free() and self.b2.is_t1_free()):

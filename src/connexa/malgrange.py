@@ -413,9 +413,7 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
     )
 
 
-def classify_holomorphic(
-    s: TEStruct, n_max: int = 64, k_max: int | None = None
-) -> HoloReport:
+def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     """Elementary structures keep their formal class; non-elementary ones
     are classified through the origin pencil.  When k_max is given, the
     eigen-section search certifies reducibility before the reduction."""
@@ -434,7 +432,7 @@ def classify_holomorphic(
     if k_max is not None:
         from .origin import irreducibility_check
 
-        irr = irreducibility_check(restr, -k_max, k_max)
+        irr = irreducibility_check(restr, k_max)
         notes_extra = (f"eigen-section search: {irr.verdict}",)
     red = birkhoff_reduce(restriction_zmat(restr))
     notes = notes_extra + red.log
@@ -471,7 +469,7 @@ def classify_holomorphic(
             else:
                 nfid = NormalFormId("HNF-MAL2", {**base, "lam": sq - ONE})
         formal_vs_holo = birkhoff_iso_decision(
-            data, BirkhoffData(data.c, data.alpha, data.c0, ZERO), n_max
+            data, BirkhoffData(data.c, data.alpha, data.c0, ZERO)
         )
     return HoloReport(
         False, None, nfid, data, invariants, formal_vs_holo, warnings, notes

@@ -184,54 +184,23 @@ def solve_third_der(m: Scalar, b: TSeries, g: TSeries) -> ThirdDerSolution:
         if b0.is_zero() and lam.is_zero():
             raise UnsupportedShapeError("b = 0 is outside the catalogue")
         affine = b0 == ONE
-        if m != lam and m != -lam:
-            x2 = g2 / (m - lam)
-            if affine:
-                x1 = (g1 + x2 + x2) / m
-                x0 = (g0 + x1) / (m + lam)
-            else:
-                x1 = g1 / m
-                x0 = g0 / (m + lam)
-            return ThirdDerSolution("unique", _quad((x0, x1, x2), order))
+        # resonances: m = lam leaves the t^2 component free, m = -lam the
+        # constant one; each costs one solvability condition
         if m == lam:
-            # t^2-component unreachable
-            if not g2.is_zero():
-                return ThirdDerSolution(
-                    "no-solution", None, condition="g2 = 0 fails"
-                )
-            x2 = ZERO
-            if affine:
-                x1 = (g1 + x2 + x2) / m
-                x0 = (g0 + x1) / (m + lam)
-            else:
-                x1 = g1 / m
-                x0 = g0 / (m + lam)
-            return ThirdDerSolution(
-                "solvable-iff-condition", _quad((x0, x1, x2), order), "g2 = 0"
-            )
-        # m == -lam
-        if affine:
-            cond = m * m * g0 + m * g1 + g2
-            if not cond.is_zero():
-                return ThirdDerSolution(
-                    "no-solution", None, condition="m^2 g0 + m g1 + g2 = 0 fails"
-                )
-            x2 = g2 / (m - lam)
-            x1 = (g1 + x2 + x2) / m
-            x0 = ZERO
-            return ThirdDerSolution(
-                "solvable-iff-condition",
-                _quad((x0, x1, x2), order),
-                "m^2 g0 + m g1 + g2 = 0",
-            )
-        if not g0.is_zero():
-            return ThirdDerSolution("no-solution", None, condition="g0 = 0 fails")
-        x0 = ZERO
-        x1 = g1 / m
-        x2 = g2 / (m - lam)
-        return ThirdDerSolution(
-            "solvable-iff-condition", _quad((x0, x1, x2), order), "g0 = 0"
-        )
+            obstruction, cond = g2, "g2 = 0"
+        elif m != -lam:
+            obstruction, cond = ZERO, ""
+        elif affine:
+            obstruction, cond = m * m * g0 + m * g1 + g2, "m^2 g0 + m g1 + g2 = 0"
+        else:
+            obstruction, cond = g0, "g0 = 0"
+        if not obstruction.is_zero():
+            return ThirdDerSolution("no-solution", None, condition=f"{cond} fails")
+        x2 = ZERO if m == lam else g2 / (m - lam)
+        x1 = (g1 + x2 + x2) / m if affine else g1 / m
+        x0 = ZERO if m == -lam else ((g0 + x1) if affine else g0) / (m + lam)
+        verdict = "solvable-iff-condition" if cond else "unique"
+        return ThirdDerSolution(verdict, _quad((x0, x1, x2), order), cond)
 
     if tail_zero and b0.is_zero() and b1.is_zero() and b2 == ONE:
         # b = t^2: triangular, always unique
@@ -454,7 +423,6 @@ class FuchsProblem:
 
     a_coeffs: tuple[Laurent, ...]
     d: int
-    cyclic_vector: str = "v0"  # which frame section generated the companion
 
 
 def fuchs_regular_singular(problem: FuchsProblem) -> bool:

@@ -102,7 +102,7 @@ def cyclic_fuchs(r: OriginRestriction, twist: bool = True) -> bool:
     logq = q.log_derivative()
     a1 = p + logq + w
     a0 = p.dz() + q * u - p * logq - p * w
-    return fuchs_regular_singular(FuchsProblem((a0, a1), 2, "v1"))
+    return fuchs_regular_singular(FuchsProblem((a0, a1), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +118,10 @@ class IrreducibilityReport:
 
 
 def irreducibility_check(
-    r: OriginRestriction, k_min: int = None, k_max: int = None
+    r: OriginRestriction, k_max: int | None = None
 ) -> IrreducibilityReport:
-    """Search for an eigen-section g = z^k * (unit) of the origin slice.
+    """Search for an eigen-section g = z^k * (unit) of the origin slice,
+    k in [-k_max, k_max] (k_max defaults to the window order).
 
     No solution for any k in range certifies that the slice admits a
     constant-pencil reduction.  The coefficient equations are solved
@@ -128,8 +129,6 @@ def irreducibility_check(
     inconclusive rather than guessed.
     """
     n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
-    if k_min is None:
-        k_min = -n
     if k_max is None:
         k_max = n
     eta = r.eta.truncate(n)
@@ -151,7 +150,7 @@ def irreducibility_check(
         if not coeff.is_zero():
             const_part[j + 2] = const_part.get(j + 2, ZERO) - coeff * HALF
 
-    for k in range(k_min, k_max + 1):
+    for k in range(-k_max, k_max + 1):
         found = _try_eigen_section(k, n, eta, lam1, const_part, notes)
         if found is not None:
             return IrreducibilityReport("reducible", k, found, tuple(notes))
@@ -443,6 +442,14 @@ class BirkhoffData:
         return ConstMat(self.alpha, self.c1, -QUARTER, self.c0)
 
 
+def _triangular_gauge(binf: ConstMat) -> ConstMat | None:
+    """The conjugation C1 + s C2, s = -(d + 1/4)/e, that moves the D
+    coefficient of the z-part to -1/4; None when it is there already."""
+    if binf.d == -QUARTER:
+        return None
+    return ConstMat(ONE, -(binf.d + QUARTER) / binf.e, ZERO, ZERO)
+
+
 def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> tuple[BirkhoffData, list[ConstMat]]:
     """Constant conjugations onto the normalized pencil shape."""
     if not (b0.d.is_zero() and b0.e.is_zero()):
@@ -453,9 +460,8 @@ def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> tuple[BirkhoffData, list
         raise ShapeError("the E coefficient of the z-part must be nonzero")
     gauges: list[ConstMat] = []
     cur_b0, cur_binf = b0, binf
-    if cur_binf.d != -QUARTER:
-        s = -(cur_binf.d + QUARTER) / cur_binf.e
-        t1 = ConstMat(ONE, s, ZERO, ZERO)
+    t1 = _triangular_gauge(binf)
+    if t1 is not None:
         cur_b0 = cur_b0.conjugate_by(t1)
         cur_binf = cur_binf.conjugate_by(t1)
         gauges.append(t1)
@@ -498,11 +504,8 @@ def birkhoff_invariants(b0: ConstMat, binf: ConstMat) -> tuple[Scalar, Scalar, S
     f = binf.e
     if c0.is_zero() or f.is_zero():
         raise ShapeError("degenerate pencil")
-    cur_binf = binf
-    if cur_binf.d != -QUARTER:
-        s = -(cur_binf.d + QUARTER) / f
-        t1 = ConstMat(ONE, s, ZERO, ZERO)
-        cur_binf = cur_binf.conjugate_by(t1)
+    t1 = _triangular_gauge(binf)
+    cur_binf = binf if t1 is None else binf.conjugate_by(t1)
     return (b0.c1, cur_binf.c1, c0 * f, cur_binf.c2 * f)
 
 
@@ -521,15 +524,14 @@ def _abs_bound(x: Scalar) -> int:
     return isqrt(int(n.numerator // n.denominator)) + 1
 
 
-def birkhoff_iso_decision(
-    d1: BirkhoffData, d2: BirkhoffData, n_max: int = 64
-) -> BirkhoffIsoReport:
+def birkhoff_iso_decision(d1: BirkhoffData, d2: BirkhoffData) -> BirkhoffIsoReport:
     """Decide isomorphism of two normalized pencils.
 
     Necessary conditions first, then the constant-isomorphism pre-check,
-    then the quadratic chain condition indexed by n >= 2 with its side
-    conditions.  Everything is expressed through the products c0^2 and
-    c0*c1, which are invariant under the residual sign ambiguity.
+    then the quadratic chain condition indexed by n >= 2 (its side
+    conditions hold at the smallest index, see _chain_n).  Everything is
+    expressed through the products c0^2 and c0*c1, which are invariant
+    under the residual sign ambiguity.
     """
     if d1.c != d2.c or d1.alpha != d2.alpha:
         return BirkhoffIsoReport(False, "distinct trace invariants")
@@ -550,13 +552,13 @@ def birkhoff_iso_decision(
             else "constant isomorphism diag(1,-1)"
         )
         if d1.c1.is_zero() and d2.c1.is_zero() and d1.c0 == -d2.c0:
-            if _chain_n(usum, udiff, n_max) is None:
+            if _chain_n(usum, udiff) is None:
                 flags = flags + (
                     "constant isomorphism holds but the polynomial chain "
                     "condition has no admissible index",
                 )
         return BirkhoffIsoReport(True, cert, None, n_bound, flags)
-    n = _chain_n(usum, udiff, n_max)
+    n = _chain_n(usum, udiff)
     if n is None:
         return BirkhoffIsoReport(
             False, "no admissible chain index", None, n_bound, flags
@@ -566,39 +568,33 @@ def birkhoff_iso_decision(
     )
 
 
-def _chain_n(usum: Scalar, udiff: Scalar, n_max: int) -> int | None:
-    """Solve 4 udiff^2 - 8 (n-1)^2 usum + (2n-1)(2n-3)(n-1)^2 = 0 exactly.
+def _chain_n(usum: Scalar, udiff: Scalar) -> int | None:
+    """The smallest admissible chain index n >= 2, or None.
 
-    With m = n - 1 the equation reads 4 m^4 - (8 usum + 1) m^2
-    + 4 udiff^2 = 0, a quadratic in m^2, so the admissible integers are
-    found in closed form; n_max only caps the side-condition sweep.
+    With M = n - 1 the chain equation 4 udiff^2 - 8 M^2 usum
+    + (2n-1)(2n-3) M^2 = 0 reads 4 M^4 - (8 usum + 1) M^2 + 4 udiff^2 = 0,
+    a quadratic in M^2, so n = 1 + the smallest integer M >= 1 whose
+    square is one of its roots.
+
+    The side conditions usum != (side value at r), 2 <= r < n, need no
+    check.  With R = r - 1 the side value (2n-1)(2n-3)(n-1)^2
+    - (2r-1)(2r-3)(r-1)^2 over 8 (n-r)(n-2+r) simplifies to
+    (4 (M^2 + R^2) - 1)/8, so the condition at r fails exactly when
+    R^2 = (8 usum + 1)/4 - M^2, the other root of the quadratic.  An R
+    in [1, M - 1] would then be a smaller admissible index, so the
+    smallest candidate always passes.
     """
     bcoef = integer(8) * usum + ONE
     disc = bcoef * bcoef - integer(64) * udiff * udiff
     root = disc.sqrt()
     if root is None:
         return None
-    candidates: set[int] = set()
+    ms = []
     for sign in (ONE, -ONE):
         msq = (bcoef + root * sign) / integer(8)
         if not msq.is_nonneg_integer():
             continue
         m = isqrt(msq.as_int())
         if m >= 1 and m * m == msq.as_int():
-            candidates.add(m + 1)
-    sweep_cap = max(n_max, 200_000)
-    for n in sorted(candidates):
-        nn = integer(n)
-        ok = True
-        for r in range(2, min(n, sweep_cap + 1)):
-            rr = integer(r)
-            num = (integer(2 * n - 1)) * (integer(2 * n - 3)) * (nn - ONE) ** 2 - (
-                integer(2 * r - 1)
-            ) * (integer(2 * r - 3)) * (rr - ONE) ** 2
-            den = integer(8 * (n - r) * (n - 2 + r))
-            if usum == num / den:
-                ok = False
-                break
-        if ok:
-            return n
-    return None
+            ms.append(m)
+    return 1 + min(ms) if ms else None

@@ -295,7 +295,7 @@ def criterion_elementary_dichotomy(samples=200, nz=8, nt=6):
 # -- criterion 4 -------------------------------------------------------------
 
 
-def criterion_birkhoff_table(outside_samples=50, n_max=64):
+def criterion_birkhoff_table(outside_samples=50):
     """With the right tuple's z-linear part zero, isomorphy holds exactly on
     the critical half-integer set."""
     critical = set()
@@ -306,7 +306,7 @@ def criterion_birkhoff_table(outside_samples=50, n_max=64):
     for u in sorted(critical):
         d1 = BirkhoffData(ZERO, ZERO, c0, Scalar(u, Fraction(0)))
         d2 = BirkhoffData(ZERO, ZERO, c0, ZERO)
-        rep = birkhoff_iso_decision(d1, d2, n_max)
+        rep = birkhoff_iso_decision(d1, d2)
         if not rep.isomorphic:
             return False, f"critical value {u} not recognized"
     rng = random.Random(404)
@@ -320,7 +320,7 @@ def criterion_birkhoff_table(outside_samples=50, n_max=64):
             continue
         d1 = BirkhoffData(ZERO, ZERO, c0, u)
         d2 = BirkhoffData(ZERO, ZERO, c0, ZERO)
-        rep = birkhoff_iso_decision(d1, d2, n_max)
+        rep = birkhoff_iso_decision(d1, d2)
         if rep.isomorphic:
             return False, f"value {u} wrongly accepted"
         tried += 1

@@ -134,7 +134,7 @@ class TSeries:
     def of(values, order: int) -> TSeries:
         vals = [S(v) for v in values]
         if len(vals) > order:
-            raise ValueError("more coefficients than the truncation order")
+            raise OrderMismatchError("more coefficients than the truncation order")
         vals.extend([ZERO] * (order - len(vals)))
         return TSeries(vals)
 
@@ -160,7 +160,7 @@ class TSeries:
         if 0 <= k < order:
             vals[k] = S(c)
         elif not S(c).is_zero() and k >= order:
-            raise ValueError("monomial beyond truncation order")
+            raise OrderMismatchError("monomial beyond truncation order")
         return TSeries(vals)
 
     # -- basic queries ---------------------------------------------------
@@ -554,7 +554,7 @@ class ZTSeries:
     def from_zcoeffs(tlist: list[TSeries], nz: int) -> ZTSeries:
         """z-series with the given t-coefficients (padded with zeros)."""
         if len(tlist) > nz:
-            raise ValueError("more z-coefficients than the truncation order")
+            raise OrderMismatchError("more z-coefficients than the truncation order")
         nt = tlist[0].order
         rows = [AffinePoly1.of(t) for t in tlist]
         rows.extend(AffinePoly1.zero(nt) for _ in range(nz - len(tlist)))
@@ -588,7 +588,7 @@ class ZTSeries:
         if 0 <= k < nz:
             rows[k] = AffinePoly1.of(TSeries.const(cs, nt))
         elif not cs.is_zero():
-            raise ValueError("monomial beyond truncation order")
+            raise OrderMismatchError("monomial beyond truncation order")
         return ZTSeries(tuple(rows))
 
     # -- queries -----------------------------------------------------------

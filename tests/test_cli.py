@@ -191,6 +191,35 @@ def test_cli_order_below_one_exits_2(flag):
         assert "Traceback" not in out.stderr
 
 
+def test_cli_nmax_is_not_an_option():
+    out = _run("--nmax", "5", "classify", "mal1")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "--nmax" not in _run("--help").stdout
+
+
+# Windows too small for some fixture: each run either completes or is
+# refused as a precondition violation, never with an escaped exception.
+SMALL_WINDOWS = [
+    (1, 16), (2, 16), (3, 16), (16, 1), (16, 2), (16, 3), (16, 4), (1, 1), (2, 2)
+]
+
+
+def test_cli_small_windows_never_raise():
+    codes = {}
+    for nz, nt in SMALL_WINDOWS:
+        for name in fixture_names():
+            for cmd in ("verify", "prenormal", "formal-nf", "classify"):
+                argv = ["--order-z", str(nz), "--order-t", str(nt), cmd, name]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.main(argv)
+                assert code in (0, 3, 4), argv
+                codes[code] = codes.get(code, 0) + 1
+    assert sum(codes.values()) == 4 * 17 * 9
+    assert codes[0] and codes[3]
+
+
 def test_cli_malgrange_document(tmp_path):
     target = tmp_path / "univ.json"
     out = _run(

@@ -102,6 +102,112 @@ def test_third_der_residuals(rng):
             assert odekit.third_der_residual(m, b, sol.x, g).is_zero()
 
 
+def _solve_third_der_by_case(m, b, g):
+    """solve_third_der with each resonance of the lam*t / lam*t + 1 shapes
+    written out as its own branch, kept as an oracle for the collapsed
+    form."""
+    if m.is_zero():
+        raise UnsupportedShapeError("m must be nonzero")
+    order = b.order
+    if any(not c.is_zero() for c in g.coeffs[3:]):
+        raise UnsupportedShapeError("right side must be quadratic")
+    g0, g1, g2 = g[0], (g[1] if order > 1 else ZERO), (g[2] if order > 2 else ZERO)
+    bc = b.coeffs
+    b0 = bc[0]
+    b1 = bc[1] if order > 1 else ZERO
+    b2 = bc[2] if order > 2 else ZERO
+    tail_zero = all(c.is_zero() for c in bc[3:])
+
+    if tail_zero and b2.is_zero() and (b0.is_zero() or b0 == ONE):
+        lam = b1
+        if b0.is_zero() and lam.is_zero():
+            raise UnsupportedShapeError("b = 0 is outside the catalogue")
+        affine = b0 == ONE
+        if m != lam and m != -lam:
+            x2 = g2 / (m - lam)
+            if affine:
+                x1 = (g1 + x2 + x2) / m
+                x0 = (g0 + x1) / (m + lam)
+            else:
+                x1 = g1 / m
+                x0 = g0 / (m + lam)
+            return odekit.ThirdDerSolution("unique", odekit._quad((x0, x1, x2), order))
+        if m == lam:
+            # t^2-component unreachable
+            if not g2.is_zero():
+                return odekit.ThirdDerSolution(
+                    "no-solution", None, condition="g2 = 0 fails"
+                )
+            x2 = ZERO
+            if affine:
+                x1 = (g1 + x2 + x2) / m
+                x0 = (g0 + x1) / (m + lam)
+            else:
+                x1 = g1 / m
+                x0 = g0 / (m + lam)
+            return odekit.ThirdDerSolution(
+                "solvable-iff-condition", odekit._quad((x0, x1, x2), order), "g2 = 0"
+            )
+        # m == -lam
+        if affine:
+            cond = m * m * g0 + m * g1 + g2
+            if not cond.is_zero():
+                return odekit.ThirdDerSolution(
+                    "no-solution", None, condition="m^2 g0 + m g1 + g2 = 0 fails"
+                )
+            x2 = g2 / (m - lam)
+            x1 = (g1 + x2 + x2) / m
+            x0 = ZERO
+            return odekit.ThirdDerSolution(
+                "solvable-iff-condition",
+                odekit._quad((x0, x1, x2), order),
+                "m^2 g0 + m g1 + g2 = 0",
+            )
+        if not g0.is_zero():
+            return odekit.ThirdDerSolution("no-solution", None, condition="g0 = 0 fails")
+        x0 = ZERO
+        x1 = g1 / m
+        x2 = g2 / (m - lam)
+        return odekit.ThirdDerSolution(
+            "solvable-iff-condition", odekit._quad((x0, x1, x2), order), "g0 = 0"
+        )
+
+    if tail_zero and b0.is_zero() and b1.is_zero() and b2 == ONE:
+        # b = t^2: triangular, always unique
+        x0 = g0 / m
+        x1 = (g1 - x0 - x0) / m
+        x2 = (g2 - x1) / m
+        return odekit.ThirdDerSolution("unique", odekit._quad((x0, x1, x2), order))
+
+    raise UnsupportedShapeError("b outside the three supported shapes")
+
+
+def test_third_der_matches_case_by_case_oracle():
+    ms = [S(1), S(-1), S(2), S(-3), I, S("1/2")]
+    lams = [ZERO, S(1), S(-1), S(2), S(-3), I, S("-1/2")]
+    values = [ZERO, S(1), S(-2), I, S("1/3")]
+    checked = 0
+    for order in (3, 5):
+        t = TSeries.var(order)
+        one = TSeries.one(order)
+        for lam in lams:
+            for b in (t.scale(lam), t.scale(lam) + one):
+                for m in ms:
+                    for g0 in values:
+                        for g1 in values:
+                            for g2 in values:
+                                g = TSeries.of([g0, g1, g2], order)
+                                try:
+                                    want = _solve_third_der_by_case(m, b, g)
+                                except UnsupportedShapeError:
+                                    with pytest.raises(UnsupportedShapeError):
+                                        odekit.solve_third_der(m, b, g)
+                                else:
+                                    assert odekit.solve_third_der(m, b, g) == want
+                                checked += 1
+    assert checked == 2 * 7 * 2 * 6 * 125
+
+
 def test_riccati_unit_leading_coefficient():
     f = TSeries.one(10)
     sol = odekit.solve_riccati_unique_c(f, 1, ZERO)

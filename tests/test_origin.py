@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 
 from connexa.connmat import restrict_origin
 from connexa.errors import ExactFieldError, ShapeError
+from connexa.fixtures import build_fixture, fixture_names
 from connexa.formalnf import NormalFormId, build_normal_form, normal_form_prenormal
 from connexa.malgrange import build_hnf
 from connexa.origin import (
@@ -19,9 +24,10 @@ from connexa.origin import (
     normalize_birkhoff,
     restriction_zmat,
     zmat_from_consts,
+    _chain_n,
     _z_gauge,
 )
-from connexa.scalars import ONE, QUARTER, S, ZERO
+from connexa.scalars import ONE, QUARTER, S, Scalar, ZERO, integer
 from connexa.series import TSeries
 
 from conftest import rand_nonzero, rand_scalar
@@ -268,3 +274,111 @@ def test_normalize_preserves_class():
         curi = curi.conjugate_by(g)
     assert cur0 == data.b0_matrix()
     assert curi == data.binf_matrix()
+
+
+# Verdicts and witness indices of the eigen-section search over k in
+# [-2, 2] on each fixture's origin slice at (6, 6), as returned by the
+# earlier (r, k_min, k_max) signature called with (r, -2, 2).
+IRREDUCIBILITY_K2 = {
+    "f1_r1": ("reducible", None),
+    "f1_r2": ("reducible", None),
+    "f1_r3": ("reducible", None),
+    "fminus1": ("irreducible", None),
+    "fminus1_c0zero": ("reducible", None),
+    "mal1": ("irreducible", None),
+    "mal2_lambda1": ("irreducible", None),
+    "mal3": ("irreducible", None),
+    "nf3_1": ("reducible", None),
+    "nf3_2": ("reducible", None),
+    "nf3_3": ("reducible", None),
+    "nf3_4": ("reducible", 1),
+    "nf3_5": ("reducible", 1),
+    "nf3_6": ("reducible", None),
+    "nf3_7": ("reducible", None),
+    "nf3_8": ("irreducible", None),
+    "nf3_9": ("reducible", None),
+}
+
+
+def test_irreducibility_symmetric_k_range():
+    got = {}
+    for name in fixture_names():
+        rep = irreducibility_check(restrict_origin(build_fixture(name, 6, 6)), k_max=2)
+        got[name] = (rep.verdict, rep.witness_k)
+    assert got == IRREDUCIBILITY_K2
+
+
+def _chain_n_with_sweep(usum, udiff, n_max):
+    """The chain index with an explicit sweep of the side conditions over
+    2 <= r < n: the reference the closed form in _chain_n is checked
+    against."""
+    bcoef = integer(8) * usum + ONE
+    disc = bcoef * bcoef - integer(64) * udiff * udiff
+    root = disc.sqrt()
+    if root is None:
+        return None
+    candidates: set[int] = set()
+    for sign in (ONE, -ONE):
+        msq = (bcoef + root * sign) / integer(8)
+        if not msq.is_nonneg_integer():
+            continue
+        m = isqrt(msq.as_int())
+        if m >= 1 and m * m == msq.as_int():
+            candidates.add(m + 1)
+    sweep_cap = max(n_max, 200_000)
+    for n in sorted(candidates):
+        nn = integer(n)
+        ok = True
+        for r in range(2, min(n, sweep_cap + 1)):
+            rr = integer(r)
+            num = (integer(2 * n - 1)) * (integer(2 * n - 3)) * (nn - ONE) ** 2 - (
+                integer(2 * r - 1)
+            ) * (integer(2 * r - 3)) * (rr - ONE) ** 2
+            den = integer(8 * (n - r) * (n - 2 + r))
+            if usum == num / den:
+                ok = False
+                break
+        if ok:
+            return n
+    return None
+
+
+def _chain_pairs():
+    """Every pair whose quadratic has the two roots m1^2, m2^2
+    (0 <= m1 <= m2 < 60, both signs of udiff), then random real and
+    Gaussian pairs."""
+    pairs = []
+    for m1 in range(60):
+        for m2 in range(m1, 60):
+            usum = S(Fraction(4 * (m1 * m1 + m2 * m2) - 1, 8))
+            for sign in (1, -1):
+                pairs.append((usum, S(sign * m1 * m2)))
+    rng = random.Random(606)
+
+    def rand_value(gauss):
+        re = Fraction(rng.randint(-400, 400), rng.choice([1, 2, 4, 8, 16]))
+        im = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 4])) if gauss else 0
+        return Scalar(re, Fraction(im))
+
+    for k in range(20_000):
+        gauss = k % 2 == 1
+        pairs.append((rand_value(gauss), rand_value(gauss)))
+    return pairs
+
+
+def test_chain_index_matches_side_condition_sweep():
+    admissible = 0
+    for usum, udiff in _chain_pairs():
+        n = _chain_n(usum, udiff)
+        assert n == _chain_n_with_sweep(usum, udiff, 64), (usum, udiff)
+        admissible += n is not None
+    assert admissible >= 3_000
+
+
+def test_chain_index_far_out():
+    d = lambda c1: BirkhoffData(ZERO, ZERO, ONE, c1)
+    rep = birkhoff_iso_decision(d(S("1000004000003/16")), d(S("3/16")))
+    assert rep.isomorphic
+    assert rep.certificate == "chain condition at n=250001"
+    assert rep.n == 250001
+    assert rep.n_bound == 62500250003
