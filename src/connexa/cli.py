@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import selftest
 from .connmat import ConstMat, flatness_residuals
@@ -38,10 +39,28 @@ def _parse_series(text: str, order: int) -> TSeries:
     return TSeries.of([Scalar.parse(p) for p in parts], order)
 
 
+# Largest --order-z/--order-t: four times the largest window any test,
+# fixture or selftest criterion uses (16).  A dense product costs
+# O(nz^2 nt^2), so without a cap one argument can start a run that never
+# ends in practice.
+MAX_ORDER = 64
+
+
 def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"order must be at least 1, not {n}")
+    if n > MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"order must be at most {MAX_ORDER}, not {n}"
+        )
+    return n
+
+
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"bound must be at least 0, not {n}")
     return n
 
 
@@ -241,7 +260,9 @@ def cmd_write_fixtures(args) -> int:
     return _emit(out)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after."""
     ap = argparse.ArgumentParser(
         prog="connexa",
         description="Exact classification of rank-2 pole-order-1 structures "
@@ -253,7 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--order-t", type=positive_int, default=16, help="t2 truncation order"
     )
-    ap.add_argument("--kmax", type=int, default=None, help="eigen-section search bound")
+    ap.add_argument(
+        "--kmax",
+        type=nonnegative_int,
+        default=None,
+        help="eigen-section search bound, k in [-kmax, kmax]",
+    )
     ap.add_argument("--fixtures", default=None, help="extra fixtures directory")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -312,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DocumentError as exc:

@@ -224,10 +224,10 @@ class Mat2:
 
     def const_term(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (
-            self.c1.zc[0].const.at0(),
-            self.c2.zc[0].const.at0(),
-            self.d.zc[0].const.at0(),
-            self.e.zc[0].const.at0(),
+            self.c1.at_origin()[0],
+            self.c2.at_origin()[0],
+            self.d.at_origin()[0],
+            self.e.at_origin()[0],
         )
 
     # -- inversion -------------------------------------------------------------
@@ -290,9 +290,7 @@ class TEStruct:
         if self.kind == "TE":
             slope = self.B.c1.t1_slope_z()
             expected = TSeries.of([-1], slope.order)
-            if slope != expected or not all(
-                a.slope.is_constant() for a in self.B.c1.zc
-            ):
+            if slope != expected or not self.B.c1.planes.slope.is_constant():
                 raise ShapeError("B's C1 component must have t1 slope -1")
 
 
@@ -475,13 +473,13 @@ def induced_euler(s: TEStruct) -> EulerField:
         raise UnfoldingError("A1 must be the identity at z-order 0")
     comps = []
     for zt in (s.A2.c2, s.A2.d, s.A2.e):
-        ap = zt.zc[0]
+        ap = zt[0]
         if not ap.is_t1_free():
             raise T1DegreeError("A2 must be t1-free")
         comps.append(ap.const)
     b_comps = []
     for zt in (s.B.c2, s.B.d, s.B.e):
-        ap = zt.zc[0]
+        ap = zt[0]
         if not ap.is_t1_free():
             raise T1DegreeError("B carries t1 outside its C1 component")
         b_comps.append(-ap.const)
@@ -496,8 +494,8 @@ def induced_euler(s: TEStruct) -> EulerField:
     for idx in range(3):
         if e2 * comps[idx] != b_comps[idx]:
             raise UnfoldingError("-B^(0) is not in the span of A1^(0), A2^(0)")
-    a2c1 = s.A2.c1.zc[0].const
-    bc1 = s.B.c1.zc[0]
+    a2c1 = s.A2.c1[0].const
+    bc1 = s.B.c1[0]
     e1_const = -bc1.const - e2 * a2c1
     e1_slope = -bc1.slope
     if not (e1_slope.is_constant() and e1_slope.at0() == ONE):
@@ -547,17 +545,16 @@ def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
     ):
         raise ShapeError("A2 must be C2 + z f E")
     e_comp = s.A2.e
-    if not e_comp.zc[0].is_zero():
+    if not e_comp.truncate(1, nt).is_zero():
         raise ShapeError("A2's E component must be divisible by z")
     if nz < 2:
         raise ShapeError("need z-order at least 2")
-    f = ZTSeries(e_comp.zc[1:])  # exact to z-order nz - 1
+    f = e_comp.div_z()  # exact to z-order nz - 1
     b2 = s.B.c2
     b1_zt = s.B.c1
-    for ap in b1_zt.zc:
-        if not ap.const.is_constant():
-            raise ShapeError("B's C1 part must not depend on t2")
-    b1 = TSeries(tuple(ap.const.at0() for ap in b1_zt.zc))
+    if not b1_zt.planes.const.is_constant():
+        raise ShapeError("B's C1 part must not depend on t2")
+    b1 = b1_zt.at_origin()
     return f, b2, b1
 
 

@@ -29,7 +29,8 @@ def _ts_from_json(data: Any, nt: int) -> TSeries:
 
 
 def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
-    return [[_ts_to_json(a.const), _ts_to_json(a.slope)] for a in z.zc]
+    rows = (z[k] for k in range(z.nz))
+    return [[_ts_to_json(a.const), _ts_to_json(a.slope)] for a in rows]
 
 
 def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:

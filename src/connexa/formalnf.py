@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, integer
-from .series import AffinePoly1, TSeries, ZTSeries, geometric
+from .series import TSeries, ZTSeries, geometric
 
 _NEG_HALF = -HALF
 
@@ -140,9 +140,7 @@ def build_prenormal_struct(p: PreNormalForm) -> TEStruct:
     nz, nt = p.b2.orders
     zero = ZTSeries.zero(nz, nt)
     one = ZTSeries.one(nz, nt)
-    f_e = ZTSeries(
-        (AffinePoly1.zero(nt),) + p.f.zc  # z * f, exact: f has nz-1 slots
-    )
+    f_e = p.f.mul_z()  # exact: f has nz-1 slots
     a2 = Mat2(zero, one, zero, f_e)
     b2 = p.b2
     b3 = (b2.dt_exact() + one).scale(_NEG_HALF)
@@ -210,15 +208,15 @@ def classify_f_shape(f: ZTSeries) -> tuple[str, int | None]:
         return "zero", None
     if f == ZTSeries.one(nz, nt):
         return "one", None
-    z0 = f.zc[0].const
+    z0 = f[0].const
     val = z0.valuation()
-    if val == 1 and z0 == TSeries.var(nt) and all(a.is_zero() for a in f.zc[1:]):
+    if val == 1 and z0 == TSeries.var(nt) and f.div_z().is_zero():
         return "t2", 1
     if val is not None and val >= 2:
         r = val
         if z0 == TSeries.monomial(ONE, r, nt):
             for k in range(1, nz):
-                pk = f.zc[k].const
+                pk = f[k].const
                 if any(not c.is_zero() for c in pk.coeffs[max(r - 1, 0):]):
                     return "unsupported", None
             return "t2^r", r
@@ -251,7 +249,7 @@ def solve_b2_extensions(f: ZTSeries) -> ExtensionFamily:
     # must vanish identically
     if kind == "t2^r":
         for k in range(1, nz):
-            if not f.zc[k].is_zero():
+            if not f[k].is_zero():
                 raise NoExtensionError(
                     f"no extension: z^{k} correction of f is nonzero"
                 )
@@ -356,12 +354,12 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     """f = 1: kill the z-tail constants of b2 by the triangular recursion."""
     nz, nt = p.orders
     target_b20 = TSeries.var(nt).scale(_NEG_HALF)
-    head = p.b2.zc[0].const - target_b20
+    head = p.b2[0].const - target_b20
     if not head.is_constant():
         raise ShapeError("b2 + t2/2 must be constant at z-order 0")
     cks = [head.at0()]
     for k in range(1, nz):
-        ck = p.b2.zc[k].const
+        ck = p.b2[k].const
         if not ck.is_constant():
             raise ShapeError("b2 z-coefficients must be constants for f = 1")
         cks.append(ck.at0())
@@ -532,7 +530,7 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     steps: list[GaugeMap] = []
     cur = p
     # step 1: bring b2^(0) onto a catalogue shape by a base automorphism
-    cq, b, a = _quad_coeffs(cur.b2.zc[0].const)  # constant, linear, quadratic
+    cq, b, a = _quad_coeffs(cur.b2[0].const)  # constant, linear, quadratic
     shape, lam, consts = _reduce_b20(a, b, cq)
     if consts is not None and consts != (ONE, ONE, ZERO):
         g = _mobius_gauge(*consts, nz, nt)
@@ -546,7 +544,7 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
         lam = -lam
     nz2, nt2 = cur.orders
     expected0 = _SHAPE_B20[shape](lam, nt2)
-    if cur.b2.zc[0].const != expected0:
+    if cur.b2[0].const != expected0:
         raise ShapeError("shape reduction did not land on the catalogue")
     # step 2: triangular normalization of the z-tail
     cur, gauge2, mu, res_order = _zero_family_recursion(cur, shape, lam)
@@ -596,9 +594,9 @@ def _zero_family_recursion(
     no resonance occurred inside the window) and the resonant z-order.
     """
     nz, nt = p.orders
-    b = p.b2.zc[0].const  # catalogue shape, quadratic polynomial
+    b = p.b2[0].const  # catalogue shape, quadratic polynomial
     bdot = b.derivative_exact()
-    b2_in = [p.b2.zc[k].const for k in range(nz)]
+    b2_in = [p.b2[k].const for k in range(nz)]
     b2_out: list[TSeries] = [b]
     tau1: list[Scalar] = [ONE]
     tau2: list[TSeries] = []

@@ -392,12 +392,12 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
     a2 = s.A2
     if not a2.c1.is_zero():
         raise ShapeError("frame reduction needs a trace-free A2")
-    y = a2.c2.zc[0].const
+    y = a2.c2[0].const
     if y.at0().is_zero():
         raise ShapeError("frame reduction needs a unit lower-left entry")
     if a2.c2 != ZTSeries.from_tpoly(y, nz):
         raise ShapeError("frame reduction needs a z-free A2")
-    x = a2.d.zc[0].const.div(y)
+    x = a2.d[0].const.div(y)
     if a2.d != ZTSeries.from_tpoly(x * y, nz) or a2.e != ZTSeries.from_tpoly(
         -(x * x * y), nz
     ):

@@ -32,10 +32,10 @@ def zmat(c1: TSeries, c2: TSeries, d: TSeries, e: TSeries) -> Mat2:
 
 def zmat_coeff(m: Mat2, k: int) -> ConstMat:
     return ConstMat(
-        m.c1.zc[k].const.at0(),
-        m.c2.zc[k].const.at0(),
-        m.d.zc[k].const.at0(),
-        m.e.zc[k].const.at0(),
+        m.c1.at_origin()[k],
+        m.c2.at_origin()[k],
+        m.d.at_origin()[k],
+        m.e.at_origin()[k],
     )
 
 
@@ -131,6 +131,8 @@ def irreducibility_check(
     n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
     if k_max is None:
         k_max = n
+    if k_max < 0:
+        raise ShapeError(f"search bound k_max must be at least 0, not {k_max}")
     eta = r.eta.truncate(n)
     lamz = r.lam.truncate(n)
     beta = r.beta.truncate(n)

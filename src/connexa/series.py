@@ -5,10 +5,13 @@ Three layers:
 * ``TSeries`` -- one-variable truncated series (used both for the base
   coordinate t2 and for the pole coordinate z).
 * ``AffinePoly1`` -- polynomials of degree at most one in t1 with
-  ``TSeries`` coefficients.  Degree-1 truncation is an invariant of every
-  structure in scope, so products that would create a t1^2 term raise.
-* ``ZTSeries`` -- truncated series in z whose coefficients are
-  ``AffinePoly1`` values.
+  ``TSeries`` or ``Plane`` coefficients.  Degree-1 truncation is an
+  invariant of every structure in scope, so products that would create a
+  t1^2 term raise.
+* ``ZTSeries`` -- truncated series in z and t2, stored as an
+  ``AffinePoly1`` of two ``Plane`` windows (the t1-constant part and the
+  t1-slope), each z-major Gaussian-integer numerators over one
+  denominator.
 
 A series of order N stores exactly the coefficients 0..N-1 and every
 operation is exact on that window.  Binary operations require equal
@@ -58,6 +61,35 @@ def _gaussian(c: Scalar) -> tuple[int, int, int]:
     return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
 
 
+def _reduce(re: list[int], im: list[int], den: int, g: int):
+    """(re, im, den) divided by gcd(g, re, im); ``g`` is a known multiple
+    of gcd(den, re, im), and g = 1 skips the reduction."""
+    if g != 1:
+        g = gcd(g, *re, *im)
+        if g != 1:
+            return [x // g for x in re], [x // g for x in im], den // g
+    return re, im, den
+
+
+def _sum_ints(a, b, sign: int):
+    """Numerators of a + sign * b over lcm(a.den, b.den), with the factor
+    gcd(a.den, b.den), the only one the sum can be reduced by."""
+    g = gcd(a.den, b.den)
+    ma = b.den // g
+    mb = sign * (a.den // g)
+    re = [x * ma + y * mb for x, y in zip(a.re, b.re)]
+    im = [x * ma + y * mb for x, y in zip(a.im, b.im)]
+    return re, im, a.den * ma, g
+
+
+def _scale_ints(a, c: Scalar):
+    """Numerators and denominator of a * c, before reduction."""
+    p, q, d = _gaussian(c)
+    re = [x * p - y * q for x, y in zip(a.re, a.im)]
+    im = [x * q + y * p for x, y in zip(a.re, a.im)]
+    return re, im, a.den * d
+
+
 class TSeries:
     """Truncated series sum(coeffs[n] * x^n, n < order) in one variable.
 
@@ -88,14 +120,7 @@ class TSeries:
         ``g`` is a known multiple of gcd(den, re, im); g = 1 skips the
         reduction.
         """
-        if g is None:
-            g = den
-        if g != 1:
-            g = gcd(g, *re, *im)
-            if g != 1:
-                re = [x // g for x in re]
-                im = [x // g for x in im]
-                den //= g
+        re, im, den = _reduce(re, im, den, den if g is None else g)
         out = object.__new__(TSeries)
         out.re = re
         out.im = im
@@ -201,16 +226,7 @@ class TSeries:
         return self._sum(other, -1)
 
     def _sum(self, other: TSeries, sign: int) -> TSeries:
-        """self + sign * other over lcm(den, other.den).
-
-        The sum can only be reduced by a factor of gcd(den, other.den).
-        """
-        g = gcd(self.den, other.den)
-        ma = other.den // g
-        mb = sign * (self.den // g)
-        re = [x * ma + y * mb for x, y in zip(self.re, other.re)]
-        im = [x * ma + y * mb for x, y in zip(self.im, other.im)]
-        return TSeries._ints(re, im, self.den * ma, g)
+        return TSeries._ints(*_sum_ints(self, other, sign))
 
     def __neg__(self) -> TSeries:
         if self.is_zero():
@@ -220,10 +236,7 @@ class TSeries:
     def scale(self, c: Scalar) -> TSeries:
         if c.is_zero() or self.is_zero():
             return TSeries.zero(self.order)
-        p, q, d = _gaussian(c)
-        re = [x * p - y * q for x, y in zip(self.re, self.im)]
-        im = [x * q + y * p for x, y in zip(self.re, self.im)]
-        return TSeries._ints(re, im, self.den * d)
+        return TSeries._ints(*_scale_ints(self, c))
 
     def __mul__(self, other: TSeries) -> TSeries:
         """Schoolbook product of the numerators over the support of other."""
@@ -444,16 +457,24 @@ def geometric(c: Scalar, order: int) -> TSeries:
 
 @dataclass(frozen=True)
 class AffinePoly1:
-    """const(t2) + t1 * slope(t2); every matrix entry in scope is of this form."""
+    """const + t1 * slope; every matrix entry in scope is of this form.
 
-    const: TSeries
-    slope: TSeries
+    The coefficients are both TSeries (a z-coefficient of a ZTSeries, the
+    row ``zt[k]``) or both Planes (the whole ZTSeries).  ``of``, ``zero``
+    and ``compose_t2`` are for TSeries rows.
+    """
+
+    const: TSeries | Plane
+    slope: TSeries | Plane
 
     def __post_init__(self):
-        _check_order(self.const, self.slope)
+        if self.const.order != self.slope.order:
+            raise OrderMismatchError(
+                f"orders {self.const.order} and {self.slope.order} differ"
+            )
 
     @property
-    def order(self) -> int:
+    def order(self):
         return self.const.order
 
     @staticmethod
@@ -486,13 +507,15 @@ class AffinePoly1:
         return AffinePoly1(self.const.scale(c), self.slope.scale(c))
 
     def __mul__(self, other: AffinePoly1) -> AffinePoly1:
+        """const * const plus the one nonzero cross term; a zero slope is
+        shared, not multiplied."""
         s_sl = self.slope.is_zero()
         o_sl = other.slope.is_zero()
         if not (s_sl or o_sl):
             raise T1DegreeError("product exceeds degree 1 in t1")
         const = self.const * other.const
         if s_sl and o_sl:
-            return AffinePoly1(const, self.slope.scale(ZERO))
+            return AffinePoly1(const, self.slope)
         if s_sl:
             return AffinePoly1(const, self.const * other.slope)
         return AffinePoly1(const, self.slope * other.const)
@@ -500,42 +523,321 @@ class AffinePoly1:
     def dt2(self) -> AffinePoly1:
         return AffinePoly1(self.const.derivative(), self.slope.derivative())
 
-    def dt1(self) -> AffinePoly1:
-        return AffinePoly1(self.slope, TSeries.zero(self.order))
-
     def compose_t2(self, lam: TSeries) -> AffinePoly1:
         return AffinePoly1(self.const.compose(lam), self.slope.compose(lam))
-
-    def truncate(self, order: int) -> AffinePoly1:
-        return AffinePoly1(self.const.truncate(order), self.slope.truncate(order))
 
     def is_t2_free(self) -> bool:
         return self.const.is_constant() and self.slope.is_constant()
 
 
-@dataclass(frozen=True)
-class ZTSeries:
-    """Truncated series in z with AffinePoly1 coefficients."""
+class Plane:
+    """An nz x nt window of a series in z and t2; entry (k, n) is the
+    coefficient of z^k t2^n.
 
-    zc: tuple[AffinePoly1, ...]
+    Stored z-major in the canonical form of TSeries: entry (k, n) is
+    (re[k*nt + n] + im[k*nt + n] i) / den with den > 0 and
+    gcd(den, re, im) = 1, so equal planes have equal fields.  A plane is
+    never changed in place, and its support is scanned at most once.
+    """
+
+    __slots__ = ("nz", "nt", "order", "re", "im", "den", "_support")
+
+    @staticmethod
+    def _ints(
+        nz: int, nt: int, re: list[int], im: list[int], den: int, g: int | None = None
+    ) -> Plane:
+        """Same contract as TSeries._ints."""
+        re, im, den = _reduce(re, im, den, den if g is None else g)
+        out = object.__new__(Plane)
+        out.nz = nz
+        out.nt = nt
+        out.order = (nz, nt)
+        out.re = re
+        out.im = im
+        out.den = den
+        out._support = None
+        return out
+
+    @staticmethod
+    def zero(nz: int, nt: int) -> Plane:
+        n = nz * nt
+        return Plane._ints(nz, nt, [0] * n, [0] * n, 1, 1)
+
+    @staticmethod
+    def of_rows(rows) -> Plane:
+        """The plane whose z-row k is the TSeries rows[k].
+
+        Over the lcm of canonical row denominators the form is canonical
+        again, so no reduction is needed.
+        """
+        nt = rows[0].order
+        if any(r.order != nt for r in rows):
+            raise OrderMismatchError("z-coefficients have mixed t-orders")
+        den = lcm(*[r.den for r in rows])
+        re: list[int] = []
+        im: list[int] = []
+        for r in rows:
+            m = den // r.den
+            re += r.re if m == 1 else [x * m for x in r.re]
+            im += r.im if m == 1 else [y * m for y in r.im]
+        return Plane._ints(len(rows), nt, re, im, den, 1)
+
+    def row(self, k: int) -> TSeries:
+        """z-coefficient k as a TSeries of order nt."""
+        a = k * self.nt
+        return TSeries._ints(self.re[a : a + self.nt], self.im[a : a + self.nt], self.den)
+
+    def at_t0(self) -> TSeries:
+        """The z-series of entries (k, 0)."""
+        return TSeries._ints(self.re[:: self.nt], self.im[:: self.nt], self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Plane):
+            return NotImplemented
+        return (
+            self.order == other.order
+            and self.den == other.den
+            and self.re == other.re
+            and self.im == other.im
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, tuple(self.re), tuple(self.im), self.den))
+
+    def is_zero(self) -> bool:
+        return self.den == 1 and not (any(self.re) or any(self.im))
+
+    def is_constant(self) -> bool:
+        """Every z-coefficient is constant in t2."""
+        re, im, nt = self.re, self.im, self.nt
+        return not any(
+            any(re[a + 1 : a + nt]) or any(im[a + 1 : a + nt])
+            for a in range(0, self.nz * nt, nt or 1)
+        )
+
+    def support(self) -> list[tuple[int, list[tuple[int, int, int]]]]:
+        """Nonzero entries as [(k, [(n, re, im), ...]), ...], rows and
+        entries in increasing order; built on first use and kept."""
+        sup = self._support
+        if sup is None:
+            sup = []
+            re, im, nt = self.re, self.im, self.nt
+            for k in range(self.nz):
+                rr, ri = re[k * nt : (k + 1) * nt], im[k * nt : (k + 1) * nt]
+                if any(rr) or any(ri):
+                    sup.append(
+                        (k, [(n, x, y) for n, (x, y) in enumerate(zip(rr, ri)) if x or y])
+                    )
+            self._support = sup
+        return sup
+
+    # -- ring operations -----------------------------------------------------
+
+    def _check(self, other: Plane):
+        if self.order != other.order:
+            raise OrderMismatchError(f"orders {self.order} and {other.order} differ")
+
+    def __add__(self, other: Plane) -> Plane:
+        self._check(other)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        return self._sum(other, 1)
+
+    def __sub__(self, other: Plane) -> Plane:
+        self._check(other)
+        if other.is_zero():
+            return self
+        return self._sum(other, -1)
+
+    def _sum(self, other: Plane, sign: int) -> Plane:
+        return Plane._ints(self.nz, self.nt, *_sum_ints(self, other, sign))
+
+    def __neg__(self) -> Plane:
+        if self.is_zero():
+            return self
+        return Plane._ints(
+            self.nz, self.nt, [-x for x in self.re], [-y for y in self.im], self.den, 1
+        )
+
+    def scale(self, c: Scalar) -> Plane:
+        if self.is_zero():
+            return self
+        if c.is_zero():
+            return Plane.zero(self.nz, self.nt)
+        return Plane._ints(self.nz, self.nt, *_scale_ints(self, c))
+
+    def __mul__(self, other: Plane) -> Plane:
+        """2-D schoolbook product of the numerators over both supports;
+        terms past the window in z or in t2 are never formed."""
+        self._check(other)
+        sa = self.support()
+        if not sa:
+            return self
+        sb = other.support()
+        if not sb:
+            return other
+        nz, nt = self.nz, self.nt
+        re = [0] * (nz * nt)
+        im = [0] * (nz * nt)
+        for i, arow in sa:
+            top = nz - i
+            for k, brow in sb:
+                if k >= top:
+                    break
+                base = (i + k) * nt
+                for j, x, y in arow:
+                    lim = nt - j
+                    o = base + j
+                    for n, u, v in brow:
+                        if n >= lim:
+                            break
+                        re[o + n] += x * u - y * v
+                        im[o + n] += x * v + y * u
+        return Plane._ints(nz, nt, re, im, self.den * other.den)
+
+    # -- windows and calculus ------------------------------------------------
+
+    def truncate(self, nz: int, nt: int) -> Plane:
+        if nz > self.nz or nt > self.nt:
+            raise OrderMismatchError("cannot extend a truncated series")
+        if nt == self.nt:
+            if nz == self.nz:
+                return self
+            return Plane._ints(nz, nt, self.re[: nz * nt], self.im[: nz * nt], self.den)
+        w = self.nt
+        cut = range(0, nz * w, w)
+        return Plane._ints(
+            nz,
+            nt,
+            [x for a in cut for x in self.re[a : a + nt]],
+            [y for a in cut for y in self.im[a : a + nt]],
+            self.den,
+        )
+
+    def shift_z(self, k: int) -> Plane:
+        """Multiply by z^k (k >= 0); rows above the window drop."""
+        if k == 0:
+            return self
+        nz, nt = self.nz, self.nt
+        if k >= nz:
+            return Plane.zero(nz, nt)
+        pad = [0] * (k * nt)
+        keep = (nz - k) * nt
+        return Plane._ints(nz, nt, pad + self.re[:keep], pad + self.im[:keep], self.den)
+
+    def mul_z(self) -> Plane:
+        """z * self, exact at z-order nz + 1."""
+        pad = [0] * self.nt
+        return Plane._ints(self.nz + 1, self.nt, pad + self.re, pad + self.im, self.den, 1)
+
+    def div_z(self) -> Plane:
+        """(self - its z^0 row) / z, exact at z-order nz - 1."""
+        nt = self.nt
+        return Plane._ints(self.nz - 1, nt, self.re[nt:], self.im[nt:], self.den)
+
+    def _weighted_rows(self, k0: int, w0: int, nz: int, pad: int) -> Plane:
+        """z-order nz: ``pad`` zero rows, then rows k0, k0 + 1, ... of self
+        times w0, w0 + 1, ..."""
+        nt = self.nt
+        zeros = [0] * (pad * nt)
+        src = slice(k0 * nt, (k0 + nz - pad) * nt)
+        re = zeros + [x * (w0 + i // nt) for i, x in enumerate(self.re[src])]
+        im = zeros + [y * (w0 + i // nt) for i, y in enumerate(self.im[src])]
+        return Plane._ints(nz, nt, re, im, self.den)
+
+    def dz(self) -> Plane:
+        return self._weighted_rows(1, 1, self.nz - 1, 0)
+
+    def zdz(self) -> Plane:
+        """z * d/dz, exact at the same z-order."""
+        return self._weighted_rows(0, 0, self.nz, 0)
+
+    def z2dz(self) -> Plane:
+        """z^2 * d/dz: row k is (k - 1) times row k - 1."""
+        return self._weighted_rows(0, 0, self.nz, 1)
+
+    def derivative(self) -> Plane:
+        """d/dt2: the t2-order drops by one."""
+        nt = self.nt
+        return Plane._ints(
+            self.nz,
+            nt - 1,
+            [(i % nt) * x for i, x in enumerate(self.re) if i % nt],
+            [(i % nt) * y for i, y in enumerate(self.im) if i % nt],
+            self.den,
+        )
+
+    def derivative_exact(self) -> Plane:
+        """Same-order d/dt2 of stored polynomials: every top entry must
+        vanish, so nothing unknown is shifted into the window."""
+        nt = self.nt
+        if any(self.re[nt - 1 :: nt]) or any(self.im[nt - 1 :: nt]):
+            raise OrderMismatchError(
+                "same-order derivative needs a vanishing top coefficient"
+            )
+        re: list[int] = []
+        im: list[int] = []
+        for a in range(0, self.nz * nt, nt):
+            re += [n * x for n, x in enumerate(self.re[a + 1 : a + nt], 1)] + [0]
+            im += [n * y for n, y in enumerate(self.im[a + 1 : a + nt], 1)] + [0]
+        return Plane._ints(self.nz, nt, re, im, self.den)
+
+
+class ZTSeries:
+    """Truncated series in z and t2, of degree at most one in t1.
+
+    Stored as one AffinePoly1 whose const and slope are nz x nt Planes, so
+    a product is two or three plane products behind AffinePoly1's t1 rule.
+    ``ZTSeries(rows)`` builds one from its z-coefficients, AffinePoly1
+    values of order-nt TSeries; ``zt[k]`` returns z-coefficient k.
+    """
+
+    __slots__ = ("planes",)
+
+    def __init__(self, rows) -> None:
+        rows = list(rows)
+        self.planes = AffinePoly1(
+            Plane.of_rows([a.const for a in rows]),
+            Plane.of_rows([a.slope for a in rows]),
+        )
+
+    @staticmethod
+    def _of(planes: AffinePoly1) -> ZTSeries:
+        out = object.__new__(ZTSeries)
+        out.planes = planes
+        return out
 
     @property
     def nz(self) -> int:
-        return len(self.zc)
+        return self.planes.const.nz
 
     @property
     def nt(self) -> int:
-        return self.zc[0].order
+        return self.planes.const.nt
 
     @property
     def orders(self) -> tuple[int, int]:
-        return (self.nz, self.nt)
+        return self.planes.const.order
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZTSeries):
+            return NotImplemented
+        return self.planes == other.planes
+
+    def __hash__(self) -> int:
+        return hash(self.planes)
+
+    def __repr__(self) -> str:
+        return f"ZTSeries({tuple(self[k] for k in range(self.nz))!r})"
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(nz: int, nt: int) -> ZTSeries:
-        return ZTSeries((AffinePoly1.zero(nt),) * nz)
+        z = Plane.zero(nz, nt)
+        return ZTSeries._of(AffinePoly1(z, z))
 
     @staticmethod
     def const(c, nz: int, nt: int) -> ZTSeries:
@@ -547,8 +849,10 @@ class ZTSeries:
 
     @staticmethod
     def from_tpoly(t: TSeries, nz: int) -> ZTSeries:
-        rows = [AffinePoly1.of(t)] + [AffinePoly1.zero(t.order)] * (nz - 1)
-        return ZTSeries(tuple(rows))
+        nt = t.order
+        pad = [0] * ((nz - 1) * nt)
+        const = Plane._ints(nz, nt, t.re + pad, t.im + pad, t.den, 1)
+        return ZTSeries._of(AffinePoly1(const, Plane.zero(nz, nt)))
 
     @staticmethod
     def from_zcoeffs(tlist: list[TSeries], nz: int) -> ZTSeries:
@@ -556,22 +860,30 @@ class ZTSeries:
         if len(tlist) > nz:
             raise OrderMismatchError("more z-coefficients than the truncation order")
         nt = tlist[0].order
-        rows = [AffinePoly1.of(t) for t in tlist]
-        rows.extend(AffinePoly1.zero(nt) for _ in range(nz - len(tlist)))
-        return ZTSeries(tuple(rows))
+        rows = list(tlist) + [TSeries.zero(nt)] * (nz - len(tlist))
+        return ZTSeries._of(AffinePoly1(Plane.of_rows(rows), Plane.zero(nz, nt)))
 
     @staticmethod
     def from_zseries(zser: TSeries, nz: int, nt: int) -> ZTSeries:
         """Embed a pure z-series (t-independent)."""
         if zser.order != nz:
             raise OrderMismatchError("z-order mismatch")
-        rows = [AffinePoly1.of(TSeries.const(c, nt)) for c in zser.coeffs]
-        return ZTSeries(tuple(rows))
+        pad = [0] * (nt - 1)
+        const = Plane._ints(
+            nz,
+            nt,
+            [x for a in zser.re for x in [a] + pad],
+            [y for b in zser.im for y in [b] + pad],
+            zser.den,
+            1,
+        )
+        return ZTSeries._of(AffinePoly1(const, Plane.zero(nz, nt)))
 
     @staticmethod
     def t1(nz: int, nt: int) -> ZTSeries:
-        row0 = AffinePoly1(TSeries.zero(nt), TSeries.one(nt))
-        return ZTSeries((row0,) + (AffinePoly1.zero(nt),) * (nz - 1))
+        return ZTSeries._of(
+            AffinePoly1(Plane.zero(nz, nt), ZTSeries.one(nz, nt).planes.const)
+        )
 
     @staticmethod
     def t2(nz: int, nt: int) -> ZTSeries:
@@ -579,164 +891,125 @@ class ZTSeries:
 
     @staticmethod
     def z(nz: int, nt: int) -> ZTSeries:
-        return ZTSeries.zero(nz, nt) + ZTSeries.z_monomial(ONE, 1, nz, nt)
+        return ZTSeries.z_monomial(ONE, 1, nz, nt)
 
     @staticmethod
     def z_monomial(c, k: int, nz: int, nt: int) -> ZTSeries:
-        rows = [AffinePoly1.zero(nt) for _ in range(nz)]
-        cs = S(c)
-        if 0 <= k < nz:
-            rows[k] = AffinePoly1.of(TSeries.const(cs, nt))
-        elif not cs.is_zero():
-            raise OrderMismatchError("monomial beyond truncation order")
-        return ZTSeries(tuple(rows))
+        return ZTSeries.from_zseries(TSeries.monomial(c, k, nz), nz, nt)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        flag = self.__dict__.get("_zf")
-        if flag is None:
-            flag = all(a.is_zero() for a in self.zc)
-            self.__dict__["_zf"] = flag
-        return flag
+        return self.planes.is_zero()
 
     def is_t1_free(self) -> bool:
-        return all(a.is_t1_free() for a in self.zc)
+        return self.planes.is_t1_free()
 
     def is_t2_free(self) -> bool:
-        return all(a.is_t2_free() for a in self.zc)
+        return self.planes.is_t2_free()
 
     def __getitem__(self, k: int) -> AffinePoly1:
-        return self.zc[k]
+        """z-coefficient k, built on demand."""
+        if not 0 <= k < self.nz:
+            raise IndexError(f"z-coefficient {k} outside the window")
+        p = self.planes
+        return AffinePoly1(p.const.row(k), p.slope.row(k))
 
     def at_origin(self) -> TSeries:
         """Evaluate at t1 = t2 = 0, returning a z-series."""
-        return TSeries(tuple(a.const.at0() for a in self.zc))
+        return self.planes.const.at_t0()
 
     def t1_slope_z(self) -> TSeries:
         """The z-series of t1-slopes at t2 = 0."""
-        return TSeries(tuple(a.slope.at0() for a in self.zc))
+        return self.planes.slope.at_t0()
 
     # -- ring operations -----------------------------------------------------
 
-    def _check(self, other: ZTSeries):
-        if self.orders != other.orders:
-            raise OrderMismatchError(
-                f"orders {self.orders} and {other.orders} differ"
-            )
-
     def __add__(self, other: ZTSeries) -> ZTSeries:
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return ZTSeries(tuple(a + b for a, b in zip(self.zc, other.zc)))
+        return ZTSeries._of(self.planes + other.planes)
 
     def __sub__(self, other: ZTSeries) -> ZTSeries:
-        self._check(other)
-        if other.is_zero():
-            return self
-        return ZTSeries(tuple(a - b for a, b in zip(self.zc, other.zc)))
+        return ZTSeries._of(self.planes - other.planes)
 
     def __neg__(self) -> ZTSeries:
-        return ZTSeries(tuple(-a for a in self.zc))
+        return ZTSeries._of(-self.planes)
 
     def scale(self, c: Scalar) -> ZTSeries:
-        return ZTSeries(tuple(a.scale(c) for a in self.zc))
+        return ZTSeries._of(self.planes.scale(c))
 
     def __mul__(self, other: ZTSeries) -> ZTSeries:
-        self._check(other)
-        nz, nt = self.orders
-        if self.is_zero() or other.is_zero():
-            return ZTSeries.zero(nz, nt)
-        support = [
-            (j, b) for j, b in enumerate(other.zc) if not b.is_zero()
-        ]
-        out: list[AffinePoly1] = [AffinePoly1.zero(nt) for _ in range(nz)]
-        for i, a in enumerate(self.zc):
-            if a.is_zero():
-                continue
-            top = nz - i
-            for j, b in support:
-                if j >= top:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return ZTSeries(tuple(out))
+        return ZTSeries._of(self.planes * other.planes)
 
     def mul_t(self, t: TSeries) -> ZTSeries:
         """Multiply by a t-only series."""
-        a = AffinePoly1.of(t)
-        return ZTSeries(tuple(c * a for c in self.zc))
+        return ZTSeries._of(self.planes * ZTSeries.from_tpoly(t, self.nz).planes)
+
+    def _map(self, fn) -> ZTSeries:
+        p = self.planes
+        return ZTSeries._of(AffinePoly1(fn(p.const), fn(p.slope)))
 
     def shift_z(self, k: int) -> ZTSeries:
-        if k == 0:
-            return self
-        nt = self.nt
-        pads = tuple(AffinePoly1.zero(nt) for _ in range(min(k, self.nz)))
-        return ZTSeries(pads + self.zc[: self.nz - k])
+        """Multiply by z^k (k >= 0); coefficients above the window drop."""
+        return self._map(lambda p: p.shift_z(k))
+
+    def mul_z(self) -> ZTSeries:
+        """z * self, exact at z-order nz + 1."""
+        return self._map(Plane.mul_z)
+
+    def div_z(self) -> ZTSeries:
+        """(self - its z^0 coefficient) / z, exact at z-order nz - 1."""
+        return self._map(Plane.div_z)
 
     def truncate(self, nz: int, nt: int) -> ZTSeries:
-        if nz > self.nz or nt > self.nt:
-            raise OrderMismatchError("cannot extend a truncated series")
-        return ZTSeries(tuple(a.truncate(nt) for a in self.zc[:nz]))
+        return self._map(lambda p: p.truncate(nz, nt))
 
     # -- calculus --------------------------------------------------------------
 
     def dz(self) -> ZTSeries:
-        rows = [a.scale(integer(n)) for n, a in enumerate(self.zc)][1:]
-        return ZTSeries(tuple(rows))
+        return self._map(Plane.dz)
 
     def zdz(self) -> ZTSeries:
         """z * d/dz, exact at the same z-order."""
-        return ZTSeries(tuple(a.scale(integer(n)) for n, a in enumerate(self.zc)))
+        return self._map(Plane.zdz)
 
     def z2dz(self) -> ZTSeries:
         """z^2 * d/dz: coefficient at z^n is (n-1) * coeff(z^{n-1})."""
-        nt = self.nt
-        rows = [AffinePoly1.zero(nt)]
-        for n in range(1, self.nz):
-            rows.append(self.zc[n - 1].scale(integer(n - 1)))
-        return ZTSeries(tuple(rows))
+        return self._map(Plane.z2dz)
 
     def dt(self) -> ZTSeries:
-        return ZTSeries(tuple(a.dt2() for a in self.zc))
+        return ZTSeries._of(self.planes.dt2())
 
     def dt_exact(self) -> ZTSeries:
         """Same-order t2-derivative; requires polynomial (zero-top) data."""
-        return ZTSeries(
-            tuple(
-                AffinePoly1(a.const.derivative_exact(), a.slope.derivative_exact())
-                for a in self.zc
-            )
-        )
+        return self._map(Plane.derivative_exact)
 
     def dt1(self) -> ZTSeries:
-        return ZTSeries(tuple(a.dt1() for a in self.zc))
+        slope = self.planes.slope
+        return ZTSeries._of(AffinePoly1(slope, Plane.zero(*slope.order)))
 
     def compose_t2(self, lam: TSeries) -> ZTSeries:
-        return ZTSeries(tuple(a.compose_t2(lam) for a in self.zc))
+        return ZTSeries([self[k].compose_t2(lam) for k in range(self.nz)])
 
     def invert(self) -> ZTSeries:
         """Inverse of a t1-free unit, by the geometric recursion in z."""
         if not self.is_t1_free():
             raise T1DegreeError("inverse would exceed degree 1 in t1")
-        c0 = self.zc[0].const
-        inv0 = c0.invert()
         nz, nt = self.orders
-        out = [AffinePoly1.of(inv0)]
+        rows = [self.planes.const.row(k) for k in range(nz)]
+        inv0 = rows[0].invert()
+        out = [inv0]
         for m in range(1, nz):
             acc = TSeries.zero(nt)
             for k in range(1, m + 1):
-                fk = self.zc[k].const
-                if not fk.is_zero():
-                    acc = acc + fk * out[m - k].const
-            out.append(AffinePoly1.of(-(acc * inv0)))
-        return ZTSeries(tuple(out))
+                if not rows[k].is_zero():
+                    acc = acc + rows[k] * out[m - k]
+            out.append(-(acc * inv0))
+        return ZTSeries.from_zcoeffs(out, nz)
 
     def __str__(self) -> str:
         rows = []
-        for n, a in enumerate(self.zc):
+        for n in range(self.nz):
+            a = self[n]
             if not a.is_zero():
                 rows.append(f"z^{n}*({a.const}{'' if a.slope.is_zero() else ' + t1*' + str(a.slope)})")
         return " + ".join(rows) if rows else "0"

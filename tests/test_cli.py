@@ -184,11 +184,28 @@ def test_cli_series_longer_than_order_exits_2():
 
 @pytest.mark.parametrize("flag", ["--order-z", "--order-t"])
 def test_cli_order_below_one_exits_2(flag):
-    for value in ("0", "-1"):
+    # the cap, 4 x the default window of 16, refuses runs without bound
+    for value, message in (
+        ("0", "order must be at least 1"),
+        ("-1", "order must be at least 1"),
+        ("65", "order must be at most 64"),
+        ("100000", "order must be at most 64"),
+    ):
         out = _run(flag, value, "malgrange", "--c0", "1", "--binf", "0,0,0,0")
         assert out.returncode == 2
-        assert "order must be at least 1" in out.stderr
+        assert message in out.stderr
         assert "Traceback" not in out.stderr
+    out = _run(flag, "64", "--help")
+    assert out.returncode == 0
+
+
+def test_cli_negative_kmax_exits_2():
+    # no k would be searched, so no verdict may be reported
+    out = _run("--order-z", "8", "--order-t", "8", "--kmax", "-1", "classify", "mal1")
+    assert out.returncode == 2
+    assert "bound must be at least 0" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
 
 
 def test_cli_nmax_is_not_an_option():

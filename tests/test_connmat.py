@@ -181,7 +181,7 @@ def test_scalar_gauge_clears_tail():
     s = _nf("F1", c=S(1), alpha=S(0), c0=S(1))
     g = scalar_exp_gauge(TSeries.of([0, 1], NZ), NZ, NT)
     out = apply_gauge(s, g)
-    b1 = out.B.c1.zc[2].const
+    b1 = out.B.c1[2].const
     assert b1 == TSeries.const(S(1), NT)  # picked up z^2 coefficient
     back = apply_gauge(out, scalar_exp_gauge(TSeries.of([0, -1], NZ), NZ, NT))
     assert back == s

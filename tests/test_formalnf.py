@@ -50,7 +50,7 @@ def test_extension_families():
     assert fam.kind == "one"
     fam = solve_b2_extensions(ZTSeries.from_tpoly(TSeries.var(nt), nz))
     assert fam.kind == "t2" and fam.unique_b2 is not None
-    assert fam.unique_b2.zc[0].const == TSeries.var(nt).scale(S("-1/3"))
+    assert fam.unique_b2[0].const == TSeries.var(nt).scale(S("-1/3"))
     fam = solve_b2_extensions(ZTSeries.zero(nz, nt))
     assert fam.kind == "zero"
     f = ZTSeries.from_tpoly(TSeries.monomial(ONE, 3, nt), nz)
@@ -195,7 +195,7 @@ def test_affine_sign_flip_map():
     out = apply_gauge(s, g)
     _f, b2, _b1 = prenormal_components(out)
     nt_out = out.orders[1]
-    assert b2.zc[0].const == (
+    assert b2[0].const == (
         TSeries.var(nt_out).scale(-lam) + TSeries.one(nt_out)
     )
 
@@ -219,7 +219,7 @@ def test_conformal_transport(rng):
             ONE / (k * d)
         )
         b20 = TSeries.var(n).scale(S(2))
-        assert b2.zc[0].const == b20.compose(lam_map) * factor
+        assert b2[0].const == b20.compose(lam_map) * factor
 
 
 def test_formal_iso_decision():

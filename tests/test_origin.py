@@ -101,6 +101,17 @@ def test_irreducibility_decoupled_case():
     assert "eigen-section" in rep.notes[0]
 
 
+def test_irreducibility_negative_bound_raises():
+    n = 8
+    zero = TSeries.zero(n)
+    r = OriginRestriction(TSeries.one(n), TSeries.const(S(3), n), zero, zero, ZERO, ZERO)
+    with pytest.raises(ShapeError):
+        irreducibility_check(r, k_max=-1)
+    # k = 0 alone is searched; the witness lies further out
+    assert irreducibility_check(r, k_max=0).witness_k is None
+    assert irreducibility_check(r).verdict == "reducible"
+
+
 def test_irreducibility_explicit_witness():
     # eta = 1, gamma = 0, beta = 0, lam = const: g = 0 solves the pencil
     n = 8

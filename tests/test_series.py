@@ -380,3 +380,229 @@ def test_canonical_form():
     assert (zero.re, zero.im, zero.den) == ([0] * 4, [0] * 4, 1)
     assert zero.is_zero() and zero == TSeries.zero(4)
     assert a != a.truncate(3) and a != TSeries.zero(4)
+
+
+# -- the two-plane ZTSeries against row-wise oracles -----------------------------
+#
+# A ZTSeries stores two z-major planes; the oracles below work on its rows,
+# the AffinePoly1 z-coefficients it was built from.
+
+
+def _oracle_zt_mul(a_rows, b_rows):
+    """The row-wise ZTSeries product the planes replaced, kept verbatim."""
+    nz, nt = len(a_rows), a_rows[0].order
+    if all(a.is_zero() for a in a_rows) or all(b.is_zero() for b in b_rows):
+        return [AffinePoly1.zero(nt) for _ in range(nz)]
+    support = [
+        (j, b) for j, b in enumerate(b_rows) if not b.is_zero()
+    ]
+    out = [AffinePoly1.zero(nt) for _ in range(nz)]
+    for i, a in enumerate(a_rows):
+        if a.is_zero():
+            continue
+        top = nz - i
+        for j, b in support:
+            if j >= top:
+                break
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _rows(zt):
+    return [zt[k] for k in range(zt.nz)]
+
+
+def _assert_planes_canonical(zt):
+    for p in (zt.planes.const, zt.planes.slope):
+        assert p.den > 0 and len(p.re) == len(p.im) == p.nz * p.nt
+        assert gcd(p.den, *p.re, *p.im) == 1
+        if p.is_zero():
+            assert p.den == 1
+
+
+def _rand_coeff(rnd, gauss):
+    re = Fraction(rnd.randint(-40, 40), rnd.randint(1, 12))
+    im = Fraction(rnd.randint(-40, 40), rnd.randint(1, 12)) if gauss else Fraction(0)
+    return Scalar(re, im)
+
+
+def _rand_rows(rnd, nz, nt, fill, gauss, force_row0=False):
+    """nz TSeries of order nt: dense, sparse, or dense with zero rows."""
+    rows = []
+    for k in range(nz):
+        if fill == "zero-rows" and rnd.random() < 0.5 and not (force_row0 and k == 0):
+            rows.append(TSeries.zero(nt))
+            continue
+        density = 0.15 if fill == "sparse" else 1.0
+        cs = [
+            _rand_coeff(rnd, gauss) if rnd.random() < density else ZERO
+            for _ in range(nt)
+        ]
+        if force_row0 and k == 0 and all(c.is_zero() for c in cs):
+            cs[0] = ONE
+        rows.append(TSeries(cs))
+    return rows
+
+
+@st.composite
+def zt_operands(draw):
+    """(a_rows, b_rows): two sets of AffinePoly1 z-coefficients at one
+    window, with a t1-slope on neither side, one side or both."""
+    nz, nt = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    sloped = draw(st.sampled_from(["neither", "left", "right", "both"]))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def side(has_slope):
+        fill = draw(st.sampled_from(["dense", "sparse", "zero-rows"]))
+        gauss = draw(st.booleans())
+        const = _rand_rows(rnd, nz, nt, fill, gauss)
+        if has_slope:
+            # a nonzero z^0 slope: the t1^2 term lies in every window
+            slope = _rand_rows(rnd, nz, nt, "sparse", gauss, force_row0=True)
+        else:
+            slope = [TSeries.zero(nt)] * nz
+        return [AffinePoly1(c, s) for c, s in zip(const, slope)]
+
+    return (
+        side(sloped in ("left", "both")),
+        side(sloped in ("right", "both")),
+    )
+
+
+@given(zt_operands())
+@settings(max_examples=120, deadline=None)
+def test_plane_product_matches_row_oracle(pair):
+    a_rows, b_rows = pair
+    a, b = ZTSeries(a_rows), ZTSeries(b_rows)
+    assert _rows(a) == a_rows and _rows(b) == b_rows
+    if not (a.is_t1_free() or b.is_t1_free()):
+        with pytest.raises(T1DegreeError):
+            _oracle_zt_mul(a_rows, b_rows)
+        with pytest.raises(T1DegreeError):
+            a * b
+        return
+    want = _oracle_zt_mul(a_rows, b_rows)
+    got = a * b
+    _assert_planes_canonical(got)
+    assert _rows(got) == want
+    assert got == ZTSeries(want)
+    if b.is_t1_free():
+        t = b_rows[0].const
+        t_rows = [AffinePoly1.of(t)] + [AffinePoly1.zero(a.nt)] * (a.nz - 1)
+        assert a.mul_t(t) == ZTSeries(_oracle_zt_mul(a_rows, t_rows))
+
+
+@given(zt_operands(), coefficient_kinds["sparse"], st.integers(0, 17))
+@settings(max_examples=80, deadline=None)
+def test_plane_ops_match_rows(pair, c, k):
+    a_rows, b_rows = pair
+    a, b = ZTSeries(a_rows), ZTSeries(b_rows)
+    nz, nt = a.orders
+    zero = AffinePoly1.zero(nt)
+    kz, kt = min(k, nz), min(k, nt)
+
+    def scaled(rows, w):
+        return [r.scale(S(n)) for r, n in zip(rows, w)]
+
+    cases = [
+        (a + b, [x + y for x, y in zip(a_rows, b_rows)]),
+        (a - b, [x - y for x, y in zip(a_rows, b_rows)]),
+        (-a, [-x for x in a_rows]),
+        (a.scale(c), [x.scale(c) for x in a_rows]),
+        (a.shift_z(k), ([zero] * kz + a_rows)[:nz]),
+        (
+            a.truncate(kz, kt),
+            [AffinePoly1(x.const.truncate(kt), x.slope.truncate(kt)) for x in a_rows[:kz]],
+        ),
+        (a.dz(), scaled(a_rows[1:], range(1, nz))),
+        (a.zdz(), scaled(a_rows, range(nz))),
+        (a.z2dz(), ([zero] + scaled(a_rows, range(nz)))[:nz]),
+        (a.dt(), [x.dt2() for x in a_rows]),
+        (a.dt1(), [AffinePoly1(x.slope, TSeries.zero(nt)) for x in a_rows]),
+        (a.mul_z(), [zero] + a_rows),
+        (a.div_z(), a_rows[1:]),
+    ]
+    for got, want in cases:
+        _assert_planes_canonical(got)
+        assert _rows(got) == want
+        if want:
+            assert got == ZTSeries(want)
+    assert a.is_zero() == all(x.is_zero() for x in a_rows)
+    assert a.is_t2_free() == all(x.is_t2_free() for x in a_rows)
+    assert a.at_origin() == TSeries(tuple(x.const[0] for x in a_rows))
+    assert a.t1_slope_z() == TSeries(tuple(x.slope[0] for x in a_rows))
+    def top_cut(t):
+        return t.truncate(nt - 1).pad_poly(nt)
+
+    poly = [AffinePoly1(top_cut(x.const), top_cut(x.slope)) for x in a_rows]
+    exact = [
+        AffinePoly1(x.const.derivative_exact(), x.slope.derivative_exact())
+        for x in poly
+    ]
+    assert ZTSeries(poly).dt_exact() == ZTSeries(exact)
+
+
+def test_ztseries_canonical_form():
+    nz, nt = 4, 3
+    rows = [
+        AffinePoly1(TSeries.of([S("1/2"), 0, S(1, "1/3")], nt), TSeries.zero(nt)),
+        AffinePoly1.zero(nt),
+        AffinePoly1(TSeries.of([0, S("-5/6")], nt), TSeries.of([S("3/4")], nt)),
+        AffinePoly1(TSeries.of([2], nt), TSeries.zero(nt)),
+    ]
+    a = ZTSeries(rows)
+    assert _rows(a) == rows
+    assert a.planes.const.den == 6 and a.planes.slope.den == 4
+    z, t2 = ZTSeries.z(nz, nt), ZTSeries.t2(nz, nt)
+    one, t1 = ZTSeries.one(nz, nt), ZTSeries.t1(nz, nt)
+    third = S("1/3")
+    # the same values, built from rows and by ring operations
+    pairs = [
+        ((a + z) - z, a),
+        (a.scale(S(3)).scale(third), a),
+        ((z + t2) * (z - t2), ZTSeries([
+            AffinePoly1(TSeries.of([0, 0, -1], nt), TSeries.zero(nt)),
+            AffinePoly1.zero(nt),
+            AffinePoly1.of(TSeries.one(nt)),
+            AffinePoly1.zero(nt),
+        ])),
+        ((one + t1.scale(third)) * z.scale(S(3)), ZTSeries([
+            AffinePoly1.zero(nt),
+            AffinePoly1(TSeries.const(S(3), nt), TSeries.one(nt)),
+            AffinePoly1.zero(nt),
+            AffinePoly1.zero(nt),
+        ])),
+        (
+            z.shift_z(2) + t2.shift_z(4),
+            ZTSeries([AffinePoly1.zero(nt)] * 3 + [AffinePoly1.of(TSeries.one(nt))]),
+        ),
+        (a - a, ZTSeries.zero(nz, nt)),
+        (t2 * t2 * t2, ZTSeries.zero(nz, nt)),  # t2^3 lies past the window
+        (
+            (z + t2.scale(S(0, 1))) * (z - t2.scale(S(0, 1))),
+            ZTSeries([
+                AffinePoly1.of(TSeries.of([0, 0, 1], nt)),
+                AffinePoly1.zero(nt),
+                AffinePoly1.of(TSeries.one(nt)),
+                AffinePoly1.zero(nt),
+            ]),
+        ),
+        ((one + z) * (one + z).invert(), one),
+    ]
+    for built, direct in pairs:
+        _assert_planes_canonical(built)
+        _assert_planes_canonical(direct)
+        assert built == direct
+        assert hash(built) == hash(direct)
+        for bp, dp in zip(
+            (built.planes.const, built.planes.slope),
+            (direct.planes.const, direct.planes.slope),
+        ):
+            assert (bp.re, bp.im, bp.den, bp.order) == (dp.re, dp.im, dp.den, dp.order)
+    zero = a - a
+    assert zero.planes.const.den == 1 and zero.is_zero()
+    assert a != a.scale(S(2)) and a != a.truncate(nz, nt - 1)
+    with pytest.raises(OrderMismatchError):
+        a + a.truncate(nz, nt - 1)
+    with pytest.raises(IndexError):
+        a[nz]
