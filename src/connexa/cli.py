@@ -13,6 +13,7 @@ from functools import cache
 from . import selftest
 from .connmat import ConstMat, flatness_residuals
 from .docio import (
+    MAX_ORDER,
     Report,
     dumps_document,
     structure_to_document,
@@ -33,17 +34,10 @@ EXIT_FLAGGED = 4
 
 
 def _parse_series(text: str, order: int) -> TSeries:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")  # every part is parsed: an empty one is refused
     if len(parts) > order:
         raise DocumentError(f"{len(parts)} coefficients exceed the order {order}")
     return TSeries.of([Scalar.parse(p) for p in parts], order)
-
-
-# Largest --order-z/--order-t: four times the largest window any test,
-# fixture or selftest criterion uses (16).  A dense product costs
-# O(nz^2 nt^2), so without a cap one argument can start a run that never
-# ends in practice.
-MAX_ORDER = 64
 
 
 def positive_int(text: str) -> int:

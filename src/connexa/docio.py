@@ -17,6 +17,12 @@ from .series import AffinePoly1, TSeries, ZTSeries
 
 FORMAT_TAG = "connexa-structure/1"
 
+# Largest window order, for documents and --order-z/--order-t alike: four
+# times the largest window any test, fixture or selftest criterion uses
+# (16).  A dense product costs O(nz^2 nt^2), so without a cap one document
+# or argument can start a run that never ends in practice.
+MAX_ORDER = 64
+
 
 def _ts_to_json(t: TSeries) -> list[str]:
     return [str(c) for c in t.coeffs]
@@ -98,6 +104,8 @@ def structure_from_document(doc: Any) -> TEStruct:
         raise DocumentError("orders must carry integer nz/nt") from exc
     if nz < 1 or nt < 1:
         raise DocumentError("orders nz/nt must be positive")
+    if nz > MAX_ORDER or nt > MAX_ORDER:
+        raise DocumentError(f"orders nz/nt must be at most {MAX_ORDER}")
     t1_degree = orders.get("t1_degree", 1)
     if not isinstance(t1_degree, int):
         raise DocumentError("t1_degree must be an integer")

@@ -595,46 +595,47 @@ def _zero_family_recursion(
     """
     nz, nt = p.orders
     b = p.b2[0].const  # catalogue shape, quadratic polynomial
-    bdot = b.derivative_exact()
     b2_in = [p.b2[k].const for k in range(nz)]
     b2_out: list[TSeries] = [b]
     tau1: list[Scalar] = [ONE]
-    tau2: list[TSeries] = []
+    # tau2[k] with its first two t2-derivatives, formed once it is known
+    tau2: list[tuple[TSeries, TSeries, TSeries]] = []
+    # from z-order l = 1 on, once b2_out[l] is known: the difference
+    # b2_in[l] - b2_out[l] with two derivatives and the sum with one
+    diffs: list[tuple[TSeries, TSeries, TSeries] | None] = [None]
+    sums: list[tuple[TSeries, TSeries] | None] = [None]
     mono_mu: Scalar | None = None
     res_order: int | None = None
     zero_t = TSeries.zero(nt)
 
     def next_tau1(n: int) -> Scalar:
+        """[z^{n-1}] of tau2'' d - tau2' d' + tau2 d'', over 4n."""
         acc = zero_t
-        for l in range(1, n):  # l <= n-1 so tau2 index is >= 0
-            idx = n - l - 1
-            if 0 <= idx < len(tau2):
-                diff = b2_in[l] - b2_out[l]
-                acc = acc + tau2[idx].derivative_exact().derivative_exact() * diff
-        for l in range(2, n + 1):
-            diff = b2_in[l - 1] - b2_out[l - 1]
-            idx = n - l
-            if idx < len(tau2):
-                acc = acc - tau2[idx].derivative_exact() * diff.derivative_exact()
-                acc = acc + tau2[idx] * diff.derivative_exact().derivative_exact()
+        for l in range(1, n):
+            t0, t1, t2 = tau2[n - l - 1]
+            d0, d1, d2 = diffs[l]
+            acc = acc + t2 * d0 - t1 * d1 + t0 * d2
         if not acc.is_constant():
             raise ShapeError("tau1 recursion produced a non-constant")
         return acc.at0() / integer(4 * n)
 
     for n in range(0, nz - 1):
         if n >= 1:
+            d0 = b2_in[n] - b2_out[n]
+            d1 = d0.derivative_exact()
+            diffs.append((d0, d1, d1.derivative_exact()))
+            s0 = b2_in[n] + b2_out[n]
+            sums.append((s0, s0.derivative_exact()))
             tau1.append(next_tau1(n))
         m = n + 1
         # g with the still-unknown resonant part of b2_out[n+1] set to 0
         g_known = -(b2_in[n + 1].scale(tau1[0]))
         for l in range(1, n + 1):
-            diff = b2_in[l] - b2_out[l]
-            g_known = g_known - diff.scale(tau1[n + 1 - l])
-            tot = b2_in[l] + b2_out[l]
-            idx = n - l
-            if idx < len(tau2):
-                g_known = g_known + (tau2[idx].derivative_exact() * tot).scale(HALF)
-                g_known = g_known - (tau2[idx] * tot.derivative_exact()).scale(HALF)
+            t0, t1, _t2 = tau2[n - l]
+            s0, s1 = sums[l]
+            g_known = g_known - diffs[l][0].scale(tau1[n + 1 - l])
+            g_known = g_known + (t1 * s0).scale(HALF)
+            g_known = g_known - (t0 * s1).scale(HALF)
         res = _resonance(shape, lam, m)
         new_coeff = zero_t
         if res is None:
@@ -671,21 +672,18 @@ def _zero_family_recursion(
                     f"unexpected obstruction at z-order {m} in the recursion"
                 )
             x = sol.x.pad_poly(nt) if sol.x.order != nt else sol.x
-        tau2.append(x)
+        x1 = x.derivative_exact()
+        tau2.append((x, x1, x1.derivative_exact()))
         b2_out.append(new_coeff)
     if nz >= 2:
         tau1.append(next_tau1(nz - 1))
     # build the gauge matrix
-    zero = ZTSeries.zero(nz, nt)
     tau1_zt = ZTSeries.from_zseries(TSeries(tuple(tau1)), nz, nt)
-    tau2_list = tau2 + [zero_t]
+    tau2_list = [t0 for t0, _t1, _t2 in tau2] + [zero_t]
     tau2_zt = ZTSeries.from_zcoeffs(tau2_list[:nz], nz)
-    tau3_list = [zero_t] + [
-        t.derivative_exact().scale(_NEG_HALF) for t in tau2_list[: nz - 1]
-    ]
+    tau3_list = [zero_t] + [t1.scale(_NEG_HALF) for _t0, t1, _t2 in tau2[: nz - 1]]
     tau4_list = [zero_t, zero_t] + [
-        t.derivative_exact().derivative_exact().scale(_NEG_HALF)
-        for t in tau2_list[: nz - 2]
+        t2.scale(_NEG_HALF) for _t0, _t1, t2 in tau2[: nz - 2]
     ]
     tmat = Mat2(
         tau1_zt,

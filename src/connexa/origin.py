@@ -14,7 +14,7 @@ from .errors import (
     ShapeError,
 )
 from .formalnf import PreNormalForm
-from .odekit import FuchsProblem, fuchs_regular_singular, solve_linear_system
+from .odekit import FuchsProblem, fuchs_regular_singular
 from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
 from .series import Laurent, TSeries, ZTSeries
 
@@ -81,11 +81,9 @@ def is_elementary_restriction(r: OriginRestriction) -> bool:
     return (r.eta.at0() * r.gam.at0()).is_zero()
 
 
-def cyclic_fuchs(r: OriginRestriction, twist: bool = True) -> bool:
-    """Valuation test for a regular singularity of the (possibly trace-
-    twisted) origin slice, via the cyclic-vector companion form."""
-    c = ZERO if twist else r.c
-    alpha = ZERO if twist else r.alpha
+def cyclic_fuchs(r: OriginRestriction) -> bool:
+    """Valuation test for a regular singularity of the trace-twisted
+    origin slice (c = alpha = 0), via the cyclic-vector companion form."""
     n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
     eta = r.eta.truncate(n)
     lamz = r.lam.truncate(n)
@@ -93,12 +91,12 @@ def cyclic_fuchs(r: OriginRestriction, twist: bool = True) -> bool:
     gam = r.gam.truncate(n)
     if eta.is_zero():
         # logarithmic-pole branch: the pole matrix is z * (holomorphic)
-        return c.is_zero()
+        return True
     half_lam1 = (lamz + TSeries.one(n)).scale(HALF)
-    p = Laurent(-2, TSeries.of([c, alpha], n) - half_lam1.shift(1))
+    p = Laurent(-2, -half_lam1.shift(1))
     q = Laurent(-2, eta)
     u = Laurent(-1, eta * gam - beta.scale(HALF).shift(1))
-    w = Laurent(-2, TSeries.of([c, alpha], n) + half_lam1.shift(1))
+    w = Laurent(-2, half_lam1.shift(1))
     logq = q.log_derivative()
     a1 = p + logq + w
     a0 = p.dz() + q * u - p * logq - p * w
@@ -255,14 +253,20 @@ _C2 = ConstMat(ZERO, ONE, ZERO, ZERO)
 
 
 def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
-    """Reduce z^{-2} B(z) dz to z^{-2}(B0 + z Binf) dz by a z-series frame.
+    """Reduce z^{-2} B(z) dz to z^{-2}(B0 + z Binf) dz by a z-series frame
+    T = sum_m T_m z^m, T_0 = Id, solving z^2 T' + B T = T (B0 + z Binf).
 
-    The residue must be regular with a single eigenvalue.  The z-linear
-    target coefficient is fixed first: its components along the image of
-    the residue bracket carry one genuine degree of freedom, used to kill
-    the first obstruction in the unreachable direction.  With the target
-    pinned, the frame is one exact global linear solve, and the defining
-    equation is re-checked on the whole window.
+    The residue must be regular with a single eigenvalue; it is conjugated
+    to B0 = c C1 + c0 C2.  At z-order m the equation is the block
+    [B0, T_m] = R_m = -(m-1) T_{m-1} - sum_{l=1..m} B_l T_{m-l} + T_{m-1} Binf,
+    and [B0, X] = c0 (2 X.d C2 - X.e D), so block m sets T_m.d and T_m.e
+    and needs R_m.c1 = R_m.e = 0.  The E condition fixes one earlier
+    unknown (the C2 shift of Binf at m = 2, T_{m-2}.c2 above) with a pivot
+    proportional to B_1.e, which must be nonzero: for an origin restriction
+    it is f(0,0) b2(0,0).  The C1 condition fixes T_{m-1}.c1.  At the
+    window's top T_{nz-2}.c2 sets T_{nz-1}.e to 0, and T_{nz-1}.c1 and
+    T_{nz-1}.c2 are 0.  The defining equation is re-checked on the whole
+    window.
     """
     nz = bz.nz
     if bz.nt != 1:
@@ -297,106 +301,58 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
         binf = coeffs[1]
         return BirkhoffReduction(b0, binf, pre, tuple(log) + ("already a pencil",))
 
-    def order2_obstruction(delta2: Scalar) -> Scalar:
-        binf_try = coeffs[1] + _C2.scale(delta2)
-        t1 = ConstMat(ZERO, ZERO, delta2 / (integer(2) * c0), ZERO)
-        r2 = (
-            -t1
-            + t1 * binf_try
-            - coeffs[1] * t1
-            - (coeffs[2] if nz > 2 else ConstMat.zero())
-        )
-        return r2.e
-
-    e_at_0 = order2_obstruction(ZERO)
-    e_at_1 = order2_obstruction(ONE)
-    slope = e_at_1 - e_at_0
-    if slope.is_zero():
-        if not e_at_0.is_zero():
+    b1 = coeffs[1]
+    if b1.e.is_zero():
+        if not coeffs[2].e.is_zero():
             raise ReductionFailedError(
                 "obstruction in the unreachable direction cannot be absorbed",
                 order=2,
             )
-        delta2 = ZERO
-    else:
-        delta2 = -e_at_0 / slope
-    binf = coeffs[1] + _C2.scale(delta2)
-    if not delta2.is_zero():
+        raise ShapeError("degenerate pencil")
+    inv_c0 = ONE / c0
+    half_inv_c0 = inv_c0 * HALF
+    e_c0 = b1.e * inv_c0  # block m's E pivot is -(2m-3) times B_1.e / c0
+    # block 2's E condition: R_2.e = delta B_1.e / c0 - B_2.e
+    delta = coeffs[2].e / e_c0
+    binf = b1 + _C2.scale(delta)
+    if not delta.is_zero():
         log.append("z-linear target adjusted along the bracket image")
-
-    # global linear solve for T^(1..nz-1); T^(0) = Id
-    m_top = nz - 1
-    nun = 4 * m_top
-
-    def var(m: int, comp: int) -> int:  # comp: 0=c1, 1=c2, 2=d, 3=e
-        return 4 * (m - 1) + comp
-
-    def mul_basis(comp: int, right: ConstMat | None, left: ConstMat | None):
-        """Row contribution of (X * right) or (left * X) for X a basis unit."""
-        unit = [ZERO, ZERO, ZERO, ZERO]
-        unit[comp] = ONE
-        x = ConstMat(*unit)
-        prod = x * right if right is not None else left * x
-        return (prod.c1, prod.c2, prod.d, prod.e)
-
-    btilde = {0: b0, 1: binf}
-    rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    for m in range(1, nz):
-        row_block = [[ZERO] * nun for _ in range(4)]
-        const_block = [ZERO, ZERO, ZERO, ZERO]
-        # (m-1) T^(m-1)
-        if m - 1 >= 1:
-            for comp in range(4):
-                row_block[comp][var(m - 1, comp)] = integer(m - 1)
-        # sum_l B^(l) T^(m-l)
-        for l in range(0, m + 1):
-            bl = coeffs[l]
-            ml = m - l
-            if ml == 0:
-                for comp, valv in enumerate((bl.c1, bl.c2, bl.d, bl.e)):
-                    const_block[comp] = const_block[comp] + valv
-            elif ml <= m_top:
-                for comp in range(4):
-                    contrib = mul_basis(comp, None, bl)
-                    for out_c in range(4):
-                        row_block[out_c][var(ml, comp)] = (
-                            row_block[out_c][var(ml, comp)] + contrib[out_c]
-                        )
-        # - sum_l T^(m-l) Btilde^(l)
-        for l, btl in btilde.items():
-            ml = m - l
-            if ml < 0:
-                continue
-            if ml == 0:
-                for comp, valv in enumerate((btl.c1, btl.c2, btl.d, btl.e)):
-                    const_block[comp] = const_block[comp] - valv
-            elif ml <= m_top:
-                for comp in range(4):
-                    contrib = mul_basis(comp, btl, None)
-                    for out_c in range(4):
-                        row_block[out_c][var(ml, comp)] = (
-                            row_block[out_c][var(ml, comp)] - contrib[out_c]
-                        )
-        for comp in range(4):
-            rows.append(row_block[comp])
-            rhs.append(-const_block[comp])
-    solved = solve_linear_system(rows, rhs)
-    if solved is None:
-        raise ReductionFailedError(
-            "global frame system is inconsistent inside the window"
-        )
-    sol, _free = solved
-    tmats = [ConstMat.identity()] + [
-        ConstMat(sol[var(m, 0)], sol[var(m, 1)], sol[var(m, 2)], sol[var(m, 3)])
-        for m in range(1, nz)
-    ]
-    tser = zmat_from_consts(tmats, nz)
+    # block 1: R_1 = delta C2
+    t = [ConstMat.identity(), ConstMat(ZERO, ZERO, delta * half_inv_c0, ZERO)]
+    for m in range(2, nz):
+        prev = t[m - 1]
+        r = prev * binf - prev.scale(integer(m - 1))
+        for l in range(1, m + 1):
+            r = r - coeffs[l] * t[m - l]
+        if m > 2:
+            # x = T_{m-2}.c2 moves T_{m-1} by `shift` (through R_{m-1}),
+            # and R_m.e by -(2m-3) x B_1.e / c0
+            x = r.e / (integer(2 * m - 3) * e_c0)
+            shift = ConstMat(
+                ZERO, ZERO, x * (b1.d + b1.d - integer(m - 2)) * half_inv_c0, x * e_c0
+            )
+            t[m - 2] = t[m - 2] + _C2.scale(x)
+            t[m - 1] = prev + shift
+            r = (
+                r + shift * binf - shift.scale(integer(m - 1)) - b1 * shift
+                - coeffs[2] * _C2.scale(x)
+            )
+        # y = T_{m-1}.c1 moves R_m by -(m-1) y C1 + delta y C2
+        y = r.c1 / integer(m - 1)
+        t[m - 1] = t[m - 1] + ConstMat(y, ZERO, ZERO, ZERO)
+        rc2, rd = r.c2 + delta * y, r.d
+        if m == nz - 1:
+            # no E condition reaches x = T_{m-1}.c2; it moves R_m by
+            # x (2 B_1.d - (m-1)) C2 - x B_1.e D and is spent on T_m.e = 0
+            x = rd / b1.e
+            t[m - 1] = t[m - 1] + _C2.scale(x)
+            rc2, rd = rc2 + x * (b1.d + b1.d - integer(m - 1)), ZERO
+        t.append(ConstMat(ZERO, ZERO, rc2 * half_inv_c0, -rd * inv_c0))
+    tser = zmat_from_consts(t, nz)
     if not birkhoff_residual(cur, tser, b0, binf).is_zero():
         raise ReductionFailedError("frame fails the defining equation")
-    total = pre * tser
-    log.append("frame found by one global linear solve")
-    return BirkhoffReduction(b0, binf, total, tuple(log))
+    log.append("frame found block by block")
+    return BirkhoffReduction(b0, binf, pre * tser, tuple(log))
 
 
 def _const_gauge(mat: Mat2, s: ConstMat) -> Mat2:

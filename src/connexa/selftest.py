@@ -275,7 +275,7 @@ def criterion_elementary_dichotomy(samples=200, nz=8, nt=6):
         s = build_prenormal_struct(p)
         r = restrict_origin(s)
         lhs = is_elementary(p)
-        rhs = cyclic_fuchs(r, twist=True)
+        rhs = cyclic_fuchs(r)
         if lhs != rhs:
             return False, f"disagreement on sample {idx}"
     n = 8

@@ -95,9 +95,14 @@ def _scalar_exponent(doc):
     doc["matrices"]["A1"]["c1"][0][0][0] = "1e400"
 
 
+def _nz_above_cap(doc):
+    # refused at the door, before any coefficient array is read
+    doc["orders"]["nz"] = 65
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [_t1_degree_text, _nz_zero, _scalar_zero_denominator, _scalar_exponent],
+    [_t1_degree_text, _nz_zero, _scalar_zero_denominator, _scalar_exponent, _nz_above_cap],
 )
 def test_cli_malformed_document_exits_2(tmp_path, mutate):
     doc = structure_to_document(build_fixture("nf3_1", 4, 4))
@@ -167,8 +172,9 @@ def test_cli_euler_gaussian_root():
 
 
 def test_cli_exponent_literal_exits_2():
-    # the text form has no exponent; "1e400" would be a 401-digit integer
-    for g in ("1e400,1", "1,1E400*i"):
+    # the text form has no exponent; "1e400" would be a 401-digit integer.
+    # An empty part is no literal either: dropping it would read "0,,1" as t
+    for g in ("1e400,1", "1,1E400*i", "0,,1", ",1", "1,2,"):
         out = _run("euler-nf", f"--g={g}")
         assert out.returncode == 2
         assert "parse error" in out.stderr

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from connexa.connmat import apply_gauge, flatness_residuals, scalar_exp_gauge
+from connexa import formalnf, odekit
+from connexa.connmat import GaugeMap, Mat2, apply_gauge, flatness_residuals, scalar_exp_gauge
 from connexa.errors import (
     ExactFieldError,
     NoExtensionError,
@@ -16,8 +19,12 @@ from connexa.formalnf import (
     normal_form_prenormal,
     solve_b2_extensions,
     to_prenormal,
+    _quad_coeffs,
+    _resonance,
 )
-from connexa.scalars import HALF, ONE, S, ZERO
+from connexa.fixtures import build_fixture, fixture_names
+from connexa.scalars import HALF, ONE, S, ZERO, integer
+from connexa.selftest import _rand_scalar, _random_zero_family_gauge
 from connexa.series import TSeries, ZTSeries
 
 NZ = NT = 8
@@ -271,3 +278,121 @@ def test_all_normal_forms_flat():
     ]:
         nf = NormalFormId(family, dict(c=S(1), alpha=S("1/2"), **params))
         assert flatness_residuals(build_normal_form(nf, NZ, NT)).flat
+
+
+def _zero_family_recursion_rebuilt(p, shape, lam):
+    """The recursion as it rebuilt every difference and derivative inside
+    its loops: the reference the formed-once version is checked against."""
+    nz, nt = p.orders
+    b = p.b2[0].const
+    b2_in = [p.b2[k].const for k in range(nz)]
+    b2_out = [b]
+    tau1 = [ONE]
+    tau2 = []
+    mono_mu = None
+    res_order = None
+    zero_t = TSeries.zero(nt)
+
+    def next_tau1(n):
+        acc = zero_t
+        for l in range(1, n):
+            idx = n - l - 1
+            if 0 <= idx < len(tau2):
+                diff = b2_in[l] - b2_out[l]
+                acc = acc + tau2[idx].derivative_exact().derivative_exact() * diff
+        for l in range(2, n + 1):
+            diff = b2_in[l - 1] - b2_out[l - 1]
+            idx = n - l
+            if idx < len(tau2):
+                acc = acc - tau2[idx].derivative_exact() * diff.derivative_exact()
+                acc = acc + tau2[idx] * diff.derivative_exact().derivative_exact()
+        assert acc.is_constant()
+        return acc.at0() / integer(4 * n)
+
+    for n in range(0, nz - 1):
+        if n >= 1:
+            tau1.append(next_tau1(n))
+        m = n + 1
+        g_known = -(b2_in[n + 1].scale(tau1[0]))
+        for l in range(1, n + 1):
+            diff = b2_in[l] - b2_out[l]
+            g_known = g_known - diff.scale(tau1[n + 1 - l])
+            tot = b2_in[l] + b2_out[l]
+            idx = n - l
+            if idx < len(tau2):
+                g_known = g_known + (tau2[idx].derivative_exact() * tot).scale(HALF)
+                g_known = g_known - (tau2[idx] * tot.derivative_exact()).scale(HALF)
+        res = _resonance(shape, lam, m)
+        new_coeff = zero_t
+        if res is None:
+            g = g_known
+        else:
+            g0, g1, g2 = _quad_coeffs(g_known)
+            if res == "g2":
+                obstruction, mono = g2, TSeries.monomial(ONE, 2, nt)
+            elif res == "g0":
+                obstruction, mono = g0, TSeries.one(nt)
+            else:
+                mm = integer(m)
+                obstruction = mm * mm * g0 + mm * g1 + g2
+                mono = TSeries.monomial(ONE, 2, nt)
+            mu = -(obstruction / tau1[0])
+            res_order = m
+            if not mu.is_zero():
+                mono_mu = mu
+                new_coeff = mono.scale(mu)
+            else:
+                mono_mu = ZERO if mono_mu is None else mono_mu
+            g = g_known + new_coeff.scale(tau1[0])
+        if shape == "zero":
+            x = g.scale(ONE / integer(m))
+        else:
+            sol = odekit.solve_third_der(integer(m), b, g)
+            x = sol.x.pad_poly(nt) if sol.x.order != nt else sol.x
+        tau2.append(x)
+        b2_out.append(new_coeff)
+    if nz >= 2:
+        tau1.append(next_tau1(nz - 1))
+    tau2_list = tau2 + [zero_t]
+    tau3_list = [zero_t] + [t.derivative_exact().scale(-HALF) for t in tau2_list[: nz - 1]]
+    tau4_list = [zero_t, zero_t] + [
+        t.derivative_exact().derivative_exact().scale(-HALF) for t in tau2_list[: nz - 2]
+    ]
+    tmat = Mat2(
+        ZTSeries.from_zseries(TSeries(tuple(tau1)), nz, nt),
+        ZTSeries.from_zcoeffs(tau2_list[:nz], nz),
+        ZTSeries.from_zcoeffs(tau3_list, nz),
+        ZTSeries.from_zcoeffs(tau4_list, nz),
+    )
+    gauge = None if tmat == Mat2.identity(nz, nt) else GaugeMap(tmat)
+    out = PreNormalForm(p.f, ZTSeries.from_zcoeffs(b2_out, nz), p.c, p.alpha)
+    return out, gauge, mono_mu, res_order
+
+
+def test_zero_family_recursion_matches_rebuilt(monkeypatch):
+    recursion = formalnf._zero_family_recursion
+    calls = []
+
+    def checked(p, shape, lam):
+        got = recursion(p, shape, lam)
+        assert got == _zero_family_recursion_rebuilt(p, shape, lam)
+        calls.append(got[1] is not None)
+        return got
+
+    monkeypatch.setattr(formalnf, "_zero_family_recursion", checked)
+    structures = [build_fixture(n, 8, 8) for n in fixture_names() if n.startswith("nf3_")]
+    rng = random.Random(909)
+    for family, lams in (
+        ("NF3-4", (S("1/2"), S("-3/2"), S("5/2"))),
+        ("NF3-6", (S(1), S(2), S(3))),
+        ("NF3-8", (S(-1), S(-2), S(-3))),
+    ):
+        for lam in lams:
+            nf = NormalFormId(
+                family, dict(c=_rand_scalar(rng), alpha=_rand_scalar(rng), lam=lam)
+            )
+            gauge = _random_zero_family_gauge(rng, 10, 6)
+            structures.append(apply_gauge(build_normal_form(nf, 10, 6), gauge))
+    for s in structures:
+        formal_normal_form(to_prenormal(s)[0])
+    assert len(calls) == len(structures) and sum(calls) >= 9

@@ -1,16 +1,26 @@
+import json
 import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from connexa.connmat import restrict_origin
-from connexa.errors import ExactFieldError, ShapeError
+from connexa import cli
+from connexa.connmat import Mat2, apply_gauge, restrict_origin
+from connexa.docio import save_structure
+from connexa.errors import ExactFieldError, ReductionFailedError, ShapeError
 from connexa.fixtures import build_fixture, fixture_names
-from connexa.formalnf import NormalFormId, build_normal_form, normal_form_prenormal
+from connexa.formalnf import (
+    NormalFormId,
+    build_normal_form,
+    normal_form_prenormal,
+    to_prenormal,
+)
 from connexa.malgrange import build_hnf
+from connexa.odekit import solve_linear_system
 from connexa.origin import (
     BirkhoffData,
+    BirkhoffReduction,
     ConstMat,
     OriginRestriction,
     birkhoff_invariants,
@@ -22,12 +32,15 @@ from connexa.origin import (
     is_elementary,
     is_elementary_restriction,
     normalize_birkhoff,
+    restrict_prenormal,
     restriction_zmat,
+    zmat_coeff,
     zmat_from_consts,
     _chain_n,
     _z_gauge,
 )
 from connexa.scalars import ONE, QUARTER, S, Scalar, ZERO, integer
+from connexa.selftest import _random_unit_family_gauge
 from connexa.series import TSeries
 
 from conftest import rand_nonzero, rand_scalar
@@ -61,10 +74,6 @@ def test_cyclic_fuchs_closed_cases():
     assert not cyclic_fuchs(OriginRestriction(unit, unit, unit, unit, ZERO, ZERO))
     # eta == 0 -> logarithmic pole
     assert cyclic_fuchs(OriginRestriction(zero, unit, unit, unit, ZERO, ZERO))
-    # untwisted, nonzero trace head: irregular even with eta == 0
-    assert not cyclic_fuchs(
-        OriginRestriction(zero, unit, unit, unit, S(1), ZERO), twist=False
-    )
 
 
 def test_elementary_matches_twisted_fuchs():
@@ -80,7 +89,7 @@ def test_elementary_matches_twisted_fuchs():
 
         r = restrict_origin(build_prenormal_struct(p))
         assert is_elementary(p) == want
-        assert cyclic_fuchs(r, twist=True) == want
+        assert cyclic_fuchs(r) == want
         assert is_elementary_restriction(r) == want
 
 
@@ -191,6 +200,200 @@ def test_birkhoff_reduce_rejects_semisimple():
     b0 = ConstMat(S(0), ZERO, S(1), ZERO)  # distinct eigenvalues
     with pytest.raises(ShapeError):
         birkhoff_reduce(zmat_from_consts([b0, ConstMat.identity()], NZ))
+
+
+def _birkhoff_reduce_global_solve(bz):
+    """The frame as one dense linear system in the 4(nz-1) unknowns of
+    T_1..T_{nz-1}, solved by Gauss-Jordan elimination with free unknowns
+    set to 0, after the C2 shift of Binf is pinned by the order-2
+    obstruction: the reference birkhoff_reduce's block recursion is
+    checked against."""
+    nz = bz.nz
+    log = []
+    pre = Mat2.identity(nz, 1)
+    cur = bz
+    res = zmat_coeff(cur, 0)
+    if res.d.is_zero() and res.e.is_zero():
+        c0 = res.c2
+    else:
+        nil = res - ConstMat.identity().scale(res.c1)
+        m11, m12, m21, m22 = nil.entries()
+        v = (ONE, ZERO) if not (m11.is_zero() and m21.is_zero()) else (ZERO, ONE)
+        u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
+        s = ConstMat.from_entries(v[0], u[0], v[1], u[1])
+        cur = _z_gauge(cur, zmat_from_consts([s], nz))
+        pre = pre * zmat_from_consts([s], nz)
+        log.append("residue conjugated to lower-triangular form")
+        res = zmat_coeff(cur, 0)
+        c0 = res.c2
+    b0 = ConstMat(res.c1, c0, ZERO, ZERO)
+    coeffs = [zmat_coeff(cur, k) for k in range(nz)]
+    if all(c.is_zero() for c in coeffs[2:]):
+        return BirkhoffReduction(b0, coeffs[1], pre, tuple(log) + ("already a pencil",))
+    c2_unit = ConstMat(ZERO, ONE, ZERO, ZERO)
+
+    def order2_obstruction(delta2):
+        binf_try = coeffs[1] + c2_unit.scale(delta2)
+        t1 = ConstMat(ZERO, ZERO, delta2 / (integer(2) * c0), ZERO)
+        return (-t1 + t1 * binf_try - coeffs[1] * t1 - coeffs[2]).e
+
+    e_at_0 = order2_obstruction(ZERO)
+    slope = order2_obstruction(ONE) - e_at_0
+    if slope.is_zero():
+        if not e_at_0.is_zero():
+            raise ReductionFailedError(
+                "obstruction in the unreachable direction cannot be absorbed",
+                order=2,
+            )
+        delta2 = ZERO
+    else:
+        delta2 = -e_at_0 / slope
+    binf = coeffs[1] + c2_unit.scale(delta2)
+    if not delta2.is_zero():
+        log.append("z-linear target adjusted along the bracket image")
+    nun = 4 * (nz - 1)
+
+    def var(m, comp):  # comp: 0=c1, 1=c2, 2=d, 3=e
+        return 4 * (m - 1) + comp
+
+    def mul_basis(comp, right, left):
+        unit = [ZERO, ZERO, ZERO, ZERO]
+        unit[comp] = ONE
+        x = ConstMat(*unit)
+        prod = x * right if right is not None else left * x
+        return (prod.c1, prod.c2, prod.d, prod.e)
+
+    btilde = {0: b0, 1: binf}
+    rows, rhs = [], []
+    for m in range(1, nz):
+        row_block = [[ZERO] * nun for _ in range(4)]
+        const_block = [ZERO, ZERO, ZERO, ZERO]
+        if m - 1 >= 1:
+            for comp in range(4):
+                row_block[comp][var(m - 1, comp)] = integer(m - 1)
+        for l in range(0, m + 1):
+            bl, ml = coeffs[l], m - l
+            if ml == 0:
+                for comp, val in enumerate((bl.c1, bl.c2, bl.d, bl.e)):
+                    const_block[comp] = const_block[comp] + val
+            else:
+                for comp in range(4):
+                    contrib = mul_basis(comp, None, bl)
+                    for out_c in range(4):
+                        row_block[out_c][var(ml, comp)] += contrib[out_c]
+        for l, btl in btilde.items():
+            ml = m - l
+            if ml == 0:
+                for comp, val in enumerate((btl.c1, btl.c2, btl.d, btl.e)):
+                    const_block[comp] = const_block[comp] - val
+            elif ml > 0:
+                for comp in range(4):
+                    contrib = mul_basis(comp, btl, None)
+                    for out_c in range(4):
+                        row_block[out_c][var(ml, comp)] -= contrib[out_c]
+        for comp in range(4):
+            rows.append(row_block[comp])
+            rhs.append(-const_block[comp])
+    solved = solve_linear_system(rows, rhs)
+    if solved is None:
+        raise ReductionFailedError("global frame system is inconsistent inside the window")
+    sol, _free = solved
+    tmats = [ConstMat.identity()] + [
+        ConstMat(*(sol[var(m, comp)] for comp in range(4))) for m in range(1, nz)
+    ]
+    tser = zmat_from_consts(tmats, nz)
+    if not birkhoff_residual(cur, tser, b0, binf).is_zero():
+        raise ReductionFailedError("frame fails the defining equation")
+    log.append("frame found by one global linear solve")
+    return BirkhoffReduction(b0, binf, pre * tser, tuple(log))
+
+
+BIRKHOFF_NZ = (3, 4, 5, 6, 8, 10, 12, 16)
+
+
+def _rand_const(rng, span=2):
+    return ConstMat(*(rand_scalar(rng, span) for _ in range(4)))
+
+
+def _random_birkhoff_input(rng, k):
+    """A z-only matrix with regular residue: a pencil moved by a random
+    z-polynomial frame, in turn with an arbitrary tail beyond z^1, and
+    with the residue's nilpotent part in E instead of C2."""
+    nz = BIRKHOFF_NZ[k % len(BIRKHOFF_NZ)]
+    c, n0 = rand_scalar(rng, 2), rand_nonzero(rng, 2)
+    if k % 3 == 2:
+        b0 = ConstMat.from_entries(c, n0, ZERO, c)  # nilpotent part in E
+    else:
+        b0 = ConstMat(c, n0, ZERO, ZERO)
+    binf = _rand_const(rng)
+    tail = [_rand_const(rng, 1) for _ in range(2 + k % 3)] if k % 2 else []
+    pencil = zmat_from_consts([b0, binf] + tail, nz)
+    frame = zmat_from_consts(
+        [ConstMat.identity()] + [_rand_const(rng, 1) for _ in range(1 + k % 4)], nz
+    )
+    return _z_gauge(pencil, frame)
+
+
+def test_birkhoff_reduce_matches_global_solve(rng):
+    reduced = 0
+    for k in range(48):
+        bz = _random_birkhoff_input(rng, k)
+        try:
+            want = _birkhoff_reduce_global_solve(bz)
+        except ReductionFailedError as exc:
+            # binf.e == 0 with an obstruction at z^2: the same refusal
+            with pytest.raises(ReductionFailedError) as got:
+                birkhoff_reduce(bz)
+            assert (str(got.value), got.value.order) == (str(exc), exc.order) == (
+                "obstruction in the unreachable direction cannot be absorbed", 2
+            )
+            continue
+        red = birkhoff_reduce(bz)
+        assert (red.b0, red.binf, red.gauge) == (want.b0, want.binf, want.gauge)
+        assert red.log[:-1] == want.log[:-1]
+        if want.log[-1] == "already a pencil":
+            assert red.log == want.log
+        else:
+            assert red.log[-1] == "frame found block by block"
+            reduced += 1
+        assert birkhoff_residual(bz, red.gauge, red.b0, red.binf).is_zero()
+    assert reduced >= 30
+
+
+def test_birkhoff_reduce_degenerate_pencil_refusals(rng):
+    # B_1.e == 0: the E condition has no unknown left to absorb B_2.e
+    for nz in (3, 6, 10):
+        b0 = ConstMat(rand_scalar(rng), rand_nonzero(rng), ZERO, ZERO)
+        b1 = ConstMat(rand_scalar(rng), rand_scalar(rng), rand_scalar(rng), ZERO)
+        b2 = ConstMat(rand_nonzero(rng), rand_scalar(rng), rand_scalar(rng), ZERO)
+        tail = [_rand_const(rng) for _ in range(nz - 3)]
+        with pytest.raises(ReductionFailedError) as got:
+            birkhoff_reduce(zmat_from_consts([b0, b1, b2 + ConstMat(ZERO, ZERO, ZERO, ONE)] + tail, nz))
+        assert got.value.order == 2
+        assert "unreachable direction" in str(got.value)
+        with pytest.raises(ShapeError, match="degenerate pencil"):
+            birkhoff_reduce(zmat_from_consts([b0, b1, b2, _rand_const(rng)] + tail, nz))
+
+
+def test_cli_classify_reduces_gauged_f1_block_by_block(tmp_path, capsys):
+    # no fixture reaches the frame solve: a unit-family form moved by a
+    # z-polynomial gauge does, through the CLI's document path
+    rng = random.Random(808)
+    nf = NormalFormId(
+        "F1", {"c": rand_scalar(rng), "alpha": rand_scalar(rng), "c0": rand_nonzero(rng)}
+    )
+    s = apply_gauge(build_normal_form(nf, 10, 6), _random_unit_family_gauge(rng, 10, 6))
+    path = tmp_path / "f1.json"
+    save_structure(s, str(path))
+    assert cli.main(["classify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["transform_log"][-1] == "frame found block by block"
+    p, _gauge = to_prenormal(s)
+    want = _birkhoff_reduce_global_solve(restriction_zmat(restrict_prenormal(p)))
+    c, alpha, ssq, u = birkhoff_invariants(want.b0, want.binf)
+    assert report["verdicts"]["invariants"] == {
+        "c": str(c), "alpha": str(alpha), "c0_squared": str(ssq), "c0_c1": str(u)
+    }
 
 
 def test_normalize_birkhoff():
