@@ -13,6 +13,7 @@ from functools import cache
 from . import selftest
 from .connmat import ConstMat, flatness_residuals
 from .docio import (
+    DEFAULT_ORDER,
     MAX_ORDER,
     Report,
     dumps_document,
@@ -49,6 +50,11 @@ def positive_int(text: str) -> int:
             f"order must be at most {MAX_ORDER}, not {n}"
         )
     return n
+
+
+def _order(value: int | None) -> int:
+    """An --order-z/--order-t value, DEFAULT_ORDER when the flag is omitted."""
+    return DEFAULT_ORDER if value is None else value
 
 
 def nonnegative_int(text: str) -> int:
@@ -194,8 +200,8 @@ def cmd_malgrange(args) -> int:
         raise DocumentError("binf must be b11,b12,b21,b22")
     b11, b12, b21, b22 = entries
     binf = ConstMat.from_entries(b11, b12, b21, b22)
-    st = malgrange_xy(binf, Scalar.parse(args.c0), args.order_t)
-    s = malgrange_connection(st, Scalar.parse(args.c), args.order_z)
+    st = malgrange_xy(binf, Scalar.parse(args.c0), _order(args.order_t))
+    s = malgrange_connection(st, Scalar.parse(args.c), _order(args.order_z))
     text = dumps_document(structure_to_document(s))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -206,7 +212,7 @@ def cmd_malgrange(args) -> int:
 
 
 def cmd_euler_nf(args) -> int:
-    g = _parse_series(args.g, args.order_t)
+    g = _parse_series(args.g, _order(args.order_t))
     e = EulerField(Scalar.parse(args.c), g)
     nz = euler_normal_form(e)
     out = Report("euler-nf")
@@ -220,7 +226,7 @@ def cmd_euler_nf(args) -> int:
 
 
 def cmd_euler_realizable(args) -> int:
-    g = _parse_series(args.g, args.order_t)
+    g = _parse_series(args.g, _order(args.order_t))
     e = EulerField(Scalar.parse(args.c), g)
     nz = euler_normal_form(e)
     out = Report("euler-realizable")
@@ -248,7 +254,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_write_fixtures(args) -> int:
-    paths = write_fixtures(args.directory, args.order_z, args.order_t)
+    paths = write_fixtures(args.directory, _order(args.order_z), _order(args.order_t))
     out = Report("write-fixtures")
     out.verdicts["written"] = len(paths)
     return _emit(out)
@@ -263,10 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
         "over the nilpotent base germ",
     )
     ap.add_argument(
-        "--order-z", type=positive_int, default=16, help="z truncation order"
+        "--order-z",
+        type=positive_int,
+        default=None,
+        help=f"z truncation order (default {DEFAULT_ORDER}); a document "
+        "keeps its own, and a different value exits 2",
     )
     ap.add_argument(
-        "--order-t", type=positive_int, default=16, help="t2 truncation order"
+        "--order-t",
+        type=positive_int,
+        default=None,
+        help=f"t2 truncation order (default {DEFAULT_ORDER}); a document "
+        "keeps its own, and a different value exits 2",
     )
     ap.add_argument(
         "--kmax",

@@ -437,30 +437,6 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     )
 
 
-def gauge_residuals(s: TEStruct, g: GaugeMap, out: TEStruct) -> list[Mat2]:
-    """Residuals of the defining relations for the claimed image ``out``."""
-    nz = min(s.orders[0], out.orders[0])
-    nt = min(s.orders[1], out.orders[1]) - 1
-    t = g.tmat
-    if g.lam is None:
-        lam_dot = None
-        a1c, a2c, bc = s.A1, s.A2, s.B
-    else:
-        lam_dot = g.lam.derivative()
-        a1c = s.A1.compose_t2(g.lam)
-        a2c = s.A2.compose_t2(g.lam)
-        bc = s.B.compose_t2(g.lam)
-    tr = t.truncate(nz, nt)
-    o = out.truncate(nz, nt)
-    a2term = a2c.truncate(nz, nt)
-    if lam_dot is not None:
-        a2term = a2term.map(lambda c: c.mul_t(lam_dot.truncate(nt)))
-    res1 = a1c.truncate(nz, nt) * tr - tr * o.A1
-    res2 = t.dt().shift_z(1).truncate(nz, nt) + a2term * tr - tr * o.A2
-    res3 = t.z2dz().truncate(nz, nt) + bc.truncate(nz, nt) * tr - tr * o.B
-    return [res1, res2, res3]
-
-
 # ---------------------------------------------------------------------------
 # induced rescaling field and the origin restriction
 

@@ -23,6 +23,10 @@ FORMAT_TAG = "connexa-structure/1"
 # or argument can start a run that never ends in practice.
 MAX_ORDER = 64
 
+# Window order of the built-in fixtures and the series commands when no
+# --order-z/--order-t is given; a document always keeps its own window.
+DEFAULT_ORDER = 16
+
 
 def _ts_to_json(t: TSeries) -> list[str]:
     return [str(c) for c in t.coeffs]

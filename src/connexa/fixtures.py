@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from .connmat import TEStruct
-from .docio import load_structure, save_structure
+from .docio import DEFAULT_ORDER, load_structure, save_structure
 from .errors import DocumentError
 from .formalnf import NormalFormId, build_normal_form
 from .malgrange import build_hnf
@@ -62,20 +62,43 @@ def build_fixture(name: str, nz: int, nt: int) -> TEStruct:
 
 
 def resolve_structure(
-    name_or_path: str, nz: int, nt: int, fixtures_dir: str | None = None
+    name_or_path: str,
+    nz: int | None = None,
+    nt: int | None = None,
+    fixtures_dir: str | None = None,
 ) -> TEStruct:
-    """A path to a document, a file in the fixtures dir, or a built-in name."""
+    """A path to a document, a file in the fixtures dir, or a built-in name.
+
+    A built-in fixture is built at the window (nz, nt), DEFAULT_ORDER where
+    an order is None.  A document keeps the window it declares, and an
+    order given for it must agree with that window.
+    """
     if os.path.exists(name_or_path):
-        return load_structure(name_or_path)
+        return _load_at(name_or_path, nz, nt)
     search = fixtures_dir or os.environ.get(FIXTURES_ENV)
     if search:
         candidate = os.path.join(search, name_or_path)
         for path in (candidate, candidate + ".json"):
             if os.path.exists(path):
-                return load_structure(path)
+                return _load_at(path, nz, nt)
     if name_or_path in FIXTURES:
-        return build_fixture(name_or_path, nz, nt)
+        return build_fixture(
+            name_or_path,
+            DEFAULT_ORDER if nz is None else nz,
+            DEFAULT_ORDER if nt is None else nt,
+        )
     raise DocumentError(f"no such file or fixture: {name_or_path!r}")
+
+
+def _load_at(path: str, nz: int | None, nt: int | None) -> TEStruct:
+    s = load_structure(path)
+    dz, dt = s.orders
+    if (nz is not None and nz != dz) or (nt is not None and nt != dt):
+        raise DocumentError(
+            f"{path} declares the window (nz, nt) = ({dz}, {dt}); "
+            "--order-z/--order-t must match it or be left out"
+        )
+    return s
 
 
 def write_fixtures(directory: str, nz: int, nt: int) -> list[str]:

@@ -32,7 +32,7 @@ from .origin import (
     restrict_prenormal,
     restriction_zmat,
 )
-from .scalars import HALF, ONE, QUARTER, ZERO, S, Scalar, integer
+from .scalars import HALF, ONE, QUARTER, ZERO, S, Scalar, dot, integer
 from .series import TSeries, ZTSeries, exp_linear, geometric
 
 _SIXTEEN = integer(16)
@@ -55,27 +55,30 @@ class MalgrangeState:
 
 
 def malgrange_xy(binf: ConstMat, c0: Scalar, order: int) -> MalgrangeState:
-    """Solve the coordinate system by exact polynomial recursion."""
+    """Solve the coordinate system by exact polynomial recursion, one dot
+    per coefficient:
+
+        (n+1) x_{n+1} = sum_i x_i (-B21 x_{n-i}) + (B11 - B22) x_n + [n = 0] B12
+        (n+1) y_{n+1} = (B22 - B11 - 1) y_n + sum_i y_i (2 B21 x_{n-i}).
+    """
     b11, b12, b21, b22 = binf.entries()
     diff = b11 - b22
     decay = b22 - b11 - ONE
-    x = [ZERO] * order
-    y = [ZERO] * order
-    y[0] = c0
+    neg_b21 = -b21
+    two_b21 = b21 + b21
+    x = [ZERO]
+    y = [c0]
+    bx = [ZERO]  # -B21 x_i
+    tx = [ZERO]  # 2 B21 x_i
     for n in range(order - 1):
-        xsq = ZERO
-        for i in range(n + 1):
-            if not x[i].is_zero() and not x[n - i].is_zero():
-                xsq = xsq + x[i] * x[n - i]
-        rhs = -b21 * xsq + diff * x[n] + (b12 if n == 0 else ZERO)
-        x[n + 1] = rhs / integer(n + 1)
-        acc = decay * y[n]
-        for i in range(n + 1):
-            if not y[i].is_zero() and not x[n - i].is_zero():
-                acc = acc + integer(2) * b21 * y[i] * x[n - i]
-        y[n + 1] = acc / integer(n + 1)
-    xs = TSeries(tuple(x))
-    ys = TSeries(tuple(y))
+        w = ONE / integer(n + 1)
+        lead = b12 if n == 0 else ZERO
+        x.append(dot(x + [diff, lead], bx[::-1] + [x[n], ONE], w))
+        y.append(dot([decay] + y, [y[n]] + tx[::-1], w))
+        bx.append(neg_b21 * x[-1])
+        tx.append(two_b21 * x[-1])
+    xs = TSeries(x)
+    ys = TSeries(y)
     roots = _pencil_roots(binf, c0)
     checked = _cross_check_closed_form(binf, c0, xs, ys, roots)
     return MalgrangeState(binf, c0, xs, ys, roots, checked)

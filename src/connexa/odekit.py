@@ -18,7 +18,7 @@ from .errors import (
     NotAUnitError,
     UnsupportedShapeError,
 )
-from .scalars import ONE, ZERO, Scalar, integer
+from .scalars import ONE, ZERO, Scalar, dot, integer
 from .series import Laurent, TSeries
 
 # Rational upper bound for 4*sum(1/n^2) = 2*pi^2/3 = 6.5797...; using a
@@ -99,6 +99,7 @@ def solve_linear_t_ode(
         for entry in row:
             if entry.order != order:
                 raise UnsupportedShapeError("matrix/vector orders differ")
+    neg_a = [[(-entry).coeffs for entry in row] for row in a_matrix]
     u_coeffs: list[list[Scalar]] = []
     freedoms: list[tuple[int, int]] = []
     for n in range(order):
@@ -109,15 +110,18 @@ def solve_linear_t_ode(
             ]
             for i in range(d)
         ]
-        rhs = []
-        for i in range(d):
-            acc = b_vector[i][n]
-            for k in range(1, n + 1):
-                for j in range(d):
-                    ak = a_matrix[i][j][k]
-                    if not ak.is_zero():
-                        acc = acc - ak * u_coeffs[n - k][j]
-            rhs.append(acc)
+        # b_n - sum_{k>=1} A^(k) u_{n-k}, one dot per component
+        u_terms = [ONE] + [
+            u_coeffs[n - k][j] for k in range(1, n + 1) for j in range(d)
+        ]
+        rhs = [
+            dot(
+                [b_vector[i][n]]
+                + [neg_a[i][j][k] for k in range(1, n + 1) for j in range(d)],
+                u_terms,
+            )
+            for i in range(d)
+        ]
         solved = solve_linear_system(rows, rhs)
         if solved is None:
             raise NoFormalSolutionError(
@@ -226,13 +230,6 @@ def third_der_residual(m: Scalar, b: TSeries, x: TSeries, g: TSeries) -> TSeries
 
 
 @dataclass(frozen=True)
-class ConvergenceCertificate:
-    m0: Fraction
-    r0: Fraction
-    n0: int
-
-
-@dataclass(frozen=True)
 class RiccatiSolution:
     c: Scalar
     tau: TSeries
@@ -264,7 +261,8 @@ def solve_riccati_unique_c(f: TSeries, r: int, tau_r: Scalar) -> RiccatiSolution
     f_0 P_n + sum_{j>=1} f_j q_{n-j}, and q_n = P_n + 2 tau_0 tau_n once
     tau_n is known; the quadruple sum is sum_s f_s (tau^3)_{n-r-s}, with
     tau^3 = tau * q filled as far as n - r < n.  Each new coefficient
-    costs O(n) scalar products over the support of f, O(n^2) in all.
+    is one integer dot product over the support of f, reduced once, so
+    O(n^2) products in all.
     """
     if r < 1:
         raise UnsupportedShapeError("r must be a positive integer")
@@ -274,112 +272,36 @@ def solve_riccati_unique_c(f: TSeries, r: int, tau_r: Scalar) -> RiccatiSolution
     order = f.order
     if r >= order:
         raise UnsupportedShapeError("truncation order must exceed r")
-    f_tail = [(j, fj) for j, fj in enumerate(f.coeffs) if j and not fj.is_zero()]
-    f_support = [(0, f0)] + f_tail
+    f_support = [(j, fj) for j, fj in enumerate(f.coeffs) if not fj.is_zero()]
     tau: list[Scalar] = [integer(r) / f0]
     q: list[Scalar] = [tau[0] * tau[0]]
     cube: list[Scalar] = []
-
-    def pair_sum(n: int) -> Scalar:
-        # P_n = sum_{k=1}^{n-1} tau_k tau_{n-k}
-        acc = ZERO
-        for k in range(1, (n + 1) // 2):
-            acc = acc + tau[k] * tau[n - k]
-        acc = acc + acc
-        if n % 2 == 0:
-            acc = acc + tau[n // 2] * tau[n // 2]
-        return acc
-
-    def conv3(n: int, p_n: Scalar) -> Scalar:
-        acc = f0 * p_n
-        for j, fj in f_tail:
-            if j > n:
-                break
-            acc = acc + fj * q[n - j]
-        return acc
-
-    def conv4(m: int) -> Scalar:
-        while len(cube) <= m:
-            k = len(cube)
-            acc = ZERO
-            for i in range(k + 1):
-                acc = acc + tau[i] * q[k - i]
-            cube.append(acc)
-        acc = ZERO
-        for s, fs in f_support:
-            if s > m:
-                break
-            acc = acc + fs * cube[m - s]
-        return acc
+    cf: list[Scalar] = []  # c f_s over the support of f, once c is known
 
     two_tau0 = tau[0] + tau[0]
     for n in range(1, order):
-        p_n = pair_sum(n)
+        p_n = dot(tau[1:n], tau[n - 1 : 0 : -1])
+        # the triple sum f_0 P_n + sum_{j>=1} f_j q_{n-j}, then for n > r
+        # the quadruple sum c sum_s f_s cube_{n-r-s} in the same dot
+        low = [(j, fj) for j, fj in f_support[1:] if j <= n]
+        xs = [f0] + [fj for _, fj in low]
+        ys = [p_n] + [q[n - j] for j, _ in low]
         if n < r:
-            tau.append(conv3(n, p_n) / integer(n - r))
+            tau.append(dot(xs, ys, ONE / integer(n - r)))
         elif n == r:
-            c = -(conv3(r, p_n)) / (tau[0] ** 3 * f0)
+            c = dot(xs, ys, -(ONE / (tau[0] ** 3 * f0)))
+            cf = [c * fs for _, fs in f_support]
             tau.append(tau_r)
         else:
-            tau.append((conv3(n, p_n) + c * conv4(n - r)) / integer(n - r))
+            m = n - r
+            while len(cube) <= m:
+                k = len(cube)
+                cube.append(dot(tau[: k + 1], q[k::-1]))
+            xs += [cs for (s, _), cs in zip(f_support, cf) if s <= m]
+            ys += [cube[m - s] for s, _ in f_support if s <= m]
+            tau.append(dot(xs, ys, ONE / integer(m)))
         q.append(p_n + two_tau0 * tau[n])
-    return RiccatiSolution(c, TSeries(tuple(tau)), r, tau_r)
-
-
-def search_convergence_certificate(
-    f: TSeries, tau: TSeries, r: int, c: Scalar
-) -> ConvergenceCertificate | None:
-    """Bounded grid search for geometric-bound witnesses (M0, r0, n0).
-
-    Certifies |f_n| <= M0 r0^n/(n+1)^2 on the stored window (and, f being
-    a stored polynomial, beyond), |tau_n| <= M0^{n+1} r0^n/(n+1)^2 for
-    n < n0, and the single closed inequality that propagates the tau
-    bound to all n >= n0.  Absence of a certificate is a warning only.
-    """
-    C = CONV_CONSTANT
-    cnorm = c.norm_sq()
-
-    def scalar_bounded(s: Scalar, bound: Fraction) -> bool:
-        return s.norm_sq() <= bound * bound
-
-    for m0_exp in range(0, 8):
-        m0 = Fraction(2**m0_exp)
-        for r0_exp in range(0, 16):
-            r0 = Fraction(2**r0_exp)
-            ok_f = all(
-                scalar_bounded(f[n], m0 * r0**n / (n + 1) ** 2)
-                for n in range(f.order)
-            )
-            if not ok_f:
-                continue
-            # longest prefix of tau obeying the geometric bound
-            prefix = 0
-            while prefix < tau.order and scalar_bounded(
-                tau[prefix], m0 ** (prefix + 1) * r0**prefix / (prefix + 1) ** 2
-            ):
-                prefix += 1
-            for n0 in range(r + 1, prefix + 1):
-                # closed tail inequality: for all n >= n0,
-                #   M0^2 + C|c| M0^{3-r} / r0^r * ((n+3)/(n-r+4))^2
-                #     <= (1/C^2)(n-r) ((n+3)/(n+1))^2 .
-                # The left side is maximal and the right side minimal at
-                # n = n0 once (n-r) >= the left side's plateau, so one
-                # exact check at n0 (with the conservative factor 1 for
-                # ((n+3)/(n+1))^2) suffices.
-                lhs = m0 * m0
-                ratio = Fraction(n0 + 3, n0 - r + 4) ** 2
-                # |c| <= sqrt of norm; use rational bound ceil
-                cabs_sq = cnorm
-                # bound C|c| M0^{3-r}/r0^r via squared comparison
-                term_sq = C * C * cabs_sq * (m0 ** (2 * (3 - r))) / (r0 ** (2 * r))
-                # conservative: lhs + sqrt(term_sq)*ratio <= (n0 - r)/C^2
-                rhs = Fraction(n0 - r) / (C * C)
-                margin = rhs - lhs
-                if margin <= 0:
-                    continue
-                if term_sq * ratio * ratio <= margin * margin:
-                    return ConvergenceCertificate(m0, r0, n0)
-    return None
+    return RiccatiSolution(c, TSeries(tau), r, tau_r)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,21 @@
 All classification decisions in this package (integrality tests, membership
 in finite critical sets, vanishing of residuals) must be exact, so the
 coefficient field is Q(i) with arbitrary-precision rational components.
+
+A scalar is stored in the canonical form the series windows use: Gaussian-
+integer numerators over one denominator, (a + b i) / d with d > 0 and
+gcd(a, b, d) = 1.  Sums of products run on the numerators over one shared
+denominator and are reduced once (``dot``), the way FLINT's ``fmpq_poly``
+keeps one denominator per polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DocumentError
-
-_FRAC_ZERO = Fraction(0)
-_FRAC_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -27,15 +30,13 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot build a rational from {x!r}")
 
 
-def _frac_sqrt(q: Fraction) -> Fraction | None:
-    """Exact nonnegative square root of a rational, or None."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
+def _qstr(n: int, d: int) -> str:
+    """n / d in lowest terms, as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _iroot(m: int, n: int) -> int:
@@ -105,21 +106,67 @@ def _gauss_nth_root(a: int, b: int, n: int) -> Scalar | None:
     zx, zy = _fixed_unit_power(-1 << p, 0, 2, n, p)
     wx, wy = (rho * dx) >> p, (rho * dy) >> p
     half = 1 << (p - 1)
-    target = Scalar(Fraction(a), Fraction(b))
+    target = Scalar._ints(a, b, 1, 1)
     for _ in range(n):
-        y = Scalar(Fraction((wx + half) >> p), Fraction((wy + half) >> p))
+        y = Scalar._ints((wx + half) >> p, (wy + half) >> p, 1, 1)
         if y**n == target:
             return y
         wx, wy = (wx * zx - wy * zy) >> p, (wx * zy + wy * zx) >> p
     return None
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """An element of Q(i), kept in normalized fraction form."""
+    """An element of Q(i): (a + b i) / d with d > 0 and gcd(a, b, d) = 1.
 
-    re: Fraction
-    im: Fraction
+    The form is canonical, so equal values have equal fields.  A Scalar is
+    never changed after it is built.  ``Scalar(re, im)`` takes ints or
+    Fractions; ``re`` and ``im`` read the parts back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re, im) -> None:
+        p, q = re.as_integer_ratio()
+        r, s = im.as_integer_ratio()
+        if q == s:
+            self.a, self.b, self.d = p, r, q
+        else:
+            d = q // gcd(q, s) * s
+            self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @staticmethod
+    def _ints(a: int, b: int, d: int, g: int | None = None) -> Scalar:
+        """(a + b i) / d for d > 0, reduced to the canonical form.
+
+        ``g`` is a known multiple of gcd(a, b, d); g = 1 skips the reduction.
+        """
+        if g != 1:
+            g = gcd(a, b, d if g is None else g)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        out = object.__new__(Scalar)
+        out.a = a
+        out.b = b
+        out.d = d
+        return out
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     # -- construction ------------------------------------------------
 
@@ -127,8 +174,8 @@ class Scalar:
     def parse(text: str) -> Scalar:
         """Parse the canonical text form "p/q+r/s*i" (either part optional).
 
-        Exponent notation is refused: "1e999999999" would build a
-        billion-digit integer.
+        At most one real and one imaginary part.  Exponent notation is
+        refused: "1e999999999" would build a billion-digit integer.
         """
         digits = text[1:] if text[:1] == "-" else text
         if digits.isascii() and digits.isdigit():
@@ -151,14 +198,13 @@ class Scalar:
         parts.append(s[start:])
         if len(parts) > 2:
             raise DocumentError(f"bad scalar literal {text!r}")
-        re = _FRAC_ZERO
-        im = _FRAC_ZERO
-        seen_im = False
+        found: dict[bool, Fraction] = {}
         for part in parts:
-            if part.endswith("i"):
-                if seen_im:
-                    raise DocumentError(f"bad scalar literal {text!r}")
-                seen_im = True
+            imaginary = part.endswith("i")
+            if imaginary in found:
+                raise DocumentError(f"bad scalar literal {text!r}")
+            body = part
+            if imaginary:
                 body = part[:-1]
                 if body.endswith("*"):
                     body = body[:-1]
@@ -166,27 +212,22 @@ class Scalar:
                     body = "1"
                 elif body == "-":
                     body = "-1"
-                try:
-                    im = Fraction(body)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise DocumentError(f"bad scalar literal {text!r}") from exc
-            else:
-                try:
-                    re = re + Fraction(part)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise DocumentError(f"bad scalar literal {text!r}") from exc
-        return Scalar(re, im)
+            try:
+                found[imaginary] = Fraction(body)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DocumentError(f"bad scalar literal {text!r}") from exc
+        return Scalar(found.get(False, 0), found.get(True, 0))
 
     # -- text --------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{self.im}*i" if self.im > 0 else f"-{-self.im}*i"
-        if self.re == 0:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _qstr(a, d)
+        imag = _qstr(b, d) + "*i"
+        if not a:
             return imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        return _qstr(a, d) + ("+" if b > 0 else "") + imag
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Scalar({self})"
@@ -194,39 +235,49 @@ class Scalar:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: Scalar) -> Scalar:
-        if self.re == 0 and self.im == 0:
+        if not (self.a or self.b):
             return other
-        if other.re == 0 and other.im == 0:
+        if not (other.a or other.b):
             return self
-        return Scalar(self.re + other.re, self.im + other.im)
+        return self._sum(other, 1)
 
     def __sub__(self, other: Scalar) -> Scalar:
-        if other.re == 0 and other.im == 0:
+        if not (other.a or other.b):
             return self
-        return Scalar(self.re - other.re, self.im - other.im)
+        return self._sum(other, -1)
+
+    def _sum(self, other: Scalar, sign: int) -> Scalar:
+        """self + sign * other over lcm(d, other.d); only a factor of
+        gcd(d, other.d) can cancel."""
+        d, f = self.d, other.d
+        g = gcd(d, f)
+        m = f // g
+        n = sign * (d // g)
+        return Scalar._ints(self.a * m + other.a * n, self.b * m + other.b * n, d * m, g)
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.re, -self.im)
+        return Scalar._ints(-self.a, -self.b, self.d, 1)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if (self.re == 0 and self.im == 0) or (
-            other.re == 0 and other.im == 0
-        ):
+        a, b = self.a, self.b
+        c, e = other.a, other.b
+        if not (a or b) or not (c or e):
             return ZERO
-        if self.im == 0 and other.im == 0:
-            return Scalar(self.re * other.re, _FRAC_ZERO)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not (b or e):
+            return Scalar._ints(a * c, 0, self.d * other.d)
+        return Scalar._ints(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: Scalar) -> Scalar:
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+        a, b = self.a, self.b
+        c, e, f = other.a, other.b, other.d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero scalar")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return Scalar._ints(a * f, b * f, self.d * c)
+        return Scalar._ints(
+            (a * c + b * e) * f, (b * c - a * e) * f, self.d * (c * c + e * e)
         )
 
     def __pow__(self, k: int) -> Scalar:
@@ -242,50 +293,49 @@ class Scalar:
         return out
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return not self.b and self.d == 1
 
     def is_nonneg_integer(self) -> bool:
-        return self.is_integer() and self.re >= 0
+        return self.is_integer() and self.a >= 0
 
     def as_int(self) -> int:
         if not self.is_integer():
             raise ValueError(f"{self} is not an integer")
-        return int(self.re)
+        return self.a
 
     # -- roots ---------------------------------------------------------
 
     def sqrt(self) -> Scalar | None:
         """An exact square root in Q(i), or None.
 
-        The returned branch has re > 0, or re == 0 and im >= 0.
+        self = (A + B i) / d^2 with A + B i = (a + b i) d, and a root is
+        (x + y i) / d with x + y i a Gaussian integer (Z[i] is integrally
+        closed).  The returned branch has re > 0, or re == 0 and im >= 0.
         """
-        a, b = self.re, self.im
-        if b == 0:
-            if a >= 0:
-                x = _frac_sqrt(a)
-                return None if x is None else Scalar(x, _FRAC_ZERO)
-            y = _frac_sqrt(-a)
-            return None if y is None else Scalar(_FRAC_ZERO, y)
-        d = _frac_sqrt(a * a + b * b)
-        if d is None:
+        d = self.d
+        big_a, big_b = self.a * d, self.b * d
+        if not big_b:
+            s = math.isqrt(abs(big_a))
+            if s * s != abs(big_a):
+                return None
+            return Scalar._ints(s, 0, d) if big_a >= 0 else Scalar._ints(0, s, d)
+        norm = big_a * big_a + big_b * big_b
+        n = math.isqrt(norm)
+        if n * n != norm or (big_a + n) % 2:
             return None
-        x2 = (a + d) / 2
-        x = _frac_sqrt(x2)
-        if x is None or x == 0:
+        x2 = (big_a + n) // 2  # x^2 - y^2 = A and x^2 + y^2 = |A + B i|
+        x = math.isqrt(x2)
+        if x * x != x2:
             return None
-        y = b / (2 * x)
-        root = Scalar(x, y)
-        if root.re < 0 or (root.re == 0 and root.im < 0):
-            root = -root
-        return root
+        return Scalar._ints(x, big_b // (2 * x), d)
 
     def nth_root(self, n: int) -> Scalar | None:
         """An exact n-th root in Q(i), or None when none exists.
@@ -300,19 +350,53 @@ class Scalar:
             return self.sqrt()
         if self.is_zero():
             return ZERO
-        d = math.lcm(self.re.denominator, self.im.denominator)
+        d = self.d
         scale = d ** (n - 1)
-        y = _gauss_nth_root(
-            int(self.re * d) * scale, int(self.im * d) * scale, n
-        )
-        return None if y is None else Scalar(y.re / d, y.im / d)
+        y = _gauss_nth_root(self.a * scale, self.b * scale, n)
+        return None if y is None else Scalar._ints(y.a, y.b, d)
 
 
-ZERO = Scalar(_FRAC_ZERO, _FRAC_ZERO)
-ONE = Scalar(_FRAC_ONE, _FRAC_ZERO)
-HALF = Scalar(Fraction(1, 2), _FRAC_ZERO)
-QUARTER = Scalar(Fraction(1, 4), _FRAC_ZERO)
-I = Scalar(_FRAC_ZERO, _FRAC_ONE)
+ZERO = Scalar._ints(0, 0, 1, 1)
+ONE = Scalar._ints(1, 0, 1, 1)
+HALF = Scalar._ints(1, 0, 2, 1)
+QUARTER = Scalar._ints(1, 0, 4, 1)
+I = Scalar._ints(0, 1, 1, 1)
+
+
+def dot(xs, ys, scale: Scalar = ONE) -> Scalar:
+    """scale * sum(x * y for x, y in zip(xs, ys)), exact, reduced once.
+
+    The Gaussian-integer products are summed over the running lcm of their
+    denominators, so no intermediate sum is reduced; zero terms are
+    skipped.
+    """
+    re = im = 0
+    den = 1
+    for x, y in zip(xs, ys):
+        p, q = x.a, x.b
+        if not (p or q):
+            continue
+        u, v = y.a, y.b
+        if not (u or v):
+            continue
+        e = x.d * y.d
+        if e == den:
+            re += p * u - q * v
+            im += p * v + q * u
+        else:
+            g = gcd(den, e)
+            m, n = e // g, den // g
+            re = re * m + (p * u - q * v) * n
+            im = im * m + (p * v + q * u) * n
+            den *= m
+    if not (re or im):
+        return ZERO
+    p, q = scale.a, scale.b
+    if q:
+        re, im = re * p - im * q, re * q + im * p
+    elif p != 1:
+        re, im = re * p, im * p
+    return Scalar._ints(re, im, den * scale.d)
 
 
 def S(x, im=None) -> Scalar:
@@ -323,7 +407,7 @@ def S(x, im=None) -> Scalar:
         return x
     if isinstance(x, str):
         return Scalar.parse(x)
-    return Scalar(_as_fraction(x), _FRAC_ZERO)
+    return Scalar(_as_fraction(x), 0)
 
 
 _INT_CACHE: dict[int, Scalar] = {}
@@ -332,7 +416,7 @@ _INT_CACHE: dict[int, Scalar] = {}
 def integer(k: int) -> Scalar:
     s = _INT_CACHE.get(k)
     if s is None:
-        s = Scalar(Fraction(k), _FRAC_ZERO)
+        s = Scalar._ints(k, 0, 1, 1)
         if -256 <= k <= 256:
             _INT_CACHE[k] = s
     return s

@@ -23,7 +23,6 @@ index n only involves inputs at index <= n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -33,9 +32,7 @@ from .errors import (
     OrderMismatchError,
     T1DegreeError,
 )
-from .scalars import ONE, ZERO, S, Scalar, integer
-
-_FRAC_ZERO = ZERO.re
+from .scalars import ONE, ZERO, S, Scalar, dot, integer
 
 
 def _check_order(a: TSeries, b: TSeries):
@@ -50,15 +47,7 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
             return ZERO
         if den == 1:
             return integer(re)
-        return Scalar(Fraction(re, den), _FRAC_ZERO)
-    return Scalar(Fraction(re, den) if re else _FRAC_ZERO, Fraction(im, den))
-
-
-def _gaussian(c: Scalar) -> tuple[int, int, int]:
-    """c as (p + q i) / d with p, q, d integers and d > 0."""
-    dr, di = c.re.denominator, c.im.denominator
-    d = lcm(dr, di)
-    return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
+    return Scalar._ints(re, im, den)
 
 
 def _reduce(re: list[int], im: list[int], den: int, g: int):
@@ -84,7 +73,7 @@ def _sum_ints(a, b, sign: int):
 
 def _scale_ints(a, c: Scalar):
     """Numerators and denominator of a * c, before reduction."""
-    p, q, d = _gaussian(c)
+    p, q, d = c.a, c.b, c.d
     re = [x * p - y * q for x, y in zip(a.re, a.im)]
     im = [x * q + y * p for x, y in zip(a.re, a.im)]
     return re, im, a.den * d
@@ -98,20 +87,21 @@ class TSeries:
     the zero series has den = 1 and equal series have equal fields.  ``re``
     and ``im`` are lists that must never be changed in place: operations
     may return an operand itself, and ``==``, ``hash`` and the canonical
-    form read them.  The constructor takes a sequence of Scalars;
-    ``coeffs`` builds the Scalar tuple on first use and keeps it.
+    form read them.  The constructor takes a sequence of Scalars, each
+    canonical, so over the lcm of their denominators the form is canonical
+    again; ``coeffs`` is that Scalar tuple, or is built on first use and
+    kept.
     """
 
     __slots__ = ("re", "im", "den", "_coeffs")
 
     def __init__(self, coeffs) -> None:
-        re = [c.re.as_integer_ratio() for c in coeffs]
-        im = [c.im.as_integer_ratio() for c in coeffs]
-        den = lcm(*[d for _, d in re], *[d for _, d in im])
-        self.re = [p * (den // d) for p, d in re]
-        self.im = [p * (den // d) for p, d in im]
+        coeffs = tuple(coeffs)
+        den = lcm(*[c.d for c in coeffs])
+        self.re = [c.a * (den // c.d) for c in coeffs]
+        self.im = [c.b * (den // c.d) for c in coeffs]
         self.den = den
-        self._coeffs = None
+        self._coeffs = coeffs
 
     @staticmethod
     def _ints(re: list[int], im: list[int], den: int, g: int | None = None) -> TSeries:
@@ -328,20 +318,15 @@ class TSeries:
     # -- multiplicative structure ---------------------------------------------
 
     def invert(self) -> TSeries:
+        """out_m = -(sum_{k=1}^m f_k out_{m-k}) / f_0, one dot per m."""
         f0 = self[0]
         if f0.is_zero():
             raise NotAUnitError("constant term vanishes")
-        n = self.order
         f = self.coeffs
-        out = [ZERO] * n
-        out[0] = ONE / f0
-        for m in range(1, n):
-            acc = ZERO
-            for k in range(1, m + 1):
-                fk = f[k]
-                if not fk.is_zero():
-                    acc = acc + fk * out[m - k]
-            out[m] = -acc / f0
+        out = [ONE / f0]
+        scale = -out[0]
+        for m in range(1, self.order):
+            out.append(dot(f[1 : m + 1], out[::-1], scale))
         return TSeries(out)
 
     def div(self, other: TSeries) -> TSeries:
@@ -379,45 +364,37 @@ class TSeries:
         if n < 2 or not (self.re[1] or self.im[1]):
             raise NotInvertibleError("derivative vanishes at 0")
         h = TSeries._ints(self.re[1:], self.im[1:], self.den).invert()
-        mu = [ZERO] * n
+        mu = [ZERO]
         hm = TSeries.one(n - 1)
         for m in range(1, n):
             hm = hm * h
-            mu[m] = hm[m - 1] / integer(m)
+            mu.append(Scalar._ints(hm.re[m - 1], hm.im[m - 1], hm.den * m))
         return TSeries(mu)
 
     def exp(self) -> TSeries:
-        """exp of a series with zero constant term."""
+        """exp of a series with zero constant term:
+        m out_m = sum_{k=1}^m k f_k out_{m-k}."""
         if self.re[0] or self.im[0]:
             raise CompositionError("exponent must vanish at 0")
-        n = self.order
-        f = self.coeffs
-        out = [ZERO] * n
-        out[0] = ONE
-        for m in range(1, n):
-            acc = ZERO
-            for k in range(1, m + 1):
-                fk = f[k]
-                if not fk.is_zero():
-                    acc = acc + integer(k) * fk * out[m - k]
-            out[m] = acc / integer(m)
+        kf = self.xdx().coeffs
+        out = [ONE]
+        for m in range(1, self.order):
+            out.append(dot(kf[1 : m + 1], out[::-1], ONE / integer(m)))
         return TSeries(out)
 
     def pow_scalar(self, rho: Scalar) -> TSeries:
-        """(1 + u)^rho for self = 1 + u with u(0) = 0, rho in Q(i)."""
+        """(1 + u)^rho for self = 1 + u with u(0) = 0, rho in Q(i):
+        m out_m = sum_{j=1}^m ((rho + 1) j - m) u_j out_{m-j}."""
         if self[0] != ONE:
             raise NotAUnitError("base must have constant term 1")
-        n = self.order
         u = self.coeffs
-        out = [ZERO] * n
-        out[0] = ONE
-        for m in range(1, n):
-            acc = ZERO
-            for j in range(1, m + 1):
-                uj = u[j]
-                if not uj.is_zero():
-                    acc = acc + (rho * integer(j) - integer(m - j)) * uj * out[m - j]
-            out[m] = acc / integer(m)
+        ju = self.xdx().coeffs
+        rho1 = rho + ONE
+        out = [ONE]
+        for m in range(1, self.order):
+            rev = out[::-1]
+            part = dot(ju[1 : m + 1], rev, rho1 / integer(m))
+            out.append(part - dot(u[1 : m + 1], rev))
         return TSeries(out)
 
     def pow_int(self, k: int) -> TSeries:
@@ -435,24 +412,39 @@ class TSeries:
         return "[" + ", ".join(terms) + f"; O({self.order})]"
 
 
+def _powers(c: Scalar, order: int) -> tuple[list[int], list[int], int]:
+    """Numerators of c^0, ..., c^(order-1) over the denominator
+    c.d^(order-1), unreduced."""
+    p, q, d = c.a, c.b, c.d
+    re, im = [1], [0]
+    for _ in range(1, order):
+        x, y = re[-1], im[-1]
+        re.append(x * p - y * q)
+        im.append(x * q + y * p)
+    scale = 1
+    for n in range(order - 1, -1, -1):
+        re[n] *= scale
+        im[n] *= scale
+        scale *= d
+    return re, im, scale // d
+
+
 def exp_linear(theta: Scalar, order: int) -> TSeries:
-    """exp(theta * x) as an exact series."""
-    out = [ONE]
-    acc = ONE
-    for n in range(1, order):
-        acc = acc * theta / integer(n)
-        out.append(acc)
-    return TSeries(out)
+    """exp(theta * x) as an exact series: theta^n / n! over one
+    denominator, reduced once."""
+    re, im, den = _powers(theta, order)
+    w = 1  # (order - 1)! / n!
+    for n in range(order - 1, 0, -1):
+        re[n] *= w
+        im[n] *= w
+        w *= n
+    re[0] *= w  # c^0 = 1 has no imaginary part
+    return TSeries._ints(re, im, den * w)
 
 
 def geometric(c: Scalar, order: int) -> TSeries:
     """1/(1 - c x) as an exact series."""
-    out = [ONE]
-    acc = ONE
-    for _ in range(1, order):
-        acc = acc * c
-        out.append(acc)
-    return TSeries(out)
+    return TSeries._ints(*_powers(c, order))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from connexa.connmat import Mat2, TEStruct
 from connexa.docio import (
     dumps_document,
     loads_document,
+    save_structure,
     structure_from_document,
     structure_to_document,
 )
@@ -203,6 +204,52 @@ def test_cli_order_below_one_exits_2(flag):
         assert "Traceback" not in out.stderr
     out = _run(flag, "64", "--help")
     assert out.returncode == 0
+
+
+def _main(*argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_order_flags_must_match_a_document(tmp_path):
+    # a document keeps its declared window: a flag that differs exits 2
+    # naming that window, instead of being ignored
+    target = tmp_path / "f1_r2.json"
+    save_structure(build_fixture("f1_r2", 6, 6), str(target))
+    mismatched = (("--order-z", "8"), ("--order-t", "5"), ("--order-z", "6", "--order-t", "7"))
+    for flags in mismatched:
+        for cmd in ("verify", "prenormal", "formal-nf", "classify"):
+            code, out, err = _main(*flags, cmd, str(target))
+            assert code == 2, (flags, cmd)
+            assert "(nz, nt) = (6, 6)" in err
+            assert out == ""
+        code, _out, err = _main(*flags, "formal-iso", "nf3_3", str(target))
+        assert code == 2 and "(nz, nt) = (6, 6)" in err
+    # flags equal to the window, or none, report on the document's window
+    plain = _main("classify", str(target))
+    assert plain[0] == 0
+    assert _main("--order-z", "6", "--order-t", "6", "classify", str(target)) == plain
+    assert _main("--order-t", "6", "classify", str(target)) == plain
+    assert _main("--order-z", "6", "--order-t", "6", "classify", "f1_r2") == plain
+
+
+def test_cli_orders_default_to_16_without_flags(tmp_path):
+    # fixtures and the series commands still default to the (16, 16) window
+    sixteen = ("--order-z", "16", "--order-t", "16")
+    for argv in (
+        ("verify", "nf3_2"),
+        ("formal-nf", "nf3_2"),
+        ("euler-nf", "--g", "0,1"),
+        ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2"),
+    ):
+        assert _main(*argv) == _main(*sixteen, *argv)
+    code, out, _err = _main("write-fixtures", str(tmp_path))
+    assert code == 0
+    doc = loads_document((tmp_path / "nf3_2.json").read_text())
+    assert doc["orders"]["nz"] == doc["orders"]["nt"] == 16
 
 
 def test_cli_negative_kmax_exits_2():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from connexa.connmat import apply_gauge, flatness_residuals, induced_euler
@@ -20,6 +22,7 @@ from connexa.scalars import ONE, QUARTER, S, ZERO, integer
 from connexa.series import TSeries, exp_linear
 
 from conftest import rand_nonzero, rand_scalar
+from fraction_scalar import F_ONE, F_ZERO, f_integer, from_frac, to_frac
 
 NZ, NT = 8, 12
 
@@ -227,3 +230,43 @@ def test_induced_fields_of_normal_forms_realizable():
         e = induced_euler(s)
         enf = euler_normal_form(e).normal_form
         assert realizable_by_te(enf)
+
+
+def _malgrange_xy_fraction_pair(binf, c0, order):
+    """The coefficient loop of malgrange_xy on FracScalar, a reduced
+    Fraction per part."""
+    b11, b12, b21, b22 = (to_frac(e) for e in binf.entries())
+    diff = b11 - b22
+    decay = b22 - b11 - F_ONE
+    x = [F_ZERO] * order
+    y = [F_ZERO] * order
+    y[0] = to_frac(c0)
+    for n in range(order - 1):
+        xsq = F_ZERO
+        for i in range(n + 1):
+            if not x[i].is_zero() and not x[n - i].is_zero():
+                xsq = xsq + x[i] * x[n - i]
+        rhs = -b21 * xsq + diff * x[n] + (b12 if n == 0 else F_ZERO)
+        x[n + 1] = rhs / f_integer(n + 1)
+        acc = decay * y[n]
+        for i in range(n + 1):
+            if not y[i].is_zero() and not x[n - i].is_zero():
+                acc = acc + f_integer(2) * b21 * y[i] * x[n - i]
+        y[n + 1] = acc / f_integer(n + 1)
+    return TSeries([from_frac(c) for c in x]), TSeries([from_frac(c) for c in y])
+
+
+def test_malgrange_xy_matches_fraction_pair_oracle():
+    # real and Gaussian entries, some of them zero, at orders 2..18
+    rnd = random.Random(13)
+    for order in range(2, 19):
+        for gauss in (False, True):
+            for _ in range(3):
+                entries = [
+                    rand_scalar(rnd, 6, gauss) if rnd.random() < 0.8 else ZERO
+                    for _ in range(4)
+                ]
+                binf = ConstMat.from_entries(*entries)
+                c0 = rand_nonzero(rnd, 6)
+                st = malgrange_xy(binf, c0, order)
+                assert (st.x, st.y) == _malgrange_xy_fraction_pair(binf, c0, order)

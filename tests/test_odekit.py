@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from connexa import odekit
 from connexa.errors import NoFormalSolutionError, NotAUnitError, UnsupportedShapeError
-from connexa.scalars import HALF, I, ONE, S, ZERO, integer
+from connexa.scalars import HALF, I, ONE, S, ZERO, Scalar, integer
 from connexa.series import Laurent, TSeries
 
 from conftest import rand_nonzero, rand_scalar
+from fraction_scalar import F_ZERO, f_integer, frac_coeffs, from_frac, to_frac
 
 
 def test_linear_ode_scalar_example():
@@ -323,13 +325,70 @@ def test_riccati_matches_full_convolution_oracle(rng):
         assert (sol.c, sol.tau, sol.r, sol.free_index_value) == (c, tau, r, tau_r)
 
 
+def search_convergence_certificate(
+    f: TSeries, tau: TSeries, r: int, c: Scalar
+) -> tuple[Fraction, Fraction, int] | None:
+    """Bounded grid search for geometric-bound witnesses (M0, r0, n0).
+
+    Certifies |f_n| <= M0 r0^n/(n+1)^2 on the stored window (and, f being
+    a stored polynomial, beyond), |tau_n| <= M0^{n+1} r0^n/(n+1)^2 for
+    n < n0, and the single closed inequality that propagates the tau
+    bound to all n >= n0.  Absence of a certificate is a warning only.
+    Kept with its test: no pipeline reports it.
+    """
+    C = odekit.CONV_CONSTANT
+    cnorm = c.norm_sq()
+
+    def scalar_bounded(s: Scalar, bound: Fraction) -> bool:
+        return s.norm_sq() <= bound * bound
+
+    for m0_exp in range(0, 8):
+        m0 = Fraction(2**m0_exp)
+        for r0_exp in range(0, 16):
+            r0 = Fraction(2**r0_exp)
+            ok_f = all(
+                scalar_bounded(f[n], m0 * r0**n / (n + 1) ** 2)
+                for n in range(f.order)
+            )
+            if not ok_f:
+                continue
+            # longest prefix of tau obeying the geometric bound
+            prefix = 0
+            while prefix < tau.order and scalar_bounded(
+                tau[prefix], m0 ** (prefix + 1) * r0**prefix / (prefix + 1) ** 2
+            ):
+                prefix += 1
+            for n0 in range(r + 1, prefix + 1):
+                # closed tail inequality: for all n >= n0,
+                #   M0^2 + C|c| M0^{3-r} / r0^r * ((n+3)/(n-r+4))^2
+                #     <= (1/C^2)(n-r) ((n+3)/(n+1))^2 .
+                # The left side is maximal and the right side minimal at
+                # n = n0 once (n-r) >= the left side's plateau, so one
+                # exact check at n0 (with the conservative factor 1 for
+                # ((n+3)/(n+1))^2) suffices.
+                lhs = m0 * m0
+                ratio = Fraction(n0 + 3, n0 - r + 4) ** 2
+                # |c| <= sqrt of norm; use rational bound ceil
+                cabs_sq = cnorm
+                # bound C|c| M0^{3-r}/r0^r via squared comparison
+                term_sq = C * C * cabs_sq * (m0 ** (2 * (3 - r))) / (r0 ** (2 * r))
+                # conservative: lhs + sqrt(term_sq)*ratio <= (n0 - r)/C^2
+                rhs = Fraction(n0 - r) / (C * C)
+                margin = rhs - lhs
+                if margin <= 0:
+                    continue
+                if term_sq * ratio * ratio <= margin * margin:
+                    return m0, r0, n0
+    return None
+
+
 def test_riccati_certificate():
     # the tail inequality needs roughly C^2 M0^2 + r orders of evidence,
     # so a certificate appears only on a long enough window
     for order, found in ((60, True), (12, False)):
         f = TSeries.one(order)
         sol = odekit.solve_riccati_unique_c(f, 1, ZERO)
-        cert = odekit.search_convergence_certificate(f, sol.tau, 1, sol.c)
+        cert = search_convergence_certificate(f, sol.tau, 1, sol.c)
         # absence is a warning, not an error
         assert (cert is not None) == found
 
@@ -384,3 +443,78 @@ def test_fuchs_criterion():
     # d=2, v(a0) = -3 -> not regular
     p = odekit.FuchsProblem((Laurent(-3, one), Laurent(-1, one)), 2)
     assert not odekit.fuchs_regular_singular(p)
+
+
+def _riccati_fraction_pair(f, r, tau_r):
+    """The O(n^2) recursion of solve_riccati_unique_c (pair sums, running
+    tau^2 and tau^3) on FracScalar, a reduced Fraction per part."""
+    f = frac_coeffs(f)
+    f0 = f[0]
+    f_tail = [(j, fj) for j, fj in enumerate(f) if j and not fj.is_zero()]
+    f_support = [(0, f0)] + f_tail
+    tau = [f_integer(r) / f0]
+    q = [tau[0] * tau[0]]
+    cube = []
+
+    def pair_sum(n):
+        acc = F_ZERO
+        for k in range(1, (n + 1) // 2):
+            acc = acc + tau[k] * tau[n - k]
+        acc = acc + acc
+        if n % 2 == 0:
+            acc = acc + tau[n // 2] * tau[n // 2]
+        return acc
+
+    def conv3(n, p_n):
+        acc = f0 * p_n
+        for j, fj in f_tail:
+            if j > n:
+                break
+            acc = acc + fj * q[n - j]
+        return acc
+
+    def conv4(m):
+        while len(cube) <= m:
+            k = len(cube)
+            acc = F_ZERO
+            for i in range(k + 1):
+                acc = acc + tau[i] * q[k - i]
+            cube.append(acc)
+        acc = F_ZERO
+        for s, fs in f_support:
+            if s > m:
+                break
+            acc = acc + fs * cube[m - s]
+        return acc
+
+    two_tau0 = tau[0] + tau[0]
+    for n in range(1, len(f)):
+        p_n = pair_sum(n)
+        if n < r:
+            tau.append(conv3(n, p_n) / f_integer(n - r))
+        elif n == r:
+            c = -(conv3(r, p_n)) / (tau[0] ** 3 * f0)
+            tau.append(to_frac(tau_r))
+        else:
+            tau.append((conv3(n, p_n) + c * conv4(n - r)) / f_integer(n - r))
+        q.append(p_n + two_tau0 * tau[n])
+    return from_frac(c), TSeries([from_frac(t) for t in tau])
+
+
+def test_riccati_matches_fraction_pair_oracle():
+    # dense and sparse, real and Gaussian f at orders r+1..18, r = 1..4
+    rnd = random.Random(11)
+    for r in range(1, 5):
+        for order in range(r + 1, 19):
+            for gauss in (False, True):
+                for density in (1.0, 0.3):
+                    f = TSeries(
+                        [rand_nonzero(rnd, 9) if gauss else S(rnd.randint(1, 9))]
+                        + [
+                            rand_scalar(rnd, 9, gauss) if rnd.random() < density else ZERO
+                            for _ in range(order - 1)
+                        ]
+                    )
+                    tau_r = rand_scalar(rnd, 5, gauss)
+                    sol = odekit.solve_riccati_unique_c(f, r, tau_r)
+                    assert (sol.c, sol.tau) == _riccati_fraction_pair(f, r, tau_r)

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from connexa.errors import DocumentError
-from connexa.scalars import I, ONE, S, Scalar, integer
+from connexa.scalars import I, ONE, S, Scalar, ZERO, dot, integer
+
+from fraction_scalar import FracScalar, to_frac
 
 fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -46,6 +49,11 @@ def test_parse_forms():
         Scalar.parse("")
     with pytest.raises(DocumentError):
         Scalar.parse("1+2+3")
+    assert Scalar.parse("i+1/2") == S("1/2", 1)
+    # one real and one imaginary part at most: "1+2" is not read as 3
+    for text in ("1+2", "1/2-3", "-1+1", "2*i+3*i"):
+        with pytest.raises(DocumentError):
+            Scalar.parse(text)
 
 
 def test_integrality():
@@ -135,3 +143,96 @@ def test_parse_integer_fast_path():
     for text in ("1" * 5000, "1" * 5000 + "+0*i"):
         with pytest.raises(DocumentError):
             Scalar.parse(text)
+
+
+# -- the integer form against the Fraction-pair reference ---------------------
+
+# Dense and sparse, real and Gaussian parts, small and many-digit values.
+oracle_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(max_denominator=10**30).map(lambda q: q * 10**20),
+)
+oracle_scalars = st.builds(Scalar, oracle_parts, oracle_parts)
+
+
+def _assert_canonical(s: Scalar):
+    assert s.d > 0 and gcd(s.a, s.b, s.d) == 1
+    assert type(s.a) is type(s.b) is type(s.d) is int
+
+
+@given(oracle_scalars, oracle_scalars, st.integers(-4, 6))
+def test_scalar_matches_fraction_pair_oracle(a, b, k):
+    fa, fb = to_frac(a), to_frac(b)
+    _assert_canonical(a)
+    results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa)]
+    if not b.is_zero():
+        results.append((a / b, fa / fb))
+    if k >= 0 or not a.is_zero():
+        results.append((a**k, fa**k))
+    for got, want in results:
+        _assert_canonical(got)
+        assert to_frac(got) == want
+        assert str(got) == str(want)
+        assert hash(got) == hash(want)
+    assert a.norm_sq() == fa.norm_sq()
+    assert (a == b) == (fa == fb)
+    assert hash(a) == hash(fa)
+    assert str(a) == str(fa)
+    assert Scalar.parse(str(a)) == a
+    assert to_frac(Scalar.parse(str(fa))) == FracScalar.parse(str(fa))
+
+
+@given(oracle_scalars, st.integers(2, 5))
+def test_roots_match_fraction_pair_oracle(a, n):
+    for x in (a, a * a, a**n):
+        got, want = x.nth_root(n), to_frac(x).nth_root(n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert to_frac(got) == want
+        got, want = x.sqrt(), to_frac(x).sqrt()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert to_frac(got) == want
+
+
+@given(st.lists(st.tuples(oracle_scalars, oracle_scalars), max_size=12), oracle_scalars)
+def test_dot_matches_fraction_pair_sum(pairs, scale):
+    want = to_frac(ZERO)
+    for x, y in pairs:
+        want = want + to_frac(x) * to_frac(y)
+    got = dot([x for x, _ in pairs], [y for _, y in pairs], scale)
+    _assert_canonical(got)
+    assert to_frac(got) == want * to_frac(scale)
+
+
+# Every literal over this alphabet either parses, and then prints a text
+# that parses back to it, or is refused as a DocumentError.
+LITERAL_ALPHABET = "0123456789+-*/i .eE_()"
+
+
+def _check_literal(text: str):
+    try:
+        value = Scalar.parse(text)
+    except DocumentError:
+        return
+    _assert_canonical(value)
+    assert Scalar.parse(str(value)) == value
+    # where the stricter parser accepts, it agrees with the old one
+    assert to_frac(value) == FracScalar.parse(text)
+
+
+@given(st.text(alphabet=LITERAL_ALPHABET, max_size=24))
+def test_parse_fuzz_literal_alphabet(text):
+    _check_literal(text)
+
+
+# Random characters rarely form a literal; joined pieces often do.
+literal_pieces = st.sampled_from(
+    ["1", "-2", "3/4", "0.5", "i", "-i", "2*i", "+", "-", "/", "*", " ", "_", "e"]
+)
+
+
+@given(st.lists(literal_pieces, max_size=6))
+def test_parse_fuzz_literal_pieces(pieces):
+    _check_literal("".join(pieces))

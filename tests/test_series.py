@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +24,15 @@ from connexa.series import (
 )
 
 from conftest import rand_nonzero
+from fraction_scalar import (
+    F_ONE,
+    F_ZERO,
+    f_integer,
+    frac_coeffs,
+    frac_mul,
+    from_frac,
+    to_frac,
+)
 
 ORDER = 7
 
@@ -606,3 +616,106 @@ def test_ztseries_canonical_form():
         a + a.truncate(nz, nt - 1)
     with pytest.raises(IndexError):
         a[nz]
+
+
+# -- the one-variable recurrences against their Fraction-pair bodies -----------
+#
+# invert, exp, pow_scalar, reverse, exp_linear and geometric run on
+# Gaussian-integer dot products (scalars.dot); the oracles are their earlier
+# coefficient loops, run on FracScalar, a reduced Fraction per part.
+
+
+def _frac_invert(f):
+    f0 = f[0]
+    out = [F_ZERO] * len(f)
+    out[0] = F_ONE / f0
+    for m in range(1, len(f)):
+        acc = F_ZERO
+        for k in range(1, m + 1):
+            if not f[k].is_zero():
+                acc = acc + f[k] * out[m - k]
+        out[m] = -acc / f0
+    return out
+
+
+def _frac_exp(f):
+    out = [F_ZERO] * len(f)
+    out[0] = F_ONE
+    for m in range(1, len(f)):
+        acc = F_ZERO
+        for k in range(1, m + 1):
+            if not f[k].is_zero():
+                acc = acc + f_integer(k) * f[k] * out[m - k]
+        out[m] = acc / f_integer(m)
+    return out
+
+
+def _frac_pow_scalar(u, rho):
+    out = [F_ZERO] * len(u)
+    out[0] = F_ONE
+    for m in range(1, len(u)):
+        acc = F_ZERO
+        for j in range(1, m + 1):
+            if not u[j].is_zero():
+                w = rho * f_integer(j) - f_integer(m - j)
+                acc = acc + w * u[j] * out[m - j]
+        out[m] = acc / f_integer(m)
+    return out
+
+
+def _frac_reverse(lam):
+    n = len(lam)
+    h = _frac_invert(lam[1:])
+    mu = [F_ZERO] * n
+    hm = [F_ONE] + [F_ZERO] * (n - 2)
+    for m in range(1, n):
+        hm = frac_mul(hm, h)
+        mu[m] = hm[m - 1] / f_integer(m)
+    return mu
+
+
+def _frac_powers(c, order, factorial):
+    out = [F_ONE]
+    for n in range(1, order):
+        nxt = out[-1] * c
+        out.append(nxt / f_integer(n) if factorial else nxt)
+    return out
+
+
+def _series_of(fracs):
+    return TSeries([from_frac(c) for c in fracs])
+
+
+def _oracle_inputs(rnd):
+    """(coefficients, gauss) at orders 2..18: dense and sparse, real and
+    Gaussian; the constant term is left to the caller."""
+    for order in range(2, 19):
+        for gauss in (False, True):
+            for density in (1.0, 0.3):
+                cs = [
+                    _rand_coeff(rnd, gauss) if rnd.random() < density else ZERO
+                    for _ in range(order)
+                ]
+                yield cs, gauss
+
+
+def test_recurrences_match_fraction_pair_oracles():
+    rnd = random.Random(9)
+    for cs, gauss in _oracle_inputs(rnd):
+        order = len(cs)
+        head = _rand_coeff(rnd, gauss)
+        while head.is_zero():
+            head = _rand_coeff(rnd, gauss)
+        unit = TSeries([head] + cs[1:])
+        assert unit.invert() == _series_of(_frac_invert(frac_coeffs(unit)))
+        tail = TSeries([ZERO] + cs[1:])
+        assert tail.exp() == _series_of(_frac_exp(frac_coeffs(tail)))
+        rho = _rand_coeff(rnd, gauss)
+        base = TSeries([ONE] + cs[1:])
+        want = _frac_pow_scalar(frac_coeffs(base), to_frac(rho))
+        assert base.pow_scalar(rho) == _series_of(want)
+        lam = TSeries([ZERO, head] + cs[2:])
+        assert lam.reverse() == _series_of(_frac_reverse(frac_coeffs(lam)))
+        for fn, factorial in ((exp_linear, True), (geometric, False)):
+            want = _frac_powers(to_frac(head), order, factorial)
+            assert fn(head, order) == _series_of(want)
