@@ -260,6 +260,26 @@ def cmd_write_fixtures(args) -> int:
     return _emit(out)
 
 
+_DOCUMENT_COMMANDS = ("verify", "prenormal", "formal-nf", "formal-iso", "classify")
+
+# Each global flag and the commands that read it; given to any other
+# command, it is refused rather than silently ignored.
+FLAG_READERS = {
+    "--order-z": _DOCUMENT_COMMANDS + ("malgrange", "write-fixtures"),
+    "--order-t": _DOCUMENT_COMMANDS
+    + ("malgrange", "euler-nf", "euler-realizable", "write-fixtures"),
+    "--kmax": ("classify",),
+    "--fixtures": _DOCUMENT_COMMANDS,
+}
+
+
+def _check_flags(args) -> None:
+    for flag, readers in FLAG_READERS.items():
+        given = getattr(args, flag[2:].replace("-", "_")) is not None
+        if given and args.command not in readers:
+            raise DocumentError(f"{flag} has no effect on {args.command}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared after."""
@@ -348,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -112,8 +112,7 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
         f = unit.invert()
         c0 = ONE / f.at0()
         rate = f.scale(c0) - TSeries.one(f.order)
-        sol = odekit.solve_linear_t_ode([[-rate]], [rate])
-        w = sol.u[0] + TSeries.one(f.order)
+        w = odekit.solve_linear_t_ode(-rate, rate).u + TSeries.one(f.order)
         lam = TSeries(w.coeffs + (ZERO,)).shift(1)  # t*w, exact
         return EulerNormalization(
             EulerNormalForm("E3", {"c": e.c, "c0": c0}), lam

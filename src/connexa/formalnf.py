@@ -502,26 +502,6 @@ _SHAPE_B20 = {
 }
 
 
-def _resonance(shape: str, lam: Scalar, m: int) -> str | None:
-    """Which coefficient of g obstructs m x + b' x - b x' = g, if any."""
-    if shape in ("zero", "square"):
-        return None
-    mm = integer(m)
-    if shape == "linear":
-        if mm == lam:
-            return "g2"
-        if mm == -lam:
-            return "g0"
-        return None
-    if shape in ("one", "affine"):
-        if mm == lam:
-            return "g2"
-        if mm == -lam:
-            return "quad"
-        return None
-    return None
-
-
 def _normalize_zero_family(p: PreNormalForm) -> Classification:
     nz, nt = p.orders
     if nt < 5:
@@ -547,7 +527,7 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     if cur.b2[0].const != expected0:
         raise ShapeError("shape reduction did not land on the catalogue")
     # step 2: triangular normalization of the z-tail
-    cur, gauge2, mu, res_order = _zero_family_recursion(cur, shape, lam)
+    cur, gauge2, mu, res_order = _zero_family_recursion(cur, shape)
     if gauge2 is not None:
         steps.append(gauge2)
     # step 3: rescale the resonant coefficient to 1 for the bare shapes;
@@ -586,7 +566,7 @@ def _reextract(p: PreNormalForm, g: GaugeMap) -> PreNormalForm:
 
 
 def _zero_family_recursion(
-    p: PreNormalForm, shape: str, lam: Scalar
+    p: PreNormalForm, shape: str
 ) -> tuple[PreNormalForm, GaugeMap | None, Scalar | None, int | None]:
     """Kill the killable z-tail of b2, leaving one resonant monomial.
 
@@ -636,7 +616,8 @@ def _zero_family_recursion(
             g_known = g_known - diffs[l][0].scale(tau1[n + 1 - l])
             g_known = g_known + (t1 * s0).scale(HALF)
             g_known = g_known - (t0 * s1).scale(HALF)
-        res = _resonance(shape, lam, m)
+        mm = integer(m)
+        res = None if shape == "zero" else odekit.third_der_resonance(mm, b)
         new_coeff = zero_t
         if res is None:
             g = g_known
@@ -649,7 +630,6 @@ def _zero_family_recursion(
                 obstruction = g0
                 mono = TSeries.one(nt)
             else:  # quad condition m^2 g0 + m g1 + g2, carried by t2^2
-                mm = integer(m)
                 obstruction = mm * mm * g0 + mm * g1 + g2
                 mono = TSeries.monomial(ONE, 2, nt)
             mu = -(obstruction / tau1[0])
@@ -662,11 +642,11 @@ def _zero_family_recursion(
                 res_order = m
             g = g_known + new_coeff.scale(tau1[0])
         if shape == "zero":
-            x = g.scale(ONE / integer(m))
+            x = g.scale(ONE / mm)
             if any(not c.is_zero() for c in g.coeffs[3:]):
                 raise ShapeError("non-quadratic data in the zero shape")
         else:
-            sol = odekit.solve_third_der(integer(m), b, g)
+            sol = odekit.solve_third_der(mm, b, g)
             if sol.x is None:
                 raise FlatnessError(
                     f"unexpected obstruction at z-order {m} in the recursion"

@@ -1,9 +1,10 @@
 """Solvable one-variable problems used by the classification pipelines.
 
-Four problem classes: the regular linear recursion t*u' + A(t)u = b(t),
-the quadratic-polynomial system m*x + b'*x - b*x' = g with x''' = 0, the
-one-parameter Riccati family t*tau' + r*tau = tau^2 f (1 + c t^r tau),
-and the valuation test for a regular singularity in companion form.
+Four problem classes: the scalar linear recursion t*u' + a(t)u = b(t),
+one dot product per order; the quadratic-polynomial system
+m*x + b'*x - b*x' = g with x''' = 0; the one-parameter Riccati family
+t*tau' + r*tau = tau^2 f (1 + c t^r tau); and the valuation test for a
+regular singularity in companion form.
 """
 
 from __future__ import annotations
@@ -27,126 +28,40 @@ CONV_CONSTANT = Fraction(329, 50)
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on small matrices
-
-
-def solve_linear_system(
-    rows: list[list[Scalar]], rhs: list[Scalar]
-) -> tuple[list[Scalar], list[int]] | None:
-    """Solve rows * x = rhs exactly.
-
-    Returns (solution, free_column_indices) with free variables set to
-    zero, or None when the system is inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if not a[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and not a[i][col].is_zero():
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not a[i][n].is_zero():
-            return None
-    sol = [ZERO] * n
-    pivot_cols = set()
-    for row, col in pivots:
-        sol[col] = a[row][n]
-        pivot_cols.add(col)
-    free = [c for c in range(n) if c not in pivot_cols]
-    return sol, free
-
-
-# ---------------------------------------------------------------------------
-# t u' + A(t) u = b(t)
+# t u' + a(t) u = b(t)
 
 
 @dataclass(frozen=True)
 class LinearOdeSolution:
-    u: tuple[TSeries, ...]
-    free_parameters: tuple[tuple[int, int], ...]  # (order n, component index)
+    u: TSeries
+    free_orders: tuple[int, ...]  # resonant orders n + a_0 = 0, u_n set to 0
 
 
-def solve_linear_t_ode(
-    a_matrix: list[list[TSeries]], b_vector: list[TSeries]
-) -> LinearOdeSolution:
-    """Formal solution of t*u' + A(t)u = b(t) by coefficient recursion.
+def solve_linear_t_ode(a: TSeries, b: TSeries) -> LinearOdeSolution:
+    """Formal solution of t*u' + a(t)u = b(t) by coefficient recursion.
 
-    Order n solves (n*Id + A(0)) u_n = b_n - sum_{k>=1} A^(k) u_{n-k}.
-    Singular-but-consistent steps return one solution (free components
-    set to zero) and report the freedom; inconsistent steps raise.
+    Order n sets (n + a_0) u_n = b_n - sum_{k>=1} a_k u_{n-k}: one dot
+    product and one division.  A resonant order (n + a_0 = 0) with a zero
+    right-hand side leaves u_n free: it is set to zero and the order is
+    reported; a nonzero right-hand side there raises.
     """
-    d = len(b_vector)
-    order = b_vector[0].order
-    for row in a_matrix:
-        for entry in row:
-            if entry.order != order:
-                raise UnsupportedShapeError("matrix/vector orders differ")
-    neg_a = [[(-entry).coeffs for entry in row] for row in a_matrix]
-    u_coeffs: list[list[Scalar]] = []
-    freedoms: list[tuple[int, int]] = []
+    order = b.order
+    if a.order != order:
+        raise UnsupportedShapeError("a and b orders differ")
+    neg_a = (-a).coeffs
+    u: list[Scalar] = []
+    free: list[int] = []
     for n in range(order):
-        rows = [
-            [
-                (integer(n) if i == j else ZERO) + a_matrix[i][j][0]
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        # b_n - sum_{k>=1} A^(k) u_{n-k}, one dot per component
-        u_terms = [ONE] + [
-            u_coeffs[n - k][j] for k in range(1, n + 1) for j in range(d)
-        ]
-        rhs = [
-            dot(
-                [b_vector[i][n]]
-                + [neg_a[i][j][k] for k in range(1, n + 1) for j in range(d)],
-                u_terms,
-            )
-            for i in range(d)
-        ]
-        solved = solve_linear_system(rows, rhs)
-        if solved is None:
-            raise NoFormalSolutionError(
-                f"inconsistent singular step at order {n}"
-            )
-        sol, free = solved
-        freedoms.extend((n, j) for j in free)
-        u_coeffs.append(sol)
-    u = tuple(
-        TSeries(tuple(u_coeffs[n][i] for n in range(order))) for i in range(d)
-    )
-    return LinearOdeSolution(u, tuple(freedoms))
-
-
-def linear_t_ode_residual(
-    a_matrix: list[list[TSeries]], b_vector: list[TSeries], u: tuple[TSeries, ...]
-) -> list[TSeries]:
-    d = len(b_vector)
-    out = []
-    for i in range(d):
-        acc = u[i].xdx() - b_vector[i]
-        for j in range(d):
-            acc = acc + a_matrix[i][j] * u[j]
-        out.append(acc)
-    return out
+        rhs = dot((b[n],) + neg_a[n:0:-1], [ONE] + u)
+        pivot = integer(n) + a[0]
+        if not pivot.is_zero():
+            u.append(rhs / pivot)
+        elif rhs.is_zero():
+            u.append(ZERO)
+            free.append(n)
+        else:
+            raise NoFormalSolutionError(f"inconsistent singular step at order {n}")
+    return LinearOdeSolution(TSeries(u), tuple(free))
 
 
 # ---------------------------------------------------------------------------
@@ -164,56 +79,72 @@ def _quad(coeffs: tuple[Scalar, Scalar, Scalar], order: int) -> TSeries:
     return TSeries.of(list(coeffs), order)
 
 
+def _low3(s: TSeries) -> tuple[Scalar, Scalar, Scalar]:
+    """The coefficients of 1, t and t^2, zero beyond the window."""
+    return (s.coeffs + (ZERO, ZERO))[:3]
+
+
+def third_der_resonance(m: Scalar, b: TSeries) -> str | None:
+    """Which condition on g obstructs m*x + b'*x - b*x' = g, if any.
+
+    For b = lam*t or lam*t + 1, m = lam leaves the t^2 component of x free
+    and costs "g2" (g2 = 0); m = -lam leaves the constant one free and
+    costs "g0" (g0 = 0) for lam*t, "quad" (m^2 g0 + m g1 + g2 = 0) for
+    lam*t + 1.  b = t^2 never resonates; other b raise.
+    """
+    b0, lam, b2 = _low3(b)
+    tail_zero = all(c.is_zero() for c in b.coeffs[3:])
+    if tail_zero and b0.is_zero() and lam.is_zero() and b2 == ONE:
+        return None
+    if not (tail_zero and b2.is_zero() and (b0.is_zero() or b0 == ONE)):
+        raise UnsupportedShapeError("b outside the three supported shapes")
+    if b0.is_zero() and lam.is_zero():
+        raise UnsupportedShapeError("b = 0 is outside the catalogue")
+    if m == lam:
+        return "g2"
+    if m == -lam:
+        return "quad" if b0 == ONE else "g0"
+    return None
+
+
 def solve_third_der(m: Scalar, b: TSeries, g: TSeries) -> ThirdDerSolution:
     """Solve m*x + b'*x - b*x' = g over quadratic polynomials x.
 
     b must be one of the shapes lam*t, lam*t + 1, t^2; g must be a
-    quadratic polynomial.  The three resonant verdicts follow the shape
-    case analysis; at a resonant solvable step the free component is 0.
+    quadratic polynomial.  At a resonance (``third_der_resonance``) the
+    free component is 0 and g must meet the condition.
     """
     if m.is_zero():
         raise UnsupportedShapeError("m must be nonzero")
     order = b.order
     if any(not c.is_zero() for c in g.coeffs[3:]):
         raise UnsupportedShapeError("right side must be quadratic")
-    g0, g1, g2 = g[0], (g[1] if order > 1 else ZERO), (g[2] if order > 2 else ZERO)
-    bc = b.coeffs
-    b0 = bc[0]
-    b1 = bc[1] if order > 1 else ZERO
-    b2 = bc[2] if order > 2 else ZERO
-    tail_zero = all(c.is_zero() for c in bc[3:])
-
-    if tail_zero and b2.is_zero() and (b0.is_zero() or b0 == ONE):
-        lam = b1
-        if b0.is_zero() and lam.is_zero():
-            raise UnsupportedShapeError("b = 0 is outside the catalogue")
-        affine = b0 == ONE
-        # resonances: m = lam leaves the t^2 component free, m = -lam the
-        # constant one; each costs one solvability condition
-        if m == lam:
-            obstruction, cond = g2, "g2 = 0"
-        elif m != -lam:
-            obstruction, cond = ZERO, ""
-        elif affine:
-            obstruction, cond = m * m * g0 + m * g1 + g2, "m^2 g0 + m g1 + g2 = 0"
-        else:
-            obstruction, cond = g0, "g0 = 0"
-        if not obstruction.is_zero():
-            return ThirdDerSolution("no-solution", None, condition=f"{cond} fails")
-        x2 = ZERO if m == lam else g2 / (m - lam)
-        x1 = (g1 + x2 + x2) / m if affine else g1 / m
-        x0 = ZERO if m == -lam else ((g0 + x1) if affine else g0) / (m + lam)
-        verdict = "solvable-iff-condition" if cond else "unique"
-        return ThirdDerSolution(verdict, _quad((x0, x1, x2), order), cond)
-
-    if tail_zero and b0.is_zero() and b1.is_zero() and b2 == ONE:
+    res = third_der_resonance(m, b)
+    g0, g1, g2 = _low3(g)
+    b0, lam, _ = _low3(b)
+    if b0.is_zero() and lam.is_zero():
         # b = t^2: triangular, always unique
         x0 = g0 / m
         x1 = (g1 - x0 - x0) / m
         x2 = (g2 - x1) / m
         return ThirdDerSolution("unique", _quad((x0, x1, x2), order))
 
-    raise UnsupportedShapeError("b outside the three supported shapes")
+    affine = b0 == ONE
+    if res is None:
+        obstruction, cond = ZERO, ""
+    elif res == "g2":
+        obstruction, cond = g2, "g2 = 0"
+    elif res == "g0":
+        obstruction, cond = g0, "g0 = 0"
+    else:
+        obstruction, cond = m * m * g0 + m * g1 + g2, "m^2 g0 + m g1 + g2 = 0"
+    if not obstruction.is_zero():
+        return ThirdDerSolution("no-solution", None, condition=f"{cond} fails")
+    x2 = ZERO if res == "g2" else g2 / (m - lam)
+    x1 = (g1 + x2 + x2) / m if affine else g1 / m
+    x0 = ZERO if res in ("g0", "quad") else ((g0 + x1) if affine else g0) / (m + lam)
+    verdict = "solvable-iff-condition" if cond else "unique"
+    return ThirdDerSolution(verdict, _quad((x0, x1, x2), order), cond)
 
 
 def third_der_residual(m: Scalar, b: TSeries, x: TSeries, g: TSeries) -> TSeries:

@@ -452,8 +452,8 @@ class AffinePoly1:
     """const + t1 * slope; every matrix entry in scope is of this form.
 
     The coefficients are both TSeries (a z-coefficient of a ZTSeries, the
-    row ``zt[k]``) or both Planes (the whole ZTSeries).  ``of``, ``zero``
-    and ``compose_t2`` are for TSeries rows.
+    row ``zt[k]``) or both Planes (the whole ZTSeries).  ``compose_t2`` is
+    for TSeries rows.
     """
 
     const: TSeries | Plane
@@ -468,17 +468,6 @@ class AffinePoly1:
     @property
     def order(self):
         return self.const.order
-
-    @staticmethod
-    def of(const: TSeries, slope: TSeries | None = None) -> AffinePoly1:
-        if slope is None:
-            slope = TSeries.zero(const.order)
-        return AffinePoly1(const, slope)
-
-    @staticmethod
-    def zero(order: int) -> AffinePoly1:
-        z = TSeries.zero(order)
-        return AffinePoly1(z, z)
 
     def is_zero(self) -> bool:
         return self.const.is_zero() and self.slope.is_zero()

@@ -238,18 +238,64 @@ def test_cli_order_flags_must_match_a_document(tmp_path):
 
 def test_cli_orders_default_to_16_without_flags(tmp_path):
     # fixtures and the series commands still default to the (16, 16) window
-    sixteen = ("--order-z", "16", "--order-t", "16")
-    for argv in (
-        ("verify", "nf3_2"),
-        ("formal-nf", "nf3_2"),
-        ("euler-nf", "--g", "0,1"),
-        ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2"),
+    # (euler-nf reads no z-order)
+    z16, t16 = ("--order-z", "16"), ("--order-t", "16")
+    for flags, argv in (
+        (z16 + t16, ("verify", "nf3_2")),
+        (z16 + t16, ("formal-nf", "nf3_2")),
+        (t16, ("euler-nf", "--g", "0,1")),
+        (z16 + t16, ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2")),
     ):
-        assert _main(*argv) == _main(*sixteen, *argv)
+        assert _main(*argv) == _main(*flags, *argv)
     code, out, _err = _main("write-fixtures", str(tmp_path))
     assert code == 0
     doc = loads_document((tmp_path / "nf3_2.json").read_text())
     assert doc["orders"]["nz"] == doc["orders"]["nt"] == 16
+
+
+DOCUMENT_COMMANDS = {"verify", "prenormal", "formal-nf", "formal-iso", "classify"}
+
+# Each global flag, a value for it, and the commands that read it.
+FLAG_READERS = {
+    ("--order-z", "6"): DOCUMENT_COMMANDS | {"malgrange", "write-fixtures"},
+    ("--order-t", "6"): DOCUMENT_COMMANDS
+    | {"malgrange", "euler-nf", "euler-realizable", "write-fixtures"},
+    ("--kmax", "2"): {"classify"},
+    ("--fixtures", "."): DOCUMENT_COMMANDS,
+}
+
+
+def test_cli_flags_a_command_does_not_read_exit_2(tmp_path):
+    # every (flag, command) pair: a flag the command reads runs (exit 0),
+    # one it does not read is refused instead of silently ignored
+    doc = str(tmp_path / "f1_r2.json")
+    save_structure(build_fixture("f1_r2", 6, 6), doc)
+    runs = {  # one quick run of each command, on the (6, 6) document
+        "verify": ("verify", doc),
+        "prenormal": ("prenormal", doc),
+        "formal-nf": ("formal-nf", doc),
+        "formal-iso": ("formal-iso", doc, doc),
+        "classify": ("classify", doc),
+        "birkhoff-iso": ("birkhoff-iso", "--left", "0,0,1,0", "--right", "0,0,1,1"),
+        "malgrange": ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2",
+                      "--out", str(tmp_path / "universal.json")),
+        "euler-nf": ("euler-nf", "--g", "0,1"),
+        "euler-realizable": ("euler-realizable", "--g", "0,0,1"),
+        "selftest": ("selftest", "--fast"),
+        "write-fixtures": ("write-fixtures", str(tmp_path / "fixtures")),
+    }
+    refused = 0
+    for (flag, value), readers in FLAG_READERS.items():
+        for command, argv in runs.items():
+            code, out, err = _main(flag, value, *argv)
+            if command in readers:
+                assert code == 0, (flag, command, err)
+            else:
+                assert code == 2, (flag, command)
+                assert err == f"parse error: {flag} has no effect on {command}\n"
+                assert out == ""
+                refused += 1
+    assert refused == 22  # of the 44 pairs, 22 are read
 
 
 def test_cli_negative_kmax_exits_2():

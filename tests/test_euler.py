@@ -80,17 +80,17 @@ def test_higher_order_cases():
 
 
 def _lam_by_recursion(g: TSeries) -> TSeries:
-    """E1/E3 automorphism by the t w' + A w = b coefficient recursion."""
+    """E1/E3 automorphism by the t w' + a w = b coefficient recursion."""
     order = g.order
     if g.valuation() == 0:
         # t w' + w = 1/g, lam = t w
-        sol = odekit.solve_linear_t_ode([[TSeries.one(order)]], [g.invert()])
-        return sol.u[0].shift(1)
+        sol = odekit.solve_linear_t_ode(TSeries.one(order), g.invert())
+        return sol.u.shift(1)
     # g = t/f: t w' + (1 - c0 f) w = 0, singular at n = 0; pin w(0) = 1
     f = TSeries(g.coeffs[1:]).invert()
     coeff = TSeries.one(f.order) - f.scale(ONE / f.at0())
-    sol = odekit.solve_linear_t_ode([[coeff]], [TSeries.zero(f.order)])
-    assert (0, 0) in sol.free_parameters
+    sol = odekit.solve_linear_t_ode(coeff, TSeries.zero(f.order))
+    assert 0 in sol.free_orders
     w = [ONE]
     for n in range(1, f.order):
         acc = ZERO

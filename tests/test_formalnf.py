@@ -19,8 +19,8 @@ from connexa.formalnf import (
     normal_form_prenormal,
     solve_b2_extensions,
     to_prenormal,
+    _SHAPE_B20,
     _quad_coeffs,
-    _resonance,
 )
 from connexa.fixtures import build_fixture, fixture_names
 from connexa.scalars import HALF, ONE, S, ZERO, integer
@@ -280,6 +280,43 @@ def test_all_normal_forms_flat():
         assert flatness_residuals(build_normal_form(nf, NZ, NT)).flat
 
 
+def _resonance(shape, lam, m):
+    """The zero-family resonance table as formalnf kept it: which
+    coefficient of g obstructs m x + b' x - b x' = g, if any."""
+    if shape in ("zero", "square"):
+        return None
+    mm = integer(m)
+    if shape == "linear":
+        if mm == lam:
+            return "g2"
+        if mm == -lam:
+            return "g0"
+        return None
+    if shape in ("one", "affine"):
+        if mm == lam:
+            return "g2"
+        if mm == -lam:
+            return "quad"
+        return None
+    return None
+
+
+def test_third_der_resonance_matches_old_table():
+    lams = [integer(k) for k in range(-6, 7)] + [S("1/2"), S("-5/3"), S(2, 1), S(0, -3)]
+    cases = [("one", ZERO), ("square", ONE)]
+    cases += [("affine", lam) for lam in lams]
+    cases += [("linear", lam) for lam in lams if not lam.is_zero()]
+    hits = set()
+    for nt in (3, 5, 8):
+        for shape, lam in cases:
+            b = _SHAPE_B20[shape](lam, nt)
+            for m in range(-7, 8):
+                want = _resonance(shape, lam, m)
+                assert odekit.third_der_resonance(integer(m), b) == want, (shape, lam, m)
+                hits.add(want)
+    assert hits == {None, "g2", "g0", "quad"}
+
+
 def _zero_family_recursion_rebuilt(p, shape, lam):
     """The recursion as it rebuilt every difference and derivative inside
     its loops: the reference the formed-once version is checked against."""
@@ -373,8 +410,10 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     recursion = formalnf._zero_family_recursion
     calls = []
 
-    def checked(p, shape, lam):
-        got = recursion(p, shape, lam)
+    def checked(p, shape):
+        got = recursion(p, shape)
+        # b = lam t2 (+ 1) on the catalogue; the other shapes ignore lam
+        lam = p.b2[0].const[1]
         assert got == _zero_family_recursion_rebuilt(p, shape, lam)
         calls.append(got[1] is not None)
         return got

@@ -10,62 +10,98 @@ from connexa.series import Laurent, TSeries
 
 from conftest import rand_nonzero, rand_scalar
 from fraction_scalar import F_ZERO, f_integer, frac_coeffs, from_frac, to_frac
+from linear_system_oracle import solve_linear_t_ode_system
 
 
 def test_linear_ode_scalar_example():
     # t u' + u = sum t^n  ->  u_n = 1/(n+1)
     order = 8
-    a = [[TSeries.one(order)]]
-    b = [TSeries.of([1] * order, order)]
+    a = TSeries.one(order)
+    b = TSeries.of([1] * order, order)
     sol = odekit.solve_linear_t_ode(a, b)
-    assert sol.u[0] == TSeries.of(
-        [Fraction(1, n + 1) for n in range(order)], order
-    )
-    assert not sol.free_parameters
+    assert sol.u == TSeries.of([Fraction(1, n + 1) for n in range(order)], order)
+    assert not sol.free_orders
 
 
 def test_linear_ode_zero_rhs_unique():
     order = 6
-    a = [[TSeries.const(S("1/2"), order)]]  # no nonpositive-integer eigenvalue
-    sol = odekit.solve_linear_t_ode(a, [TSeries.zero(order)])
-    assert sol.u[0].is_zero()
+    a = TSeries.const(S("1/2"), order)  # no nonpositive-integer eigenvalue
+    sol = odekit.solve_linear_t_ode(a, TSeries.zero(order))
+    assert sol.u.is_zero()
 
 
 def test_linear_ode_unit_leading_value():
     # t w' + w = 1/g has w(0) = 1/g(0)
     order = 6
     g = TSeries.of([2, 1, 1], order)
-    sol = odekit.solve_linear_t_ode([[TSeries.one(order)]], [g.invert()])
-    assert sol.u[0][0] == S("1/2")
+    sol = odekit.solve_linear_t_ode(TSeries.one(order), g.invert())
+    assert sol.u[0] == S("1/2")
 
 
 def test_linear_ode_inconsistent():
     order = 4
-    a = [[TSeries.zero(order)]]  # step n=0 singular: 0*u0 = b0
-    with pytest.raises(NoFormalSolutionError):
-        odekit.solve_linear_t_ode(a, [TSeries.one(order)])
+    a = TSeries.zero(order)  # step n=0 singular: 0*u0 = b0
+    with pytest.raises(NoFormalSolutionError, match="inconsistent singular step at order 0"):
+        odekit.solve_linear_t_ode(a, TSeries.one(order))
 
 
 def test_linear_ode_free_parameter_and_residual(rng):
     order = 8
     for _ in range(100):
-        a = [
-            [
-                TSeries.of([rand_scalar(rng, 2) for _ in range(3)], order)
-                for _ in range(2)
-            ]
-            for _ in range(2)
-        ]
-        b = [
-            TSeries.of([rand_scalar(rng, 2) for _ in range(4)], order)
-            for _ in range(2)
-        ]
+        a = TSeries.of([rand_scalar(rng, 2) for _ in range(3)], order)
+        b = TSeries.of([rand_scalar(rng, 2) for _ in range(4)], order)
         try:
             sol = odekit.solve_linear_t_ode(a, b)
         except NoFormalSolutionError:
             continue
-        res = odekit.linear_t_ode_residual(a, b, sol.u)
-        assert all(r.is_zero() for r in res)
+        assert (sol.u.xdx() + a * sol.u - b).is_zero()
+
+
+def _rand_linear_ode_input(rnd, order, sparse):
+    """a with a_0 = -k inside the window a third of the time (a resonance at
+    order k), b zero a quarter of the time; dense or sparse tails."""
+
+    def tail(count):
+        return [
+            rand_scalar(rnd, 3, gauss=rnd.random() < 0.5)
+            if not sparse or rnd.random() < 0.3
+            else ZERO
+            for _ in range(count)
+        ]
+
+    a_coeffs = tail(order)
+    pick = rnd.random()
+    if pick < 1 / 3:
+        a_coeffs[0] = integer(-rnd.randrange(order))
+    elif pick < 1 / 2:
+        a_coeffs[0] = ZERO
+    b = TSeries.zero(order) if rnd.random() < 0.25 else TSeries(tail(order))
+    return TSeries(a_coeffs), b
+
+
+def test_linear_ode_matches_system_oracle():
+    """The scalar recursion against the d×d Gauss–Jordan recursion at d = 1:
+    the same u, the same free orders, the same inconsistent inputs."""
+    rnd = random.Random(20261018)
+    outcomes = {"solved": 0, "free": 0, "raised": 0}
+    for trial in range(1260):
+        order = 1 + trial % 18
+        a, b = _rand_linear_ode_input(rnd, order, sparse=trial % 4 >= 2)
+        try:
+            want_u, want_free = solve_linear_t_ode_system([[a]], [b])
+        except NoFormalSolutionError as exc:
+            with pytest.raises(NoFormalSolutionError) as got:
+                odekit.solve_linear_t_ode(a, b)
+            assert str(got.value) == str(exc)
+            outcomes["raised"] += 1
+            continue
+        sol = odekit.solve_linear_t_ode(a, b)
+        assert sol.u == want_u[0], (trial, a, b)
+        assert all(j == 0 for _, j in want_free)
+        assert sol.free_orders == tuple(n for n, _ in want_free)
+        outcomes["solved"] += 1
+        outcomes["free"] += bool(sol.free_orders)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_third_der_worked_example():

@@ -17,7 +17,6 @@ from connexa.formalnf import (
     to_prenormal,
 )
 from connexa.malgrange import build_hnf
-from connexa.odekit import solve_linear_system
 from connexa.origin import (
     BirkhoffData,
     BirkhoffReduction,
@@ -44,6 +43,7 @@ from connexa.selftest import _random_unit_family_gauge
 from connexa.series import TSeries
 
 from conftest import rand_nonzero, rand_scalar
+from linear_system_oracle import solve_linear_system
 
 NZ = NT = 8
 

@@ -398,15 +398,25 @@ def test_canonical_form():
 # the AffinePoly1 z-coefficients it was built from.
 
 
+def _affine_zero(order):
+    z = TSeries.zero(order)
+    return AffinePoly1(z, z)
+
+
+def _affine_of(const):
+    """The t1-free row const + t1 * 0."""
+    return AffinePoly1(const, TSeries.zero(const.order))
+
+
 def _oracle_zt_mul(a_rows, b_rows):
     """The row-wise ZTSeries product the planes replaced, kept verbatim."""
     nz, nt = len(a_rows), a_rows[0].order
     if all(a.is_zero() for a in a_rows) or all(b.is_zero() for b in b_rows):
-        return [AffinePoly1.zero(nt) for _ in range(nz)]
+        return [_affine_zero(nt) for _ in range(nz)]
     support = [
         (j, b) for j, b in enumerate(b_rows) if not b.is_zero()
     ]
-    out = [AffinePoly1.zero(nt) for _ in range(nz)]
+    out = [_affine_zero(nt) for _ in range(nz)]
     for i, a in enumerate(a_rows):
         if a.is_zero():
             continue
@@ -498,7 +508,7 @@ def test_plane_product_matches_row_oracle(pair):
     assert got == ZTSeries(want)
     if b.is_t1_free():
         t = b_rows[0].const
-        t_rows = [AffinePoly1.of(t)] + [AffinePoly1.zero(a.nt)] * (a.nz - 1)
+        t_rows = [_affine_of(t)] + [_affine_zero(a.nt)] * (a.nz - 1)
         assert a.mul_t(t) == ZTSeries(_oracle_zt_mul(a_rows, t_rows))
 
 
@@ -508,7 +518,7 @@ def test_plane_ops_match_rows(pair, c, k):
     a_rows, b_rows = pair
     a, b = ZTSeries(a_rows), ZTSeries(b_rows)
     nz, nt = a.orders
-    zero = AffinePoly1.zero(nt)
+    zero = _affine_zero(nt)
     kz, kt = min(k, nz), min(k, nt)
 
     def scaled(rows, w):
@@ -556,7 +566,7 @@ def test_ztseries_canonical_form():
     nz, nt = 4, 3
     rows = [
         AffinePoly1(TSeries.of([S("1/2"), 0, S(1, "1/3")], nt), TSeries.zero(nt)),
-        AffinePoly1.zero(nt),
+        _affine_zero(nt),
         AffinePoly1(TSeries.of([0, S("-5/6")], nt), TSeries.of([S("3/4")], nt)),
         AffinePoly1(TSeries.of([2], nt), TSeries.zero(nt)),
     ]
@@ -572,29 +582,29 @@ def test_ztseries_canonical_form():
         (a.scale(S(3)).scale(third), a),
         ((z + t2) * (z - t2), ZTSeries([
             AffinePoly1(TSeries.of([0, 0, -1], nt), TSeries.zero(nt)),
-            AffinePoly1.zero(nt),
-            AffinePoly1.of(TSeries.one(nt)),
-            AffinePoly1.zero(nt),
+            _affine_zero(nt),
+            _affine_of(TSeries.one(nt)),
+            _affine_zero(nt),
         ])),
         ((one + t1.scale(third)) * z.scale(S(3)), ZTSeries([
-            AffinePoly1.zero(nt),
+            _affine_zero(nt),
             AffinePoly1(TSeries.const(S(3), nt), TSeries.one(nt)),
-            AffinePoly1.zero(nt),
-            AffinePoly1.zero(nt),
+            _affine_zero(nt),
+            _affine_zero(nt),
         ])),
         (
             z.shift_z(2) + t2.shift_z(4),
-            ZTSeries([AffinePoly1.zero(nt)] * 3 + [AffinePoly1.of(TSeries.one(nt))]),
+            ZTSeries([_affine_zero(nt)] * 3 + [_affine_of(TSeries.one(nt))]),
         ),
         (a - a, ZTSeries.zero(nz, nt)),
         (t2 * t2 * t2, ZTSeries.zero(nz, nt)),  # t2^3 lies past the window
         (
             (z + t2.scale(S(0, 1))) * (z - t2.scale(S(0, 1))),
             ZTSeries([
-                AffinePoly1.of(TSeries.of([0, 0, 1], nt)),
-                AffinePoly1.zero(nt),
-                AffinePoly1.of(TSeries.one(nt)),
-                AffinePoly1.zero(nt),
+                _affine_of(TSeries.of([0, 0, 1], nt)),
+                _affine_zero(nt),
+                _affine_of(TSeries.one(nt)),
+                _affine_zero(nt),
             ]),
         ),
         ((one + z) * (one + z).invert(), one),
