@@ -1,7 +1,8 @@
 """Batch front door: parse structure documents, run pipelines, emit reports.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 known criterion discrepancy flagged by a decision certificate.
+Exit codes: 0 success, 2 parse error or a path that cannot be read or
+written, 3 precondition violation, 4 known criterion discrepancy flagged
+by a decision certificate.
 """
 
 from __future__ import annotations
@@ -372,6 +373,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ExactAlgebraError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

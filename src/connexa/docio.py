@@ -7,13 +7,16 @@ then t2-power; scalars use the text form "p/q+r/s*i".
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import chain
+from math import lcm
 from typing import Any
 
 from .connmat import Mat2, TEStruct
 from .errors import DocumentError
 from .scalars import Scalar
-from .series import AffinePoly1, TSeries, ZTSeries
+from .series import AffinePoly1, Plane, TSeries, ZTSeries
 
 FORMAT_TAG = "connexa-structure/1"
 
@@ -32,28 +35,76 @@ def _ts_to_json(t: TSeries) -> list[str]:
     return [str(c) for c in t.coeffs]
 
 
-def _ts_from_json(data: Any, nt: int) -> TSeries:
-    if not isinstance(data, list) or len(data) != nt:
-        raise DocumentError("coefficient array has the wrong length")
-    return TSeries(tuple(Scalar.parse(str(x)) for x in data))
-
-
 def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
     rows = (z[k] for k in range(z.nz))
     return [[_ts_to_json(a.const), _ts_to_json(a.slope)] for a in rows]
 
 
+# Coefficient arrays of plain integers, joined with ",": the ASCII-digit
+# rule of Scalar.parse's integer fast path (int() alone would also take
+# " 1" and "1_0").
+_INT_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _ints_from_json(data: list) -> list[int] | None:
+    """The literals of ``data`` as ints, or None unless every one is a str
+    of plain integer text within the int/str conversion limit."""
+    try:
+        if _INT_ROW.fullmatch(",".join(data)):
+            return list(map(int, data))
+    except (TypeError, ValueError):
+        pass  # a literal that is no str, holds a comma, or has too many digits
+    return None
+
+
+def _row_from_json(data: list) -> tuple[list[int], list[int], int]:
+    """Numerators re and im and the denominator of one t2-coefficient
+    array, in canonical form; only a literal that is not a plain integer
+    becomes a Scalar."""
+    ints = _ints_from_json(data)
+    if ints is not None:
+        return ints, [0] * len(ints), 1
+    cs = [Scalar.parse(str(x)) for x in data]
+    den = lcm(*[c.d for c in cs])
+    return [c.a * (den // c.d) for c in cs], [c.b * (den // c.d) for c in cs], den
+
+
+def _plane_from_json(rows: list[list], nt: int) -> Plane:
+    """The plane whose z-row k holds the literals ``rows[k]``.
+
+    A plane of plain integers is read by int() in one pass; otherwise each
+    row is read alone, and over the lcm of the canonical row denominators
+    the form is canonical again.
+    """
+    ints = _ints_from_json(list(chain.from_iterable(rows)))
+    if ints is not None:
+        return Plane._ints(len(rows), nt, ints, [0] * len(ints), 1, 1)
+    parsed = [_row_from_json(row) for row in rows]
+    den = lcm(*[d for _, _, d in parsed])
+    re_: list[int] = []
+    im: list[int] = []
+    for r, i, d in parsed:
+        m = den // d
+        re_ += r if m == 1 else [x * m for x in r]
+        im += i if m == 1 else [y * m for y in i]
+    return Plane._ints(len(rows), nt, re_, im, den, 1)
+
+
 def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:
     if not isinstance(data, list) or len(data) != nz:
         raise DocumentError("z-coefficient array has the wrong length")
-    rows = []
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentError("each z-slot must be [const, slope]")
-        rows.append(
-            AffinePoly1(_ts_from_json(entry[0], nt), _ts_from_json(entry[1], nt))
+        for row in entry:
+            if not isinstance(row, list) or len(row) != nt:
+                raise DocumentError("coefficient array has the wrong length")
+    return ZTSeries._of(
+        AffinePoly1(
+            _plane_from_json([e[0] for e in data], nt),
+            _plane_from_json([e[1] for e in data], nt),
         )
-    return ZTSeries(tuple(rows))
+    )
 
 
 def _mat_to_json(m: Mat2) -> dict:
@@ -101,17 +152,16 @@ def structure_from_document(doc: Any) -> TEStruct:
     orders = doc.get("orders")
     if not isinstance(orders, dict):
         raise DocumentError("missing orders")
-    try:
-        nz = int(orders["nz"])
-        nt = int(orders["nt"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DocumentError("orders must carry integer nz/nt") from exc
+    nz, nt = orders.get("nz"), orders.get("nt")
+    # JSON integers only: int() would read 4.7 as 4, and true is an int
+    if type(nz) is not int or type(nt) is not int:
+        raise DocumentError("orders must carry integer nz/nt")
     if nz < 1 or nt < 1:
         raise DocumentError("orders nz/nt must be positive")
     if nz > MAX_ORDER or nt > MAX_ORDER:
         raise DocumentError(f"orders nz/nt must be at most {MAX_ORDER}")
     t1_degree = orders.get("t1_degree", 1)
-    if not isinstance(t1_degree, int):
+    if type(t1_degree) is not int:
         raise DocumentError("t1_degree must be an integer")
     if t1_degree > 1:
         raise DocumentError("documents with t1-degree above 1 are rejected")
@@ -134,7 +184,9 @@ def dumps_document(doc: dict) -> str:
 def loads_document(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and a number literal past the
+        # int/str conversion limit; RecursionError, arrays nested too deep
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
@@ -144,8 +196,14 @@ def save_structure(s: TEStruct, path: str):
 
 
 def load_structure(path: str) -> TEStruct:
-    with open(path, encoding="utf-8") as fh:
-        return structure_from_document(loads_document(fh.read()))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return structure_from_document(loads_document(text))
 
 
 @dataclass

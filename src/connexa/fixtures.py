@@ -73,9 +73,12 @@ def resolve_structure(
     an order is None.  A document keeps the window it declares, and an
     order given for it must agree with that window.
     """
+    search = fixtures_dir or os.environ.get(FIXTURES_ENV)
+    if search and not os.path.isdir(search):
+        # searched nowhere, a name would silently fall to a built-in fixture
+        raise DocumentError(f"fixtures path {search!r} is not a directory")
     if os.path.exists(name_or_path):
         return _load_at(name_or_path, nz, nt)
-    search = fixtures_dir or os.environ.get(FIXTURES_ENV)
     if search:
         candidate = os.path.join(search, name_or_path)
         for path in (candidate, candidate + ".json"):

@@ -298,6 +298,30 @@ def test_cli_flags_a_command_does_not_read_exit_2(tmp_path):
     assert refused == 22  # of the 44 pairs, 22 are read
 
 
+def test_cli_unwritable_paths_exit_2(tmp_path):
+    # nothing can be created under a regular file: one line, exit 2
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (
+        ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2", "--out", str(blocker / "x.json")),
+        ("--order-z", "4", "--order-t", "4", "write-fixtures", str(blocker / "x")),
+    ):
+        code, out, err = _main(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("I/O error: ") and err.count("\n") == 1
+
+
+def test_cli_missing_fixtures_dir_exits_2(tmp_path, monkeypatch):
+    # a name is not silently read as the built-in fixture of that name
+    missing = str(tmp_path / "missing")
+    argv = ("--order-z", "4", "--order-t", "4", "verify", "f1_r2")
+    code, out, err = _main("--fixtures", missing, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: fixtures path {missing!r} is not a directory\n"
+    monkeypatch.setenv("CONNEXA_FIXTURES", missing)
+    assert _main(*argv)[0] == 2
+
+
 def test_cli_negative_kmax_exits_2():
     # no k would be searched, so no verdict may be reported
     out = _run("--order-z", "8", "--order-t", "8", "--kmax", "-1", "classify", "mal1")

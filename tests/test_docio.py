@@ -1,0 +1,318 @@
+"""The document loader: components read straight into integer planes,
+checked against the row-wise oracle, and hostile documents refused."""
+
+import contextlib
+import copy
+import io
+import json
+import subprocess
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import document_oracle
+from connexa import cli, docio
+from connexa.docio import (
+    dumps_document,
+    load_structure,
+    loads_document,
+    structure_from_document,
+    structure_to_document,
+)
+from connexa.errors import DocumentError
+from connexa.fixtures import build_fixture
+from connexa.scalars import Scalar
+from connexa.series import TSeries
+
+# A literal past the int/str conversion limit of 4,300 digits.
+LONG = "7" * 5000
+
+# Literals on both sides of the integer fast path: text int() reads but the
+# ASCII-digit rule does not, text only Scalar.parse reads, JSON values that
+# are no str, and what no reader takes.
+odd_literals = st.sampled_from(
+    [
+        "0", "-0", "007", "-007", "1_0", " 1", "1 ", "+1", "٣", "１",
+        "", "-", "--1", "1/2+3*i", "-3/4*i", "i", "1/0", "1e400", "1,2",
+        LONG, "-" + LONG, True, False, 1.5, 2, None, [1], [], {"a": 1},
+    ]
+)
+int_literals = st.integers(-(10**30), 10**30).map(str)
+fraction_literals = st.builds(
+    lambda p, q, r, s: str(Scalar.parse(f"{p}/{q}") + Scalar.parse(f"{r}/{s}*i")),
+    st.integers(-50, 50),
+    st.integers(1, 12),
+    st.integers(-50, 50),
+    st.integers(1, 12),
+)
+literals = st.one_of(int_literals, int_literals, fraction_literals, odd_literals)
+
+
+@st.composite
+def components(draw):
+    """A component's z-slots, mostly integer rows, a few mixed or of the
+    wrong length."""
+    nz, nt = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def row():
+        n = draw(st.sampled_from([nt] * 8 + [nt - 1, nt + 1]))
+        pool = draw(st.sampled_from([int_literals, int_literals, literals]))
+        return draw(st.lists(pool, min_size=n, max_size=n))
+
+    return [[row(), row()] for _ in range(nz)], nz, nt
+
+
+@given(components())
+@settings(max_examples=400, deadline=None)
+def test_planes_match_row_oracle(case):
+    data, nz, nt = case
+    try:
+        want = document_oracle._zt_from_json(data, nz, nt)
+    except DocumentError:
+        with pytest.raises(DocumentError):
+            docio._zt_from_json(data, nz, nt)
+        return
+    assert docio._zt_from_json(data, nz, nt) == want
+
+
+def _plain(x) -> bool:
+    return isinstance(x, str) and x.lstrip("-").isdigit() and x.isascii()
+
+
+def test_integer_literals_build_no_scalar(monkeypatch):
+    # only the rows that hold a literal other than a plain integer go
+    # through Scalar.parse, and no row becomes a TSeries
+    doc = structure_to_document(build_fixture("nf3_4", 8, 8))
+    want = structure_from_document(copy.deepcopy(doc))
+    parsed = []
+    parse = Scalar.parse
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    def no_row(self, coeffs):
+        raise AssertionError("a TSeries row was built")
+
+    monkeypatch.setattr(Scalar, "parse", staticmethod(counting_parse))
+    monkeypatch.setattr(TSeries, "__init__", no_row)
+    assert structure_from_document(doc) == want
+    rows = [
+        row
+        for mat in doc["matrices"].values()
+        for comp in mat.values()
+        for slot in comp
+        for row in slot
+    ]
+    mixed = [row for row in rows if not all(map(_plain, row))]
+    assert 0 < len(mixed) < len(rows)
+    assert len(parsed) == sum(map(len, mixed))
+
+
+# -- hostile documents --------------------------------------------------------
+
+RAW = "@@raw@@"  # a node replaced by raw JSON text after serialising
+DEEP = "[" * 200_000 + "]" * 200_000
+LONG_NUMBER = "9" * 5000  # a JSON number past the conversion limit
+
+BAD_LITERALS = [
+    "", "-", "--1", "1/0", "1e400", "1E2", "1+2", "i*i", "1/2/3", "0x10",
+    "1,2", "nan", "inf", LONG, True, False, None, [1], [], {},
+]
+# Raw JSON text for any node: deep nesting and numbers past the limit.
+BAD_RAW = [DEEP, LONG_NUMBER, "-" + LONG_NUMBER]
+BAD_ORDER = [True, False, 3.0, 4.7, "3", None, [3], {}, 0, -1, 65]
+BAD_T1_DEGREE = [True, False, 1.0, "1", None, [1], {}, 2]
+BAD_NODE = ["x", 3, 1.5, None, True, [], {}]
+
+# A small document with integer and fraction rows: nz = nt = 3, so every
+# array and every wrapped node has a length the loader refuses.
+BASE = structure_to_document(build_fixture("nf3_4", 3, 3))
+
+
+def _paths(node, path=()):
+    """(path, kind) of every node below the root."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            sub = path + (key,)
+            if isinstance(value, (dict, list)):
+                yield sub, type(value).__name__
+                yield from _paths(value, sub)
+            elif path == ("orders",):
+                yield sub, "t1_degree" if key == "t1_degree" else "order"
+            elif len(path) > 1:
+                yield sub, "literal"
+            else:
+                yield sub, key  # format or kind
+    else:
+        for idx, value in enumerate(node):
+            sub = path + (idx,)
+            yield sub, "list" if isinstance(value, list) else "literal"
+            if isinstance(value, list):
+                yield from _paths(value, sub)
+
+
+PATHS = list(_paths(BASE))
+LITERAL_PATHS = [p for p, kind in PATHS if kind == "literal"]
+ARRAY_PATHS = [p for p, kind in PATHS if kind == "list"]
+# Keys a document cannot do without: "kind" and "t1_degree" have defaults.
+REQUIRED = [("format",), ("orders",), ("matrices",), ("orders", "nz"), ("orders", "nt")] + [
+    p for p, _ in PATHS if p[0] == "matrices" and len(p) in (2, 3)
+]
+
+
+def _set(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _text(doc, raw=None) -> bytes:
+    text = dumps_document(doc)
+    if raw is not None:
+        text = text.replace(json.dumps(RAW), raw)
+    return text.encode("utf-8")
+
+
+@st.composite
+def hostile_documents(draw):
+    """Bytes of a document with one fault: a type, a length, a literal, a
+    nesting or an encoding that the loader must refuse."""
+    doc = copy.deepcopy(BASE)
+    kind = draw(
+        st.sampled_from(["literal", "raw", "length", "type", "missing", "nest", "encoding"])
+    )
+    if kind == "literal":
+        _set(doc, draw(st.sampled_from(LITERAL_PATHS)), draw(st.sampled_from(BAD_LITERALS)))
+    elif kind == "raw":
+        _set(doc, draw(st.sampled_from([p for p, _ in PATHS])), RAW)
+        return _text(doc, draw(st.sampled_from(BAD_RAW)))
+    elif kind == "length":
+        array = _get(doc, draw(st.sampled_from(ARRAY_PATHS)))
+        if draw(st.booleans()):
+            array.pop()
+        else:
+            array.append(copy.deepcopy(array[-1]))
+    elif kind == "type":
+        path, node = draw(st.sampled_from(PATHS))
+        bad = {
+            "literal": BAD_LITERALS,
+            "order": BAD_ORDER,
+            "t1_degree": BAD_T1_DEGREE,
+            "kind": ["X", None, 1, ["TE"]],
+        }.get(node, BAD_NODE)
+        _set(doc, path, draw(st.sampled_from(bad)))
+    elif kind == "missing":
+        path = draw(st.sampled_from(REQUIRED))
+        del _get(doc, path[:-1])[path[-1]]
+    elif kind == "nest":
+        path, _ = draw(st.sampled_from(PATHS + [((), "root")]))
+        node = _get(doc, path)
+        for _ in range(draw(st.sampled_from([1, 2, 50]))):
+            node = [node]
+        if not path:
+            return _text(node)
+        _set(doc, path, node)
+    else:
+        text = dumps_document(doc)
+        how = draw(st.sampled_from(["utf-16", "utf-32", "latin-1", "byte", "cut"]))
+        if how == "byte":  # the text is ASCII; no UTF-8 has these bytes after ASCII
+            at = draw(st.integers(0, len(text)))
+            byte = bytes([draw(st.sampled_from([0x80, 0xBF, 0xC0, 0xFF]))])
+            return text[:at].encode() + byte + text[at:].encode()
+        if how == "cut":
+            return text[: draw(st.integers(0, len(text) - 1))].encode()
+        if how == "latin-1":  # é is the one byte 0xE9, a lead byte left unfinished
+            at = draw(st.integers(0, len(text)))
+            return (text[:at] + "é" + text[at:]).encode("latin-1")
+        return text.encode(how)
+    return _text(doc)
+
+
+def _verify(path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(hostile_documents())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_hostile_documents_exit_2(tmp_path, data):
+    target = tmp_path / "hostile.json"
+    target.write_bytes(data)
+    code, out, err = _verify(target)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def doc_with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    _set(doc, path, value)
+    return doc
+
+
+# The known reproducers, once each: nesting, encoding and long numbers used
+# to end in a traceback (exit 1); a float or a bool in orders was read as
+# some other integer.
+REPRODUCERS = {
+    "nested_200000_deep": DEEP.encode(),
+    "nested_literal": _text(doc_with(BASE, ("matrices", "A1", "c1", 0, 0, 0), RAW), DEEP),
+    "not_utf8": b"\xff\xfe{}",
+    "long_number_coefficient": _text(
+        doc_with(BASE, ("matrices", "B", "e", 1, 0, 2), RAW), LONG_NUMBER
+    ),
+    "long_number_nz": _text(doc_with(BASE, ("orders", "nz"), RAW), LONG_NUMBER),
+    "nz_float": _text(doc_with(BASE, ("orders", "nz"), 4.7)),
+    "nz_true": _text(doc_with(BASE, ("orders", "nz"), True)),
+    "t1_degree_true": _text(doc_with(BASE, ("orders", "t1_degree"), True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCERS))
+def test_hostile_reproducers_exit_2(tmp_path, name):
+    target = tmp_path / f"{name}.json"
+    target.write_bytes(REPRODUCERS[name])
+    with pytest.raises(DocumentError):
+        load_structure(str(target))
+    out = subprocess.run(
+        [sys.executable, "-m", "connexa.cli", "verify", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("parse error: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_loads_document_refuses_what_json_cannot_hold():
+    for text in (DEEP, "[" + LONG_NUMBER + "]", '{"nz": -' + LONG_NUMBER + "}"):
+        with pytest.raises(DocumentError, match="invalid JSON"):
+            loads_document(text)
+
+
+def test_directory_as_document_exits_2(tmp_path):
+    with pytest.raises(DocumentError, match="cannot read"):
+        load_structure(str(tmp_path))
+    code, out, err = _verify(tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_orders_hold_json_integers():
+    for key, value in (("nz", 4.7), ("nz", 3.0), ("nz", True), ("nz", "3"),
+                       ("nt", False), ("t1_degree", True), ("t1_degree", 1.0)):
+        with pytest.raises(DocumentError, match="integer"):
+            structure_from_document(doc_with(BASE, ("orders", key), value))
+    structure_from_document(copy.deepcopy(BASE))  # the unmutated base loads
