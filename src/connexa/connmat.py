@@ -1,14 +1,13 @@
 """2x2 matrix algebra in the {C1, C2, D, E} basis and the structure model.
 
 The basis is C1 = Id, C2 lower triangular, D diagonal, E upper triangular,
-with the product table
+with the product table (``_PRODUCT`` in coordinates)
 
     C2*C2 = 0      D*D = C1       E*E = 0
     C2*D  = C2     D*C2 = -C2     D*E = E      E*D = -E
     C2*E  = (C1 - D)/2            E*C2 = (C1 + D)/2
 
-Products are computed entrywise, through (m11, m12, m21, m22) =
-(c1 + d, e, c2, c1 - d), which satisfies that table.
+and the entries (m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d).
 
 A structure is a triple (A1, A2, B) of such matrices over the z/t series
 ring, with connection data z^{-1} A_i dt_i + z^{-2} B dz.
@@ -26,23 +25,20 @@ from .errors import (
     UnfoldingError,
 )
 from .euler import EulerField
-from .scalars import HALF, ONE, ZERO, Scalar
-from .series import TSeries, ZTSeries
+from .scalars import HALF, ONE, ZERO, Scalar, dot
+from .series import AffinePoly1, TSeries, ZTSeries, plane_dot, t2_powers
 
 _NEG_HALF = -HALF
 
-
-def _mul_entries(a: tuple, b: tuple) -> tuple:
-    """Product of two 2x2 matrices given as (m11, m12, m21, m22) over any
-    commutative ring: eight ring products."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
+# The product table per output coordinate of (c1, c2, d, e), as
+# (denominator, ((m, x, y), ...)) for sum m a_x b_y / denominator; e.g.
+# c1 = a1 b1 + ad bd + (a2 be + ae b2)/2.
+_PRODUCT = (
+    (2, ((2, 0, 0), (2, 2, 2), (1, 1, 3), (1, 3, 1))),
+    (1, ((1, 0, 1), (1, 1, 0), (1, 1, 2), (-1, 2, 1))),
+    (2, ((2, 0, 2), (2, 2, 0), (1, 3, 1), (-1, 1, 3))),
+    (1, ((1, 0, 3), (1, 3, 0), (1, 2, 3), (-1, 3, 2))),
+)
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,15 @@ class ConstMat:
         return ConstMat(self.c1 * t, self.c2 * t, self.d * t, self.e * t)
 
     def __mul__(self, o: ConstMat) -> ConstMat:
-        return ConstMat.from_entries(*_mul_entries(self.entries(), o.entries()))
+        """The product table above, one ``dot`` per coordinate (a weight m
+        is |m| copies of its term)."""
+        a, b = (self.c1, self.c2, self.d, self.e), (o.c1, o.c2, o.d, o.e)
+        out = []
+        for div, terms in _PRODUCT:
+            xs = [a[x] if m > 0 else -a[x] for m, x, _ in terms for _ in range(abs(m))]
+            ys = [b[y] for m, _, y in terms for _ in range(abs(m))]
+            out.append(dot(xs, ys, HALF if div == 2 else ONE))
+        return ConstMat(*out)
 
     def det(self) -> Scalar:
         return self.c1 * self.c1 - self.d * self.d - self.c2 * self.e
@@ -144,18 +148,6 @@ class Mat2:
         comp[which] = ZTSeries.const(coeff, nz, nt)
         return Mat2(**comp)
 
-    # -- entrywise view ------------------------------------------------------
-
-    def entries(self) -> tuple[ZTSeries, ZTSeries, ZTSeries, ZTSeries]:
-        """(m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d)."""
-        return (self.c1 + self.d, self.e, self.c2, self.c1 - self.d)
-
-    @staticmethod
-    def from_entries(m11: ZTSeries, m12: ZTSeries, m21: ZTSeries, m22: ZTSeries) -> Mat2:
-        c1 = (m11 + m22).scale(HALF)
-        d = (m11 - m22).scale(HALF)
-        return Mat2(c1, m21, d, m12)
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, o: Mat2) -> Mat2:
@@ -174,7 +166,21 @@ class Mat2:
         return Mat2(self.c1 * q, self.c2 * q, self.d * q, self.e * q)
 
     def __mul__(self, o: Mat2) -> Mat2:
-        return Mat2.from_entries(*_mul_entries(self.entries(), o.entries()))
+        """The product table above: one fused sum per coordinate for the
+        t1-constant plane and one for the t1-slope plane."""
+        a = [c.planes for c in (self.c1, self.c2, self.d, self.e)]
+        b = [c.planes for c in (o.c1, o.c2, o.d, o.e)]
+        if _t1_squared(a, b):
+            raise T1DegreeError("product exceeds degree 1 in t1")
+        nz, nt = self.orders
+        out = []
+        for div, terms in _PRODUCT:
+            const = [(m, a[x].const, b[y].const) for m, x, y in terms]
+            slope = [(m, a[x].const, b[y].slope) for m, x, y in terms]
+            slope += [(m, a[x].slope, b[y].const) for m, x, y in terms]
+            const_p = plane_dot(const, nz, nt, div)
+            out.append(ZTSeries._of(AffinePoly1(const_p, plane_dot(slope, nz, nt, div))))
+        return Mat2(*out)
 
     def commutator(self, o: Mat2) -> Mat2:
         return self * o - o * self
@@ -212,7 +218,9 @@ class Mat2:
         return self.map(lambda c: c.dt1())
 
     def compose_t2(self, lam: TSeries) -> Mat2:
-        return self.map(lambda c: c.compose_t2(lam))
+        """Substitute lam for t2, with one power table for all components."""
+        powers = t2_powers(lam)
+        return self.map(lambda c: c._map(lambda p: p.compose_t2(powers)))
 
     def at_origin(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
         return (
@@ -235,18 +243,32 @@ class Mat2:
     def inverse(self) -> Mat2:
         """Adjugate over the determinant, exact on the whole window.
 
-        M^{-1} = (c1, -c2, -d, -e) / (c1^2 - d^2 - c2 e): one series
-        inversion and seven series products.  Needs a t1-free matrix with
-        an invertible constant term.
+        M^{-1} = (c1, -c2, -d, -e) / (c1^2 - d^2 - c2 e), the determinant
+        one fused sum.  Needs a t1-free matrix with an invertible constant
+        term.
         """
         if not self.is_t1_free():
             raise T1DegreeError("only t1-free matrices are inverted")
         if ConstMat(*self.const_term()).det().is_zero():
             raise NotInvertibleError("constant term is singular")
-        c1, c2, d, e = self.c1, self.c2, self.d, self.e
-        q = (c1 * c1 - d * d - c2 * e).invert()
+        c1, c2, d, e = (c.planes.const for c in (self.c1, self.c2, self.d, self.e))
+        det = plane_dot([(1, c1, c1), (-1, d, d), (-1, c2, e)], *self.orders)
+        q = ZTSeries._of(AffinePoly1(det, self.c1.planes.slope)).invert()
         nq = -q
-        return Mat2(c1 * q, c2 * nq, d * nq, e * nq)
+        return Mat2(self.c1 * q, self.c2 * nq, self.d * nq, self.e * nq)
+
+
+def _t1_squared(a: list[AffinePoly1], b: list[AffinePoly1]) -> bool:
+    """Whether the entrywise product pairs two t1-dependent entries a_ij
+    b_jk, given the planes of (c1, c2, d, e)."""
+
+    def sloped(m):  # of (m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d)
+        s1, s2, sd, se = (p.slope for p in m)
+        return s1 != -sd, not se.is_zero(), not s2.is_zero(), s1 != sd
+
+    a11, a12, a21, a22 = sloped(a)
+    b11, b12, b21, b22 = sloped(b)
+    return ((a11 or a21) and (b11 or b12)) or ((a12 or a22) and (b21 or b22))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +415,6 @@ def compose_gauges(first: GaugeMap, second: GaugeMap) -> GaugeMap:
     else:
         lam = first.lam.truncate(nt).compose(lam2)
     return GaugeMap(tmat, lam)
-
-
-def invert_gauge(g: GaugeMap) -> GaugeMap:
-    if g.lam is None:
-        return GaugeMap(g.tmat.inverse())
-    lam_inv = g.lam.reverse()
-    return GaugeMap(g.tmat.compose_t2(lam_inv).inverse(), lam_inv)
 
 
 def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:

@@ -15,7 +15,7 @@ from typing import Any
 
 from .connmat import Mat2, TEStruct
 from .errors import DocumentError
-from .scalars import Scalar
+from .scalars import Scalar, integer
 from .series import AffinePoly1, Plane, TSeries, ZTSeries
 
 FORMAT_TAG = "connexa-structure/1"
@@ -40,9 +40,8 @@ def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
     return [[_ts_to_json(a.const), _ts_to_json(a.slope)] for a in rows]
 
 
-# Coefficient arrays of plain integers, joined with ",": the ASCII-digit
-# rule of Scalar.parse's integer fast path (int() alone would also take
-# " 1" and "1_0").
+# Coefficient arrays of plain integers, joined with ",": the integer
+# literals of Scalar.parse (int() alone would also take " 1" and "1_0").
 _INT_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
@@ -57,6 +56,15 @@ def _ints_from_json(data: list) -> list[int] | None:
     return None
 
 
+def _literal(x) -> Scalar:
+    """A coefficient: Scalar text or a JSON integer, not a bool or float."""
+    if type(x) is int:
+        return integer(x)
+    if type(x) is str:
+        return Scalar.parse(x)
+    raise DocumentError("coefficient must be a string or an integer")
+
+
 def _row_from_json(data: list) -> tuple[list[int], list[int], int]:
     """Numerators re and im and the denominator of one t2-coefficient
     array, in canonical form; only a literal that is not a plain integer
@@ -64,7 +72,7 @@ def _row_from_json(data: list) -> tuple[list[int], list[int], int]:
     ints = _ints_from_json(data)
     if ints is not None:
         return ints, [0] * len(ints), 1
-    cs = [Scalar.parse(str(x)) for x in data]
+    cs = [_literal(x) for x in data]
     den = lcm(*[c.d for c in cs])
     return [c.a * (den // c.d) for c in cs], [c.b * (den // c.d) for c in cs], den
 
@@ -161,8 +169,8 @@ def structure_from_document(doc: Any) -> TEStruct:
     if nz > MAX_ORDER or nt > MAX_ORDER:
         raise DocumentError(f"orders nz/nt must be at most {MAX_ORDER}")
     t1_degree = orders.get("t1_degree", 1)
-    if type(t1_degree) is not int:
-        raise DocumentError("t1_degree must be an integer")
+    if type(t1_degree) is not int or t1_degree < 0:
+        raise DocumentError("t1_degree must be a nonnegative integer")
     if t1_degree > 1:
         raise DocumentError("documents with t1-degree above 1 are rejected")
     mats = doc.get("matrices")

@@ -9,6 +9,7 @@ family and decide formal isomorphism between the resulting forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import odekit
 from .connmat import (
@@ -330,10 +331,14 @@ def build_normal_form(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
 class Classification:
     normal_form: NormalFormId
     steps: tuple[GaugeMap, ...]
-    net_map: GaugeMap | None
     target: TEStruct
     isomorphic_forms: tuple[NormalFormId, ...]
     warnings: tuple[str, ...] = ()
+
+    @property
+    def net_map(self) -> GaugeMap | None:
+        """The steps composed into one map, None when there are none."""
+        return reduce(compose_gauges, self.steps) if self.steps else None
 
 
 def formal_normal_form(p: PreNormalForm) -> Classification:
@@ -405,9 +410,7 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     else:
         warnings = ("zero-parameter boundary: lone member of its class",)
     steps = () if tmat == Mat2.identity(nz, nt) else (gauge,)
-    return Classification(
-        nfid, steps, gauge if steps else None, target, partners, warnings
-    )
+    return Classification(nfid, steps, target, partners, warnings)
 
 
 def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
@@ -419,7 +422,7 @@ def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
         raise FlatnessError("pole part does not match the unique extension")
     nfid = NormalFormId("FR", {"c": p.c, "alpha": p.alpha, "r": r})
     target = build_normal_form(nfid, nz, nt)
-    return Classification(nfid, (), None, target, ())
+    return Classification(nfid, (), target, ())
 
 
 # -- the f = 0 family ---------------------------------------------------------
@@ -545,14 +548,7 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     cur_struct = build_prenormal_struct(cur)
     if cur_struct != target:
         raise FlatnessError("zero-family normalization missed its target")
-    net = None
-    if steps:
-        net = steps[0]
-        for s in steps[1:]:
-            net = compose_gauges(net, s)
-    return Classification(
-        nfid, tuple(steps), net, target, partners, tuple(warnings)
-    )
+    return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
 
 
 def _reextract(p: PreNormalForm, g: GaugeMap) -> PreNormalForm:

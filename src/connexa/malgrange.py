@@ -422,8 +422,12 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     eigen-section search certifies reducibility before the reduction."""
     try:
         p, _pre_gauge = to_prenormal(s)
-    except ShapeError:
-        p, _pre_gauge = to_prenormal(_reduce_nilpotent_frame(s))
+    except ShapeError as first:
+        try:  # a raw deformation frame; if it is none, the first error holds
+            raw = _reduce_nilpotent_frame(s)
+        except ShapeError:
+            raise first from None
+        p, _pre_gauge = to_prenormal(raw)
     if is_elementary(p):
         cls = formal_normal_form(p)
         return HoloReport(

@@ -77,10 +77,6 @@ def restrict_prenormal(p: PreNormalForm) -> OriginRestriction:
     )
 
 
-def is_elementary_restriction(r: OriginRestriction) -> bool:
-    return (r.eta.at0() * r.gam.at0()).is_zero()
-
-
 def cyclic_fuchs(r: OriginRestriction) -> bool:
     """Valuation test for a regular singularity of the trace-twisted
     origin slice (c = alpha = 0), via the cyclic-vector companion form."""
@@ -392,12 +388,6 @@ class BirkhoffData:
 
     def ssq(self) -> Scalar:  # the square invariant c0^2
         return self.c0 * self.c0
-
-    def b0_matrix(self) -> ConstMat:
-        return ConstMat(self.c, self.c0, ZERO, ZERO)
-
-    def binf_matrix(self) -> ConstMat:
-        return ConstMat(self.alpha, self.c1, -QUARTER, self.c0)
 
 
 def _triangular_gauge(binf: ConstMat) -> ConstMat | None:

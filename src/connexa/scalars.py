@@ -14,10 +14,17 @@ keeps one denominator per polynomial.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
 from .errors import DocumentError
+
+
+# A part is digits with an optional /digits, then an "*i" or "i" suffix for
+# the imaginary part, or a bare "i"; only the second part may start with +.
+_PART = r"(?:([0-9]+)(?:/([0-9]+))?(\*?i)?|(i))"
+_LITERAL = re.compile(rf"(-?){_PART}(?:([+-]){_PART})?")
 
 
 def _as_fraction(x) -> Fraction:
@@ -172,51 +179,28 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> Scalar:
-        """Parse the canonical text form "p/q+r/s*i" (either part optional).
-
-        At most one real and one imaginary part.  Exponent notation is
-        refused: "1e999999999" would build a billion-digit integer.
-        """
-        digits = text[1:] if text[:1] == "-" else text
-        if digits.isascii() and digits.isdigit():
-            try:
-                return integer(int(text))
-            except ValueError as exc:  # past the int/str conversion limit
-                raise DocumentError(f"bad scalar literal {text!r}") from exc
-        s = text.replace(" ", "")
-        if not s:
-            raise DocumentError("empty scalar literal")
-        if "e" in s or "E" in s:
-            raise DocumentError(f"exponent in scalar literal {text!r}")
-        # split into at most two signed parts at top level
-        parts: list[str] = []
-        start = 0
-        for idx in range(1, len(s)):
-            if s[idx] in "+-" and s[idx - 1] not in "+-/*":
-                parts.append(s[start:idx])
-                start = idx
-        parts.append(s[start:])
-        if len(parts) > 2:
+        """Parse the ASCII form ``str`` writes, "p/q+r/s*i": at most one
+        real and one imaginary part, in either order, each -?digits with an
+        optional /digits, the imaginary one with an "*i" or "i" suffix or
+        a bare "i".  No spaces, "+" prefix, "_", decimal point, exponent
+        ("1e999999999" would build a billion-digit integer) or non-ASCII
+        digit."""
+        m = _LITERAL.fullmatch(text)
+        if m is None:
             raise DocumentError(f"bad scalar literal {text!r}")
-        found: dict[bool, Fraction] = {}
-        for part in parts:
-            imaginary = part.endswith("i")
-            if imaginary in found:
-                raise DocumentError(f"bad scalar literal {text!r}")
-            body = part
-            if imaginary:
-                body = part[:-1]
-                if body.endswith("*"):
-                    body = body[:-1]
-                if body in ("", "+"):
-                    body = "1"
-                elif body == "-":
-                    body = "-1"
-            try:
-                found[imaginary] = Fraction(body)
-            except (ValueError, ZeroDivisionError) as exc:
+        g = m.groups()
+        parts = [g[:5]] + ([g[5:]] if g[5] else [])
+        got: dict[bool, tuple[int, int]] = {}  # imaginary? -> (num, den)
+        for sign, p, q, suffix, bare in parts:
+            try:  # int() refuses text past the int/str conversion limit
+                n, d = int(p or 1), int(q or 1)
+            except ValueError as exc:
                 raise DocumentError(f"bad scalar literal {text!r}") from exc
-        return Scalar(found.get(False, 0), found.get(True, 0))
+            got[bool(suffix or bare)] = (-n if sign == "-" else n, d)
+        if len(got) < len(parts) or not all(d for _n, d in got.values()):
+            raise DocumentError(f"bad scalar literal {text!r}")
+        (a, da), (b, db) = got.get(False, (0, 1)), got.get(True, (0, 1))
+        return Scalar._ints(a * db, b * da, da * db)
 
     # -- text --------------------------------------------------------
 

@@ -333,24 +333,12 @@ class TSeries:
         return self * other.invert()
 
     def compose(self, lam: TSeries) -> TSeries:
-        """Substitute lam (with lam(0) = 0) into self."""
+        """Substitute lam (with lam(0) = 0) into self, over the power table
+        of lam as a one-row plane."""
         _check_order(self, lam)
-        if lam.re[0] or lam.im[0]:
-            raise CompositionError("inner series must vanish at 0")
         n = self.order
-        zeros = [0] * (n - 1)
-
-        def term(k: int) -> TSeries:
-            return TSeries._ints([self.re[k]] + zeros, [self.im[k]] + zeros, self.den)
-
-        # Horner from the last nonzero coefficient: above it acc stays 0.
-        top = n - 1
-        while top > 0 and not (self.re[top] or self.im[top]):
-            top -= 1
-        acc = term(top)
-        for k in range(top - 1, -1, -1):
-            acc = acc * lam + term(k)
-        return acc
+        p = Plane._ints(1, n, self.re, self.im, self.den, 1).compose_t2(t2_powers(lam))
+        return TSeries._ints(p.re, p.im, p.den, 1)
 
     def reverse(self) -> TSeries:
         """Compositional inverse of lam with lam(0)=0, lam'(0) != 0.
@@ -452,8 +440,7 @@ class AffinePoly1:
     """const + t1 * slope; every matrix entry in scope is of this form.
 
     The coefficients are both TSeries (a z-coefficient of a ZTSeries, the
-    row ``zt[k]``) or both Planes (the whole ZTSeries).  ``compose_t2`` is
-    for TSeries rows.
+    row ``zt[k]``) or both Planes (the whole ZTSeries).
     """
 
     const: TSeries | Plane
@@ -504,9 +491,6 @@ class AffinePoly1:
     def dt2(self) -> AffinePoly1:
         return AffinePoly1(self.const.derivative(), self.slope.derivative())
 
-    def compose_t2(self, lam: TSeries) -> AffinePoly1:
-        return AffinePoly1(self.const.compose(lam), self.slope.compose(lam))
-
     def is_t2_free(self) -> bool:
         return self.const.is_constant() and self.slope.is_constant()
 
@@ -546,13 +530,13 @@ class Plane:
 
     @staticmethod
     def of_rows(rows) -> Plane:
-        """The plane whose z-row k is the TSeries rows[k].
+        """The plane whose z-row k is rows[k], a TSeries or a 1 x nt Plane.
 
         Over the lcm of canonical row denominators the form is canonical
         again, so no reduction is needed.
         """
-        nt = rows[0].order
-        if any(r.order != nt for r in rows):
+        nt = len(rows[0].re)
+        if any(len(r.re) != nt for r in rows):
             raise OrderMismatchError("z-coefficients have mixed t-orders")
         den = lcm(*[r.den for r in rows])
         re: list[int] = []
@@ -650,33 +634,27 @@ class Plane:
         return Plane._ints(self.nz, self.nt, *_scale_ints(self, c))
 
     def __mul__(self, other: Plane) -> Plane:
-        """2-D schoolbook product of the numerators over both supports;
-        terms past the window in z or in t2 are never formed."""
-        self._check(other)
-        sa = self.support()
-        if not sa:
-            return self
-        sb = other.support()
-        if not sb:
-            return other
+        return plane_dot([(1, self, other)], self.nz, self.nt)
+
+    def compose_t2(self, powers: tuple[list[list[int]], list[list[int]], int]) -> Plane:
+        """Substitute lam for t2, given the power table ``t2_powers(lam)``:
+        entry (k, m) is sum_{n<=m} self[k][n] (lam^n)_m, reduced once."""
+        pre, pim, pden = powers
         nz, nt = self.nz, self.nt
+        if len(pre) != nt:
+            raise OrderMismatchError(f"orders {nt} and {len(pre)} differ")
+        sup = self.support()
+        if not sup:
+            return self
         re = [0] * (nz * nt)
         im = [0] * (nz * nt)
-        for i, arow in sa:
-            top = nz - i
-            for k, brow in sb:
-                if k >= top:
-                    break
-                base = (i + k) * nt
-                for j, x, y in arow:
-                    lim = nt - j
-                    o = base + j
-                    for n, u, v in brow:
-                        if n >= lim:
-                            break
-                        re[o + n] += x * u - y * v
-                        im[o + n] += x * v + y * u
-        return Plane._ints(nz, nt, re, im, self.den * other.den)
+        for k, row in sup:
+            for n, x, y in row:
+                out = range(k * nt + n, (k + 1) * nt)
+                for o, u, v in zip(out, pre[n][n:], pim[n][n:]):
+                    re[o] += x * u - y * v
+                    im[o] += x * v + y * u
+        return Plane._ints(nz, nt, re, im, self.den * pden)
 
     # -- windows and calculus ------------------------------------------------
 
@@ -764,6 +742,63 @@ class Plane:
             re += [n * x for n, x in enumerate(self.re[a + 1 : a + nt], 1)] + [0]
             im += [n * y for n, y in enumerate(self.im[a + 1 : a + nt], 1)] + [0]
         return Plane._ints(self.nz, nt, re, im, self.den)
+
+
+def plane_dot(terms, nz: int, nt: int, div: int = 1) -> Plane:
+    """sum m * a * b / div over the terms (m, a, b) of nz x nt planes, m a
+    small int, reduced once: the plane analogue of ``scalars.dot``.  Terms
+    with a zero operand are skipped, the others summed by the 2-D
+    schoolbook kernel over both supports at the lcm of their denominators;
+    products past the window in z or in t2 are never formed."""
+    shape = (nz, nt)
+    live = []
+    den = 1
+    for m, a, b in terms:
+        if a.order != shape or b.order != shape:
+            raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
+        sa = a.support()
+        if sa:
+            sb = b.support()
+            if sb:
+                live.append((m, a.den * b.den, sa, sb))
+                den = lcm(den, a.den * b.den)
+    if not live:
+        return Plane.zero(nz, nt)
+    re = [0] * (nz * nt)
+    im = [0] * (nz * nt)
+    for m, dd, sa, sb in live:
+        f = m * (den // dd)
+        for i, arow in sa:
+            if f != 1:
+                arow = [(j, f * x, f * y) for j, x, y in arow]
+            top = nz - i
+            for k, brow in sb:
+                if k >= top:
+                    break
+                base = (i + k) * nt
+                for j, x, y in arow:
+                    lim = nt - j
+                    o = base + j
+                    for n, u, v in brow:
+                        if n >= lim:
+                            break
+                        p = o + n
+                        re[p] += x * u - y * v
+                        im[p] += x * v + y * u
+    return Plane._ints(nz, nt, re, im, den * div)
+
+
+def t2_powers(lam: TSeries) -> tuple[list[list[int]], list[list[int]], int]:
+    """Numerators of lam^0, ..., lam^(n-1) (n = lam.order) over one
+    denominator; lam(0) must vanish, so lam^p starts at index p."""
+    if lam.re[0] or lam.im[0]:
+        raise CompositionError("inner series must vanish at 0")
+    powers = [TSeries.one(lam.order)]
+    for _ in range(1, lam.order):
+        powers.append(powers[-1] * lam)
+    den = lcm(*[p.den for p in powers])
+    re = [[x * (den // p.den) for x in p.re] for p in powers]
+    return re, [[y * (den // p.den) for y in p.im] for p in powers], den
 
 
 class ZTSeries:
@@ -968,24 +1003,23 @@ class ZTSeries:
         slope = self.planes.slope
         return ZTSeries._of(AffinePoly1(slope, Plane.zero(*slope.order)))
 
-    def compose_t2(self, lam: TSeries) -> ZTSeries:
-        return ZTSeries([self[k].compose_t2(lam) for k in range(self.nz)])
-
     def invert(self) -> ZTSeries:
-        """Inverse of a t1-free unit, by the geometric recursion in z."""
+        """Inverse of a t1-free unit by the recursion in z: with g the
+        inverse of row 0, out_0 = g and out_m = sum_{k=1}^m (-g f_k)
+        out_{m-k}, one fused sum per z-order."""
         if not self.is_t1_free():
             raise T1DegreeError("inverse would exceed degree 1 in t1")
         nz, nt = self.orders
-        rows = [self.planes.const.row(k) for k in range(nz)]
-        inv0 = rows[0].invert()
-        out = [inv0]
+        p = self.planes.const
+        rows = [p.row(k) for k in range(nz)]
+        f = [Plane._ints(1, nt, r.re, r.im, r.den, 1) for r in rows]
+        g = rows[0].invert()
+        out = [Plane._ints(1, nt, g.re, g.im, g.den, 1)]
+        gf = [None] + [plane_dot([(-1, out[0], fk)], 1, nt) for fk in f[1:]]
         for m in range(1, nz):
-            acc = TSeries.zero(nt)
-            for k in range(1, m + 1):
-                if not rows[k].is_zero():
-                    acc = acc + rows[k] * out[m - k]
-            out.append(-(acc * inv0))
-        return ZTSeries.from_zcoeffs(out, nz)
+            terms = [(1, gf[k], out[m - k]) for k in range(1, m + 1)]
+            out.append(plane_dot(terms, 1, nt))
+        return ZTSeries._of(AffinePoly1(Plane.of_rows(out), Plane.zero(nz, nt)))
 
     def __str__(self) -> str:
         rows = []

@@ -1,0 +1,111 @@
+"""Reference matrix and z-series kernels, for the oracle tests.
+
+These are the bodies connexa once ran: the entrywise 2x2 product through
+(m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d), the adjugate inverse by
+seven series products, the row-wise z-recursion for ``ZTSeries.invert``,
+Horner substitution (row by row for a z-series), the gauge inverse and
+the eager composition of a normalisation's steps.  The package now runs fused plane
+sums (``series.plane_dot``) and a power table (``series.t2_powers``); the
+tests check it against these.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+from connexa.connmat import ConstMat, GaugeMap, Mat2, compose_gauges
+from connexa.errors import (
+    CompositionError,
+    NotInvertibleError,
+    OrderMismatchError,
+    T1DegreeError,
+)
+from connexa.scalars import HALF
+from connexa.series import AffinePoly1, TSeries, ZTSeries
+
+
+def entries(m: Mat2) -> tuple[ZTSeries, ZTSeries, ZTSeries, ZTSeries]:
+    """(m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d)."""
+    return (m.c1 + m.d, m.e, m.c2, m.c1 - m.d)
+
+
+def from_entries(m11: ZTSeries, m12: ZTSeries, m21: ZTSeries, m22: ZTSeries) -> Mat2:
+    return Mat2((m11 + m22).scale(HALF), m21, (m11 - m22).scale(HALF), m12)
+
+
+def mul(a: Mat2, b: Mat2) -> Mat2:
+    """Eight entry products, each raising T1DegreeError when both factors
+    depend on t1."""
+    a11, a12, a21, a22 = entries(a)
+    b11, b12, b21, b22 = entries(b)
+    return from_entries(
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
+
+
+def zt_invert(u: ZTSeries) -> ZTSeries:
+    """out_m = -(sum_{k=1}^m f_k out_{m-k}) out_0 on TSeries rows."""
+    if not u.is_t1_free():
+        raise T1DegreeError("inverse would exceed degree 1 in t1")
+    nz, nt = u.orders
+    rows = [u[k].const for k in range(nz)]
+    inv0 = rows[0].invert()
+    out = [inv0]
+    for m in range(1, nz):
+        acc = TSeries.zero(nt)
+        for k in range(1, m + 1):
+            if not rows[k].is_zero():
+                acc = acc + rows[k] * out[m - k]
+        out.append(-(acc * inv0))
+    return ZTSeries.from_zcoeffs(out, nz)
+
+
+def inverse(m: Mat2) -> Mat2:
+    """Adjugate over the determinant by seven series products."""
+    if not m.is_t1_free():
+        raise T1DegreeError("only t1-free matrices are inverted")
+    if ConstMat(*m.const_term()).det().is_zero():
+        raise NotInvertibleError("constant term is singular")
+    c1, c2, d, e = m.c1, m.c2, m.d, m.e
+    q = zt_invert(c1 * c1 - d * d - c2 * e)
+    nq = -q
+    return Mat2(c1 * q, c2 * nq, d * nq, e * nq)
+
+
+def ts_compose(f: TSeries, lam: TSeries) -> TSeries:
+    """Horner from the top coefficient: one TSeries product per step."""
+    if f.order != lam.order:
+        raise OrderMismatchError(f"orders {f.order} and {lam.order} differ")
+    if not lam[0].is_zero():
+        raise CompositionError("inner series must vanish at 0")
+    acc = TSeries.zero(f.order)
+    for k in range(f.order - 1, -1, -1):
+        acc = acc * lam + TSeries.const(f[k], f.order)
+    return acc
+
+
+def zt_compose_t2(u: ZTSeries, lam: TSeries) -> ZTSeries:
+    """Horner substitution row by row."""
+    rows = [u[k] for k in range(u.nz)]
+    return ZTSeries(
+        [AffinePoly1(ts_compose(r.const, lam), ts_compose(r.slope, lam)) for r in rows]
+    )
+
+
+def compose_t2(m: Mat2, lam: TSeries) -> Mat2:
+    return m.map(lambda c: zt_compose_t2(c, lam))
+
+
+def invert_gauge(g: GaugeMap) -> GaugeMap:
+    if g.lam is None:
+        return GaugeMap(g.tmat.inverse())
+    lam_inv = g.lam.reverse()
+    return GaugeMap(g.tmat.compose_t2(lam_inv).inverse(), lam_inv)
+
+
+def net_map(steps) -> GaugeMap | None:
+    """The steps composed eagerly, first to last."""
+    return reduce(compose_gauges, steps) if steps else None

@@ -134,6 +134,18 @@ def test_cli_classify_and_determinism():
     assert data["verdicts"]["normal_form"].startswith("HNF-MAL2")
 
 
+def test_cli_classify_names_the_real_cause(tmp_path):
+    # B's C1 part depends on t2: the raw-frame fallback cannot help, and
+    # the report names the pre-normal check, not the fallback's A2 profile
+    doc = structure_to_document(build_fixture("f1_r2", 6, 6))
+    doc["matrices"]["B"]["c1"][0][0][1] = "7"
+    target = tmp_path / "bc1.json"
+    target.write_text(dumps_document(doc))
+    out = _run("classify", str(target))
+    assert out.returncode == 3
+    assert out.stderr == "precondition violation: B's C1 part must not depend on t2\n"
+
+
 def test_cli_formal_nf_and_iso(tmp_path):
     out = _run("--order-z", "8", "--order-t", "8", "formal-nf", "fminus1")
     data = json.loads(out.stdout)

@@ -316,3 +316,39 @@ def test_orders_hold_json_integers():
         with pytest.raises(DocumentError, match="integer"):
             structure_from_document(doc_with(BASE, ("orders", key), value))
     structure_from_document(copy.deepcopy(BASE))  # the unmutated base loads
+
+
+# A0 = the first coefficient of BASE's A1.c1, a plain literal.
+A0 = ("matrices", "A1", "c1", 0, 0, 0)
+
+
+def test_json_integer_coefficients_load_as_integers():
+    for value in (0, 7, -3, 10**40):
+        got = structure_from_document(doc_with(BASE, A0, value))
+        assert got == structure_from_document(doc_with(BASE, A0, str(value)))
+
+
+def test_other_json_numbers_are_refused_as_coefficients():
+    # a float used to load or not depending on its repr ("1e-05", "1e+16"),
+    # and true/null failed as an "exponent" in "True"/"None"
+    for value in (0.0001, 0.00001, 1e15, 1e16, 1.5, 2.0, True, False, None):
+        with pytest.raises(DocumentError, match="coefficient must be a string or an integer"):
+            structure_from_document(doc_with(BASE, A0, value))
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "+1", "1.", ".5", "٣", "１", "1/2 + i"])
+def test_literals_outside_the_printed_form_exit_2(tmp_path, text):
+    target = tmp_path / "doc.json"
+    target.write_text(dumps_document(doc_with(BASE, A0, text)), encoding="utf-8")
+    code, out, err = _verify(target)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: bad scalar literal")
+
+
+def test_negative_t1_degree_exits_2(tmp_path):
+    for value in (-1, -5):
+        with pytest.raises(DocumentError, match="t1_degree must be a nonnegative integer"):
+            structure_from_document(doc_with(BASE, ("orders", "t1_degree"), value))
+        target = tmp_path / "doc.json"
+        target.write_text(dumps_document(doc_with(BASE, ("orders", "t1_degree"), value)))
+        assert _verify(target)[0] == 2

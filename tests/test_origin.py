@@ -29,7 +29,6 @@ from connexa.origin import (
     cyclic_fuchs,
     irreducibility_check,
     is_elementary,
-    is_elementary_restriction,
     normalize_birkhoff,
     restrict_prenormal,
     restriction_zmat,
@@ -90,7 +89,7 @@ def test_elementary_matches_twisted_fuchs():
         r = restrict_origin(build_prenormal_struct(p))
         assert is_elementary(p) == want
         assert cyclic_fuchs(r) == want
-        assert is_elementary_restriction(r) == want
+        assert (r.eta.at0() * r.gam.at0()).is_zero() == want
 
 
 def test_irreducibility_nonelementary():
@@ -486,8 +485,9 @@ def test_normalize_preserves_class():
     for g in gauges:
         cur0 = cur0.conjugate_by(g)
         curi = curi.conjugate_by(g)
-    assert cur0 == data.b0_matrix()
-    assert curi == data.binf_matrix()
+    # the pencil B0 + z Binf of the normalised data
+    assert cur0 == ConstMat(data.c, data.c0, ZERO, ZERO)
+    assert curi == ConstMat(data.alpha, data.c1, -QUARTER, data.c0)
 
 
 # Verdicts and witness indices of the eigen-section search over k in

@@ -236,3 +236,24 @@ literal_pieces = st.sampled_from(
 @given(st.lists(literal_pieces, max_size=6))
 def test_parse_fuzz_literal_pieces(pieces):
     _check_literal("".join(pieces))
+
+
+@given(oracle_scalars)
+def test_parse_reads_back_what_str_writes(a):
+    assert Scalar.parse(str(a)) == a
+    # the parts in the other order read the same value
+    if a.a and a.b:
+        re, im = str(Scalar._ints(a.a, 0, a.d)), str(Scalar._ints(0, a.b, a.d))
+        sign = "" if im.startswith("-") else "+"
+        assert Scalar.parse(im + ("" if re.startswith("-") else "+") + re) == a
+        assert Scalar.parse(re + sign + im) == a
+
+
+def test_parse_refuses_text_outside_the_printed_form():
+    # Fraction() would take all of these; the printed form has no spaces,
+    # "+" prefix, "_", decimal point, exponent or non-ASCII digit
+    for text in ("1_0", " 1", "1 ", "+1", "1.", ".5", "1.5", "٣", "１", "1\n",
+                 "1/2 +i", "2*", "*i", "/2", "/2i", "1/-2", "1/+2", "1**i", "i*"):
+        with pytest.raises(DocumentError, match="bad scalar literal"):
+            Scalar.parse(text)
+    assert Scalar.parse("2i") == Scalar.parse("2*i") == S(0, 2)
