@@ -56,10 +56,8 @@ from .euler import (
     realizable_by_te,
 )
 from .odekit import (
-    FuchsProblem,
     RiccatiSolution,
     check_convolution_inequality,
-    fuchs_regular_singular,
     solve_linear_t_ode,
     solve_riccati_unique_c,
     solve_third_der,

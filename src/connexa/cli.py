@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from . import selftest
-from .connmat import ConstMat, flatness_residuals
+from .connmat import ConstMat, Mat2, flatness_residuals
 from .docio import (
     DEFAULT_ORDER,
     MAX_ORDER,
@@ -111,8 +111,6 @@ def cmd_prenormal(args) -> int:
 
 
 def _is_identity_gauge(g) -> bool:
-    from .connmat import Mat2
-
     return g.lam is None and g.tmat == Mat2.identity(*g.tmat.orders)
 
 

@@ -71,15 +71,7 @@ class ConstMat:
         return ConstMat(self.c1 * t, self.c2 * t, self.d * t, self.e * t)
 
     def __mul__(self, o: ConstMat) -> ConstMat:
-        """The product table above, one ``dot`` per coordinate (a weight m
-        is |m| copies of its term)."""
-        a, b = (self.c1, self.c2, self.d, self.e), (o.c1, o.c2, o.d, o.e)
-        out = []
-        for div, terms in _PRODUCT:
-            xs = [a[x] if m > 0 else -a[x] for m, x, _ in terms for _ in range(abs(m))]
-            ys = [b[y] for m, _, y in terms for _ in range(abs(m))]
-            out.append(dot(xs, ys, HALF if div == 2 else ONE))
-        return ConstMat(*out)
+        return const_dot(((self, o),))
 
     def det(self) -> Scalar:
         return self.c1 * self.c1 - self.d * self.d - self.c2 * self.e
@@ -103,6 +95,27 @@ class ConstMat:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in (self.c1, self.c2, self.d, self.e))
+
+
+# _PRODUCT with each weight m spelt out as |m| unit terms (negate, x, y),
+# and the division as a scale.
+_UNIT_TERMS = tuple(
+    (HALF if div == 2 else ONE,
+     tuple((m < 0, x, y) for m, x, y in terms for _ in range(abs(m))))
+    for div, terms in _PRODUCT
+)
+
+
+def const_dot(pairs) -> ConstMat:
+    """Sum of a * b over the (a, b) pairs of constant matrices: the product
+    table above, one ``dot`` per coordinate over every pair."""
+    ab = [((a.c1, a.c2, a.d, a.e), (b.c1, b.c2, b.d, b.e)) for a, b in pairs]
+    out = []
+    for scale, terms in _UNIT_TERMS:
+        xs = [-a[x] if neg else a[x] for a, _ in ab for neg, x, _ in terms]
+        ys = [b[y] for _, b in ab for _, _, y in terms]
+        out.append(dot(xs, ys, scale))
+    return ConstMat(*out)
 
 
 @dataclass(frozen=True)
@@ -507,16 +520,30 @@ class OriginRestriction:
     c: Scalar
     alpha: Scalar
 
-    def bz_components(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        """(c1, c2, d, e) z-series of the restricted pole matrix."""
-        n = min(self.eta.order, self.lam.order, self.beta.order, self.gam.order)
-        c1 = TSeries.of([self.c, self.alpha], n)
-        c2 = self.eta.truncate(n)
-        d = (self.lam.truncate(n) + TSeries.one(n)).scale(_NEG_HALF).shift(1)
-        e = (self.gam.truncate(n) * self.eta.truncate(n)).shift(1) - (
-            self.beta.truncate(n).scale(HALF).shift(2)
+    @staticmethod
+    def of(f: ZTSeries, b2: ZTSeries, c: Scalar, alpha: Scalar) -> OriginRestriction:
+        """The restriction of pre-normal data, A2 = C2 + z f E and B's C2
+        part b2: eta, lam and beta are b2 and its first two t2-derivatives
+        at t2 = 0, gam is f there."""
+        b2t = b2.dt()
+        return OriginRestriction(
+            b2.at_origin(), b2t.at_origin(), b2t.dt().at_origin(), f.at_origin(), c, alpha
         )
-        return (c1, c2, d, e)
+
+    def window(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+        """(eta, lam, beta, gam) truncated to their common order."""
+        series = (self.eta, self.lam, self.beta, self.gam)
+        n = min(s.order for s in series)
+        return tuple(s.truncate(n) for s in series)
+
+    def bz_components(self) -> tuple[ConstMat, ...]:
+        """The z-coefficients B_0, B_1, ... of the restricted pole matrix."""
+        eta, lam, beta, gam = self.window()
+        n = eta.order
+        c1 = TSeries.of([self.c, self.alpha], n)
+        d = (lam + TSeries.one(n)).scale(_NEG_HALF).shift(1)
+        e = (gam * eta).shift(1) - beta.scale(HALF).shift(2)
+        return tuple(map(ConstMat, c1.coeffs, eta.coeffs, d.coeffs, e.coeffs))
 
 
 def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
@@ -554,16 +581,4 @@ def restrict_origin(s: TEStruct) -> OriginRestriction:
     f, b2, b1 = prenormal_components(s)
     if any(not c.is_zero() for c in b1.coeffs[2:]):
         raise ShapeError("not pre-normal: C1 part has z-order above 1")
-    nz = s.orders[0]
-    eta = b2.at_origin()
-    lam = b2.dt().at_origin()
-    beta = b2.dt().dt().at_origin()
-    gam = f.at_origin().truncate(nz - 1)
-    return OriginRestriction(
-        eta=eta,
-        lam=lam,
-        beta=beta,
-        gam=gam,
-        c=b1[0],
-        alpha=b1[1] if nz > 1 else ZERO,
-    )
+    return OriginRestriction.of(f, b2, b1[0], b1[1])

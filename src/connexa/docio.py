@@ -182,6 +182,10 @@ def structure_from_document(doc: Any) -> TEStruct:
         b = _mat_from_json(mats["B"], nz, nt)
     except KeyError as exc:
         raise DocumentError(f"missing matrix {exc}") from exc
+    if t1_degree == 0:
+        for name, m in (("A1", a1), ("A2", a2), ("B", b)):
+            if not m.is_t1_free():
+                raise DocumentError(f"t1_degree is 0 but {name} depends on t1")
     return TEStruct(a1, a2, b, kind)
 
 

@@ -736,6 +736,10 @@ class IsoDecision:
     flags: tuple[str, ...] = ()
 
 
+# The families with a sign-flip pair, and the parameter the flip negates.
+_SIGN_FLIP_PARAM = {"F1": "c0", "NF3-4": "lam"}
+
+
 def formal_iso_decision(n1: NormalFormId, n2: NormalFormId) -> IsoDecision:
     """Formal normal forms are rigid except the two sign-flip pairs."""
     for n in (n1, n2):
@@ -743,30 +747,20 @@ def formal_iso_decision(n1: NormalFormId, n2: NormalFormId) -> IsoDecision:
             raise UnsupportedShapeError(f"{n.family} is not a formal family")
     if n1 == n2:
         return IsoDecision(True, "equal forms (identity gauge)")
-    if n1.family == "F1" and n2.family == "F1":
-        c0a, c0b = n1.params["c0"], n2.params["c0"]
+    key = _SIGN_FLIP_PARAM.get(n1.family)
+    if key is not None and n2.family == n1.family:
+        a, b = n1.params[key], n2.params[key]
         same_ca = (
             n1.params["c"] == n2.params["c"]
             and n1.params["alpha"] == n2.params["alpha"]
         )
-        if same_ca and not c0a.is_zero() and c0b == -c0a:
+        if same_ca and not a.is_zero() and b == -a:
             return IsoDecision(
                 True, "sign flip via the order-two base automorphism; "
                 "formally gauge non-isomorphic"
             )
-        flags = ()
-        if c0a.is_zero() or c0b.is_zero():
-            flags = ("zero-parameter boundary case",)
-        return IsoDecision(False, "distinct rigid forms", flags)
-    if n1.family == "NF3-4" and n2.family == "NF3-4":
-        la, lb = n1.params["lam"], n2.params["lam"]
-        same_ca = (
-            n1.params["c"] == n2.params["c"]
-            and n1.params["alpha"] == n2.params["alpha"]
-        )
-        if same_ca and not la.is_zero() and lb == -la:
+        if n1.family == "F1" and (a.is_zero() or b.is_zero()):
             return IsoDecision(
-                True, "sign flip via the order-two base automorphism; "
-                "formally gauge non-isomorphic"
+                False, "distinct rigid forms", ("zero-parameter boundary case",)
             )
     return IsoDecision(False, "distinct rigid forms")

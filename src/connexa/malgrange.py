@@ -17,6 +17,7 @@ from .formalnf import (
     Classification,
     NormalFormId,
     PreNormalForm,
+    build_normal_form,
     build_prenormal_struct,
     formal_normal_form,
     to_prenormal,
@@ -27,10 +28,10 @@ from .origin import (
     birkhoff_invariants,
     birkhoff_iso_decision,
     birkhoff_reduce,
+    irreducibility_check,
     is_elementary,
     normalize_birkhoff,
     restrict_prenormal,
-    restriction_zmat,
 )
 from .scalars import HALF, ONE, QUARTER, ZERO, S, Scalar, dot, integer
 from .series import TSeries, ZTSeries, exp_linear, geometric
@@ -359,8 +360,6 @@ def first_type_normal_form(
     alpha = (b11 + b22) * HALF
     st = malgrange_xy(binf, c0, nt)
     nfid = NormalFormId("F1", {"c": c, "alpha": alpha, "c0": c0})
-    from .formalnf import build_normal_form
-
     target = build_normal_form(nfid, nz, nt)
     lam_inv = st.x.reverse()
     step1 = GaugeMap(Mat2.identity(nz, nt), lam_inv)
@@ -437,11 +436,9 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     restr = restrict_prenormal(p)
     notes_extra: tuple[str, ...] = ()
     if k_max is not None:
-        from .origin import irreducibility_check
-
         irr = irreducibility_check(restr, k_max)
         notes_extra = (f"eigen-section search: {irr.verdict}",)
-    red = birkhoff_reduce(restriction_zmat(restr))
+    red = birkhoff_reduce(restr.bz_components())
     notes = notes_extra + red.log
     warnings: tuple[str, ...] = ()
     if "already a pencil" not in red.log:

@@ -1,10 +1,10 @@
 """Solvable one-variable problems used by the classification pipelines.
 
-Four problem classes: the scalar linear recursion t*u' + a(t)u = b(t),
+Three problem classes: the scalar linear recursion t*u' + a(t)u = b(t),
 one dot product per order; the quadratic-polynomial system
-m*x + b'*x - b*x' = g with x''' = 0; the one-parameter Riccati family
-t*tau' + r*tau = tau^2 f (1 + c t^r tau); and the valuation test for a
-regular singularity in companion form.
+m*x + b'*x - b*x' = g with x''' = 0; and the one-parameter Riccati family
+t*tau' + r*tau = tau^2 f (1 + c t^r tau).  Beside them, an exact check of
+the convolution inequality.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .scalars import ONE, ZERO, Scalar, dot, integer
-from .series import Laurent, TSeries
+from .series import TSeries
 
 # Rational upper bound for 4*sum(1/n^2) = 2*pi^2/3 = 6.5797...; using a
 # slightly larger rational keeps the convolution check fully exact.
@@ -264,24 +264,3 @@ def check_convolution_inequality(l: int, b: int) -> dict:
     lhs = Fraction(conv[b], big_l**l)
     rhs = CONV_CONSTANT ** (l - 1) / (b * b)
     return {"l": l, "b": b, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
-
-
-# ---------------------------------------------------------------------------
-# Fuchs criterion
-
-
-@dataclass(frozen=True)
-class FuchsProblem:
-    """Companion data: nabla(v_{d-1}) = a_0 v_0 + ... + a_{d-1} v_{d-1}."""
-
-    a_coeffs: tuple[Laurent, ...]
-    d: int
-
-
-def fuchs_regular_singular(problem: FuchsProblem) -> bool:
-    """Regular singularity iff v(a_i) >= i - d for every i."""
-    for i, a in enumerate(problem.a_coeffs):
-        v = a.valuation()
-        if v is not None and v < i - problem.d:
-            return False
-    return True

@@ -4,54 +4,19 @@ isomorphism decision between such pencils."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt
 
-from .connmat import ConstMat, Mat2, OriginRestriction
+from .connmat import ConstMat, OriginRestriction, const_dot
 from .errors import (
     ExactFieldError,
     ReductionFailedError,
     ShapeError,
 )
 from .formalnf import PreNormalForm
-from .odekit import FuchsProblem, fuchs_regular_singular
 from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
-from .series import Laurent, TSeries, ZTSeries
-
-
-def zmat(c1: TSeries, c2: TSeries, d: TSeries, e: TSeries) -> Mat2:
-    """A z-only matrix as a Mat2 with t-order 1."""
-    n = c1.order
-    return Mat2(
-        ZTSeries.from_zseries(c1, n, 1),
-        ZTSeries.from_zseries(c2, n, 1),
-        ZTSeries.from_zseries(d, n, 1),
-        ZTSeries.from_zseries(e, n, 1),
-    )
-
-
-def zmat_coeff(m: Mat2, k: int) -> ConstMat:
-    return ConstMat(
-        m.c1.at_origin()[k],
-        m.c2.at_origin()[k],
-        m.d.at_origin()[k],
-        m.e.at_origin()[k],
-    )
-
-
-def zmat_from_consts(coeffs: list[ConstMat], nz: int) -> Mat2:
-    def ser(pick) -> TSeries:
-        vals = [pick(c) for c in coeffs]
-        vals += [ZERO] * (nz - len(vals))
-        return TSeries(tuple(vals[:nz]))
-
-    return zmat(
-        ser(lambda c: c.c1), ser(lambda c: c.c2), ser(lambda c: c.d), ser(lambda c: c.e)
-    )
-
-
-def restriction_zmat(r: OriginRestriction) -> Mat2:
-    return zmat(*r.bz_components())
+from .series import Laurent, TSeries
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +32,19 @@ def is_elementary(p: PreNormalForm) -> bool:
 def restrict_prenormal(p: PreNormalForm) -> OriginRestriction:
     """Origin restriction straight from pre-normal data (no structure
     rebuild, so b2 need not be polynomial)."""
-    return OriginRestriction(
-        eta=p.b2.at_origin(),
-        lam=p.b2.dt().at_origin(),
-        beta=p.b2.dt().dt().at_origin(),
-        gam=p.f.at_origin(),
-        c=p.c,
-        alpha=p.alpha,
-    )
+    return OriginRestriction.of(p.f, p.b2, p.c, p.alpha)
 
 
 def cyclic_fuchs(r: OriginRestriction) -> bool:
     """Valuation test for a regular singularity of the trace-twisted
-    origin slice (c = alpha = 0), via the cyclic-vector companion form."""
-    n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
-    eta = r.eta.truncate(n)
-    lamz = r.lam.truncate(n)
-    beta = r.beta.truncate(n)
-    gam = r.gam.truncate(n)
+    origin slice (c = alpha = 0), via the cyclic-vector companion form
+    nabla(v_1) = a0 v_0 + a1 v_1: regular singular iff v(a0) >= -2 and
+    v(a1) >= -1 (Fuchs' rule v(a_i) >= i - d at d = 2)."""
+    eta, lamz, beta, gam = r.window()
     if eta.is_zero():
         # logarithmic-pole branch: the pole matrix is z * (holomorphic)
         return True
+    n = eta.order
     half_lam1 = (lamz + TSeries.one(n)).scale(HALF)
     p = Laurent(-2, -half_lam1.shift(1))
     q = Laurent(-2, eta)
@@ -96,7 +53,10 @@ def cyclic_fuchs(r: OriginRestriction) -> bool:
     logq = q.log_derivative()
     a1 = p + logq + w
     a0 = p.dz() + q * u - p * logq - p * w
-    return fuchs_regular_singular(FuchsProblem((a0, a1), 2))
+    return all(
+        v is None or v >= bound
+        for v, bound in ((a0.valuation(), -2), (a1.valuation(), -1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +82,12 @@ def irreducibility_check(
     exactly; quadratic branch points outside Q(i) are reported as
     inconclusive rather than guessed.
     """
-    n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
+    eta, lamz, beta, gam = r.window()
+    n = eta.order
     if k_max is None:
         k_max = n
     if k_max < 0:
         raise ShapeError(f"search bound k_max must be at least 0, not {k_max}")
-    eta = r.eta.truncate(n)
-    lamz = r.lam.truncate(n)
-    beta = r.beta.truncate(n)
-    gam = r.gam.truncate(n)
     if eta.is_zero():
         return IrreducibilityReport(
             "reducible", None, None, ("first frame vector is an eigen-section",)
@@ -241,15 +198,16 @@ def _try_eigen_section(k, n, eta, lam1, const_part, notes):
 class BirkhoffReduction:
     b0: ConstMat
     binf: ConstMat
-    gauge: Mat2  # z-only frame change, applied to the input
+    gauge: tuple[ConstMat, ...]  # z-coefficients of the frame applied to the input
     log: tuple[str, ...] = ()
 
 
 _C2 = ConstMat(ZERO, ONE, ZERO, ZERO)
 
 
-def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
-    """Reduce z^{-2} B(z) dz to z^{-2}(B0 + z Binf) dz by a z-series frame
+def birkhoff_reduce(coeffs: Sequence[ConstMat]) -> BirkhoffReduction:
+    """Reduce z^{-2} B(z) dz, B = sum_k B_k z^k given by its coefficients
+    B_0 ... B_{nz-1}, to z^{-2}(B0 + z Binf) dz by a z-series frame
     T = sum_m T_m z^m, T_0 = Id, solving z^2 T' + B T = T (B0 + z Binf).
 
     The residue must be regular with a single eigenvalue; it is conjugated
@@ -264,13 +222,10 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
     T_{nz-1}.c2 are 0.  The defining equation is re-checked on the whole
     window.
     """
-    nz = bz.nz
-    if bz.nt != 1:
-        raise ShapeError("expected a z-only matrix (t-order 1)")
+    nz = len(coeffs)
     log: list[str] = []
-    pre = Mat2.identity(nz, 1)
-    cur = bz
-    res = zmat_coeff(cur, 0)
+    pre = ConstMat.identity()
+    res = coeffs[0]
     if res.d.is_zero() and res.e.is_zero():
         c0 = res.c2
         if c0.is_zero():
@@ -285,17 +240,15 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
         else:
             v = (ZERO, ONE)
         u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
-        s = ConstMat.from_entries(v[0], u[0], v[1], u[1])
-        cur = _const_gauge(cur, s)
-        pre = pre * zmat_from_consts([s], nz)
+        pre = ConstMat.from_entries(v[0], u[0], v[1], u[1])
+        coeffs = tuple(b.conjugate_by(pre) for b in coeffs)
         log.append("residue conjugated to lower-triangular form")
-        res = zmat_coeff(cur, 0)
+        res = coeffs[0]
         c0 = res.c2
     b0 = ConstMat(res.c1, c0, ZERO, ZERO)
-    coeffs = [zmat_coeff(cur, k) for k in range(nz)]
     if all(c.is_zero() for c in coeffs[2:]):
-        binf = coeffs[1]
-        return BirkhoffReduction(b0, binf, pre, tuple(log) + ("already a pencil",))
+        frame = (pre,) + (ConstMat.zero(),) * (nz - 1)
+        return BirkhoffReduction(b0, coeffs[1], frame, tuple(log) + ("already a pencil",))
 
     b1 = coeffs[1]
     if b1.e.is_zero():
@@ -313,13 +266,13 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
     binf = b1 + _C2.scale(delta)
     if not delta.is_zero():
         log.append("z-linear target adjusted along the bracket image")
+    neg = [-b for b in coeffs]
     # block 1: R_1 = delta C2
     t = [ConstMat.identity(), ConstMat(ZERO, ZERO, delta * half_inv_c0, ZERO)]
     for m in range(2, nz):
         prev = t[m - 1]
-        r = prev * binf - prev.scale(integer(m - 1))
-        for l in range(1, m + 1):
-            r = r - coeffs[l] * t[m - l]
+        binf_m = ConstMat(binf.c1 - integer(m - 1), binf.c2, binf.d, binf.e)
+        r = const_dot([(prev, binf_m)] + [(neg[l], t[m - l]) for l in range(1, m + 1)])
         if m > 2:
             # x = T_{m-2}.c2 moves T_{m-1} by `shift` (through R_{m-1}),
             # and R_m.e by -(2m-3) x B_1.e / c0
@@ -329,10 +282,7 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
             )
             t[m - 2] = t[m - 2] + _C2.scale(x)
             t[m - 1] = prev + shift
-            r = (
-                r + shift * binf - shift.scale(integer(m - 1)) - b1 * shift
-                - coeffs[2] * _C2.scale(x)
-            )
+            r = r + const_dot(((shift, binf_m), (neg[1], shift), (neg[2], _C2.scale(x))))
         # y = T_{m-1}.c1 moves R_m by -(m-1) y C1 + delta y C2
         y = r.c1 / integer(m - 1)
         t[m - 1] = t[m - 1] + ConstMat(y, ZERO, ZERO, ZERO)
@@ -344,26 +294,27 @@ def birkhoff_reduce(bz: Mat2) -> BirkhoffReduction:
             t[m - 1] = t[m - 1] + _C2.scale(x)
             rc2, rd = rc2 + x * (b1.d + b1.d - integer(m - 1)), ZERO
         t.append(ConstMat(ZERO, ZERO, rc2 * half_inv_c0, -rd * inv_c0))
-    tser = zmat_from_consts(t, nz)
-    if not birkhoff_residual(cur, tser, b0, binf).is_zero():
+    if not all(c.is_zero() for c in birkhoff_residual(coeffs, t, b0, binf)):
         raise ReductionFailedError("frame fails the defining equation")
     log.append("frame found block by block")
-    return BirkhoffReduction(b0, binf, pre * tser, tuple(log))
+    return BirkhoffReduction(b0, binf, tuple(pre * tm for tm in t), tuple(log))
 
 
-def _const_gauge(mat: Mat2, s: ConstMat) -> Mat2:
-    return _z_gauge(mat, zmat_from_consts([s], mat.nz))
-
-
-def _z_gauge(mat: Mat2, t: Mat2) -> Mat2:
-    """B -> T^{-1}(z^2 T' + B T) for z-only data."""
-    return t.inverse() * (t.z2dz() + mat * t)
-
-
-def birkhoff_residual(b_in: Mat2, t: Mat2, b0: ConstMat, binf: ConstMat) -> Mat2:
-    nz = b_in.nz
-    target = zmat_from_consts([b0, binf], nz)
-    return t.z2dz() + b_in * t - t * target
+def birkhoff_residual(
+    b_in: Sequence[ConstMat], t: Sequence[ConstMat], b0: ConstMat, binf: ConstMat
+) -> tuple[ConstMat, ...]:
+    """The z-coefficients of z^2 T' + B T - T (B0 + z Binf) on the window of
+    B, one ``const_dot`` per z-order."""
+    neg_b0 = -b0
+    out = []
+    for m in range(len(b_in)):
+        pairs = [(b_in[l], t[m - l]) for l in range(m + 1)]
+        pairs.append((t[m], neg_b0))
+        if m:
+            shifted = ConstMat(integer(m - 1) - binf.c1, -binf.c2, -binf.d, -binf.e)
+            pairs.append((t[m - 1], shifted))
+        out.append(const_dot(pairs))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from .connmat import (
     flatness_residuals,
     induced_euler,
     restrict_origin,
+    scalar_exp_gauge,
 )
 from .euler import EulerField, euler_normal_form, push_forward_g, realizable_by_te
 from .fixtures import FIXTURES, build_fixture
 from .formalnf import (
     NormalFormId,
     PreNormalForm,
+    _mobius_gauge,
     build_normal_form,
     build_prenormal_struct,
     formal_normal_form,
@@ -145,8 +147,6 @@ def _random_zero_family_gauge(rng, nz, nt) -> GaugeMap:
 
 
 def _random_scalar_gauge(rng, nz, nt) -> GaugeMap:
-    from .connmat import scalar_exp_gauge
-
     sigma = TSeries.of(
         [ZERO] + [_rand_scalar(rng, 2) for _ in range(4)], nz
     )
@@ -476,9 +476,6 @@ def criterion_appendix_suite(riccati_samples=20):
 
 def criterion_cross_module(nz=8, nt=8, iso_samples=10):
     rng = random.Random(707)
-    from .formalnf import _mobius_gauge
-    from .connmat import scalar_exp_gauge
-
     for name in sorted(FIXTURES):
         s = build_fixture(name, nz, nt)
         e = induced_euler(s)

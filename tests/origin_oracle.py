@@ -1,0 +1,218 @@
+"""Reference origin-pencil code, for the oracle tests.
+
+These are the bodies connexa once ran: the z-only restriction packed into
+a ``Mat2`` at t-order 1 and read back one ``ConstMat`` at a time, the
+block reduction on that packing with constant conjugation through
+``Mat2.inverse``, its residual as three ``Mat2`` products, and the
+d-generic Fuchs valuation rule behind the cyclic-vector test.  The package
+now reduces lists of ``ConstMat`` coefficients (``origin.birkhoff_reduce``)
+and applies the d = 2 rule in ``origin.cyclic_fuchs``; the tests check it
+against these.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from connexa.connmat import ConstMat, Mat2, OriginRestriction
+from connexa.errors import ReductionFailedError, ShapeError
+from connexa.scalars import HALF, ONE, ZERO, integer
+from connexa.series import Laurent, TSeries, ZTSeries
+
+
+def zmat(c1: TSeries, c2: TSeries, d: TSeries, e: TSeries) -> Mat2:
+    """A z-only matrix as a Mat2 with t-order 1."""
+    n = c1.order
+    return Mat2(
+        ZTSeries.from_zseries(c1, n, 1),
+        ZTSeries.from_zseries(c2, n, 1),
+        ZTSeries.from_zseries(d, n, 1),
+        ZTSeries.from_zseries(e, n, 1),
+    )
+
+
+def zmat_coeff(m: Mat2, k: int) -> ConstMat:
+    return ConstMat(
+        m.c1.at_origin()[k],
+        m.c2.at_origin()[k],
+        m.d.at_origin()[k],
+        m.e.at_origin()[k],
+    )
+
+
+def zmat_coeffs(m: Mat2) -> tuple[ConstMat, ...]:
+    """Every z-coefficient of a z-only matrix."""
+    return tuple(zmat_coeff(m, k) for k in range(m.nz))
+
+
+def zmat_from_consts(coeffs, nz: int) -> Mat2:
+    def ser(pick) -> TSeries:
+        vals = [pick(c) for c in coeffs]
+        vals += [ZERO] * (nz - len(vals))
+        return TSeries(tuple(vals[:nz]))
+
+    return zmat(
+        ser(lambda c: c.c1), ser(lambda c: c.c2), ser(lambda c: c.d), ser(lambda c: c.e)
+    )
+
+
+def restriction_zmat(r: OriginRestriction) -> Mat2:
+    """The restricted pole matrix, from its four z-series."""
+    n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
+    c1 = TSeries.of([r.c, r.alpha], n)
+    c2 = r.eta.truncate(n)
+    d = (r.lam.truncate(n) + TSeries.one(n)).scale(-HALF).shift(1)
+    e = (r.gam.truncate(n) * r.eta.truncate(n)).shift(1) - (
+        r.beta.truncate(n).scale(HALF).shift(2)
+    )
+    return zmat(c1, c2, d, e)
+
+
+def _const_gauge(mat: Mat2, s: ConstMat) -> Mat2:
+    return _z_gauge(mat, zmat_from_consts([s], mat.nz))
+
+
+def _z_gauge(mat: Mat2, t: Mat2) -> Mat2:
+    """B -> T^{-1}(z^2 T' + B T) for z-only data."""
+    return t.inverse() * (t.z2dz() + mat * t)
+
+
+@dataclass(frozen=True)
+class ZmatReduction:
+    b0: ConstMat
+    binf: ConstMat
+    gauge: Mat2  # z-only frame change, applied to the input
+    log: tuple[str, ...] = ()
+
+
+_C2 = ConstMat(ZERO, ONE, ZERO, ZERO)
+
+
+def birkhoff_reduce(bz: Mat2) -> ZmatReduction:
+    """The block reduction of z^{-2} B(z) dz on the Mat2 packing."""
+    nz = bz.nz
+    if bz.nt != 1:
+        raise ShapeError("expected a z-only matrix (t-order 1)")
+    log: list[str] = []
+    pre = Mat2.identity(nz, 1)
+    cur = bz
+    res = zmat_coeff(cur, 0)
+    if res.d.is_zero() and res.e.is_zero():
+        c0 = res.c2
+        if c0.is_zero():
+            raise ShapeError("residue is scalar, not regular")
+    else:
+        nil = res - ConstMat.identity().scale(res.c1)
+        if not (nil * nil).is_zero():
+            raise ShapeError("residue has two distinct eigenvalues")
+        m11, m12, m21, m22 = nil.entries()
+        if not (m11.is_zero() and m21.is_zero()):
+            v = (ONE, ZERO)
+        else:
+            v = (ZERO, ONE)
+        u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
+        s = ConstMat.from_entries(v[0], u[0], v[1], u[1])
+        cur = _const_gauge(cur, s)
+        pre = pre * zmat_from_consts([s], nz)
+        log.append("residue conjugated to lower-triangular form")
+        res = zmat_coeff(cur, 0)
+        c0 = res.c2
+    b0 = ConstMat(res.c1, c0, ZERO, ZERO)
+    coeffs = [zmat_coeff(cur, k) for k in range(nz)]
+    if all(c.is_zero() for c in coeffs[2:]):
+        binf = coeffs[1]
+        return ZmatReduction(b0, binf, pre, tuple(log) + ("already a pencil",))
+
+    b1 = coeffs[1]
+    if b1.e.is_zero():
+        if not coeffs[2].e.is_zero():
+            raise ReductionFailedError(
+                "obstruction in the unreachable direction cannot be absorbed",
+                order=2,
+            )
+        raise ShapeError("degenerate pencil")
+    inv_c0 = ONE / c0
+    half_inv_c0 = inv_c0 * HALF
+    e_c0 = b1.e * inv_c0
+    delta = coeffs[2].e / e_c0
+    binf = b1 + _C2.scale(delta)
+    if not delta.is_zero():
+        log.append("z-linear target adjusted along the bracket image")
+    t = [ConstMat.identity(), ConstMat(ZERO, ZERO, delta * half_inv_c0, ZERO)]
+    for m in range(2, nz):
+        prev = t[m - 1]
+        r = prev * binf - prev.scale(integer(m - 1))
+        for l in range(1, m + 1):
+            r = r - coeffs[l] * t[m - l]
+        if m > 2:
+            x = r.e / (integer(2 * m - 3) * e_c0)
+            shift = ConstMat(
+                ZERO, ZERO, x * (b1.d + b1.d - integer(m - 2)) * half_inv_c0, x * e_c0
+            )
+            t[m - 2] = t[m - 2] + _C2.scale(x)
+            t[m - 1] = prev + shift
+            r = (
+                r + shift * binf - shift.scale(integer(m - 1)) - b1 * shift
+                - coeffs[2] * _C2.scale(x)
+            )
+        y = r.c1 / integer(m - 1)
+        t[m - 1] = t[m - 1] + ConstMat(y, ZERO, ZERO, ZERO)
+        rc2, rd = r.c2 + delta * y, r.d
+        if m == nz - 1:
+            x = rd / b1.e
+            t[m - 1] = t[m - 1] + _C2.scale(x)
+            rc2, rd = rc2 + x * (b1.d + b1.d - integer(m - 1)), ZERO
+        t.append(ConstMat(ZERO, ZERO, rc2 * half_inv_c0, -rd * inv_c0))
+    tser = zmat_from_consts(t, nz)
+    if not birkhoff_residual(cur, tser, b0, binf).is_zero():
+        raise ReductionFailedError("frame fails the defining equation")
+    log.append("frame found block by block")
+    return ZmatReduction(b0, binf, pre * tser, tuple(log))
+
+
+def birkhoff_residual(b_in: Mat2, t: Mat2, b0: ConstMat, binf: ConstMat) -> Mat2:
+    """z^2 T' + B T - T (B0 + z Binf) on the Mat2 packing."""
+    nz = b_in.nz
+    target = zmat_from_consts([b0, binf], nz)
+    return t.z2dz() + b_in * t - t * target
+
+
+# ---------------------------------------------------------------------------
+# the generic Fuchs rule
+
+
+@dataclass(frozen=True)
+class FuchsProblem:
+    """Companion data: nabla(v_{d-1}) = a_0 v_0 + ... + a_{d-1} v_{d-1}."""
+
+    a_coeffs: tuple[Laurent, ...]
+    d: int
+
+
+def fuchs_regular_singular(problem: FuchsProblem) -> bool:
+    """Regular singularity iff v(a_i) >= i - d for every i."""
+    for i, a in enumerate(problem.a_coeffs):
+        v = a.valuation()
+        if v is not None and v < i - problem.d:
+            return False
+    return True
+
+
+def cyclic_fuchs(r: OriginRestriction) -> bool:
+    """The cyclic-vector valuation test through the generic rule at d = 2."""
+    n = min(r.eta.order, r.lam.order, r.beta.order, r.gam.order)
+    eta = r.eta.truncate(n)
+    lamz = r.lam.truncate(n)
+    beta = r.beta.truncate(n)
+    gam = r.gam.truncate(n)
+    if eta.is_zero():
+        return True
+    half_lam1 = (lamz + TSeries.one(n)).scale(HALF)
+    p = Laurent(-2, -half_lam1.shift(1))
+    q = Laurent(-2, eta)
+    u = Laurent(-1, eta * gam - beta.scale(HALF).shift(1))
+    w = Laurent(-2, half_lam1.shift(1))
+    logq = q.log_derivative()
+    a1 = p + logq + w
+    a0 = p.dz() + q * u - p * logq - p * w
+    return fuchs_regular_singular(FuchsProblem((a0, a1), 2))

@@ -116,6 +116,33 @@ def test_cli_malformed_document_exits_2(tmp_path, mutate):
     assert "Traceback" not in out.stderr
 
 
+def test_cli_t1_degree_zero_with_a_t1_slope_exits_2(tmp_path):
+    # f1_r2's B has a t1-slope, so it cannot be declared t1-free
+    doc = structure_to_document(build_fixture("f1_r2", 4, 4))
+    doc["orders"]["t1_degree"] = 0
+    target = tmp_path / "bad.json"
+    target.write_text(dumps_document(doc))
+    out = _run("classify", str(target))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "parse error: t1_degree is 0 but B depends on t1\n"
+
+
+def test_cli_t1_free_document_declared_degree_zero_loads(tmp_path):
+    doc = structure_to_document(build_fixture("f1_r2", 4, 4))
+    doc["orders"]["t1_degree"] = 0
+    for mat in doc["matrices"].values():
+        for comp in mat.values():
+            for slot in comp:
+                slot[1] = ["0"] * len(slot[1])
+    s = structure_from_document(doc)
+    assert all(m.is_t1_free() for m in (s.A1, s.A2, s.B))
+    target = tmp_path / "free.json"
+    target.write_text(dumps_document(doc))
+    out = _run("verify", str(target))
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["verdicts"]["flat"] is False
+
+
 def test_cli_verify_fixture():
     out = _run("--order-z", "6", "--order-t", "6", "verify", "f1_r2")
     assert out.returncode == 0

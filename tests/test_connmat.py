@@ -285,13 +285,10 @@ def test_restrict_origin():
     assert r.beta.is_zero()
     assert r.gam == TSeries.one(NZ - 1)
     # reconstruction matches the structure's pole matrix at the origin
-    c1, c2, d, e = r.bz_components()
-    oc1, oc2, od, oe = s.B.at_origin()
-    n = c1.order
-    assert c1 == oc1.truncate(n)
-    assert c2 == oc2.truncate(n)
-    assert d == od.truncate(n)
-    assert e == oe.truncate(n)
-    assert c2 == TSeries.const(S(2), n)
-    assert d == TSeries.of([0, "-1/4"], n)
-    assert e == TSeries.of([0, 2], n)
+    coeffs = r.bz_components()
+    n = len(coeffs)
+    oc1, oc2, od, oe = (x.truncate(n).coeffs for x in s.B.at_origin())
+    assert coeffs == tuple(map(ConstMat, oc1, oc2, od, oe))
+    assert [b.c2 for b in coeffs] == list(TSeries.const(S(2), n).coeffs)
+    assert [b.d for b in coeffs] == list(TSeries.of([0, "-1/4"], n).coeffs)
+    assert [b.e for b in coeffs] == list(TSeries.of([0, 2], n).coeffs)

@@ -6,7 +6,7 @@ import pytest
 from connexa import odekit
 from connexa.errors import NoFormalSolutionError, NotAUnitError, UnsupportedShapeError
 from connexa.scalars import HALF, I, ONE, S, ZERO, Scalar, integer
-from connexa.series import Laurent, TSeries
+from connexa.series import TSeries
 
 from conftest import rand_nonzero, rand_scalar
 from fraction_scalar import F_ZERO, f_integer, frac_coeffs, from_frac, to_frac
@@ -466,19 +466,6 @@ def test_convolution_matches_fraction_oracle():
         want = _convolution_oracle(l, b)
         assert rep == want
         assert str(rep["lhs"]) == str(want["lhs"])
-
-
-def test_fuchs_criterion():
-    one = TSeries.one(5)
-    # d=1, a0 with valuation -1 -> regular
-    p = odekit.FuchsProblem((Laurent(-1, one),), 1)
-    assert odekit.fuchs_regular_singular(p)
-    # d=2, v(a0) = -2, v(a1) = -1 -> regular
-    p = odekit.FuchsProblem((Laurent(-2, one), Laurent(-1, one)), 2)
-    assert odekit.fuchs_regular_singular(p)
-    # d=2, v(a0) = -3 -> not regular
-    p = odekit.FuchsProblem((Laurent(-3, one), Laurent(-1, one)), 2)
-    assert not odekit.fuchs_regular_singular(p)
 
 
 def _riccati_fraction_pair(f, r, tau_r):

@@ -13,13 +13,13 @@ from connexa.fixtures import build_fixture, fixture_names
 from connexa.formalnf import (
     NormalFormId,
     build_normal_form,
+    build_prenormal_struct,
     normal_form_prenormal,
     to_prenormal,
 )
 from connexa.malgrange import build_hnf
 from connexa.origin import (
     BirkhoffData,
-    BirkhoffReduction,
     ConstMat,
     OriginRestriction,
     birkhoff_invariants,
@@ -31,20 +31,34 @@ from connexa.origin import (
     is_elementary,
     normalize_birkhoff,
     restrict_prenormal,
-    restriction_zmat,
-    zmat_coeff,
-    zmat_from_consts,
     _chain_n,
-    _z_gauge,
 )
 from connexa.scalars import ONE, QUARTER, S, Scalar, ZERO, integer
-from connexa.selftest import _random_unit_family_gauge
-from connexa.series import TSeries
+from connexa.selftest import _random_prenormal, _random_unit_family_gauge
+from connexa.series import Laurent, TSeries
 
+import origin_oracle as oracle
 from conftest import rand_nonzero, rand_scalar
 from linear_system_oracle import solve_linear_system
+from origin_oracle import (
+    ZmatReduction,
+    _z_gauge,
+    restriction_zmat,
+    zmat_coeff,
+    zmat_coeffs,
+    zmat_from_consts,
+)
 
 NZ = NT = 8
+
+
+def _window(coeffs, nz):
+    """The coefficient list B_0 ... B_{nz-1}, padded with zeros."""
+    return tuple(coeffs) + (ConstMat.zero(),) * (nz - len(coeffs))
+
+
+def _residual_is_zero(b_in, red):
+    return all(c.is_zero() for c in birkhoff_residual(b_in, red.gauge, red.b0, red.binf))
 
 
 def test_elementary_product_rule():
@@ -84,8 +98,6 @@ def test_elementary_matches_twisted_fuchs():
     ]:
         nf = NormalFormId(family, dict(c=S(1), alpha=S("1/2"), **params))
         p = normal_form_prenormal(nf, NZ, NT)
-        from connexa.formalnf import build_prenormal_struct
-
         r = restrict_origin(build_prenormal_struct(p))
         assert is_elementary(p) == want
         assert cyclic_fuchs(r) == want
@@ -133,9 +145,9 @@ def test_irreducibility_explicit_witness():
 def test_birkhoff_reduce_trivial():
     b0 = ConstMat(S(1), S(2), ZERO, ZERO)
     binf = ConstMat(S("1/2"), S(5), -QUARTER, S(2))
-    pencil = zmat_from_consts([b0, binf], NZ)
-    red = birkhoff_reduce(pencil)
+    red = birkhoff_reduce(_window([b0, binf], NZ))
     assert red.b0 == b0 and red.binf == binf
+    assert red.gauge == _window([ConstMat.identity()], NZ)
     assert "already a pencil" in red.log
 
 
@@ -145,7 +157,7 @@ def test_birkhoff_reduce_normal_form_restrictions():
     s = build_normal_form(
         NormalFormId("F1", dict(c=S(1), alpha=S("1/2"), c0=S(2))), NZ, NT
     )
-    red = birkhoff_reduce(restriction_zmat(restrict_origin(s)))
+    red = birkhoff_reduce(restrict_origin(s).bz_components())
     assert red.b0 == ConstMat(S(1), S(2), ZERO, ZERO)
     assert red.binf == ConstMat(S("1/2"), ZERO, -QUARTER, S(2))
     # restriction of the first second-type form: B0 = c C1 + C2,
@@ -153,7 +165,7 @@ def test_birkhoff_reduce_normal_form_restrictions():
     s = build_hnf(
         NormalFormId("HNF-MAL1", dict(c=S(1), alpha=S(0), c0=S(3))), NZ, NT
     )
-    red = birkhoff_reduce(restriction_zmat(restrict_origin(s)))
+    red = birkhoff_reduce(restrict_origin(s).bz_components())
     assert red.b0 == ConstMat(S(1), S(1), ZERO, ZERO)
     assert red.binf == ConstMat(S(0), ZERO, ZERO, S(9))
 
@@ -174,9 +186,9 @@ def test_birkhoff_reduce_gauged(rng):
             ],
             NZ,
         )
-        gauged = _z_gauge(pencil, frame)
+        gauged = zmat_coeffs(_z_gauge(pencil, frame))
         red = birkhoff_reduce(gauged)
-        assert birkhoff_residual(gauged, red.gauge, red.b0, red.binf).is_zero()
+        assert _residual_is_zero(gauged, red)
         # the head and the trace data are preserved
         assert red.b0.c1 == b0.c1
         i1 = birkhoff_invariants(red.b0, red.binf)
@@ -188,17 +200,17 @@ def test_birkhoff_reduce_conjugates_residue():
     # residue given in upper-triangular position
     b0 = ConstMat.from_entries(S(1), S(3), ZERO, S(1))  # nilpotent part in E
     binf = ConstMat(S(0), S(1), ZERO, S(1))
-    pencil = zmat_from_consts([b0, binf], NZ)
+    pencil = _window([b0, binf], NZ)
     red = birkhoff_reduce(pencil)
     assert red.b0.d.is_zero() and red.b0.e.is_zero()
     assert red.b0.c1 == S(1) and not red.b0.c2.is_zero()
-    assert birkhoff_residual(pencil, red.gauge, red.b0, red.binf).is_zero()
+    assert _residual_is_zero(pencil, red)
 
 
 def test_birkhoff_reduce_rejects_semisimple():
     b0 = ConstMat(S(0), ZERO, S(1), ZERO)  # distinct eigenvalues
     with pytest.raises(ShapeError):
-        birkhoff_reduce(zmat_from_consts([b0, ConstMat.identity()], NZ))
+        birkhoff_reduce(_window([b0, ConstMat.identity()], NZ))
 
 
 def _birkhoff_reduce_global_solve(bz):
@@ -228,7 +240,7 @@ def _birkhoff_reduce_global_solve(bz):
     b0 = ConstMat(res.c1, c0, ZERO, ZERO)
     coeffs = [zmat_coeff(cur, k) for k in range(nz)]
     if all(c.is_zero() for c in coeffs[2:]):
-        return BirkhoffReduction(b0, coeffs[1], pre, tuple(log) + ("already a pencil",))
+        return ZmatReduction(b0, coeffs[1], pre, tuple(log) + ("already a pencil",))
     c2_unit = ConstMat(ZERO, ONE, ZERO, ZERO)
 
     def order2_obstruction(delta2):
@@ -301,10 +313,10 @@ def _birkhoff_reduce_global_solve(bz):
         ConstMat(*(sol[var(m, comp)] for comp in range(4))) for m in range(1, nz)
     ]
     tser = zmat_from_consts(tmats, nz)
-    if not birkhoff_residual(cur, tser, b0, binf).is_zero():
+    if not oracle.birkhoff_residual(cur, tser, b0, binf).is_zero():
         raise ReductionFailedError("frame fails the defining equation")
     log.append("frame found by one global linear solve")
-    return BirkhoffReduction(b0, binf, pre * tser, tuple(log))
+    return ZmatReduction(b0, binf, pre * tser, tuple(log))
 
 
 BIRKHOFF_NZ = (3, 4, 5, 6, 8, 10, 12, 16)
@@ -337,25 +349,27 @@ def test_birkhoff_reduce_matches_global_solve(rng):
     reduced = 0
     for k in range(48):
         bz = _random_birkhoff_input(rng, k)
+        coeffs = zmat_coeffs(bz)
         try:
             want = _birkhoff_reduce_global_solve(bz)
         except ReductionFailedError as exc:
             # binf.e == 0 with an obstruction at z^2: the same refusal
             with pytest.raises(ReductionFailedError) as got:
-                birkhoff_reduce(bz)
+                birkhoff_reduce(coeffs)
             assert (str(got.value), got.value.order) == (str(exc), exc.order) == (
                 "obstruction in the unreachable direction cannot be absorbed", 2
             )
             continue
-        red = birkhoff_reduce(bz)
-        assert (red.b0, red.binf, red.gauge) == (want.b0, want.binf, want.gauge)
+        red = birkhoff_reduce(coeffs)
+        assert (red.b0, red.binf) == (want.b0, want.binf)
+        assert zmat_from_consts(red.gauge, bz.nz) == want.gauge
         assert red.log[:-1] == want.log[:-1]
         if want.log[-1] == "already a pencil":
             assert red.log == want.log
         else:
             assert red.log[-1] == "frame found block by block"
             reduced += 1
-        assert birkhoff_residual(bz, red.gauge, red.b0, red.binf).is_zero()
+        assert _residual_is_zero(coeffs, red)
     assert reduced >= 30
 
 
@@ -367,11 +381,102 @@ def test_birkhoff_reduce_degenerate_pencil_refusals(rng):
         b2 = ConstMat(rand_nonzero(rng), rand_scalar(rng), rand_scalar(rng), ZERO)
         tail = [_rand_const(rng) for _ in range(nz - 3)]
         with pytest.raises(ReductionFailedError) as got:
-            birkhoff_reduce(zmat_from_consts([b0, b1, b2 + ConstMat(ZERO, ZERO, ZERO, ONE)] + tail, nz))
+            birkhoff_reduce((b0, b1, b2 + ConstMat(ZERO, ZERO, ZERO, ONE), *tail))
         assert got.value.order == 2
         assert "unreachable direction" in str(got.value)
         with pytest.raises(ShapeError, match="degenerate pencil"):
-            birkhoff_reduce(zmat_from_consts([b0, b1, b2, _rand_const(rng)] + tail, nz))
+            birkhoff_reduce((b0, b1, b2, _rand_const(rng), *tail)[:nz])
+
+
+def _same_reduction(coeffs, bz):
+    """Reduce the coefficient list and check it against the Mat2 oracle on
+    the same data packed as ``bz``: the same b0, binf, packed frame and log,
+    or the same refusal.  Returns the last log line, or "refused"."""
+    try:
+        want = oracle.birkhoff_reduce(bz)
+    except (ShapeError, ReductionFailedError) as exc:
+        with pytest.raises(type(exc)) as got:
+            birkhoff_reduce(coeffs)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        assert getattr(got.value, "order", None) == getattr(exc, "order", None)
+        return "refused"
+    red = birkhoff_reduce(coeffs)
+    assert (red.b0, red.binf, red.log) == (want.b0, want.binf, want.log)
+    assert zmat_from_consts(red.gauge, bz.nz) == want.gauge
+    return red.log[-1]
+
+
+def test_list_reduction_matches_mat2_oracle_on_random_inputs(rng):
+    outcomes = []
+    for k in range(48):
+        bz = _random_birkhoff_input(rng, k)
+        outcomes.append(_same_reduction(zmat_coeffs(bz), bz))
+    assert outcomes.count("frame found block by block") >= 30
+
+
+def test_list_reduction_matches_mat2_oracle_on_fixtures():
+    outcomes = set()
+    for name in fixture_names():
+        r = restrict_origin(build_fixture(name, 8, 8))
+        bz = restriction_zmat(r)
+        assert r.bz_components() == zmat_coeffs(bz)
+        outcomes.add(_same_reduction(r.bz_components(), bz))
+    assert outcomes == {"refused", "already a pencil"}
+
+
+def test_list_reduction_matches_mat2_oracle_on_dense_f1():
+    # unit-family forms at criterion 2's window moved by a z-polynomial
+    # gauge: the restrictions the dense round trip reduces block by block
+    rng = random.Random(909)
+    for _ in range(4):
+        nf = NormalFormId(
+            "F1", {"c": rand_scalar(rng), "alpha": rand_scalar(rng), "c0": rand_nonzero(rng)}
+        )
+        s = apply_gauge(build_normal_form(nf, 10, 6), _random_unit_family_gauge(rng, 10, 6))
+        r = restrict_prenormal(to_prenormal(s)[0])
+        bz = restriction_zmat(r)
+        assert r.bz_components() == zmat_coeffs(bz)
+        assert _same_reduction(r.bz_components(), bz) == "frame found block by block"
+
+
+def test_list_residual_matches_mat2_residual(rng):
+    for k in range(16):
+        nz = BIRKHOFF_NZ[k % len(BIRKHOFF_NZ)]
+        b_in = tuple(_rand_const(rng) for _ in range(nz))
+        t = [_rand_const(rng, 1) for _ in range(nz)]
+        b0, binf = _rand_const(rng), _rand_const(rng)
+        want = oracle.birkhoff_residual(
+            zmat_from_consts(b_in, nz), zmat_from_consts(t, nz), b0, binf
+        )
+        assert birkhoff_residual(b_in, t, b0, binf) == zmat_coeffs(want)
+
+
+def test_cyclic_fuchs_matches_generic_rule():
+    rng = random.Random(303)  # the samples of acceptance criterion 3
+    verdicts = []
+    for _ in range(200):
+        r = restrict_origin(build_prenormal_struct(_random_prenormal(rng, 8, 6)))
+        verdicts.append(cyclic_fuchs(r))
+        assert verdicts[-1] == oracle.cyclic_fuchs(r)
+    assert True in verdicts and False in verdicts
+    n = 8
+    zero, unit, val1 = TSeries.zero(n), TSeries.of([1, 1], n), TSeries.of([0, 1], n)
+    for eta, gam in ((unit, val1), (unit, unit), (zero, unit)):
+        r = OriginRestriction(eta, unit, unit, gam, ZERO, ZERO)
+        assert cyclic_fuchs(r) == oracle.cyclic_fuchs(r)
+
+
+def test_fuchs_oracle_rule():
+    # the generic rule v(a_i) >= i - d that cyclic_fuchs applies at d = 2
+    one = TSeries.one(5)
+    # d=1, a0 with valuation -1 -> regular
+    assert oracle.fuchs_regular_singular(oracle.FuchsProblem((Laurent(-1, one),), 1))
+    # d=2, v(a0) = -2, v(a1) = -1 -> regular
+    p = oracle.FuchsProblem((Laurent(-2, one), Laurent(-1, one)), 2)
+    assert oracle.fuchs_regular_singular(p)
+    # d=2, v(a0) = -3 -> not regular
+    p = oracle.FuchsProblem((Laurent(-3, one), Laurent(-1, one)), 2)
+    assert not oracle.fuchs_regular_singular(p)
 
 
 def test_cli_classify_reduces_gauged_f1_block_by_block(tmp_path, capsys):
