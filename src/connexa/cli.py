@@ -210,29 +210,28 @@ def cmd_malgrange(args) -> int:
     return EXIT_OK
 
 
-def cmd_euler_nf(args) -> int:
+def _euler_report(args):
+    """Parse --c and --g, normalize the Euler field, and start the report
+    with its family and parameters."""
     g = _parse_series(args.g, _order(args.order_t))
-    e = EulerField(Scalar.parse(args.c), g)
-    nz = euler_normal_form(e)
-    out = Report("euler-nf")
+    nz = euler_normal_form(EulerField(Scalar.parse(args.c), g))
+    out = Report(args.command)
     out.verdicts["family"] = nz.normal_form.family
     out.verdicts["params"] = {
         k: str(v) for k, v in sorted(nz.normal_form.params.items())
     }
+    return out, nz
+
+
+def cmd_euler_nf(args) -> int:
+    out, nz = _euler_report(args)
     out.verdicts["automorphism_found"] = nz.lam is not None
     out.warnings = list(nz.notes)
     return _emit(out)
 
 
 def cmd_euler_realizable(args) -> int:
-    g = _parse_series(args.g, _order(args.order_t))
-    e = EulerField(Scalar.parse(args.c), g)
-    nz = euler_normal_form(e)
-    out = Report("euler-realizable")
-    out.verdicts["family"] = nz.normal_form.family
-    out.verdicts["params"] = {
-        k: str(v) for k, v in sorted(nz.normal_form.params.items())
-    }
+    out, nz = _euler_report(args)
     out.verdicts["realizable"] = realizable_by_te(nz.normal_form)
     out.verdicts["frobenius_realizable"] = frobenius_realizable(nz.normal_form)
     return _emit(out)

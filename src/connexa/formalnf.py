@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     UnsupportedShapeError,
 )
-from .scalars import HALF, ONE, ZERO, S, Scalar, integer
+from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
 from .series import TSeries, ZTSeries, geometric
 
 _NEG_HALF = -HALF
@@ -98,17 +98,6 @@ class PreNormalForm:
     @property
     def orders(self) -> tuple[int, int]:
         return self.b2.orders
-
-    def b3(self) -> ZTSeries:
-        nz, nt = self.b2.orders
-        one = ZTSeries.one(nz, nt - 1)
-        return (self.b2.dt() + one).scale(_NEG_HALF)
-
-    def b4(self) -> ZTSeries:
-        nz, nt = self.b2.orders
-        d2 = self.b2.dt().dt().truncate(nz - 1, nt - 2)
-        fb = self.f.truncate(nz - 1, nt - 2) * self.b2.truncate(nz - 1, nt - 2)
-        return fb - d2.shift_z(1).scale(HALF)
 
     def master_residual(self) -> ZTSeries:
         """-(z/2) d2^3 b2 + (d2 f) b2 + 2 f d2(b2) - z dz(f) + f."""
@@ -180,13 +169,17 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
 
 
 def _validate_against(s: TEStruct, p: PreNormalForm):
-    """Check the derived pole components match the structure."""
+    """Check the derived pole components match the structure on the whole
+    z-window: f has nz - 1 slots, so z f b2 is exact at z-order nz."""
     nz, nt = s.orders
-    b3 = p.b3()
+    b2t = p.b2.dt()
+    b3 = (b2t + ZTSeries.one(nz, nt - 1)).scale(_NEG_HALF)
     if s.B.d.truncate(nz, nt - 1) != b3.shift_z(1):
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
-    b4 = p.b4()
-    if s.B.e.truncate(nz - 1, nt - 2) != b4.shift_z(1):
+    # the E component is z*b4 = z*f*b2 - (z^2/2) d2^2(b2)
+    fz = p.f.mul_z().truncate(nz, nt - 2)
+    zb4 = fz * p.b2.truncate(nz, nt - 2) - b2t.dt().shift_z(2).scale(HALF)
+    if s.B.e.truncate(nz, nt - 2) != zb4:
         raise ShapeError("E component does not match z b4")
 
 
@@ -324,6 +317,40 @@ def build_normal_form(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
 
 
 # ---------------------------------------------------------------------------
+# family automorphisms
+
+
+def unit_family_gauge(tau1: TSeries, tau2: TSeries, nt: int) -> GaugeMap:
+    """tau1 C1 + tau2 C2 + z tau2 E for z-series tau1, tau2: a gauge
+    automorphism of the f = 1 family (A2 = C2 + z E)."""
+    nz = tau1.order
+    return GaugeMap(
+        Mat2(
+            ZTSeries.from_zseries(tau1, nz, nt),
+            ZTSeries.from_zseries(tau2, nz, nt),
+            ZTSeries.zero(nz, nt),
+            ZTSeries.from_zseries(tau2.shift(1), nz, nt),
+        )
+    )
+
+
+def zero_family_gauge(tau1: TSeries, tau2: ZTSeries) -> GaugeMap:
+    """tau1 C1 + tau2 C2 - (z/2) d2(tau2) D - (z^2/2) d2^2(tau2) E for a
+    z-series tau1 and tau2 polynomial in t2: a gauge automorphism of the
+    f = 0 family (A2 = C2)."""
+    nz, nt = tau2.orders
+    d1 = tau2.dt_exact()
+    return GaugeMap(
+        Mat2(
+            ZTSeries.from_zseries(tau1, nz, nt),
+            tau2,
+            d1.shift_z(1).scale(_NEG_HALF),
+            d1.dt_exact().shift_z(2).scale(_NEG_HALF),
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
 # the classification pipeline
 
 
@@ -371,32 +398,17 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     c0 = cks[0]
     nfid = NormalFormId("F1", {"c": p.c, "alpha": p.alpha, "c0": c0})
     target = build_normal_form(nfid, nz, nt)
-    # gauge recursion: tau1^{(0)} = 1, then alternately
+    # gauge recursion: tau1^{(0)} = 1, then for n = 1, 2, ... one dot each
+    #   tau1^{(n-1)} = -(1/(n-1)) sum_{l=2..n} tau2^{(n-l)} c_{l-1}   (n >= 2)
     #   tau2^{(n-1)} = -(1/(n-1/2)) sum_{l=1..n} tau1^{(n-l)} c_l
-    #   tau1^{(n-1)} = -(1/(n-1)) sum_{l=2..n} tau2^{(n-l)} c_{l-1}
     diffs = [ZERO] + cks[1:]  # c_l - target_l, target has no tail
-    tau1 = [ONE] + [ZERO] * (nz - 1)
-    tau2 = [ZERO] * nz
-    if nz > 1:
-        tau2[0] = integer(-2) * tau1[0] * diffs[1]
-    for n in range(2, nz + 1):
-        acc = ZERO
-        for l in range(2, n + 1):
-            acc = acc + tau2[n - l] * diffs[l - 1]
-        tau1[n - 1] = -acc / integer(n - 1)
-        acc = ZERO
-        for l in range(1, n + 1):
-            if l < len(diffs):
-                acc = acc + tau1[n - l] * diffs[l]
-        tau2[n - 1] = -acc / (integer(n) - HALF)
-    zero = ZTSeries.zero(nz, nt)
-    tmat = Mat2(
-        ZTSeries.from_zseries(TSeries(tuple(tau1)), nz, nt),
-        ZTSeries.from_zseries(TSeries(tuple(tau2)), nz, nt),
-        zero,
-        ZTSeries.from_zseries(TSeries((ZERO,) + tuple(tau2[:-1])), nz, nt),
-    )
-    gauge = GaugeMap(tmat)
+    tau1 = [ONE]
+    tau2: list[Scalar] = []
+    for n in range(1, nz + 1):
+        if n > 1:
+            tau1.append(dot(tau2[::-1], diffs[1:n], -ONE / integer(n - 1)))
+        tau2.append(dot(tau1[::-1], diffs[1 : n + 1], -ONE / (integer(n) - HALF)))
+    gauge = unit_family_gauge(TSeries(tuple(tau1)), TSeries(tuple(tau2)), nt)
     src = build_prenormal_struct(p)
     out = apply_gauge(src, gauge)
     if out != target:
@@ -409,7 +421,7 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
         )
     else:
         warnings = ("zero-parameter boundary: lone member of its class",)
-    steps = () if tmat == Mat2.identity(nz, nt) else (gauge,)
+    steps = () if gauge.tmat == Mat2.identity(nz, nt) else (gauge,)
     return Classification(nfid, steps, target, partners, warnings)
 
 
@@ -653,22 +665,12 @@ def _zero_family_recursion(
         b2_out.append(new_coeff)
     if nz >= 2:
         tau1.append(next_tau1(nz - 1))
-    # build the gauge matrix
-    tau1_zt = ZTSeries.from_zseries(TSeries(tuple(tau1)), nz, nt)
-    tau2_list = [t0 for t0, _t1, _t2 in tau2] + [zero_t]
-    tau2_zt = ZTSeries.from_zcoeffs(tau2_list[:nz], nz)
-    tau3_list = [zero_t] + [t1.scale(_NEG_HALF) for _t0, t1, _t2 in tau2[: nz - 1]]
-    tau4_list = [zero_t, zero_t] + [
-        t2.scale(_NEG_HALF) for _t0, _t1, t2 in tau2[: nz - 2]
-    ]
-    tmat = Mat2(
-        tau1_zt,
-        tau2_zt,
-        ZTSeries.from_zcoeffs(tau3_list, nz),
-        ZTSeries.from_zcoeffs(tau4_list, nz),
+    gauge = zero_family_gauge(
+        TSeries(tuple(tau1)),
+        ZTSeries.from_zcoeffs([t0 for t0, _t1, _t2 in tau2], nz),
     )
-    ident = Mat2.identity(nz, nt)
-    gauge = None if tmat == ident else GaugeMap(tmat)
+    if gauge.tmat == Mat2.identity(nz, nt):
+        gauge = None
     new_b2 = ZTSeries.from_zcoeffs(b2_out, nz)
     out = PreNormalForm(p.f, new_b2, p.c, p.alpha)
     return out, gauge, mono_mu, res_order

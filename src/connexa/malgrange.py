@@ -196,8 +196,8 @@ def malgrange_connection(
 # holomorphic normal forms
 
 
-def build_hnf(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
-    """Structure matrices of the holomorphic (second-type) normal forms."""
+def hnf_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm:
+    """Pre-normal data (f, b2) of a holomorphic (second-type) normal form."""
     pr = nfid.params
     c = S(pr.get("c", 0))
     alpha = S(pr.get("alpha", 0))
@@ -218,13 +218,34 @@ def build_hnf(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
         b2 = TSeries.var(nt).scale(lam) + TSeries.const(c0, nt)
     else:
         raise ShapeError(f"not a holomorphic-only family: {nfid.family}")
-    p = PreNormalForm(
-        ZTSeries.from_tpoly(f, nz - 1),
-        ZTSeries.from_tpoly(b2, nz),
-        c,
-        alpha,
+    return PreNormalForm(
+        ZTSeries.from_tpoly(f, nz - 1), ZTSeries.from_tpoly(b2, nz), c, alpha
     )
-    return build_prenormal_struct(p)
+
+
+def build_hnf(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
+    """Structure matrices of the holomorphic (second-type) normal forms."""
+    return build_prenormal_struct(hnf_prenormal(nfid, nz, nt))
+
+
+def pencil_branch(u: Scalar) -> tuple[str | None, Scalar, Scalar | None]:
+    """The family of a normalized pencil with product u = c0 c1, as
+    (family, (lam+1)^2, lam+1).
+
+    u = 0 is F1.  Otherwise (1 + 16u)/4 = (lam+1)^2: a zero ratio is
+    HNF-MAL1, the root 1 is HNF-MAL3 and any other root in Q(i) is
+    HNF-MAL2 with lam = root - 1.  The family is None when the ratio has
+    no root in Q(i).  ``assign_c1`` is the inverse map.
+    """
+    ratio = (ONE + _SIXTEEN * u) / integer(4)
+    if u.is_zero():
+        return "F1", ratio, None
+    root = ratio.sqrt()
+    if root is None:
+        return None, ratio, None
+    if root.is_zero():
+        return "HNF-MAL1", ratio, root
+    return ("HNF-MAL3" if root == ONE else "HNF-MAL2"), ratio, root
 
 
 def assign_c1(nfid: NormalFormId) -> Scalar:
@@ -272,9 +293,8 @@ def holo_normal_form_second_type(
         raise ShapeError("B21 = 0 belongs to the first-type branch")
     alpha = (b11 + b22) * HALF
     st = malgrange_xy(binf, c0, nt)
-    q = b12 * b21
-    quarter_ratio = (ONE + _SIXTEEN * q) / integer(4)  # = (lam+1)^2
-    if q == -(ONE / _SIXTEEN):
+    family, ratio, root = pencil_branch(b12 * b21)
+    if family == "HNF-MAL1":
         k = integer(4) * c0
         k0_over_k1 = ONE / (_SIXTEEN * c0 * c0 * c0)
         gauge = _frame_change(st, k, k0_over_k1, nz, nt)
@@ -283,18 +303,14 @@ def holo_normal_form_second_type(
             "HNF-MAL1", {"c": c, "alpha": alpha, "c0": c0}
         )
         return SecondTypeResult(nfid, build_hnf(nfid, nz, nt), gauge, mu2, st)
-    sq = quarter_ratio.sqrt()
-    if sq is None:
-        raise ExactFieldError(
-            f"branch constant needs sqrt({quarter_ratio}) outside Q(i)"
-        )
+    if family is None:
+        raise ExactFieldError(f"branch constant needs sqrt({ratio}) outside Q(i)")
     if st.roots is None:
         raise ExactFieldError("pencil roots leave Q(i)")
     a, b = st.roots
-    if b21 * (b - a) != sq:
-        a, b = b, a  # order the roots to match the square-root convention
-    lam = b21 * (b - a) - ONE
-    if lam.is_zero():
+    if b21 * (b - a) != root:
+        a, b = b, a  # order the roots so that b21 (b - a) = lam + 1
+    if family == "HNF-MAL3":
         k = a
         k0_over_k1 = ONE / (a * a * c0)
         gauge = _frame_change(st, k, k0_over_k1, nz, nt)
@@ -302,6 +318,7 @@ def holo_normal_form_second_type(
             "HNF-MAL3", {"c": c, "alpha": alpha, "c0": c0}
         )
         return SecondTypeResult(nfid, build_hnf(nfid, nz, nt), gauge, None, st)
+    lam = root - ONE
     k = a
     k0_over_k1 = ONE / (a * a)
     gauge = _frame_change(st, k, k0_over_k1, nz, nt)
@@ -433,6 +450,11 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
             True, cls, cls.normal_form, None, None, None, cls.warnings,
             ("formal and holomorphic classes coincide",),
         )
+    nz = p.orders[0]
+    if nz < 3:  # the origin window is f's nz - 1 z-slots; B_0 and B_1 need two
+        raise ShapeError(
+            f"origin pencil reduction needs z-order at least 3, not {nz}"
+        )
     restr = restrict_prenormal(p)
     notes_extra: tuple[str, ...] = ()
     if k_max is not None:
@@ -455,23 +477,16 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     nfid = None
     formal_vs_holo = None
     if data is not None:
-        u = data.u()
         base = {"c": data.c, "alpha": data.alpha, "c0": data.c0}
-        if u.is_zero():
-            nfid = NormalFormId("F1", base)
-        elif u == -(ONE / _SIXTEEN):
-            nfid = NormalFormId("HNF-MAL1", base)
-        elif u == integer(3) / _SIXTEEN:
-            nfid = NormalFormId("HNF-MAL3", base)
+        family, ratio, root = pencil_branch(data.u())
+        if family is None:
+            warnings = warnings + (
+                f"branch slope has (lam+1)^2 = {ratio} with no root in Q(i)",
+            )
+        elif family == "HNF-MAL2":
+            nfid = NormalFormId(family, {**base, "lam": root - ONE})
         else:
-            ratio = (ONE + _SIXTEEN * u) / integer(4)
-            sq = ratio.sqrt()
-            if sq is None:
-                warnings = warnings + (
-                    f"branch slope has (lam+1)^2 = {ratio} with no root in Q(i)",
-                )
-            else:
-                nfid = NormalFormId("HNF-MAL2", {**base, "lam": sq - ONE})
+            nfid = NormalFormId(family, base)
         formal_vs_holo = birkhoff_iso_decision(
             data, BirkhoffData(data.c, data.alpha, data.c0, ZERO)
         )

@@ -14,7 +14,6 @@ from . import odekit
 from .connmat import (
     ConstMat,
     GaugeMap,
-    Mat2,
     apply_gauge,
     flatness_residuals,
     induced_euler,
@@ -30,10 +29,14 @@ from .formalnf import (
     build_normal_form,
     build_prenormal_struct,
     formal_normal_form,
+    normal_form_prenormal,
     to_prenormal,
+    unit_family_gauge,
+    zero_family_gauge,
 )
 from .malgrange import (
     assign_c1,
+    hnf_prenormal,
     holo_normal_form_second_type,
     malgrange_xy,
     second_type_replay,
@@ -47,7 +50,7 @@ from .origin import (
     is_elementary,
 )
 from .scalars import HALF, ONE, QUARTER, S, ZERO, Scalar, I, integer
-from .series import TSeries, ZTSeries, exp_linear, geometric
+from .series import TSeries, ZTSeries
 
 
 def _rand_scalar(rng, span=4, gauss=True) -> Scalar:
@@ -111,14 +114,7 @@ def _random_unit_family_gauge(rng, nz, nt) -> GaugeMap:
     """A z-polynomial automorphism of the unit-family shape (degree <= 4)."""
     tau1 = [_rand_nonzero(rng, 2)] + [_rand_scalar(rng, 2) for _ in range(4)]
     tau2 = [_rand_scalar(rng, 2) for _ in range(3)]  # E column adds a degree
-    zero = ZTSeries.zero(nz, nt)
-    tmat = Mat2(
-        ZTSeries.from_zseries(TSeries.of(tau1, nz), nz, nt),
-        ZTSeries.from_zseries(TSeries.of(tau2, nz), nz, nt),
-        zero,
-        ZTSeries.from_zseries(TSeries.of([ZERO] + tau2, nz), nz, nt),
-    )
-    return GaugeMap(tmat)
+    return unit_family_gauge(TSeries.of(tau1, nz), TSeries.of(tau2, nz), nt)
 
 
 def _random_zero_family_gauge(rng, nz, nt) -> GaugeMap:
@@ -128,22 +124,7 @@ def _random_zero_family_gauge(rng, nz, nt) -> GaugeMap:
         TSeries.of([_rand_scalar(rng, 2) for _ in range(3)], nt)
         for _ in range(3)
     ]
-    zt = TSeries.zero(nt)
-    tau3 = [zt] + [t.derivative_exact().scale(-HALF) for t in tau2]
-    tau4 = [zt, zt] + [
-        t.derivative_exact().derivative_exact().scale(-HALF) for t in tau2
-    ]
-
-    def pad(lst):
-        return ZTSeries.from_zcoeffs(lst[:nz] + [zt] * max(0, nz - len(lst)), nz)
-
-    tmat = Mat2(
-        ZTSeries.from_zseries(TSeries.of(tau1, nz), nz, nt),
-        pad(tau2),
-        pad(tau3),
-        pad(tau4),
-    )
-    return GaugeMap(tmat)
+    return zero_family_gauge(TSeries.of(tau1, nz), ZTSeries.from_zcoeffs(tau2, nz))
 
 
 def _random_scalar_gauge(rng, nz, nt) -> GaugeMap:
@@ -233,12 +214,8 @@ def _random_prenormal(rng, nz, nt) -> PreNormalForm:
             ZTSeries.one(nz - 1, nt), ZTSeries.from_zcoeffs(zc, nz), c, alpha
         )
     if kind == 1:
-        r = rng.randint(1, 4)
-        f = ZTSeries.from_tpoly(TSeries.monomial(ONE, r, nt), nz - 1)
-        b2 = ZTSeries.from_tpoly(
-            TSeries.var(nt).scale(-(ONE / integer(r + 2))), nz
-        )
-        return PreNormalForm(f, b2, c, alpha)
+        nf = NormalFormId("FR", {"c": c, "alpha": alpha, "r": rng.randint(1, 4)})
+        return normal_form_prenormal(nf, nz, nt)
     if kind == 2:
         zc = [
             TSeries.of([_rand_scalar(rng, 2) for _ in range(3)], nt)
@@ -248,22 +225,11 @@ def _random_prenormal(rng, nz, nt) -> PreNormalForm:
             ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs(zc, nz), c, alpha
         )
     # second-type shapes, exercising non-polynomial f
-    c0 = _rand_nonzero(rng, 3)
-    pick = rng.randrange(3)
-    if pick == 0:
-        f = geometric(ONE, nt).scale(c0 * c0)
-        b2 = TSeries.one(nt) - TSeries.var(nt)
-    elif pick == 1:
-        f = exp_linear(-ONE, nt).scale(c0 * c0)
-        b2 = TSeries.one(nt)
-    else:
-        lam = S(rng.randint(1, 3))
-        base = TSeries.one(nt) + TSeries.monomial(lam / c0, 1, nt)
-        f = base.pow_scalar(-(integer(2) + ONE / lam))
-        b2 = TSeries.var(nt).scale(lam) + TSeries.const(c0, nt)
-    return PreNormalForm(
-        ZTSeries.from_tpoly(f, nz - 1), ZTSeries.from_tpoly(b2, nz), c, alpha
-    )
+    params = {"c": c, "alpha": alpha, "c0": _rand_nonzero(rng, 3)}
+    family = ("HNF-MAL1", "HNF-MAL3", "HNF-MAL2")[rng.randrange(3)]
+    if family == "HNF-MAL2":
+        params["lam"] = S(rng.randint(1, 3))
+    return hnf_prenormal(NormalFormId(family, params), nz, nt)
 
 
 def criterion_elementary_dichotomy(samples=200, nz=8, nt=6):

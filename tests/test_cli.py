@@ -19,6 +19,7 @@ from connexa.docio import (
 )
 from connexa.errors import DocumentError
 from connexa.fixtures import build_fixture, fixture_names, write_fixtures
+from connexa.scalars import Scalar, integer
 from connexa.series import AffinePoly1, TSeries, ZTSeries
 
 from conftest import rand_scalar
@@ -171,6 +172,37 @@ def test_cli_classify_names_the_real_cause(tmp_path):
     out = _run("classify", str(target))
     assert out.returncode == 3
     assert out.stderr == "precondition violation: B's C1 part must not depend on t2\n"
+
+
+def test_cli_classify_below_z_order_3_names_the_window():
+    code, out, err = _main("--order-z", "2", "--order-t", "6", "classify", "mal1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition violation: origin pencil reduction needs z-order at "
+        "least 3, not 2\n"
+    )
+    code, out, _err = _main("--order-z", "3", "--order-t", "6", "classify", "mal1")
+    assert code == 0 and json.loads(out)["verdicts"]["elementary"] is False
+
+
+def test_cli_pole_e_component_is_checked_at_the_top_z_order(tmp_path):
+    # B.e at z^5 t^0 of f1_r2 written at (6, 6), raised by 7: verify calls
+    # the document non-flat, and the pipelines refuse it instead of
+    # classifying it as FR
+    doc = structure_to_document(build_fixture("f1_r2", 6, 6))
+    row = doc["matrices"]["B"]["e"][5][0]
+    row[0] = str(Scalar.parse(row[0]) + integer(7))
+    target = tmp_path / "e_top.json"
+    target.write_text(dumps_document(doc))
+    code, out, err = _main("verify", str(target))
+    assert code == 0 and err == ""
+    assert json.loads(out)["residuals_zero"] == {
+        "base": True, "pole_1": True, "pole_2": False
+    }
+    for cmd in ("prenormal", "formal-nf", "classify"):
+        code, out, err = _main(cmd, str(target))
+        assert (code, out) == (3, ""), cmd
+        assert err == "precondition violation: E component does not match z b4\n"
 
 
 def test_cli_formal_nf_and_iso(tmp_path):

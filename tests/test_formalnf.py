@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import gauge_oracle
 from connexa import formalnf, odekit
 from connexa.connmat import GaugeMap, Mat2, apply_gauge, flatness_residuals, scalar_exp_gauge
 from connexa.errors import (
@@ -390,17 +391,7 @@ def _zero_family_recursion_rebuilt(p, shape, lam):
         b2_out.append(new_coeff)
     if nz >= 2:
         tau1.append(next_tau1(nz - 1))
-    tau2_list = tau2 + [zero_t]
-    tau3_list = [zero_t] + [t.derivative_exact().scale(-HALF) for t in tau2_list[: nz - 1]]
-    tau4_list = [zero_t, zero_t] + [
-        t.derivative_exact().derivative_exact().scale(-HALF) for t in tau2_list[: nz - 2]
-    ]
-    tmat = Mat2(
-        ZTSeries.from_zseries(TSeries(tuple(tau1)), nz, nt),
-        ZTSeries.from_zcoeffs(tau2_list[:nz], nz),
-        ZTSeries.from_zcoeffs(tau3_list, nz),
-        ZTSeries.from_zcoeffs(tau4_list, nz),
-    )
+    tmat = gauge_oracle.zero_family_mat(tau1, tau2, nz, nt)
     gauge = None if tmat == Mat2.identity(nz, nt) else GaugeMap(tmat)
     out = PreNormalForm(p.f, ZTSeries.from_zcoeffs(b2_out, nz), p.c, p.alpha)
     return out, gauge, mono_mu, res_order
