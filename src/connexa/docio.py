@@ -65,37 +65,25 @@ def _literal(x) -> Scalar:
     raise DocumentError("coefficient must be a string or an integer")
 
 
-def _row_from_json(data: list) -> tuple[list[int], list[int], int]:
-    """Numerators re and im and the denominator of one t2-coefficient
-    array, in canonical form; only a literal that is not a plain integer
-    becomes a Scalar."""
+def _row_from_json(data: list) -> TSeries:
+    """One t2-coefficient array as a row window; only a literal that is not
+    a plain integer becomes a Scalar."""
     ints = _ints_from_json(data)
     if ints is not None:
-        return ints, [0] * len(ints), 1
+        return TSeries._ints(ints, [0] * len(ints), 1, 1)
     cs = [_literal(x) for x in data]
     den = lcm(*[c.d for c in cs])
-    return [c.a * (den // c.d) for c in cs], [c.b * (den // c.d) for c in cs], den
+    re_ = [c.a * (den // c.d) for c in cs]
+    return TSeries._ints(re_, [c.b * (den // c.d) for c in cs], den, 1)
 
 
 def _plane_from_json(rows: list[list], nt: int) -> Plane:
-    """The plane whose z-row k holds the literals ``rows[k]``.
-
-    A plane of plain integers is read by int() in one pass; otherwise each
-    row is read alone, and over the lcm of the canonical row denominators
-    the form is canonical again.
-    """
+    """The plane whose z-row k holds the literals ``rows[k]``: a plane of
+    plain integers is read by int() in one pass, otherwise each row alone."""
     ints = _ints_from_json(list(chain.from_iterable(rows)))
     if ints is not None:
         return Plane._ints(len(rows), nt, ints, [0] * len(ints), 1, 1)
-    parsed = [_row_from_json(row) for row in rows]
-    den = lcm(*[d for _, _, d in parsed])
-    re_: list[int] = []
-    im: list[int] = []
-    for r, i, d in parsed:
-        m = den // d
-        re_ += r if m == 1 else [x * m for x in r]
-        im += i if m == 1 else [y * m for y in i]
-    return Plane._ints(len(rows), nt, re_, im, den, 1)
+    return Plane.of_rows([_row_from_json(row) for row in rows])
 
 
 def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:

@@ -169,18 +169,27 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
 
 
 def _validate_against(s: TEStruct, p: PreNormalForm):
-    """Check the derived pole components match the structure on the whole
-    z-window: f has nz - 1 slots, so z f b2 is exact at z-order nz."""
+    """Check the pole components against the pre-normal data on (nz, nt - 1):
+    B.d against -(z/2)(d2 b2 + 1), then B.e against the D and E components
+    of the pole-2 flatness equation, which read B's own D component:
+
+        B.e = z d2(B.d) + z f b2,    z d2(B.e) = z^3 dz(f) + 2 z f B.d.
+
+    f has nz - 1 slots, so z f is exact on the whole z-window.
+    """
     nz, nt = s.orders
-    b2t = p.b2.dt()
-    b3 = (b2t + ZTSeries.one(nz, nt - 1)).scale(_NEG_HALF)
-    if s.B.d.truncate(nz, nt - 1) != b3.shift_z(1):
+    bd = s.B.d.truncate(nz, nt - 1)
+    b3 = (p.b2.dt() + ZTSeries.one(nz, nt - 1)).scale(_NEG_HALF)
+    if bd != b3.shift_z(1):
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
-    # the E component is z*b4 = z*f*b2 - (z^2/2) d2^2(b2)
-    fz = p.f.mul_z().truncate(nz, nt - 2)
-    zb4 = fz * p.b2.truncate(nz, nt - 2) - b2t.dt().shift_z(2).scale(HALF)
-    if s.B.e.truncate(nz, nt - 2) != zb4:
+    fz = p.f.mul_z().truncate(nz, nt - 1)
+    # the E component is z*b4 with b4 = d2(B.d) + f b2
+    zb4 = s.B.d.dt().shift_z(1) + fz * p.b2.truncate(nz, nt - 1)
+    if s.B.e.truncate(nz, nt - 1) != zb4:
         raise ShapeError("E component does not match z b4")
+    z3fz = p.f.zdz().mul_z().shift_z(1).truncate(nz, nt - 1)
+    if s.B.e.dt().shift_z(1) != z3fz + (fz * bd).scale(S(2)):
+        raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
 
 
 # ---------------------------------------------------------------------------

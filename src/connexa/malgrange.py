@@ -202,6 +202,8 @@ def hnf_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm:
     c = S(pr.get("c", 0))
     alpha = S(pr.get("alpha", 0))
     c0 = S(pr["c0"])
+    if c0.is_zero():
+        raise ShapeError("holomorphic normal forms need c0 != 0")
     c0sq = c0 * c0
     if nfid.family == "HNF-MAL1":
         f = geometric(ONE, nt).scale(c0sq)  # c0^2/(1 - t2)
@@ -211,8 +213,13 @@ def hnf_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm:
         b2 = TSeries.one(nt)
     elif nfid.family == "HNF-MAL2":
         lam = S(pr["lam"])
-        if lam.is_zero():
-            raise ShapeError("second-branch form needs lam != 0")
+        root = lam + ONE  # pencil_branch reads back the principal root
+        principal = root.a > 0 or (root.a == 0 and root.b > 0)
+        if not principal or lam.is_zero() or lam == -HALF:
+            raise ShapeError(
+                "HNF-MAL2 needs lam not 0 or -1/2, with lam + 1 on the principal"
+                " square-root branch (re > 0, or re = 0 and im > 0)"
+            )
         base = TSeries.one(nt) + TSeries.monomial(lam / c0, 1, nt)
         f = base.pow_scalar(-(integer(2) + ONE / lam))
         b2 = TSeries.var(nt).scale(lam) + TSeries.const(c0, nt)

@@ -470,28 +470,25 @@ def _fixture_is_zero_family(s) -> bool:
     return s.A2.e.is_zero()
 
 
+# (name, criterion, sample count under --fast; None runs the default)
 CRITERIA = [
-    ("1 normal-form flatness sweep", criterion_flatness_sweep),
-    ("2 round-trip normalization", criterion_round_trip),
-    ("3 elementary dichotomy", criterion_elementary_dichotomy),
-    ("4 birkhoff decision table", criterion_birkhoff_table),
-    ("5 malgrange ode fidelity", criterion_malgrange_fidelity),
-    ("6 second-type replay", criterion_second_type_replay),
-    ("7 euler suite", criterion_euler_suite),
-    ("8 appendix suite", criterion_appendix_suite),
-    ("9 cross-module coherence", criterion_cross_module),
+    ("1 normal-form flatness sweep", criterion_flatness_sweep, 3),
+    ("2 round-trip normalization", criterion_round_trip, 10),
+    ("3 elementary dichotomy", criterion_elementary_dichotomy, 40),
+    ("4 birkhoff decision table", criterion_birkhoff_table, None),
+    ("5 malgrange ode fidelity", criterion_malgrange_fidelity, None),
+    ("6 second-type replay", criterion_second_type_replay, None),
+    ("7 euler suite", criterion_euler_suite, None),
+    ("8 appendix suite", criterion_appendix_suite, None),
+    ("9 cross-module coherence", criterion_cross_module, None),
 ]
 
 
 def run_all(fast=False):
     results = []
-    for name, fn in CRITERIA:
-        if fast and name.startswith("1"):
-            passed, detail = fn(samples=3)
-        elif fast and name.startswith("2"):
-            passed, detail = fn(samples=10)
-        elif fast and name.startswith("3"):
-            passed, detail = fn(samples=40)
+    for name, fn, fast_samples in CRITERIA:
+        if fast and fast_samples is not None:
+            passed, detail = fn(samples=fast_samples)
         else:
             passed, detail = fn()
         results.append((name, passed, detail))

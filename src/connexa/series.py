@@ -2,16 +2,18 @@
 
 Three layers:
 
-* ``TSeries`` -- one-variable truncated series (used both for the base
-  coordinate t2 and for the pole coordinate z).
+* ``Plane`` -- an nz x nt coefficient window in z and t2, z-major
+  Gaussian-integer numerators over one denominator, with its elementwise
+  arithmetic; ``plane_dot`` is the one product kernel.  ``TSeries``, the
+  one-variable series (in the base coordinate t2 or the pole coordinate
+  z), is the one-row plane and adds the one-variable operations.
 * ``AffinePoly1`` -- polynomials of degree at most one in t1 with
   ``TSeries`` or ``Plane`` coefficients.  Degree-1 truncation is an
   invariant of every structure in scope, so products that would create a
   t1^2 term raise.
 * ``ZTSeries`` -- truncated series in z and t2, stored as an
   ``AffinePoly1`` of two ``Plane`` windows (the t1-constant part and the
-  t1-slope), each z-major Gaussian-integer numerators over one
-  denominator.
+  t1-slope).
 
 A series of order N stores exactly the coefficients 0..N-1 and every
 operation is exact on that window.  Binary operations require equal
@@ -35,11 +37,6 @@ from .errors import (
 from .scalars import ONE, ZERO, S, Scalar, dot, integer
 
 
-def _check_order(a: TSeries, b: TSeries):
-    if len(a.re) != len(b.re):
-        raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
-
-
 def _scalar(re: int, im: int, den: int) -> Scalar:
     """The coefficient (re + im i) / den; every zero is the shared ZERO."""
     if not im:
@@ -60,67 +57,323 @@ def _reduce(re: list[int], im: list[int], den: int, g: int):
     return re, im, den
 
 
-def _sum_ints(a, b, sign: int):
-    """Numerators of a + sign * b over lcm(a.den, b.den), with the factor
-    gcd(a.den, b.den), the only one the sum can be reduced by."""
-    g = gcd(a.den, b.den)
-    ma = b.den // g
-    mb = sign * (a.den // g)
-    re = [x * ma + y * mb for x, y in zip(a.re, b.re)]
-    im = [x * ma + y * mb for x, y in zip(a.im, b.im)]
-    return re, im, a.den * ma, g
+class Plane:
+    """An nz x nt window of a series in z and t2; entry (k, n) is the
+    coefficient of z^k t2^n.
 
-
-def _scale_ints(a, c: Scalar):
-    """Numerators and denominator of a * c, before reduction."""
-    p, q, d = c.a, c.b, c.d
-    re = [x * p - y * q for x, y in zip(a.re, a.im)]
-    im = [x * q + y * p for x, y in zip(a.re, a.im)]
-    return re, im, a.den * d
-
-
-class TSeries:
-    """Truncated series sum(coeffs[n] * x^n, n < order) in one variable.
-
-    Stored as Gaussian-integer numerators over one denominator: coefficient
-    n is (re[n] + im[n] i) / den with den > 0 and gcd(den, re, im) = 1, so
-    the zero series has den = 1 and equal series have equal fields.  ``re``
-    and ``im`` are lists that must never be changed in place: operations
-    may return an operand itself, and ``==``, ``hash`` and the canonical
-    form read them.  The constructor takes a sequence of Scalars, each
-    canonical, so over the lcm of their denominators the form is canonical
-    again; ``coeffs`` is that Scalar tuple, or is built on first use and
-    kept.
+    Stored z-major as Gaussian-integer numerators over one denominator:
+    entry (k, n) is (re[k*nt + n] + im[k*nt + n] i) / den with den > 0 and
+    gcd(den, re, im) = 1, so the zero window has den = 1 and equal windows
+    have equal fields.  ``re`` and ``im`` are lists that must never be
+    changed in place: operations may return an operand itself, and ``==``,
+    ``hash`` and the canonical form read them.  The support is scanned at
+    most once.  The elementwise operations build their result through
+    ``_new``, so on a ``TSeries`` (the one-row window) they return a
+    ``TSeries``.
     """
 
-    __slots__ = ("re", "im", "den", "_coeffs")
+    __slots__ = ("nz", "nt", "order", "re", "im", "den", "_support")
+
+    @staticmethod
+    def _ints(
+        nz: int, nt: int, re: list[int], im: list[int], den: int, g: int | None = None
+    ) -> Plane:
+        """(re + im i) / den as an nz x nt plane, reduced to the canonical
+        form.  ``g`` is a known multiple of gcd(den, re, im); g = 1 skips
+        the reduction."""
+        re, im, den = _reduce(re, im, den, den if g is None else g)
+        out = object.__new__(Plane)
+        out.nz = nz
+        out.nt = nt
+        out.order = (nz, nt)
+        out.re = re
+        out.im = im
+        out.den = den
+        out._support = None
+        return out
+
+    # A window of the operand's class, from the arguments of Plane._ints.
+    _new = _ints
+
+    @staticmethod
+    def zero(nz: int, nt: int) -> Plane:
+        n = nz * nt
+        return Plane._ints(nz, nt, [0] * n, [0] * n, 1, 1)
+
+    @staticmethod
+    def of_rows(rows) -> Plane:
+        """The plane whose z-row k is rows[k], a one-row window.
+
+        Over the lcm of canonical row denominators the form is canonical
+        again, so no reduction is needed.
+        """
+        nt = rows[0].nt
+        if any(r.nt != nt for r in rows):
+            raise OrderMismatchError("z-coefficients have mixed t-orders")
+        den = lcm(*[r.den for r in rows])
+        re: list[int] = []
+        im: list[int] = []
+        for r in rows:
+            m = den // r.den
+            re += r.re if m == 1 else [x * m for x in r.re]
+            im += r.im if m == 1 else [y * m for y in r.im]
+        return Plane._ints(len(rows), nt, re, im, den, 1)
+
+    def row(self, k: int) -> TSeries:
+        """z-coefficient k as a TSeries of order nt."""
+        a = k * self.nt
+        return TSeries._ints(self.re[a : a + self.nt], self.im[a : a + self.nt], self.den)
+
+    def at_t0(self) -> TSeries:
+        """The z-series of entries (k, 0)."""
+        return TSeries._ints(self.re[:: self.nt], self.im[:: self.nt], self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Plane):
+            return NotImplemented
+        return (
+            self.nt == other.nt
+            and self.nz == other.nz
+            and self.den == other.den
+            and self.re == other.re
+            and self.im == other.im
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nz, self.nt, tuple(self.re), tuple(self.im), self.den))
+
+    def is_zero(self) -> bool:
+        return self.den == 1 and not (any(self.re) or any(self.im))
+
+    def is_constant(self) -> bool:
+        """Every z-coefficient is constant in t2."""
+        re, im, nt = self.re, self.im, self.nt
+        return not any(
+            any(re[a + 1 : a + nt]) or any(im[a + 1 : a + nt])
+            for a in range(0, self.nz * nt, nt or 1)
+        )
+
+    def support(self) -> list[tuple[int, list[tuple[int, int, int]]]]:
+        """Nonzero entries as [(k, [(n, re, im), ...]), ...], rows and
+        entries in increasing order; built on first use and kept."""
+        sup = self._support
+        if sup is None:
+            sup = []
+            re, im, nt = self.re, self.im, self.nt
+            for k in range(self.nz):
+                rr, ri = re[k * nt : (k + 1) * nt], im[k * nt : (k + 1) * nt]
+                if any(rr) or any(ri):
+                    sup.append(
+                        (k, [(n, x, y) for n, (x, y) in enumerate(zip(rr, ri)) if x or y])
+                    )
+            self._support = sup
+        return sup
+
+    # -- ring operations -----------------------------------------------------
+
+    def _check(self, other: Plane):
+        if self.nt != other.nt or self.nz != other.nz:
+            raise OrderMismatchError(f"orders {self.order} and {other.order} differ")
+
+    def __add__(self, other: Plane) -> Plane:
+        self._check(other)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        return self._sum(other, 1)
+
+    def __sub__(self, other: Plane) -> Plane:
+        self._check(other)
+        if other.is_zero():
+            return self
+        return self._sum(other, -1)
+
+    def _sum(self, other: Plane, sign: int) -> Plane:
+        """self + sign * other over lcm(self.den, other.den), reduced only
+        by gcd(self.den, other.den), the one factor the sum can share."""
+        g = gcd(self.den, other.den)
+        ma = other.den // g
+        mb = sign * (self.den // g)
+        re = [x * ma + y * mb for x, y in zip(self.re, other.re)]
+        im = [x * ma + y * mb for x, y in zip(self.im, other.im)]
+        return self._new(self.nz, self.nt, re, im, self.den * ma, g)
+
+    def __neg__(self) -> Plane:
+        if self.is_zero():
+            return self
+        return self._new(
+            self.nz, self.nt, [-x for x in self.re], [-y for y in self.im], self.den, 1
+        )
+
+    def scale(self, c: Scalar) -> Plane:
+        if self.is_zero():
+            return self
+        if c.is_zero():
+            n = len(self.re)
+            return self._new(self.nz, self.nt, [0] * n, [0] * n, 1, 1)
+        p, q = c.a, c.b
+        re = [x * p - y * q for x, y in zip(self.re, self.im)]
+        im = [x * q + y * p for x, y in zip(self.re, self.im)]
+        return self._new(self.nz, self.nt, re, im, self.den * c.d)
+
+    def __mul__(self, other: Plane) -> Plane:
+        return plane_dot([(1, self, other)], self.nz, self.nt)
+
+    def compose_t2(self, powers: tuple[list[list[int]], list[list[int]], int]) -> Plane:
+        """Substitute lam for t2, given the power table ``t2_powers(lam)``:
+        entry (k, m) is sum_{n<=m} self[k][n] (lam^n)_m, reduced once."""
+        pre, pim, pden = powers
+        nz, nt = self.nz, self.nt
+        if len(pre) != nt:
+            raise OrderMismatchError(f"orders {nt} and {len(pre)} differ")
+        sup = self.support()
+        if not sup:
+            return self
+        re = [0] * (nz * nt)
+        im = [0] * (nz * nt)
+        for k, row in sup:
+            for n, x, y in row:
+                out = range(k * nt + n, (k + 1) * nt)
+                for o, u, v in zip(out, pre[n][n:], pim[n][n:]):
+                    re[o] += x * u - y * v
+                    im[o] += x * v + y * u
+        return self._new(nz, nt, re, im, self.den * pden)
+
+    # -- windows and calculus ------------------------------------------------
+
+    def truncate(self, nz: int, nt: int) -> Plane:
+        w = self.nt
+        if nz > self.nz or nt > w:
+            raise OrderMismatchError("cannot extend a truncated series")
+        if nt == w:
+            if nz == self.nz:
+                return self
+            return self._new(nz, nt, self.re[: nz * nt], self.im[: nz * nt], self.den)
+        cut = range(0, nz * w, w)
+        return self._new(
+            nz,
+            nt,
+            [x for a in cut for x in self.re[a : a + nt]],
+            [y for a in cut for y in self.im[a : a + nt]],
+            self.den,
+        )
+
+    def shift_z(self, k: int) -> Plane:
+        """Multiply by z^k (k >= 0); rows above the window drop."""
+        if k == 0:
+            return self
+        nz, nt = self.nz, self.nt
+        if k >= nz:
+            return Plane.zero(nz, nt)
+        pad = [0] * (k * nt)
+        keep = (nz - k) * nt
+        return Plane._ints(nz, nt, pad + self.re[:keep], pad + self.im[:keep], self.den)
+
+    def mul_z(self) -> Plane:
+        """z * self, exact at z-order nz + 1."""
+        pad = [0] * self.nt
+        return Plane._ints(self.nz + 1, self.nt, pad + self.re, pad + self.im, self.den, 1)
+
+    def div_z(self) -> Plane:
+        """(self - its z^0 row) / z, exact at z-order nz - 1."""
+        nt = self.nt
+        return Plane._ints(self.nz - 1, nt, self.re[nt:], self.im[nt:], self.den)
+
+    def _weighted_rows(self, k0: int, w0: int, nz: int, pad: int) -> Plane:
+        """z-order nz: ``pad`` zero rows, then rows k0, k0 + 1, ... of self
+        times w0, w0 + 1, ..."""
+        nt = self.nt
+        zeros = [0] * (pad * nt)
+        src = slice(k0 * nt, (k0 + nz - pad) * nt)
+        re = zeros + [x * (w0 + i // nt) for i, x in enumerate(self.re[src])]
+        im = zeros + [y * (w0 + i // nt) for i, y in enumerate(self.im[src])]
+        return Plane._ints(nz, nt, re, im, self.den)
+
+    def dz(self) -> Plane:
+        return self._weighted_rows(1, 1, self.nz - 1, 0)
+
+    def zdz(self) -> Plane:
+        """z * d/dz, exact at the same z-order."""
+        return self._weighted_rows(0, 0, self.nz, 0)
+
+    def z2dz(self) -> Plane:
+        """z^2 * d/dz: row k is (k - 1) times row k - 1."""
+        return self._weighted_rows(0, 0, self.nz, 1)
+
+    def derivative(self) -> Plane:
+        """d/dt2: the t2-order drops by one."""
+        nt = self.nt
+        return self._new(
+            self.nz,
+            nt - 1,
+            [(i % nt) * x for i, x in enumerate(self.re) if i % nt],
+            [(i % nt) * y for i, y in enumerate(self.im) if i % nt],
+            self.den,
+        )
+
+    def derivative_exact(self) -> Plane:
+        """Same-order d/dt2 of stored polynomials: every top entry must
+        vanish, so nothing unknown is shifted into the window."""
+        nt = self.nt
+        if any(self.re[nt - 1 :: nt]) or any(self.im[nt - 1 :: nt]):
+            raise OrderMismatchError(
+                "same-order derivative needs a vanishing top coefficient"
+            )
+        # entry i of the list shifted by one is entry i + 1 of self, whose
+        # weight (i + 1) % nt is 0 exactly where a row's top entry lands
+        return self._new(
+            self.nz,
+            nt,
+            [(i % nt) * x for i, x in enumerate(self.re[1:] + [0], 1)],
+            [(i % nt) * y for i, y in enumerate(self.im[1:] + [0], 1)],
+            self.den,
+        )
+
+
+class TSeries(Plane):
+    """Truncated series sum(coeffs[n] * x^n, n < order) in one variable,
+    used both for the base coordinate t2 and for the pole coordinate z.
+
+    The one-row plane: nz = 1 and nt = order, with ``order`` the int nt.
+    Its canonical form and elementwise operations are the plane's; this
+    class adds what is one-variable only.  The constructor takes a
+    sequence of Scalars, each canonical, so over the lcm of their
+    denominators the form is canonical again; ``coeffs`` is that Scalar
+    tuple, or is built on first use and kept.
+    """
+
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs) -> None:
         coeffs = tuple(coeffs)
         den = lcm(*[c.d for c in coeffs])
+        self.nz = 1
+        self.nt = self.order = len(coeffs)
         self.re = [c.a * (den // c.d) for c in coeffs]
         self.im = [c.b * (den // c.d) for c in coeffs]
         self.den = den
+        self._support = None
         self._coeffs = coeffs
 
     @staticmethod
     def _ints(re: list[int], im: list[int], den: int, g: int | None = None) -> TSeries:
-        """(re + im i) / den, reduced to the canonical form.
-
-        ``g`` is a known multiple of gcd(den, re, im); g = 1 skips the
-        reduction.
-        """
+        """Same contract as Plane._ints, for the row of len(re) entries."""
         re, im, den = _reduce(re, im, den, den if g is None else g)
         out = object.__new__(TSeries)
+        out.nz = 1
+        out.nt = out.order = len(re)
         out.re = re
         out.im = im
         out.den = den
-        out._coeffs = None
+        out._support = out._coeffs = None
         return out
 
-    @property
-    def order(self) -> int:
-        return len(self.re)
+    @staticmethod
+    def _new(
+        nz: int, nt: int, re: list[int], im: list[int], den: int, g: int | None = None
+    ) -> TSeries:
+        return TSeries._ints(re, im, den, g)
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
@@ -131,14 +384,6 @@ class TSeries:
                 _scalar(a, b, den) for a, b in zip(self.re, self.im)
             )
         return cs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self.den == other.den and self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.re), tuple(self.im), self.den))
 
     def __repr__(self) -> str:
         return f"TSeries({self.coeffs!r})"
@@ -180,9 +425,6 @@ class TSeries:
 
     # -- basic queries ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.den == 1 and not (any(self.re) or any(self.im))
-
     def valuation(self) -> int | None:
         """Least index with nonzero coefficient, None for the zero window."""
         for n, (a, b) in enumerate(zip(self.re, self.im)):
@@ -196,74 +438,25 @@ class TSeries:
     def __getitem__(self, n: int) -> Scalar:
         return _scalar(self.re[n], self.im[n], self.den)
 
-    def is_constant(self) -> bool:
-        return not (any(self.re[1:]) or any(self.im[1:]))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: TSeries) -> TSeries:
-        _check_order(self, other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return self._sum(other, 1)
-
-    def __sub__(self, other: TSeries) -> TSeries:
-        _check_order(self, other)
-        if other.is_zero():
-            return self
-        return self._sum(other, -1)
-
-    def _sum(self, other: TSeries, sign: int) -> TSeries:
-        return TSeries._ints(*_sum_ints(self, other, sign))
-
-    def __neg__(self) -> TSeries:
-        if self.is_zero():
-            return self
-        return TSeries._ints([-x for x in self.re], [-y for y in self.im], self.den, 1)
-
-    def scale(self, c: Scalar) -> TSeries:
-        if c.is_zero() or self.is_zero():
-            return TSeries.zero(self.order)
-        return TSeries._ints(*_scale_ints(self, c))
+    # -- ring operations and windows ---------------------------------------
 
     def __mul__(self, other: TSeries) -> TSeries:
-        """Schoolbook product of the numerators over the support of other."""
-        _check_order(self, other)
-        n = len(self.re)
-        if self.is_zero() or other.is_zero():
-            return TSeries.zero(n)
-        bre, bim = other.re, other.im
-        sb = [(j, bre[j], bim[j]) for j in range(n) if bre[j] or bim[j]]
-        re = [0] * n
-        im = [0] * n
-        for i, (x, y) in enumerate(zip(self.re, self.im)):
-            if x or y:
-                for j, u, v in sb:
-                    k = i + j
-                    if k >= n:
-                        break
-                    re[k] += x * u - y * v
-                    im[k] += x * v + y * u
-        return TSeries._ints(re, im, self.den * other.den)
+        """The one-row plane product."""
+        p = plane_dot([(1, self, other)], 1, self.nt)
+        return TSeries._ints(p.re, p.im, p.den, 1)
 
     def shift(self, k: int) -> TSeries:
         """Multiply by x^k (k >= 0); coefficients above the window drop."""
         if k == 0:
             return self
-        n = len(self.re)
+        n = self.nt
         if k >= n:
             return TSeries.zero(n)
         pad = [0] * k
         return TSeries._ints(pad + self.re[: n - k], pad + self.im[: n - k], self.den)
 
     def truncate(self, order: int) -> TSeries:
-        if order > self.order:
-            raise OrderMismatchError("cannot extend a truncated series")
-        if order == self.order:
-            return self
-        return TSeries._ints(self.re[:order], self.im[:order], self.den)
+        return Plane.truncate(self, 1, order)
 
     def pad_poly(self, order: int) -> TSeries:
         """Extend by zeros; only valid when the series is an exact polynomial."""
@@ -273,13 +466,6 @@ class TSeries:
         return TSeries._ints(self.re + pad, self.im + pad, self.den, 1)
 
     # -- calculus -----------------------------------------------------------
-
-    def derivative(self) -> TSeries:
-        return TSeries._ints(
-            [k * x for k, x in enumerate(self.re)][1:],
-            [k * y for k, y in enumerate(self.im)][1:],
-            self.den,
-        )
 
     def xdx(self) -> TSeries:
         """x * d/dx, exact at the same order."""
@@ -297,22 +483,6 @@ class TSeries:
             [0] + [x * (m // k) for k, x in enumerate(self.re[:-1], 1)],
             [0] + [y * (m // k) for k, y in enumerate(self.im[:-1], 1)],
             self.den * m,
-        )
-
-    def derivative_exact(self) -> TSeries:
-        """Same-order derivative of a stored polynomial.
-
-        Valid only when the top coefficient vanishes, so nothing unknown
-        is shifted into the window.
-        """
-        if self.re[-1] or self.im[-1]:
-            raise OrderMismatchError(
-                "same-order derivative needs a vanishing top coefficient"
-            )
-        return TSeries._ints(
-            [k * x for k, x in enumerate(self.re)][1:] + [0],
-            [k * y for k, y in enumerate(self.im)][1:] + [0],
-            self.den,
         )
 
     # -- multiplicative structure ---------------------------------------------
@@ -334,11 +504,8 @@ class TSeries:
 
     def compose(self, lam: TSeries) -> TSeries:
         """Substitute lam (with lam(0) = 0) into self, over the power table
-        of lam as a one-row plane."""
-        _check_order(self, lam)
-        n = self.order
-        p = Plane._ints(1, n, self.re, self.im, self.den, 1).compose_t2(t2_powers(lam))
-        return TSeries._ints(p.re, p.im, p.den, 1)
+        of lam."""
+        return self.compose_t2(t2_powers(lam))
 
     def reverse(self) -> TSeries:
         """Compositional inverse of lam with lam(0)=0, lam'(0) != 0.
@@ -495,266 +662,16 @@ class AffinePoly1:
         return self.const.is_constant() and self.slope.is_constant()
 
 
-class Plane:
-    """An nz x nt window of a series in z and t2; entry (k, n) is the
-    coefficient of z^k t2^n.
-
-    Stored z-major in the canonical form of TSeries: entry (k, n) is
-    (re[k*nt + n] + im[k*nt + n] i) / den with den > 0 and
-    gcd(den, re, im) = 1, so equal planes have equal fields.  A plane is
-    never changed in place, and its support is scanned at most once.
-    """
-
-    __slots__ = ("nz", "nt", "order", "re", "im", "den", "_support")
-
-    @staticmethod
-    def _ints(
-        nz: int, nt: int, re: list[int], im: list[int], den: int, g: int | None = None
-    ) -> Plane:
-        """Same contract as TSeries._ints."""
-        re, im, den = _reduce(re, im, den, den if g is None else g)
-        out = object.__new__(Plane)
-        out.nz = nz
-        out.nt = nt
-        out.order = (nz, nt)
-        out.re = re
-        out.im = im
-        out.den = den
-        out._support = None
-        return out
-
-    @staticmethod
-    def zero(nz: int, nt: int) -> Plane:
-        n = nz * nt
-        return Plane._ints(nz, nt, [0] * n, [0] * n, 1, 1)
-
-    @staticmethod
-    def of_rows(rows) -> Plane:
-        """The plane whose z-row k is rows[k], a TSeries or a 1 x nt Plane.
-
-        Over the lcm of canonical row denominators the form is canonical
-        again, so no reduction is needed.
-        """
-        nt = len(rows[0].re)
-        if any(len(r.re) != nt for r in rows):
-            raise OrderMismatchError("z-coefficients have mixed t-orders")
-        den = lcm(*[r.den for r in rows])
-        re: list[int] = []
-        im: list[int] = []
-        for r in rows:
-            m = den // r.den
-            re += r.re if m == 1 else [x * m for x in r.re]
-            im += r.im if m == 1 else [y * m for y in r.im]
-        return Plane._ints(len(rows), nt, re, im, den, 1)
-
-    def row(self, k: int) -> TSeries:
-        """z-coefficient k as a TSeries of order nt."""
-        a = k * self.nt
-        return TSeries._ints(self.re[a : a + self.nt], self.im[a : a + self.nt], self.den)
-
-    def at_t0(self) -> TSeries:
-        """The z-series of entries (k, 0)."""
-        return TSeries._ints(self.re[:: self.nt], self.im[:: self.nt], self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Plane):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.den == other.den
-            and self.re == other.re
-            and self.im == other.im
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, tuple(self.re), tuple(self.im), self.den))
-
-    def is_zero(self) -> bool:
-        return self.den == 1 and not (any(self.re) or any(self.im))
-
-    def is_constant(self) -> bool:
-        """Every z-coefficient is constant in t2."""
-        re, im, nt = self.re, self.im, self.nt
-        return not any(
-            any(re[a + 1 : a + nt]) or any(im[a + 1 : a + nt])
-            for a in range(0, self.nz * nt, nt or 1)
-        )
-
-    def support(self) -> list[tuple[int, list[tuple[int, int, int]]]]:
-        """Nonzero entries as [(k, [(n, re, im), ...]), ...], rows and
-        entries in increasing order; built on first use and kept."""
-        sup = self._support
-        if sup is None:
-            sup = []
-            re, im, nt = self.re, self.im, self.nt
-            for k in range(self.nz):
-                rr, ri = re[k * nt : (k + 1) * nt], im[k * nt : (k + 1) * nt]
-                if any(rr) or any(ri):
-                    sup.append(
-                        (k, [(n, x, y) for n, (x, y) in enumerate(zip(rr, ri)) if x or y])
-                    )
-            self._support = sup
-        return sup
-
-    # -- ring operations -----------------------------------------------------
-
-    def _check(self, other: Plane):
-        if self.order != other.order:
-            raise OrderMismatchError(f"orders {self.order} and {other.order} differ")
-
-    def __add__(self, other: Plane) -> Plane:
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return self._sum(other, 1)
-
-    def __sub__(self, other: Plane) -> Plane:
-        self._check(other)
-        if other.is_zero():
-            return self
-        return self._sum(other, -1)
-
-    def _sum(self, other: Plane, sign: int) -> Plane:
-        return Plane._ints(self.nz, self.nt, *_sum_ints(self, other, sign))
-
-    def __neg__(self) -> Plane:
-        if self.is_zero():
-            return self
-        return Plane._ints(
-            self.nz, self.nt, [-x for x in self.re], [-y for y in self.im], self.den, 1
-        )
-
-    def scale(self, c: Scalar) -> Plane:
-        if self.is_zero():
-            return self
-        if c.is_zero():
-            return Plane.zero(self.nz, self.nt)
-        return Plane._ints(self.nz, self.nt, *_scale_ints(self, c))
-
-    def __mul__(self, other: Plane) -> Plane:
-        return plane_dot([(1, self, other)], self.nz, self.nt)
-
-    def compose_t2(self, powers: tuple[list[list[int]], list[list[int]], int]) -> Plane:
-        """Substitute lam for t2, given the power table ``t2_powers(lam)``:
-        entry (k, m) is sum_{n<=m} self[k][n] (lam^n)_m, reduced once."""
-        pre, pim, pden = powers
-        nz, nt = self.nz, self.nt
-        if len(pre) != nt:
-            raise OrderMismatchError(f"orders {nt} and {len(pre)} differ")
-        sup = self.support()
-        if not sup:
-            return self
-        re = [0] * (nz * nt)
-        im = [0] * (nz * nt)
-        for k, row in sup:
-            for n, x, y in row:
-                out = range(k * nt + n, (k + 1) * nt)
-                for o, u, v in zip(out, pre[n][n:], pim[n][n:]):
-                    re[o] += x * u - y * v
-                    im[o] += x * v + y * u
-        return Plane._ints(nz, nt, re, im, self.den * pden)
-
-    # -- windows and calculus ------------------------------------------------
-
-    def truncate(self, nz: int, nt: int) -> Plane:
-        if nz > self.nz or nt > self.nt:
-            raise OrderMismatchError("cannot extend a truncated series")
-        if nt == self.nt:
-            if nz == self.nz:
-                return self
-            return Plane._ints(nz, nt, self.re[: nz * nt], self.im[: nz * nt], self.den)
-        w = self.nt
-        cut = range(0, nz * w, w)
-        return Plane._ints(
-            nz,
-            nt,
-            [x for a in cut for x in self.re[a : a + nt]],
-            [y for a in cut for y in self.im[a : a + nt]],
-            self.den,
-        )
-
-    def shift_z(self, k: int) -> Plane:
-        """Multiply by z^k (k >= 0); rows above the window drop."""
-        if k == 0:
-            return self
-        nz, nt = self.nz, self.nt
-        if k >= nz:
-            return Plane.zero(nz, nt)
-        pad = [0] * (k * nt)
-        keep = (nz - k) * nt
-        return Plane._ints(nz, nt, pad + self.re[:keep], pad + self.im[:keep], self.den)
-
-    def mul_z(self) -> Plane:
-        """z * self, exact at z-order nz + 1."""
-        pad = [0] * self.nt
-        return Plane._ints(self.nz + 1, self.nt, pad + self.re, pad + self.im, self.den, 1)
-
-    def div_z(self) -> Plane:
-        """(self - its z^0 row) / z, exact at z-order nz - 1."""
-        nt = self.nt
-        return Plane._ints(self.nz - 1, nt, self.re[nt:], self.im[nt:], self.den)
-
-    def _weighted_rows(self, k0: int, w0: int, nz: int, pad: int) -> Plane:
-        """z-order nz: ``pad`` zero rows, then rows k0, k0 + 1, ... of self
-        times w0, w0 + 1, ..."""
-        nt = self.nt
-        zeros = [0] * (pad * nt)
-        src = slice(k0 * nt, (k0 + nz - pad) * nt)
-        re = zeros + [x * (w0 + i // nt) for i, x in enumerate(self.re[src])]
-        im = zeros + [y * (w0 + i // nt) for i, y in enumerate(self.im[src])]
-        return Plane._ints(nz, nt, re, im, self.den)
-
-    def dz(self) -> Plane:
-        return self._weighted_rows(1, 1, self.nz - 1, 0)
-
-    def zdz(self) -> Plane:
-        """z * d/dz, exact at the same z-order."""
-        return self._weighted_rows(0, 0, self.nz, 0)
-
-    def z2dz(self) -> Plane:
-        """z^2 * d/dz: row k is (k - 1) times row k - 1."""
-        return self._weighted_rows(0, 0, self.nz, 1)
-
-    def derivative(self) -> Plane:
-        """d/dt2: the t2-order drops by one."""
-        nt = self.nt
-        return Plane._ints(
-            self.nz,
-            nt - 1,
-            [(i % nt) * x for i, x in enumerate(self.re) if i % nt],
-            [(i % nt) * y for i, y in enumerate(self.im) if i % nt],
-            self.den,
-        )
-
-    def derivative_exact(self) -> Plane:
-        """Same-order d/dt2 of stored polynomials: every top entry must
-        vanish, so nothing unknown is shifted into the window."""
-        nt = self.nt
-        if any(self.re[nt - 1 :: nt]) or any(self.im[nt - 1 :: nt]):
-            raise OrderMismatchError(
-                "same-order derivative needs a vanishing top coefficient"
-            )
-        re: list[int] = []
-        im: list[int] = []
-        for a in range(0, self.nz * nt, nt):
-            re += [n * x for n, x in enumerate(self.re[a + 1 : a + nt], 1)] + [0]
-            im += [n * y for n, y in enumerate(self.im[a + 1 : a + nt], 1)] + [0]
-        return Plane._ints(self.nz, nt, re, im, self.den)
-
-
 def plane_dot(terms, nz: int, nt: int, div: int = 1) -> Plane:
     """sum m * a * b / div over the terms (m, a, b) of nz x nt planes, m a
     small int, reduced once: the plane analogue of ``scalars.dot``.  Terms
     with a zero operand are skipped, the others summed by the 2-D
     schoolbook kernel over both supports at the lcm of their denominators;
     products past the window in z or in t2 are never formed."""
-    shape = (nz, nt)
     live = []
     den = 1
     for m, a, b in terms:
-        if a.order != shape or b.order != shape:
+        if a.nt != nt or b.nt != nt or a.nz != nz or b.nz != nz:
             raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
         sa = a.support()
         if sa:
@@ -1011,11 +928,9 @@ class ZTSeries:
             raise T1DegreeError("inverse would exceed degree 1 in t1")
         nz, nt = self.orders
         p = self.planes.const
-        rows = [p.row(k) for k in range(nz)]
-        f = [Plane._ints(1, nt, r.re, r.im, r.den, 1) for r in rows]
-        g = rows[0].invert()
-        out = [Plane._ints(1, nt, g.re, g.im, g.den, 1)]
-        gf = [None] + [plane_dot([(-1, out[0], fk)], 1, nt) for fk in f[1:]]
+        g = p.row(0).invert()
+        out = [g]
+        gf = [None] + [plane_dot([(-1, g, p.row(k))], 1, nt) for k in range(1, nz)]
         for m in range(1, nz):
             terms = [(1, gf[k], out[m - k]) for k in range(1, m + 1)]
             out.append(plane_dot(terms, 1, nt))
@@ -1036,14 +951,6 @@ class Laurent:
 
     shift: int
     ser: TSeries
-
-    @staticmethod
-    def of(ser: TSeries, shift: int = 0) -> Laurent:
-        return Laurent(shift, ser)
-
-    @staticmethod
-    def zero(order: int) -> Laurent:
-        return Laurent(0, TSeries.zero(order))
 
     def valuation(self) -> int | None:
         v = self.ser.valuation()
@@ -1071,9 +978,6 @@ class Laurent:
     def __neg__(self) -> Laurent:
         return Laurent(self.shift, -self.ser)
 
-    def scale(self, c: Scalar) -> Laurent:
-        return Laurent(self.shift, self.ser.scale(c))
-
     def __mul__(self, other: Laurent) -> Laurent:
         n = min(self.ser.order, other.ser.order)
         return Laurent(
@@ -1096,10 +1000,3 @@ class Laurent:
         num = self.dz()
         inv = Laurent(-(self.shift + v), unit.invert())
         return num * inv
-
-    def invert(self) -> Laurent:
-        v = self.ser.valuation()
-        if v is None:
-            raise NotAUnitError("inverse of the zero window")
-        unit = TSeries(self.ser.coeffs[v:])
-        return Laurent(-(self.shift + v), unit.invert())

@@ -2,10 +2,12 @@
 
 These are the bodies connexa once ran: the entrywise 2x2 product through
 (m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d), the adjugate inverse by
-seven series products, the row-wise z-recursion for ``ZTSeries.invert``,
-Horner substitution (row by row for a z-series), the gauge inverse and
-the eager composition of a normalisation's steps.  The package now runs fused plane
-sums (``series.plane_dot``) and a power table (``series.t2_powers``); the
+seven series products, the row-wise z-recursion for ``ZTSeries.invert``
+(on TSeries rows, and on rows copied into one-row planes), the
+one-variable schoolbook product, Horner substitution (row by row for a
+z-series), the gauge inverse and the eager composition of a
+normalisation's steps.  The package now runs fused plane sums
+(``series.plane_dot``) and a power table (``series.t2_powers``); the
 tests check it against these.
 """
 
@@ -21,7 +23,7 @@ from connexa.errors import (
     T1DegreeError,
 )
 from connexa.scalars import HALF
-from connexa.series import AffinePoly1, TSeries, ZTSeries
+from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot
 
 
 def entries(m: Mat2) -> tuple[ZTSeries, ZTSeries, ZTSeries, ZTSeries]:
@@ -61,6 +63,46 @@ def zt_invert(u: ZTSeries) -> ZTSeries:
                 acc = acc + rows[k] * out[m - k]
         out.append(-(acc * inv0))
     return ZTSeries.from_zcoeffs(out, nz)
+
+
+def zt_invert_planes(u: ZTSeries) -> ZTSeries:
+    """The z-recursion with each TSeries row copied into a 1 x nt Plane
+    before the fused sums."""
+    if not u.is_t1_free():
+        raise T1DegreeError("inverse would exceed degree 1 in t1")
+    nz, nt = u.orders
+    p = u.planes.const
+    rows = [p.row(k) for k in range(nz)]
+    f = [Plane._ints(1, nt, r.re, r.im, r.den, 1) for r in rows]
+    g = rows[0].invert()
+    out = [Plane._ints(1, nt, g.re, g.im, g.den, 1)]
+    gf = [None] + [plane_dot([(-1, out[0], fk)], 1, nt) for fk in f[1:]]
+    for m in range(1, nz):
+        terms = [(1, gf[k], out[m - k]) for k in range(1, m + 1)]
+        out.append(plane_dot(terms, 1, nt))
+    return ZTSeries._of(AffinePoly1(Plane.of_rows(out), Plane.zero(nz, nt)))
+
+
+def ts_mul(a: TSeries, b: TSeries) -> TSeries:
+    """Schoolbook product of the numerators over the support of b."""
+    if a.order != b.order:
+        raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
+    n = a.order
+    if a.is_zero() or b.is_zero():
+        return TSeries.zero(n)
+    bre, bim = b.re, b.im
+    sb = [(j, bre[j], bim[j]) for j in range(n) if bre[j] or bim[j]]
+    re = [0] * n
+    im = [0] * n
+    for i, (x, y) in enumerate(zip(a.re, a.im)):
+        if x or y:
+            for j, u, v in sb:
+                k = i + j
+                if k >= n:
+                    break
+                re[k] += x * u - y * v
+                im[k] += x * v + y * u
+    return TSeries._ints(re, im, a.den * b.den)
 
 
 def inverse(m: Mat2) -> Mat2:

@@ -186,23 +186,28 @@ def test_cli_classify_below_z_order_3_names_the_window():
 
 
 def test_cli_pole_e_component_is_checked_at_the_top_z_order(tmp_path):
-    # B.e at z^5 t^0 of f1_r2 written at (6, 6), raised by 7: verify calls
-    # the document non-flat, and the pipelines refuse it instead of
-    # classifying it as FR
-    doc = structure_to_document(build_fixture("f1_r2", 6, 6))
-    row = doc["matrices"]["B"]["e"][5][0]
-    row[0] = str(Scalar.parse(row[0]) + integer(7))
-    target = tmp_path / "e_top.json"
-    target.write_text(dumps_document(doc))
-    code, out, err = _main("verify", str(target))
-    assert code == 0 and err == ""
-    assert json.loads(out)["residuals_zero"] == {
-        "base": True, "pole_1": True, "pole_2": False
-    }
-    for cmd in ("prenormal", "formal-nf", "classify"):
-        code, out, err = _main(cmd, str(target))
-        assert (code, out) == (3, ""), cmd
-        assert err == "precondition violation: E component does not match z b4\n"
+    # B.e of f1_r2 written at (6, 6), raised by 7 at z^5 t^0 (the top z-order)
+    # or at z^2 t^5 (the top t-order): verify calls the document non-flat,
+    # and the pipelines refuse it instead of classifying it as FR
+    edits = (
+        (5, 0, "E component does not match z b4"),
+        (2, 5, "E component does not match z^3 dz(f) + 2 z f B.d"),
+    )
+    for k, n, cause in edits:
+        doc = structure_to_document(build_fixture("f1_r2", 6, 6))
+        row = doc["matrices"]["B"]["e"][k][0]
+        row[n] = str(Scalar.parse(row[n]) + integer(7))
+        target = tmp_path / f"e_{k}_{n}.json"
+        target.write_text(dumps_document(doc))
+        code, out, err = _main("verify", str(target))
+        assert code == 0 and err == ""
+        assert json.loads(out)["residuals_zero"] == {
+            "base": True, "pole_1": True, "pole_2": False
+        }
+        for cmd in ("prenormal", "formal-nf", "classify"):
+            code, out, err = _main(cmd, str(target))
+            assert (code, out) == (3, ""), (cmd, k, n)
+            assert err == f"precondition violation: {cause}\n"
 
 
 def test_cli_formal_nf_and_iso(tmp_path):

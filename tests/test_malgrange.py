@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from connexa.malgrange import (
     build_hnf,
     classify_holomorphic,
     first_type_normal_form,
+    hnf_prenormal,
     holo_normal_form_second_type,
     malgrange_connection,
     malgrange_xy,
@@ -18,7 +20,7 @@ from connexa.malgrange import (
     xy_residuals,
 )
 from connexa.origin import ConstMat
-from connexa.scalars import ONE, QUARTER, S, ZERO, integer
+from connexa.scalars import ONE, QUARTER, S, ZERO, Scalar, integer
 from connexa.series import TSeries, exp_linear
 
 from conftest import rand_nonzero, rand_scalar
@@ -186,6 +188,35 @@ def test_classify_nonelementary_forms():
     rep = classify_holomorphic(s)
     assert rep.normal_form.family == "HNF-MAL3"
     assert rep.pencil.u() == S("3/16")
+
+
+def test_hnf_parameter_range():
+    # c0 = 0 is no holomorphic normal form: HNF-MAL1/3 would read back as
+    # NF3 forms, and HNF-MAL2 would divide by c0
+    for fam, extra in (("HNF-MAL1", {}), ("HNF-MAL3", {}), ("HNF-MAL2", {"lam": ONE})):
+        nfid = NormalFormId(fam, dict(c=S(1), alpha=S("1/2"), c0=ZERO, **extra))
+        with pytest.raises(ShapeError, match="c0 != 0"):
+            hnf_prenormal(nfid, 8, 8)
+    # lam reads back exactly when lam + 1 is the principal square root of
+    # (lam + 1)^2 (re > 0, or re = 0 and im > 0) and the pencil is not F1
+    # (lam = -1/2); every other lam is refused where the data is built
+    grid = [
+        Scalar(Fraction(k, 2), Fraction(m)) for k in range(-6, 5) for m in (-1, 0, 1)
+    ]
+    admissible = 0
+    for lam in grid:
+        nfid = NormalFormId(
+            "HNF-MAL2", dict(c=S(1), alpha=S("1/2"), c0=S(1), lam=lam)
+        )
+        root = lam + ONE
+        principal = root.re > 0 or (root.re == 0 and root.im > 0)
+        if principal and lam not in (ZERO, S("-1/2")):
+            admissible += 1
+            assert classify_holomorphic(build_hnf(nfid, 8, 8)).normal_form == nfid
+        else:
+            with pytest.raises(ShapeError, match="principal square-root branch"):
+                hnf_prenormal(nfid, 8, 8)
+    assert admissible == 17
 
 
 def test_assign_c1_table():

@@ -178,6 +178,7 @@ def test_zt_invert_matches_row_oracle(m):
     got = u.invert()
     assert gcd(got.planes.const.den, *got.planes.const.re, *got.planes.const.im) == 1
     assert got == want
+    assert got == oracle.zt_invert_planes(u)
     assert u * got == ZTSeries.one(*u.orders)
     with pytest.raises(T1DegreeError):
         (u + ZTSeries.t1(*u.orders)).invert()

@@ -17,12 +17,15 @@ from connexa.scalars import ONE, S, Scalar, ZERO
 from connexa.series import (
     AffinePoly1,
     Laurent,
+    Plane,
     TSeries,
     ZTSeries,
     exp_linear,
     geometric,
+    t2_powers,
 )
 
+import connmat_oracle as oracle
 from conftest import rand_nonzero
 from fraction_scalar import (
     F_ONE,
@@ -347,6 +350,7 @@ def test_integer_kernel_matches_scalar_oracle(pair, c, k):
     ca, cb = a.coeffs, b.coeffs
     cases = [
         (a * b, _oracle_mul(ca, cb)),
+        (oracle.ts_mul(a, b), _oracle_mul(ca, cb)),
         (a + b, tuple(x + y for x, y in zip(ca, cb))),
         (a - b, tuple(x - y for x, y in zip(ca, cb))),
         (-a, tuple(-x for x in ca)),
@@ -362,6 +366,43 @@ def test_integer_kernel_matches_scalar_oracle(pair, c, k):
         assert got.coeffs == want
         assert got == TSeries(want)
     assert a.shift(k).order == n
+
+
+def _one_row_plane(a):
+    return Plane._ints(1, a.order, a.re, a.im, a.den, 1)
+
+
+@given(series_pairs(), coefficient_kinds["sparse"], st.integers(0, 17))
+@settings(max_examples=100, deadline=None)
+def test_plane_ops_on_a_row_return_a_row(pair, c, k):
+    # the elementwise operations a TSeries takes from Plane build a TSeries,
+    # equal, with equal hash and fields, to the same operation on the equal
+    # one-row Plane
+    a, b = pair
+    n = a.order
+    pa, pb = _one_row_plane(a), _one_row_plane(b)
+    poly = a.truncate(n - 1).pad_poly(n)  # a vanishing top coefficient
+    powers = t2_powers(b.shift(1))
+    cases = [
+        (a, pa),
+        (a + b, pa + pb),
+        (a - b, pa - pb),
+        (a - a, pa - pa),
+        (-a, -pa),
+        (a.scale(c), pa.scale(c)),
+        (a.truncate(min(k, n)), pa.truncate(1, min(k, n))),
+        (a.derivative(), pa.derivative()),
+        (poly.derivative_exact(), _one_row_plane(poly).derivative_exact()),
+        (a.compose_t2(powers), pa.compose_t2(powers)),
+    ]
+    for got, plane in cases:
+        assert type(got) is TSeries and type(plane) is Plane
+        assert got.nz == 1 and got.order == got.nt == len(got.re) == len(got.im)
+        _assert_canonical(got)
+        assert got == plane and plane == got
+        assert hash(got) == hash(plane)
+        assert (got.re, got.im, got.den) == (plane.re, plane.im, plane.den)
+    assert a.compose(b.shift(1)) == a.compose_t2(powers)
 
 
 def test_canonical_form():
