@@ -68,6 +68,8 @@ def _literal(x) -> Scalar:
 def _row_from_json(data: list) -> TSeries:
     """One t2-coefficient array as a row window; only a literal that is not
     a plain integer becomes a Scalar."""
+    if data.count("0") == len(data):
+        return TSeries.zero(len(data))
     ints = _ints_from_json(data)
     if ints is not None:
         return TSeries._ints(ints, [0] * len(ints), 1, 1)
@@ -79,8 +81,12 @@ def _row_from_json(data: list) -> TSeries:
 
 def _plane_from_json(rows: list[list], nt: int) -> Plane:
     """The plane whose z-row k holds the literals ``rows[k]``: a plane of
-    plain integers is read by int() in one pass, otherwise each row alone."""
-    ints = _ints_from_json(list(chain.from_iterable(rows)))
+    "0" literals is the zero window, a plane of plain integers is read by
+    int() in one pass, otherwise each row alone."""
+    data = list(chain.from_iterable(rows))
+    if data.count("0") == len(data):
+        return Plane.zero(len(rows), nt)
+    ints = _ints_from_json(data)
     if ints is not None:
         return Plane._ints(len(rows), nt, ints, [0] * len(ints), 1, 1)
     return Plane.of_rows([_row_from_json(row) for row in rows])

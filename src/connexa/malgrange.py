@@ -11,6 +11,7 @@ from .connmat import (
     Mat2,
     TEStruct,
     apply_gauge,
+    flatness_residuals,
 )
 from .errors import ExactFieldError, FlatnessError, ShapeError, UnfoldingError
 from .formalnf import (
@@ -442,10 +443,16 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
 def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     """Elementary structures keep their formal class; non-elementary ones
     are classified through the origin pencil.  When k_max is given, the
-    eigen-section search certifies reducibility before the reduction."""
+    eigen-section search certifies reducibility before the reduction.
+
+    A structure that is not pre-normal is read as a raw deformation frame
+    only if it is flat on its own window: the frame reduction drops one
+    t2-order, so it would never see a fault in the top one."""
     try:
         p, _pre_gauge = to_prenormal(s)
     except ShapeError as first:
+        if not flatness_residuals(s).flat:
+            raise first from None
         try:  # a raw deformation frame; if it is none, the first error holds
             raw = _reduce_nilpotent_frame(s)
         except ShapeError:

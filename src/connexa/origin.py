@@ -39,8 +39,17 @@ def cyclic_fuchs(r: OriginRestriction) -> bool:
     """Valuation test for a regular singularity of the trace-twisted
     origin slice (c = alpha = 0), via the cyclic-vector companion form
     nabla(v_1) = a0 v_0 + a1 v_1: regular singular iff v(a0) >= -2 and
-    v(a1) >= -1 (Fuchs' rule v(a_i) >= i - d at d = 2)."""
+    v(a1) >= -1 (Fuchs' rule v(a_i) >= i - d at d = 2).
+
+    The deciding coefficient of a0, at z^-3, needs a window of order at
+    least 2; on a smaller one the test would answer with nothing behind
+    it, so it raises ShapeError."""
     eta, lamz, beta, gam = r.window()
+    if eta.order < 2:
+        raise ShapeError(
+            f"cyclic-vector test needs an origin window of order at least 2, "
+            f"not {eta.order}"
+        )
     if eta.is_zero():
         # logarithmic-pole branch: the pole matrix is z * (holomorphic)
         return True

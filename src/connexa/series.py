@@ -67,9 +67,10 @@ class Plane:
     have equal fields.  ``re`` and ``im`` are lists that must never be
     changed in place: operations may return an operand itself, and ``==``,
     ``hash`` and the canonical form read them.  The support is scanned at
-    most once.  The elementwise operations build their result through
-    ``_new``, so on a ``TSeries`` (the one-row window) they return a
-    ``TSeries``.
+    most once; a window built as zero records the empty support, so
+    ``is_zero`` and every linear operation cost O(1) on it.  The
+    elementwise operations build their result through ``_new``, so on a
+    ``TSeries`` (the one-row window) they return a ``TSeries``.
     """
 
     __slots__ = ("nz", "nt", "order", "re", "im", "den", "_support")
@@ -95,10 +96,17 @@ class Plane:
     # A window of the operand's class, from the arguments of Plane._ints.
     _new = _ints
 
+    @classmethod
+    def _zero(cls, nz: int, nt: int) -> Plane:
+        """The zero nz x nt window of the class, its empty support recorded."""
+        n = nz * nt
+        out = cls._new(nz, nt, [0] * n, [0] * n, 1, 1)
+        out._support = []
+        return out
+
     @staticmethod
     def zero(nz: int, nt: int) -> Plane:
-        n = nz * nt
-        return Plane._ints(nz, nt, [0] * n, [0] * n, 1, 1)
+        return Plane._zero(nz, nt)
 
     @staticmethod
     def of_rows(rows) -> Plane:
@@ -143,7 +151,10 @@ class Plane:
         return hash((self.nz, self.nt, tuple(self.re), tuple(self.im), self.den))
 
     def is_zero(self) -> bool:
-        return self.den == 1 and not (any(self.re) or any(self.im))
+        sup = self._support
+        if sup is None:
+            return self.den == 1 and not (any(self.re) or any(self.im))
+        return not sup
 
     def is_constant(self) -> bool:
         """Every z-coefficient is constant in t2."""
@@ -210,8 +221,7 @@ class Plane:
         if self.is_zero():
             return self
         if c.is_zero():
-            n = len(self.re)
-            return self._new(self.nz, self.nt, [0] * n, [0] * n, 1, 1)
+            return self._zero(self.nz, self.nt)
         p, q = c.a, c.b
         re = [x * p - y * q for x, y in zip(self.re, self.im)]
         im = [x * q + y * p for x, y in zip(self.re, self.im)]
@@ -246,9 +256,11 @@ class Plane:
         w = self.nt
         if nz > self.nz or nt > w:
             raise OrderMismatchError("cannot extend a truncated series")
+        if nt == w and nz == self.nz:
+            return self
+        if self.is_zero():
+            return self._zero(nz, nt)
         if nt == w:
-            if nz == self.nz:
-                return self
             return self._new(nz, nt, self.re[: nz * nt], self.im[: nz * nt], self.den)
         cut = range(0, nz * w, w)
         return self._new(
@@ -264,7 +276,7 @@ class Plane:
         if k == 0:
             return self
         nz, nt = self.nz, self.nt
-        if k >= nz:
+        if k >= nz or self.is_zero():
             return Plane.zero(nz, nt)
         pad = [0] * (k * nt)
         keep = (nz - k) * nt
@@ -284,6 +296,8 @@ class Plane:
         """z-order nz: ``pad`` zero rows, then rows k0, k0 + 1, ... of self
         times w0, w0 + 1, ..."""
         nt = self.nt
+        if self.is_zero():
+            return Plane.zero(nz, nt)
         zeros = [0] * (pad * nt)
         src = slice(k0 * nt, (k0 + nz - pad) * nt)
         re = zeros + [x * (w0 + i // nt) for i, x in enumerate(self.re[src])]
@@ -304,6 +318,8 @@ class Plane:
     def derivative(self) -> Plane:
         """d/dt2: the t2-order drops by one."""
         nt = self.nt
+        if self.is_zero():
+            return self._zero(self.nz, nt - 1)
         return self._new(
             self.nz,
             nt - 1,
@@ -315,6 +331,8 @@ class Plane:
     def derivative_exact(self) -> Plane:
         """Same-order d/dt2 of stored polynomials: every top entry must
         vanish, so nothing unknown is shifted into the window."""
+        if self.is_zero():
+            return self
         nt = self.nt
         if any(self.re[nt - 1 :: nt]) or any(self.im[nt - 1 :: nt]):
             raise OrderMismatchError(
@@ -400,7 +418,7 @@ class TSeries(Plane):
 
     @staticmethod
     def zero(order: int) -> TSeries:
-        return TSeries._ints([0] * order, [0] * order, 1, 1)
+        return TSeries._zero(1, order)
 
     @staticmethod
     def const(c, order: int) -> TSeries:

@@ -174,6 +174,37 @@ def test_cli_classify_names_the_real_cause(tmp_path):
     assert out.stderr == "precondition violation: B's C1 part must not depend on t2\n"
 
 
+def test_cli_classify_refuses_a_non_flat_document(tmp_path):
+    # the raw-frame fallback drops one t2-order, so it never saw an edit in
+    # the top one: a document verify calls non-flat is refused with the
+    # pre-normal check's cause, not classified
+    raw = tmp_path / "raw.json"
+    out = _run(
+        "--order-z", "6", "--order-t", "6",
+        "malgrange", "--c0", "2", "--binf", "1/4,2,0,3/4", "--out", str(raw),
+    )
+    assert out.returncode == 0
+    assert _main("classify", str(raw))[0] == 0  # the unedited frame classifies
+    nf3 = structure_to_document(build_fixture("nf3_4", 6, 6))
+    edits = (
+        # (document, matrix, component, z-order, t-order, flagged, cause)
+        (nf3, "A1", "c1", 1, 5, "base", "A1 must be C1"),
+        (loads_document(raw.read_text()), "B", "e", 5, 4, "pole_2", "A2 must be C2 + z f E"),
+    )
+    for doc, mat, comp, k, n, flagged, cause in edits:
+        doc = json.loads(json.dumps(doc))
+        row = doc["matrices"][mat][comp][k][0]
+        row[n] = str(Scalar.parse(row[n]) + integer(7))
+        target = tmp_path / f"{mat}_{comp}_{k}_{n}.json"
+        target.write_text(dumps_document(doc))
+        code, out, err = _main("verify", str(target))
+        assert code == 0 and json.loads(out)["residuals_zero"][flagged] is False
+        for cmd in ("prenormal", "formal-nf", "classify"):
+            code, out, err = _main(cmd, str(target))
+            assert (code, out) == (3, ""), (cmd, mat, comp, k, n)
+            assert err == f"precondition violation: {cause}\n"
+
+
 def test_cli_classify_below_z_order_3_names_the_window():
     code, out, err = _main("--order-z", "2", "--order-t", "6", "classify", "mal1")
     assert (code, out) == (3, "")

@@ -24,7 +24,7 @@ from connexa.docio import (
 from connexa.errors import DocumentError
 from connexa.fixtures import build_fixture
 from connexa.scalars import Scalar
-from connexa.series import TSeries
+from connexa.series import Plane, TSeries
 
 # A literal past the int/str conversion limit of 4,300 digits.
 LONG = "7" * 5000
@@ -109,6 +109,52 @@ def test_integer_literals_build_no_scalar(monkeypatch):
     mixed = [row for row in rows if not all(map(_plain, row))]
     assert 0 < len(mixed) < len(rows)
     assert len(parsed) == sum(map(len, mixed))
+
+
+# -- zero planes --------------------------------------------------------------
+
+
+def _zero_slots(nz, nt, at=None, value=None):
+    """A component's z-slots of "0" literals, with ``value`` at (k, part, n)."""
+    data = [[["0"] * nt, ["0"] * nt] for _ in range(nz)]
+    if at is not None:
+        k, part, n = at
+        data[k][part][n] = value
+    return data
+
+
+@pytest.mark.parametrize("value", [None, 0, "-0", "00", "1/2", "-3/4*i"])
+def test_zero_planes_match_row_oracle(value):
+    # all-"0" planes and rows take the zero path; a JSON 0, "-0", "00" or
+    # one rational among the zeros takes the int() or Scalar path
+    nz, nt = 3, 4
+    for at in ((0, 0, 0), (1, 0, 2), (2, 1, 3)):
+        data = _zero_slots(nz, nt, None if value is None else at, value)
+        want = document_oracle._zt_from_json(data, nz, nt)
+        got = docio._zt_from_json(data, nz, nt)
+        assert got == want
+        for p, q in zip((got.planes.const, got.planes.slope), (want.planes.const, want.planes.slope)):
+            assert type(p) is Plane and p.order == (nz, nt)
+            assert (p.re, p.im, p.den) == (q.re, q.im, q.den)
+            assert p.is_zero() == q.is_zero()
+        for slot in data:
+            for row in slot:
+                t = docio._row_from_json(row)
+                u = document_oracle._ts_from_json(row, nt)
+                assert type(t) is TSeries and (t.re, t.im, t.den) == (u.re, u.im, u.den)
+                assert t.is_zero() == u.is_zero()
+
+
+@pytest.mark.parametrize("value", [False, 0.0, None])
+def test_zero_plane_with_a_bad_literal_exits_2(tmp_path, value):
+    target = tmp_path / "doc.json"
+    for literal, want in (("0", 0), (value, 2)):
+        doc = copy.deepcopy(BASE)
+        doc["matrices"]["A2"]["e"] = _zero_slots(3, 3, (1, 0, 2), literal)
+        target.write_text(dumps_document(doc))
+        code, out, err = _verify(target)
+        assert code == want, err
+    assert out == "" and err.startswith("parse error: ")
 
 
 # -- hostile documents --------------------------------------------------------

@@ -89,6 +89,23 @@ def test_cyclic_fuchs_closed_cases():
     assert cyclic_fuchs(OriginRestriction(zero, unit, unit, unit, ZERO, ZERO))
 
 
+def test_cyclic_fuchs_refuses_a_window_below_2():
+    # on an order-1 window the deciding z^-3 coefficient of a0 lies outside
+    # it, and the test used to answer True with eta(0) gam(0) != 0
+    one = TSeries.one(1)
+    for eta in (one, TSeries.zero(1)):
+        r = OriginRestriction(eta, one, one, one, ZERO, ZERO)
+        with pytest.raises(ShapeError, match="order at least 2, not 1"):
+            cyclic_fuchs(r)
+    # one short series shrinks the common window
+    unit8 = TSeries.of([1, 1], 8)
+    r = OriginRestriction(unit8, unit8, TSeries.one(1), unit8, ZERO, ZERO)
+    with pytest.raises(ShapeError):
+        cyclic_fuchs(r)
+    two = TSeries.one(2)
+    assert not cyclic_fuchs(OriginRestriction(two, two, two, two, ZERO, ZERO))
+
+
 def test_elementary_matches_twisted_fuchs():
     for family, params, want in [
         ("F1", dict(c0=S(2)), False),

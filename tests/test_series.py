@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connexa import docio
 from connexa.errors import (
     CompositionError,
     NotAUnitError,
@@ -26,6 +27,7 @@ from connexa.series import (
 )
 
 import connmat_oracle as oracle
+import plane_oracle
 from conftest import rand_nonzero
 from fraction_scalar import (
     F_ONE,
@@ -770,3 +772,167 @@ def test_recurrences_match_fraction_pair_oracles():
         for fn, factorial in ((exp_linear, True), (geometric, False)):
             want = _frac_powers(to_frac(head), order, factorial)
             assert fn(head, order) == _series_of(want)
+
+
+# -- zero windows against the full-pass oracle --------------------------------
+
+
+def _zero_windows(rnd, nz, nt):
+    """Zero windows of one shape, recorded as zero or only found zero by a
+    scan: built as zero, by cancellation, by a zero scale, from a zero
+    literal plane, and as numerators over a denominator that reduces away."""
+    a = Plane.of_rows(_rand_rows(rnd, nz, nt, "dense", True))
+    n = nz * nt
+    out = [
+        Plane.zero(nz, nt),
+        a - a,
+        a.scale(ZERO),
+        docio._plane_from_json([["0"] * nt] * nz, nt),
+        Plane._ints(nz, nt, [0] * n, [0] * n, 6),
+    ]
+    if nz == 1:
+        t = _rand_rows(rnd, 1, nt, "dense", True)[0]
+        out += [TSeries.zero(nt), t - t, t.scale(ZERO), TSeries._ints([0] * nt, [0] * nt, 4)]
+    return out
+
+
+def _nonzero_windows(rnd, nz, nt):
+    """Dense, sparse and zero-row windows, and copies with vanishing top
+    t2-entries for derivative_exact."""
+    out = []
+    for fill in ("dense", "sparse", "zero-rows"):
+        rows = _rand_rows(rnd, nz, nt, fill, rnd.random() < 0.5, force_row0=True)
+        out.append(Plane.of_rows(rows))
+        out.append(Plane.of_rows([r.truncate(nt - 1).pad_poly(nt) for r in rows]))
+        if nz == 1:
+            out += [rows[0], rows[0].truncate(nt - 1).pad_poly(nt)]
+    return out
+
+
+def _same_window(got, want):
+    """Equal in value, class, order and canonical form."""
+    assert type(got) is type(want)
+    assert (got.nz, got.nt, got.order) == (want.nz, want.nt, want.order)
+    assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
+    assert got == want
+    _assert_canonical(got)
+    assert got.is_zero() == plane_oracle.is_zero(want)
+
+
+def _linear_cases(p):
+    """(operation, oracle operation) for every zero-returning linear
+    operation at every window it takes, one more than each order included,
+    so the refusals are compared too."""
+    nz, nt = p.nz, p.nt
+    cases = [
+        (p.derivative, lambda: plane_oracle.derivative(p)),
+        (p.derivative_exact, lambda: plane_oracle.derivative_exact(p)),
+        (p.dz, lambda: plane_oracle.dz(p)),
+        (p.zdz, lambda: plane_oracle.zdz(p)),
+        (p.z2dz, lambda: plane_oracle.z2dz(p)),
+    ]
+    for k in range(nz + 2):
+        cases.append((lambda k=k: p.shift_z(k), lambda k=k: plane_oracle.shift_z(p, k)))
+    for kz in range(nz + 2):
+        for kt in range(nt + 2):
+            cases.append((
+                lambda kz=kz, kt=kt: Plane.truncate(p, kz, kt),
+                lambda kz=kz, kt=kt: plane_oracle.truncate(p, kz, kt),
+            ))
+            if isinstance(p, TSeries) and kz == 1:
+                cases.append((
+                    lambda kt=kt: p.truncate(kt),
+                    lambda kt=kt: plane_oracle.truncate(p, 1, kt),
+                ))
+    return cases
+
+
+@pytest.mark.parametrize("nz, nt", [(1, 1), (1, 2), (1, 6), (2, 1), (3, 4), (5, 3)])
+def test_zero_early_returns_match_full_pass_oracle(nz, nt):
+    # nt = 1 covers derivative down to t2-order 0; every operation on every
+    # window, zero or not, Plane or TSeries, gives the oracle's window
+    rnd = random.Random(16 * nz + nt)
+    zeros = _zero_windows(rnd, nz, nt)
+    assert all(plane_oracle.is_zero(z) for z in zeros)
+    for p in zeros + _nonzero_windows(rnd, nz, nt):
+        for new, old in _linear_cases(p):
+            try:
+                want = old()
+            except OrderMismatchError:
+                with pytest.raises(OrderMismatchError):
+                    new()
+                continue
+            _same_window(new(), want)
+
+
+def test_zero_windows_record_their_support():
+    # a window built as zero answers is_zero and the linear operations from
+    # its recorded empty support, never from a scan of its numerators
+    for z in (
+        Plane.zero(3, 4),
+        TSeries.zero(5),
+        ZTSeries.zero(2, 3).planes.slope,
+        docio._plane_from_json([["0"] * 4] * 2, 4),
+        docio._row_from_json(["0"] * 4),
+        Plane.of_rows([TSeries.of([1, 2], 2)]).scale(ZERO),
+    ):
+        assert z._support == [] and z.is_zero()
+        for out in (z.derivative(), z.derivative_exact(), z.dz(), z.zdz(), z.z2dz(),
+                    z.shift_z(1), Plane.truncate(z, 1, 1)):
+            assert out._support == [] and out.den == 1
+
+
+@st.composite
+def window_chains(draw):
+    """A window (a row or a plane, often sparse or zero) and a list of
+    linear steps to apply to it, drawn as it goes."""
+    nz, nt = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    coeff = st.one_of(st.just(ZERO), coefficient_kinds["sparse"])
+    rows = [TSeries(tuple(draw(st.lists(coeff, min_size=nt, max_size=nt)))) for _ in range(nz)]
+    start = rows[0] if nz == 1 and draw(st.booleans()) else Plane.of_rows(rows)
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from([
+                "cancel", "add", "neg", "scale", "mul", "derivative",
+                "derivative_exact", "truncate", "shift_z", "dz", "zdz", "z2dz",
+            ]),
+            coefficient_kinds["sparse"],
+            st.integers(0, 5),
+            st.integers(0, 5),
+        ),
+        max_size=6,
+    ))
+    return start, steps
+
+
+@given(window_chains())
+@settings(max_examples=200, deadline=None)
+def test_is_zero_agrees_with_a_full_scan(chain):
+    w, steps = chain
+    for name, c, i, j in steps:
+        if name == "cancel":
+            w = w - w
+        elif name == "add":
+            w = w + w.scale(c)
+        elif name == "neg":
+            w = -w
+        elif name == "scale":
+            w = w.scale(c)
+        elif name == "mul":
+            w = w * w
+        elif name == "derivative" and w.nt > 1:
+            w = w.derivative()
+        elif name == "derivative_exact":
+            try:
+                w = w.derivative_exact()
+            except OrderMismatchError:
+                pass
+        elif name == "truncate":
+            w = Plane.truncate(w, 1 + i % w.nz, 1 + j % w.nt)
+        elif name == "shift_z":
+            w = w.shift_z(i)
+        elif name == "dz" and w.nz > 1:
+            w = w.dz()
+        elif name in ("zdz", "z2dz"):
+            w = getattr(w, name)()
+        assert w.is_zero() == (not any(w.re) and not any(w.im))
