@@ -286,39 +286,31 @@ def normal_form_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm
     f = ZTSeries.zero(nz - 1, nt)
     lam = S(pr.get("lam", 0))
     gamma = S(pr.get("gamma", 0))
+    zero = TSeries.zero(nt)
+
+    def with_tail(head: TSeries, k: int, tail: TSeries) -> list[TSeries]:
+        """head + tail z^k; a tail at k >= nz lies outside the window."""
+        return [head] + ([zero] * (k - 1) + [tail] if k < nz else [])
+
     if fam == "NF3-1":
-        b2 = ZTSeries.zero(nz, nt)
+        rows = [zero]
     elif fam == "NF3-2":
-        b2 = ZTSeries.from_tpoly(TSeries.monomial(ONE, 2, nt), nz)
+        rows = [TSeries.monomial(ONE, 2, nt)]
     elif fam in ("NF3-3", "NF3-7", "NF3-9"):
-        b2 = ZTSeries.from_tpoly(t2.scale(lam), nz)
+        rows = [t2.scale(lam)]
     elif fam == "NF3-4":
-        b2 = ZTSeries.from_tpoly(t2.scale(lam) + TSeries.one(nt), nz)
+        rows = [t2.scale(lam) + TSeries.one(nt)]
     elif fam == "NF3-5":
-        k = lam.as_int()
-        b2 = ZTSeries.from_zcoeffs(
-            [t2.scale(lam) + TSeries.one(nt)]
-            + [TSeries.zero(nt)] * (k - 1)
-            + [TSeries.monomial(gamma, 2, nt)],
-            nz,
+        rows = with_tail(
+            t2.scale(lam) + TSeries.one(nt), lam.as_int(), TSeries.monomial(gamma, 2, nt)
         )
     elif fam == "NF3-6":
-        k = lam.as_int()
-        b2 = ZTSeries.from_zcoeffs(
-            [t2.scale(lam)]
-            + [TSeries.zero(nt)] * (k - 1)
-            + [TSeries.monomial(ONE, 2, nt)],
-            nz,
-        )
+        rows = with_tail(t2.scale(lam), lam.as_int(), TSeries.monomial(ONE, 2, nt))
     elif fam == "NF3-8":
-        k = (-lam).as_int()
-        b2 = ZTSeries.from_zcoeffs(
-            [t2.scale(lam)] + [TSeries.zero(nt)] * (k - 1) + [TSeries.one(nt)],
-            nz,
-        )
+        rows = with_tail(t2.scale(lam), (-lam).as_int(), TSeries.one(nt))
     else:
         raise UnsupportedShapeError(f"not a formal family: {fam}")
-    return PreNormalForm(f, b2, c, alpha)
+    return PreNormalForm(f, ZTSeries.from_zcoeffs(rows, nz), c, alpha)
 
 
 def build_normal_form(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
@@ -450,12 +442,7 @@ def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
 
 
 def _quad_coeffs(t: TSeries) -> tuple[Scalar, Scalar, Scalar]:
-    if any(not c.is_zero() for c in t.coeffs[3:]):
-        raise ShapeError("expected a quadratic polynomial in t2")
-    c0 = t[0]
-    c1 = t[1] if t.order > 1 else ZERO
-    c2 = t[2] if t.order > 2 else ZERO
-    return c0, c1, c2
+    return odekit.quad_coeffs(t, ShapeError, "expected a quadratic polynomial in t2")
 
 
 def _mobius_gauge(k: Scalar, d: Scalar, e: Scalar, nz: int, nt: int) -> GaugeMap:
@@ -589,94 +576,69 @@ def _zero_family_recursion(
 
     Returns the updated data, the gauge, the resonant coefficient (None if
     no resonance occurred inside the window) and the resonant z-order.
+
+    The z-coefficients are quadratics in t2, read as triples (u0, u1, u2),
+    so with u = tau2[k], v = b2_in[l] - b2_out[l], w = b2_in[l] + b2_out[l]
+    both sums are bilinear forms, each one dot per coefficient:
+
+        u''v - u'v' + uv'' = 2 u2 v0 - u1 v1 + 2 u0 v2,
+        u'w - uw' = (u1 w0 - u0 w1) + 2 (u2 w0 - u0 w2) t2 + (u2 w1 - u1 w2) t2^2.
+
+    tau1[n] is the first summed over k + l = n - 1, over 4n, and
+    g = -b2_in[n + 1] + sum over k + l = n of (u'w - uw')/2 - v tau1[k + 1].
+    b2_in[n + 1] enters g whole, so a row that is not quadratic is refused
+    where tau2[n] is solved for.
     """
     nz, nt = p.orders
     b = p.b2[0].const  # catalogue shape, quadratic polynomial
     b2_in = [p.b2[k].const for k in range(nz)]
     b2_out: list[TSeries] = [b]
     tau1: list[Scalar] = [ONE]
-    # tau2[k] with its first two t2-derivatives, formed once it is known
-    tau2: list[tuple[TSeries, TSeries, TSeries]] = []
-    # from z-order l = 1 on, once b2_out[l] is known: the difference
-    # b2_in[l] - b2_out[l] with two derivatives and the sum with one
-    diffs: list[tuple[TSeries, TSeries, TSeries] | None] = [None]
-    sums: list[tuple[TSeries, TSeries] | None] = [None]
+    tau2: list[odekit.Quad] = []
+    # xs holds tau1[k + 1] and the triple of tau2[k] for k from the newest
+    # down to 0; each known z-order l = 1, 2, ... of b2_out adds the right
+    # factors of tau1's form and of g's three coefficients
+    xs: list[Scalar] = []
+    tau1_ys: list[Scalar] = []
+    g_ys: tuple[list[Scalar], ...] = ([], [], [])
     mono_mu: Scalar | None = None
     res_order: int | None = None
     zero_t = TSeries.zero(nt)
-
-    def next_tau1(n: int) -> Scalar:
-        """[z^{n-1}] of tau2'' d - tau2' d' + tau2 d'', over 4n."""
-        acc = zero_t
-        for l in range(1, n):
-            t0, t1, t2 = tau2[n - l - 1]
-            d0, d1, d2 = diffs[l]
-            acc = acc + t2 * d0 - t1 * d1 + t0 * d2
-        if not acc.is_constant():
-            raise ShapeError("tau1 recursion produced a non-constant")
-        return acc.at0() / integer(4 * n)
-
-    for n in range(0, nz - 1):
-        if n >= 1:
-            d0 = b2_in[n] - b2_out[n]
-            d1 = d0.derivative_exact()
-            diffs.append((d0, d1, d1.derivative_exact()))
-            s0 = b2_in[n] + b2_out[n]
-            sums.append((s0, s0.derivative_exact()))
-            tau1.append(next_tau1(n))
+    for n in range(nz - 1):
         m = n + 1
-        # g with the still-unknown resonant part of b2_out[n+1] set to 0
-        g_known = -(b2_in[n + 1].scale(tau1[0]))
-        for l in range(1, n + 1):
-            t0, t1, _t2 = tau2[n - l]
-            s0, s1 = sums[l]
-            g_known = g_known - diffs[l][0].scale(tau1[n + 1 - l])
-            g_known = g_known + (t1 * s0).scale(HALF)
-            g_known = g_known - (t0 * s1).scale(HALF)
         mm = integer(m)
-        res = None if shape == "zero" else odekit.third_der_resonance(mm, b)
+        g = TSeries.of([dot(xs, ys) for ys in g_ys], nt) - b2_in[m]
         new_coeff = zero_t
-        if res is None:
-            g = g_known
-        else:
-            g0, g1, g2 = _quad_coeffs(g_known)
-            if res == "g2":
-                obstruction = g2
-                mono = TSeries.monomial(ONE, 2, nt)
-            elif res == "g0":
-                obstruction = g0
-                mono = TSeries.one(nt)
-            else:  # quad condition m^2 g0 + m g1 + g2, carried by t2^2
-                obstruction = mm * mm * g0 + mm * g1 + g2
-                mono = TSeries.monomial(ONE, 2, nt)
-            mu = -(obstruction / tau1[0])
+        res = None if shape == "zero" else odekit.third_der_resonance(mm, b)
+        if res is not None:
+            obstruction, k, _cond = odekit.third_der_obstruction(res, mm, _quad_coeffs(g))
+            mu = -obstruction  # tau1[0] = 1
             if not mu.is_zero():
                 mono_mu = mu
-                res_order = m
-                new_coeff = mono.scale(mu)
-            else:
-                mono_mu = ZERO if mono_mu is None else mono_mu
-                res_order = m
-            g = g_known + new_coeff.scale(tau1[0])
+                new_coeff = TSeries.monomial(mu, k, nt)
+                g = g + new_coeff
+            elif mono_mu is None:
+                mono_mu = ZERO
+            res_order = m
         if shape == "zero":
-            x = g.scale(ONE / mm)
-            if any(not c.is_zero() for c in g.coeffs[3:]):
-                raise ShapeError("non-quadratic data in the zero shape")
-        else:
-            sol = odekit.solve_third_der(mm, b, g)
-            if sol.x is None:
-                raise FlatnessError(
-                    f"unexpected obstruction at z-order {m} in the recursion"
-                )
-            x = sol.x.pad_poly(nt) if sol.x.order != nt else sol.x
-        x1 = x.derivative_exact()
-        tau2.append((x, x1, x1.derivative_exact()))
+            gs = odekit.quad_coeffs(g, ShapeError, "non-quadratic data in the zero shape")
+            x = tuple(c / mm for c in gs)
+        else:  # g meets the resonance condition, so a solution exists
+            x = _quad_coeffs(odekit.solve_third_der(mm, b, g).x)
+        tau2.append(x)
         b2_out.append(new_coeff)
-    if nz >= 2:
-        tau1.append(next_tau1(nz - 1))
+        pairs = list(zip(_quad_coeffs(b2_in[m]), _quad_coeffs(new_coeff)))
+        v0, v1, v2 = (a - c for a, c in pairs)
+        h0, h1, h2 = ((a + c) * HALF for a, c in pairs)  # w = 2h
+        tau1_ys += (ZERO, v2 + v2, -v1, v0 + v0)
+        g_ys[0].extend((-v0, -h1, h0, ZERO))
+        g_ys[1].extend((-v1, -(h2 + h2), ZERO, h0 + h0))
+        g_ys[2].extend((-v2, ZERO, -h2, h1))
+        tau1.append(dot(xs, tau1_ys, ONE / integer(4 * m)))
+        xs = [tau1[m], *x] + xs
     gauge = zero_family_gauge(
         TSeries(tuple(tau1)),
-        ZTSeries.from_zcoeffs([t0 for t0, _t1, _t2 in tau2], nz),
+        ZTSeries.from_zcoeffs([TSeries.of(x, nt) for x in tau2], nz),
     )
     if gauge.tmat == Mat2.identity(nz, nt):
         gauge = None

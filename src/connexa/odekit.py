@@ -75,13 +75,23 @@ class ThirdDerSolution:
     condition: str = ""
 
 
-def _quad(coeffs: tuple[Scalar, Scalar, Scalar], order: int) -> TSeries:
+Quad = tuple[Scalar, Scalar, Scalar]  # the coefficients of 1, t and t^2
+
+
+def _quad(coeffs: Quad, order: int) -> TSeries:
     return TSeries.of(list(coeffs), order)
 
 
-def _low3(s: TSeries) -> tuple[Scalar, Scalar, Scalar]:
-    """The coefficients of 1, t and t^2, zero beyond the window."""
-    return (s.coeffs + (ZERO, ZERO))[:3]
+def quad_coeffs(s: TSeries, error: type[Exception], message: str) -> Quad:
+    """The coefficients of 1, t and t^2, zero beyond the window; raises
+    ``error(message)`` when a later coefficient is nonzero."""
+    cs = s.coeffs
+    if any(not c.is_zero() for c in cs[3:]):
+        raise error(message)
+    return (cs + (ZERO, ZERO))[:3]
+
+
+_B_SHAPES = "b outside the three supported shapes"
 
 
 def third_der_resonance(m: Scalar, b: TSeries) -> str | None:
@@ -92,12 +102,11 @@ def third_der_resonance(m: Scalar, b: TSeries) -> str | None:
     costs "g0" (g0 = 0) for lam*t, "quad" (m^2 g0 + m g1 + g2 = 0) for
     lam*t + 1.  b = t^2 never resonates; other b raise.
     """
-    b0, lam, b2 = _low3(b)
-    tail_zero = all(c.is_zero() for c in b.coeffs[3:])
-    if tail_zero and b0.is_zero() and lam.is_zero() and b2 == ONE:
+    b0, lam, b2 = quad_coeffs(b, UnsupportedShapeError, _B_SHAPES)
+    if b0.is_zero() and lam.is_zero() and b2 == ONE:
         return None
-    if not (tail_zero and b2.is_zero() and (b0.is_zero() or b0 == ONE)):
-        raise UnsupportedShapeError("b outside the three supported shapes")
+    if not (b2.is_zero() and (b0.is_zero() or b0 == ONE)):
+        raise UnsupportedShapeError(_B_SHAPES)
     if b0.is_zero() and lam.is_zero():
         raise UnsupportedShapeError("b = 0 is outside the catalogue")
     if m == lam:
@@ -107,21 +116,32 @@ def third_der_resonance(m: Scalar, b: TSeries) -> str | None:
     return None
 
 
+def third_der_obstruction(res: str, m: Scalar, g: Quad) -> tuple[Scalar, int, str]:
+    """At resonance ``res``: the value of the condition on g = (g0, g1, g2),
+    the power of t whose g-coefficient enters it with weight 1, and the
+    condition as text."""
+    g0, g1, g2 = g
+    if res == "g2":
+        return g2, 2, "g2 = 0"
+    if res == "g0":
+        return g0, 0, "g0 = 0"
+    return m * m * g0 + m * g1 + g2, 2, "m^2 g0 + m g1 + g2 = 0"
+
+
 def solve_third_der(m: Scalar, b: TSeries, g: TSeries) -> ThirdDerSolution:
     """Solve m*x + b'*x - b*x' = g over quadratic polynomials x.
 
     b must be one of the shapes lam*t, lam*t + 1, t^2; g must be a
     quadratic polynomial.  At a resonance (``third_der_resonance``) the
-    free component is 0 and g must meet the condition.
+    free component is 0 and g must meet the condition
+    (``third_der_obstruction``).
     """
     if m.is_zero():
         raise UnsupportedShapeError("m must be nonzero")
     order = b.order
-    if any(not c.is_zero() for c in g.coeffs[3:]):
-        raise UnsupportedShapeError("right side must be quadratic")
+    g0, g1, g2 = quad_coeffs(g, UnsupportedShapeError, "right side must be quadratic")
     res = third_der_resonance(m, b)
-    g0, g1, g2 = _low3(g)
-    b0, lam, _ = _low3(b)
+    b0, lam, _ = quad_coeffs(b, UnsupportedShapeError, _B_SHAPES)
     if b0.is_zero() and lam.is_zero():
         # b = t^2: triangular, always unique
         x0 = g0 / m
@@ -130,16 +150,11 @@ def solve_third_der(m: Scalar, b: TSeries, g: TSeries) -> ThirdDerSolution:
         return ThirdDerSolution("unique", _quad((x0, x1, x2), order))
 
     affine = b0 == ONE
-    if res is None:
-        obstruction, cond = ZERO, ""
-    elif res == "g2":
-        obstruction, cond = g2, "g2 = 0"
-    elif res == "g0":
-        obstruction, cond = g0, "g0 = 0"
-    else:
-        obstruction, cond = m * m * g0 + m * g1 + g2, "m^2 g0 + m g1 + g2 = 0"
-    if not obstruction.is_zero():
-        return ThirdDerSolution("no-solution", None, condition=f"{cond} fails")
+    cond = ""
+    if res is not None:
+        obstruction, _k, cond = third_der_obstruction(res, m, (g0, g1, g2))
+        if not obstruction.is_zero():
+            return ThirdDerSolution("no-solution", None, condition=f"{cond} fails")
     x2 = ZERO if res == "g2" else g2 / (m - lam)
     x1 = (g1 + x2 + x2) / m if affine else g1 / m
     x0 = ZERO if res in ("g0", "quad") else ((g0 + x1) if affine else g0) / (m + lam)

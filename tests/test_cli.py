@@ -19,7 +19,8 @@ from connexa.docio import (
 )
 from connexa.errors import DocumentError
 from connexa.fixtures import build_fixture, fixture_names, write_fixtures
-from connexa.scalars import Scalar, integer
+from connexa.formalnf import NormalFormId, build_normal_form
+from connexa.scalars import S, Scalar, integer
 from connexa.series import AffinePoly1, TSeries, ZTSeries
 
 from conftest import rand_scalar
@@ -517,3 +518,40 @@ def test_fixture_reports_match_recording(tmp_path):
             assert [code, digest] == recorded[f"{cmd} {name}"], (cmd, name)
             checked += 1
     assert checked == 68
+
+
+WINDOW_WARNING = "resonant order beyond the z-window; tail coefficient reported as 0"
+
+
+def test_cli_normal_form_below_its_resonant_order(tmp_path):
+    # NF3-4 with the integral slope 3 reads back as NF3-5(lam=3), whose
+    # resonant monomial z^3 t2^2 lies outside a z-window of 3: the target
+    # drops it, and the window warning says so
+    for nz, lam, warned in ((3, 3, True), (4, 3, False), (6, 10**30, True)):
+        nfid = NormalFormId("NF3-4", dict(c=S(0), alpha=S(0), lam=S(lam)))
+        target = tmp_path / f"nf3_4_{nz}_{lam}.json"
+        save_structure(build_normal_form(nfid, nz, 6), str(target))
+        code, out, _err = _main("verify", str(target))
+        assert code == 0 and json.loads(out)["verdicts"]["flat"] is True
+        for cmd in ("formal-nf", "classify"):
+            code, out, err = _main(cmd, str(target))
+            assert (code, err) == (0, ""), (cmd, nz)
+            report = json.loads(out)
+            assert report["verdicts"]["normal_form"] == (
+                f"NF3-5(alpha=0, c=0, gamma=0, lam={lam})"
+            )
+            assert report["warnings"] == ([WINDOW_WARNING] if warned else [])
+
+
+def test_cli_fixture_below_its_resonant_order():
+    # nf3_6 is NF3-6(lam=2): at --order-z 2 its z^2 t2^2 monomial is
+    # outside the window, which reads as NF3-7 with the window warning
+    window = ("--order-z", "2", "--order-t", "6")
+    code, out, _err = _main(*window, "verify", "nf3_6")
+    assert code == 0 and json.loads(out)["verdicts"]["flat"] is True
+    for cmd in ("formal-nf", "classify"):
+        code, out, err = _main(*window, cmd, "nf3_6")
+        assert (code, err) == (0, ""), cmd
+        report = json.loads(out)
+        assert report["verdicts"]["normal_form"] == "NF3-7(alpha=0, c=0, lam=2)"
+        assert report["warnings"] == [WINDOW_WARNING]

@@ -6,9 +6,11 @@ import gauge_oracle
 from connexa import formalnf, odekit
 from connexa.connmat import GaugeMap, Mat2, apply_gauge, flatness_residuals, scalar_exp_gauge
 from connexa.errors import (
+    ExactAlgebraError,
     ExactFieldError,
     NoExtensionError,
     NormalizationRequiredError,
+    ShapeError,
 )
 from connexa.formalnf import (
     NormalFormId,
@@ -426,3 +428,85 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     for s in structures:
         formal_normal_form(to_prenormal(s)[0])
     assert len(calls) == len(structures) and sum(calls) >= 9
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ExactAlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def _random_rows(rng, nz, nt, cubic):
+    """nz - 1 random z-coefficients, quadratic in t2 or, with probability
+    ``cubic`` each, carrying a t2^3 term."""
+    rows = []
+    for _ in range(nz - 1):
+        coeffs = [_rand_scalar(rng, 3) if rng.random() < 0.7 else ZERO for _ in range(3)]
+        if rng.random() < cubic:
+            coeffs.append(S(rng.choice((1, -2, 3))))
+        rows.append(TSeries.of(coeffs, nt))
+    return rows
+
+
+def test_zero_family_recursion_matches_rebuilt_on_random_data():
+    # seeded f = 0 data on each catalogue shape, with integral slopes that
+    # resonate inside the window and rows with a t2^3 term: the results are
+    # equal, or both raise the same error with the same message
+    rng = random.Random(1717)
+    seen = set()
+    for _ in range(240):
+        nz, nt = rng.randint(2, 8), rng.randint(4, 8)
+        shape = rng.choice(("zero", "one", "square", "affine", "linear"))
+        lam = integer(rng.choice((-3, -2, -1, 1, 2, 3))) if rng.random() < 0.8 else S("1/2")
+        b = _SHAPE_B20[shape](lam, nt)
+        # the rebuilt recursion leaves the zero shape's rows unchecked
+        rows = _random_rows(rng, nz, nt, 0 if shape == "zero" else 0.1)
+        p = PreNormalForm(
+            ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs([b] + rows, nz), ZERO, ZERO
+        )
+        got = _outcome(formalnf._zero_family_recursion, p, shape)
+        assert got == _outcome(_zero_family_recursion_rebuilt, p, shape, b[1])
+        seen.add(got[1] if isinstance(got[0], type) else got[3] is not None)
+    assert seen == {
+        True, False, "expected a quadratic polynomial in t2", "right side must be quadratic"
+    }
+    # the zero shape refuses a row that is not quadratic where it is used
+    p = PreNormalForm(
+        ZTSeries.zero(1, 5),
+        ZTSeries.from_zcoeffs([TSeries.zero(5), TSeries.of([1, 0, 0, 1], 5)], 2),
+        ZERO,
+        ZERO,
+    )
+    assert _outcome(formalnf._zero_family_recursion, p, "zero") == (
+        ShapeError, "non-quadratic data in the zero shape"
+    )
+
+
+def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
+    # nt = 5 data whose b2^(0) needs a Mobius base change first, so the
+    # recursion runs at t-order 4, the lowest the pipeline reaches
+    recursion = formalnf._zero_family_recursion
+    orders = []
+
+    def checked(p, shape):
+        got = _outcome(recursion, p, shape)
+        assert got == _outcome(_zero_family_recursion_rebuilt, p, shape, p.b2[0].const[1])
+        orders.append(p.orders[1])
+        if isinstance(got[0], type):
+            raise got[0](got[1])
+        return got
+
+    monkeypatch.setattr(formalnf, "_zero_family_recursion", checked)
+    heads = ([2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1])
+    rng = random.Random(55)
+    for _ in range(60):
+        nz = rng.randint(2, 7)
+        head = TSeries.of(rng.choice(heads), 5)
+        rows = _random_rows(rng, nz, 5, 0.05)
+        p = PreNormalForm(
+            ZTSeries.zero(nz - 1, 5), ZTSeries.from_zcoeffs([head] + rows, nz), ZERO, ZERO
+        )
+        _outcome(formal_normal_form, p)
+    assert len(orders) == 60 and set(orders) == {4}

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +11,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name):
+def _run_script(name, *args):
     env = dict(os.environ)
     src = str(ROOT / "src")
     if env.get("PYTHONPATH"):
         src += os.pathsep + env["PYTHONPATH"]
     env["PYTHONPATH"] = src
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -45,3 +46,16 @@ def test_script_runs(name, line):
     out = _run_script(name)
     assert out.returncode == 0, out.stderr
     assert line in out.stdout.splitlines()
+
+
+def test_edit_sweep_runs():
+    out = _run_script(
+        "edit_sweep.py", "--order-z", "3", "--order-t", "5", "--fixture", "nf3_4", "--no-raw"
+    )
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout)
+    # 3 matrices x 4 components x 3 z-orders x 2 t1-parts x 5 t-orders
+    assert counts["edits"] == 360
+    assert counts["flagged"] + counts["flat"] == 360
+    assert counts["flat"] == counts["classify exit 0 on flat"] + counts["classify exit 3 on flat"]
+    assert counts["classify exit 0 on flagged"] == 0
