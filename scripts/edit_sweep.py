@@ -9,8 +9,8 @@ counts as one JSON object:
 
     edits, flagged, flat
     <command> exit 3 on flat, <command> exit 0 on flat   (three commands)
-    classify exit 0 on flagged
-    raw classify exit 0 on flagged                        (the raw document)
+    <command> exit 0 on flagged                          (three commands)
+    raw classify exit 0 on flagged                       (the raw document)
 
 The documents are the built-in fixtures at the window (default: all 17 at
 (6, 6)) and, unless --no-raw, the raw-frame document written by
@@ -65,7 +65,8 @@ def sweep(documents: list[tuple[str, dict]], workdir: str) -> dict:
         counts[f"{cmd} exit 3 on flat"] = 0
     for cmd in PIPELINES:
         counts[f"{cmd} exit 0 on flat"] = 0
-    counts["classify exit 0 on flagged"] = 0
+    for cmd in PIPELINES:
+        counts[f"{cmd} exit 0 on flagged"] = 0
     counts["raw classify exit 0 on flagged"] = 0
     path = os.path.join(workdir, "edited.json")
     for name, doc in documents:
@@ -80,9 +81,9 @@ def sweep(documents: list[tuple[str, dict]], workdir: str) -> dict:
                 code = _run([cmd, path])[0]
                 if flat and code in (0, 3):
                     counts[f"{cmd} exit {code} on flat"] += 1
-                elif not flat and code == 0 and cmd == "classify":
-                    counts["classify exit 0 on flagged"] += 1
-                    if name == "raw":
+                elif not flat and code == 0:
+                    counts[f"{cmd} exit 0 on flagged"] += 1
+                    if name == "raw" and cmd == "classify":
                         counts["raw classify exit 0 on flagged"] += 1
     return counts
 

@@ -362,20 +362,14 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
     )
     if s.kind == "T":
         return FlatnessReport(rt, None, None)
-    br = s.B.truncate(nz, ntr)
-    rz1 = (
-        s.B.dt1().shift_z(1)
-        - s.A1.z2dz()
-        + s.A1.shift_z(1)
-        + s.A1.commutator(s.B)
-    )
-    rz2 = (
-        s.B.dt().shift_z(1)
-        - s.A2.z2dz().truncate(nz, ntr)
-        + a2r.shift_z(1)
-        + a2r.commutator(br)
-    )
+    rz1 = _pole_residual(s.B.dt1().shift_z(1), s.A1, s.B)
+    rz2 = _pole_residual(s.B.dt().shift_z(1), a2r, s.B.truncate(nz, ntr))
     return FlatnessReport(rt, rz1, rz2)
+
+
+def _pole_residual(zdb: Mat2, a: Mat2, b: Mat2) -> Mat2:
+    """R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B], given z di(B)."""
+    return zdb - a.z2dz() + a.shift_z(1) + a.commutator(b)
 
 
 # ---------------------------------------------------------------------------

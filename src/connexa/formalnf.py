@@ -99,24 +99,6 @@ class PreNormalForm:
     def orders(self) -> tuple[int, int]:
         return self.b2.orders
 
-    def master_residual(self) -> ZTSeries:
-        """-(z/2) d2^3 b2 + (d2 f) b2 + 2 f d2(b2) - z dz(f) + f."""
-        nz = self.f.nz
-        nt = self.b2.nt - 3
-        if nt < 1:
-            raise ShapeError("t-order too small to validate")
-        b2r = self.b2.truncate(nz, nt)
-        fr = self.f.truncate(nz, nt)
-        term1 = self.b2.dt().dt().dt().truncate(nz, nt).shift_z(1).scale(_NEG_HALF)
-        term2 = self.f.dt().truncate(nz, nt) * b2r
-        term3 = (fr * self.b2.dt().truncate(nz, nt)).scale(S(2))
-        term4 = -self.f.zdz().truncate(nz, nt)
-        return term1 + term2 + term3 + term4 + fr
-
-    def validate(self):
-        if not self.master_residual().is_zero():
-            raise FlatnessError("pre-normal master equation fails")
-
     def at_origin(self) -> tuple[Scalar, Scalar]:
         return self.f.at_origin()[0], self.b2.at_origin()[0]
 
@@ -151,10 +133,8 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
         raise ShapeError("pre-normal reduction needs full pole data (kind TE)")
     nz, nt = s.orders
     f, b2, b1 = prenormal_components(s)
-    c, alpha = b1[0], b1[1] if nz > 1 else ZERO
-    p = PreNormalForm(f, b2, c, alpha)
+    p = PreNormalForm(f, b2, b1[0], b1[1])
     _validate_against(s, p)
-    p.validate()
     # the C1 pole tail b1 - c - alpha z, divided by z^2
     tail = TSeries(b1.coeffs[2:] + (ZERO, ZERO))
     if tail.is_zero():
@@ -169,27 +149,35 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
 
 
 def _validate_against(s: TEStruct, p: PreNormalForm):
-    """Check the pole components against the pre-normal data on (nz, nt - 1):
-    B.d against -(z/2)(d2 b2 + 1), then B.e against the D and E components
-    of the pole-2 flatness equation, which read B's own D component:
+    """Check the pole components against the pole-2 flatness equation,
+    written in b3 = B.d/z and b4 = B.e/z, on (nz - 1, nt - 1):
 
-        B.e = z d2(B.d) + z f b2,    z d2(B.e) = z^3 dz(f) + 2 z f B.d.
+        b3 = -(d2 b2 + 1)/2,    b4 = z d2(b3) + f b2,    d2(b4) = z dz(f) + 2 f b3,
 
-    f has nz - 1 slots, so z f is exact on the whole z-window.
+    with B.d and B.e vanishing at z^0.  The last is the E component over
+    z^2, so it reaches z-order nz; with the first two substituted it is
+    z^2 times the master equation
+
+        -(z/2) d2^3 b2 + (d2 f) b2 + 2 f d2(b2) - z dz(f) + f = 0.
     """
     nz, nt = s.orders
-    bd = s.B.d.truncate(nz, nt - 1)
-    b3 = (p.b2.dt() + ZTSeries.one(nz, nt - 1)).scale(_NEG_HALF)
-    if bd != b3.shift_z(1):
+    w = (nz - 1, nt - 1)
+    bd, be = s.B.d, s.B.e
+    b3, b4 = bd.div_z(), be.div_z()
+    f = p.f.truncate(*w)
+    b3w = b3.truncate(*w)
+    if not bd.truncate(1, nt).is_zero() or b3w != (
+        p.b2.dt().truncate(*w) + ZTSeries.one(*w)
+    ).scale(_NEG_HALF):
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
-    fz = p.f.mul_z().truncate(nz, nt - 1)
-    # the E component is z*b4 with b4 = d2(B.d) + f b2
-    zb4 = s.B.d.dt().shift_z(1) + fz * p.b2.truncate(nz, nt - 1)
-    if s.B.e.truncate(nz, nt - 1) != zb4:
+    if not be.truncate(1, nt).is_zero() or b4.truncate(*w) != (
+        b3.dt().shift_z(1) + f * p.b2.truncate(*w)
+    ):
         raise ShapeError("E component does not match z b4")
-    z3fz = p.f.zdz().mul_z().shift_z(1).truncate(nz, nt - 1)
-    if s.B.e.dt().shift_z(1) != z3fz + (fz * bd).scale(S(2)):
+    if b4.dt() != f.zdz() + (f * b3w).scale(S(2)):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
+    if nt < 4:
+        raise ShapeError("t-order too small to validate")
 
 
 # ---------------------------------------------------------------------------

@@ -476,13 +476,6 @@ class TSeries(Plane):
     def truncate(self, order: int) -> TSeries:
         return Plane.truncate(self, 1, order)
 
-    def pad_poly(self, order: int) -> TSeries:
-        """Extend by zeros; only valid when the series is an exact polynomial."""
-        if order < self.order:
-            return self.truncate(order)
-        pad = [0] * (order - self.order)
-        return TSeries._ints(self.re + pad, self.im + pad, self.den, 1)
-
     # -- calculus -----------------------------------------------------------
 
     def xdx(self) -> TSeries:

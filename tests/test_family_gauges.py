@@ -114,7 +114,7 @@ def _family_gauge_moves(rng):
             unit_family_gauge(tau1, tau2, nt),
         )
         for family, lam in (("NF3-4", S("1/2")), ("NF3-6", S(2)), ("NF3-8", S(-1))):
-            polys = [_rand_poly(rng, 4).pad_poly(nt) for _ in range(3)]
+            polys = [TSeries.of(_rand_poly(rng, 4).coeffs, nt) for _ in range(3)]
             yield (
                 NormalFormId(family, {**base, "lam": lam}),
                 zero_family_gauge(tau1, ZTSeries.from_zcoeffs(polys, nz)),

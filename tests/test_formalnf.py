@@ -3,11 +3,21 @@ import random
 import pytest
 
 import gauge_oracle
+import prenormal_oracle
 from connexa import formalnf, odekit
-from connexa.connmat import GaugeMap, Mat2, apply_gauge, flatness_residuals, scalar_exp_gauge
+from connexa.connmat import (
+    GaugeMap,
+    Mat2,
+    apply_gauge,
+    flatness_residuals,
+    prenormal_components,
+    scalar_exp_gauge,
+)
+from connexa.docio import structure_from_document, structure_to_document
 from connexa.errors import (
     ExactAlgebraError,
     ExactFieldError,
+    FlatnessError,
     NoExtensionError,
     NormalizationRequiredError,
     ShapeError,
@@ -26,7 +36,7 @@ from connexa.formalnf import (
     _quad_coeffs,
 )
 from connexa.fixtures import build_fixture, fixture_names
-from connexa.scalars import HALF, ONE, S, ZERO, integer
+from connexa.scalars import HALF, ONE, S, ZERO, Scalar, integer
 from connexa.selftest import _rand_scalar, _random_zero_family_gauge
 from connexa.series import TSeries, ZTSeries
 
@@ -51,6 +61,104 @@ def test_to_prenormal_kills_tail():
     p2, gauge2 = to_prenormal(out)
     assert gauge2.tmat.is_t2_free()
     assert out == build_prenormal_struct(p)
+
+
+# the pole check's three equations, in b3 = B.d/z and b4 = B.e/z
+D_CAUSE = "D component does not match -(z/2)(d2 b2 + 1)"
+E_CAUSE = "E component does not match z b4"
+E_DERIVED_CAUSE = "E component does not match z^3 dz(f) + 2 z f B.d"
+
+
+def _z_dependent_f(nz, nt):
+    """f = 3z, b2 = 1 + 2z - z^2 + 5z^3: flat, since the master equation
+    reduces to f - z dz(f) = 0, and the only data whose f depends on z."""
+    f = ZTSeries.z_monomial(S(3), 1, nz - 1, nt)
+    b2 = ZTSeries.from_zseries(TSeries.of([1, 2, -1, 5], nz), nz, nt)
+    return PreNormalForm(f, b2, S(1), S("1/2"))
+
+
+def _edited(s, mat, comp, k, n, part=0):
+    """s with one coefficient of the document raised by 7."""
+    doc = structure_to_document(s)
+    row = doc["matrices"][mat][comp][k][part]
+    row[n] = str(Scalar.parse(row[n]) + integer(7))
+    return structure_from_document(doc)
+
+
+def test_z_dependent_f_passes_the_pole_check():
+    p = _z_dependent_f(6, 6)
+    s = build_prenormal_struct(p)
+    assert flatness_residuals(s).flat
+    q, gauge = to_prenormal(s)
+    assert q == p and gauge.tmat == Mat2.identity(6, 6)
+
+
+@pytest.mark.parametrize(
+    "mat, comp, k, n, cause",
+    [
+        ("B", "d", 2, 0, D_CAUSE),
+        ("B", "d", 0, 5, D_CAUSE),  # z^0 of B.d, at the top t-order
+        ("B", "e", 1, 0, E_CAUSE),
+        ("B", "e", 0, 5, E_CAUSE),  # z^0 of B.e, at the top t-order
+        ("B", "e", 5, 5, E_DERIVED_CAUSE),  # the E component at z^6
+        ("A2", "e", 5, 4, E_CAUSE),  # f b2 at the top z-order of f
+    ],
+)
+def test_each_pole_equation_refuses_its_edit(mat, comp, k, n, cause):
+    s = _edited(build_prenormal_struct(_z_dependent_f(6, 6)), mat, comp, k, n)
+    with pytest.raises(ShapeError) as err:
+        to_prenormal(s)
+    assert str(err.value) == cause
+
+
+def _derived_e_residual(s, p):
+    """d2(b4) - z dz(f) - 2 f b3 on (nz - 1, nt - 1)."""
+    nz, nt = s.orders
+    b3 = s.B.d.div_z().truncate(nz - 1, nt - 1)
+    f = p.f.truncate(nz - 1, nt - 1)
+    return s.B.e.div_z().dt() - f.zdz() - (f * b3).scale(S(2))
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except (ShapeError, FlatnessError) as e:
+        return str(e)
+    return None
+
+
+def test_pole_check_refuses_what_the_two_old_passes_refused():
+    # every single-entry edit that reaches the pole check: the one check
+    # refuses all the old validation and master-equation passes refused,
+    # and its only extra refusals lie in the E component at z^nz
+    nz, nt = 4, 5
+    checked = old_refused = extra = 0
+    for name in ("nf3_4", "f1_r2", "mal1"):
+        doc = structure_to_document(build_fixture(name, nz, nt))
+        for mat in ("A1", "A2", "B"):
+            for comp, rows in doc["matrices"][mat].items():
+                for k in range(nz):
+                    for part in (0, 1):
+                        for n in range(nt):
+                            s = structure_from_document(doc)
+                            s = _edited(s, mat, comp, k, n, part)
+                            try:
+                                f, b2, b1 = prenormal_components(s)
+                                p = PreNormalForm(f, b2, b1[0], b1[1])
+                            except ExactAlgebraError:
+                                continue
+                            checked += 1
+                            old = _refusal(prenormal_oracle.oracle_check, s, p)
+                            new = _refusal(formalnf._validate_against, s, p)
+                            if old is not None:
+                                old_refused += 1
+                                assert new is not None, (name, mat, comp, k, part, n)
+                            elif new is not None:
+                                extra += 1
+                                assert new == E_DERIVED_CAUSE
+                                res = _derived_e_residual(s, p)
+                                assert res.truncate(nz - 2, nt - 1).is_zero()
+    assert checked > 200 and old_refused > 100 and extra > 0
 
 
 def test_extension_families():
@@ -134,7 +242,7 @@ def test_zero_family_shapes_and_resonances():
         p = PreNormalForm(
             ZTSeries.zero(NZ - 1, NT), ZTSeries.from_zcoeffs(zc, NZ), c, alpha
         )
-        p.validate()
+        to_prenormal(build_prenormal_struct(p))  # the data pass the pole check
         return formal_normal_form(p)
 
     cls = classify([t2.pow_int(2) + t2.scale(S(2)) + TSeries.one(NT)])
@@ -388,7 +496,7 @@ def _zero_family_recursion_rebuilt(p, shape, lam):
             x = g.scale(ONE / integer(m))
         else:
             sol = odekit.solve_third_der(integer(m), b, g)
-            x = sol.x.pad_poly(nt) if sol.x.order != nt else sol.x
+            x = TSeries.of(sol.x.coeffs, nt)
         tau2.append(x)
         b2_out.append(new_coeff)
     if nz >= 2:

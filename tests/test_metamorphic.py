@@ -1,12 +1,16 @@
 """Metamorphic checks of the document commands: verdicts that must not
-depend on the coefficient window, or on the order of formal-iso's operands."""
+depend on the coefficient window, or on the order of formal-iso's operands,
+and no verdict on a document that ``verify`` calls non-flat."""
 
 import contextlib
 import io
 import json
+import random
 
 from connexa import cli
-from connexa.fixtures import fixture_names
+from connexa.docio import dumps_document, loads_document, structure_to_document
+from connexa.fixtures import build_fixture, fixture_names
+from connexa.scalars import Scalar, integer
 
 NAMES = fixture_names()
 HOLOMORPHIC_ONLY = {"mal1", "mal2_lambda1", "mal3"}
@@ -22,6 +26,11 @@ def _verdict(*argv):
         report = json.loads(out.getvalue())
         return code, report["verdicts"], report["flags"]
     return code, err.getvalue()
+
+
+def _exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
 
 
 def _at(nz, nt, *argv):
@@ -61,3 +70,56 @@ def test_formal_iso_is_symmetric_and_reflexive():
             assert got[a, a] == (
                 0, {"isomorphic": True, "witness": "equal forms (identity gauge)"}, []
             )
+
+
+def _edit(doc, mat, comp, k, part, n, path):
+    """Write doc with one coefficient raised by 7 to path."""
+    doc = json.loads(json.dumps(doc))
+    row = doc["matrices"][mat][comp][k][part]
+    row[n] = str(Scalar.parse(row[n]) + integer(7))
+    path.write_text(dumps_document(doc))
+    return str(path)
+
+
+def test_no_verdict_on_a_sample_of_flagged_edits(tmp_path):
+    # 200 seeded single-entry edits at (6, 6), half at the top z-order and
+    # two thirds in the top two t-orders, on the fixtures and the raw-frame
+    # malgrange document: no document command exits 0 on an edit that
+    # verify flags
+    nz = nt = 6
+    raw = tmp_path / "raw.json"
+    window = ("--order-z", str(nz), "--order-t", str(nt))
+    assert _exit_code(
+        *window, "malgrange", "--c0", "2", "--binf", "1/4,2,0,3/4", "--out", str(raw)
+    ) == 0
+    docs = [structure_to_document(build_fixture(name, nz, nt)) for name in NAMES]
+    docs.append(loads_document(raw.read_text()))
+    rng = random.Random(18)
+    flagged = 0
+    for i in range(200):
+        doc = rng.choice(docs)
+        mat = rng.choice(("A1", "A2", "B"))
+        comp = rng.choice(sorted(doc["matrices"][mat]))
+        k = nz - 1 if rng.random() < 0.5 else rng.randrange(nz)
+        n = rng.choice((nt - 2, nt - 1)) if rng.random() < 2 / 3 else rng.randrange(nt)
+        part = rng.randrange(2)
+        path = _edit(doc, mat, comp, k, part, n, tmp_path / f"edit{i}.json")
+        got = _verdict("verify", path)
+        if got[0] == 0 and got[1]["flat"]:
+            continue
+        flagged += 1
+        for cmd in ("prenormal", "formal-nf", "classify"):
+            assert _exit_code(cmd, path) != 0, (cmd, i, mat, comp, k, part, n)
+    assert flagged > 100
+
+
+def test_prenormal_refuses_top_z_order_pole_edits(tmp_path):
+    # B.e at z^5 t^5 and A2.e at z^5 t^4: verify cannot see these in the
+    # NF3 fixtures, the pole check's E component at z^6 does
+    for name in NAMES:
+        if not name.startswith("nf3_"):
+            continue
+        doc = structure_to_document(build_fixture(name, 6, 6))
+        for mat, n in (("B", 5), ("A2", 4)):
+            path = _edit(doc, mat, "e", 5, 0, n, tmp_path / f"{name}_{mat}.json")
+            assert _exit_code("prenormal", path) == 3, (name, mat)

@@ -58,4 +58,5 @@ def test_edit_sweep_runs():
     assert counts["edits"] == 360
     assert counts["flagged"] + counts["flat"] == 360
     assert counts["flat"] == counts["classify exit 0 on flat"] + counts["classify exit 3 on flat"]
-    assert counts["classify exit 0 on flagged"] == 0
+    for cmd in ("prenormal", "formal-nf", "classify"):
+        assert counts[f"{cmd} exit 0 on flagged"] == 0

@@ -383,7 +383,7 @@ def test_plane_ops_on_a_row_return_a_row(pair, c, k):
     a, b = pair
     n = a.order
     pa, pb = _one_row_plane(a), _one_row_plane(b)
-    poly = a.truncate(n - 1).pad_poly(n)  # a vanishing top coefficient
+    poly = TSeries.of(a.truncate(n - 1).coeffs, n)  # a vanishing top coefficient
     powers = t2_powers(b.shift(1))
     cases = [
         (a, pa),
@@ -595,7 +595,7 @@ def test_plane_ops_match_rows(pair, c, k):
     assert a.at_origin() == TSeries(tuple(x.const[0] for x in a_rows))
     assert a.t1_slope_z() == TSeries(tuple(x.slope[0] for x in a_rows))
     def top_cut(t):
-        return t.truncate(nt - 1).pad_poly(nt)
+        return TSeries.of(t.truncate(nt - 1).coeffs, nt)
 
     poly = [AffinePoly1(top_cut(x.const), top_cut(x.slope)) for x in a_rows]
     exact = [
@@ -803,9 +803,9 @@ def _nonzero_windows(rnd, nz, nt):
     for fill in ("dense", "sparse", "zero-rows"):
         rows = _rand_rows(rnd, nz, nt, fill, rnd.random() < 0.5, force_row0=True)
         out.append(Plane.of_rows(rows))
-        out.append(Plane.of_rows([r.truncate(nt - 1).pad_poly(nt) for r in rows]))
+        out.append(Plane.of_rows([TSeries.of(r.truncate(nt - 1).coeffs, nt) for r in rows]))
         if nz == 1:
-            out += [rows[0], rows[0].truncate(nt - 1).pad_poly(nt)]
+            out += [rows[0], TSeries.of(rows[0].truncate(nt - 1).coeffs, nt)]
     return out
 
 
