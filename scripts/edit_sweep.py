@@ -11,6 +11,7 @@ counts as one JSON object:
     <command> exit 3 on flat, <command> exit 0 on flat   (three commands)
     <command> exit 0 on flagged                          (three commands)
     raw classify exit 0 on flagged                       (the raw document)
+    classify exit 0 where prenormal exit 3               (any edit)
 
 The documents are the built-in fixtures at the window (default: all 17 at
 (6, 6)) and, unless --no-raw, the raw-frame document written by
@@ -68,6 +69,7 @@ def sweep(documents: list[tuple[str, dict]], workdir: str) -> dict:
     for cmd in PIPELINES:
         counts[f"{cmd} exit 0 on flagged"] = 0
     counts["raw classify exit 0 on flagged"] = 0
+    counts["classify exit 0 where prenormal exit 3"] = 0
     path = os.path.join(workdir, "edited.json")
     for name, doc in documents:
         for edited in _edits(doc):
@@ -77,14 +79,16 @@ def sweep(documents: list[tuple[str, dict]], workdir: str) -> dict:
             code, out = _run(["verify", path])
             flat = code == 0 and json.loads(out)["verdicts"]["flat"]
             counts["flat" if flat else "flagged"] += 1
-            for cmd in PIPELINES:
-                code = _run([cmd, path])[0]
+            codes = {cmd: _run([cmd, path])[0] for cmd in PIPELINES}
+            for cmd, code in codes.items():
                 if flat and code in (0, 3):
                     counts[f"{cmd} exit {code} on flat"] += 1
                 elif not flat and code == 0:
                     counts[f"{cmd} exit 0 on flagged"] += 1
                     if name == "raw" and cmd == "classify":
                         counts["raw classify exit 0 on flagged"] += 1
+            if codes["prenormal"] == 3 and codes["classify"] == 0:
+                counts["classify exit 0 where prenormal exit 3"] += 1
     return counts
 
 

@@ -128,7 +128,10 @@ def build_prenormal_struct(p: PreNormalForm) -> TEStruct:
 
 
 def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
-    """Extract pre-normal data, killing the C1 pole tail by a scalar gauge."""
+    """Pre-normal data, and the scalar gauge that kills the C1 pole tail.
+
+    The data are those after the gauge: exp(sigma(z)) C1 leaves the A_i
+    alone and adds z^2 sigma'(z) C1 to B, which is minus the tail."""
     if s.kind != "TE":
         raise ShapeError("pre-normal reduction needs full pole data (kind TE)")
     nz, nt = s.orders
@@ -139,13 +142,7 @@ def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
     tail = TSeries(b1.coeffs[2:] + (ZERO, ZERO))
     if tail.is_zero():
         return p, GaugeMap(Mat2.identity(nz, nt))
-    sigma = -tail.integral()
-    gauge = scalar_exp_gauge(sigma, nz, nt)
-    out = apply_gauge(s, gauge)
-    f2, b22, b12 = prenormal_components(out)
-    if any(not c_.is_zero() for c_ in b12.coeffs[2:]):
-        raise ShapeError("scalar gauge failed to clear the C1 tail")
-    return p, gauge
+    return p, scalar_exp_gauge(-tail.integral(), nz, nt)
 
 
 def _validate_against(s: TEStruct, p: PreNormalForm):
@@ -347,7 +344,7 @@ def zero_family_gauge(tau1: TSeries, tau2: ZTSeries) -> GaugeMap:
 class Classification:
     normal_form: NormalFormId
     steps: tuple[GaugeMap, ...]
-    target: TEStruct
+    target: PreNormalForm
     isomorphic_forms: tuple[NormalFormId, ...]
     warnings: tuple[str, ...] = ()
 
@@ -386,7 +383,7 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
         cks.append(ck.at0())
     c0 = cks[0]
     nfid = NormalFormId("F1", {"c": p.c, "alpha": p.alpha, "c0": c0})
-    target = build_normal_form(nfid, nz, nt)
+    target = normal_form_prenormal(nfid, nz, nt)
     # gauge recursion: tau1^{(0)} = 1, then for n = 1, 2, ... one dot each
     #   tau1^{(n-1)} = -(1/(n-1)) sum_{l=2..n} tau2^{(n-l)} c_{l-1}   (n >= 2)
     #   tau2^{(n-1)} = -(1/(n-1/2)) sum_{l=1..n} tau1^{(n-l)} c_l
@@ -398,9 +395,8 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
             tau1.append(dot(tau2[::-1], diffs[1:n], -ONE / integer(n - 1)))
         tau2.append(dot(tau1[::-1], diffs[1 : n + 1], -ONE / (integer(n) - HALF)))
     gauge = unit_family_gauge(TSeries(tuple(tau1)), TSeries(tuple(tau2)), nt)
-    src = build_prenormal_struct(p)
-    out = apply_gauge(src, gauge)
-    if out != target:
+    out = apply_gauge(build_prenormal_struct(p), gauge)
+    if out != build_prenormal_struct(target):
         raise FlatnessError("normalizing gauge failed to reach the target")
     partners: tuple[NormalFormId, ...] = ()
     warnings: tuple[str, ...] = ()
@@ -415,14 +411,10 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
 
 
 def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
-    nz, nt = p.orders
-    expected = ZTSeries.from_tpoly(
-        TSeries.var(nt).scale(-(ONE / integer(r + 2))), nz
-    )
-    if p.b2 != expected:
-        raise FlatnessError("pole part does not match the unique extension")
     nfid = NormalFormId("FR", {"c": p.c, "alpha": p.alpha, "r": r})
-    target = build_normal_form(nfid, nz, nt)
+    target = normal_form_prenormal(nfid, *p.orders)
+    if p.b2 != target.b2:
+        raise FlatnessError("pole part does not match the unique extension")
     return Classification(nfid, (), target, ())
 
 
@@ -539,10 +531,8 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
         cur = _reextract(cur, g)
         gamma = ONE
     nfid, partners = _zero_family_id(shape, lam, gamma, res_order, p, warnings)
-    nzf, ntf = cur.orders
-    target = build_normal_form(nfid, nzf, ntf)
-    cur_struct = build_prenormal_struct(cur)
-    if cur_struct != target:
+    target = normal_form_prenormal(nfid, *cur.orders)
+    if cur != target:
         raise FlatnessError("zero-family normalization missed its target")
     return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
 
@@ -574,12 +564,15 @@ def _zero_family_recursion(
 
     tau1[n] is the first summed over k + l = n - 1, over 4n, and
     g = -b2_in[n + 1] + sum over k + l = n of (u'w - uw')/2 - v tau1[k + 1].
-    b2_in[n + 1] enters g whole, so a row that is not quadratic is refused
-    where tau2[n] is solved for.
+    b2_in[n + 1] enters g whole, so every row is read as a triple before
+    the loop, and a row that is not quadratic is refused there.
     """
     nz, nt = p.orders
     b = p.b2[0].const  # catalogue shape, quadratic polynomial
-    b2_in = [p.b2[k].const for k in range(nz)]
+    b2_in = [
+        odekit.quad_coeffs(p.b2[k].const, ShapeError, f"b2 is not quadratic in t2 at z^{k}")
+        for k in range(nz)
+    ]
     b2_out: list[TSeries] = [b]
     tau1: list[Scalar] = [ONE]
     tau2: list[odekit.Quad] = []
@@ -591,31 +584,29 @@ def _zero_family_recursion(
     g_ys: tuple[list[Scalar], ...] = ([], [], [])
     mono_mu: Scalar | None = None
     res_order: int | None = None
-    zero_t = TSeries.zero(nt)
     for n in range(nz - 1):
         m = n + 1
         mm = integer(m)
-        g = TSeries.of([dot(xs, ys) for ys in g_ys], nt) - b2_in[m]
-        new_coeff = zero_t
+        g = [dot(xs, ys) - u for ys, u in zip(g_ys, b2_in[m])]
+        new_coeff = (ZERO, ZERO, ZERO)
         res = None if shape == "zero" else odekit.third_der_resonance(mm, b)
         if res is not None:
-            obstruction, k, _cond = odekit.third_der_obstruction(res, mm, _quad_coeffs(g))
+            obstruction, k, _cond = odekit.third_der_obstruction(res, mm, g)
             mu = -obstruction  # tau1[0] = 1
             if not mu.is_zero():
                 mono_mu = mu
-                new_coeff = TSeries.monomial(mu, k, nt)
-                g = g + new_coeff
+                new_coeff = tuple(mu if j == k else ZERO for j in range(3))
+                g[k] = g[k] + mu
             elif mono_mu is None:
                 mono_mu = ZERO
             res_order = m
         if shape == "zero":
-            gs = odekit.quad_coeffs(g, ShapeError, "non-quadratic data in the zero shape")
-            x = tuple(c / mm for c in gs)
+            x = tuple(c / mm for c in g)
         else:  # g meets the resonance condition, so a solution exists
-            x = _quad_coeffs(odekit.solve_third_der(mm, b, g).x)
+            x = _quad_coeffs(odekit.solve_third_der(mm, b, TSeries.of(g, nt)).x)
         tau2.append(x)
-        b2_out.append(new_coeff)
-        pairs = list(zip(_quad_coeffs(b2_in[m]), _quad_coeffs(new_coeff)))
+        b2_out.append(TSeries.of(new_coeff, nt))
+        pairs = list(zip(b2_in[m], new_coeff))
         v0, v1, v2 = (a - c for a, c in pairs)
         h0, h1, h2 = ((a + c) * HALF for a, c in pairs)  # w = 2h
         tau1_ys += (ZERO, v2 + v2, -v1, v0 + v0)

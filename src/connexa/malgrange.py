@@ -414,7 +414,8 @@ class HoloReport:
 def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
     """Bring a structure with z-free A2 = y [[x, -x^2], [1, -x]] onto the
     pre-normal frame: shear by C1 + x E, then reparametrize by the
-    primitive of y."""
+    primitive of y.  A frame that this would leave unchanged on the window
+    it keeps is refused."""
     nz, nt = s.orders
     a2 = s.A2
     if not a2.c1.is_zero():
@@ -429,6 +430,10 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
         -(x * x * y), nz
     ):
         raise ShapeError("A2 is not of rank-one nilpotent profile")
+    # the reduced frame keeps t-orders below nt - 1 at most; if x = 0 and
+    # y = 1 there, the reduction would only drop the top t-order
+    if x.truncate(nt - 1).is_zero() and y.truncate(nt - 1) == TSeries.one(nt - 1):
+        raise ShapeError("frame reduction would leave the frame unchanged")
     shear = Mat2.identity(nz, nt) + Mat2.basis("e", nz, nt).scale_zt(
         ZTSeries.from_tpoly(x, nz)
     )

@@ -190,11 +190,11 @@ def criterion_round_trip(samples=50, nz=10, nt=6):
             )
         # replay: the logged maps take the pre-normal input to the target
         if cls.net_map is not None:
-            src = build_prenormal_struct(p)
-            out = apply_gauge(src, cls.net_map)
-            nzc = min(out.orders[0], cls.target.orders[0])
-            ntc = min(out.orders[1], cls.target.orders[1])
-            if out.truncate(nzc, ntc) != cls.target.truncate(nzc, ntc):
+            out = apply_gauge(build_prenormal_struct(p), cls.net_map)
+            target = build_prenormal_struct(cls.target)
+            nzc = min(out.orders[0], target.orders[0])
+            ntc = min(out.orders[1], target.orders[1])
+            if out.truncate(nzc, ntc) != target.truncate(nzc, ntc):
                 return False, f"replay mismatch for {nf.describe()}"
         done += 1
     return True, f"{samples} perturbed structures recovered and replayed"

@@ -37,7 +37,12 @@ from connexa.formalnf import (
 )
 from connexa.fixtures import build_fixture, fixture_names
 from connexa.scalars import HALF, ONE, S, ZERO, Scalar, integer
-from connexa.selftest import _rand_scalar, _random_zero_family_gauge
+from connexa.selftest import (
+    _rand_scalar,
+    _random_scalar_gauge,
+    _random_unit_family_gauge,
+    _random_zero_family_gauge,
+)
 from connexa.series import TSeries, ZTSeries
 
 NZ = NT = 8
@@ -51,7 +56,27 @@ def test_to_prenormal_identity():
     assert build_prenormal_struct(p) == s
 
 
-def test_to_prenormal_kills_tail():
+def _criterion_2_shapes(rng, nz, nt):
+    """One start of each of the selftest's criterion-2 shapes, moved by the
+    selftest's random gauge for that shape."""
+    for family, extra, gauge in (
+        ("F1", {"c0": S(2)}, _random_unit_family_gauge),
+        ("FR", {"r": 2}, _random_scalar_gauge),
+        ("NF3-4", {"lam": S("3/2")}, _random_zero_family_gauge),
+        ("NF3-6", {"lam": S(2)}, _random_zero_family_gauge),
+        ("NF3-8", {"lam": S(-1)}, _random_zero_family_gauge),
+    ):
+        nf = NormalFormId(family, {"c": _rand_scalar(rng), "alpha": _rand_scalar(rng), **extra})
+        yield apply_gauge(build_normal_form(nf, nz, nt), gauge(rng, nz, nt))
+
+
+def test_to_prenormal_kills_tail(monkeypatch):
+    # to_prenormal returns the data after its scalar gauge without applying
+    # the gauge: exp(sigma(z)) C1 only adds z^2 sigma' C1 to B
+    replays = []
+    monkeypatch.setattr(
+        formalnf, "apply_gauge", lambda *args: replays.append(args) or apply_gauge(*args)
+    )
     s = build_normal_form(NormalFormId("F1", dict(c=S(1), alpha=S(2), c0=S(3))), NZ, NT)
     g = scalar_exp_gauge(TSeries.of([0, 0, "1/2"], NZ), NZ, NT)  # adds z^3 to b1
     moved = apply_gauge(s, g)
@@ -61,6 +86,26 @@ def test_to_prenormal_kills_tail():
     p2, gauge2 = to_prenormal(out)
     assert gauge2.tmat.is_t2_free()
     assert out == build_prenormal_struct(p)
+    rng = random.Random(202)
+    structures = [m for _ in range(2) for m in _criterion_2_shapes(rng, 10, 6)]
+    tails = 0
+    for m in structures:
+        nz, nt = m.orders
+        p, gauge = to_prenormal(m)
+        out = apply_gauge(m, gauge)
+        assert out.orders == m.orders
+        assert (out.A1, out.A2) == (m.A1, m.A2)
+        assert (out.B.c2, out.B.d, out.B.e) == (m.B.c2, m.B.d, m.B.e)
+        assert out.B.c1 == (
+            -ZTSeries.t1(nz, nt)
+            + ZTSeries.const(p.c, nz, nt)
+            + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
+        )
+        q, gauge2 = to_prenormal(out)
+        assert q == p and gauge2.tmat == Mat2.identity(nz, nt)
+        tails += out.B.c1 != m.B.c1
+    assert tails == len(structures) == 10
+    assert replays == []
 
 
 # the pole check's three equations, in b3 = B.d/z and b4 = B.e/z
@@ -202,7 +247,7 @@ def test_unit_family_classification():
     )
     # the recorded gauge replays exactly
     out = apply_gauge(build_prenormal_struct(p), cls.net_map)
-    assert out == cls.target
+    assert out == build_prenormal_struct(cls.target)
 
 
 def test_monomial_family_classification():
@@ -507,6 +552,29 @@ def _zero_family_recursion_rebuilt(p, shape, lam):
     return out, gauge, mono_mu, res_order
 
 
+@pytest.mark.parametrize("key", ["c", "alpha", "lam", "gamma"])
+def test_a_wrong_zero_family_id_misses_its_target(monkeypatch, key):
+    # the final check compares the normalized data with the named form's
+    # pre-normal data, so an id with one parameter off by one is refused
+    data = [
+        to_prenormal(build_fixture(n, 8, 8))[0] for n in fixture_names() if n.startswith("nf3_")
+    ]
+    keyed = [p for p in data if key in formal_normal_form(p).normal_form.params]
+    right_id = formalnf._zero_family_id
+
+    def wrong_id(*args):
+        nfid, partners = right_id(*args)
+        params = {**nfid.params, key: nfid.params[key] + ONE}
+        return NormalFormId(nfid.family, params), partners
+
+    monkeypatch.setattr(formalnf, "_zero_family_id", wrong_id)
+    for p in keyed:
+        with pytest.raises(FlatnessError) as err:
+            formal_normal_form(p)
+        assert str(err.value) == "zero-family normalization missed its target"
+    assert len(keyed) == {"c": 9, "alpha": 9, "lam": 7, "gamma": 1}[key]
+
+
 def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     recursion = formalnf._zero_family_recursion
     calls = []
@@ -546,6 +614,22 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+# odekit's messages for a row of b2 that is not quadratic in t2, as the
+# rebuilt recursion raises them where the row is used
+ODEKIT_NOT_QUADRATIC = ("expected a quadratic polynomial in t2", "right side must be quadratic")
+
+
+def _as_refused_up_front(want, p):
+    """The rebuilt recursion's outcome, with its refusal of a row that is
+    not quadratic replaced by the one refusal naming b2's first such z-order,
+    which the recursion raises before its loop."""
+    if not isinstance(want[0], type):
+        return want
+    assert want[1] in ODEKIT_NOT_QUADRATIC
+    k = min(k for k in range(p.orders[0]) if any(not c.is_zero() for c in p.b2[k].const.coeffs[3:]))
+    return ShapeError, f"b2 is not quadratic in t2 at z^{k}"
+
+
 def _random_rows(rng, nz, nt, cubic):
     """nz - 1 random z-coefficients, quadratic in t2 or, with probability
     ``cubic`` each, carrying a t2^3 term."""
@@ -561,7 +645,7 @@ def _random_rows(rng, nz, nt, cubic):
 def test_zero_family_recursion_matches_rebuilt_on_random_data():
     # seeded f = 0 data on each catalogue shape, with integral slopes that
     # resonate inside the window and rows with a t2^3 term: the results are
-    # equal, or both raise the same error with the same message
+    # equal, or both refuse the first row that is not quadratic
     rng = random.Random(1717)
     seen = set()
     for _ in range(240):
@@ -575,12 +659,11 @@ def test_zero_family_recursion_matches_rebuilt_on_random_data():
             ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs([b] + rows, nz), ZERO, ZERO
         )
         got = _outcome(formalnf._zero_family_recursion, p, shape)
-        assert got == _outcome(_zero_family_recursion_rebuilt, p, shape, b[1])
-        seen.add(got[1] if isinstance(got[0], type) else got[3] is not None)
-    assert seen == {
-        True, False, "expected a quadratic polynomial in t2", "right side must be quadratic"
-    }
-    # the zero shape refuses a row that is not quadratic where it is used
+        want = _outcome(_zero_family_recursion_rebuilt, p, shape, b[1])
+        assert got == _as_refused_up_front(want, p)
+        seen.add(want[1] if isinstance(want[0], type) else want[3] is not None)
+    assert seen == {True, False, *ODEKIT_NOT_QUADRATIC}
+    # the zero shape refuses a row that is not quadratic with the same message
     p = PreNormalForm(
         ZTSeries.zero(1, 5),
         ZTSeries.from_zcoeffs([TSeries.zero(5), TSeries.of([1, 0, 0, 1], 5)], 2),
@@ -588,7 +671,22 @@ def test_zero_family_recursion_matches_rebuilt_on_random_data():
         ZERO,
     )
     assert _outcome(formalnf._zero_family_recursion, p, "zero") == (
-        ShapeError, "non-quadratic data in the zero shape"
+        ShapeError, "b2 is not quadratic in t2 at z^1"
+    )
+
+
+@pytest.mark.parametrize("nz", [3, 4])
+def test_flat_data_with_a_cubic_top_row_are_refused_naming_b2(nz):
+    # f = 0 data whose top z-row of b2 is t2^3: the pole check cannot see
+    # that row's cubic term at nt = 5, so the data pass it, and the
+    # zero-family recursion names b2 and the row's z-order
+    t2 = TSeries.var(5)
+    rows = [t2.scale(HALF)] + [TSeries.zero(5)] * (nz - 2) + [TSeries.monomial(ONE, 3, 5)]
+    p = PreNormalForm(ZTSeries.zero(nz - 1, 5), ZTSeries.from_zcoeffs(rows, nz), S(1), S(2))
+    s = build_prenormal_struct(p)
+    assert flatness_residuals(s).flat and to_prenormal(s)[0] == p
+    assert _outcome(formal_normal_form, p) == (
+        ShapeError, f"b2 is not quadratic in t2 at z^{nz - 1}"
     )
 
 
@@ -600,7 +698,8 @@ def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
 
     def checked(p, shape):
         got = _outcome(recursion, p, shape)
-        assert got == _outcome(_zero_family_recursion_rebuilt, p, shape, p.b2[0].const[1])
+        want = _outcome(_zero_family_recursion_rebuilt, p, shape, p.b2[0].const[1])
+        assert got == _as_refused_up_front(want, p)
         orders.append(p.orders[1])
         if isinstance(got[0], type):
             raise got[0](got[1])

@@ -123,3 +123,44 @@ def test_prenormal_refuses_top_z_order_pole_edits(tmp_path):
         for mat, n in (("B", 5), ("A2", 4)):
             path = _edit(doc, mat, "e", 5, 0, n, tmp_path / f"{name}_{mat}.json")
             assert _exit_code("prenormal", path) == 3, (name, mat)
+
+
+def _edited_fixture(name, nz, nt, mat, comp, k, part, n, tmp_path):
+    doc = structure_to_document(build_fixture(name, nz, nt))
+    return _edit(doc, mat, comp, k, part, n, tmp_path / f"{name}_{mat}_{comp}_{k}_{part}_{n}.json")
+
+
+# flat top-t-order edits that the pole check refuses: (fixture, window, entry)
+IDENTITY_FRAME_EDITS = [
+    ("nf3_4", (4, 6), ("A1", "c1", 3, 0, 5)),
+    ("nf3_4", (4, 6), ("A1", "c2", 3, 0, 5)),
+    ("nf3_4", (4, 6), ("B", "c1", 3, 0, 5)),
+    ("nf3_4", (4, 6), ("B", "c1", 3, 1, 5)),
+    ("nf3_4", (4, 6), ("B", "e", 3, 0, 5)),
+    ("nf3_4", (4, 6), ("A2", "c2", 0, 0, 5)),
+] + [(name, (6, 6), ("B", "e", 5, 0, 5)) for name in NAMES if name.startswith("nf3_")]
+
+
+def test_classify_keeps_the_pre_normal_refusal_of_an_identity_frame(tmp_path):
+    # A2 = C2 up to the top t-order reads as a raw frame with x = 0 and
+    # y = 1 there, whose reduction only drops that t-order: classify
+    # refuses with prenormal's error instead of classifying what is left
+    for name, (nz, nt), entry in IDENTITY_FRAME_EDITS:
+        path = _edited_fixture(name, nz, nt, *entry, tmp_path)
+        got = _verdict("verify", path)
+        assert got[0] == 0 and got[1]["flat"], (name, entry)
+        refusal = _verdict("prenormal", path)
+        assert refusal[0] == 3, (name, entry)
+        assert _verdict("classify", path) == refusal, (name, entry)
+
+
+def test_classify_reads_a_genuine_raw_frame(tmp_path):
+    # A2 = (1 + 7 t2^n) C2 below the top t-order is a raw frame y C2 whose
+    # base change is not the identity: classify reads it, and NF3-1 keeps
+    # its class under the reparametrization
+    want = _at(6, 6, "classify", "nf3_1")
+    assert want[0] == 0
+    for n in range(5):
+        path = _edited_fixture("nf3_1", 6, 6, "A2", "c2", 0, 0, n, tmp_path)
+        assert _verdict("prenormal", path)[0] == 3, n
+        assert _verdict("classify", path) == want, n

@@ -50,13 +50,15 @@ def test_script_runs(name, line):
 
 def test_edit_sweep_runs():
     out = _run_script(
-        "edit_sweep.py", "--order-z", "3", "--order-t", "5", "--fixture", "nf3_4", "--no-raw"
+        "edit_sweep.py", "--order-z", "4", "--order-t", "6", "--fixture", "nf3_4", "--no-raw"
     )
     assert out.returncode == 0, out.stderr
     counts = json.loads(out.stdout)
-    # 3 matrices x 4 components x 3 z-orders x 2 t1-parts x 5 t-orders
-    assert counts["edits"] == 360
-    assert counts["flagged"] + counts["flat"] == 360
+    # 3 matrices x 4 components x 4 z-orders x 2 t1-parts x 6 t-orders
+    assert counts["edits"] == 576
+    assert counts["flagged"] + counts["flat"] == 576
     assert counts["flat"] == counts["classify exit 0 on flat"] + counts["classify exit 3 on flat"]
     for cmd in ("prenormal", "formal-nf", "classify"):
         assert counts[f"{cmd} exit 0 on flagged"] == 0
+    # the raw-frame fallback gives no verdict on what the pole check refuses
+    assert counts["classify exit 0 where prenormal exit 3"] == 0
