@@ -26,7 +26,7 @@ from .errors import (
 )
 from .euler import EulerField
 from .scalars import HALF, ONE, ZERO, Scalar, dot
-from .series import AffinePoly1, TSeries, ZTSeries, plane_dot, t2_powers
+from .series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot, t2_powers
 
 _NEG_HALF = -HALF
 
@@ -39,6 +39,19 @@ _PRODUCT = (
     (2, ((2, 0, 2), (2, 2, 0), (1, 3, 1), (-1, 1, 3))),
     (1, ((1, 0, 3), (1, 3, 0), (1, 2, 3), (-1, 3, 2))),
 )
+
+# The commutator ab - ba in the same form: C1 is central, [C2, D] = 2 C2,
+# [C2, E] = -D and [D, E] = 2 E, so c1 = 0, c2 = 2(a2 bd - ad b2),
+# d = ae b2 - a2 be and e = 2(ad be - ae bd).
+_COMMUTATOR = (
+    (1, ()),
+    (1, ((2, 1, 2), (-2, 2, 1))),
+    (1, ((1, 3, 1), (-1, 1, 3))),
+    (1, ((2, 2, 3), (-2, 3, 2))),
+)
+
+# No linear terms for any of the four coordinates (see _fused).
+_NO_LINEAR = (((), ()),) * 4
 
 
 @dataclass(frozen=True)
@@ -181,22 +194,17 @@ class Mat2:
     def __mul__(self, o: Mat2) -> Mat2:
         """The product table above: one fused sum per coordinate for the
         t1-constant plane and one for the t1-slope plane."""
-        a = [c.planes for c in (self.c1, self.c2, self.d, self.e)]
-        b = [c.planes for c in (o.c1, o.c2, o.d, o.e)]
+        a, b = self.planes(), o.planes()
         if _t1_squared(a, b):
             raise T1DegreeError("product exceeds degree 1 in t1")
-        nz, nt = self.orders
-        out = []
-        for div, terms in _PRODUCT:
-            const = [(m, a[x].const, b[y].const) for m, x, y in terms]
-            slope = [(m, a[x].const, b[y].slope) for m, x, y in terms]
-            slope += [(m, a[x].slope, b[y].const) for m, x, y in terms]
-            const_p = plane_dot(const, nz, nt, div)
-            out.append(ZTSeries._of(AffinePoly1(const_p, plane_dot(slope, nz, nt, div))))
-        return Mat2(*out)
+        return _fused(_PRODUCT, a, b, _NO_LINEAR, *self.orders)
 
     def commutator(self, o: Mat2) -> Mat2:
-        return self * o - o * self
+        return _commutator(self.planes(), o.planes(), _NO_LINEAR, *self.orders)
+
+    def planes(self) -> list[AffinePoly1]:
+        """The planes of (c1, c2, d, e)."""
+        return [c.planes for c in (self.c1, self.c2, self.d, self.e)]
 
     # -- queries ------------------------------------------------------------
 
@@ -226,9 +234,6 @@ class Mat2:
 
     def dt(self) -> Mat2:
         return self.map(lambda c: c.dt())
-
-    def dt1(self) -> Mat2:
-        return self.map(lambda c: c.dt1())
 
     def compose_t2(self, lam: TSeries) -> Mat2:
         """Substitute lam for t2, with one power table for all components."""
@@ -269,6 +274,31 @@ class Mat2:
         q = ZTSeries._of(AffinePoly1(det, self.c1.planes.slope)).invert()
         nq = -q
         return Mat2(self.c1 * q, self.c2 * nq, self.d * nq, self.e * nq)
+
+
+def _fused(table, a, b, linear, nz: int, nt: int) -> Mat2:
+    """Per coordinate of ``table`` (rows as in ``_PRODUCT``), sum m a_x b_y
+    over the planes a and b of two matrices plus the terms linear[i] =
+    (t1-constant terms, t1-slope terms) of coordinate i, as one plane_dot
+    per t1-part.  A linear term is a product with a one-entry plane
+    (``Plane.z_power``), so it costs the support of its operand."""
+    out = []
+    for (div, terms), (lin_const, lin_slope) in zip(table, linear):
+        const = [*lin_const, *((m, a[x].const, b[y].const) for m, x, y in terms)]
+        slope = [*lin_slope, *((m, a[x].const, b[y].slope) for m, x, y in terms)]
+        slope += [(m, a[x].slope, b[y].const) for m, x, y in terms]
+        out.append(ZTSeries._of(AffinePoly1(
+            plane_dot(const, nz, nt, div), plane_dot(slope, nz, nt, div)
+        )))
+    return Mat2(*out)
+
+
+def _commutator(a, b, linear, nz: int, nt: int) -> Mat2:
+    """[a, b] plus the linear terms, as ``_fused``; raises where a b or
+    b a would exceed degree 1 in t1."""
+    if _t1_squared(a, b) or _t1_squared(b, a):
+        raise T1DegreeError("product exceeds degree 1 in t1")
+    return _fused(_COMMUTATOR, a, b, linear, nz, nt)
 
 
 def _t1_squared(a: list[AffinePoly1], b: list[AffinePoly1]) -> bool:
@@ -350,26 +380,43 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
 
     R_t   = z d1(A2) - z d2(A1) + [A1, A2]
     R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B]
+
+    Each t1-part of each coordinate is one fused sum (see ``_fused``).
     """
     nz, nt = s.orders
     ntr = nt - 1
-    a1r = s.A1.truncate(nz, ntr)
-    a2r = s.A2.truncate(nz, ntr)
-    rt = (
-        s.A2.dt1().truncate(nz, ntr).shift_z(1)
-        - s.A1.dt().shift_z(1)
-        + a1r.commutator(a2r)
-    )
+    a1, a2, b = s.A1.planes(), s.A2.planes(), s.B.planes()
+    a1r, a2r = _truncate(a1, nz, ntr), _truncate(a2, nz, ntr)
+    z = Plane.z_power(1, nz, ntr)
+    # d1 of const + t1 slope is the slope
+    lin_t = [
+        ([(1, q.slope.truncate(nz, ntr), z), (-1, p.const.derivative(), z)],
+         [(-1, p.slope.derivative(), z)])
+        for p, q in zip(a1, a2)
+    ]
+    rt = _commutator(a1r, a2r, lin_t, nz, ntr)
     if s.kind == "T":
         return FlatnessReport(rt, None, None)
-    rz1 = _pole_residual(s.B.dt1().shift_z(1), s.A1, s.B)
-    rz2 = _pole_residual(s.B.dt().shift_z(1), a2r, s.B.truncate(nz, ntr))
+    zero = Plane.zero(nz, nt)
+    rz1 = _pole_residual([AffinePoly1(p.slope, zero) for p in b], a1, b, nz, nt)
+    rz2 = _pole_residual([p.dt2() for p in b], a2r, _truncate(b, nz, ntr), nz, ntr)
     return FlatnessReport(rt, rz1, rz2)
 
 
-def _pole_residual(zdb: Mat2, a: Mat2, b: Mat2) -> Mat2:
-    """R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B], given z di(B)."""
-    return zdb - a.z2dz() + a.shift_z(1) + a.commutator(b)
+def _pole_residual(db, a, b, nz: int, nt: int) -> Mat2:
+    """R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B], given the planes
+    of di(B), A_i and B."""
+    one, z = Plane.z_power(0, nz, nt), Plane.z_power(1, nz, nt)
+
+    def linear(d, p):  # one t1-part of z di(B) - z^2 dz(A_i) + z A_i
+        return [(1, d, z), (-1, p.z2dz(), one), (1, p, z)]
+
+    lin = [(linear(d.const, p.const), linear(d.slope, p.slope)) for d, p in zip(db, a)]
+    return _commutator(a, b, lin, nz, nt)
+
+
+def _truncate(planes: list[AffinePoly1], nz: int, nt: int) -> list[AffinePoly1]:
+    return [AffinePoly1(p.const.truncate(nz, nt), p.slope.truncate(nz, nt)) for p in planes]
 
 
 # ---------------------------------------------------------------------------

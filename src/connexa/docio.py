@@ -9,14 +9,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import lcm
+from operator import ne
 from typing import Any
 
 from .connmat import Mat2, TEStruct
 from .errors import DocumentError
 from .scalars import Scalar, integer
-from .series import AffinePoly1, Plane, TSeries, ZTSeries
+from .series import AffinePoly1, Plane, ZTSeries, _scalar
 
 FORMAT_TAG = "connexa-structure/1"
 
@@ -31,13 +32,22 @@ MAX_ORDER = 64
 DEFAULT_ORDER = 16
 
 
-def _ts_to_json(t: TSeries) -> list[str]:
-    return [str(c) for c in t.coeffs]
+def _plane_to_json(p: Plane) -> list[list[str]]:
+    """The z-rows of p as literal arrays, written from its numerators."""
+    nt, den = p.nt, p.den
+    rows = []
+    for a in range(0, p.nz * nt, nt):
+        re, im = p.re[a : a + nt], p.im[a : a + nt]
+        if any(re) or any(im):
+            rows.append([str(_scalar(x, y, den)) for x, y in zip(re, im)])
+        else:
+            rows.append(["0"] * nt)
+    return rows
 
 
 def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
-    rows = (z[k] for k in range(z.nz))
-    return [[_ts_to_json(a.const), _ts_to_json(a.slope)] for a in rows]
+    p = z.planes
+    return [list(slot) for slot in zip(_plane_to_json(p.const), _plane_to_json(p.slope))]
 
 
 # Coefficient arrays of plain integers, joined with ",": the integer
@@ -65,31 +75,24 @@ def _literal(x) -> Scalar:
     raise DocumentError("coefficient must be a string or an integer")
 
 
-def _row_from_json(data: list) -> TSeries:
-    """One t2-coefficient array as a row window; only a literal that is not
-    a plain integer becomes a Scalar."""
-    if data.count("0") == len(data):
-        return TSeries.zero(len(data))
-    ints = _ints_from_json(data)
-    if ints is not None:
-        return TSeries._ints(ints, [0] * len(ints), 1, 1)
-    cs = [_literal(x) for x in data]
-    den = lcm(*[c.d for c in cs])
-    re_ = [c.a * (den // c.d) for c in cs]
-    return TSeries._ints(re_, [c.b * (den // c.d) for c in cs], den, 1)
-
-
 def _plane_from_json(rows: list[list], nt: int) -> Plane:
-    """The plane whose z-row k holds the literals ``rows[k]``: a plane of
-    "0" literals is the zero window, a plane of plain integers is read by
-    int() in one pass, otherwise each row alone."""
+    """The plane whose z-row k holds the literals ``rows[k]``, in one pass
+    over its non-"0" literals: all plain integers are read by int(), else
+    each goes through ``_literal`` and the plane is placed at the lcm of
+    their denominators, which is canonical again."""
     data = list(chain.from_iterable(rows))
-    if data.count("0") == len(data):
+    n = len(data)
+    if data.count("0") == n:
         return Plane.zero(len(rows), nt)
-    ints = _ints_from_json(data)
+    live = list(compress(range(n), map(ne, data, repeat("0"))))
+    vals = list(map(data.__getitem__, live))
+    ints = _ints_from_json(vals)
     if ints is not None:
-        return Plane._ints(len(rows), nt, ints, [0] * len(ints), 1, 1)
-    return Plane.of_rows([_row_from_json(row) for row in rows])
+        return Plane._at(len(rows), nt, zip(live, ints, repeat(0)), 1)
+    cs = [_literal(x) for x in vals]
+    den = lcm(*[c.d for c in cs])
+    entries = [(i, c.a * (den // c.d), c.b * (den // c.d)) for i, c in zip(live, cs)]
+    return Plane._at(len(rows), nt, entries, den)
 
 
 def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
-from .series import TSeries, ZTSeries, geometric
+from .series import Plane, TSeries, ZTSeries, geometric, plane_dot
 
 _NEG_HALF = -HALF
 
@@ -156,22 +156,32 @@ def _validate_against(s: TEStruct, p: PreNormalForm):
     z^2 times the master equation
 
         -(z/2) d2^3 b2 + (d2 f) b2 + 2 f d2(b2) - z dz(f) + f = 0.
+
+    Each equation is one fused sum that is only tested for zero; B.d, B.e,
+    f and b2 are t1-free here (``prenormal_components``).
     """
     nz, nt = s.orders
     w = (nz - 1, nt - 1)
-    bd, be = s.B.d, s.B.e
+    one, z = Plane.z_power(0, *w), Plane.z_power(1, *w)
+    bd, be = s.B.d.planes.const, s.B.e.planes.const
     b3, b4 = bd.div_z(), be.div_z()
-    f = p.f.truncate(*w)
     b3w = b3.truncate(*w)
-    if not bd.truncate(1, nt).is_zero() or b3w != (
-        p.b2.dt().truncate(*w) + ZTSeries.one(*w)
-    ).scale(_NEG_HALF):
+    f = p.f.planes.const.truncate(*w)
+    b2 = p.b2.planes.const.truncate(nz - 1, nt)
+    # 2 b3 + d2 b2 + 1
+    if not bd.row(0).is_zero() or not plane_dot(
+        [(2, b3w, one), (1, b2.derivative(), one), (1, one, one)], *w
+    ).is_zero():
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
-    if not be.truncate(1, nt).is_zero() or b4.truncate(*w) != (
-        b3.dt().shift_z(1) + f * p.b2.truncate(*w)
-    ):
+    # b4 - z d2(b3) - f b2
+    if not be.row(0).is_zero() or not plane_dot(
+        [(1, b4.truncate(*w), one), (-1, b3.derivative(), z), (-1, f, b2.truncate(*w))], *w
+    ).is_zero():
         raise ShapeError("E component does not match z b4")
-    if b4.dt() != f.zdz() + (f * b3w).scale(S(2)):
+    # d2(b4) - z dz(f) - 2 f b3
+    if not plane_dot(
+        [(1, b4.derivative(), one), (-1, f.zdz(), one), (-2, f, b3w)], *w
+    ).is_zero():
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
         raise ShapeError("t-order too small to validate")

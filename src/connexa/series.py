@@ -68,7 +68,8 @@ class Plane:
     changed in place: operations may return an operand itself, and ``==``,
     ``hash`` and the canonical form read them.  The support is scanned at
     most once; a window built as zero records the empty support, so
-    ``is_zero`` and every linear operation cost O(1) on it.  The
+    ``is_zero`` and every linear operation cost O(1) on it, and one built
+    from its nonzero entries (``_at``) records them.  The
     elementwise operations build their result through ``_new``, so on a
     ``TSeries`` (the one-row window) they return a ``TSeries``.
     """
@@ -107,6 +108,39 @@ class Plane:
     @staticmethod
     def zero(nz: int, nt: int) -> Plane:
         return Plane._zero(nz, nt)
+
+    @staticmethod
+    def _at(nz: int, nt: int, entries, den: int) -> Plane:
+        """The plane whose flat z-major entry i is (re + im i) / den for
+        each (i, re, im) of ``entries``, i increasing, and zero elsewhere.
+        The entries must be canonical over den, as numerators over the lcm
+        of canonical denominators are; the support is recorded from them,
+        so no scan of the window follows."""
+        re = [0] * (nz * nt)
+        im = [0] * (nz * nt)
+        sup: list = []
+        k0 = -1
+        for i, x, y in entries:
+            if x or y:
+                re[i] = x
+                im[i] = y
+                k, n = divmod(i, nt)
+                if k != k0:
+                    k0 = k
+                    sup.append((k, []))
+                sup[-1][1].append((n, x, y))
+        out = Plane._ints(nz, nt, re, im, den, 1)
+        out._support = sup
+        return out
+
+    @staticmethod
+    def z_power(k: int, nz: int, nt: int) -> Plane:
+        """The one-entry window z^k, zero when it lies outside: as a
+        ``plane_dot`` factor it multiplies a term by z^k at the cost of
+        the term's support."""
+        if k >= nz or not nt:
+            return Plane.zero(nz, nt)
+        return Plane._at(nz, nt, [(k * nt, 1, 0)], 1)
 
     @staticmethod
     def of_rows(rows) -> Plane:
@@ -316,17 +350,22 @@ class Plane:
         return self._weighted_rows(0, 0, self.nz, 1)
 
     def derivative(self) -> Plane:
-        """d/dt2: the t2-order drops by one."""
-        nt = self.nt
-        if self.is_zero():
-            return self._zero(self.nz, nt - 1)
-        return self._new(
-            self.nz,
-            nt - 1,
-            [(i % nt) * x for i, x in enumerate(self.re) if i % nt],
-            [(i % nt) * y for i, y in enumerate(self.im) if i % nt],
-            self.den,
-        )
+        """d/dt2: the t2-order drops by one.  Built from the support, so it
+        costs one pass over the nonzero entries and the output window."""
+        nz, nt = self.nz, self.nt
+        sup = self.support()
+        if not sup:
+            return self._zero(nz, nt - 1)
+        w = nt - 1
+        re = [0] * (nz * w)
+        im = [0] * (nz * w)
+        for k, row in sup:
+            o = k * w - 1
+            for n, x, y in row:
+                if n:
+                    re[o + n] = n * x
+                    im[o + n] = n * y
+        return self._new(nz, w, re, im, self.den)
 
     def derivative_exact(self) -> Plane:
         """Same-order d/dt2 of stored polynomials: every top entry must

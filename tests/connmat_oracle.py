@@ -1,7 +1,9 @@
 """Reference matrix and z-series kernels, for the oracle tests.
 
 These are the bodies connexa once ran: the entrywise 2x2 product through
-(m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d), the adjugate inverse by
+(m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d), the zero-curvature
+residuals as separately reduced Mat2 sums with the commutator a b - b a,
+the adjugate inverse by
 seven series products, the row-wise z-recursion for ``ZTSeries.invert``
 (on TSeries rows, and on rows copied into one-row planes), the
 one-variable schoolbook product, Horner substitution (row by row for a
@@ -15,7 +17,14 @@ from __future__ import annotations
 
 from functools import reduce
 
-from connexa.connmat import ConstMat, GaugeMap, Mat2, compose_gauges
+from connexa.connmat import (
+    ConstMat,
+    FlatnessReport,
+    GaugeMap,
+    Mat2,
+    TEStruct,
+    compose_gauges,
+)
 from connexa.errors import (
     CompositionError,
     NotInvertibleError,
@@ -46,6 +55,30 @@ def mul(a: Mat2, b: Mat2) -> Mat2:
         a21 * b11 + a22 * b21,
         a21 * b12 + a22 * b22,
     )
+
+
+def flatness_residuals(s: TEStruct) -> FlatnessReport:
+    """R_t = z d1(A2) - z d2(A1) + [A1, A2] and
+    R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B], each term a Mat2 and
+    each commutator two Mat2 products, at reduced t-order."""
+    nz, nt = s.orders
+    ntr = nt - 1
+    a1r = s.A1.truncate(nz, ntr)
+    a2r = s.A2.truncate(nz, ntr)
+    rt = (
+        s.A2.map(lambda c: c.dt1()).truncate(nz, ntr).shift_z(1)
+        - s.A1.dt().shift_z(1)
+        + (a1r * a2r - a2r * a1r)
+    )
+    if s.kind == "T":
+        return FlatnessReport(rt, None, None)
+    rz1 = _pole_residual(s.B.map(lambda c: c.dt1()).shift_z(1), s.A1, s.B)
+    rz2 = _pole_residual(s.B.dt().shift_z(1), a2r, s.B.truncate(nz, ntr))
+    return FlatnessReport(rt, rz1, rz2)
+
+
+def _pole_residual(zdb: Mat2, a: Mat2, b: Mat2) -> Mat2:
+    return zdb - a.z2dz() + a.shift_z(1) + (a * b - b * a)
 
 
 def zt_invert(u: ZTSeries) -> ZTSeries:

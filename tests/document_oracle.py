@@ -2,9 +2,10 @@
 
 ``_zt_from_json`` is the row-wise reader connexa once ran: every literal
 goes through ``Scalar.parse``, every z-slot becomes an ``AffinePoly1`` of
-two ``TSeries`` rows, and ``ZTSeries(rows)`` stacks them.  The package now
-reads each component straight into its two integer planes; the tests check
-it against this reader.
+two ``TSeries`` rows, and ``ZTSeries(rows)`` stacks them.  ``_zt_to_json``
+is the writer it ran: a ``TSeries`` row and a ``Scalar`` per entry.  The
+package now reads each component straight into its two integer planes and
+writes rows from their numerators; the tests check it against these.
 """
 
 from __future__ import annotations
@@ -33,3 +34,8 @@ def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:
             AffinePoly1(_ts_from_json(entry[0], nt), _ts_from_json(entry[1], nt))
         )
     return ZTSeries(tuple(rows))
+
+
+def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
+    rows = (z[k] for k in range(z.nz))
+    return [[[str(c) for c in r.const.coeffs], [str(c) for c in r.slope.coeffs]] for r in rows]

@@ -3,8 +3,10 @@
 These are the bodies connexa once ran: three hand-shifted components of
 the pole-2 flatness equation compared on (nz, nt - 1), then the master
 equation, their consequence, which needs a third t2-derivative and so
-covers only (nz - 1, nt - 3).  The package now checks the same equation
-once, in b3 = B.d/z and b4 = B.e/z on (nz - 1, nt - 1)
+covers only (nz - 1, nt - 3); and the one check that replaced them, in
+b3 = B.d/z and b4 = B.e/z on (nz - 1, nt - 1), with each side of each
+equation built as separately reduced z-series and compared.  The package
+forms each equation of that check as one fused sum tested for zero
 (``formalnf._validate_against``); the tests check it against these.
 """
 
@@ -34,6 +36,29 @@ def validate_against(s: TEStruct, p: PreNormalForm):
     z3fz = p.f.zdz().mul_z().shift_z(1).truncate(nz, nt - 1)
     if s.B.e.dt().shift_z(1) != z3fz + (fz * bd).scale(S(2)):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
+
+
+def pole_check(s: TEStruct, p: PreNormalForm):
+    """b3 = -(d2 b2 + 1)/2, b4 = z d2(b3) + f b2 and
+    d2(b4) = z dz(f) + 2 f b3 on (nz - 1, nt - 1), each side a ZTSeries."""
+    nz, nt = s.orders
+    w = (nz - 1, nt - 1)
+    bd, be = s.B.d, s.B.e
+    b3, b4 = bd.div_z(), be.div_z()
+    f = p.f.truncate(*w)
+    b3w = b3.truncate(*w)
+    if not bd.truncate(1, nt).is_zero() or b3w != (
+        p.b2.dt().truncate(*w) + ZTSeries.one(*w)
+    ).scale(_NEG_HALF):
+        raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
+    if not be.truncate(1, nt).is_zero() or b4.truncate(*w) != (
+        b3.dt().shift_z(1) + f * p.b2.truncate(*w)
+    ):
+        raise ShapeError("E component does not match z b4")
+    if b4.dt() != f.zdz() + (f * b3w).scale(S(2)):
+        raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
+    if nt < 4:
+        raise ShapeError("t-order too small to validate")
 
 
 def master_residual(p: PreNormalForm) -> ZTSeries:

@@ -2,6 +2,7 @@ import pytest
 
 from connexa.connmat import (
     ConstMat,
+    FlatnessReport,
     GaugeMap,
     Mat2,
     TEStruct,
@@ -12,11 +13,14 @@ from connexa.connmat import (
     restrict_origin,
     scalar_exp_gauge,
 )
-from connexa.errors import NotInvertibleError, UnfoldingError
+from connexa.docio import structure_from_document, structure_to_document
+from connexa.errors import NotInvertibleError, T1DegreeError, UnfoldingError
+from connexa.fixtures import build_fixture, fixture_names
 from connexa.formalnf import NormalFormId, build_normal_form
-from connexa.scalars import HALF, S, ZERO
-from connexa.series import TSeries, ZTSeries
+from connexa.scalars import HALF, S, ZERO, Scalar, integer
+from connexa.series import AffinePoly1, TSeries, ZTSeries
 
+import connmat_oracle
 from conftest import rand_nonzero, rand_scalar
 from connmat_oracle import invert_gauge
 
@@ -148,6 +152,94 @@ def test_flatness_examples():
         Mat2.identity(NZ, NT), Mat2.basis("c2", NZ, NT), zero, "T"
     )
     assert flatness_residuals(s_t).flat
+
+
+def _residuals(fn, s: TEStruct):
+    """(rt, rz1, rz2) of fn(s), or the T1DegreeError message it raises."""
+    try:
+        r = fn(s)
+    except T1DegreeError as exc:
+        return str(exc)
+    return r.rt, r.rz1, r.rz2
+
+
+def _same_residuals(s: TEStruct):
+    """The fused residuals, equal to the Mat2-sum oracle's field for field
+    (so they are canonical), or the T1DegreeError message both raise."""
+    got = _residuals(flatness_residuals, s)
+    assert got == _residuals(connmat_oracle.flatness_residuals, s)
+    return got
+
+
+def test_flatness_residuals_match_oracle_on_fixtures():
+    for name in fixture_names():
+        s = build_fixture(name, 16, 16)
+        assert FlatnessReport(*_same_residuals(s)).flat
+        assert FlatnessReport(*_same_residuals(TEStruct(s.A1, s.A2, s.B, "T"))).flat
+
+
+def test_flatness_residuals_match_oracle_on_every_edit():
+    # every single-entry +7 edit, const and t1-slope parts: non-flat
+    # residuals, and T1DegreeError where a slope meets a slope
+    nz, nt = 4, 5
+    raised = nonflat = 0
+    for name in ("nf3_4", "f1_r2", "mal1"):
+        doc = structure_to_document(build_fixture(name, nz, nt))
+        for mat in ("A1", "A2", "B"):
+            for comp, rows in doc["matrices"][mat].items():
+                for k, parts in enumerate(rows):
+                    for part, row in enumerate(parts):
+                        for n, text in enumerate(row):
+                            row[n] = str(Scalar.parse(text) + integer(7))
+                            s = structure_from_document(doc)
+                            row[n] = text
+                            got = _same_residuals(s)
+                            if isinstance(got, str):
+                                raised += 1
+                            elif not FlatnessReport(*got).flat:
+                                nonflat += 1
+    assert raised > 300 and nonflat > 600
+
+
+def _dense_zt(rng, nz, nt, sloped):
+    def row():
+        return TSeries.of([rand_scalar(rng, 3) for _ in range(nt)], nt)
+
+    zero = TSeries.zero(nt)
+    return ZTSeries([AffinePoly1(row(), row() if sloped else zero) for _ in range(nz)])
+
+
+def _dense_mat(rng, nz, nt, p_slope=0.0):
+    """Dense Q(i) components, each with a t1 slope with probability p_slope."""
+    comps = [_dense_zt(rng, nz, nt, rng.random() < p_slope) for _ in range(4)]
+    return Mat2(*comps)
+
+
+def test_flatness_residuals_match_oracle_on_dense_structures(rng):
+    raised = 0
+    for i in range(40):
+        nz, nt = rng.randint(1, 4), rng.randint(1, 5)
+        a1, a2, b = (_dense_mat(rng, nz, nt, 0.3) for _ in range(3))
+        raised += isinstance(_same_residuals(TEStruct(a1, a2, b, "TE" if i % 4 else "T")), str)
+    # t1 only in B's C1 slope, as in every structure in scope
+    for _ in range(10):
+        a1, a2, b = _dense_mat(rng, 3, 4), _dense_mat(rng, 3, 4), _dense_mat(rng, 3, 4)
+        b = Mat2(b.c1 - ZTSeries.t1(3, 4), b.c2, b.d, b.e)
+        assert not isinstance(_same_residuals(TEStruct(a1, a2, b)), str)
+    assert 0 < raised < 40
+
+
+def test_commutator_matches_oracle_products(rng):
+    for _ in range(60):
+        nz, nt = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _dense_mat(rng, nz, nt, 0.2), _dense_mat(rng, nz, nt, 0.2)
+        try:
+            want = connmat_oracle.mul(a, b) - connmat_oracle.mul(b, a)
+        except T1DegreeError:
+            with pytest.raises(T1DegreeError):
+                a.commutator(b)
+            continue
+        assert a.commutator(b) == want
 
 
 def gauge_residuals(s: TEStruct, g: GaugeMap, out: TEStruct) -> list[Mat2]:

@@ -206,6 +206,42 @@ def test_pole_check_refuses_what_the_two_old_passes_refused():
     assert checked > 200 and old_refused > 100 and extra > 0
 
 
+def test_fused_pole_check_matches_the_series_oracle():
+    # the same refusal, message for message, on every single-entry edit that
+    # reaches the pole check (both t1-parts) and on every fixture window
+    nz, nt = 4, 5
+    refused = passed = 0
+
+    def same(s):
+        f, b2, b1 = prenormal_components(s)
+        p = PreNormalForm(f, b2, b1[0], b1[1])
+        got = _refusal(formalnf._validate_against, s, p)
+        assert got == _refusal(prenormal_oracle.pole_check, s, p)
+        return got is None
+
+    for name in ("nf3_4", "f1_r2", "mal1"):
+        doc = structure_to_document(build_fixture(name, nz, nt))
+        for mat in ("A1", "A2", "B"):
+            for comp, rows in doc["matrices"][mat].items():
+                for k in range(nz):
+                    for part in (0, 1):
+                        for n in range(nt):
+                            s = _edited(structure_from_document(doc), mat, comp, k, n, part)
+                            try:
+                                ok = same(s)
+                            except ExactAlgebraError:
+                                continue
+                            passed += ok
+                            refused += not ok
+    assert refused > 150 and passed > 30
+    for name in fixture_names():
+        for orders in ((2, 1), (2, 4), (3, 3), (6, 6), (16, 16)):
+            try:
+                same(build_fixture(name, *orders))
+            except ExactAlgebraError:
+                continue
+
+
 def test_extension_families():
     nz, nt = NZ - 1, NT
     one = ZTSeries.one(nz, nt)

@@ -74,7 +74,7 @@ def test_connection_flat_and_profiled(rng):
     assert a2.c1.is_zero()
     assert (a2 * a2).is_zero()
     # B^(0) + (t1 - c) C1 is independent of t1 and d1 B^(0) = -C1
-    assert s.B.dt1() == -(
+    assert s.B.map(lambda c: c.dt1()) == -(
         __import__("connexa.connmat", fromlist=["Mat2"]).Mat2.identity(NZ, NT)
     )
 

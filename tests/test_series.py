@@ -873,7 +873,6 @@ def test_zero_windows_record_their_support():
         TSeries.zero(5),
         ZTSeries.zero(2, 3).planes.slope,
         docio._plane_from_json([["0"] * 4] * 2, 4),
-        docio._row_from_json(["0"] * 4),
         Plane.of_rows([TSeries.of([1, 2], 2)]).scale(ZERO),
     ):
         assert z._support == [] and z.is_zero()
