@@ -226,9 +226,6 @@ class Mat2:
     def shift_z(self, k: int) -> Mat2:
         return self.map(lambda c: c.shift_z(k))
 
-    def dz(self) -> Mat2:
-        return self.map(lambda c: c.dz())
-
     def z2dz(self) -> Mat2:
         return self.map(lambda c: c.z2dz())
 

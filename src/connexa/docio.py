@@ -27,6 +27,13 @@ FORMAT_TAG = "connexa-structure/1"
 # or argument can start a run that never ends in practice.
 MAX_ORDER = 64
 
+# Largest common denominator, in bits, of one plane of a document.  The
+# reader puts a plane over the lcm of its literals' denominators, and
+# distinct denominators multiply, so without a cap a small document can
+# carry a height that makes every later product crawl.  Fixtures reach 82
+# bits and `malgrange` output at order 64 reaches 352.
+MAX_DEN_BITS = 4096
+
 # Window order of the built-in fixtures and the series commands when no
 # --order-z/--order-t is given; a document always keeps its own window.
 DEFAULT_ORDER = 16
@@ -75,11 +82,12 @@ def _literal(x) -> Scalar:
     raise DocumentError("coefficient must be a string or an integer")
 
 
-def _plane_from_json(rows: list[list], nt: int) -> Plane:
+def _plane_from_json(rows: list[list], nt: int, where: str = "plane") -> Plane:
     """The plane whose z-row k holds the literals ``rows[k]``, in one pass
     over its non-"0" literals: all plain integers are read by int(), else
     each goes through ``_literal`` and the plane is placed at the lcm of
-    their denominators, which is canonical again."""
+    their denominators, which is canonical again and at most
+    ``MAX_DEN_BITS`` bits."""
     data = list(chain.from_iterable(rows))
     n = len(data)
     if data.count("0") == n:
@@ -90,12 +98,18 @@ def _plane_from_json(rows: list[list], nt: int) -> Plane:
     if ints is not None:
         return Plane._at(len(rows), nt, zip(live, ints, repeat(0)), 1)
     cs = [_literal(x) for x in vals]
-    den = lcm(*[c.d for c in cs])
+    den = 1
+    for c in cs:  # refused as soon as the budget is passed, so never slow
+        den = lcm(den, c.d)
+        if den.bit_length() > MAX_DEN_BITS:
+            raise DocumentError(
+                f"{where}: common denominator exceeds the budget of {MAX_DEN_BITS} bits"
+            )
     entries = [(i, c.a * (den // c.d), c.b * (den // c.d)) for i, c in zip(live, cs)]
     return Plane._at(len(rows), nt, entries, den)
 
 
-def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:
+def _zt_from_json(data: Any, nz: int, nt: int, where: str = "component") -> ZTSeries:
     if not isinstance(data, list) or len(data) != nz:
         raise DocumentError("z-coefficient array has the wrong length")
     for entry in data:
@@ -106,8 +120,8 @@ def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:
                 raise DocumentError("coefficient array has the wrong length")
     return ZTSeries._of(
         AffinePoly1(
-            _plane_from_json([e[0] for e in data], nt),
-            _plane_from_json([e[1] for e in data], nt),
+            _plane_from_json([e[0] for e in data], nt, f"{where} constant part"),
+            _plane_from_json([e[1] for e in data], nt, f"{where} t1-slope"),
         )
     )
 
@@ -121,14 +135,14 @@ def _mat_to_json(m: Mat2) -> dict:
     }
 
 
-def _mat_from_json(data: Any, nz: int, nt: int) -> Mat2:
+def _mat_from_json(data: Any, nz: int, nt: int, name: str) -> Mat2:
     if not isinstance(data, dict):
         raise DocumentError("matrix entry must be an object")
     comps = {}
     for key in ("c1", "c2", "d", "e"):
         if key not in data:
             raise DocumentError(f"matrix is missing the {key!r} component")
-        comps[key] = _zt_from_json(data[key], nz, nt)
+        comps[key] = _zt_from_json(data[key], nz, nt, f"{name}.{key}")
     return Mat2(**comps)
 
 
@@ -174,9 +188,7 @@ def structure_from_document(doc: Any) -> TEStruct:
     if not isinstance(mats, dict):
         raise DocumentError("missing matrices")
     try:
-        a1 = _mat_from_json(mats["A1"], nz, nt)
-        a2 = _mat_from_json(mats["A2"], nz, nt)
-        b = _mat_from_json(mats["B"], nz, nt)
+        a1, a2, b = (_mat_from_json(mats[k], nz, nt, k) for k in ("A1", "A2", "B"))
     except KeyError as exc:
         raise DocumentError(f"missing matrix {exc}") from exc
     if t1_degree == 0:

@@ -494,13 +494,34 @@ def _reduce_b20(
     return "square", ONE, (ONE, a, ZERO)
 
 
-_SHAPE_B20 = {
-    "zero": lambda lam, nt: TSeries.zero(nt),
-    "one": lambda lam, nt: TSeries.one(nt),
-    "affine": lambda lam, nt: TSeries.var(nt).scale(lam) + TSeries.one(nt),
-    "linear": lambda lam, nt: TSeries.var(nt).scale(lam),
-    "square": lambda lam, nt: TSeries.monomial(ONE, 2, nt),
+_SHAPE_B20 = {  # (1, t2, t2^2) coefficients of each catalogue shape
+    "zero": lambda lam: (ZERO, ZERO, ZERO),
+    "one": lambda lam: (ONE, ZERO, ZERO),
+    "affine": lambda lam: (ONE, lam, ZERO),
+    "linear": lambda lam: (ZERO, lam, ZERO),
+    "square": lambda lam: (ZERO, ZERO, ONE),
 }
+
+
+def _quad_rows(b2: ZTSeries, nt: int) -> list[odekit.Quad]:
+    """The z-coefficients of b2 on t-order nt, each read as a triple."""
+    msg = "b2 is not quadratic in t2 at z^{}"
+    return [
+        odekit.quad_coeffs(b2[k].const.truncate(nt), ShapeError, msg.format(k))
+        for k in range(b2.nz)
+    ]
+
+
+def _mobius_rows(rows: list[odekit.Quad], k: Scalar, d: Scalar, e: Scalar):
+    """b2's rows after t2 -> lam = k t2/(e t2 + d), which acts on b2 as on a
+    vector field, (b2 o lam)/lam': a row (b0, b1, b2) goes to
+    (b0 d^2, 2 b0 d e + b1 k d, b0 e^2 + b1 k e + b2 k^2)/(k d)."""
+    s, dd, de2, kd = ONE / (k * d), d * d, integer(2) * d * e, k * d
+    ee, ke, kk = e * e, k * e, k * k
+    return [
+        (b0 * dd * s, dot((b0, b1), (de2, kd), s), dot((b0, b1, b2), (ee, ke, kk), s))
+        for b0, b1, b2 in rows
+    ]
 
 
 def _normalize_zero_family(p: PreNormalForm) -> Classification:
@@ -508,27 +529,23 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     if nt < 5:
         raise ShapeError("t-order too small for the zero-family pipeline")
     warnings: list[str] = []
-    steps: list[GaugeMap] = []
-    cur = p
-    # step 1: bring b2^(0) onto a catalogue shape by a base automorphism
-    cq, b, a = _quad_coeffs(cur.b2[0].const)  # constant, linear, quadratic
+    # step 1: bring b2^(0) onto a catalogue shape; each base change costs a t2-order
+    cq, b, a = _quad_coeffs(p.b2[0].const)  # constant, linear, quadratic
     shape, lam, consts = _reduce_b20(a, b, cq)
-    if consts is not None and consts != (ONE, ONE, ZERO):
-        g = _mobius_gauge(*consts, nz, nt)
-        steps.append(g)
-        cur = _reextract(cur, g)
+    moves = [consts] if consts is not None and consts != (ONE, ONE, ZERO) else []
     if shape == "affine" and lam.is_integer() and lam.re < 0:
         # move the affine slope into the nonnegative-resonance range
-        g = _mobius_gauge(ONE, ONE, -lam, *cur.orders)
-        steps.append(g)
-        cur = _reextract(cur, g)
+        moves.append((ONE, ONE, -lam))
         lam = -lam
-    nz2, nt2 = cur.orders
-    expected0 = _SHAPE_B20[shape](lam, nt2)
-    if cur.b2[0].const != expected0:
+    steps = [_mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
+    nt2 = nt - len(moves)
+    rows = _quad_rows(p.b2, nt2)
+    for m in moves:
+        rows = _mobius_rows(rows, *m)
+    if rows[0] != _SHAPE_B20[shape](lam):
         raise ShapeError("shape reduction did not land on the catalogue")
     # step 2: triangular normalization of the z-tail
-    cur, gauge2, mu, res_order = _zero_family_recursion(cur, shape)
+    rows, gauge2, mu, res_order = _zero_family_recursion(rows, shape, nt2)
     if gauge2 is not None:
         steps.append(gauge2)
     # step 3: rescale the resonant coefficient to 1 for the bare shapes;
@@ -536,33 +553,24 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     gamma = mu
     if shape == "linear" and mu is not None and not mu.is_zero():
         k_sc, d_sc = (ONE, mu) if lam.re > 0 else (mu, ONE)
-        g = _mobius_gauge(k_sc, d_sc, ZERO, *cur.orders)
-        steps.append(g)
-        cur = _reextract(cur, g)
+        steps.append(_mobius_gauge(k_sc, d_sc, ZERO, nz, nt2))
+        rows = _mobius_rows(rows, k_sc, d_sc, ZERO)
+        nt2 -= 1
         gamma = ONE
     nfid, partners = _zero_family_id(shape, lam, gamma, res_order, p, warnings)
-    target = normal_form_prenormal(nfid, *cur.orders)
-    if cur != target:
+    target = normal_form_prenormal(nfid, nz, nt2)
+    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt2) for r in rows], nz)
+    if PreNormalForm(ZTSeries.zero(nz - 1, nt2), b2, p.c, p.alpha) != target:
         raise FlatnessError("zero-family normalization missed its target")
     return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
 
 
-def _reextract(p: PreNormalForm, g: GaugeMap) -> PreNormalForm:
-    src = build_prenormal_struct(p)
-    out = apply_gauge(src, g)
-    f, b2, b1 = prenormal_components(out)
-    if any(not c.is_zero() for c in b1.coeffs[2:]):
-        raise ShapeError("family automorphism disturbed the C1 pole part")
-    q = PreNormalForm(f, b2, b1[0], b1[1])
-    return q
-
-
 def _zero_family_recursion(
-    p: PreNormalForm, shape: str
-) -> tuple[PreNormalForm, GaugeMap | None, Scalar | None, int | None]:
+    b2_in: list[odekit.Quad], shape: str, nt: int
+) -> tuple[list[odekit.Quad], GaugeMap | None, Scalar | None, int | None]:
     """Kill the killable z-tail of b2, leaving one resonant monomial.
 
-    Returns the updated data, the gauge, the resonant coefficient (None if
+    Returns the updated rows, the gauge, the resonant coefficient (None if
     no resonance occurred inside the window) and the resonant z-order.
 
     The z-coefficients are quadratics in t2, read as triples (u0, u1, u2),
@@ -574,16 +582,10 @@ def _zero_family_recursion(
 
     tau1[n] is the first summed over k + l = n - 1, over 4n, and
     g = -b2_in[n + 1] + sum over k + l = n of (u'w - uw')/2 - v tau1[k + 1].
-    b2_in[n + 1] enters g whole, so every row is read as a triple before
-    the loop, and a row that is not quadratic is refused there.
     """
-    nz, nt = p.orders
-    b = p.b2[0].const  # catalogue shape, quadratic polynomial
-    b2_in = [
-        odekit.quad_coeffs(p.b2[k].const, ShapeError, f"b2 is not quadratic in t2 at z^{k}")
-        for k in range(nz)
-    ]
-    b2_out: list[TSeries] = [b]
+    nz = len(b2_in)
+    b = TSeries.of(b2_in[0], nt)
+    b2_out: list[odekit.Quad] = [b2_in[0]]
     tau1: list[Scalar] = [ONE]
     tau2: list[odekit.Quad] = []
     # xs holds tau1[k + 1] and the triple of tau2[k] for k from the newest
@@ -615,7 +617,7 @@ def _zero_family_recursion(
         else:  # g meets the resonance condition, so a solution exists
             x = _quad_coeffs(odekit.solve_third_der(mm, b, TSeries.of(g, nt)).x)
         tau2.append(x)
-        b2_out.append(TSeries.of(new_coeff, nt))
+        b2_out.append(new_coeff)
         pairs = list(zip(b2_in[m], new_coeff))
         v0, v1, v2 = (a - c for a, c in pairs)
         h0, h1, h2 = ((a + c) * HALF for a, c in pairs)  # w = 2h
@@ -631,9 +633,7 @@ def _zero_family_recursion(
     )
     if gauge.tmat == Mat2.identity(nz, nt):
         gauge = None
-    new_b2 = ZTSeries.from_zcoeffs(b2_out, nz)
-    out = PreNormalForm(p.f, new_b2, p.c, p.alpha)
-    return out, gauge, mono_mu, res_order
+    return b2_out, gauge, mono_mu, res_order
 
 
 def _zero_family_id(

@@ -8,15 +8,29 @@ b3 = B.d/z and b4 = B.e/z on (nz - 1, nt - 1), with each side of each
 equation built as separately reduced z-series and compared.  The package
 forms each equation of that check as one fused sum tested for zero
 (``formalnf._validate_against``); the tests check it against these.
+
+The f = 0 normalizer once moved its data by each Mobius base change the
+slow way: build the full structure, apply the gauge and read the
+pre-normal data back (``reextract``).  ``normalize_zero_family`` is that
+pipeline; the package maps the rows of b2 in closed form
+(``formalnf._mobius_rows``), and the tests check it against these.
 """
 
 from __future__ import annotations
 
-from connexa.connmat import TEStruct
+from connexa import formalnf
+from connexa.connmat import GaugeMap, TEStruct, apply_gauge, prenormal_components
 from connexa.errors import FlatnessError, ShapeError
-from connexa.formalnf import PreNormalForm
-from connexa.scalars import HALF, S
-from connexa.series import ZTSeries
+from connexa.formalnf import (  # bound here, so a test's monkeypatch passes them by
+    Classification,
+    PreNormalForm,
+    _quad_rows,
+    _zero_family_recursion,
+    build_prenormal_struct,
+    normal_form_prenormal,
+)
+from connexa.scalars import HALF, ONE, ZERO, S
+from connexa.series import TSeries, ZTSeries
 
 _NEG_HALF = -HALF
 
@@ -81,3 +95,60 @@ def oracle_check(s: TEStruct, p: PreNormalForm):
     validate_against(s, p)
     if not master_residual(p).is_zero():
         raise FlatnessError("pre-normal master equation fails")
+
+
+def reextract(p: PreNormalForm, g: GaugeMap) -> PreNormalForm:
+    """The pre-normal data of the structure of p moved by the gauge g."""
+    out = apply_gauge(build_prenormal_struct(p), g)
+    f, b2, b1 = prenormal_components(out)
+    if any(not c.is_zero() for c in b1.coeffs[2:]):
+        raise ShapeError("family automorphism disturbed the C1 pole part")
+    return PreNormalForm(f, b2, b1[0], b1[1])
+
+
+def zero_family_recursion(p: PreNormalForm, shape: str):
+    """``formalnf._zero_family_recursion`` on the rows of p, read at p's
+    window, with the rows it returns put back into pre-normal data."""
+    nz, nt = p.orders
+    rows, gauge, mu, res_order = _zero_family_recursion(_quad_rows(p.b2, nt), shape, nt)
+    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt) for r in rows], nz)
+    return PreNormalForm(p.f, b2, p.c, p.alpha), gauge, mu, res_order
+
+
+def normalize_zero_family(p: PreNormalForm) -> Classification:
+    """The f = 0 normalizer with every base change moved by ``reextract``."""
+    nz, nt = p.orders
+    if nt < 5:
+        raise ShapeError("t-order too small for the zero-family pipeline")
+    warnings: list[str] = []
+    steps: list[GaugeMap] = []
+    cur = p
+    cq, b, a = formalnf._quad_coeffs(cur.b2[0].const)
+    shape, lam, consts = formalnf._reduce_b20(a, b, cq)
+    if consts is not None and consts != (ONE, ONE, ZERO):
+        g = formalnf._mobius_gauge(*consts, nz, nt)
+        steps.append(g)
+        cur = reextract(cur, g)
+    if shape == "affine" and lam.is_integer() and lam.re < 0:
+        g = formalnf._mobius_gauge(ONE, ONE, -lam, *cur.orders)
+        steps.append(g)
+        cur = reextract(cur, g)
+        lam = -lam
+    nt2 = cur.orders[1]
+    if cur.b2[0].const != TSeries.of(formalnf._SHAPE_B20[shape](lam), nt2):
+        raise ShapeError("shape reduction did not land on the catalogue")
+    cur, gauge2, mu, res_order = zero_family_recursion(cur, shape)
+    if gauge2 is not None:
+        steps.append(gauge2)
+    gamma = mu
+    if shape == "linear" and mu is not None and not mu.is_zero():
+        k_sc, d_sc = (ONE, mu) if lam.re > 0 else (mu, ONE)
+        g = formalnf._mobius_gauge(k_sc, d_sc, ZERO, *cur.orders)
+        steps.append(g)
+        cur = reextract(cur, g)
+        gamma = ONE
+    nfid, partners = formalnf._zero_family_id(shape, lam, gamma, res_order, p, warnings)
+    target = normal_form_prenormal(nfid, *cur.orders)
+    if cur != target:
+        raise FlatnessError("zero-family normalization missed its target")
+    return Classification(nfid, tuple(steps), target, partners, tuple(warnings))

@@ -426,3 +426,32 @@ def test_negative_t1_degree_exits_2(tmp_path):
         target = tmp_path / "doc.json"
         target.write_text(dumps_document(doc_with(BASE, ("orders", "t1_degree"), value)))
         assert _verify(target)[0] == 2
+
+
+def _over_denominators(*dens) -> dict:
+    """f1_r2 at (4, 4) with A1.c2's first constant z-row set to 1/q for q
+    in ``dens``."""
+    doc = structure_to_document(build_fixture("f1_r2", 4, 4))
+    row = doc["matrices"]["A1"]["c2"][0][0]
+    row[: len(dens)] = [f"1/{q}" for q in dens]
+    return doc
+
+
+def test_plane_height_budget(tmp_path):
+    # two literals well within the int/str limit whose denominators
+    # multiply: a plane over MAX_DEN_BITS bits is refused, naming the
+    # matrix and the component, and verify exits 2
+    three = 3 ** (docio.MAX_DEN_BITS // 4)
+    at = docio.MAX_DEN_BITS - three.bit_length()
+    inside = structure_from_document(_over_denominators(2**at, three))
+    assert inside.A1.c2.planes.const.den.bit_length() == docio.MAX_DEN_BITS
+    outside = _over_denominators(2 ** (at + 1), three)
+    with pytest.raises(DocumentError) as err:
+        structure_from_document(outside)
+    assert str(err.value) == (
+        f"A1.c2 constant part: common denominator exceeds the budget of {docio.MAX_DEN_BITS} bits"
+    )
+    target = tmp_path / "outside.json"
+    target.write_text(dumps_document(outside))
+    code, out, err = _verify(target)
+    assert (code, out) == (2, "") and err.startswith("parse error: A1.c2 constant part")

@@ -20,6 +20,7 @@ from connexa.errors import (
     FlatnessError,
     NoExtensionError,
     NormalizationRequiredError,
+    OrderMismatchError,
     ShapeError,
 )
 from connexa.formalnf import (
@@ -38,6 +39,7 @@ from connexa.formalnf import (
 from connexa.fixtures import build_fixture, fixture_names
 from connexa.scalars import HALF, ONE, S, ZERO, Scalar, integer
 from connexa.selftest import (
+    _rand_nonzero,
     _rand_scalar,
     _random_scalar_gauge,
     _random_unit_family_gauge,
@@ -394,9 +396,11 @@ def test_affine_sign_flip_map():
     out = apply_gauge(s, g)
     _f, b2, _b1 = prenormal_components(out)
     nt_out = out.orders[1]
-    assert b2[0].const == (
-        TSeries.var(nt_out).scale(-lam) + TSeries.one(nt_out)
-    )
+    (row,) = formalnf._mobius_rows([(ONE, lam, ZERO)], ONE, ONE, -lam)
+    for got in (b2[0].const, TSeries.of(row, nt_out)):
+        assert got == (
+            TSeries.var(nt_out).scale(-lam) + TSeries.one(nt_out)
+        )
 
 
 def test_conformal_transport(rng):
@@ -418,7 +422,9 @@ def test_conformal_transport(rng):
             ONE / (k * d)
         )
         b20 = TSeries.var(n).scale(S(2))
-        assert b2[0].const == b20.compose(lam_map) * factor
+        (row,) = formalnf._mobius_rows([(ZERO, S(2), ZERO)], k, d, e)
+        for got in (b2[0].const, TSeries.of(row, n)):
+            assert got == b20.compose(lam_map) * factor
 
 
 def test_formal_iso_decision():
@@ -501,7 +507,7 @@ def test_third_der_resonance_matches_old_table():
     hits = set()
     for nt in (3, 5, 8):
         for shape, lam in cases:
-            b = _SHAPE_B20[shape](lam, nt)
+            b = TSeries.of(_SHAPE_B20[shape](lam), nt)
             for m in range(-7, 8):
                 want = _resonance(shape, lam, m)
                 assert odekit.third_der_resonance(integer(m), b) == want, (shape, lam, m)
@@ -615,13 +621,14 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     recursion = formalnf._zero_family_recursion
     calls = []
 
-    def checked(p, shape):
-        got = recursion(p, shape)
+    def checked(rows, shape, nt):
+        out = recursion(rows, shape, nt)
+        p, got = _prenormal_of(rows, nt), (_prenormal_of(out[0], nt), *out[1:])
         # b = lam t2 (+ 1) on the catalogue; the other shapes ignore lam
         lam = p.b2[0].const[1]
         assert got == _zero_family_recursion_rebuilt(p, shape, lam)
         calls.append(got[1] is not None)
-        return got
+        return out
 
     monkeypatch.setattr(formalnf, "_zero_family_recursion", checked)
     structures = [build_fixture(n, 8, 8) for n in fixture_names() if n.startswith("nf3_")]
@@ -640,6 +647,17 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     for s in structures:
         formal_normal_form(to_prenormal(s)[0])
     assert len(calls) == len(structures) and sum(calls) >= 9
+
+
+def _prenormal_of(rows, nt, c=ZERO, alpha=ZERO):
+    """f = 0 pre-normal data with the triples ``rows`` as the
+    z-coefficients of b2, on t-order nt."""
+    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt) for r in rows], len(rows))
+    return PreNormalForm(ZTSeries.zero(len(rows) - 1, nt), b2, c, alpha)
+
+
+# the recursion on p's rows, put back into pre-normal data
+_recursion = prenormal_oracle.zero_family_recursion
 
 
 def _outcome(fn, *args):
@@ -688,13 +706,13 @@ def test_zero_family_recursion_matches_rebuilt_on_random_data():
         nz, nt = rng.randint(2, 8), rng.randint(4, 8)
         shape = rng.choice(("zero", "one", "square", "affine", "linear"))
         lam = integer(rng.choice((-3, -2, -1, 1, 2, 3))) if rng.random() < 0.8 else S("1/2")
-        b = _SHAPE_B20[shape](lam, nt)
+        b = TSeries.of(_SHAPE_B20[shape](lam), nt)
         # the rebuilt recursion leaves the zero shape's rows unchecked
         rows = _random_rows(rng, nz, nt, 0 if shape == "zero" else 0.1)
         p = PreNormalForm(
             ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs([b] + rows, nz), ZERO, ZERO
         )
-        got = _outcome(formalnf._zero_family_recursion, p, shape)
+        got = _outcome(_recursion, p, shape)
         want = _outcome(_zero_family_recursion_rebuilt, p, shape, b[1])
         assert got == _as_refused_up_front(want, p)
         seen.add(want[1] if isinstance(want[0], type) else want[3] is not None)
@@ -706,7 +724,7 @@ def test_zero_family_recursion_matches_rebuilt_on_random_data():
         ZERO,
         ZERO,
     )
-    assert _outcome(formalnf._zero_family_recursion, p, "zero") == (
+    assert _outcome(_recursion, p, "zero") == (
         ShapeError, "b2 is not quadratic in t2 at z^1"
     )
 
@@ -729,19 +747,24 @@ def test_flat_data_with_a_cubic_top_row_are_refused_naming_b2(nz):
 def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
     # nt = 5 data whose b2^(0) needs a Mobius base change first, so the
     # recursion runs at t-order 4, the lowest the pipeline reaches
-    recursion = formalnf._zero_family_recursion
+    # the pipeline reads the rows once, at the recursion's t-order, and
+    # refuses a row that is not quadratic there, before the recursion
+    recursion, read = formalnf._zero_family_recursion, formalnf._quad_rows
     orders = []
 
-    def checked(p, shape):
-        got = _outcome(recursion, p, shape)
+    def checked(rows, shape, nt):
+        p = _prenormal_of(rows, nt)
+        got = _outcome(_recursion, p, shape)
         want = _outcome(_zero_family_recursion_rebuilt, p, shape, p.b2[0].const[1])
         assert got == _as_refused_up_front(want, p)
-        orders.append(p.orders[1])
-        if isinstance(got[0], type):
-            raise got[0](got[1])
-        return got
+        return recursion(rows, shape, nt)
+
+    def read_at(b2, nt):
+        orders.append(nt)
+        return read(b2, nt)
 
     monkeypatch.setattr(formalnf, "_zero_family_recursion", checked)
+    monkeypatch.setattr(formalnf, "_quad_rows", read_at)
     heads = ([2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1])
     rng = random.Random(55)
     for _ in range(60):
@@ -753,3 +776,79 @@ def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
         )
         _outcome(formal_normal_form, p)
     assert len(orders) == 60 and set(orders) == {4}
+
+
+def _mobius_matches_reextract(p, k, d, e):
+    """The closed-form rows of p moved by t2 -> k t2/(e t2 + d) equal the
+    data read back from the moved structure, one t2-order lower."""
+    nz, nt = p.orders
+    want = prenormal_oracle.reextract(p, formalnf._mobius_gauge(k, d, e, nz, nt))
+    rows = formalnf._mobius_rows(formalnf._quad_rows(p.b2, nt), k, d, e)
+    assert _prenormal_of(rows, nt - 1, p.c, p.alpha) == want
+
+
+def test_mobius_rows_match_reextract_on_random_triples():
+    rng = random.Random(2121)
+    for _ in range(200):
+        nz, nt = rng.randint(2, 8), rng.randint(5, 9)
+        rows = [tuple(_rand_scalar(rng, 3) for _ in range(3)) for _ in range(nz)]
+        p = _prenormal_of(rows, nt, _rand_scalar(rng), _rand_scalar(rng))
+        k, d, e = _rand_nonzero(rng), _rand_nonzero(rng), _rand_scalar(rng)
+        _mobius_matches_reextract(p, k, d, e)
+
+
+def test_mobius_rows_match_reextract_on_nf3_fixtures():
+    data = [
+        to_prenormal(build_fixture(n, 6, 8))[0] for n in fixture_names() if n.startswith("nf3_")
+    ]
+    assert len(data) == 9
+    for p in data:
+        for k, d, e in ((S(2), S(1), S(1)), (S(1), S(3), S(-1)), (S(1, 1), S("1/2"), S(0, 2))):
+            _mobius_matches_reextract(p, k, d, e)
+
+
+TOP_TERM_REFUSAL = (OrderMismatchError, "same-order derivative needs a vanishing top coefficient")
+
+
+def _cut_top(p):
+    """p with the top t2-coefficient of every row of b2 set to zero."""
+    nz, nt = p.orders
+    rows = [TSeries.of(p.b2[k].const.coeffs[: nt - 1], nt) for k in range(nz)]
+    return PreNormalForm(p.f, ZTSeries.from_zcoeffs(rows, nz), p.c, p.alpha)
+
+
+def test_zero_family_pipeline_matches_reextracting_body():
+    # f = 0 data whose rows k >= 1 carry a t2-power of degree 3..nt - 1:
+    # the closed-form pipeline reads them once, on the recursion's window,
+    # and gets the classification, or the refusal, of the body that moved
+    # the full structure at every base change
+    rng = random.Random(3131)
+    heads = (
+        [2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1], [1, "1/2"],
+        [0, 2], [0, -1], [0, 0, 1], [0], [3], [1, -2], [0, 1], ["1+i", "1", "-1/2"],
+    )
+    seen = set()
+    for _ in range(150):
+        nz, nt = rng.randint(2, 6), rng.randint(5, 8)
+        rows = [TSeries.of(rng.choice(heads), nt)]
+        for _ in range(nz - 1):
+            coeffs = [_rand_scalar(rng, 3) if rng.random() < 0.7 else ZERO for _ in range(nt)]
+            coeffs[3:] = [ZERO] * (nt - 3)
+            if rng.random() < 0.3:
+                coeffs[rng.choice((3, nt - 2, nt - 1, nt - 1))] = _rand_nonzero(rng)
+            rows.append(TSeries.of(coeffs, nt))
+        b2 = ZTSeries.from_zcoeffs(rows, nz)
+        p = PreNormalForm(ZTSeries.zero(nz - 1, nt), b2, _rand_scalar(rng), _rand_scalar(rng))
+        got = _outcome(formal_normal_form, p)
+        want = _outcome(prenormal_oracle.normalize_zero_family, p)
+        if want == TOP_TERM_REFUSAL:
+            # that body built the structure of p, which needs b2's top
+            # t2-coefficient to vanish; the first base change drops it
+            want = _outcome(prenormal_oracle.normalize_zero_family, _cut_top(p))
+            seen.add("top term dropped")
+        assert got == want
+        high = any(not c.is_zero() for k in range(1, nz) for c in b2[k].const.coeffs[3:])
+        refused = isinstance(got, tuple)
+        seen.add((high, got[1] if refused else len(got.steps)))
+    assert {(True, 1), (True, 2), (True, 3), "top term dropped"} <= seen
+    assert (True, "b2 is not quadratic in t2 at z^1") in seen
