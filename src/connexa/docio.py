@@ -82,7 +82,7 @@ def _literal(x) -> Scalar:
     raise DocumentError("coefficient must be a string or an integer")
 
 
-def _plane_from_json(rows: list[list], nt: int, where: str = "plane") -> Plane:
+def _plane_from_json(rows: list[list], nt: int, where: str) -> Plane:
     """The plane whose z-row k holds the literals ``rows[k]``, in one pass
     over its non-"0" literals: all plain integers are read by int(), else
     each goes through ``_literal`` and the plane is placed at the lcm of
@@ -109,7 +109,7 @@ def _plane_from_json(rows: list[list], nt: int, where: str = "plane") -> Plane:
     return Plane._at(len(rows), nt, entries, den)
 
 
-def _zt_from_json(data: Any, nz: int, nt: int, where: str = "component") -> ZTSeries:
+def _zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
     if not isinstance(data, list) or len(data) != nz:
         raise DocumentError("z-coefficient array has the wrong length")
     for entry in data:

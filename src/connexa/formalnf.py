@@ -539,7 +539,7 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
         lam = -lam
     steps = [_mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
     nt2 = nt - len(moves)
-    rows = _quad_rows(p.b2, nt2)
+    rows = _quad_rows(p.b2, nt)
     for m in moves:
         rows = _mobius_rows(rows, *m)
     if rows[0] != _SHAPE_B20[shape](lam):

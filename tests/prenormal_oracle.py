@@ -106,13 +106,20 @@ def reextract(p: PreNormalForm, g: GaugeMap) -> PreNormalForm:
     return PreNormalForm(f, b2, b1[0], b1[1])
 
 
+def prenormal_of(rows, nt: int, c=ZERO, alpha=ZERO) -> PreNormalForm:
+    """f = 0 pre-normal data with the triples ``rows`` as the
+    z-coefficients of b2, on t-order nt."""
+    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt) for r in rows], len(rows))
+    return PreNormalForm(ZTSeries.zero(len(rows) - 1, nt), b2, c, alpha)
+
+
 def zero_family_recursion(p: PreNormalForm, shape: str):
-    """``formalnf._zero_family_recursion`` on the rows of p, read at p's
-    window, with the rows it returns put back into pre-normal data."""
-    nz, nt = p.orders
+    """``formalnf._zero_family_recursion`` on the rows of f = 0 data p,
+    read at p's window, with the rows it returns put back into pre-normal
+    data."""
+    nt = p.orders[1]
     rows, gauge, mu, res_order = _zero_family_recursion(_quad_rows(p.b2, nt), shape, nt)
-    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt) for r in rows], nz)
-    return PreNormalForm(p.f, b2, p.c, p.alpha), gauge, mu, res_order
+    return prenormal_of(rows, nt, p.c, p.alpha), gauge, mu, res_order
 
 
 def normalize_zero_family(p: PreNormalForm) -> Classification:

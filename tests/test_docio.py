@@ -75,9 +75,9 @@ def test_planes_match_row_oracle(case):
         want = document_oracle._zt_from_json(data, nz, nt)
     except DocumentError:
         with pytest.raises(DocumentError):
-            docio._zt_from_json(data, nz, nt)
+            docio._zt_from_json(data, nz, nt, "A1.c1")
         return
-    assert docio._zt_from_json(data, nz, nt) == want
+    assert docio._zt_from_json(data, nz, nt, "A1.c1") == want
 
 
 def test_writer_matches_row_oracle():
@@ -102,7 +102,7 @@ def test_writer_matches_row_oracle():
     for c in comps:
         data = docio._zt_to_json(c)
         assert data == document_oracle._zt_to_json(c)
-        got = docio._zt_from_json(data, c.nz, c.nt)
+        got = docio._zt_from_json(data, c.nz, c.nt, "A1.c1")
         assert got == c
         for p in (got.planes.const, got.planes.slope):
             # the support recorded while reading is the one a scan finds
@@ -164,7 +164,7 @@ def test_zero_planes_match_row_oracle(value):
     for at in ((0, 0, 0), (1, 0, 2), (2, 1, 3)):
         data = _zero_slots(nz, nt, None if value is None else at, value)
         want = document_oracle._zt_from_json(data, nz, nt)
-        got = docio._zt_from_json(data, nz, nt)
+        got = docio._zt_from_json(data, nz, nt, "A1.c1")
         assert got == want
         for p, q in zip((got.planes.const, got.planes.slope), (want.planes.const, want.planes.slope)):
             assert type(p) is Plane and p.order == (nz, nt)

@@ -649,11 +649,7 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     assert len(calls) == len(structures) and sum(calls) >= 9
 
 
-def _prenormal_of(rows, nt, c=ZERO, alpha=ZERO):
-    """f = 0 pre-normal data with the triples ``rows`` as the
-    z-coefficients of b2, on t-order nt."""
-    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt) for r in rows], len(rows))
-    return PreNormalForm(ZTSeries.zero(len(rows) - 1, nt), b2, c, alpha)
+_prenormal_of = prenormal_oracle.prenormal_of
 
 
 # the recursion on p's rows, put back into pre-normal data
@@ -746,10 +742,10 @@ def test_flat_data_with_a_cubic_top_row_are_refused_naming_b2(nz):
 
 def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
     # nt = 5 data whose b2^(0) needs a Mobius base change first, so the
-    # recursion runs at t-order 4, the lowest the pipeline reaches
-    # the pipeline reads the rows once, at the recursion's t-order, and
-    # refuses a row that is not quadratic there, before the recursion
-    recursion, read = formalnf._zero_family_recursion, formalnf._quad_rows
+    # recursion runs at t-order 4, the lowest the pipeline reaches; the
+    # pipeline reads the rows once, on the full window, and refuses a row
+    # that is not quadratic there, before the recursion
+    recursion = formalnf._zero_family_recursion
     orders = []
 
     def checked(rows, shape, nt):
@@ -757,14 +753,11 @@ def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
         got = _outcome(_recursion, p, shape)
         want = _outcome(_zero_family_recursion_rebuilt, p, shape, p.b2[0].const[1])
         assert got == _as_refused_up_front(want, p)
+        orders.append(nt)
         return recursion(rows, shape, nt)
 
-    def read_at(b2, nt):
-        orders.append(nt)
-        return read(b2, nt)
-
     monkeypatch.setattr(formalnf, "_zero_family_recursion", checked)
-    monkeypatch.setattr(formalnf, "_quad_rows", read_at)
+    read_refusals = 0
     heads = ([2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1])
     rng = random.Random(55)
     for _ in range(60):
@@ -774,8 +767,9 @@ def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
         p = PreNormalForm(
             ZTSeries.zero(nz - 1, 5), ZTSeries.from_zcoeffs([head] + rows, nz), ZERO, ZERO
         )
-        _outcome(formal_normal_form, p)
-    assert len(orders) == 60 and set(orders) == {4}
+        got = _outcome(formal_normal_form, p)
+        read_refusals += isinstance(got, tuple) and got[1].startswith("b2 is not quadratic")
+    assert len(orders) + read_refusals == 60 and set(orders) == {4}
 
 
 def _mobius_matches_reextract(p, k, d, e):
@@ -810,18 +804,11 @@ def test_mobius_rows_match_reextract_on_nf3_fixtures():
 TOP_TERM_REFUSAL = (OrderMismatchError, "same-order derivative needs a vanishing top coefficient")
 
 
-def _cut_top(p):
-    """p with the top t2-coefficient of every row of b2 set to zero."""
-    nz, nt = p.orders
-    rows = [TSeries.of(p.b2[k].const.coeffs[: nt - 1], nt) for k in range(nz)]
-    return PreNormalForm(p.f, ZTSeries.from_zcoeffs(rows, nz), p.c, p.alpha)
-
-
 def test_zero_family_pipeline_matches_reextracting_body():
     # f = 0 data whose rows k >= 1 carry a t2-power of degree 3..nt - 1:
-    # the closed-form pipeline reads them once, on the recursion's window,
-    # and gets the classification, or the refusal, of the body that moved
-    # the full structure at every base change
+    # the closed-form pipeline reads them once, on the full window, and gets
+    # the classification, or the refusal, of the body that moved the full
+    # structure at every base change
     rng = random.Random(3131)
     heads = (
         [2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1], [1, "1/2"],
@@ -841,14 +828,15 @@ def test_zero_family_pipeline_matches_reextracting_body():
         p = PreNormalForm(ZTSeries.zero(nz - 1, nt), b2, _rand_scalar(rng), _rand_scalar(rng))
         got = _outcome(formal_normal_form, p)
         want = _outcome(prenormal_oracle.normalize_zero_family, p)
+        high = [k for k in range(1, nz) if any(not c.is_zero() for c in b2[k].const.coeffs[3:])]
         if want == TOP_TERM_REFUSAL:
-            # that body built the structure of p, which needs b2's top
-            # t2-coefficient to vanish; the first base change drops it
-            want = _outcome(prenormal_oracle.normalize_zero_family, _cut_top(p))
-            seen.add("top term dropped")
+            # that body refused to build a structure of a base change whose
+            # top t2-coefficient is not zero; the pipeline refuses the
+            # first row that is not quadratic, before any base change
+            want = (ShapeError, f"b2 is not quadratic in t2 at z^{high[0]}")
+            seen.add("top term refused")
         assert got == want
-        high = any(not c.is_zero() for k in range(1, nz) for c in b2[k].const.coeffs[3:])
         refused = isinstance(got, tuple)
-        seen.add((high, got[1] if refused else len(got.steps)))
-    assert {(True, 1), (True, 2), (True, 3), "top term dropped"} <= seen
+        seen.add((bool(high), got[1] if refused else len(got.steps)))
+    assert {(False, 1), (False, 2), (False, 3), "top term refused"} <= seen
     assert (True, "b2 is not quadratic in t2 at z^1") in seen
