@@ -476,6 +476,15 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     where for a base change the inputs are first composed with lam and A2
     picks up the lam' factor.  The t-order drops by one unless T is a
     t2-free pure gauge.
+
+    C1 is central, so the C1 part a C1 of A_i or B conjugates to
+    T^{-1}(a C1)T = a T^{-1}T = a C1: only the traceless part (c2, d, e)
+    goes through the two products, and a is added back to the image's C1
+    coordinate.  This is exact on the output window, since T^{-1} is the
+    inverse there and truncation is a ring map, and the planes are
+    canonical, so the image equals the full conjugation field for field.
+    T and T^{-1} are t1-free, so no product exceeds degree 1 in t1, with
+    the C1 part or without it.
     """
     nz = min(s.orders[0], g.tmat.nz)
     nt = min(s.orders[1], g.tmat.nt)
@@ -495,10 +504,17 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
         a2 = a2.map(lambda c: c.mul_t(lam_dot))
     t_r = t.truncate(nz, ntr)
     tinv_r = t_r.inverse()
+    zero = ZTSeries.zero(nz, ntr)
+
+    def conj(m: Mat2, lin: Mat2) -> Mat2:
+        """T^{-1}(lin + m T), with m's C1 part added back unconjugated."""
+        y = tinv_r * (lin + Mat2(zero, m.c2, m.d, m.e) * t_r)
+        return Mat2(m.c1 + y.c1, y.c2, y.d, y.e)
+
     return TEStruct(
-        tinv_r * (a1 * t_r),
-        tinv_r * (zdt2 + a2 * t_r),
-        tinv_r * (t.z2dz().truncate(nz, ntr) + b * t_r),
+        conj(a1, Mat2.zero(nz, ntr)),
+        conj(a2, zdt2),
+        conj(b, t.z2dz().truncate(nz, ntr)),
         s.kind,
     )
 

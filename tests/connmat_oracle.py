@@ -7,8 +7,9 @@ the adjugate inverse by
 seven series products, the row-wise z-recursion for ``ZTSeries.invert``
 (on TSeries rows, and on rows copied into one-row planes), the
 one-variable schoolbook product, Horner substitution (row by row for a
-z-series), the gauge inverse and the eager composition of a
-normalisation's steps.  The package now runs fused plane sums
+z-series), the gauge inverse, the eager composition of a
+normalisation's steps and the gauge action that conjugates all of each
+matrix, its C1 part included.  The package now runs fused plane sums
 (``series.plane_dot``) and a power table (``series.t2_powers``); the
 tests check it against these.
 """
@@ -33,6 +34,36 @@ from connexa.errors import (
 )
 from connexa.scalars import HALF
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot
+
+
+def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
+    """A~_i = T^{-1}(z di(T) + A_i T) and B~ = T^{-1}(z^2 dz(T) + B T),
+    each matrix conjugated whole, after composing with lam (and the lam'
+    factor on A2) for a base change."""
+    nz = min(s.orders[0], g.tmat.nz)
+    nt = min(s.orders[1], g.tmat.nt)
+    t = g.tmat.truncate(nz, nt)
+    if g.lam is None and t.is_t2_free():
+        ntr = nt
+        zdt2 = Mat2.zero(nz, ntr)
+    else:
+        ntr = nt - 1
+        zdt2 = t.dt().shift_z(1)
+    a1, a2, b = (m.truncate(nz, ntr) for m in (s.A1, s.A2, s.B))
+    if g.lam is not None:
+        lam = g.lam.truncate(nt)
+        lam_dot = lam.derivative()
+        lam_r = lam.truncate(ntr)
+        a1, a2, b = (m.compose_t2(lam_r) for m in (a1, a2, b))
+        a2 = a2.map(lambda c: c.mul_t(lam_dot))
+    t_r = t.truncate(nz, ntr)
+    tinv_r = t_r.inverse()
+    return TEStruct(
+        tinv_r * (a1 * t_r),
+        tinv_r * (zdt2 + a2 * t_r),
+        tinv_r * (t.z2dz().truncate(nz, ntr) + b * t_r),
+        s.kind,
+    )
 
 
 def entries(m: Mat2) -> tuple[ZTSeries, ZTSeries, ZTSeries, ZTSeries]:
