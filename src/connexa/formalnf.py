@@ -584,7 +584,7 @@ def _zero_family_recursion(
     g = -b2_in[n + 1] + sum over k + l = n of (u'w - uw')/2 - v tau1[k + 1].
     """
     nz = len(b2_in)
-    b = TSeries.of(b2_in[0], nt)
+    b = b2_in[0]
     b2_out: list[odekit.Quad] = [b2_in[0]]
     tau1: list[Scalar] = [ONE]
     tau2: list[odekit.Quad] = []
@@ -615,7 +615,7 @@ def _zero_family_recursion(
         if shape == "zero":
             x = tuple(c / mm for c in g)
         else:  # g meets the resonance condition, so a solution exists
-            x = _quad_coeffs(odekit.solve_third_der(mm, b, TSeries.of(g, nt)).x)
+            x = odekit.solve_third_der(mm, b, g).x
         tau2.append(x)
         b2_out.append(new_coeff)
         pairs = list(zip(b2_in[m], new_coeff))
@@ -652,18 +652,17 @@ def _zero_family_id(
         return NormalFormId("NF3-2", base), ()
     if shape == "one":
         return NormalFormId("NF3-4", {**base, "lam": ZERO}), ()
+    resonant = lam.is_integer() and not lam.is_zero()
+    if resonant and res_order is None and abs(lam.as_int()) > nz - 2:
+        warnings.append(
+            "resonant order beyond the z-window; tail coefficient reported as 0"
+        )
     if shape == "affine":
-        if lam.is_integer() and not lam.is_zero():
-            k = abs(lam.as_int())
-            if res_order is None and k > nz - 2:
-                warnings.append(
-                    "resonant order beyond the z-window; tail coefficient"
-                    " reported as 0"
-                )
+        if resonant:
             return (
                 NormalFormId(
                     "NF3-5",
-                    {**base, "lam": integer(k), "gamma": gamma or ZERO},
+                    {**base, "lam": integer(abs(lam.as_int())), "gamma": gamma or ZERO},
                 ),
                 (),
             )
@@ -672,17 +671,11 @@ def _zero_family_id(
             partners = (NormalFormId("NF3-4", {**base, "lam": -lam}),)
         return NormalFormId("NF3-4", {**base, "lam": lam}), partners
     # linear shape
-    if lam.is_integer() and not lam.is_zero():
-        k = lam.as_int()
-        if res_order is None and abs(k) > nz - 2:
-            warnings.append(
-                "resonant order beyond the z-window; tail coefficient"
-                " reported as 0"
-            )
+    if resonant:
         if gamma is not None and not gamma.is_zero():
-            fam = "NF3-6" if k > 0 else "NF3-8"
+            fam = "NF3-6" if lam.re > 0 else "NF3-8"
         else:
-            fam = "NF3-7" if k > 0 else "NF3-9"
+            fam = "NF3-7" if lam.re > 0 else "NF3-9"
         return NormalFormId(fam, {**base, "lam": lam}), ()
     return NormalFormId("NF3-3", {**base, "lam": lam}), ()
 

@@ -448,7 +448,8 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
 def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     """Elementary structures keep their formal class; non-elementary ones
     are classified through the origin pencil.  When k_max is given, the
-    eigen-section search certifies reducibility before the reduction.
+    eigen-section search runs first on either branch, and its verdict
+    heads the notes.
 
     A structure that is not pre-normal is read as a raw deformation frame
     only if it is flat on its own window: the frame reduction drops one
@@ -463,22 +464,25 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
         except ShapeError:
             raise first from None
         p, _pre_gauge = to_prenormal(raw)
+    notes_extra: tuple[str, ...] = ()
+    restr = None  # formed here only when the search or the reduction needs it
+    if k_max is not None:
+        restr = restrict_prenormal(p)
+        irr = irreducibility_check(restr, k_max)
+        notes_extra = (f"eigen-section search: {irr.verdict}",)
     if is_elementary(p):
         cls = formal_normal_form(p)
         return HoloReport(
             True, cls, cls.normal_form, None, None, None, cls.warnings,
-            ("formal and holomorphic classes coincide",),
+            notes_extra + ("formal and holomorphic classes coincide",),
         )
     nz = p.orders[0]
     if nz < 3:  # the origin window is f's nz - 1 z-slots; B_0 and B_1 need two
         raise ShapeError(
             f"origin pencil reduction needs z-order at least 3, not {nz}"
         )
-    restr = restrict_prenormal(p)
-    notes_extra: tuple[str, ...] = ()
-    if k_max is not None:
-        irr = irreducibility_check(restr, k_max)
-        notes_extra = (f"eigen-section search: {irr.verdict}",)
+    if restr is None:
+        restr = restrict_prenormal(p)
     red = birkhoff_reduce(restr.bz_components())
     notes = notes_extra + red.log
     warnings: tuple[str, ...] = ()

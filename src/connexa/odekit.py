@@ -68,18 +68,14 @@ def solve_linear_t_ode(a: TSeries, b: TSeries) -> LinearOdeSolution:
 # m x + b' x - b x' = g   with x''' = 0
 
 
-@dataclass(frozen=True)
-class ThirdDerSolution:
-    verdict: str  # "unique" | "solvable-iff-condition" | "no-solution"
-    x: TSeries | None
-    condition: str = ""
-
-
 Quad = tuple[Scalar, Scalar, Scalar]  # the coefficients of 1, t and t^2
 
 
-def _quad(coeffs: Quad, order: int) -> TSeries:
-    return TSeries.of(list(coeffs), order)
+@dataclass(frozen=True)
+class ThirdDerSolution:
+    verdict: str  # "unique" | "solvable-iff-condition" | "no-solution"
+    x: Quad | None
+    condition: str = ""
 
 
 def quad_coeffs(s: TSeries, error: type[Exception], message: str) -> Quad:
@@ -94,7 +90,7 @@ def quad_coeffs(s: TSeries, error: type[Exception], message: str) -> Quad:
 _B_SHAPES = "b outside the three supported shapes"
 
 
-def third_der_resonance(m: Scalar, b: TSeries) -> str | None:
+def third_der_resonance(m: Scalar, b: Quad) -> str | None:
     """Which condition on g obstructs m*x + b'*x - b*x' = g, if any.
 
     For b = lam*t or lam*t + 1, m = lam leaves the t^2 component of x free
@@ -102,7 +98,7 @@ def third_der_resonance(m: Scalar, b: TSeries) -> str | None:
     costs "g0" (g0 = 0) for lam*t, "quad" (m^2 g0 + m g1 + g2 = 0) for
     lam*t + 1.  b = t^2 never resonates; other b raise.
     """
-    b0, lam, b2 = quad_coeffs(b, UnsupportedShapeError, _B_SHAPES)
+    b0, lam, b2 = b
     if b0.is_zero() and lam.is_zero() and b2 == ONE:
         return None
     if not (b2.is_zero() and (b0.is_zero() or b0 == ONE)):
@@ -128,38 +124,37 @@ def third_der_obstruction(res: str, m: Scalar, g: Quad) -> tuple[Scalar, int, st
     return m * m * g0 + m * g1 + g2, 2, "m^2 g0 + m g1 + g2 = 0"
 
 
-def solve_third_der(m: Scalar, b: TSeries, g: TSeries) -> ThirdDerSolution:
-    """Solve m*x + b'*x - b*x' = g over quadratic polynomials x.
+def solve_third_der(m: Scalar, b: Quad, g: Quad) -> ThirdDerSolution:
+    """Solve m*x + b'*x - b*x' = g over quadratic polynomials x; b, g and x
+    are coefficient triples.
 
-    b must be one of the shapes lam*t, lam*t + 1, t^2; g must be a
-    quadratic polynomial.  At a resonance (``third_der_resonance``) the
-    free component is 0 and g must meet the condition
-    (``third_der_obstruction``).
+    b must be one of the shapes lam*t, lam*t + 1, t^2.  At a resonance
+    (``third_der_resonance``) the free component is 0 and g must meet the
+    condition (``third_der_obstruction``).
     """
     if m.is_zero():
         raise UnsupportedShapeError("m must be nonzero")
-    order = b.order
-    g0, g1, g2 = quad_coeffs(g, UnsupportedShapeError, "right side must be quadratic")
+    g0, g1, g2 = g
     res = third_der_resonance(m, b)
-    b0, lam, _ = quad_coeffs(b, UnsupportedShapeError, _B_SHAPES)
+    b0, lam, _ = b
     if b0.is_zero() and lam.is_zero():
         # b = t^2: triangular, always unique
         x0 = g0 / m
         x1 = (g1 - x0 - x0) / m
         x2 = (g2 - x1) / m
-        return ThirdDerSolution("unique", _quad((x0, x1, x2), order))
+        return ThirdDerSolution("unique", (x0, x1, x2))
 
     affine = b0 == ONE
     cond = ""
     if res is not None:
-        obstruction, _k, cond = third_der_obstruction(res, m, (g0, g1, g2))
+        obstruction, _k, cond = third_der_obstruction(res, m, g)
         if not obstruction.is_zero():
             return ThirdDerSolution("no-solution", None, condition=f"{cond} fails")
     x2 = ZERO if res == "g2" else g2 / (m - lam)
     x1 = (g1 + x2 + x2) / m if affine else g1 / m
     x0 = ZERO if res in ("g0", "quad") else ((g0 + x1) if affine else g0) / (m + lam)
     verdict = "solvable-iff-condition" if cond else "unique"
-    return ThirdDerSolution(verdict, _quad((x0, x1, x2), order), cond)
+    return ThirdDerSolution(verdict, (x0, x1, x2), cond)
 
 
 def third_der_residual(m: Scalar, b: TSeries, x: TSeries, g: TSeries) -> TSeries:

@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
 )
 from .formalnf import PreNormalForm
-from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
+from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, dot, integer
 from .series import Laurent, TSeries
 
 
@@ -122,81 +122,68 @@ def irreducibility_check(
 
 def _try_eigen_section(k, n, eta, lam1, const_part, notes):
     """Solve k z^{k+1} R + z^{k+2} R' - z^{k+1} lam1 R - z^{2k} eta R^2
-    + (const part) = 0 coefficientwise for R with R(0) != 0."""
+    + (const part) = 0 coefficientwise on the n orders from
+    min(k + 1, 2k, const part), for R with R(0) != 0.
 
-    def residual_coeff(o: int, coeffs: list[Scalar]) -> Scalar:
-        acc = const_part.get(o, ZERO)
-        j = o - (k + 1)
-        if 0 <= j < n:
-            acc = acc + integer(k + j) * coeffs[j]
-            for i in range(j + 1):
-                li = lam1[j - i]
-                if not li.is_zero():
-                    acc = acc - li * coeffs[i]
-        m = o - 2 * k
-        if m >= 0:
-            for i in range(min(m, n - 1) + 1):
-                ri = coeffs[i]
-                if ri.is_zero():
-                    continue
-                for jj in range(min(m - i, n - 1) + 1):
-                    ei = m - i - jj
-                    if ei < n and not coeffs[jj].is_zero():
-                        acc = acc - eta[ei] * ri * coeffs[jj]
-        return acc
-
-    o_min = min(2 * k, k + 1, min(const_part) if const_part else 1)
-    o_max = o_min + n - 1
-    first_app = lambda j: min(k + 1 + j, 2 * k + j)
-
-    def solve_from(order: int, coeffs: list[Scalar], next_idx: int):
-        for o in range(order, o_max + 1):
-            while next_idx < n and first_app(next_idx) < o:
-                next_idx += 1  # unknown never appeared; it stays 0
-            probe = next_idx < n and first_app(next_idx) == o
-            if not probe:
-                if not residual_coeff(o, coeffs).is_zero():
-                    return None
-                continue
-            vals = []
-            for x in (ZERO, ONE, integer(2)):
-                trial = list(coeffs)
-                trial[next_idx] = x
-                vals.append(residual_coeff(o, trial))
-            c0 = vals[0]
-            c2 = (vals[2] - vals[1] - vals[1] + vals[0]) * HALF
-            c1 = vals[1] - vals[0] - c2
-            if c2.is_zero():
-                if c1.is_zero():
-                    if not c0.is_zero():
-                        return None
-                    coeffs[next_idx] = ZERO  # undetermined here; pin to 0
-                    next_idx += 1
-                    continue
-                coeffs[next_idx] = -c0 / c1
-                next_idx += 1
-                continue
-            disc = c1 * c1 - integer(4) * c2 * c0
-            root = disc.sqrt()
-            if root is None:
-                notes.append(
-                    f"k={k}: branch point needs sqrt({disc}) outside Q(i)"
-                )
-                return None
-            for sgn in (ONE, -ONE):
-                x = (-c1 + root * sgn) / (integer(2) * c2)
-                trial = list(coeffs)
-                trial[next_idx] = x
-                res = solve_from(o + 1, trial, next_idx + 1)
-                if res is not None:
-                    return res
-            return None
-        return coeffs
-
-    out = solve_from(o_min, [ZERO] * n, 0)
-    if out is None or out[0].is_zero():
+    With v the valuation of eta, R_j first enters at order first + j,
+    first = min(k + 1, 2k + v), with weight k + j - lam1(0) when
+    first = k + 1, less 2 eta_v R_0 when first = 2k + v, where R_0 alone
+    also meets -eta_v R_0^2.  So R_0 is a nonzero root of one quadratic
+    and each later R_j solves one linear equation.  A weight vanishes at
+    one j at most, and every later order then has a nonzero weight, so a
+    free R_j (zero weight, zero residual) is set to 0 and a free R_0 to 1.
+    """
+    v = eta.valuation()
+    first = min(k + 1, 2 * k + v)
+    o_min = min(k + 1, 2 * k, min(const_part, default=1))
+    top = o_min + n - first  # R_0 .. R_{top-1} enter the window
+    if top < 1 or any(
+        not const_part.get(o, ZERO).is_zero() for o in range(o_min, first)
+    ):
         return None
-    return TSeries(tuple(out))
+    lin = first == k + 1
+    c0 = const_part.get(first, ZERO)
+    c1 = integer(k) - lam1[0] if lin else ZERO
+    c2 = -eta[v] if first == 2 * k + v else ZERO
+    if not c2.is_zero():
+        disc = c1 * c1 - integer(4) * c2 * c0
+        root = disc.sqrt()
+        if root is None:
+            notes.append(f"k={k}: branch point needs sqrt({disc}) outside Q(i)")
+            return None
+        heads = [(root - c1) / (c2 + c2)]
+        if not root.is_zero():
+            heads.append((-root - c1) / (c2 + c2))
+    elif not c1.is_zero():
+        heads = [-c0 / c1]
+    else:
+        heads = [ONE] if c0.is_zero() else []
+    neg_lam1 = [-c for c in lam1.coeffs]
+    neg_eta = [-c for c in eta.coeffs[v:]]
+    for r0 in heads:
+        if r0.is_zero():
+            continue
+        r, sq = [r0], [r0 * r0]  # R and the running square R^2
+        w0 = c1 + integer(2) * c2 * r0
+        for j in range(1, top):
+            p, m = first + j - k - 1, first + j - 2 * k - v
+            r.append(ZERO)  # R_j, while its residual is formed
+            sq.append(dot(r[1:j], r[j - 1 : 0 : -1]))
+            res = const_part.get(first + j, ZERO)
+            if p >= 0:
+                lin_w = (integer(k + p) + neg_lam1[0], *neg_lam1[1 : p + 1])
+                res += dot(r[p::-1], lin_w)
+            if m >= 0:
+                res += dot(neg_eta[m::-1], sq)
+            w = w0 + integer(j) if lin else w0
+            if not w.is_zero():
+                r[j] = -res / w
+            elif not res.is_zero():
+                break
+            sq[j] += (r0 + r0) * r[j]
+        else:
+            return TSeries(tuple(r) + (ZERO,) * (n - top))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .connmat import (
     restrict_origin,
     scalar_exp_gauge,
 )
+from .errors import UnsupportedShapeError
 from .euler import EulerField, euler_normal_form, push_forward_g, realizable_by_te
 from .fixtures import FIXTURES, build_fixture
 from .formalnf import (
@@ -428,11 +429,15 @@ def criterion_appendix_suite(riccati_samples=20):
         (S(3), t.pow_int(2), g_generic, "unique"),
     ]
     for m, b, g, expected in checks:
-        sol = odekit.solve_third_der(m, b, g)
+        sol = odekit.solve_third_der(
+            m,
+            odekit.quad_coeffs(b, UnsupportedShapeError, "b is not quadratic"),
+            odekit.quad_coeffs(g, UnsupportedShapeError, "g is not quadratic"),
+        )
         if sol.verdict != expected:
             return False, f"verdict {sol.verdict} != {expected} for m={m}"
         if sol.x is not None:
-            if not odekit.third_der_residual(m, b, sol.x, g).is_zero():
+            if not odekit.third_der_residual(m, b, TSeries.of(sol.x, order), g).is_zero():
                 return False, f"wrong solution for m={m}"
     return True, "inequality table, perturbation detection and verdicts pass"
 

@@ -4,10 +4,13 @@ These are the bodies connexa once ran: the z-only restriction packed into
 a ``Mat2`` at t-order 1 and read back one ``ConstMat`` at a time, the
 block reduction on that packing with constant conjugation through
 ``Mat2.inverse``, its residual as three ``Mat2`` products, and the
-d-generic Fuchs valuation rule behind the cyclic-vector test.  The package
-now reduces lists of ``ConstMat`` coefficients (``origin.birkhoff_reduce``)
-and applies the d = 2 rule in ``origin.cyclic_fuchs``; the tests check it
-against these.
+d-generic Fuchs valuation rule behind the cyclic-vector test, and the
+eigen-section search that read each coefficient's equation off residuals
+at trial values and backtracked over the two roots by recursion.  The
+package now reduces lists of ``ConstMat`` coefficients
+(``origin.birkhoff_reduce``), applies the d = 2 rule in
+``origin.cyclic_fuchs`` and solves the search's coefficients in closed
+form (``origin._try_eigen_section``); the tests check it against these.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from connexa.connmat import ConstMat, Mat2, OriginRestriction
 from connexa.errors import ReductionFailedError, ShapeError
-from connexa.scalars import HALF, ONE, ZERO, integer
+from connexa.scalars import HALF, ONE, ZERO, Scalar, integer
 from connexa.series import Laurent, TSeries, ZTSeries
 
 
@@ -216,3 +219,82 @@ def cyclic_fuchs(r: OriginRestriction) -> bool:
     a1 = p + logq + w
     a0 = p.dz() + q * u - p * logq - p * w
     return fuchs_regular_singular(FuchsProblem((a0, a1), 2))
+
+
+def try_eigen_section(k, n, eta, lam1, const_part, notes):
+    """Solve k z^{k+1} R + z^{k+2} R' - z^{k+1} lam1 R - z^{2k} eta R^2
+    + (const part) = 0 coefficientwise for R with R(0) != 0."""
+
+    def residual_coeff(o: int, coeffs: list[Scalar]) -> Scalar:
+        acc = const_part.get(o, ZERO)
+        j = o - (k + 1)
+        if 0 <= j < n:
+            acc = acc + integer(k + j) * coeffs[j]
+            for i in range(j + 1):
+                li = lam1[j - i]
+                if not li.is_zero():
+                    acc = acc - li * coeffs[i]
+        m = o - 2 * k
+        if m >= 0:
+            for i in range(min(m, n - 1) + 1):
+                ri = coeffs[i]
+                if ri.is_zero():
+                    continue
+                for jj in range(min(m - i, n - 1) + 1):
+                    ei = m - i - jj
+                    if ei < n and not coeffs[jj].is_zero():
+                        acc = acc - eta[ei] * ri * coeffs[jj]
+        return acc
+
+    o_min = min(2 * k, k + 1, min(const_part) if const_part else 1)
+    o_max = o_min + n - 1
+    first_app = lambda j: min(k + 1 + j, 2 * k + j)
+
+    def solve_from(order: int, coeffs: list[Scalar], next_idx: int):
+        for o in range(order, o_max + 1):
+            while next_idx < n and first_app(next_idx) < o:
+                next_idx += 1  # unknown never appeared; it stays 0
+            probe = next_idx < n and first_app(next_idx) == o
+            if not probe:
+                if not residual_coeff(o, coeffs).is_zero():
+                    return None
+                continue
+            vals = []
+            for x in (ZERO, ONE, integer(2)):
+                trial = list(coeffs)
+                trial[next_idx] = x
+                vals.append(residual_coeff(o, trial))
+            c0 = vals[0]
+            c2 = (vals[2] - vals[1] - vals[1] + vals[0]) * HALF
+            c1 = vals[1] - vals[0] - c2
+            if c2.is_zero():
+                if c1.is_zero():
+                    if not c0.is_zero():
+                        return None
+                    coeffs[next_idx] = ZERO  # undetermined here; pin to 0
+                    next_idx += 1
+                    continue
+                coeffs[next_idx] = -c0 / c1
+                next_idx += 1
+                continue
+            disc = c1 * c1 - integer(4) * c2 * c0
+            root = disc.sqrt()
+            if root is None:
+                notes.append(
+                    f"k={k}: branch point needs sqrt({disc}) outside Q(i)"
+                )
+                return None
+            for sgn in (ONE, -ONE):
+                x = (-c1 + root * sgn) / (integer(2) * c2)
+                trial = list(coeffs)
+                trial[next_idx] = x
+                res = solve_from(o + 1, trial, next_idx + 1)
+                if res is not None:
+                    return res
+            return None
+        return coeffs
+
+    out = solve_from(o_min, [ZERO] * n, 0)
+    if out is None or out[0].is_zero():
+        return None
+    return TSeries(tuple(out))

@@ -19,11 +19,17 @@ from connexa.docio import (
 )
 from connexa.errors import DocumentError
 from connexa.fixtures import build_fixture, fixture_names, write_fixtures
-from connexa.formalnf import NormalFormId, build_normal_form
+from connexa.formalnf import (
+    NormalFormId,
+    PreNormalForm,
+    build_normal_form,
+    build_prenormal_struct,
+)
 from connexa.scalars import S, Scalar, integer
 from connexa.series import AffinePoly1, TSeries, ZTSeries
 
 from conftest import rand_scalar
+from test_origin import IRREDUCIBILITY_K2
 
 
 def _run(*args):
@@ -320,6 +326,43 @@ def _main(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_kmax_heads_the_classify_log_of_every_structure():
+    # the elementary branch once returned before the search ran, so --kmax
+    # left its report unchanged
+    elementary = 0
+    for name in fixture_names():
+        code, plain, _err = _main("--order-z", "6", "--order-t", "6", "classify", name)
+        code_k, searched, _err = _main(
+            "--order-z", "6", "--order-t", "6", "--kmax", "2", "classify", name
+        )
+        assert code == code_k == 0
+        plain, searched = json.loads(plain), json.loads(searched)
+        head = searched["transform_log"].pop(0)
+        assert head == f"eigen-section search: {IRREDUCIBILITY_K2[name][0]}", name
+        if plain["verdicts"]["elementary"]:
+            assert searched == plain, name
+            elementary += 1
+    assert elementary == 13
+
+
+def test_cli_kmax_finds_the_eigen_section_of_an_elementary_structure(tmp_path):
+    # f = 0, b2 = 2 t2 + 3z: eta(0) = b2(0, 0) = 0, and R = -1 at k = 0
+    # solves the equation (z * 3 - 3z * 1 = 0), so the search is no
+    # certificate of irreducibility here
+    nz, nt = 6, 6
+    b2 = ZTSeries.t2(nz, nt).scale(integer(2)) + ZTSeries.z_monomial(integer(3), 1, nz, nt)
+    p = PreNormalForm(ZTSeries.zero(nz - 1, nt), b2, S(0), S(0))
+    doc = tmp_path / "f0.json"
+    save_structure(build_prenormal_struct(p), str(doc))
+    code, plain, _err = _main("classify", str(doc))
+    code_k, searched, _err = _main("--kmax", "2", "classify", str(doc))
+    assert code == code_k == 0
+    plain, searched = json.loads(plain), json.loads(searched)
+    assert plain["verdicts"]["elementary"]
+    assert searched["transform_log"].pop(0) == "eigen-section search: reducible"
+    assert searched == plain
 
 
 def test_cli_order_flags_must_match_a_document(tmp_path):

@@ -104,27 +104,32 @@ def test_linear_ode_matches_system_oracle():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def _q(s):
+    """A series read as the triple the quadratic system takes."""
+    return odekit.quad_coeffs(s, UnsupportedShapeError, "not quadratic")
+
+
 def test_third_der_worked_example():
     order = 6
     t = TSeries.var(order)
     g = TSeries.of([1, 1, 1], order)
-    sol = odekit.solve_third_der(S(2), t, g)
+    sol = odekit.solve_third_der(S(2), _q(t), _q(g))
     assert sol.verdict == "unique"
-    assert sol.x == TSeries.of([Fraction(1, 3), Fraction(1, 2), 1], order)
+    assert sol.x == (S(Fraction(1, 3)), S(Fraction(1, 2)), ONE)
 
 
 def test_third_der_resonant_cases():
     order = 6
     t = TSeries.var(order)
     g2 = TSeries.of([0, 0, 1], order)
-    sol = odekit.solve_third_der(S(1), t, g2)  # m = lam, g2 != 0
+    sol = odekit.solve_third_der(S(1), _q(t), _q(g2))  # m = lam, g2 != 0
     assert sol.verdict == "no-solution"
-    sol = odekit.solve_third_der(S(1), t.pow_int(2), TSeries.zero(order))
-    assert sol.verdict == "unique" and sol.x.is_zero()
+    sol = odekit.solve_third_der(S(1), _q(t.pow_int(2)), _q(TSeries.zero(order)))
+    assert sol.verdict == "unique" and sol.x == (ZERO, ZERO, ZERO)
     with pytest.raises(UnsupportedShapeError):
-        odekit.solve_third_der(S(1), t + t.pow_int(3), g2)
+        odekit.solve_third_der(S(1), _q(t + t.pow_int(3)), _q(g2))
     with pytest.raises(UnsupportedShapeError):
-        odekit.solve_third_der(ZERO, t, g2)
+        odekit.solve_third_der(ZERO, _q(t), _q(g2))
 
 
 def test_third_der_residuals(rng):
@@ -135,15 +140,16 @@ def test_third_der_residuals(rng):
         b = shapes[rng.randrange(len(shapes))]
         m = rand_nonzero(rng, 3)
         g = TSeries.of([rand_scalar(rng, 3) for _ in range(3)], order)
-        sol = odekit.solve_third_der(m, b, g)
+        sol = odekit.solve_third_der(m, _q(b), _q(g))
         if sol.x is not None:
-            assert odekit.third_der_residual(m, b, sol.x, g).is_zero()
+            x = TSeries.of(sol.x, order)
+            assert odekit.third_der_residual(m, b, x, g).is_zero()
 
 
 def _solve_third_der_by_case(m, b, g):
     """solve_third_der with each resonance of the lam*t / lam*t + 1 shapes
     written out as its own branch, kept as an oracle for the collapsed
-    form."""
+    form: b and g are series, the solution a triple."""
     if m.is_zero():
         raise UnsupportedShapeError("m must be nonzero")
     order = b.order
@@ -169,7 +175,7 @@ def _solve_third_der_by_case(m, b, g):
             else:
                 x1 = g1 / m
                 x0 = g0 / (m + lam)
-            return odekit.ThirdDerSolution("unique", odekit._quad((x0, x1, x2), order))
+            return odekit.ThirdDerSolution("unique", (x0, x1, x2))
         if m == lam:
             # t^2-component unreachable
             if not g2.is_zero():
@@ -184,7 +190,7 @@ def _solve_third_der_by_case(m, b, g):
                 x1 = g1 / m
                 x0 = g0 / (m + lam)
             return odekit.ThirdDerSolution(
-                "solvable-iff-condition", odekit._quad((x0, x1, x2), order), "g2 = 0"
+                "solvable-iff-condition", (x0, x1, x2), "g2 = 0"
             )
         # m == -lam
         if affine:
@@ -198,7 +204,7 @@ def _solve_third_der_by_case(m, b, g):
             x0 = ZERO
             return odekit.ThirdDerSolution(
                 "solvable-iff-condition",
-                odekit._quad((x0, x1, x2), order),
+                (x0, x1, x2),
                 "m^2 g0 + m g1 + g2 = 0",
             )
         if not g0.is_zero():
@@ -207,7 +213,7 @@ def _solve_third_der_by_case(m, b, g):
         x1 = g1 / m
         x2 = g2 / (m - lam)
         return odekit.ThirdDerSolution(
-            "solvable-iff-condition", odekit._quad((x0, x1, x2), order), "g0 = 0"
+            "solvable-iff-condition", (x0, x1, x2), "g0 = 0"
         )
 
     if tail_zero and b0.is_zero() and b1.is_zero() and b2 == ONE:
@@ -215,7 +221,7 @@ def _solve_third_der_by_case(m, b, g):
         x0 = g0 / m
         x1 = (g1 - x0 - x0) / m
         x2 = (g2 - x1) / m
-        return odekit.ThirdDerSolution("unique", odekit._quad((x0, x1, x2), order))
+        return odekit.ThirdDerSolution("unique", (x0, x1, x2))
 
     raise UnsupportedShapeError("b outside the three supported shapes")
 
@@ -239,9 +245,10 @@ def test_third_der_matches_case_by_case_oracle():
                                     want = _solve_third_der_by_case(m, b, g)
                                 except UnsupportedShapeError:
                                     with pytest.raises(UnsupportedShapeError):
-                                        odekit.solve_third_der(m, b, g)
+                                        odekit.solve_third_der(m, _q(b), _q(g))
                                 else:
-                                    assert odekit.solve_third_der(m, b, g) == want
+                                    got = odekit.solve_third_der(m, _q(b), _q(g))
+                                    assert got == want
                                 checked += 1
     assert checked == 2 * 7 * 2 * 6 * 125
 

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from connexa import cli
+from connexa import cli, origin
 from connexa.connmat import Mat2, apply_gauge, restrict_origin
 from connexa.docio import save_structure
 from connexa.errors import ExactFieldError, ReductionFailedError, ShapeError
@@ -157,6 +157,210 @@ def test_irreducibility_explicit_witness():
     r = OriginRestriction(one, TSeries.const(S(3), n), zero, zero, ZERO, ZERO)
     rep = irreducibility_check(r)
     assert rep.verdict == "reducible"
+
+
+def _eigen_residual_vanishes(r, k, w):
+    """Whether g = z^k w with w(0) != 0 solves the eigen-section equation
+    k z^{k+1} w + z^{k+2} w' - z^{k+1} lam1 w - z^{2k} eta w^2
+    - beta z^2/2 + eta gam z = 0 on the search's window: the n orders from
+    the lowest of 2k, k + 1 and the first term of the constant part.  Each
+    part is formed by series products."""
+    if w[0].is_zero():
+        return False
+    eta, lamz, beta, gam = r.window()
+    n = eta.order
+    etagam = eta * gam
+    lead = [j + 1 for j in range(n) if not etagam[j].is_zero()]
+    lead += [j + 2 for j in range(n) if not beta[j].is_zero()]
+    o_min = min(2 * k, k + 1, min(lead, default=1))
+    lin = w.scale(integer(k)) + w.xdx() - (lamz + TSeries.one(n)) * w
+    quad = eta * w * w
+    for o in range(o_min, o_min + n):
+        acc = ZERO
+        if o - k - 1 >= 0:
+            acc += lin[o - k - 1]
+        if o - 2 * k >= 0:
+            acc -= quad[o - 2 * k]
+        if 1 <= o <= n:
+            acc += etagam[o - 1]
+        if 2 <= o <= n + 1:
+            acc -= beta[o - 2] * S("1/2")
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def test_eigen_section_a_zero_root_does_not_hide_the_other():
+    # at k = 1 the head quadratic is R0 - R0^2: the root 0, tried first,
+    # once ended the search for this k
+    n = 6
+    zero = TSeries.zero(n)
+    r = OriginRestriction(TSeries.one(n), TSeries.const(S(-1), n), zero, zero, ZERO, ZERO)
+    rep = irreducibility_check(r)
+    assert (rep.verdict, rep.witness_k, rep.witness) == ("reducible", 1, TSeries.one(n))
+    assert _eigen_residual_vanishes(r, 1, rep.witness)
+
+
+def test_eigen_section_a_free_head_at_positive_k_is_taken():
+    # at k = 4, k - lam1(0) = 0 and the residual there vanish, so R0 is free
+    # and every later weight is j: R0 = 1 gives a witness
+    n = 6
+    eta = TSeries.of([0, 0, 0, 2, -2, 1], n)
+    lam = TSeries.of([3, 0, -2, 0, 1], n)
+    zero = TSeries.zero(n)
+    r = OriginRestriction(eta, lam, zero, zero, ZERO, ZERO)
+    lam1 = lam + TSeries.one(n)
+    got = origin._try_eigen_section(4, n, eta, lam1, {}, [])
+    assert got[0] == ONE
+    assert _eigen_residual_vanishes(r, 4, got)
+    assert oracle.try_eigen_section(4, n, eta, lam1, {}, []) is None
+    # eta(0) = 0, so the search meets a witness at k = -2 first
+    rep = irreducibility_check(r)
+    assert (rep.verdict, rep.witness_k) == ("reducible", -2)
+    assert _eigen_residual_vanishes(r, -2, rep.witness)
+
+
+_SEARCH_VALUES = [0, 0, 0, 0, 0, 1, -1, 2, -2, 3, S("1/2"), S(0, 1)]
+
+
+def _random_search_restriction(rng):
+    n = rng.randint(1, 9)
+
+    def ser(zeros):
+        return TSeries.of(
+            [ZERO if rng.random() < zeros else S(rng.choice(_SEARCH_VALUES)) for _ in range(n)], n
+        )
+
+    eta = ser(rng.choice([0.3, 0.6, 0.9]))
+    lam = TSeries.of([rng.randint(-4, 6)] + list(ser(0.7).coeffs[1:]), n)
+    beta = ser(rng.choice([1.0, 0.8]))
+    gam = ser(rng.choice([1.0, 0.8]))
+    return OriginRestriction(eta, lam, beta, gam, ZERO, ZERO)
+
+
+def _fixed_search_class(k, eta, lam1, const_part):
+    """Where the old search missed a witness by construction: "low head"
+    when eta(0) = 0 at k <= 0, where it took R0 = 0 as the head; "zero
+    root" when the head quadratic's first root is 0 and the other is not;
+    "free head" when R0 is free at k >= 1; else None."""
+    if k <= 0 and eta[0].is_zero():
+        return "low head"
+    first = min(k + 1, 2 * k)
+    c0 = const_part.get(first, ZERO)
+    c1 = integer(k) - lam1[0] if first == k + 1 else ZERO
+    c2 = -eta[0] if first == 2 * k else ZERO
+    if c2.is_zero():
+        free = k >= 1 and c1.is_zero() and c0.is_zero()
+        return "free head" if free else None
+    root = (c1 * c1 - integer(4) * c2 * c0).sqrt()
+    hidden = root is not None and not root.is_zero() and root == c1
+    return "zero root" if hidden else None
+
+
+def test_eigen_section_matches_the_trial_and_backtrack_oracle(monkeypatch):
+    search = origin._try_eigen_section
+    rng = random.Random(2301)
+    cases = []
+    monkeypatch.setattr(
+        origin, "_try_eigen_section", lambda *args: cases.append((restr, args)) and None
+    )
+    for _ in range(1200):
+        restr = _random_search_restriction(rng)
+        irreducibility_check(restr, restr.eta.order + 1)
+    seen = dict.fromkeys(
+        ("pairs", "witness", "notes", "zero root", "free head", "low head", "short"), 0
+    )
+    for restr, (k, n, eta, lam1, const_part, _notes) in cases:
+        got_notes, want_notes = [], []
+        got = search(k, n, eta, lam1, const_part, got_notes)
+        want = oracle.try_eigen_section(k, n, eta, lam1, const_part, want_notes)
+        fixed = _fixed_search_class(k, eta, lam1, const_part)
+        if fixed == "low head":  # the old search never solved this head
+            assert want is None and not want_notes
+        else:
+            assert got_notes == want_notes
+        if got != want:
+            assert want is None and got is not None and fixed is not None, (k, restr)
+            seen[fixed] += 1
+        if got is not None:
+            assert _eigen_residual_vanishes(restr, k, got), (k, restr)
+        if n == 1 and k == 1:  # the window ends below the order where R0 enters
+            assert got is None
+            seen["short"] += 1
+        seen["pairs"] += 1
+        seen["witness"] += got is not None
+        seen["notes"] += bool(got_notes)
+    assert seen["pairs"] >= 10_000 and min(seen.values()) >= 20, seen
+
+
+def _planted_low_head_restriction(rng):
+    """A restriction with eta(0) = 0 and a planted eigen-section z^k R at
+    k <= 0, and that (k, R): eta has valuation v >= 1 - k, and lam is
+    solved from the equation, lam1 = k + zR'/R - z^{k-1} eta R
+    + z^{-k-1} (eta gam z - beta z^2/2)/R, on a window three orders wider."""
+    k = rng.choice((-2, -1, 0))
+    n = rng.randint(2 - k, 8)
+    v = rng.randint(1 - k, n - 1)
+    wide = n + 3
+
+    def ser(zeros, low=0):
+        vals = [ZERO if j < low or rng.random() < zeros else S(rng.choice(_SEARCH_VALUES))
+                for j in range(wide)]
+        return TSeries.of(vals, wide)
+
+    eta = ser(0.5, v + 1) + TSeries.monomial(S(rng.choice((1, -1, 2, S("1/2"), S(0, 1)))), v, wide)
+    w = ser(0.6, 1) + TSeries.const(S(rng.choice((1, -1, 2, -3, S(0, 1)))), wide)
+    beta, gam = ser(rng.choice((1.0, 0.6))), ser(rng.choice((1.0, 0.6)))
+
+    def shifted(x, s):  # z^s x, for s possibly negative
+        c = x.coeffs
+        return TSeries.of(c[-s:] if s < 0 else [ZERO] * s + list(c[: wide - s]), wide)
+
+    const = shifted(eta * gam, 1) - shifted(beta.scale(S("1/2")), 2)
+    lam1 = (
+        TSeries.const(integer(k), wide)
+        + w.xdx().div(w)
+        - shifted(eta * w, k - 1)
+        + shifted(const, -k - 1).div(w)
+    )
+    lam = lam1 - TSeries.one(wide)
+    window = [x.truncate(n) for x in (eta, lam, beta, gam)]
+    return OriginRestriction(*window, ZERO, ZERO), k, w.truncate(n)
+
+
+def test_eigen_section_with_eta_vanishing_at_0_finds_planted_witnesses():
+    # at k <= 0 with eta(0) = 0 the head sits at order min(k + 1, 2k + v):
+    # the old search took the order 2k, where every R0 is free, and set R0 = 0
+    rng = random.Random(2302)
+    old_missed = 0
+    for _ in range(150):
+        r, k, w = _planted_low_head_restriction(rng)
+        assert _eigen_residual_vanishes(r, k, w)  # the planting itself
+        rep = irreducibility_check(r, 2)
+        assert rep.verdict == "reducible", (k, r)
+        assert _eigen_residual_vanishes(r, rep.witness_k, rep.witness), (k, r)
+        eta, lamz, beta, gam = r.window()
+        const_part = {}
+        for j, c in enumerate((eta * gam).coeffs):
+            const_part[j + 1] = c
+        for j, c in enumerate(beta.coeffs):
+            const_part[j + 2] = const_part.get(j + 2, ZERO) - c * S("1/2")
+        const_part = {o: c for o, c in const_part.items() if not c.is_zero()}
+        lam1 = lamz + TSeries.one(eta.order)
+        got = origin._try_eigen_section(k, eta.order, eta, lam1, const_part, [])
+        assert got is not None and _eigen_residual_vanishes(r, k, got), (k, r)
+        old_missed += oracle.try_eigen_section(k, eta.order, eta, lam1, const_part, []) is None
+    assert old_missed >= 100
+
+
+def test_eigen_section_low_head_example():
+    # n = 2, eta = 3z, lam = 2: at k = 0 the head sits at order 1, where
+    # -3 R0^2 - 3 R0 = 0 gives R0 = -1
+    zero = TSeries.zero(2)
+    r = OriginRestriction(TSeries.of([0, 3], 2), TSeries.const(S(2), 2), zero, zero, ZERO, ZERO)
+    rep = irreducibility_check(r)
+    assert (rep.verdict, rep.witness_k, rep.witness) == ("reducible", 0, TSeries.of([-1, 0], 2))
+    assert _eigen_residual_vanishes(r, 0, rep.witness)
 
 
 def test_birkhoff_reduce_trivial():
