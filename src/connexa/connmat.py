@@ -234,7 +234,7 @@ class Mat2:
 
     def compose_t2(self, lam: TSeries) -> Mat2:
         """Substitute lam for t2, with one power table for all components."""
-        powers = t2_powers(lam)
+        powers = t2_powers(lam, lam.order)
         return self.map(lambda c: c._map(lambda p: p.compose_t2(powers)))
 
     def at_origin(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:

@@ -26,6 +26,8 @@ from .series import TSeries
 # slightly larger rational keeps the convolution check fully exact.
 CONV_CONSTANT = Fraction(329, 50)
 
+TWO = integer(2)
+
 
 # ---------------------------------------------------------------------------
 # t u' + a(t) u = b(t)
@@ -198,7 +200,8 @@ def solve_riccati_unique_c(f: TSeries, r: int, tau_r: Scalar) -> RiccatiSolution
     determines everything.
 
     Both sums are read off running products: with q = tau^2 and
-    P_n = sum_{k=1}^{n-1} tau_k tau_{n-k}, the triple sum is
+    P_n = sum_{k=1}^{n-1} tau_k tau_{n-k} (summed over k < n/2 and doubled,
+    as the sum is symmetric), the triple sum is
     f_0 P_n + sum_{j>=1} f_j q_{n-j}, and q_n = P_n + 2 tau_0 tau_n once
     tau_n is known; the quadruple sum is sum_s f_s (tau^3)_{n-r-s}, with
     tau^3 = tau * q filled as far as n - r < n.  Each new coefficient
@@ -221,7 +224,11 @@ def solve_riccati_unique_c(f: TSeries, r: int, tau_r: Scalar) -> RiccatiSolution
 
     two_tau0 = tau[0] + tau[0]
     for n in range(1, order):
-        p_n = dot(tau[1:n], tau[n - 1 : 0 : -1])
+        # P_n from its symmetric half: 2 sum_{k<n/2} tau_k tau_{n-k}, plus
+        # tau_{n/2}^2 when n is even
+        k = (n + 1) // 2
+        mid = [] if n % 2 else [tau[n // 2]]
+        p_n = dot([dot(tau[1:k], tau[n - 1 : n - k : -1])] + mid, [TWO] + mid)
         # the triple sum f_0 P_n + sum_{j>=1} f_j q_{n-j}, then for n > r
         # the quadruple sum c sum_s f_s cube_{n-r-s} in the same dot
         low = [(j, fj) for j, fj in f_support[1:] if j <= n]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     CompositionError,
@@ -265,12 +266,13 @@ class Plane:
         return plane_dot([(1, self, other)], self.nz, self.nt)
 
     def compose_t2(self, powers: tuple[list[list[int]], list[list[int]], int]) -> Plane:
-        """Substitute lam for t2, given the power table ``t2_powers(lam)``:
-        entry (k, m) is sum_{n<=m} self[k][n] (lam^n)_m, reduced once."""
+        """Substitute lam for t2, given a power table ``t2_powers(lam, rows)``
+        whose rows reach the last nonzero t2-degree of self: entry (k, m) is
+        sum_{n<=m} self[k][n] (lam^n)_m, reduced once."""
         pre, pim, pden = powers
         nz, nt = self.nz, self.nt
-        if len(pre) != nt:
-            raise OrderMismatchError(f"orders {nt} and {len(pre)} differ")
+        if pre and len(pre[0]) != nt:
+            raise OrderMismatchError(f"orders {nt} and {len(pre[0])} differ")
         sup = self.support()
         if not sup:
             return self
@@ -553,15 +555,25 @@ class TSeries(Plane):
         return self * other.invert()
 
     def compose(self, lam: TSeries) -> TSeries:
-        """Substitute lam (with lam(0) = 0) into self, over the power table
-        of lam."""
-        return self.compose_t2(t2_powers(lam))
+        """Substitute lam (with lam(0) = 0) into self, over the powers of
+        lam up to the last nonzero degree of self: a constant costs no
+        product, a polynomial of degree d costs d - 1."""
+        sup = self.support()
+        powers = t2_powers(lam, sup[0][1][-1][0] + 1 if sup else 0)
+        if lam.order != self.order:
+            raise OrderMismatchError(f"orders {self.order} and {lam.order} differ")
+        return self.compose_t2(powers)
 
     def reverse(self) -> TSeries:
         """Compositional inverse of lam with lam(0)=0, lam'(0) != 0.
 
         Lagrange inversion: with h = (lam/x)^{-1}, the inverse has
-        coefficient [x^{m-1}] h^m / m at x^m.
+        coefficient [x^{m-1}] h^m / m at x^m, 0 < m < n.  Write m = js + b
+        with 0 <= b < s: h^m = h^{js} h^b, from the baby steps h^0..h^{s-1}
+        and the giant steps h^s, h^{2s}, ..., (s + (n-1)//s - 2 products,
+        about 2 sqrt(n) at the best s), and each coefficient is one
+        Gaussian-integer dot of a giant and a baby row over their two
+        denominators, reduced once.
         """
         if self.re[0] or self.im[0]:
             raise NotInvertibleError("map does not fix 0")
@@ -569,11 +581,24 @@ class TSeries(Plane):
         if n < 2 or not (self.re[1] or self.im[1]):
             raise NotInvertibleError("derivative vanishes at 0")
         h = TSeries._ints(self.re[1:], self.im[1:], self.den).invert()
+        top = n - 1  # the largest power of h read
+        s = min(range(1, top + 1), key=lambda s: s + top // s)
+        baby = [TSeries.one(top), h]
+        while len(baby) <= s:
+            baby.append(baby[-1] * h)
+        step = baby.pop()  # h^s
+        giant = [baby[0], step]
+        while len(giant) <= top // s:
+            giant.append(giant[-1] * step)
         mu = [ZERO]
-        hm = TSeries.one(n - 1)
         for m in range(1, n):
-            hm = hm * h
-            mu.append(Scalar._ints(hm.re[m - 1], hm.im[m - 1], hm.den * m))
+            j, b = divmod(m, s)
+            g, e = giant[j], baby[b]
+            gr, gi = g.re[:m], g.im[:m]
+            er, ei = e.re[m - 1 :: -1], e.im[m - 1 :: -1]
+            re = sum(map(mul, gr, er)) - sum(map(mul, gi, ei))
+            im = sum(map(mul, gr, ei)) + sum(map(mul, gi, er))
+            mu.append(Scalar._ints(re, im, g.den * e.den * m))
         return TSeries(mu)
 
     def exp(self) -> TSeries:
@@ -755,13 +780,15 @@ def plane_dot(terms, nz: int, nt: int, div: int = 1) -> Plane:
     return Plane._ints(nz, nt, re, im, den * div)
 
 
-def t2_powers(lam: TSeries) -> tuple[list[list[int]], list[list[int]], int]:
-    """Numerators of lam^0, ..., lam^(n-1) (n = lam.order) over one
-    denominator; lam(0) must vanish, so lam^p starts at index p."""
+def t2_powers(lam: TSeries, rows: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Numerators of lam^0, ..., lam^(rows-1) over one denominator, each a
+    row of lam.order entries; lam(0) must vanish, so lam^p starts at index
+    p.  Substituting lam into a series needs the rows up to its last
+    nonzero degree; ``Mat2.compose_t2`` takes all lam.order of them."""
     if lam.re[0] or lam.im[0]:
         raise CompositionError("inner series must vanish at 0")
-    powers = [TSeries.one(lam.order)]
-    for _ in range(1, lam.order):
+    powers = [TSeries.one(lam.order), lam][:rows]
+    while len(powers) < rows:
         powers.append(powers[-1] * lam)
     den = lcm(*[p.den for p in powers])
     re = [[x * (den // p.den) for x in p.re] for p in powers]

@@ -8,6 +8,7 @@ from connexa.errors import NoFormalSolutionError, NotAUnitError, UnsupportedShap
 from connexa.scalars import HALF, I, ONE, S, ZERO, Scalar, integer
 from connexa.series import TSeries
 
+import series_oracle
 from conftest import rand_nonzero, rand_scalar
 from fraction_scalar import F_ZERO, f_integer, frac_coeffs, from_frac, to_frac
 from linear_system_oracle import solve_linear_t_ode_system
@@ -366,6 +367,34 @@ def test_riccati_matches_full_convolution_oracle(rng):
         c, tau = _riccati_oracle(f, r, tau_r)
         sol = odekit.solve_riccati_unique_c(f, r, tau_r)
         assert (sol.c, sol.tau, sol.r, sol.free_index_value) == (c, tau, r, tau_r)
+
+
+def _fields(s: Scalar) -> tuple[int, int, int]:
+    return s.a, s.b, s.d
+
+
+def test_riccati_symmetric_half_matches_the_full_dot_oracle():
+    """200 seeded (f, r, tau_r) at orders 2-16, every r in 1..order-1: c and
+    tau equal the loop that summed P_n over every k, field for field."""
+    rnd = random.Random(24)
+    pairs = [(order, r) for order in range(2, 17) for r in range(1, order)]
+    for i in range(200):
+        order, r = pairs[i % len(pairs)]
+        density = (1.0, 0.3)[i % 2]
+        f = TSeries(
+            [rand_nonzero(rnd, 3)]
+            + [rand_scalar(rnd, 3) if rnd.random() < density else ZERO
+               for _ in range(order - 1)]
+        )
+        tau_r = rand_scalar(rnd, 2) if i % 3 else ZERO
+        sol = odekit.solve_riccati_unique_c(f, r, tau_r)
+        want = series_oracle.solve_riccati_unique_c(f, r, tau_r)
+        assert _fields(sol.c) == _fields(want.c)
+        assert (sol.tau.re, sol.tau.im, sol.tau.den) == (
+            want.tau.re, want.tau.im, want.tau.den
+        )
+        assert (sol.r, sol.free_index_value) == (want.r, want.free_index_value)
+        assert odekit.riccati_residual(sol, f).is_zero()
 
 
 def search_convergence_certificate(

@@ -1,0 +1,142 @@
+"""Series products on the one-variable paths, counted as calls of
+``series.plane_dot``, the one product kernel: counts that do not depend on
+the machine.
+
+The Euler replay ``verify_normalization`` checks (lam' g) o lam^{-1} = g_NF:
+one product for lam' g, the reversion of lam and the substitution.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from connexa import series
+from connexa.euler import EulerField, euler_normal_form, verify_normalization
+from connexa.scalars import ZERO
+from connexa.series import TSeries
+
+import series_oracle
+from conftest import rand_nonzero, rand_scalar
+
+ORDER = 16  # the one-variable benchmark's order
+
+# Products of each replay on the inputs of ``_euler_fields``, before the
+# reversion took baby and giant steps and the substitution stopped at the
+# outer degree.  On the window n = min(g.order, lam.order) - 1 that was 1 for
+# lam' g, n for reversing lam at order n + 1 and n - 1 for the power table:
+# n = 15 for E1 and E3, 14 or 13 for E4, whose lam is r - 1 orders short.
+PARENT_REPLAY_PRODUCTS = {
+    "E1": [30] * 6,
+    "E3": [30] * 6,
+    "E4": [28, 26, 26, 26, 26, 28],
+}
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The running count of ``plane_dot`` calls."""
+    count = [0]
+    kernel = series.plane_dot
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(series, "plane_dot", counted)
+    return count
+
+
+def _nonzero_real(rng):
+    while True:
+        c = rand_scalar(rng, 3, gauss=False)
+        if not c.is_zero():
+            return c
+
+
+def _euler_fields(shape: str, seed: int, n: int = 6):
+    """Dense g of the given leading shape at ORDER, as the benchmark draws
+    them; an E4 lead is a rational (r-1)-th power, so lam exists."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        if shape == "E1":
+            val, lead = 0, rand_nonzero(rng)
+        elif shape == "E3":
+            val, lead = 1, rand_nonzero(rng)
+        else:
+            val = rng.randint(2, 3)
+            lead = _nonzero_real(rng) ** (val - 1)
+        coeffs = [ZERO] * val + [lead] + [
+            rand_scalar(rng) for _ in range(ORDER - val - 1)
+        ]
+        yield EulerField(rand_scalar(rng), TSeries(coeffs))
+
+
+def _dense_map(rng) -> TSeries:
+    return TSeries(
+        [ZERO, rand_nonzero(rng)] + [rand_scalar(rng) for _ in range(ORDER - 2)]
+    )
+
+
+def test_reverse_at_order_16_takes_five_products_and_one_inversion(
+    products, monkeypatch
+):
+    inversions = [0]
+    invert = TSeries.invert
+
+    def counted_invert(self):
+        inversions[0] += 1
+        return invert(self)
+
+    monkeypatch.setattr(TSeries, "invert", counted_invert)
+    rng = random.Random(16)
+    for _ in range(5):
+        lam = _dense_map(rng)
+        before = products[0], inversions[0]
+        lam.reverse()
+        assert products[0] - before[0] == 5
+        assert inversions[0] - before[1] == 1
+        before = products[0]
+        series_oracle.reverse(lam)
+        assert products[0] - before == 15
+
+
+def test_compose_takes_one_product_less_than_the_outer_degree(products):
+    rng = random.Random(17)
+    lam = TSeries([ZERO] + [rand_scalar(rng) for _ in range(ORDER - 1)])
+    for d in range(ORDER):
+        f = TSeries.monomial(rand_nonzero(rng), d, ORDER)
+        before = products[0]
+        f.compose(lam)
+        assert products[0] - before == max(d - 1, 0)
+
+
+def test_e1_replay_substitutes_without_a_product(products, monkeypatch):
+    """In E1, lam' = 1/g, so the outer series lam' g is exactly 1."""
+    per_compose = []
+    compose = TSeries.compose
+
+    def counted_compose(self, lam):
+        before = products[0]
+        out = compose(self, lam)
+        per_compose.append(products[0] - before)
+        return out
+
+    monkeypatch.setattr(TSeries, "compose", counted_compose)
+    for e in _euler_fields("E1", 1):
+        nz = euler_normal_form(e)
+        assert nz.normal_form.family == "E1"
+        assert verify_normalization(e, nz)
+    assert per_compose == [0] * 6
+
+
+@pytest.mark.parametrize("shape", ["E1", "E3", "E4"])
+def test_each_replay_takes_fewer_products_than_before(products, shape):
+    seed = 1 if shape == "E1" else 3
+    for e, parent in zip(_euler_fields(shape, seed), PARENT_REPLAY_PRODUCTS[shape]):
+        nz = euler_normal_form(e)
+        assert nz.normal_form.family == shape and nz.lam is not None
+        before = products[0]
+        assert verify_normalization(e, nz)
+        assert products[0] - before < parent

@@ -28,6 +28,7 @@ from connexa.series import (
 
 import connmat_oracle as oracle
 import plane_oracle
+import series_oracle
 from conftest import rand_nonzero
 from fraction_scalar import (
     F_ONE,
@@ -175,6 +176,133 @@ def test_reverse_round_trip(lam):
     assert lam.compose(rev) == TSeries.var(ORDER)
     n = ORDER - 1
     assert rev.reverse().truncate(n) == lam.truncate(n)
+
+
+# -- reversion and substitution against the loops they replace ---------------
+
+
+def _fields(s: TSeries) -> tuple[list[int], list[int], int]:
+    return s.re, s.im, s.den
+
+
+def _nonzero_coeff(rnd, gauss):
+    while True:
+        c = _rand_coeff(rnd, gauss)
+        if not c.is_zero():
+            return c
+
+
+def _reversible_maps(rnd, order):
+    """Maps fixing 0 with lam_1 != 0 at one order: dense real, dense
+    Gaussian, sparse, lam_1 alone, and lam_1 and the top coefficient with
+    zeros between."""
+    def head(gauss=True):
+        return [ZERO, _nonzero_coeff(rnd, gauss)]
+
+    yield head(False) + [_rand_coeff(rnd, False) for _ in range(order - 2)]
+    yield head() + [_rand_coeff(rnd, True) for _ in range(order - 2)]
+    yield head() + [
+        _rand_coeff(rnd, True) if rnd.random() < 0.3 else ZERO for _ in range(order - 2)
+    ]
+    yield head() + [ZERO] * (order - 2)
+    if order >= 3:
+        yield head() + [ZERO] * (order - 3) + [_nonzero_coeff(rnd, True)]
+
+
+def test_reverse_matches_the_power_loop_at_every_order():
+    """Orders 2-24 (order 1 refuses, below) take in every n with n - 1 a
+    perfect square (5, 10, 17) and one past it (6, 11, 18), where the baby
+    and giant steps meet exactly or leave one power over."""
+    rnd = random.Random(24)
+    for order in range(2, 25):
+        for cs in _reversible_maps(rnd, order):
+            lam = TSeries(cs)
+            got = lam.reverse()
+            _assert_canonical(got)
+            assert _fields(got) == _fields(series_oracle.reverse(lam))
+            assert got == _series_of(_frac_reverse(frac_coeffs(lam)))
+
+
+def test_reverse_refuses_what_the_power_loop_refuses():
+    lam = TSeries.of([0, 2, 1], 6)
+    moved = TSeries.of([1, 2, 1], 6)
+    flat = TSeries.of([0, 0, 1, 3], 6)
+    for fn in (TSeries.reverse, series_oracle.reverse):
+        with pytest.raises(NotInvertibleError, match="does not fix 0"):
+            fn(moved)
+        with pytest.raises(NotInvertibleError, match="derivative vanishes"):
+            fn(flat)
+        with pytest.raises(NotInvertibleError, match="derivative vanishes"):
+            fn(TSeries.of([0], 1))
+        assert fn(lam).order == 6
+
+
+@given(
+    st.integers(2, docio.MAX_ORDER), st.integers(0, 2**32), st.sampled_from([0.2, 1.0])
+)
+@settings(max_examples=40, deadline=None)
+def test_reverse_of_the_reverse_is_the_map(order, seed, density):
+    """Coefficient m of the reverse needs lam_1..lam_m only, so reversing
+    twice gives lam back on the whole window, up to the documents' largest
+    order."""
+    rnd = random.Random(seed)
+    lam = TSeries(
+        [ZERO, rand_nonzero(rnd, 3)]
+        + [rand_nonzero(rnd, 3) if rnd.random() < density else ZERO
+           for _ in range(order - 2)]
+    )
+    assert lam.reverse().reverse() == lam
+
+
+def test_compose_matches_horner_and_the_full_table_at_every_outer_degree():
+    """Outer series of every degree d = 0..n-1, the zero series, and sparse
+    ones; the table stops at d, and the result equals Horner's and the full
+    table's field for field."""
+    rnd = random.Random(25)
+    for order in (1, 2, 3, 5, 8, 16):
+        lam = TSeries([ZERO] + [_rand_coeff(rnd, True) for _ in range(order - 1)])
+        outers = [TSeries.zero(order), TSeries.one(order)]
+        for d in range(order):
+            for density in (1.0, 0.3):
+                cs = [_rand_coeff(rnd, True) if rnd.random() < density else ZERO
+                      for _ in range(d)]
+                outers.append(TSeries(cs + [_nonzero_coeff(rnd, True)]
+                                      + [ZERO] * (order - d - 1)))
+        for f in outers:
+            got = f.compose(lam)
+            _assert_canonical(got)
+            assert _fields(got) == _fields(oracle.ts_compose(f, lam))
+            assert _fields(got) == _fields(series_oracle.compose(f, lam))
+
+
+def test_compose_refusals_at_every_outer_degree():
+    moved = TSeries.of([1, 1], 6)
+    for f in (TSeries.zero(6), TSeries.one(6), TSeries.of([1, 2, 3], 6),
+              TSeries.of([1, 2, 3, 4, 5, 6], 6)):
+        with pytest.raises(CompositionError):
+            f.compose(moved)
+        with pytest.raises(CompositionError):
+            series_oracle.compose(f, moved)
+        for n in (5, 7):
+            with pytest.raises(OrderMismatchError):
+                f.compose(TSeries.var(n))
+            with pytest.raises(OrderMismatchError):
+                series_oracle.compose(f, TSeries.var(n))
+            with pytest.raises(OrderMismatchError):
+                f.compose_t2(t2_powers(TSeries.var(n), 2))
+
+
+def test_power_table_rows():
+    lam = TSeries.of([0, 2, S(1, 1)], 5)
+    full = series_oracle.full_powers(lam)
+    assert t2_powers(lam, 5) == full
+    assert t2_powers(lam, 0) == ([], [], 1)
+    pre, pim, den = t2_powers(lam, 3)
+    assert len(pre) == len(pim) == 3 and all(len(r) == 5 for r in pre + pim)
+    # the rows are the full table's first three, over their own denominator
+    for k in range(3):
+        assert [x * full[2] for x in pre[k]] == [x * den for x in full[0][k]]
+        assert [y * full[2] for y in pim[k]] == [y * den for y in full[1][k]]
 
 
 def test_derivative():
@@ -384,7 +512,7 @@ def test_plane_ops_on_a_row_return_a_row(pair, c, k):
     n = a.order
     pa, pb = _one_row_plane(a), _one_row_plane(b)
     poly = TSeries.of(a.truncate(n - 1).coeffs, n)  # a vanishing top coefficient
-    powers = t2_powers(b.shift(1))
+    powers = t2_powers(b.shift(1), n)
     cases = [
         (a, pa),
         (a + b, pa + pb),
