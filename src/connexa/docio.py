@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import ne
 from typing import Any
@@ -83,17 +83,22 @@ def _literal(x) -> Scalar:
 
 
 def _plane_from_json(rows: list[list], nt: int, where: str) -> Plane:
-    """The plane whose z-row k holds the literals ``rows[k]``, in one pass
-    over its non-"0" literals: all plain integers are read by int(), else
-    each goes through ``_literal`` and the plane is placed at the lcm of
-    their denominators, which is canonical again and at most
-    ``MAX_DEN_BITS`` bits."""
-    data = list(chain.from_iterable(rows))
-    n = len(data)
-    if data.count("0") == n:
+    """The plane whose z-row k holds the literals ``rows[k]``, read row by
+    row: a row equal to the all-"0" row is skipped whole, and of the others
+    only the non-"0" literals are read.  If all are plain integers they are
+    read by int(), else each goes through ``_literal`` and the plane is
+    placed at the lcm of their denominators, which is canonical again and
+    at most ``MAX_DEN_BITS`` bits."""
+    zero = ["0"] * nt
+    live: list[int] = []
+    vals: list = []
+    for a, row in zip(range(0, len(rows) * nt, nt), rows):
+        if row != zero:
+            mask = list(map(ne, row, zero))
+            live += compress(range(a, a + nt), mask)
+            vals += compress(row, mask)
+    if not live:
         return Plane.zero(len(rows), nt)
-    live = list(compress(range(n), map(ne, data, repeat("0"))))
-    vals = list(map(data.__getitem__, live))
     ints = _ints_from_json(vals)
     if ints is not None:
         return Plane._at(len(rows), nt, zip(live, ints, repeat(0)), 1)

@@ -58,6 +58,15 @@ def _reduce(re: list[int], im: list[int], den: int, g: int):
     return re, im, den
 
 
+# The largest order, in z and in t2, of a shared zero window: the largest
+# window a document or an order flag admits (docio.MAX_ORDER), so the
+# shared windows stay bounded whatever a run reads.
+SHARED_ZERO_ORDER = 64
+
+# The shared zero windows, keyed by (class, nz, nt); see Plane._zero.
+_ZEROS: dict = {}
+
+
 class Plane:
     """An nz x nt window of a series in z and t2; entry (k, n) is the
     coefficient of z^k t2^n.
@@ -66,11 +75,12 @@ class Plane:
     entry (k, n) is (re[k*nt + n] + im[k*nt + n] i) / den with den > 0 and
     gcd(den, re, im) = 1, so the zero window has den = 1 and equal windows
     have equal fields.  ``re`` and ``im`` are lists that must never be
-    changed in place: operations may return an operand itself, and ``==``,
-    ``hash`` and the canonical form read them.  The support is scanned at
-    most once; a window built as zero records the empty support, so
-    ``is_zero`` and every linear operation cost O(1) on it, and one built
-    from its nonzero entries (``_at``) records them.  The
+    changed in place: operations may return an operand itself, ``==``,
+    ``hash`` and the canonical form read them, and the zero window is one
+    shared object per class and window (``_zero``).  The support is
+    scanned at most once; a window built as zero records the empty
+    support, so ``is_zero`` and every linear operation cost O(1) on it,
+    and one built from its nonzero entries (``_at``) records them.  The
     elementwise operations build their result through ``_new``, so on a
     ``TSeries`` (the one-row window) they return a ``TSeries``.
     """
@@ -100,10 +110,17 @@ class Plane:
 
     @classmethod
     def _zero(cls, nz: int, nt: int) -> Plane:
-        """The zero nz x nt window of the class, its empty support recorded."""
-        n = nz * nt
-        out = cls._new(nz, nt, [0] * n, [0] * n, 1, 1)
-        out._support = []
+        """The zero nz x nt window of the class, its empty support recorded:
+        built once and shared while both orders are at most
+        ``SHARED_ZERO_ORDER``, built fresh past it."""
+        key = (cls, nz, nt)
+        out = _ZEROS.get(key)
+        if out is None:
+            zeros = [0] * (nz * nt)  # re and im alike: neither is ever changed
+            out = cls._new(nz, nt, zeros, zeros, 1, 1)
+            out._support = []
+            if nz <= SHARED_ZERO_ORDER and nt <= SHARED_ZERO_ORDER:
+                _ZEROS[key] = out
         return out
 
     @staticmethod

@@ -28,6 +28,7 @@ from connexa.scalars import Scalar
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries
 
 from conftest import rand_scalar
+from test_cli import SMALL_WINDOWS
 
 # A literal past the int/str conversion limit of 4,300 digits.
 LONG = "7" * 5000
@@ -171,6 +172,99 @@ def test_zero_planes_match_row_oracle(value):
             assert (p.re, p.im, p.den) == (q.re, q.im, q.den)
             assert p.is_zero() == q.is_zero()
             assert p.support() == q.support()
+
+
+def _fields(p: Plane):
+    return type(p), p.order, p.re, p.im, p.den, p.support()
+
+
+def _cut(doc: dict, nz: int, nt: int) -> dict:
+    """The document of the nz x nt window of ``doc``'s coefficients."""
+    out = copy.deepcopy(doc)
+    out["orders"].update(nz=nz, nt=nt)
+    for mat in out["matrices"].values():
+        for c, slots in mat.items():
+            mat[c] = [[row[:nt] for row in slot] for slot in slots[:nz]]
+    return out
+
+
+FIXTURE_DOCUMENTS = {
+    name: structure_to_document(build_fixture(name, 16, 16)) for name in fixture_names()
+}
+
+
+@pytest.mark.parametrize("nz, nt", SMALL_WINDOWS + [(16, 16)])
+def test_fixture_documents_match_row_oracle(nz, nt):
+    # every component of every fixture document, cut to the window, reads
+    # as the row-wise reader read it, field for field, the recorded
+    # support included
+    for name, full in FIXTURE_DOCUMENTS.items():
+        doc = _cut(full, nz, nt)
+        got = structure_from_document(doc)
+        for m in ("A1", "A2", "B"):
+            for c in ("c1", "c2", "d", "e"):
+                want = document_oracle._zt_from_json(doc["matrices"][m][c], nz, nt)
+                have = getattr(getattr(got, m), c)
+                for p, q in zip((have.planes.const, have.planes.slope),
+                                (want.planes.const, want.planes.slope)):
+                    assert _fields(p) == _fields(q), (name, m, c)
+
+
+def _read(read, rows, nt):
+    """The plane ``read`` makes of ``rows``, or the error it raises."""
+    try:
+        return _fields(read(rows, nt, "A1.c1 constant part"))
+    except DocumentError as exc:
+        return str(exc)
+
+
+# Values among "0" literals: zeros the "0" test does not see, rationals, and
+# JSON values no reader takes.
+AMONG_ZEROS = [0, "-0", "00", "7", "1/2", "-3/4*i", False, None, 0.0, [0], ["0"], "0 "]
+
+
+def test_zero_rows_between_live_rows_match_the_flat_reader(tmp_path):
+    # all-"0" rows between, above and below live rows, and one value among
+    # the zeros of any row, give the flat reader's plane or its error text,
+    # and a refused plane exits 2 with that text
+    nt = 3
+    live = [["1", "0", "-2"], ["0", "5/3", "0"]]
+    zero = ["0"] * nt
+    layouts = [
+        [live[0], zero, zero, live[1]],
+        [zero, live[0], zero, zero, live[1], zero],
+        [zero, zero, live[1]],
+        [live[0], zero],
+        [zero, zero, zero],
+    ]
+    refused = 0
+    for rows in layouts:
+        for value in [None] + AMONG_ZEROS:
+            for k in range(len(rows)) if value is not None else [None]:
+                for n in range(nt):
+                    case = [list(r) for r in rows]
+                    if k is not None:
+                        case[k][n] = value
+                    want = _read(document_oracle.flat_plane_from_json, case, nt)
+                    assert _read(docio._plane_from_json, case, nt) == want, case
+                    if isinstance(want, str):
+                        refused += 1
+                        doc = copy.deepcopy(BASE)
+                        doc["matrices"]["A1"]["c1"] = [[r, zero] for r in case]
+                        doc["orders"]["nz"] = len(case)
+                        for m in ("A1", "A2", "B"):
+                            for c in ("c1", "c2", "d", "e"):
+                                if (m, c) != ("A1", "c1"):
+                                    doc["matrices"][m][c] = [[zero, zero]] * len(case)
+                        target = tmp_path / "doc.json"
+                        target.write_text(dumps_document(doc))
+                        code, out, err = _verify(target)
+                        assert (code, out, err) == (2, "", f"parse error: {want}\n")
+    assert refused
+    # a row of the wrong length is refused before any plane is read
+    for bad in (["0"] * (nt - 1), ["0"] * (nt + 1)):
+        with pytest.raises(DocumentError, match="^coefficient array has the wrong length$"):
+            docio._zt_from_json([[zero, zero], [bad, zero]], 2, nt, "A1.c1")
 
 
 @pytest.mark.parametrize("value", [False, 0.0, None])

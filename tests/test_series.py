@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connexa import docio
+from connexa import cli, docio, selftest
+from connexa.connmat import Mat2
 from connexa.errors import (
     CompositionError,
     NotAUnitError,
@@ -14,8 +17,11 @@ from connexa.errors import (
     OrderMismatchError,
     T1DegreeError,
 )
+from connexa.fixtures import fixture_names, write_fixtures
 from connexa.scalars import ONE, S, Scalar, ZERO
 from connexa.series import (
+    _ZEROS,
+    SHARED_ZERO_ORDER,
     AffinePoly1,
     Laurent,
     Plane,
@@ -1007,6 +1013,36 @@ def test_zero_windows_record_their_support():
         for out in (z.derivative(), z.derivative_exact(), z.dz(), z.zdz(), z.z2dz(),
                     z.shift_z(1), Plane.truncate(z, 1, 1)):
             assert out._support == [] and out.den == 1
+
+
+def test_zero_windows_are_shared_up_to_the_document_bound(tmp_path):
+    # one zero window per class and window, up to the largest window a
+    # document admits; none of the pipelines changes a shared one
+    assert SHARED_ZERO_ORDER == docio.MAX_ORDER
+    assert Plane.zero(3, 4) is Plane.zero(3, 4) is ZTSeries.zero(3, 4).planes.slope
+    assert Mat2.zero(3, 4).e.planes.const is Plane.zero(3, 4)
+    z = TSeries.zero(5)
+    assert type(z) is TSeries and z is TSeries.zero(5) and z is not Plane.zero(1, 5)
+    assert z.coeffs == (ZERO,) * 5 and z == Plane.zero(1, 5)
+    write_fixtures(str(tmp_path), 16, 16)
+    for name in fixture_names():
+        for cmd in ("verify", "prenormal", "formal-nf", "classify"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    cli.main([cmd, str(tmp_path / f"{name}.json")])
+    assert selftest.criterion_round_trip(samples=10)[0]
+    shared = list(_ZEROS.values())
+    assert {(type(w), w.order) for w in shared} >= {(Plane, (16, 16)), (Plane, (10, 6))}
+    for w in shared:
+        assert w.den == 1 and not any(w.re) and not any(w.im)
+        assert w.support() == [] and len(w.re) == len(w.im) == w.nz * w.nt
+    # past the bound each zero window is built fresh and not kept
+    big = SHARED_ZERO_ORDER + 1
+    for nz, nt in ((big, 1), (1, big)):
+        w = Plane.zero(nz, nt)
+        assert w.is_zero() and w is not Plane.zero(nz, nt)
+        assert (Plane, nz, nt) not in _ZEROS
+    assert TSeries.zero(big) is not TSeries.zero(big)
 
 
 @st.composite
