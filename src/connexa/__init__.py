@@ -40,7 +40,6 @@ from .origin import (
 from .malgrange import (
     MalgrangeState,
     assign_c1,
-    build_hnf,
     classify_holomorphic,
     first_type_normal_form,
     holo_normal_form_second_type,

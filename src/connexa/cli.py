@@ -15,7 +15,6 @@ from . import selftest
 from .connmat import ConstMat, Mat2, flatness_residuals
 from .docio import (
     DEFAULT_ORDER,
-    MAX_ORDER,
     Report,
     dumps_document,
     structure_to_document,
@@ -27,7 +26,7 @@ from .formalnf import formal_iso_decision, formal_normal_form, to_prenormal
 from .malgrange import classify_holomorphic, malgrange_connection, malgrange_xy
 from .origin import BirkhoffData, birkhoff_iso_decision
 from .scalars import Scalar
-from .series import TSeries
+from .series import MAX_ORDER, TSeries
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -239,7 +238,7 @@ def cmd_euler_realizable(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_all(fast=args.fast)
+    results = selftest.run_all()
     out = Report("selftest")
     ok = True
     for name, passed, detail in results:
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_euler_realizable)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--fast", action="store_true", help="smaller sample sizes")
     p.set_defaults(fn=cmd_selftest)
 
     p = sub.add_parser("write-fixtures", help="materialize built-in fixtures")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from math import lcm
@@ -17,15 +18,9 @@ from typing import Any
 from .connmat import Mat2, TEStruct
 from .errors import DocumentError
 from .scalars import Scalar, integer
-from .series import AffinePoly1, Plane, ZTSeries, _scalar
+from .series import MAX_ORDER, AffinePoly1, Plane, ZTSeries, _scalar
 
 FORMAT_TAG = "connexa-structure/1"
-
-# Largest window order, for documents and --order-z/--order-t alike: four
-# times the largest window any test, fixture or selftest criterion uses
-# (16).  A dense product costs O(nz^2 nt^2), so without a cap one document
-# or argument can start a run that never ends in practice.
-MAX_ORDER = 64
 
 # Largest common denominator, in bits, of one plane of a document.  The
 # reader puts a plane over the lcm of its literals' denominators, and
@@ -40,15 +35,29 @@ DEFAULT_ORDER = 16
 
 
 def _plane_to_json(p: Plane) -> list[list[str]]:
-    """The z-rows of p as literal arrays, written from its numerators."""
+    """The z-rows of p as literal arrays, written from its numerators.  A
+    plane the reader would refuse is refused here: one whose common
+    denominator passes ``MAX_DEN_BITS``, or with a literal past the int/str
+    conversion limit."""
     nt, den = p.nt, p.den
+    if den.bit_length() > MAX_DEN_BITS:  # p is canonical: den is that lcm
+        raise DocumentError(
+            f"a plane's common denominator exceeds the budget of {MAX_DEN_BITS}"
+            " bits; no document is written"
+        )
     rows = []
-    for a in range(0, p.nz * nt, nt):
-        re, im = p.re[a : a + nt], p.im[a : a + nt]
-        if any(re) or any(im):
-            rows.append([str(_scalar(x, y, den)) for x, y in zip(re, im)])
-        else:
-            rows.append(["0"] * nt)
+    try:
+        for a in range(0, p.nz * nt, nt):
+            re, im = p.re[a : a + nt], p.im[a : a + nt]
+            if any(re) or any(im):
+                rows.append([str(_scalar(x, y, den)) for x, y in zip(re, im)])
+            else:
+                rows.append(["0"] * nt)
+    except ValueError:  # str() of an int past the limit
+        raise DocumentError(
+            "a coefficient exceeds the int/str conversion limit of"
+            f" {sys.get_int_max_str_digits()} digits; no document is written"
+        ) from None
     return rows
 
 
@@ -217,8 +226,9 @@ def loads_document(text: str) -> dict:
 
 
 def save_structure(s: TEStruct, path: str):
+    text = dumps_document(structure_to_document(s))  # a refusal opens no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(structure_to_document(s)))
+        fh.write(text)
 
 
 def load_structure(path: str) -> TEStruct:

@@ -8,44 +8,32 @@ from .connmat import TEStruct
 from .docio import DEFAULT_ORDER, load_structure, save_structure
 from .errors import DocumentError
 from .formalnf import NormalFormId, build_normal_form
-from .malgrange import build_hnf
 from .scalars import S
 
 FIXTURES_ENV = "CONNEXA_FIXTURES"
 
 
-def _formal(family, **params):
-    def build(nz: int, nt: int) -> TEStruct:
-        return build_normal_form(NormalFormId(family, params), nz, nt)
-
-    return build
-
-
-def _holo(family, **params):
-    def build(nz: int, nt: int) -> TEStruct:
-        return build_hnf(NormalFormId(family, params), nz, nt)
-
-    return build
-
-
+# Built-in fixture name -> the normal form it is built as.
 FIXTURES = {
-    "fminus1": _formal("F1", c=S(1), alpha=S("1/2"), c0=S(2)),
-    "fminus1_c0zero": _formal("F1", c=S(1), alpha=S("1/2"), c0=S(0)),
-    "f1_r1": _formal("FR", c=S(1), alpha=S("1/2"), r=1),
-    "f1_r2": _formal("FR", c=S(1), alpha=S("1/2"), r=2),
-    "f1_r3": _formal("FR", c=S(0), alpha=S(1), r=3),
-    "nf3_1": _formal("NF3-1", c=S(1), alpha=S(0)),
-    "nf3_2": _formal("NF3-2", c=S(0), alpha=S(1)),
-    "nf3_3": _formal("NF3-3", c=S(0), alpha=S(0), lam=S("1/2")),
-    "nf3_4": _formal("NF3-4", c=S(1), alpha=S("1/3"), lam=S("3/2")),
-    "nf3_5": _formal("NF3-5", c=S(0), alpha=S(0), lam=S(1), gamma=S(1)),
-    "nf3_6": _formal("NF3-6", c=S(0), alpha=S(0), lam=S(2)),
-    "nf3_7": _formal("NF3-7", c=S(0), alpha=S(0), lam=S(1)),
-    "nf3_8": _formal("NF3-8", c=S(0), alpha=S(0), lam=S(-1)),
-    "nf3_9": _formal("NF3-9", c=S(0), alpha=S(0), lam=S(-2)),
-    "mal1": _holo("HNF-MAL1", c=S(0), alpha=S(0), c0=S(1)),
-    "mal2_lambda1": _holo("HNF-MAL2", c=S(0), alpha=S(0), c0=S(1), lam=S(1)),
-    "mal3": _holo("HNF-MAL3", c=S(0), alpha=S(0), c0=S(1)),
+    "fminus1": NormalFormId("F1", dict(c=S(1), alpha=S("1/2"), c0=S(2))),
+    "fminus1_c0zero": NormalFormId("F1", dict(c=S(1), alpha=S("1/2"), c0=S(0))),
+    "f1_r1": NormalFormId("FR", dict(c=S(1), alpha=S("1/2"), r=1)),
+    "f1_r2": NormalFormId("FR", dict(c=S(1), alpha=S("1/2"), r=2)),
+    "f1_r3": NormalFormId("FR", dict(c=S(0), alpha=S(1), r=3)),
+    "nf3_1": NormalFormId("NF3-1", dict(c=S(1), alpha=S(0))),
+    "nf3_2": NormalFormId("NF3-2", dict(c=S(0), alpha=S(1))),
+    "nf3_3": NormalFormId("NF3-3", dict(c=S(0), alpha=S(0), lam=S("1/2"))),
+    "nf3_4": NormalFormId("NF3-4", dict(c=S(1), alpha=S("1/3"), lam=S("3/2"))),
+    "nf3_5": NormalFormId("NF3-5", dict(c=S(0), alpha=S(0), lam=S(1), gamma=S(1))),
+    "nf3_6": NormalFormId("NF3-6", dict(c=S(0), alpha=S(0), lam=S(2))),
+    "nf3_7": NormalFormId("NF3-7", dict(c=S(0), alpha=S(0), lam=S(1))),
+    "nf3_8": NormalFormId("NF3-8", dict(c=S(0), alpha=S(0), lam=S(-1))),
+    "nf3_9": NormalFormId("NF3-9", dict(c=S(0), alpha=S(0), lam=S(-2))),
+    "mal1": NormalFormId("HNF-MAL1", dict(c=S(0), alpha=S(0), c0=S(1))),
+    "mal2_lambda1": NormalFormId(
+        "HNF-MAL2", dict(c=S(0), alpha=S(0), c0=S(1), lam=S(1))
+    ),
+    "mal3": NormalFormId("HNF-MAL3", dict(c=S(0), alpha=S(0), c0=S(1))),
 }
 
 
@@ -55,10 +43,10 @@ def fixture_names() -> list[str]:
 
 def build_fixture(name: str, nz: int, nt: int) -> TEStruct:
     try:
-        builder = FIXTURES[name]
+        nfid = FIXTURES[name]
     except KeyError:
         raise DocumentError(f"unknown fixture {name!r}") from None
-    return builder(nz, nt)
+    return build_normal_form(nfid, nz, nt)
 
 
 def resolve_structure(

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
-from .series import Plane, TSeries, ZTSeries, geometric, plane_dot
+from .series import Plane, TSeries, ZTSeries, exp_linear, geometric, plane_dot
 
 _NEG_HALF = -HALF
 
@@ -262,11 +262,17 @@ def solve_b2_extensions(f: ZTSeries) -> ExtensionFamily:
 
 
 def normal_form_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm:
-    """Pre-normal data of a formal normal form at the given orders."""
+    """Pre-normal data of a normal form, formal or holomorphic, at the given
+    orders."""
     fam = nfid.family
     pr = nfid.params
     c = S(pr.get("c", 0))
     alpha = S(pr.get("alpha", 0))
+    if fam in HOLO_FAMILIES:
+        f, b2 = _hnf_series(fam, pr, nt)
+        return PreNormalForm(
+            ZTSeries.from_tpoly(f, nz - 1), ZTSeries.from_tpoly(b2, nz), c, alpha
+        )
     t2 = TSeries.var(nt)
     if fam == "F1":
         c0 = S(pr.get("c0", 0))
@@ -301,11 +307,32 @@ def normal_form_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm
         )
     elif fam == "NF3-6":
         rows = with_tail(t2.scale(lam), lam.as_int(), TSeries.monomial(ONE, 2, nt))
-    elif fam == "NF3-8":
+    else:  # NF3-8
         rows = with_tail(t2.scale(lam), (-lam).as_int(), TSeries.one(nt))
-    else:
-        raise UnsupportedShapeError(f"not a formal family: {fam}")
     return PreNormalForm(f, ZTSeries.from_zcoeffs(rows, nz), c, alpha)
+
+
+def _hnf_series(fam: str, pr: dict, nt: int) -> tuple[TSeries, TSeries]:
+    """(f, b2) of a holomorphic (second-type) normal form, as t2-series."""
+    c0 = S(pr["c0"])
+    if c0.is_zero():
+        raise ShapeError("holomorphic normal forms need c0 != 0")
+    c0sq = c0 * c0
+    if fam == "HNF-MAL1":  # f = c0^2/(1 - t2)
+        return geometric(ONE, nt).scale(c0sq), TSeries.one(nt) - TSeries.var(nt)
+    if fam == "HNF-MAL3":
+        return exp_linear(-ONE, nt).scale(c0sq), TSeries.one(nt)
+    lam = S(pr["lam"])  # HNF-MAL2
+    root = lam + ONE  # pencil_branch reads back the principal root
+    principal = root.a > 0 or (root.a == 0 and root.b > 0)
+    if not principal or lam.is_zero() or lam == _NEG_HALF:
+        raise ShapeError(
+            "HNF-MAL2 needs lam not 0 or -1/2, with lam + 1 on the principal"
+            " square-root branch (re > 0, or re = 0 and im > 0)"
+        )
+    base = TSeries.one(nt) + TSeries.monomial(lam / c0, 1, nt)
+    f = base.pow_scalar(-(integer(2) + ONE / lam))
+    return f, TSeries.var(nt).scale(lam) + TSeries.const(c0, nt)
 
 
 def build_normal_form(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:

@@ -17,9 +17,7 @@ from .errors import ExactFieldError, FlatnessError, ShapeError, UnfoldingError
 from .formalnf import (
     Classification,
     NormalFormId,
-    PreNormalForm,
     build_normal_form,
-    build_prenormal_struct,
     formal_normal_form,
     to_prenormal,
 )
@@ -35,7 +33,7 @@ from .origin import (
     restrict_prenormal,
 )
 from .scalars import HALF, ONE, QUARTER, ZERO, S, Scalar, dot, integer
-from .series import TSeries, ZTSeries, exp_linear, geometric
+from .series import TSeries, ZTSeries, exp_linear
 
 _SIXTEEN = integer(16)
 
@@ -197,45 +195,6 @@ def malgrange_connection(
 # holomorphic normal forms
 
 
-def hnf_prenormal(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm:
-    """Pre-normal data (f, b2) of a holomorphic (second-type) normal form."""
-    pr = nfid.params
-    c = S(pr.get("c", 0))
-    alpha = S(pr.get("alpha", 0))
-    c0 = S(pr["c0"])
-    if c0.is_zero():
-        raise ShapeError("holomorphic normal forms need c0 != 0")
-    c0sq = c0 * c0
-    if nfid.family == "HNF-MAL1":
-        f = geometric(ONE, nt).scale(c0sq)  # c0^2/(1 - t2)
-        b2 = TSeries.one(nt) - TSeries.var(nt)
-    elif nfid.family == "HNF-MAL3":
-        f = exp_linear(-ONE, nt).scale(c0sq)
-        b2 = TSeries.one(nt)
-    elif nfid.family == "HNF-MAL2":
-        lam = S(pr["lam"])
-        root = lam + ONE  # pencil_branch reads back the principal root
-        principal = root.a > 0 or (root.a == 0 and root.b > 0)
-        if not principal or lam.is_zero() or lam == -HALF:
-            raise ShapeError(
-                "HNF-MAL2 needs lam not 0 or -1/2, with lam + 1 on the principal"
-                " square-root branch (re > 0, or re = 0 and im > 0)"
-            )
-        base = TSeries.one(nt) + TSeries.monomial(lam / c0, 1, nt)
-        f = base.pow_scalar(-(integer(2) + ONE / lam))
-        b2 = TSeries.var(nt).scale(lam) + TSeries.const(c0, nt)
-    else:
-        raise ShapeError(f"not a holomorphic-only family: {nfid.family}")
-    return PreNormalForm(
-        ZTSeries.from_tpoly(f, nz - 1), ZTSeries.from_tpoly(b2, nz), c, alpha
-    )
-
-
-def build_hnf(nfid: NormalFormId, nz: int, nt: int) -> TEStruct:
-    """Structure matrices of the holomorphic (second-type) normal forms."""
-    return build_prenormal_struct(hnf_prenormal(nfid, nz, nt))
-
-
 def pencil_branch(u: Scalar) -> tuple[str | None, Scalar, Scalar | None]:
     """The family of a normalized pencil with product u = c0 c1, as
     (family, (lam+1)^2, lam+1).
@@ -310,7 +269,7 @@ def holo_normal_form_second_type(
         nfid = NormalFormId(
             "HNF-MAL1", {"c": c, "alpha": alpha, "c0": c0}
         )
-        return SecondTypeResult(nfid, build_hnf(nfid, nz, nt), gauge, mu2, st)
+        return SecondTypeResult(nfid, build_normal_form(nfid, nz, nt), gauge, mu2, st)
     if family is None:
         raise ExactFieldError(f"branch constant needs sqrt({ratio}) outside Q(i)")
     if st.roots is None:
@@ -325,7 +284,7 @@ def holo_normal_form_second_type(
         nfid = NormalFormId(
             "HNF-MAL3", {"c": c, "alpha": alpha, "c0": c0}
         )
-        return SecondTypeResult(nfid, build_hnf(nfid, nz, nt), gauge, None, st)
+        return SecondTypeResult(nfid, build_normal_form(nfid, nz, nt), gauge, None, st)
     lam = root - ONE
     k = a
     k0_over_k1 = ONE / (a * a)
@@ -334,7 +293,7 @@ def holo_normal_form_second_type(
     nfid = NormalFormId(
         "HNF-MAL2", {"c": c, "alpha": alpha, "c0": c0, "lam": lam}
     )
-    return SecondTypeResult(nfid, build_hnf(nfid, nz, nt), gauge, mu2, st)
+    return SecondTypeResult(nfid, build_normal_form(nfid, nz, nt), gauge, mu2, st)
 
 
 def _frame_change(

@@ -37,7 +37,6 @@ from .formalnf import (
 )
 from .malgrange import (
     assign_c1,
-    hnf_prenormal,
     holo_normal_form_second_type,
     malgrange_xy,
     second_type_replay,
@@ -230,7 +229,7 @@ def _random_prenormal(rng, nz, nt) -> PreNormalForm:
     family = ("HNF-MAL1", "HNF-MAL3", "HNF-MAL2")[rng.randrange(3)]
     if family == "HNF-MAL2":
         params["lam"] = S(rng.randint(1, 3))
-    return hnf_prenormal(NormalFormId(family, params), nz, nt)
+    return normal_form_prenormal(NormalFormId(family, params), nz, nt)
 
 
 def criterion_elementary_dichotomy(samples=200, nz=8, nt=6):
@@ -475,26 +474,18 @@ def _fixture_is_zero_family(s) -> bool:
     return s.A2.e.is_zero()
 
 
-# (name, criterion, sample count under --fast; None runs the default)
 CRITERIA = [
-    ("1 normal-form flatness sweep", criterion_flatness_sweep, 3),
-    ("2 round-trip normalization", criterion_round_trip, 10),
-    ("3 elementary dichotomy", criterion_elementary_dichotomy, 40),
-    ("4 birkhoff decision table", criterion_birkhoff_table, None),
-    ("5 malgrange ode fidelity", criterion_malgrange_fidelity, None),
-    ("6 second-type replay", criterion_second_type_replay, None),
-    ("7 euler suite", criterion_euler_suite, None),
-    ("8 appendix suite", criterion_appendix_suite, None),
-    ("9 cross-module coherence", criterion_cross_module, None),
+    ("1 normal-form flatness sweep", criterion_flatness_sweep),
+    ("2 round-trip normalization", criterion_round_trip),
+    ("3 elementary dichotomy", criterion_elementary_dichotomy),
+    ("4 birkhoff decision table", criterion_birkhoff_table),
+    ("5 malgrange ode fidelity", criterion_malgrange_fidelity),
+    ("6 second-type replay", criterion_second_type_replay),
+    ("7 euler suite", criterion_euler_suite),
+    ("8 appendix suite", criterion_appendix_suite),
+    ("9 cross-module coherence", criterion_cross_module),
 ]
 
 
-def run_all(fast=False):
-    results = []
-    for name, fn, fast_samples in CRITERIA:
-        if fast and fast_samples is not None:
-            passed, detail = fn(samples=fast_samples)
-        else:
-            passed, detail = fn()
-        results.append((name, passed, detail))
-    return results
+def run_all():
+    return [(name, *fn()) for name, fn in CRITERIA]

@@ -58,10 +58,13 @@ def _reduce(re: list[int], im: list[int], den: int, g: int):
     return re, im, den
 
 
-# The largest order, in z and in t2, of a shared zero window: the largest
-# window a document or an order flag admits (docio.MAX_ORDER), so the
-# shared windows stay bounded whatever a run reads.
-SHARED_ZERO_ORDER = 64
+# Largest window order, in z and in t2, that a document or an
+# --order-z/--order-t flag admits, and the largest shared zero window: four
+# times the largest window any test, fixture or selftest criterion uses
+# (16).  A dense product costs O(nz^2 nt^2), so without a cap one document
+# or argument can start a run that never ends in practice; and the shared
+# zero windows stay bounded whatever a run reads.
+MAX_ORDER = 64
 
 # The shared zero windows, keyed by (class, nz, nt); see Plane._zero.
 _ZEROS: dict = {}
@@ -112,14 +115,14 @@ class Plane:
     def _zero(cls, nz: int, nt: int) -> Plane:
         """The zero nz x nt window of the class, its empty support recorded:
         built once and shared while both orders are at most
-        ``SHARED_ZERO_ORDER``, built fresh past it."""
+        ``MAX_ORDER``, built fresh past it."""
         key = (cls, nz, nt)
         out = _ZEROS.get(key)
         if out is None:
             zeros = [0] * (nz * nt)  # re and im alike: neither is ever changed
             out = cls._new(nz, nt, zeros, zeros, 1, 1)
             out._support = []
-            if nz <= SHARED_ZERO_ORDER and nt <= SHARED_ZERO_ORDER:
+            if nz <= MAX_ORDER and nt <= MAX_ORDER:
                 _ZEROS[key] = out
         return out
 

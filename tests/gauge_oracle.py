@@ -5,10 +5,11 @@ and each holomorphic normal form's pre-normal data had one constructor:
 the gauge matrices ``formalnf`` assembled by hand at the end of its
 unit-family and zero-family normalizations (and the one-variable loops
 behind the first), the acceptance suite's own random gauges and random
-pre-normal data, and the data ``malgrange.build_hnf`` built inline.  The
-package now calls ``formalnf.unit_family_gauge``,
-``formalnf.zero_family_gauge``, ``formalnf.normal_form_prenormal`` and
-``malgrange.hnf_prenormal``; the tests check it against these.
+pre-normal data, and the data the holomorphic normal forms were once built
+from inline.  The package now calls ``formalnf.unit_family_gauge``,
+``formalnf.zero_family_gauge`` and ``formalnf.normal_form_prenormal``,
+which builds the formal and the holomorphic families alike; the tests
+check it against these.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def random_prenormal(rng, nz, nt) -> PreNormalForm:
 
 
 def hnf_data(nfid: NormalFormId, nz: int, nt: int) -> PreNormalForm:
-    """The pre-normal data ``build_hnf`` built before turning it into a
-    structure."""
+    """The pre-normal data a holomorphic normal form was built from before
+    the formal and holomorphic families had one builder."""
     pr = nfid.params
     c = S(pr.get("c", 0))
     alpha = S(pr.get("alpha", 0))

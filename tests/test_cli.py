@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from connexa import cli
+from connexa import cli, selftest
 from connexa.connmat import Mat2, TEStruct
 from connexa.docio import (
     dumps_document,
+    load_structure,
     loads_document,
     save_structure,
     structure_from_document,
@@ -432,7 +433,7 @@ def test_cli_flags_a_command_does_not_read_exit_2(tmp_path):
                       "--out", str(tmp_path / "universal.json")),
         "euler-nf": ("euler-nf", "--g", "0,1"),
         "euler-realizable": ("euler-realizable", "--g", "0,0,1"),
-        "selftest": ("selftest", "--fast"),
+        "selftest": ("selftest",),
         "write-fixtures": ("write-fixtures", str(tmp_path / "fixtures")),
     }
     refused = 0
@@ -489,6 +490,21 @@ def test_cli_nmax_is_not_an_option():
     assert "--nmax" not in _run("--help").stdout
 
 
+def test_cli_selftest_reports_every_criterion():
+    code, out, err = _main("selftest")
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert [name for name, _fn in selftest.CRITERIA] + ["all"] == list(verdicts)
+    assert len(verdicts) == 10 and all(v is True for v in verdicts.values())
+    assert err.count("pass  ") == 9 and "FAIL" not in err
+
+
+def test_cli_selftest_fast_is_not_an_option():
+    out = _run("selftest", "--fast")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+
+
 # Windows too small for some fixture: each run either completes or is
 # refused as a precondition violation, never with an escaped exception.
 SMALL_WINDOWS = [
@@ -521,6 +537,33 @@ def test_cli_malgrange_document(tmp_path):
     assert out.returncode == 0
     verify = _run("verify", str(target))
     assert json.loads(verify.stdout)["verdicts"]["flat"] is True
+
+
+def test_cli_malgrange_writes_only_documents_that_load(tmp_path):
+    # the writer refuses what the reader refuses: a plane over a common
+    # denominator past MAX_DEN_BITS, or a literal past the int/str
+    # conversion limit, once escaped as a traceback from the writer
+    big = f"{3**620}/{7**350}"  # 296-digit numerator and denominator
+    mid = f"{3**84}/{7**48}"  # 41 digits over 41: enough at the largest window
+    cases = [
+        ((), "2", "0,2,0,1/2", 0),
+        ((), f"{3**40}/{7**20}", f"1/{3**20},{5**30}/7,{2**50}/11,1/13", 0),
+        ((), big, ",".join([big] * 4), 2),
+        ((), str(7**1800), f"1,{7**1800},2,3", 2),  # integers only, 1,521 digits
+        (("--order-t", "64"), mid, ",".join([mid] * 4), 2),
+    ]
+    for i, (window, c0, binf, want) in enumerate(cases):
+        target = tmp_path / f"m{i}.json"
+        code, out, err = _main(
+            *window, "malgrange", f"--c0={c0}", f"--binf={binf}", "--out", str(target)
+        )
+        assert (code, out) == (want, ""), (i, err)
+        if code == 0:
+            load_structure(str(target))
+        else:
+            assert err.startswith("parse error: ") and err.count("\n") == 1, err
+            assert ("4096 bits" in err) != ("4300 digits" in err), err
+            assert not target.exists()
 
 
 def test_cli_fixtures_dir(tmp_path):

@@ -20,7 +20,8 @@ from connexa.formalnf import (
     unit_family_gauge,
     zero_family_gauge,
 )
-from connexa.malgrange import assign_c1, build_hnf, hnf_prenormal, pencil_branch
+from connexa.fixtures import FIXTURES, build_fixture
+from connexa.malgrange import assign_c1, pencil_branch
 from connexa.scalars import ONE, ZERO, S
 from connexa.series import TSeries, ZTSeries
 
@@ -138,15 +139,25 @@ HNF_PARAMS = [
 ]
 
 
+# The built-in fixture of each holomorphic family.
+HNF_FIXTURES = {"HNF-MAL1": "mal1", "HNF-MAL2": "mal2_lambda1", "HNF-MAL3": "mal3"}
+
+
 @pytest.mark.parametrize("family, params", HNF_PARAMS)
 def test_hnf_prenormal_is_the_data_build_hnf_used(family, params):
+    # the one normal-form catalogue builds the data the holomorphic forms
+    # were once built from, and so does the fixture of the family
     nfid = NormalFormId(family, {"c": S(1), "alpha": S("1/2"), **params})
+    fixture = HNF_FIXTURES[family]
+    assert FIXTURES[fixture].family == family
     for nz, nt in ((3, 4), (8, 8)):
-        p = hnf_prenormal(nfid, nz, nt)
+        p = normal_form_prenormal(nfid, nz, nt)
         assert p == oracle.hnf_data(nfid, nz, nt)
-        s = build_hnf(nfid, nz, nt)
+        s = build_normal_form(nfid, nz, nt)
         assert s == build_prenormal_struct(p)
         assert to_prenormal(s)[0] == p
+        want = oracle.hnf_data(FIXTURES[fixture], nz, nt)
+        assert build_fixture(fixture, nz, nt) == build_prenormal_struct(want)
 
 
 @pytest.mark.parametrize("family, params", HNF_PARAMS)

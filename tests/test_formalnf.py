@@ -474,6 +474,9 @@ def test_all_normal_forms_flat():
         ("FR", dict(r=3)),
         ("NF3-5", dict(lam=S(1), gamma=S(1))),
         ("NF3-8", dict(lam=S(-2))),
+        ("HNF-MAL1", dict(c0=S(2))),
+        ("HNF-MAL2", dict(c0=S("1/3"), lam=S(2))),
+        ("HNF-MAL3", dict(c0=S(1, -1))),
     ]:
         nf = NormalFormId(family, dict(c=S(1), alpha=S("1/2"), **params))
         assert flatness_residuals(build_normal_form(nf, NZ, NT)).flat

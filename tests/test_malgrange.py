@@ -6,13 +6,11 @@ import pytest
 from connexa.connmat import apply_gauge, flatness_residuals, induced_euler
 from connexa.errors import ShapeError
 from connexa.euler import euler_normal_form, realizable_by_te
-from connexa.formalnf import NormalFormId, build_normal_form
+from connexa.formalnf import NormalFormId, build_normal_form, normal_form_prenormal
 from connexa.malgrange import (
     assign_c1,
-    build_hnf,
     classify_holomorphic,
     first_type_normal_form,
-    hnf_prenormal,
     holo_normal_form_second_type,
     malgrange_connection,
     malgrange_xy,
@@ -172,7 +170,7 @@ def test_classify_nonelementary_forms():
     assert rep.normal_form.family == "F1"
     assert rep.pencil.c1.is_zero()
     assert rep.formal_vs_holo.isomorphic  # identity pencil data
-    s = build_hnf(
+    s = build_normal_form(
         NormalFormId("HNF-MAL2", dict(c=S(0), alpha=S(0), c0=S(1), lam=S(1))),
         NZ, NT,
     )
@@ -182,7 +180,7 @@ def test_classify_nonelementary_forms():
     )
     assert rep.pencil.c1 == S("15/16")
     assert not rep.formal_vs_holo.isomorphic
-    s = build_hnf(
+    s = build_normal_form(
         NormalFormId("HNF-MAL3", dict(c=S(0), alpha=S(0), c0=S(2))), NZ, NT
     )
     rep = classify_holomorphic(s)
@@ -196,7 +194,7 @@ def test_hnf_parameter_range():
     for fam, extra in (("HNF-MAL1", {}), ("HNF-MAL3", {}), ("HNF-MAL2", {"lam": ONE})):
         nfid = NormalFormId(fam, dict(c=S(1), alpha=S("1/2"), c0=ZERO, **extra))
         with pytest.raises(ShapeError, match="c0 != 0"):
-            hnf_prenormal(nfid, 8, 8)
+            normal_form_prenormal(nfid, 8, 8)
     # lam reads back exactly when lam + 1 is the principal square root of
     # (lam + 1)^2 (re > 0, or re = 0 and im > 0) and the pencil is not F1
     # (lam = -1/2); every other lam is refused where the data is built
@@ -212,10 +210,10 @@ def test_hnf_parameter_range():
         principal = root.re > 0 or (root.re == 0 and root.im > 0)
         if principal and lam not in (ZERO, S("-1/2")):
             admissible += 1
-            assert classify_holomorphic(build_hnf(nfid, 8, 8)).normal_form == nfid
+            assert classify_holomorphic(build_normal_form(nfid, 8, 8)).normal_form == nfid
         else:
             with pytest.raises(ShapeError, match="principal square-root branch"):
-                hnf_prenormal(nfid, 8, 8)
+                normal_form_prenormal(nfid, 8, 8)
     assert admissible == 17
 
 
@@ -249,15 +247,15 @@ def test_classify_accepts_deformation_frame():
 
 
 def test_induced_fields_of_normal_forms_realizable():
-    for build, fam, params in [
-        (build_normal_form, "F1", dict(c0=S(2))),
-        (build_normal_form, "NF3-2", dict()),
-        (build_hnf, "HNF-MAL1", dict(c0=S(1))),
-        (build_hnf, "HNF-MAL2", dict(c0=S(1), lam=S(1))),
-        (build_hnf, "HNF-MAL3", dict(c0=S(1))),
+    for fam, params in [
+        ("F1", dict(c0=S(2))),
+        ("NF3-2", dict()),
+        ("HNF-MAL1", dict(c0=S(1))),
+        ("HNF-MAL2", dict(c0=S(1), lam=S(1))),
+        ("HNF-MAL3", dict(c0=S(1))),
     ]:
         nf = NormalFormId(fam, dict(c=S(0), alpha=S(0), **params))
-        s = build(nf, NZ, NT)
+        s = build_normal_form(nf, NZ, NT)
         e = induced_euler(s)
         enf = euler_normal_form(e).normal_form
         assert realizable_by_te(enf)

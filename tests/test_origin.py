@@ -17,7 +17,6 @@ from connexa.formalnf import (
     normal_form_prenormal,
     to_prenormal,
 )
-from connexa.malgrange import build_hnf
 from connexa.origin import (
     BirkhoffData,
     ConstMat,
@@ -383,7 +382,7 @@ def test_birkhoff_reduce_normal_form_restrictions():
     assert red.binf == ConstMat(S("1/2"), ZERO, -QUARTER, S(2))
     # restriction of the first second-type form: B0 = c C1 + C2,
     # Binf = alpha C1 + c0^2 E
-    s = build_hnf(
+    s = build_normal_form(
         NormalFormId("HNF-MAL1", dict(c=S(1), alpha=S(0), c0=S(3))), NZ, NT
     )
     red = birkhoff_reduce(restrict_origin(s).bz_components())

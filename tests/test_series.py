@@ -21,7 +21,7 @@ from connexa.fixtures import fixture_names, write_fixtures
 from connexa.scalars import ONE, S, Scalar, ZERO
 from connexa.series import (
     _ZEROS,
-    SHARED_ZERO_ORDER,
+    MAX_ORDER,
     AffinePoly1,
     Laurent,
     Plane,
@@ -244,7 +244,7 @@ def test_reverse_refuses_what_the_power_loop_refuses():
 
 
 @given(
-    st.integers(2, docio.MAX_ORDER), st.integers(0, 2**32), st.sampled_from([0.2, 1.0])
+    st.integers(2, MAX_ORDER), st.integers(0, 2**32), st.sampled_from([0.2, 1.0])
 )
 @settings(max_examples=40, deadline=None)
 def test_reverse_of_the_reverse_is_the_map(order, seed, density):
@@ -1018,7 +1018,6 @@ def test_zero_windows_record_their_support():
 def test_zero_windows_are_shared_up_to_the_document_bound(tmp_path):
     # one zero window per class and window, up to the largest window a
     # document admits; none of the pipelines changes a shared one
-    assert SHARED_ZERO_ORDER == docio.MAX_ORDER
     assert Plane.zero(3, 4) is Plane.zero(3, 4) is ZTSeries.zero(3, 4).planes.slope
     assert Mat2.zero(3, 4).e.planes.const is Plane.zero(3, 4)
     z = TSeries.zero(5)
@@ -1037,7 +1036,7 @@ def test_zero_windows_are_shared_up_to_the_document_bound(tmp_path):
         assert w.den == 1 and not any(w.re) and not any(w.im)
         assert w.support() == [] and len(w.re) == len(w.im) == w.nz * w.nt
     # past the bound each zero window is built fresh and not kept
-    big = SHARED_ZERO_ORDER + 1
+    big = MAX_ORDER + 1
     for nz, nt in ((big, 1), (1, big)):
         w = Plane.zero(nz, nt)
         assert w.is_zero() and w is not Plane.zero(nz, nt)
