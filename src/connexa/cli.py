@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kmax",
         type=nonnegative_int,
         default=None,
-        help="eigen-section search bound, k in [-kmax, kmax]",
+        help="eigen-section search bound, |k| <= min(kmax, origin window order)",
     )
     ap.add_argument("--fixtures", default=None, help="extra fixtures directory")
     sub = ap.add_subparsers(dest="command", required=True)

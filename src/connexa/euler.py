@@ -50,15 +50,6 @@ class EulerNormalForm:
                 g = g + TSeries.monomial(c, k, order)
         return g
 
-    def key(self) -> tuple:
-        if self.family == "E1":
-            return ("E1", self.params["c"])
-        if self.family == "E2":
-            return ("E2", self.params["c"])
-        if self.family == "E3":
-            return ("E3", self.params["c"], self.params["c0"])
-        return ("E4", self.params["c"], self.params["r"], self.params["c1"])
-
 
 @dataclass(frozen=True)
 class EulerNormalization:
@@ -144,7 +135,7 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
 
 def euler_orbit_decision(n1: EulerNormalForm, n2: EulerNormalForm) -> bool:
     """Distinct normal forms lie in distinct orbits."""
-    return n1.key() == n2.key()
+    return n1 == n2
 
 
 def realizable_by_te(n: EulerNormalForm) -> bool:

@@ -452,7 +452,7 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
         )
     invariants = birkhoff_invariants(red.b0, red.binf)
     try:
-        data, _gauges = normalize_birkhoff(red.b0, red.binf)
+        data = normalize_birkhoff(red.b0, red.binf)
     except ExactFieldError as exc:
         data = None
         warnings = (str(exc),)

@@ -84,12 +84,16 @@ def irreducibility_check(
     r: OriginRestriction, k_max: int | None = None
 ) -> IrreducibilityReport:
     """Search for an eigen-section g = z^k * (unit) of the origin slice,
-    k in [-k_max, k_max] (k_max defaults to the window order).
+    k in [-k_max, k_max] (k_max defaults to the window order n).
 
     No solution for any k in range certifies that the slice admits a
     constant-pencil reduction.  The coefficient equations are solved
     exactly; quadratic branch points outside Q(i) are reported as
-    inconclusive rather than guessed.
+    inconclusive rather than guessed.  No |k| > n gives a solution or a
+    note: at k > n the window ends before R_0 enters it or a nonzero
+    constant term lies below that order, and at k <= 1 - n the head
+    quadratic is -eta_v R_0^2, whose only root is 0.  So the search
+    stops at min(k_max, n).
     """
     eta, lamz, beta, gam = r.window()
     n = eta.order
@@ -97,6 +101,7 @@ def irreducibility_check(
         k_max = n
     if k_max < 0:
         raise ShapeError(f"search bound k_max must be at least 0, not {k_max}")
+    k_max = min(k_max, n)
     if eta.is_zero():
         return IrreducibilityReport(
             "reducible", None, None, ("first frame vector is an eigen-section",)
@@ -337,71 +342,39 @@ class BirkhoffData:
         return self.c0 * self.c0
 
 
-def _triangular_gauge(binf: ConstMat) -> ConstMat | None:
-    """The conjugation C1 + s C2, s = -(d + 1/4)/e, that moves the D
-    coefficient of the z-part to -1/4; None when it is there already."""
-    if binf.d == -QUARTER:
-        return None
-    return ConstMat(ONE, -(binf.d + QUARTER) / binf.e, ZERO, ZERO)
-
-
-def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> tuple[BirkhoffData, list[ConstMat]]:
-    """Constant conjugations onto the normalized pencil shape."""
-    if not (b0.d.is_zero() and b0.e.is_zero()):
-        raise ShapeError("pencil head must be c*C1 + c0*C2")
-    if b0.c2.is_zero():
-        raise ShapeError("pencil head must have c0 != 0")
-    if binf.e.is_zero():
-        raise ShapeError("the E coefficient of the z-part must be nonzero")
-    gauges: list[ConstMat] = []
-    cur_b0, cur_binf = b0, binf
-    t1 = _triangular_gauge(binf)
-    if t1 is not None:
-        cur_b0 = cur_b0.conjugate_by(t1)
-        cur_binf = cur_binf.conjugate_by(t1)
-        gauges.append(t1)
-    if cur_b0 != b0 or cur_binf.d != -QUARTER or cur_binf.e != binf.e:
-        raise ShapeError("triangular conjugation left an unexpected shape")
-    c0 = cur_b0.c2
-    f = cur_binf.e
-    if f != c0:
-        c0_new = (c0 * f).sqrt()
-        if c0_new is None:
-            raise ExactFieldError(
-                f"normalized c0 needs sqrt({c0 * f}) outside Q(i); "
-                "use the invariant route instead"
-            )
-        denom = c0 - c0_new
-        t2 = ConstMat(-(c0_new + c0) / denom, ZERO, -(c0_new - c0) / denom, ZERO)
-        cur_b0 = cur_b0.conjugate_by(t2)
-        cur_binf = cur_binf.conjugate_by(t2)
-        gauges.append(t2)
-    if not (
-        cur_b0.d.is_zero()
-        and cur_b0.e.is_zero()
-        and cur_binf.d == -QUARTER
-        and cur_binf.e == cur_b0.c2
-    ):
-        raise ShapeError("normalization left an unexpected shape")
-    data = BirkhoffData(cur_b0.c1, cur_binf.c1, cur_b0.c2, cur_binf.c2)
-    return data, gauges
-
-
 def birkhoff_invariants(b0: ConstMat, binf: ConstMat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """(c, alpha, c0^2, c0*c1) of the normalized pencil, never erring.
+    """(c, alpha, c0^2, c0*c1) of the normalized pencil, in closed form.
 
-    These products are well defined even when the square root needed by
-    normalize_birkhoff leaves Q(i).
+    With B0 = c C1 + c0 C2 and Binf = alpha C1 + c2 C2 + d D + e E, the
+    conjugation by C1 + s C2 that moves d to -1/4 keeps B0, alpha and e
+    and takes c2 to c2 - 2 s d - s^2 e, s = -(d + 1/4)/e, so e times the
+    new c2 is e c2 + d^2 - 1/16.  The diagonal conjugation that follows
+    scales c0 and c1 by one factor and e by its inverse, ending at c0 = e,
+    so c0^2 = c0 e and c0*c1 = e c2 + d^2 - 1/16.  These products are well
+    defined even when the square root needed by normalize_birkhoff leaves
+    Q(i).
     """
     if not (b0.d.is_zero() and b0.e.is_zero()):
         raise ShapeError("pencil head must be c*C1 + c0*C2")
-    c0 = b0.c2
-    f = binf.e
-    if c0.is_zero() or f.is_zero():
+    c0, e = b0.c2, binf.e
+    if c0.is_zero() or e.is_zero():
         raise ShapeError("degenerate pencil")
-    t1 = _triangular_gauge(binf)
-    cur_binf = binf if t1 is None else binf.conjugate_by(t1)
-    return (b0.c1, cur_binf.c1, c0 * f, cur_binf.c2 * f)
+    u = dot((e, binf.d, QUARTER), (binf.c2, binf.d, -QUARTER))
+    return (b0.c1, binf.c1, c0 * e, u)
+
+
+def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> BirkhoffData:
+    """The normalized pencil c C1 + r C2 + z (alpha C1 + c1 C2 - D/4 + r E)
+    of B0 + z Binf, from birkhoff_invariants: r is c0 when e = c0 already,
+    else a square root of c0^2 = c0 e, and c1 = (c0*c1)/r."""
+    c, alpha, ssq, u = birkhoff_invariants(b0, binf)
+    r = b0.c2 if binf.e == b0.c2 else ssq.sqrt()
+    if r is None:
+        raise ExactFieldError(
+            f"normalized c0 needs sqrt({ssq}) outside Q(i); "
+            "use the invariant route instead"
+        )
+    return BirkhoffData(c, alpha, r, u / r)
 
 
 @dataclass(frozen=True)

@@ -657,10 +657,6 @@ class TSeries(Plane):
             k >>= 1
         return out
 
-    def __str__(self) -> str:
-        terms = [f"{c}@{n}" for n, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "[" + ", ".join(terms) + f"; O({self.order})]"
-
 
 def _powers(c: Scalar, order: int) -> tuple[list[int], list[int], int]:
     """Numerators of c^0, ..., c^(order-1) over the denominator
@@ -1032,14 +1028,6 @@ class ZTSeries:
             terms = [(1, gf[k], out[m - k]) for k in range(1, m + 1)]
             out.append(plane_dot(terms, 1, nt))
         return ZTSeries._of(AffinePoly1(Plane.of_rows(out), Plane.zero(nz, nt)))
-
-    def __str__(self) -> str:
-        rows = []
-        for n in range(self.nz):
-            a = self[n]
-            if not a.is_zero():
-                rows.append(f"z^{n}*({a.const}{'' if a.slope.is_zero() else ' + t1*' + str(a.slope)})")
-        return " + ".join(rows) if rows else "0"
 
 
 @dataclass(frozen=True)

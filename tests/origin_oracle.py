@@ -6,11 +6,13 @@ block reduction on that packing with constant conjugation through
 ``Mat2.inverse``, its residual as three ``Mat2`` products, and the
 d-generic Fuchs valuation rule behind the cyclic-vector test, and the
 eigen-section search that read each coefficient's equation off residuals
-at trial values and backtracked over the two roots by recursion.  The
-package now reduces lists of ``ConstMat`` coefficients
-(``origin.birkhoff_reduce``), applies the d = 2 rule in
-``origin.cyclic_fuchs`` and solves the search's coefficients in closed
-form (``origin._try_eigen_section``); the tests check it against these.
+at trial values and backtracked over the two roots by recursion, and the
+pencil normalization by two constant conjugations.  The package now
+reduces lists of ``ConstMat`` coefficients (``origin.birkhoff_reduce``),
+applies the d = 2 rule in ``origin.cyclic_fuchs``, solves the search's
+coefficients in closed form (``origin._try_eigen_section``) and reads the
+normalized pencil off its invariants (``origin.birkhoff_invariants``,
+``origin.normalize_birkhoff``); the tests check it against these.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from connexa.connmat import ConstMat, Mat2, OriginRestriction
-from connexa.errors import ReductionFailedError, ShapeError
-from connexa.scalars import HALF, ONE, ZERO, Scalar, integer
+from connexa.errors import ExactFieldError, ReductionFailedError, ShapeError
+from connexa.origin import BirkhoffData
+from connexa.scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
 from connexa.series import Laurent, TSeries, ZTSeries
 
 
@@ -298,3 +301,72 @@ def try_eigen_section(k, n, eta, lam1, const_part, notes):
     if out is None or out[0].is_zero():
         return None
     return TSeries(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# pencil normalization by constant conjugation
+
+
+def triangular_gauge(binf: ConstMat) -> ConstMat | None:
+    """The conjugation C1 + s C2, s = -(d + 1/4)/e, that moves the D
+    coefficient of the z-part to -1/4; None when it is there already."""
+    if binf.d == -QUARTER:
+        return None
+    return ConstMat(ONE, -(binf.d + QUARTER) / binf.e, ZERO, ZERO)
+
+
+def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> tuple[BirkhoffData, list[ConstMat]]:
+    """Constant conjugations onto the normalized pencil shape, and the
+    gauges that did it."""
+    if not (b0.d.is_zero() and b0.e.is_zero()):
+        raise ShapeError("pencil head must be c*C1 + c0*C2")
+    if b0.c2.is_zero():
+        raise ShapeError("pencil head must have c0 != 0")
+    if binf.e.is_zero():
+        raise ShapeError("the E coefficient of the z-part must be nonzero")
+    gauges: list[ConstMat] = []
+    cur_b0, cur_binf = b0, binf
+    t1 = triangular_gauge(binf)
+    if t1 is not None:
+        cur_b0 = cur_b0.conjugate_by(t1)
+        cur_binf = cur_binf.conjugate_by(t1)
+        gauges.append(t1)
+    if cur_b0 != b0 or cur_binf.d != -QUARTER or cur_binf.e != binf.e:
+        raise ShapeError("triangular conjugation left an unexpected shape")
+    c0 = cur_b0.c2
+    f = cur_binf.e
+    if f != c0:
+        c0_new = (c0 * f).sqrt()
+        if c0_new is None:
+            raise ExactFieldError(
+                f"normalized c0 needs sqrt({c0 * f}) outside Q(i); "
+                "use the invariant route instead"
+            )
+        denom = c0 - c0_new
+        t2 = ConstMat(-(c0_new + c0) / denom, ZERO, -(c0_new - c0) / denom, ZERO)
+        cur_b0 = cur_b0.conjugate_by(t2)
+        cur_binf = cur_binf.conjugate_by(t2)
+        gauges.append(t2)
+    if not (
+        cur_b0.d.is_zero()
+        and cur_b0.e.is_zero()
+        and cur_binf.d == -QUARTER
+        and cur_binf.e == cur_b0.c2
+    ):
+        raise ShapeError("normalization left an unexpected shape")
+    data = BirkhoffData(cur_b0.c1, cur_binf.c1, cur_b0.c2, cur_binf.c2)
+    return data, gauges
+
+
+def birkhoff_invariants(b0: ConstMat, binf: ConstMat) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(c, alpha, c0^2, c0*c1) of the normalized pencil through the
+    triangular conjugation."""
+    if not (b0.d.is_zero() and b0.e.is_zero()):
+        raise ShapeError("pencil head must be c*C1 + c0*C2")
+    c0 = b0.c2
+    f = binf.e
+    if c0.is_zero() or f.is_zero():
+        raise ShapeError("degenerate pencil")
+    t1 = triangular_gauge(binf)
+    cur_binf = binf if t1 is None else binf.conjugate_by(t1)
+    return (b0.c1, cur_binf.c1, c0 * f, cur_binf.c2 * f)

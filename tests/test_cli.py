@@ -366,6 +366,49 @@ def test_cli_kmax_finds_the_eigen_section_of_an_elementary_structure(tmp_path):
     assert searched == plain
 
 
+def test_cli_kmax_past_the_window_order_changes_nothing():
+    # no eigen-section exists for |k| past the origin window order, and the
+    # search stops there: a ten-digit bound once ran for hours
+    code, wide, _err = _main("--kmax", "1000000000", "classify", "fminus1")
+    assert (code, wide) == _main("--kmax", "16", "classify", "fminus1")[:2]
+    assert json.loads(wide)["transform_log"][0] == "eigen-section search: irreducible"
+
+
+# classify's report on f = 2, b2 = 1 - t2/2 at (6, 6): c0^2 = 2 has no
+# root in Q(i), so the pencil is reported by its invariants alone
+NO_ROOT_REPORT = """{
+ "command": "classify",
+ "flags": [],
+ "normal_forms": [],
+ "residuals_zero": {},
+ "transform_log": [
+  "already a pencil"
+ ],
+ "verdicts": {
+  "elementary": false,
+  "invariants": {
+   "alpha": "0",
+   "c": "0",
+   "c0_c1": "0",
+   "c0_squared": "2"
+  }
+ },
+ "warnings": [
+  "normalized c0 needs sqrt(2) outside Q(i); use the invariant route instead"
+ ]
+}
+"""
+
+
+def test_cli_classify_reports_invariants_when_c0_has_no_root(tmp_path):
+    nz, nt = 6, 6
+    f = ZTSeries.const(integer(2), nz - 1, nt)
+    b2 = ZTSeries.one(nz, nt) - ZTSeries.t2(nz, nt).scale(S("1/2"))
+    doc = tmp_path / "no_root.json"
+    save_structure(build_prenormal_struct(PreNormalForm(f, b2, S(0), S(0))), str(doc))
+    assert _main("classify", str(doc)) == (0, NO_ROOT_REPORT, "")
+
+
 def test_cli_order_flags_must_match_a_document(tmp_path):
     # a document keeps its declared window: a flag that differs exits 2
     # naming that window, instead of being ignored

@@ -256,16 +256,32 @@ def _fixed_search_class(k, eta, lam1, const_part):
     return "zero root" if hidden else None
 
 
-def test_eigen_section_matches_the_trial_and_backtrack_oracle(monkeypatch):
+def _search_inputs(r):
+    """(n, eta, lam1, const_part) as irreducibility_check hands them to
+    each k's solve, or None when eta = 0 ends the search first."""
+    eta, lamz, beta, gam = r.window()
+    if eta.is_zero():
+        return None
+    const_part = {}
+    for j, coeff in enumerate((eta * gam).coeffs):
+        if not coeff.is_zero():
+            const_part[j + 1] = const_part.get(j + 1, ZERO) + coeff
+    for j, coeff in enumerate(beta.coeffs):
+        if not coeff.is_zero():
+            const_part[j + 2] = const_part.get(j + 2, ZERO) - coeff * S("1/2")
+    return eta.order, eta, lamz + TSeries.one(eta.order), const_part
+
+
+def test_eigen_section_matches_the_trial_and_backtrack_oracle():
     search = origin._try_eigen_section
     rng = random.Random(2301)
     cases = []
-    monkeypatch.setattr(
-        origin, "_try_eigen_section", lambda *args: cases.append((restr, args)) and None
-    )
     for _ in range(1200):
         restr = _random_search_restriction(rng)
-        irreducibility_check(restr, restr.eta.order + 1)
+        inputs = _search_inputs(restr)
+        if inputs is not None:
+            n = inputs[0]
+            cases += [(restr, (k, *inputs, [])) for k in range(-n - 1, n + 2)]
     seen = dict.fromkeys(
         ("pairs", "witness", "notes", "zero root", "free head", "low head", "short"), 0
     )
@@ -417,14 +433,19 @@ def test_birkhoff_reduce_gauged(rng):
 
 
 def test_birkhoff_reduce_conjugates_residue():
-    # residue given in upper-triangular position
-    b0 = ConstMat.from_entries(S(1), S(3), ZERO, S(1))  # nilpotent part in E
     binf = ConstMat(S(0), S(1), ZERO, S(1))
-    pencil = _window([b0, binf], NZ)
-    red = birkhoff_reduce(pencil)
-    assert red.b0.d.is_zero() and red.b0.e.is_zero()
-    assert red.b0.c1 == S(1) and not red.b0.c2.is_zero()
-    assert _residual_is_zero(pencil, red)
+    for b0 in (
+        # residue given in upper-triangular position: nilpotent part in E
+        ConstMat.from_entries(S(1), S(3), ZERO, S(1)),
+        # c Id + N with N's first column nonzero: the cyclic vector (1, 0)
+        ConstMat.from_entries(S(2), S(-1), S(1), S(0)),
+        ConstMat.from_entries(S(1), S(-4), S(1), S(-3)),
+    ):
+        pencil = _window([b0, binf], NZ)
+        red = birkhoff_reduce(pencil)
+        assert red.b0.d.is_zero() and red.b0.e.is_zero()
+        assert red.b0.c1 == b0.c1 and not red.b0.c2.is_zero()
+        assert _residual_is_zero(pencil, red)
 
 
 def test_birkhoff_reduce_rejects_semisimple():
@@ -721,21 +742,20 @@ def test_cli_classify_reduces_gauged_f1_block_by_block(tmp_path, capsys):
 
 
 def test_normalize_birkhoff():
-    data, gauges = normalize_birkhoff(
+    data = normalize_birkhoff(
         ConstMat(S(0), S(1), ZERO, ZERO),
         ConstMat(S(0), ZERO, S(-1), S(1)),
     )
-    # worked pencil: y = -1 -> s = 3/4, c1 = 0 + 3/2 - 9/16 = 15/16
+    # worked pencil: d = -1 -> s = 3/4, c1 = 0 + 3/2 - 9/16 = 15/16
     assert data.c1 == S("15/16") and data.c0 == S(1)
-    assert len(gauges) == 1
     # already normalized: unchanged
-    data, gauges = normalize_birkhoff(
+    data = normalize_birkhoff(
         ConstMat(S(1), S(2), ZERO, ZERO),
         ConstMat(S(0), S(3), -QUARTER, S(2)),
     )
-    assert data == BirkhoffData(S(1), S(0), S(2), S(3)) and not gauges
+    assert data == BirkhoffData(S(1), S(0), S(2), S(3))
     # square-root step: c0 = 1, f = 4 -> new c0 = 2, c1 scaled by 2
-    data, gauges = normalize_birkhoff(
+    data = normalize_birkhoff(
         ConstMat(S(0), S(1), ZERO, ZERO),
         ConstMat(S(0), S(3), -QUARTER, S(4)),
     )
@@ -745,6 +765,12 @@ def test_normalize_birkhoff():
             ConstMat(S(0), S(1), ZERO, ZERO),
             ConstMat(S(0), S(3), -QUARTER, S(2)),
         )
+    for b0, binf in (
+        (ConstMat(S(0), ZERO, ZERO, ZERO), ConstMat(S(0), S(3), -QUARTER, S(2))),
+        (ConstMat(S(0), S(1), ZERO, ZERO), ConstMat(S(0), S(3), -QUARTER, ZERO)),
+    ):
+        with pytest.raises(ShapeError, match="degenerate pencil"):
+            normalize_birkhoff(b0, binf)
     # the invariant route stays available: c0^2 = c0*f, u = c1*f
     c, alpha, ssq, u = birkhoff_invariants(
         ConstMat(S(0), S(1), ZERO, ZERO),
@@ -803,16 +829,76 @@ def test_birkhoff_iso_symmetry(rng):
 
 
 def test_normalize_preserves_class():
-    b0 = ConstMat(S(0), S(1), ZERO, ZERO)
-    binf = ConstMat(S(0), ZERO, S(-1), S(1))
-    data, gauges = normalize_birkhoff(b0, binf)
-    cur0, curi = b0, binf
-    for g in gauges:
-        cur0 = cur0.conjugate_by(g)
-        curi = curi.conjugate_by(g)
-    # the pencil B0 + z Binf of the normalised data
-    assert cur0 == ConstMat(data.c, data.c0, ZERO, ZERO)
-    assert curi == ConstMat(data.alpha, data.c1, -QUARTER, data.c0)
+    # the oracle's conjugations carry B0 + z Binf onto the pencil of the
+    # closed-form data
+    for b0, binf in (
+        (ConstMat(S(0), S(1), ZERO, ZERO), ConstMat(S(0), ZERO, S(-1), S(1))),
+        (ConstMat(S(1), S(1), ZERO, ZERO), ConstMat(S(2), S(3), S(1, 1), S(4))),
+        (ConstMat(S(0), S(-2), ZERO, ZERO), ConstMat(S(0), S(1), -QUARTER, S(-8))),
+    ):
+        data = normalize_birkhoff(b0, binf)
+        _want, gauges = oracle.normalize_birkhoff(b0, binf)
+        assert gauges
+        cur0, curi = b0, binf
+        for g in gauges:
+            cur0 = cur0.conjugate_by(g)
+            curi = curi.conjugate_by(g)
+        assert cur0 == ConstMat(data.c, data.c0, ZERO, ZERO)
+        assert curi == ConstMat(data.alpha, data.c1, -QUARTER, data.c0)
+
+
+_PENCIL_VALUES = [0, 1, -1, 2, -2, 3, S("1/2"), S("-1/3"), S(0, 1), S(1, 1), S(2, -1)]
+
+
+def _random_pencil(rng, kind):
+    """B0 = c C1 + c0 C2 and Binf = alpha C1 + c2 C2 + d D + e E with
+    small Gaussian rationals, steered by ``kind``: d = -1/4, e = c0, c0 e
+    a square, or free; one head in twenty has a stray D or E part."""
+    pick = lambda: S(rng.choice(_PENCIL_VALUES))
+    c0, e = pick(), pick()
+    d = -QUARTER if kind == "d" else pick()
+    if kind == "e = c0":
+        e = c0
+    elif kind == "square" and not c0.is_zero():
+        q = pick()
+        e = q * q / c0
+    b0 = ConstMat(pick(), c0, ZERO, ZERO)
+    if rng.random() < 0.05:
+        b0 = b0 + ConstMat(ZERO, ZERO, pick(), pick())
+    return b0, ConstMat(pick(), pick(), d, e)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ShapeError, ExactFieldError) as exc:
+        return type(exc), str(exc)
+
+
+def test_closed_form_normalization_matches_the_conjugation_oracle():
+    rng = random.Random(2801)
+    seen = dict.fromkeys(("d = -1/4", "e = c0", "root taken", "no root", "shape"), 0)
+    for k in range(12_000):
+        kind = ("d", "e = c0", "square", "free")[k % 4]
+        b0, binf = _random_pencil(rng, kind)
+        got = _outcome(normalize_birkhoff, b0, binf)
+        want = _outcome(lambda *pencil: oracle.normalize_birkhoff(*pencil)[0], b0, binf)
+        inv = _outcome(birkhoff_invariants, b0, binf)
+        assert inv == _outcome(oracle.birkhoff_invariants, b0, binf), (b0, binf)
+        if isinstance(want, tuple) and want[0] is ShapeError:
+            # the oracle named the zero c0 or e; the closed form calls both degenerate
+            assert got[0] is ShapeError and got == inv, (b0, binf)
+            seen["shape"] += 1
+            continue
+        assert got == want, (b0, binf)
+        if isinstance(want, tuple):
+            seen["no root"] += 1
+            continue
+        assert (got.c, got.alpha, got.ssq(), got.u()) == inv
+        seen["d = -1/4"] += binf.d == -QUARTER
+        seen["e = c0" if binf.e == b0.c2 else "root taken"] += 1
+    assert min(seen.values()) >= 500, seen
 
 
 # Verdicts and witness indices of the eigen-section search over k in
@@ -839,12 +925,43 @@ IRREDUCIBILITY_K2 = {
 }
 
 
+def _search_past_the_window(r, k_max):
+    """The search over every k in [-k_max, k_max], as irreducibility_check
+    ran it before it stopped at the window order."""
+    inputs = _search_inputs(r)
+    if inputs is None:
+        return irreducibility_check(r, k_max)
+    notes = []
+    for k in range(-k_max, k_max + 1):
+        found = origin._try_eigen_section(k, *inputs, notes)
+        if found is not None:
+            return origin.IrreducibilityReport("reducible", k, found, tuple(notes))
+    verdict = "irreducible" if not notes else "inconclusive"
+    return origin.IrreducibilityReport(verdict, None, None, tuple(notes))
+
+
 def test_irreducibility_symmetric_k_range():
     got = {}
     for name in fixture_names():
         rep = irreducibility_check(restrict_origin(build_fixture(name, 6, 6)), k_max=2)
         got[name] = (rep.verdict, rep.witness_k)
     assert got == IRREDUCIBILITY_K2
+    # no |k| past the window order n adds a witness or a note; eta = 1,
+    # lam = 0 and beta = z^(n-1) has its only witness at k = n itself
+    restrictions = [
+        restrict_origin(build_fixture(name, nz, 6)) for name in fixture_names() for nz in (4, 6, 9)
+    ]
+    for n in (2, 6):
+        zero = TSeries.zero(n)
+        edge = OriginRestriction(TSeries.one(n), zero, TSeries.monomial(ONE, n - 1, n), zero, ZERO, ZERO)
+        rep = irreducibility_check(edge)
+        assert rep.witness_k == n and _eigen_residual_vanishes(edge, n, rep.witness)
+        restrictions.append(edge)
+    for r in restrictions:
+        n = r.window()[0].order
+        want = _search_past_the_window(r, n + 5)
+        for k_max in (n, n + 5):
+            assert irreducibility_check(r, k_max) == want, (r, k_max)
 
 
 def _chain_n_with_sweep(usum, udiff, n_max):
