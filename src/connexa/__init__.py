@@ -41,8 +41,8 @@ from .malgrange import (
     MalgrangeState,
     assign_c1,
     classify_holomorphic,
-    first_type_normal_form,
-    holo_normal_form_second_type,
+    holo_normal_form,
+    holo_replay,
     malgrange_connection,
     malgrange_xy,
 )

@@ -24,7 +24,7 @@ from .errors import (
     T1DegreeError,
     UnfoldingError,
 )
-from .euler import EulerField
+from .euler import EulerField, is_euler
 from .scalars import HALF, ONE, ZERO, Scalar, dot
 from .series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot, t2_powers
 
@@ -434,7 +434,7 @@ class GaugeMap:
         if ConstMat(*self.tmat.const_term()).det().is_zero():
             raise NotInvertibleError("gauge constant term is singular")
         if self.lam is not None:
-            if not self.lam.at0().is_zero():
+            if not self.lam[0].is_zero():
                 raise ShapeError("base map must fix the origin")
             if self.lam.order > 1 and self.lam[1].is_zero():
                 raise NotInvertibleError("base map must be invertible at 0")
@@ -543,7 +543,7 @@ def induced_euler(s: TEStruct) -> EulerField:
         b_comps.append(-ap.const)
     pivot = None
     for idx, comp in enumerate(comps):
-        if not comp.at0().is_zero():
+        if not comp[0].is_zero():
             pivot = idx
             break
     if pivot is None:
@@ -554,13 +554,11 @@ def induced_euler(s: TEStruct) -> EulerField:
             raise UnfoldingError("-B^(0) is not in the span of A1^(0), A2^(0)")
     a2c1 = s.A2.c1[0].const
     bc1 = s.B.c1[0]
-    e1_const = -bc1.const - e2 * a2c1
-    e1_slope = -bc1.slope
-    if not (e1_slope.is_constant() and e1_slope.at0() == ONE):
-        raise ShapeError("induced field has no unit t1 slope")
-    if not e1_const.is_constant():
-        raise ShapeError("induced field t1-part depends on t2")
-    return EulerField(e1_const.at0(), e2)
+    e1 = AffinePoly1(-bc1.const - e2 * a2c1, -bc1.slope)
+    field = is_euler(e1, AffinePoly1(e2, TSeries.zero(e2.order)))
+    if field is None:
+        raise ShapeError("induced field is not (t1 + c) d/dt1 + g(t2) d/dt2")
+    return field
 
 
 @dataclass(frozen=True)

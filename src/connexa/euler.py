@@ -62,11 +62,11 @@ def is_euler(d1_coeff: AffinePoly1, d2_coeff: AffinePoly1) -> EulerField | None:
     """Recognize (t1 + c) d/dt1 + g(t2) d/dt2; None otherwise."""
     if not d2_coeff.slope.is_zero():
         return None
-    if not d1_coeff.slope.is_constant() or d1_coeff.slope.at0() != ONE:
+    if not d1_coeff.slope.is_constant() or d1_coeff.slope[0] != ONE:
         return None
     if not d1_coeff.const.is_constant():
         return None
-    return EulerField(d1_coeff.const.at0(), d2_coeff.const)
+    return EulerField(d1_coeff.const[0], d2_coeff.const)
 
 
 def push_forward_g(g: TSeries, lam: TSeries) -> TSeries:
@@ -101,7 +101,7 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
         # 0 * v_0 = c0 f(0) - 1 = 0 is the resonance; v_0 = 0 pins w(0) = 1.
         unit = TSeries(g.coeffs[1:])  # g/t, exact one order lower
         f = unit.invert()
-        c0 = ONE / f.at0()
+        c0 = ONE / f[0]
         rate = f.scale(c0) - TSeries.one(f.order)
         w = odekit.solve_linear_t_ode(-rate, rate).u + TSeries.one(f.order)
         lam = TSeries(w.coeffs + (ZERO,)).shift(1)  # t*w, exact
@@ -118,14 +118,14 @@ def euler_normal_form(e: EulerField) -> EulerNormalization:
     # matches the solved family with c_std = c1/(1-r)
     c1 = integer(1 - r) * sol.c
     lam = None
-    base = f.at0().nth_root(rho)
+    base = f[0].nth_root(rho)
     if base is None:
         notes.append(
             "no exact (r-1)-th root of the leading coefficient; "
             "automorphism not representable over Q(i)"
         )
     else:
-        ratio = sol.tau.scale(ONE / (integer(1 - r) * f.at0()))
+        ratio = sol.tau.scale(ONE / (integer(1 - r) * f[0]))
         w = ratio.pow_scalar(ONE / integer(rho)).scale(base)
         lam = TSeries(w.coeffs + (ZERO,)).shift(1)  # t*w, exact
     return EulerNormalization(

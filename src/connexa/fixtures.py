@@ -10,8 +10,6 @@ from .errors import DocumentError
 from .formalnf import NormalFormId, build_normal_form
 from .scalars import S
 
-FIXTURES_ENV = "CONNEXA_FIXTURES"
-
 
 # Built-in fixture name -> the normal form it is built as.
 FIXTURES = {
@@ -61,14 +59,13 @@ def resolve_structure(
     an order is None.  A document keeps the window it declares, and an
     order given for it must agree with that window.
     """
-    search = fixtures_dir or os.environ.get(FIXTURES_ENV)
-    if search and not os.path.isdir(search):
+    if fixtures_dir and not os.path.isdir(fixtures_dir):
         # searched nowhere, a name would silently fall to a built-in fixture
-        raise DocumentError(f"fixtures path {search!r} is not a directory")
+        raise DocumentError(f"fixtures path {fixtures_dir!r} is not a directory")
     if os.path.exists(name_or_path):
         return _load_at(name_or_path, nz, nt)
-    if search:
-        candidate = os.path.join(search, name_or_path)
+    if fixtures_dir:
+        candidate = os.path.join(fixtures_dir, name_or_path)
         for path in (candidate, candidate + ".json"):
             if os.path.exists(path):
                 return _load_at(path, nz, nt)

@@ -323,7 +323,7 @@ def _hnf_series(fam: str, pr: dict, nt: int) -> tuple[TSeries, TSeries]:
     if fam == "HNF-MAL3":
         return exp_linear(-ONE, nt).scale(c0sq), TSeries.one(nt)
     lam = S(pr["lam"])  # HNF-MAL2
-    root = lam + ONE  # pencil_branch reads back the principal root
+    root = lam + ONE  # pencil_form reads back the principal root
     principal = root.a > 0 or (root.a == 0 and root.b > 0)
     if not principal or lam.is_zero() or lam == _NEG_HALF:
         raise ShapeError(
@@ -412,12 +412,12 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     head = p.b2[0].const - target_b20
     if not head.is_constant():
         raise ShapeError("b2 + t2/2 must be constant at z-order 0")
-    cks = [head.at0()]
+    cks = [head[0]]
     for k in range(1, nz):
         ck = p.b2[k].const
         if not ck.is_constant():
             raise ShapeError("b2 z-coefficients must be constants for f = 1")
-        cks.append(ck.at0())
+        cks.append(ck[0])
     c0 = cks[0]
     nfid = NormalFormId("F1", {"c": p.c, "alpha": p.alpha, "c0": c0})
     target = normal_form_prenormal(nfid, nz, nt)

@@ -50,7 +50,6 @@ class MalgrangeState:
     c0: Scalar
     x: TSeries
     y: TSeries
-    roots: tuple[Scalar, Scalar] | None
     closed_form_checked: bool
 
 
@@ -79,9 +78,8 @@ def malgrange_xy(binf: ConstMat, c0: Scalar, order: int) -> MalgrangeState:
         tx.append(two_b21 * x[-1])
     xs = TSeries(x)
     ys = TSeries(y)
-    roots = _pencil_roots(binf, c0)
-    checked = _cross_check_closed_form(binf, c0, xs, ys, roots)
-    return MalgrangeState(binf, c0, xs, ys, roots, checked)
+    checked = _cross_check_closed_form(binf, c0, xs, ys)
+    return MalgrangeState(binf, c0, xs, ys, checked)
 
 
 def _pencil_roots(binf: ConstMat, c0: Scalar) -> tuple[Scalar, Scalar] | None:
@@ -119,7 +117,7 @@ def xy_residuals(st: MalgrangeState) -> tuple[TSeries, TSeries]:
 
 
 def _cross_check_closed_form(
-    binf: ConstMat, c0: Scalar, x: TSeries, y: TSeries, roots
+    binf: ConstMat, c0: Scalar, x: TSeries, y: TSeries
 ) -> bool:
     b11, b12, b21, b22 = binf.entries()
     order = x.order
@@ -133,6 +131,7 @@ def _cross_check_closed_form(
         if x != xc or y != yc:
             raise FlatnessError("recursion disagrees with the closed form")
         return True
+    roots = _pencil_roots(binf, c0)
     if roots is None:
         return False
     a, b = roots
@@ -166,7 +165,7 @@ def malgrange_connection(
     st: MalgrangeState, c: Scalar, nz: int
 ) -> TEStruct:
     """The universal-deformation structure in base coordinates."""
-    if st.y.at0().is_zero():
+    if st.y[0].is_zero():
         raise UnfoldingError("degenerate deformation: y(0) = 0")
     nt = st.x.order
     x, y = st.x, st.y
@@ -195,60 +194,74 @@ def malgrange_connection(
 # holomorphic normal forms
 
 
-def pencil_branch(u: Scalar) -> tuple[str | None, Scalar, Scalar | None]:
-    """The family of a normalized pencil with product u = c0 c1, as
-    (family, (lam+1)^2, lam+1).
+def pencil_form(
+    c: Scalar, alpha: Scalar, c0: Scalar, u: Scalar
+) -> tuple[NormalFormId | None, Scalar]:
+    """The normal form of a normalized pencil (c, alpha, c0) with product
+    u = c0 c1, and its ratio (1 + 16u)/4 = (lam+1)^2.
 
-    u = 0 is F1.  Otherwise (1 + 16u)/4 = (lam+1)^2: a zero ratio is
-    HNF-MAL1, the root 1 is HNF-MAL3 and any other root in Q(i) is
-    HNF-MAL2 with lam = root - 1.  The family is None when the ratio has
-    no root in Q(i).  ``assign_c1`` is the inverse map.
+    u = 0 is F1.  Otherwise a zero ratio is HNF-MAL1, the root 1 is
+    HNF-MAL3 and any other root in Q(i) is HNF-MAL2 with lam = root - 1.
+    The form is None when the ratio has no root in Q(i).  ``assign_c1``
+    is the inverse map.
     """
     ratio = (ONE + _SIXTEEN * u) / integer(4)
+    base = {"c": c, "alpha": alpha, "c0": c0}
     if u.is_zero():
-        return "F1", ratio, None
+        return NormalFormId("F1", base), ratio
     root = ratio.sqrt()
     if root is None:
-        return None, ratio, None
+        return None, ratio
     if root.is_zero():
-        return "HNF-MAL1", ratio, root
-    return ("HNF-MAL3" if root == ONE else "HNF-MAL2"), ratio, root
+        return NormalFormId("HNF-MAL1", base), ratio
+    if root == ONE:
+        return NormalFormId("HNF-MAL3", base), ratio
+    return NormalFormId("HNF-MAL2", {**base, "lam": root - ONE}), ratio
 
 
-def assign_c1(nfid: NormalFormId) -> Scalar:
-    """The z-part lower-left invariant attached to a non-elementary form."""
+def _branch_root(nfid: NormalFormId) -> Scalar:
+    """The root r of the ratio (1 + 16 c0 c1)/4 = r^2 that picks a
+    holomorphic family."""
     fam = nfid.family
-    c0 = S(nfid.params.get("c0", 0))
-    if fam == "F1":
-        if c0.is_zero():
-            raise ShapeError("elementary form has no pencil invariant")
-        return ZERO
     if fam == "HNF-MAL1":
-        return -(ONE / (_SIXTEEN * c0))
+        return ZERO
     if fam == "HNF-MAL3":
-        return integer(3) / (_SIXTEEN * c0)
+        return ONE
     if fam == "HNF-MAL2":
-        lam = S(nfid.params["lam"])
-        return (integer(4) * lam * lam + integer(8) * lam + integer(3)) / (
-            _SIXTEEN * c0
-        )
+        return S(nfid.params["lam"]) + ONE
     raise ShapeError(f"no pencil invariant for family {fam}")
 
 
+def assign_c1(nfid: NormalFormId) -> Scalar:
+    """The z-part lower-left invariant attached to a non-elementary form:
+    c1 = (4 r^2 - 1)/(16 c0), with r the branch root."""
+    c0 = S(nfid.params.get("c0", 0))
+    if nfid.family == "F1":
+        if c0.is_zero():
+            raise ShapeError("elementary form has no pencil invariant")
+        return ZERO
+    r = _branch_root(nfid)
+    return (integer(4) * r * r - ONE) / (_SIXTEEN * c0)
+
+
 @dataclass(frozen=True)
-class SecondTypeResult:
+class HoloNormalization:
     normal_form: NormalFormId
     target: TEStruct
-    gauge: GaugeMap
-    mu2: TSeries | None  # reparametrization; None = identity
+    steps: tuple[GaugeMap, ...]  # in the order they are applied
     state: MalgrangeState
 
 
-def holo_normal_form_second_type(
+def holo_normal_form(
     b0o: ConstMat, binf: ConstMat, nz: int, nt: int
-) -> SecondTypeResult:
-    """Branch on the pencil and produce the matching normal form plus the
-    frame change and reparametrization that exhibit it."""
+) -> HoloNormalization:
+    """The holomorphic normal form of a normalized pencil's deformation, and
+    the gauge steps that carry the deformation structure onto it.
+
+    F1 (B21 = 0) reparametrizes by the reverse of x, then shears by
+    C1 + t2 E.  HNF-MAL1/2/3 change frame, and MAL1 and MAL2 then
+    reparametrize by the reverse of mu2.
+    """
     c = b0o.c1
     c0 = b0o.c2
     if not (b0o.d.is_zero() and b0o.e.is_zero()) or c0.is_zero():
@@ -256,51 +269,39 @@ def holo_normal_form_second_type(
     b11, b12, b21, b22 = binf.entries()
     if b12 != c0 or b11 - b22 != -HALF:
         raise ShapeError("z-part must be normalized: B12 = c0, B11 - B22 = -1/2")
-    if b21.is_zero():
-        raise ShapeError("B21 = 0 belongs to the first-type branch")
-    alpha = (b11 + b22) * HALF
-    st = malgrange_xy(binf, c0, nt)
-    family, ratio, root = pencil_branch(b12 * b21)
-    if family == "HNF-MAL1":
-        k = integer(4) * c0
-        k0_over_k1 = ONE / (_SIXTEEN * c0 * c0 * c0)
-        gauge = _frame_change(st, k, k0_over_k1, nz, nt)
-        mu2 = TSeries.one(nt) - exp_linear(-ONE, nt)
-        nfid = NormalFormId(
-            "HNF-MAL1", {"c": c, "alpha": alpha, "c0": c0}
-        )
-        return SecondTypeResult(nfid, build_normal_form(nfid, nz, nt), gauge, mu2, st)
-    if family is None:
+    nfid, ratio = pencil_form(c, (b11 + b22) * HALF, c0, b12 * b21)
+    if nfid is None:
         raise ExactFieldError(f"branch constant needs sqrt({ratio}) outside Q(i)")
-    if st.roots is None:
-        raise ExactFieldError("pencil roots leave Q(i)")
-    a, b = st.roots
-    if b21 * (b - a) != root:
-        a, b = b, a  # order the roots so that b21 (b - a) = lam + 1
-    if family == "HNF-MAL3":
-        k = a
-        k0_over_k1 = ONE / (a * a * c0)
-        gauge = _frame_change(st, k, k0_over_k1, nz, nt)
-        nfid = NormalFormId(
-            "HNF-MAL3", {"c": c, "alpha": alpha, "c0": c0}
-        )
-        return SecondTypeResult(nfid, build_normal_form(nfid, nz, nt), gauge, None, st)
-    lam = root - ONE
-    k = a
-    k0_over_k1 = ONE / (a * a)
-    gauge = _frame_change(st, k, k0_over_k1, nz, nt)
-    mu2 = (exp_linear(lam, nt) - TSeries.one(nt)).scale(c0 / lam)
-    nfid = NormalFormId(
-        "HNF-MAL2", {"c": c, "alpha": alpha, "c0": c0, "lam": lam}
-    )
-    return SecondTypeResult(nfid, build_normal_form(nfid, nz, nt), gauge, mu2, st)
+    st = malgrange_xy(binf, c0, nt)
+    ident = Mat2.identity(nz, nt)
+    fam = nfid.family
+    if fam == "F1":
+        shear = ident + Mat2.basis("e", nz, nt).scale_zt(ZTSeries.t2(nz, nt))
+        steps = (GaugeMap(ident, st.x.reverse()), GaugeMap(shear))
+    else:
+        # The pencil roots are a and a + r/B21.  Their discriminant is
+        # ratio/B21^2, so they lie in Q(i) exactly when pencil_form found r.
+        r = _branch_root(nfid)
+        a = -(ONE + r + r) / (integer(4) * b21)
+        k0 = ONE / (a * a) if fam == "HNF-MAL2" else ONE / (a * a * c0)
+        steps = (_frame_change(st, a, k0, nz, nt),)
+        # Coefficient m of a reverse needs mu2_1..mu2_m only, so reversing
+        # on the full window is exact on the shorter one the frame change
+        # leaves, where apply_gauge truncates it.
+        if fam == "HNF-MAL1":
+            mu2 = TSeries.one(nt) - exp_linear(-ONE, nt)
+            steps += (GaugeMap(ident, mu2.reverse()),)
+        elif fam == "HNF-MAL2":
+            lam = r - ONE
+            mu2 = (exp_linear(lam, nt) - TSeries.one(nt)).scale(c0 / lam)
+            steps += (GaugeMap(ident, mu2.reverse()),)
+    return HoloNormalization(nfid, build_normal_form(nfid, nz, nt), steps, st)
 
 
 def _frame_change(
-    st: MalgrangeState, k: Scalar, k0_over_k1: Scalar, nz: int, nt: int
+    st: MalgrangeState, k: Scalar, k0: Scalar, nz: int, nt: int
 ) -> GaugeMap:
     """T = [[k0 k, k1 x/(k-x)], [k0, k1/(k-x)]] with k1 = 1."""
-    k0 = k0_over_k1
     inv = (TSeries.const(k, nt) - st.x).invert()
     m11 = TSeries.const(k0 * k, nt)
     m12 = st.x * inv
@@ -316,42 +317,17 @@ def _frame_change(
     )
 
 
-def second_type_replay(res: SecondTypeResult, c: Scalar, nz: int) -> bool:
-    """Apply the stored frame change and reparametrization to the
-    deformation structure and compare with the normal form."""
-    univ = malgrange_connection(res.state, c, nz)
-    step1 = apply_gauge(univ, res.gauge)
-    if res.mu2 is None:
-        out = step1
-    else:
-        n1 = step1.orders[1]
-        lam_inv = res.mu2.truncate(n1).reverse()
-        out = apply_gauge(step1, GaugeMap(Mat2.identity(nz, n1), lam_inv))
+def holo_replay(res: HoloNormalization) -> bool:
+    """Rebuild the deformation structure, apply the steps in turn and
+    compare with the normal form on the common window."""
+    out = malgrange_connection(
+        res.state, res.normal_form.params["c"], res.target.orders[0]
+    )
+    for g in res.steps:
+        out = apply_gauge(out, g)
     nzc = min(out.orders[0], res.target.orders[0])
     ntc = min(out.orders[1], res.target.orders[1])
     return out.truncate(nzc, ntc) == res.target.truncate(nzc, ntc)
-
-
-def first_type_normal_form(
-    b0o: ConstMat, binf: ConstMat, nz: int, nt: int
-) -> tuple[NormalFormId, TEStruct, tuple[GaugeMap, ...], MalgrangeState]:
-    """The B21 = 0 branch lands on the unit-family normal form."""
-    c = b0o.c1
-    c0 = b0o.c2
-    b11, b12, b21, b22 = binf.entries()
-    if not b21.is_zero() or b12 != c0 or b11 - b22 != -HALF or c0.is_zero():
-        raise ShapeError("first-type branch needs B21 = 0, B12 = c0 != 0")
-    alpha = (b11 + b22) * HALF
-    st = malgrange_xy(binf, c0, nt)
-    nfid = NormalFormId("F1", {"c": c, "alpha": alpha, "c0": c0})
-    target = build_normal_form(nfid, nz, nt)
-    lam_inv = st.x.reverse()
-    step1 = GaugeMap(Mat2.identity(nz, nt), lam_inv)
-    t2e = Mat2.identity(nz, nt) + Mat2.basis("e", nz, nt).scale_zt(
-        ZTSeries.t2(nz, nt)
-    )
-    step2 = GaugeMap(t2e)
-    return nfid, target, (step1, step2), st
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,7 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
     if not a2.c1.is_zero():
         raise ShapeError("frame reduction needs a trace-free A2")
     y = a2.c2[0].const
-    if y.at0().is_zero():
+    if y[0].is_zero():
         raise ShapeError("frame reduction needs a unit lower-left entry")
     if a2.c2 != ZTSeries.from_tpoly(y, nz):
         raise ShapeError("frame reduction needs a z-free A2")
@@ -459,16 +435,11 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     nfid = None
     formal_vs_holo = None
     if data is not None:
-        base = {"c": data.c, "alpha": data.alpha, "c0": data.c0}
-        family, ratio, root = pencil_branch(data.u())
-        if family is None:
+        nfid, ratio = pencil_form(data.c, data.alpha, data.c0, data.u())
+        if nfid is None:
             warnings = warnings + (
                 f"branch slope has (lam+1)^2 = {ratio} with no root in Q(i)",
             )
-        elif family == "HNF-MAL2":
-            nfid = NormalFormId(family, {**base, "lam": root - ONE})
-        else:
-            nfid = NormalFormId(family, base)
         formal_vs_holo = birkhoff_iso_decision(
             data, BirkhoffData(data.c, data.alpha, data.c0, ZERO)
         )

@@ -37,9 +37,9 @@ from .formalnf import (
 )
 from .malgrange import (
     assign_c1,
-    holo_normal_form_second_type,
+    holo_normal_form,
+    holo_replay,
     malgrange_xy,
-    second_type_replay,
     xy_residuals,
 )
 from .origin import (
@@ -322,7 +322,7 @@ def criterion_malgrange_fidelity(samples=30, order=16):
 # -- criterion 6 -------------------------------------------------------------
 
 
-def criterion_second_type_replay(nz=12, nt=13):
+def criterion_holo_replay(nz=12, nt=13):
     """The three branch normal forms are reproduced by the logged frame
     change and reparametrization."""
     c = S(1)
@@ -334,8 +334,8 @@ def criterion_second_type_replay(nz=12, nt=13):
         alpha = S("1/2")
         b0o = ConstMat(c, c0, ZERO, ZERO)
         binf = ConstMat(alpha, b21, -QUARTER, c0)
-        res = holo_normal_form_second_type(b0o, binf, nz, nt)
-        if not second_type_replay(res, c, nz):
+        res = holo_normal_form(b0o, binf, nz, nt)
+        if not holo_replay(res):
             return False, f"{label} replay failed"
         if assign_c1(res.normal_form) != b21:
             return False, f"{label} invariant mismatch"
@@ -480,7 +480,7 @@ CRITERIA = [
     ("3 elementary dichotomy", criterion_elementary_dichotomy),
     ("4 birkhoff decision table", criterion_birkhoff_table),
     ("5 malgrange ode fidelity", criterion_malgrange_fidelity),
-    ("6 second-type replay", criterion_second_type_replay),
+    ("6 second-type replay", criterion_holo_replay),
     ("7 euler suite", criterion_euler_suite),
     ("8 appendix suite", criterion_appendix_suite),
     ("9 cross-module coherence", criterion_cross_module),

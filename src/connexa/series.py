@@ -511,9 +511,6 @@ class TSeries(Plane):
                 return n
         return None
 
-    def at0(self) -> Scalar:
-        return self[0]
-
     def __getitem__(self, n: int) -> Scalar:
         return _scalar(self.re[n], self.im[n], self.den)
 

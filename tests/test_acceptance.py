@@ -40,7 +40,7 @@ def test_criterion_5_malgrange_fidelity():
 
 def test_criterion_6_second_type_replay():
     _drive("criterion 6 second-type normal-form replay",
-           selftest.criterion_second_type_replay)
+           selftest.criterion_holo_replay)
 
 
 def test_criterion_7_euler_suite():

@@ -88,7 +88,7 @@ def _lam_by_recursion(g: TSeries) -> TSeries:
         return sol.u.shift(1)
     # g = t/f: t w' + (1 - c0 f) w = 0, singular at n = 0; pin w(0) = 1
     f = TSeries(g.coeffs[1:]).invert()
-    coeff = TSeries.one(f.order) - f.scale(ONE / f.at0())
+    coeff = TSeries.one(f.order) - f.scale(ONE / f[0])
     sol = odekit.solve_linear_t_ode(coeff, TSeries.zero(f.order))
     assert 0 in sol.free_orders
     w = [ONE]

@@ -21,7 +21,7 @@ from connexa.formalnf import (
     zero_family_gauge,
 )
 from connexa.fixtures import FIXTURES, build_fixture
-from connexa.malgrange import assign_c1, pencil_branch
+from connexa.malgrange import assign_c1, pencil_form
 from connexa.scalars import ONE, ZERO, S
 from connexa.series import TSeries, ZTSeries
 
@@ -163,14 +163,18 @@ def test_hnf_prenormal_is_the_data_build_hnf_used(family, params):
 @pytest.mark.parametrize("family, params", HNF_PARAMS)
 def test_pencil_branch_inverts_assign_c1(family, params):
     nfid = NormalFormId(family, {"c": ZERO, "alpha": ZERO, **params})
-    got, ratio, root = pencil_branch(params["c0"] * assign_c1(nfid))
-    assert got == family
+    c0 = params["c0"]
+    got, ratio = pencil_form(ZERO, ZERO, c0, c0 * assign_c1(nfid))
+    assert got == nfid
+    roots = {"HNF-MAL1": ZERO, "HNF-MAL3": ONE}
+    root = roots[family] if family in roots else params["lam"] + ONE
     assert root * root == ratio
-    if family == "HNF-MAL2":
-        assert root - ONE == params["lam"]
 
 
 def test_pencil_branch_unit_family_and_no_root():
-    assert pencil_branch(ZERO)[0] == "F1"
-    family, ratio, root = pencil_branch(S("1/16"))  # (lam+1)^2 = 1/2
-    assert family is None and root is None and ratio == S("1/2")
+    c0 = S(3)
+    got, ratio = pencil_form(ONE, S("1/2"), c0, ZERO)
+    assert got == NormalFormId("F1", {"c": ONE, "alpha": S("1/2"), "c0": c0})
+    assert ratio == S("1/4")
+    got, ratio = pencil_form(ONE, S("1/2"), c0, S("1/16"))  # (lam+1)^2 = 1/2
+    assert got is None and ratio == S("1/2")

@@ -545,7 +545,7 @@ def _zero_family_recursion_rebuilt(p, shape, lam):
                 acc = acc - tau2[idx].derivative_exact() * diff.derivative_exact()
                 acc = acc + tau2[idx] * diff.derivative_exact().derivative_exact()
         assert acc.is_constant()
-        return acc.at0() / integer(4 * n)
+        return acc[0] / integer(4 * n)
 
     for n in range(0, nz - 1):
         if n >= 1:

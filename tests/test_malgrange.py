@@ -3,23 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from connexa.connmat import apply_gauge, flatness_residuals, induced_euler
-from connexa.errors import ShapeError
+import malgrange_oracle as oracle
+from connexa.connmat import Mat2, apply_gauge, flatness_residuals, induced_euler
+from connexa.errors import ExactFieldError, ShapeError
 from connexa.euler import euler_normal_form, realizable_by_te
 from connexa.formalnf import NormalFormId, build_normal_form, normal_form_prenormal
 from connexa.malgrange import (
     assign_c1,
     classify_holomorphic,
-    first_type_normal_form,
-    holo_normal_form_second_type,
+    holo_normal_form,
+    holo_replay,
     malgrange_connection,
     malgrange_xy,
-    second_type_replay,
+    pencil_form,
     xy_residuals,
 )
 from connexa.origin import ConstMat
 from connexa.scalars import ONE, QUARTER, S, ZERO, Scalar, integer
-from connexa.series import TSeries, exp_linear
+from connexa.series import TSeries, ZTSeries, exp_linear
 
 from conftest import rand_nonzero, rand_scalar
 from fraction_scalar import F_ONE, F_ZERO, f_integer, from_frac, to_frac
@@ -72,9 +73,7 @@ def test_connection_flat_and_profiled(rng):
     assert a2.c1.is_zero()
     assert (a2 * a2).is_zero()
     # B^(0) + (t1 - c) C1 is independent of t1 and d1 B^(0) = -C1
-    assert s.B.map(lambda c: c.dt1()) == -(
-        __import__("connexa.connmat", fromlist=["Mat2"]).Mat2.identity(NZ, NT)
-    )
+    assert s.B.map(lambda c: c.dt1()) == -Mat2.identity(NZ, NT)
 
 
 def test_second_type_branches_and_c1():
@@ -86,46 +85,41 @@ def test_second_type_branches_and_c1():
         (S("3/16"), "HNF-MAL3", None),
     ]:
         binf = ConstMat(S("1/2"), b21, -QUARTER, c0)
-        res = holo_normal_form_second_type(b0o, binf, NZ, NT)
+        res = holo_normal_form(b0o, binf, NZ, NT)
         assert res.normal_form.family == family
         if lam is not None:
             assert res.normal_form.params["lam"] == lam
         assert assign_c1(res.normal_form) == b21
-        assert second_type_replay(res, S(1), NZ)
+        assert holo_replay(res)
         assert flatness_residuals(res.target).flat
 
 
 def test_second_type_rejects_first_type():
+    # B21 = 0 is no refusal: it is the F1 branch of the one constructor
     b0o = ConstMat(S(0), S(1), ZERO, ZERO)
     binf = ConstMat(S(0), ZERO, -QUARTER, S(1))
-    with pytest.raises(ShapeError):
-        holo_normal_form_second_type(b0o, binf, NZ, NT)
+    res = holo_normal_form(b0o, binf, NZ, NT)
+    assert res.normal_form == NormalFormId("F1", dict(c=S(0), alpha=S(0), c0=S(1)))
 
 
 def test_lambda_branch_invariance():
-    # both root orders give the same invariant; lam and -lam-2 match
-    lam = S(1)
-    other = -lam - S(2)
-    c0 = S(3)
-    c1a = (S(4) * lam * lam + S(8) * lam + S(3)) / (S(16) * c0)
-    c1b = (S(4) * other * other + S(8) * other + S(3)) / (S(16) * c0)
-    assert c1a == c1b
+    # lam and -lam - 2 are the two roots of one ratio: they give the same
+    # invariant, and the pencil reads back the principal one
+    lam, c0 = S(1), S(3)
+    mk = lambda l: NormalFormId("HNF-MAL2", dict(c=S(0), alpha=S(0), c0=c0, lam=l))
+    c1 = assign_c1(mk(lam))
+    assert c1 == assign_c1(mk(-lam - S(2)))
+    assert pencil_form(S(0), S(0), c0, c0 * c1) == (mk(lam), (lam + ONE) ** 2)
 
 
 def test_first_type_lands_on_unit_family():
     c0, c, alpha = S(2), S(1), S("1/2")
     b0o = ConstMat(c, c0, ZERO, ZERO)
     binf = ConstMat(alpha, ZERO, -QUARTER, c0)
-    nfid, target, steps, st = first_type_normal_form(b0o, binf, NZ, NT)
-    assert nfid == NormalFormId("F1", dict(c=c, alpha=alpha, c0=c0))
-    univ = malgrange_connection(st, c, NZ)
-    out = univ
-    for g in steps:
-        out = apply_gauge(out, g)
-    nz = min(out.orders[0], target.orders[0])
-    nt = min(out.orders[1], target.orders[1])
-    assert out.truncate(nz, nt) == target.truncate(nz, nt)
-    e = induced_euler(target)
+    res = holo_normal_form(b0o, binf, NZ, NT)
+    assert res.normal_form == NormalFormId("F1", dict(c=c, alpha=alpha, c0=c0))
+    assert holo_replay(res)
+    e = induced_euler(res.target)
     assert e.g == TSeries.var(NT).scale(S("1/2")) - TSeries.const(c0, NT)
 
 
@@ -135,12 +129,9 @@ def test_intermediate_pullback_matrices():
     c0, c = S(2), S(0)
     b0o = ConstMat(c, c0, ZERO, ZERO)
     binf = ConstMat(ZERO, ZERO, -QUARTER, c0)
-    nfid, target, steps, st = first_type_normal_form(b0o, binf, NZ, NT)
-    univ = malgrange_connection(st, c, NZ)
-    mid = apply_gauge(univ, steps[0])
-    from connexa.connmat import Mat2
-    from connexa.series import ZTSeries
-
+    res = holo_normal_form(b0o, binf, NZ, NT)
+    univ = malgrange_connection(res.state, c, NZ)
+    mid = apply_gauge(univ, res.steps[0])
     nzm, ntm = mid.orders
     t2 = ZTSeries.t2(nzm, ntm)
     expected_a2 = (
@@ -299,3 +290,81 @@ def test_malgrange_xy_matches_fraction_pair_oracle():
                 c0 = rand_nonzero(rnd, 6)
                 st = malgrange_xy(binf, c0, order)
                 assert (st.x, st.y) == _malgrange_xy_fraction_pair(binf, c0, order)
+
+
+def _pencil(c, alpha, c0, b21):
+    """A normalized pencil: head c C1 + c0 C2, z-part with B12 = c0 and
+    B11 - B22 = -1/2."""
+    binf = ConstMat.from_entries(alpha - QUARTER, c0, b21, alpha + QUARTER)
+    return ConstMat(c, c0, ZERO, ZERO), binf
+
+
+# (c, alpha, c0, B21) on each branch: F1, HNF-MAL1, HNF-MAL2 (lam = 1 and
+# lam = i) and HNF-MAL3
+BRANCH_PENCILS = [
+    (S(1), S("1/2"), S(2), ZERO),
+    (S(1), S("1/2"), S(1), S("-1/16")),
+    (S(1), S("1/2"), S(1), S("15/16")),
+    (S(0), S(1, 1), S(1, 1), (S(4) * S(1, 1) ** 2 - ONE) / (S(16) * S(1, 1))),
+    (S(1), S("1/2"), S(2), S("3/32")),
+]
+
+
+@pytest.mark.parametrize("nz, nt", [(4, 4), (8, 8), (12, 13), (16, 16)])
+def test_holo_normal_form_matches_two_path_oracle(nz, nt):
+    families = set()
+    for c, alpha, c0, b21 in BRANCH_PENCILS:
+        b0o, binf = _pencil(c, alpha, c0, b21)
+        res = holo_normal_form(b0o, binf, nz, nt)
+        families.add(res.normal_form.family)
+        assert holo_replay(res)
+        if b21.is_zero():
+            nfid, target, steps, st = oracle.first_type_normal_form(b0o, binf, nz, nt)
+            assert (res.normal_form, res.target) == (nfid, target)
+            assert [(g.tmat, g.lam) for g in res.steps] == [
+                (g.tmat, g.lam) for g in steps
+            ]
+            assert oracle.first_type_replay(nfid, target, steps, st, nz)
+            continue
+        old = oracle.holo_normal_form_second_type(b0o, binf, nz, nt)
+        assert (res.normal_form, res.target) == (old.normal_form, old.target)
+        assert res.steps[0] == old.gauge
+        want = oracle.second_type_lam(old, nz)
+        if want is None:
+            assert len(res.steps) == 1
+        else:
+            (base,) = res.steps[1:]
+            n1 = want.order
+            assert base.tmat.truncate(nz, n1) == Mat2.identity(nz, n1)
+            assert base.lam.truncate(n1) == want
+        assert oracle.second_type_replay(old, c, nz)
+    assert families == {"F1", "HNF-MAL1", "HNF-MAL2", "HNF-MAL3"}
+
+
+def test_holo_normal_form_agrees_with_classification():
+    # the branch root r gives B21 = (4 r^2 - 1)/(16 c0); its sign and r =
+    # +-1/2 (F1) cross every branch, Gaussian roots included
+    rnd = random.Random(29)
+    fixed = [ZERO, ONE, -ONE, S("1/2"), S("-1/2"), S(2), S(-2), S(0, 1)]
+    families = set()
+    for idx in range(300):
+        r = fixed[idx] if idx < len(fixed) else rand_nonzero(rnd, 3)
+        c, alpha, c0 = rand_scalar(rnd, 3), rand_scalar(rnd, 3), rand_nonzero(rnd, 3)
+        b0o, binf = _pencil(c, alpha, c0, (S(4) * r * r - ONE) / (S(16) * c0))
+        res = holo_normal_form(b0o, binf, 6, 8)
+        s = malgrange_connection(res.state, c, 6)
+        assert classify_holomorphic(s).normal_form == res.normal_form, r
+        families.add(res.normal_form.family)
+    assert families == {"F1", "HNF-MAL1", "HNF-MAL2", "HNF-MAL3"}
+
+
+def test_holo_normal_form_refuses_a_ratio_without_root():
+    # B21 c0 = 1/16: the ratio (lam+1)^2 = 1/2 has no root in Q(i)
+    b0o, binf = _pencil(S(1), S(0), S(1), S("1/16"))
+    with pytest.raises(ExactFieldError) as new:
+        holo_normal_form(b0o, binf, NZ, NT)
+    with pytest.raises(ExactFieldError) as old:
+        oracle.holo_normal_form_second_type(b0o, binf, NZ, NT)
+    assert str(new.value) == str(old.value) == (
+        "branch constant needs sqrt(1/2) outside Q(i)"
+    )

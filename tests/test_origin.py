@@ -117,7 +117,7 @@ def test_elementary_matches_twisted_fuchs():
         r = restrict_origin(build_prenormal_struct(p))
         assert is_elementary(p) == want
         assert cyclic_fuchs(r) == want
-        assert (r.eta.at0() * r.gam.at0()).is_zero() == want
+        assert (r.eta[0] * r.gam[0]).is_zero() == want
 
 
 def test_irreducibility_nonelementary():
