@@ -349,11 +349,8 @@ class TEStruct:
         for comp in (self.B.c2, self.B.d, self.B.e):
             if not comp.is_t1_free():
                 raise T1DegreeError("B carries t1 outside its C1 component")
-        if self.kind == "TE":
-            slope = self.B.c1.t1_slope_z()
-            expected = TSeries.of([-1], slope.order)
-            if slope != expected or not self.B.c1.planes.slope.is_constant():
-                raise ShapeError("B's C1 component must have t1 slope -1")
+        if self.kind == "TE" and not _is_unit(self.B.c1.planes.slope, -1):
+            raise ShapeError("B's C1 component must have t1 slope -1")
 
 
 @dataclass(frozen=True)
@@ -598,28 +595,44 @@ class OriginRestriction:
         return tuple(map(ConstMat, c1.coeffs, eta.coeffs, d.coeffs, e.coeffs))
 
 
+def _is_unit(a: Plane, sign: int) -> bool:
+    """Whether the plane is the constant ``sign`` (1 or -1): den 1 and one
+    support entry, sign at (0, 0)."""
+    return a.den == 1 and a.support() == [(0, [(0, sign, 0)])]
+
+
+def z0_row_vanishes(a: Plane) -> bool:
+    """Whether the plane's z^0 row is zero, read off its support."""
+    sup = a.support()
+    return not sup or sup[0][0] > 0
+
+
 def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
     """(f, b2, b1) read off a structure with A1 = C1, A2 = C2 + z f E.
 
     Raises ShapeError if the structure is not of that shape or b1 is not
     constant in t2.
     """
-    nz, nt = s.orders
-    s.validate_t1_profile()
-    if s.A1 != Mat2.identity(nz, nt):
+    s.validate_t1_profile()  # so every A-matrix slope below is zero
+    a1, a2 = s.A1, s.A2
+    if not (
+        _is_unit(a1.c1.planes.const, 1)
+        and a1.c2.is_zero()
+        and a1.d.is_zero()
+        and a1.e.is_zero()
+    ):
         raise ShapeError("A1 must be C1")
     if (
-        not s.A2.c1.is_zero()
-        or not s.A2.d.is_zero()
-        or s.A2.c2 != ZTSeries.one(nz, nt)
+        not a2.c1.is_zero()
+        or not a2.d.is_zero()
+        or not _is_unit(a2.c2.planes.const, 1)
     ):
         raise ShapeError("A2 must be C2 + z f E")
-    e_comp = s.A2.e
-    if not e_comp.truncate(1, nt).is_zero():
+    if not z0_row_vanishes(a2.e.planes.const):
         raise ShapeError("A2's E component must be divisible by z")
-    if nz < 2:
+    if s.orders[0] < 2:
         raise ShapeError("need z-order at least 2")
-    f = e_comp.div_z()  # exact to z-order nz - 1
+    f = a2.e.div_z()  # exact to z-order nz - 1
     b2 = s.B.c2
     b1_zt = s.B.c1
     if not b1_zt.planes.const.is_constant():

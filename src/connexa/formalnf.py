@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import lcm
 
 from . import odekit
 from .connmat import (
@@ -20,6 +21,7 @@ from .connmat import (
     compose_gauges,
     prenormal_components,
     scalar_exp_gauge,
+    z0_row_vanishes,
 )
 from .errors import (
     ExactFieldError,
@@ -30,7 +32,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
-from .series import Plane, TSeries, ZTSeries, exp_linear, geometric, plane_dot
+from .series import Plane, TSeries, ZTSeries, _scalar, exp_linear, geometric, plane_dot
 
 _NEG_HALF = -HALF
 
@@ -157,34 +159,79 @@ def _validate_against(s: TEStruct, p: PreNormalForm):
 
         -(z/2) d2^3 b2 + (d2 f) b2 + 2 f d2(b2) - z dz(f) + f = 0.
 
-    Each equation is one fused sum that is only tested for zero; B.d, B.e,
-    f and b2 are t1-free here (``prenormal_components``).
+    Each equation is one exact sum over the planes read in place
+    (``_vanishes``): dividing by z is a row offset, d2 a column offset.
+    f b2 and f b3 are the only products; f b2 is read one row up in
+    A2.e b2, since A2.e = z f.  B.d, B.e, A2.e and b2 are t1-free here
+    (``prenormal_components``).
     """
     nz, nt = s.orders
     w = (nz - 1, nt - 1)
-    one, z = Plane.z_power(0, *w), Plane.z_power(1, *w)
     bd, be = s.B.d.planes.const, s.B.e.planes.const
-    b3, b4 = bd.div_z(), be.div_z()
-    b3w = b3.truncate(*w)
-    f = p.f.planes.const.truncate(*w)
-    b2 = p.b2.planes.const.truncate(nz - 1, nt)
+    f, b2 = p.f.planes.const, p.b2.planes.const
     # 2 b3 + d2 b2 + 1
-    if not bd.row(0).is_zero() or not plane_dot(
-        [(2, b3w, one), (1, b2.derivative(), one), (1, one, one)], *w
-    ).is_zero():
+    if not z0_row_vanishes(bd) or not _vanishes(
+        [(2, bd, 1, 0, None), (1, b2, 0, 1, "n")], *w, unit=True
+    ):
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
     # b4 - z d2(b3) - f b2
-    if not be.row(0).is_zero() or not plane_dot(
-        [(1, b4.truncate(*w), one), (-1, b3.derivative(), z), (-1, f, b2.truncate(*w))], *w
-    ).is_zero():
+    fb2 = plane_dot([(1, s.A2.e.planes.const, b2)], nz, nt)
+    if not z0_row_vanishes(be) or not _vanishes(
+        [(1, be, 1, 0, None), (-1, bd, 0, 1, "n"), (-1, fb2, 1, 0, None)], *w
+    ):
         raise ShapeError("E component does not match z b4")
     # d2(b4) - z dz(f) - 2 f b3
-    if not plane_dot(
-        [(1, b4.derivative(), one), (-1, f.zdz(), one), (-2, f, b3w)], *w
-    ).is_zero():
+    fb3 = plane_dot([(1, f, _div_z(bd))], nz - 1, nt)
+    if not _vanishes(
+        [(1, be, 1, 1, "n"), (-1, f, 0, 0, "k"), (-2, fb3, 0, 0, None)], *w
+    ):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
         raise ShapeError("t-order too small to validate")
+
+
+def _div_z(a: Plane) -> Plane:
+    """a / z for a plane whose z^0 row vanishes, built from its support:
+    those entries are canonical over a.den already, so nothing is scanned
+    or reduced."""
+    nt = a.nt
+    entries = [((k - 1) * nt + n, x, y) for k, row in a.support() for n, x, y in row]
+    return Plane._at(a.nz - 1, nt, entries, a.den)
+
+
+def _vanishes(terms, nz: int, nt: int, unit: bool = False) -> bool:
+    """Whether sum m * w * a[k + dk][n + dn] over the terms (m, a, dk, dn,
+    by), plus 1 at (0, 0) when ``unit``, is zero at every (k, n) of the
+    nz x nt window.  The weight w is 1 for by = None, the t2-degree n + dn
+    of the entry read for "n" (d/dt2 when dn = 1), and k for "k" (z d/dz
+    when dk = 0).  Each plane is read on its support, all numerators over
+    one common denominator."""
+    if not nt:
+        return True
+    den = lcm(*[a.den for _, a, *_ in terms])
+    re = [0] * (nz * nt)
+    im = [0] * (nz * nt)
+    if unit:
+        re[0] = den
+    for m, a, dk, dn, by in terms:
+        c = m * (den // a.den)
+        for k, row in a.support():
+            kt = k - dk
+            if kt < 0:
+                continue
+            if kt >= nz:
+                break
+            ck = c * kt if by == "k" else c
+            o = kt * nt - dn
+            for n, x, y in row:
+                if n < dn:
+                    continue
+                if n - dn >= nt:
+                    break
+                cn = ck * n if by == "n" else ck
+                re[o + n] += cn * x
+                im[o + n] += cn * y
+    return not (any(re) or any(im))
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +578,21 @@ _SHAPE_B20 = {  # (1, t2, t2^2) coefficients of each catalogue shape
 
 
 def _quad_rows(b2: ZTSeries, nt: int) -> list[odekit.Quad]:
-    """The z-coefficients of b2 on t-order nt, each read as a triple."""
-    msg = "b2 is not quadratic in t2 at z^{}"
-    return [
-        odekit.quad_coeffs(b2[k].const.truncate(nt), ShapeError, msg.format(k))
-        for k in range(b2.nz)
-    ]
+    """The z-coefficients of b2 on t-order nt, each read as a triple off
+    the support of b2's constant plane; entries at t2^n, n >= nt, are
+    not read."""
+    a = b2.planes.const
+    rows = [(ZERO, ZERO, ZERO)] * a.nz
+    for k, row in a.support():
+        quad = [ZERO, ZERO, ZERO]
+        for n, x, y in row:
+            if n >= nt:
+                break
+            if n >= 3:
+                raise ShapeError(f"b2 is not quadratic in t2 at z^{k}")
+            quad[n] = _scalar(x, y, a.den)
+        rows[k] = tuple(quad)
+    return rows
 
 
 def _mobius_rows(rows: list[odekit.Quad], k: Scalar, d: Scalar, e: Scalar):

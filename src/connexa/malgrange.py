@@ -164,7 +164,13 @@ def _cross_check_closed_form(
 def malgrange_connection(
     st: MalgrangeState, c: Scalar, nz: int
 ) -> TEStruct:
-    """The universal-deformation structure in base coordinates."""
+    """The universal-deformation structure in base coordinates.  Its pole
+    part has a z^1 term, and every reader of structures needs z-order at
+    least 2, so a smaller nz is refused before anything is built."""
+    if nz < 2:
+        raise ShapeError(
+            f"the universal deformation needs z-order at least 2, not {nz}"
+        )
     if st.y[0].is_zero():
         raise UnfoldingError("degenerate deformation: y(0) = 0")
     nt = st.x.order

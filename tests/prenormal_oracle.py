@@ -1,13 +1,21 @@
-"""Reference pre-normal pole check, for the oracle tests.
+"""Reference pre-normal reduction, for the oracle tests.
 
 These are the bodies connexa once ran: three hand-shifted components of
 the pole-2 flatness equation compared on (nz, nt - 1), then the master
 equation, their consequence, which needs a third t2-derivative and so
 covers only (nz - 1, nt - 3); and the one check that replaced them, in
-b3 = B.d/z and b4 = B.e/z on (nz - 1, nt - 1), with each side of each
-equation built as separately reduced z-series and compared.  The package
-forms each equation of that check as one fused sum tested for zero
-(``formalnf._validate_against``); the tests check it against these.
+b3 = B.d/z and b4 = B.e/z on (nz - 1, nt - 1), first with each side of
+each equation built as separately reduced z-series and compared
+(``pole_check``), then with each equation one fused ``plane_dot`` over
+truncated, shifted and differentiated copies of the planes
+(``fused_pole_check``).  The package reads each equation off the planes
+in place (``formalnf._validate_against``); the tests check it against
+these.
+
+The shape checks once compared the structure with built matrices
+(``Mat2.identity``, ``ZTSeries.one``, the slope ``TSeries.of([-1])``)
+and the f = 0 rows were read off one z-row copy each (``quad_rows``);
+the package reads both off the planes' supports.
 
 The f = 0 normalizer once moved its data by each Mobius base change the
 slow way: build the full structure, apply the gauge and read the
@@ -18,19 +26,18 @@ pipeline; the package maps the rows of b2 in closed form
 
 from __future__ import annotations
 
-from connexa import formalnf
-from connexa.connmat import GaugeMap, TEStruct, apply_gauge, prenormal_components
-from connexa.errors import FlatnessError, ShapeError
+from connexa import formalnf, odekit
+from connexa.connmat import GaugeMap, Mat2, TEStruct, apply_gauge
+from connexa.errors import FlatnessError, ShapeError, T1DegreeError
 from connexa.formalnf import (  # bound here, so a test's monkeypatch passes them by
     Classification,
     PreNormalForm,
-    _quad_rows,
     _zero_family_recursion,
     build_prenormal_struct,
     normal_form_prenormal,
 )
 from connexa.scalars import HALF, ONE, ZERO, S
-from connexa.series import TSeries, ZTSeries
+from connexa.series import Plane, TSeries, ZTSeries, plane_dot
 
 _NEG_HALF = -HALF
 
@@ -73,6 +80,87 @@ def pole_check(s: TEStruct, p: PreNormalForm):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
         raise ShapeError("t-order too small to validate")
+
+
+def fused_pole_check(s: TEStruct, p: PreNormalForm):
+    """The same three equations, each one ``plane_dot`` over copies of the
+    planes cut to (nz - 1, nt - 1), shifted and differentiated there."""
+    nz, nt = s.orders
+    w = (nz - 1, nt - 1)
+    one, z = Plane.z_power(0, *w), Plane.z_power(1, *w)
+    bd, be = s.B.d.planes.const, s.B.e.planes.const
+    b3, b4 = bd.div_z(), be.div_z()
+    b3w = b3.truncate(*w)
+    f = p.f.planes.const.truncate(*w)
+    b2 = p.b2.planes.const.truncate(nz - 1, nt)
+    # 2 b3 + d2 b2 + 1
+    if not bd.row(0).is_zero() or not plane_dot(
+        [(2, b3w, one), (1, b2.derivative(), one), (1, one, one)], *w
+    ).is_zero():
+        raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
+    # b4 - z d2(b3) - f b2
+    if not be.row(0).is_zero() or not plane_dot(
+        [(1, b4.truncate(*w), one), (-1, b3.derivative(), z), (-1, f, b2.truncate(*w))], *w
+    ).is_zero():
+        raise ShapeError("E component does not match z b4")
+    # d2(b4) - z dz(f) - 2 f b3
+    if not plane_dot(
+        [(1, b4.derivative(), one), (-1, f.zdz(), one), (-2, f, b3w)], *w
+    ).is_zero():
+        raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
+    if nt < 4:
+        raise ShapeError("t-order too small to validate")
+
+
+def validate_t1_profile(s: TEStruct):
+    """A_i must be t1-free; B may carry t1 only in its C1 slope, = -1."""
+    if not (s.A1.is_t1_free() and s.A2.is_t1_free()):
+        raise T1DegreeError("A-matrices must not depend on t1")
+    for comp in (s.B.c2, s.B.d, s.B.e):
+        if not comp.is_t1_free():
+            raise T1DegreeError("B carries t1 outside its C1 component")
+    if s.kind == "TE":
+        slope = s.B.c1.t1_slope_z()
+        expected = TSeries.of([-1], slope.order)
+        if slope != expected or not s.B.c1.planes.slope.is_constant():
+            raise ShapeError("B's C1 component must have t1 slope -1")
+
+
+def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
+    """(f, b2, b1) read off a structure with A1 = C1, A2 = C2 + z f E, by
+    comparing with built matrices."""
+    nz, nt = s.orders
+    validate_t1_profile(s)
+    if s.A1 != Mat2.identity(nz, nt):
+        raise ShapeError("A1 must be C1")
+    if (
+        not s.A2.c1.is_zero()
+        or not s.A2.d.is_zero()
+        or s.A2.c2 != ZTSeries.one(nz, nt)
+    ):
+        raise ShapeError("A2 must be C2 + z f E")
+    e_comp = s.A2.e
+    if not e_comp.truncate(1, nt).is_zero():
+        raise ShapeError("A2's E component must be divisible by z")
+    if nz < 2:
+        raise ShapeError("need z-order at least 2")
+    f = e_comp.div_z()  # exact to z-order nz - 1
+    b2 = s.B.c2
+    b1_zt = s.B.c1
+    if not b1_zt.planes.const.is_constant():
+        raise ShapeError("B's C1 part must not depend on t2")
+    b1 = b1_zt.at_origin()
+    return f, b2, b1
+
+
+def quad_rows(b2: ZTSeries, nt: int) -> list[odekit.Quad]:
+    """The z-coefficients of b2 on t-order nt, each read as a triple off
+    its own truncated row."""
+    msg = "b2 is not quadratic in t2 at z^{}"
+    return [
+        odekit.quad_coeffs(b2[k].const.truncate(nt), ShapeError, msg.format(k))
+        for k in range(b2.nz)
+    ]
 
 
 def master_residual(p: PreNormalForm) -> ZTSeries:
@@ -118,7 +206,7 @@ def zero_family_recursion(p: PreNormalForm, shape: str):
     read at p's window, with the rows it returns put back into pre-normal
     data."""
     nt = p.orders[1]
-    rows, gauge, mu, res_order = _zero_family_recursion(_quad_rows(p.b2, nt), shape, nt)
+    rows, gauge, mu, res_order = _zero_family_recursion(quad_rows(p.b2, nt), shape, nt)
     return prenormal_of(rows, nt, p.c, p.alpha), gauge, mu, res_order
 
 

@@ -584,6 +584,24 @@ def test_cli_malgrange_document(tmp_path):
     assert json.loads(verify.stdout)["verdicts"]["flat"] is True
 
 
+@pytest.mark.parametrize("binf", ["0,0,0,0", "0,1,0,1/2"])
+def test_cli_malgrange_refuses_z_order_one(tmp_path, binf):
+    # the document at z-order 1 was once written (binf = 0), though every
+    # document command refuses it, or refused with a series-internal text
+    target = tmp_path / "univ.json"
+    code, out, err = _main(
+        "--order-z", "1", "malgrange", "--c0", "1", f"--binf={binf}", "--out", str(target)
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition violation: the universal deformation needs z-order"
+        " at least 2, not 1\n"
+    )
+    assert not target.exists()
+    code, _out, err = _main("--order-z", "2", "malgrange", "--c0", "1", f"--binf={binf}")
+    assert (code, err) == (0, "")
+
+
 def test_cli_malgrange_writes_only_documents_that_load(tmp_path):
     # the writer refuses what the reader refuses: a plane over a common
     # denominator past MAX_DEN_BITS, or a literal past the int/str

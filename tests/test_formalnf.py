@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from connexa.errors import (
     NormalizationRequiredError,
     OrderMismatchError,
     ShapeError,
+    T1DegreeError,
     UnsupportedShapeError,
 )
 from connexa.formalnf import (
@@ -34,6 +36,8 @@ from connexa.formalnf import (
     normal_form_prenormal,
     solve_b2_extensions,
     to_prenormal,
+    unit_family_gauge,
+    zero_family_gauge,
     _SHAPE_B20,
     _quad_coeffs,
 )
@@ -47,6 +51,7 @@ from connexa.selftest import (
     _random_zero_family_gauge,
 )
 from connexa.series import TSeries, ZTSeries
+from conftest import rand_nonzero, rand_scalar
 
 NZ = NT = 8
 
@@ -243,6 +248,145 @@ def test_fused_pole_check_matches_the_series_oracle():
                 same(build_fixture(name, *orders))
             except ExactAlgebraError:
                 continue
+
+
+def _bumped(zt, k, n, v):
+    """zt with its t1-free coefficient at z^k t2^n raised by v."""
+    nz, nt = zt.orders
+    rows = [TSeries.zero(nt)] * k + [TSeries.monomial(v, n, nt)]
+    return zt + ZTSeries.from_zcoeffs(rows, nz)
+
+
+def _dense_prenormal_structures(rng, nz, nt):
+    """Dense pre-normal structures on (nz, nt): an F1 and three f = 0
+    normal forms, moved by family automorphisms of z-degree 5 (for f = 0
+    quadratic in t2; that action costs a t2-order)."""
+    base = {"c": rand_scalar(rng), "alpha": rand_scalar(rng)}
+    tau1 = [rand_nonzero(rng, 2)] + [rand_scalar(rng, 2) for _ in range(5)]
+    tau1 = TSeries.of(tau1, nz)
+    tau2 = TSeries.of([rand_scalar(rng, 2) for _ in range(5)], nz)
+    nf = NormalFormId("F1", {**base, "c0": rand_nonzero(rng)})
+    yield apply_gauge(build_normal_form(nf, nz, nt), unit_family_gauge(tau1, tau2, nt))
+    for family, lam in (("NF3-4", S("1/2")), ("NF3-6", S(2)), ("NF3-8", S(-1))):
+        polys = [
+            TSeries.of([rand_scalar(rng, 2) for _ in range(3)], nt + 1) for _ in range(5)
+        ]
+        gauge = zero_family_gauge(tau1, ZTSeries.from_zcoeffs(polys, nz))
+        nf = NormalFormId(family, {**base, "lam": lam})
+        yield apply_gauge(build_normal_form(nf, nz, nt + 1), gauge)
+
+
+def _pole_refusals(s):
+    """The pole check's refusal of s, or None, the same from the package and
+    from both references; "shape" when the shape checks refuse s."""
+    try:
+        f, b2, b1 = prenormal_components(s)
+    except ExactAlgebraError:
+        return "shape"
+    p = PreNormalForm(f, b2, b1[0], b1[1])
+    got = _refusal(formalnf._validate_against, s, p)
+    assert got == _refusal(prenormal_oracle.pole_check, s, p)
+    assert got == _refusal(prenormal_oracle.fused_pole_check, s, p)
+    return got
+
+
+def test_pole_check_matches_both_references_on_dense_edits():
+    # every single-coefficient edit of B.d, B.e, A2.e and B.c2 over the
+    # whole (10, 6) window of dense moved structures, z^0 rows and the top
+    # row and column included, built by arithmetic and read from documents
+    rng = random.Random(3030)
+    nz, nt = 10, 6
+    bumps = (S(7), Scalar.parse("1/3+2*i"))
+    causes = {}
+    for s in _dense_prenormal_structures(rng, nz, nt):
+        assert s.orders == (nz, nt) and _pole_refusals(s) is None
+        for mat, comp in (("B", "d"), ("B", "e"), ("A2", "e"), ("B", "c2")):
+            m = getattr(s, mat)
+            for k in range(nz):
+                for n in range(nt):
+                    zt = _bumped(getattr(m, comp), k, n, bumps[(k + n) % 2])
+                    edited = dataclasses.replace(
+                        s, **{mat: dataclasses.replace(m, **{comp: zt})}
+                    )
+                    got = _pole_refusals(edited)
+                    read = structure_from_document(structure_to_document(edited))
+                    assert _pole_refusals(read) == got
+                    causes[got] = causes.get(got, 0) + 1
+    # the shape checks refuse the z^0 edits of A2.e; only the derived E
+    # equation reads B.e's top t-column
+    assert causes.pop("shape") == 4 * nt
+    assert set(causes) == {None, D_CAUSE, E_CAUSE, E_DERIVED_CAUSE}, causes
+    assert min(causes.values()) >= 30, causes
+
+
+def _same_shape_verdicts(s):
+    """The refusal's class, or "ok", the same from the package and from the
+    reference, which also return equal (f, b2, b1)."""
+    assert _outcome(s.validate_t1_profile) == _outcome(
+        prenormal_oracle.validate_t1_profile, s
+    )
+    want = _outcome(prenormal_oracle.prenormal_components, s)
+    assert _outcome(prenormal_components, s) == want
+    return _kind(want)
+
+
+def _kind(out):
+    """The exception class of an ``_outcome``, or "ok"."""
+    return out[0] if isinstance(out, tuple) and isinstance(out[0], type) else "ok"
+
+
+def test_shape_checks_match_the_built_matrix_reference():
+    # every single-entry edit (matrix, component, t1-part, (k, n)) and five
+    # hand-made refusals: the same exception and text, or equal (f, b2, b1)
+    nz, nt = 4, 5
+    verdicts = {}
+    for name in ("f1_r2", "nf3_4", "mal1"):
+        s = build_fixture(name, nz, nt)
+        doc = structure_to_document(s)
+        for mat in ("A1", "A2", "B"):
+            for comp in doc["matrices"][mat]:
+                for k in range(nz):
+                    for part in (0, 1):
+                        for n in range(nt):
+                            edited = _edited(s, mat, comp, k, n, part)
+                            verdict = _same_shape_verdicts(edited)
+                            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        c1 = s.B.c1
+        t1, t2 = ZTSeries.t1(nz, nt), ZTSeries.t2(nz, nt)
+        for edited in (
+            dataclasses.replace(s, A1=Mat2.identity(nz, nt).scale(S(2))),  # A1 = 2 C1
+            dataclasses.replace(s, A1=Mat2.identity(nz, nt).scale(HALF)),
+            dataclasses.replace(s, B=dataclasses.replace(s.B, c1=c1 - t1)),  # slope -2
+            dataclasses.replace(s, B=dataclasses.replace(s.B, c1=c1 + t1.scale(HALF))),
+            dataclasses.replace(s, B=dataclasses.replace(s.B, c1=c1 + t1 * t2)),
+        ):
+            assert _same_shape_verdicts(edited) is ShapeError
+    assert verdicts["ok"] > 100 and verdicts[ShapeError] > 100
+    assert verdicts[T1DegreeError] > 100
+
+
+def test_quad_rows_match_the_row_copy_reference():
+    # b2 whose rows are quadratic, or carry a t2^n (3 <= n < nt) at z^0, at a
+    # middle z-order or at the top one, or only at n >= nt, which the
+    # reader's t-order cuts off
+    rng = random.Random(3131)
+    checked = {}
+    for nz, nt in ((16, 16), (10, 6)):
+        for _ in range(3):
+            rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(nz)]
+            rows[rng.randrange(nz)] = [ZERO, ZERO, ZERO]
+            b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt) for r in rows], nz)
+            for k, n in ((0, 3), (nz // 2, nt - 1), (nz - 1, 4), (nz - 1, nt - 1)):
+                bad = _bumped(b2, k, n, rand_nonzero(rng))
+                for cut in (nt, n, 3):
+                    got = _outcome(formalnf._quad_rows, bad, cut)
+                    assert got == _outcome(prenormal_oracle.quad_rows, bad, cut)
+                    checked[_kind(got)] = checked.get(_kind(got), 0) + 1
+            assert formalnf._quad_rows(b2, nt) == [tuple(r) for r in rows]
+    assert checked["ok"] and checked[ShapeError]
+    nf = NormalFormId("NF3-6", {"c": ONE, "alpha": ONE, "lam": S(2)})
+    p = normal_form_prenormal(nf, 16, 16)
+    assert formalnf._quad_rows(p.b2, 16) == prenormal_oracle.quad_rows(p.b2, 16)
 
 
 def test_extension_families():

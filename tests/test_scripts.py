@@ -62,3 +62,12 @@ def test_edit_sweep_runs():
         assert counts[f"{cmd} exit 0 on flagged"] == 0
     # the raw-frame fallback gives no verdict on what the pole check refuses
     assert counts["classify exit 0 where prenormal exit 3"] == 0
+
+
+def test_plane_counts_runs():
+    out = _run_script("plane_counts.py", "--items", "5")
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout)
+    assert (counts["items"], counts["failed"]) == (5, 0)
+    assert counts["planes_built"] > counts["support_scans"] > 0
+    assert counts["plane_dot_calls"] > 0
