@@ -194,12 +194,14 @@ class Mat2:
     def __mul__(self, o: Mat2) -> Mat2:
         """The product table above: one fused sum per coordinate for the
         t1-constant plane and one for the t1-slope plane."""
+        _check_orders(self, o)
         a, b = self.planes(), o.planes()
-        if _t1_squared(a, b):
+        if _t1_squared([p.slope for p in a], [p.slope for p in b]):
             raise T1DegreeError("product exceeds degree 1 in t1")
         return _fused(_PRODUCT, a, b, _NO_LINEAR, *self.orders)
 
     def commutator(self, o: Mat2) -> Mat2:
+        _check_orders(self, o)
         return _commutator(self.planes(), o.planes(), _NO_LINEAR, *self.orders)
 
     def planes(self) -> list[AffinePoly1]:
@@ -273,12 +275,17 @@ class Mat2:
         return Mat2(self.c1 * q, self.c2 * nq, self.d * nq, self.e * nq)
 
 
+def _check_orders(a: Mat2, b: Mat2):
+    if a.orders != b.orders:
+        raise OrderMismatchError(f"orders {a.orders} and {b.orders} differ")
+
+
 def _fused(table, a, b, linear, nz: int, nt: int) -> Mat2:
     """Per coordinate of ``table`` (rows as in ``_PRODUCT``), sum m a_x b_y
     over the planes a and b of two matrices plus the terms linear[i] =
     (t1-constant terms, t1-slope terms) of coordinate i, as one plane_dot
-    per t1-part.  A linear term is a product with a one-entry plane
-    (``Plane.z_power``), so it costs the support of its operand."""
+    per t1-part on the nz x nt window.  The linear terms are plane_dot's,
+    read in place, and a and b may be larger than the window."""
     out = []
     for (div, terms), (lin_const, lin_slope) in zip(table, linear):
         const = [*lin_const, *((m, a[x].const, b[y].const) for m, x, y in terms)]
@@ -292,18 +299,20 @@ def _fused(table, a, b, linear, nz: int, nt: int) -> Mat2:
 
 def _commutator(a, b, linear, nz: int, nt: int) -> Mat2:
     """[a, b] plus the linear terms, as ``_fused``; raises where a b or
-    b a would exceed degree 1 in t1."""
-    if _t1_squared(a, b) or _t1_squared(b, a):
+    b a would exceed degree 1 in t1 on the window."""
+    sa = [p.slope.truncate(nz, nt) for p in a]
+    sb = [p.slope.truncate(nz, nt) for p in b]
+    if _t1_squared(sa, sb) or _t1_squared(sb, sa):
         raise T1DegreeError("product exceeds degree 1 in t1")
     return _fused(_COMMUTATOR, a, b, linear, nz, nt)
 
 
-def _t1_squared(a: list[AffinePoly1], b: list[AffinePoly1]) -> bool:
+def _t1_squared(a: list[Plane], b: list[Plane]) -> bool:
     """Whether the entrywise product pairs two t1-dependent entries a_ij
-    b_jk, given the planes of (c1, c2, d, e)."""
+    b_jk, given the t1-slope planes of (c1, c2, d, e)."""
 
     def sloped(m):  # of (m11, m12, m21, m22) = (c1 + d, e, c2, c1 - d)
-        s1, s2, sd, se = (p.slope for p in m)
+        s1, s2, sd, se = m
         return s1 != -sd, not se.is_zero(), not s2.is_zero(), s1 != sd
 
     a11, a12, a21, a22 = sloped(a)
@@ -375,42 +384,39 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
     R_t   = z d1(A2) - z d2(A1) + [A1, A2]
     R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B]
 
-    Each t1-part of each coordinate is one fused sum (see ``_fused``).
+    Each t1-part of each coordinate is one fused sum (see ``_fused``) over
+    A1, A2 and B as they stand: the z-shifts and derivatives are linear
+    terms read in place, and R_t and R_z,2 read the planes only up to the
+    reduced t-order.  d1 of const + t1 slope is the slope.
     """
     nz, nt = s.orders
     ntr = nt - 1
     a1, a2, b = s.A1.planes(), s.A2.planes(), s.B.planes()
-    a1r, a2r = _truncate(a1, nz, ntr), _truncate(a2, nz, ntr)
-    z = Plane.z_power(1, nz, ntr)
-    # d1 of const + t1 slope is the slope
     lin_t = [
-        ([(1, q.slope.truncate(nz, ntr), z), (-1, p.const.derivative(), z)],
-         [(-1, p.slope.derivative(), z)])
+        ([(1, q.slope, -1, 0, None), (-1, p.const, -1, 1, "n")],
+         [(-1, p.slope, -1, 1, "n")])
         for p, q in zip(a1, a2)
     ]
-    rt = _commutator(a1r, a2r, lin_t, nz, ntr)
+    rt = _commutator(a1, a2, lin_t, nz, ntr)
     if s.kind == "T":
         return FlatnessReport(rt, None, None)
-    zero = Plane.zero(nz, nt)
-    rz1 = _pole_residual([AffinePoly1(p.slope, zero) for p in b], a1, b, nz, nt)
-    rz2 = _pole_residual([p.dt2() for p in b], a2r, _truncate(b, nz, ntr), nz, ntr)
+    zd1b = [([(1, p.slope, -1, 0, None)], []) for p in b]
+    zd2b = [([(1, p.const, -1, 1, "n")], [(1, p.slope, -1, 1, "n")]) for p in b]
+    rz1 = _pole_residual(zd1b, a1, b, nz, nt)
+    rz2 = _pole_residual(zd2b, a2, b, nz, ntr)
     return FlatnessReport(rt, rz1, rz2)
 
 
-def _pole_residual(db, a, b, nz: int, nt: int) -> Mat2:
-    """R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B], given the planes
-    of di(B), A_i and B."""
-    one, z = Plane.z_power(0, nz, nt), Plane.z_power(1, nz, nt)
+def _pole_residual(zdb, a, b, nz: int, nt: int) -> Mat2:
+    """R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B] on the nz x nt
+    window, given the linear terms of z di(B) per coordinate and t1-part
+    and the planes of A_i and B."""
 
-    def linear(d, p):  # one t1-part of z di(B) - z^2 dz(A_i) + z A_i
-        return [(1, d, z), (-1, p.z2dz(), one), (1, p, z)]
+    def linear(p):  # one t1-part of -z^2 dz(A_i) + z A_i
+        return [(-1, p, -1, 0, "k"), (1, p, -1, 0, None)]
 
-    lin = [(linear(d.const, p.const), linear(d.slope, p.slope)) for d, p in zip(db, a)]
+    lin = [([*dc, *linear(p.const)], [*ds, *linear(p.slope)]) for (dc, ds), p in zip(zdb, a)]
     return _commutator(a, b, lin, nz, nt)
-
-
-def _truncate(planes: list[AffinePoly1], nz: int, nt: int) -> list[AffinePoly1]:
-    return [AffinePoly1(p.const.truncate(nz, nt), p.slope.truncate(nz, nt)) for p in planes]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import lcm
 
 from . import odekit
 from .connmat import (
@@ -32,7 +31,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
-from .series import Plane, TSeries, ZTSeries, _scalar, exp_linear, geometric, plane_dot
+from .series import TSeries, ZTSeries, _scalar, exp_linear, geometric, plane_dot
 
 _NEG_HALF = -HALF
 
@@ -159,10 +158,11 @@ def _validate_against(s: TEStruct, p: PreNormalForm):
 
         -(z/2) d2^3 b2 + (d2 f) b2 + 2 f d2(b2) - z dz(f) + f = 0.
 
-    Each equation is one exact sum over the planes read in place
-    (``_vanishes``): dividing by z is a row offset, d2 a column offset.
-    f b2 and f b3 are the only products; f b2 is read one row up in
-    A2.e b2, since A2.e = z f.  B.d, B.e, A2.e and b2 are t1-free here
+    Each equation is one ``plane_dot`` over the planes read in place:
+    dividing by z is a row offset, d2 a column offset, and the 1 a linear
+    term that reads the one-entry ``TSeries.one(1)``.  f b2 and f b3 are
+    the only products, read on the window from the larger f, b2 and
+    B.d/z.  B.d, B.e, A2.e and b2 are t1-free here
     (``prenormal_components``).
     """
     nz, nt = s.orders
@@ -170,68 +170,22 @@ def _validate_against(s: TEStruct, p: PreNormalForm):
     bd, be = s.B.d.planes.const, s.B.e.planes.const
     f, b2 = p.f.planes.const, p.b2.planes.const
     # 2 b3 + d2 b2 + 1
-    if not z0_row_vanishes(bd) or not _vanishes(
-        [(2, bd, 1, 0, None), (1, b2, 0, 1, "n")], *w, unit=True
-    ):
+    if not z0_row_vanishes(bd) or not plane_dot(
+        [(2, bd, 1, 0, None), (1, b2, 0, 1, "n"), (1, TSeries.one(1), 0, 0, None)], *w
+    ).is_zero():
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
     # b4 - z d2(b3) - f b2
-    fb2 = plane_dot([(1, s.A2.e.planes.const, b2)], nz, nt)
-    if not z0_row_vanishes(be) or not _vanishes(
-        [(1, be, 1, 0, None), (-1, bd, 0, 1, "n"), (-1, fb2, 1, 0, None)], *w
-    ):
+    if not z0_row_vanishes(be) or not plane_dot(
+        [(1, be, 1, 0, None), (-1, bd, 0, 1, "n"), (-1, f, b2)], *w
+    ).is_zero():
         raise ShapeError("E component does not match z b4")
     # d2(b4) - z dz(f) - 2 f b3
-    fb3 = plane_dot([(1, f, _div_z(bd))], nz - 1, nt)
-    if not _vanishes(
-        [(1, be, 1, 1, "n"), (-1, f, 0, 0, "k"), (-2, fb3, 0, 0, None)], *w
-    ):
+    if not plane_dot(
+        [(1, be, 1, 1, "n"), (-1, f, 0, 0, "k"), (-2, f, bd.div_z())], *w
+    ).is_zero():
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
         raise ShapeError("t-order too small to validate")
-
-
-def _div_z(a: Plane) -> Plane:
-    """a / z for a plane whose z^0 row vanishes, built from its support:
-    those entries are canonical over a.den already, so nothing is scanned
-    or reduced."""
-    nt = a.nt
-    entries = [((k - 1) * nt + n, x, y) for k, row in a.support() for n, x, y in row]
-    return Plane._at(a.nz - 1, nt, entries, a.den)
-
-
-def _vanishes(terms, nz: int, nt: int, unit: bool = False) -> bool:
-    """Whether sum m * w * a[k + dk][n + dn] over the terms (m, a, dk, dn,
-    by), plus 1 at (0, 0) when ``unit``, is zero at every (k, n) of the
-    nz x nt window.  The weight w is 1 for by = None, the t2-degree n + dn
-    of the entry read for "n" (d/dt2 when dn = 1), and k for "k" (z d/dz
-    when dk = 0).  Each plane is read on its support, all numerators over
-    one common denominator."""
-    if not nt:
-        return True
-    den = lcm(*[a.den for _, a, *_ in terms])
-    re = [0] * (nz * nt)
-    im = [0] * (nz * nt)
-    if unit:
-        re[0] = den
-    for m, a, dk, dn, by in terms:
-        c = m * (den // a.den)
-        for k, row in a.support():
-            kt = k - dk
-            if kt < 0:
-                continue
-            if kt >= nz:
-                break
-            ck = c * kt if by == "k" else c
-            o = kt * nt - dn
-            for n, x, y in row:
-                if n < dn:
-                    continue
-                if n - dn >= nt:
-                    break
-                cn = ck * n if by == "n" else ck
-                re[o + n] += cn * x
-                im[o + n] += cn * y
-    return not (any(re) or any(im))
 
 
 # ---------------------------------------------------------------------------

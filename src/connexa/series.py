@@ -4,9 +4,11 @@ Three layers:
 
 * ``Plane`` -- an nz x nt coefficient window in z and t2, z-major
   Gaussian-integer numerators over one denominator, with its elementwise
-  arithmetic; ``plane_dot`` is the one product kernel.  ``TSeries``, the
-  one-variable series (in the base coordinate t2 or the pole coordinate
-  z), is the one-row plane and adds the one-variable operations.
+  arithmetic; ``plane_dot`` is the one kernel, for products and for
+  linear operators (z-shifts, d/dt2, z d/dz) inside a sum.  ``TSeries``,
+  the one-variable series (in the base coordinate t2 or the pole
+  coordinate z), is the one-row plane and adds the one-variable
+  operations.
 * ``AffinePoly1`` -- polynomials of degree at most one in t1 with
   ``TSeries`` or ``Plane`` coefficients.  Degree-1 truncation is an
   invariant of every structure in scope, so products that would create a
@@ -155,15 +157,6 @@ class Plane:
         return out
 
     @staticmethod
-    def z_power(k: int, nz: int, nt: int) -> Plane:
-        """The one-entry window z^k, zero when it lies outside: as a
-        ``plane_dot`` factor it multiplies a term by z^k at the cost of
-        the term's support."""
-        if k >= nz or not nt:
-            return Plane.zero(nz, nt)
-        return Plane._at(nz, nt, [(k * nt, 1, 0)], 1)
-
-    @staticmethod
     def of_rows(rows) -> Plane:
         """The plane whose z-row k is rows[k], a one-row window.
 
@@ -283,6 +276,7 @@ class Plane:
         return self._new(self.nz, self.nt, re, im, self.den * c.d)
 
     def __mul__(self, other: Plane) -> Plane:
+        self._check(other)
         return plane_dot([(1, self, other)], self.nz, self.nt)
 
     def compose_t2(self, powers: tuple[list[list[int]], list[list[int]], int]) -> Plane:
@@ -518,6 +512,7 @@ class TSeries(Plane):
 
     def __mul__(self, other: TSeries) -> TSeries:
         """The one-row plane product."""
+        self._check(other)
         p = plane_dot([(1, self, other)], 1, self.nt)
         return TSeries._ints(p.re, p.im, p.den, 1)
 
@@ -751,32 +746,53 @@ class AffinePoly1:
 
 
 def plane_dot(terms, nz: int, nt: int, div: int = 1) -> Plane:
-    """sum m * a * b / div over the terms (m, a, b) of nz x nt planes, m a
-    small int, reduced once: the plane analogue of ``scalars.dot``.  Terms
-    with a zero operand are skipped, the others summed by the 2-D
-    schoolbook kernel over both supports at the lcm of their denominators;
-    products past the window in z or in t2 are never formed."""
-    live = []
+    """The nz x nt window of the sum of the terms over div, reduced once:
+    the plane analogue of ``scalars.dot``, and the one kernel for products
+    and for linear operators inside a sum.  A term is a product (m, a, b),
+    adding m * a * b, or a linear term (m, a, dk, dn, by), adding
+    m * w * a[k + dk][n + dn] at each (k, n): z * a is dk = -1, d/dt2 is
+    dn = 1 and by = "n", z d/dz is by = "k" (z^2 d/dz with dk = -1).  The
+    weight w is 1 for by = None, the column read n + dn for "n" and the
+    row read k + dk for "k"; m is a small int.  Terms with a zero operand
+    are skipped, the others summed over their supports at the lcm of their
+    denominators, products by the 2-D schoolbook kernel.  Operands may be
+    larger than the window (a product's must cover it; a linear term reads
+    zero outside its operand), and no entry or product past the window is
+    formed; a sum that cancels is the shared zero window."""
+    prods = []
+    lins = []
     den = 1
-    for m, a, b in terms:
-        if a.nt != nt or b.nt != nt or a.nz != nz or b.nz != nz:
-            raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
-        sa = a.support()
-        if sa:
-            sb = b.support()
-            if sb:
-                live.append((m, a.den * b.den, sa, sb))
-                den = lcm(den, a.den * b.den)
-    if not live:
+    for term in terms:
+        if len(term) == 3:
+            m, a, b = term
+            if a.nz < nz or a.nt < nt or b.nz < nz or b.nt < nt:
+                raise OrderMismatchError(
+                    f"orders {a.order} and {b.order} do not cover {(nz, nt)}"
+                )
+            sa = a.support()
+            if sa:
+                sb = b.support()
+                if sb:
+                    prods.append((m, a.den * b.den, sa, sb))
+                    den = lcm(den, a.den * b.den)
+        else:
+            m, a, dk, dn, by = term
+            sa = a.support()
+            if sa:
+                lins.append((m, a.den, sa, dk, dn, by))
+                den = lcm(den, a.den)
+    if not (prods or lins):
         return Plane.zero(nz, nt)
     re = [0] * (nz * nt)
     im = [0] * (nz * nt)
-    for m, dd, sa, sb in live:
+    for m, dd, sa, sb in prods:
         f = m * (den // dd)
         for i, arow in sa:
+            top = nz - i
+            if top <= 0:
+                break
             if f != 1:
                 arow = [(j, f * x, f * y) for j, x, y in arow]
-            top = nz - i
             for k, brow in sb:
                 if k >= top:
                     break
@@ -790,6 +806,28 @@ def plane_dot(terms, nz: int, nt: int, div: int = 1) -> Plane:
                         p = o + n
                         re[p] += x * u - y * v
                         im[p] += x * v + y * u
+    for m, d, sa, dk, dn, by in lins:
+        f = m * (den // d)
+        by_k, by_n = by == "k", by == "n"
+        lim = nt + dn
+        for i, row in sa:
+            k = i - dk
+            if k < 0:
+                continue
+            if k >= nz:
+                break
+            c = f * i if by_k else f
+            o = k * nt - dn
+            for j, x, y in row:
+                if j < dn:
+                    continue
+                if j >= lim:
+                    break
+                w = c * j if by_n else c
+                re[o + j] += w * x
+                im[o + j] += w * y
+    if not (any(re) or any(im)):
+        return Plane.zero(nz, nt)
     return Plane._ints(nz, nt, re, im, den * div)
 
 
@@ -941,10 +979,6 @@ class ZTSeries:
     def at_origin(self) -> TSeries:
         """Evaluate at t1 = t2 = 0, returning a z-series."""
         return self.planes.const.at_t0()
-
-    def t1_slope_z(self) -> TSeries:
-        """The z-series of t1-slopes at t2 = 0."""
-        return self.planes.slope.at_t0()
 
     # -- ring operations -----------------------------------------------------
 

@@ -82,12 +82,20 @@ def pole_check(s: TEStruct, p: PreNormalForm):
         raise ShapeError("t-order too small to validate")
 
 
+def _z_power(k: int, nz: int, nt: int) -> Plane:
+    """The one-entry window z^k, zero when it lies outside: as a
+    ``plane_dot`` factor it multiplies a term by z^k."""
+    if k >= nz or not nt:
+        return Plane.zero(nz, nt)
+    return Plane._at(nz, nt, [(k * nt, 1, 0)], 1)
+
+
 def fused_pole_check(s: TEStruct, p: PreNormalForm):
     """The same three equations, each one ``plane_dot`` over copies of the
     planes cut to (nz - 1, nt - 1), shifted and differentiated there."""
     nz, nt = s.orders
     w = (nz - 1, nt - 1)
-    one, z = Plane.z_power(0, *w), Plane.z_power(1, *w)
+    one, z = _z_power(0, *w), _z_power(1, *w)
     bd, be = s.B.d.planes.const, s.B.e.planes.const
     b3, b4 = bd.div_z(), be.div_z()
     b3w = b3.truncate(*w)
@@ -120,7 +128,7 @@ def validate_t1_profile(s: TEStruct):
         if not comp.is_t1_free():
             raise T1DegreeError("B carries t1 outside its C1 component")
     if s.kind == "TE":
-        slope = s.B.c1.t1_slope_z()
+        slope = s.B.c1.planes.slope.at_t0()
         expected = TSeries.of([-1], slope.order)
         if slope != expected or not s.B.c1.planes.slope.is_constant():
             raise ShapeError("B's C1 component must have t1 slope -1")

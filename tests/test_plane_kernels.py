@@ -1,7 +1,9 @@
 """The fused plane kernels against the row-wise and entrywise oracles in
 ``connmat_oracle``: the Mat2 product in {C1, C2, D, E} coordinates, the
 Mat2 inverse, ZTSeries.invert, the power-table t2-substitution, and the
-lazy net map of a normalisation."""
+lazy net map of a normalisation; and ``plane_dot``'s linear terms against
+an entrywise oracle, its terms on operands larger than the window, and
+the order refusals of the ring products."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from connexa.errors import (
     CompositionError,
     NotAUnitError,
     NotInvertibleError,
+    OrderMismatchError,
     T1DegreeError,
 )
 from connexa.formalnf import (
@@ -234,6 +237,113 @@ def test_plane_dot_matches_sum_of_products(nz, nt, rnd):
     for m, a, b in terms:
         want = want + (a * b).scale(S(Fraction(m, div)))
     assert plane_dot(terms, nz, nt, div) == want
+
+
+def _linear_oracle(m, a: Plane, dk, dn, by, nz, nt) -> Plane:
+    """m * w * a[k + dk][n + dn] at each (k, n) of the nz x nt window,
+    entry by entry, zero where the entry read lies outside a."""
+    rows = []
+    for k in range(nz):
+        row = []
+        for n in range(nt):
+            i, j = k + dk, n + dn
+            x = a.row(i)[j] if 0 <= i < a.nz and 0 <= j < a.nt else ZERO
+            w = {None: 1, "k": i, "n": j}[by]
+            row.append(x * S(m * w))
+        rows.append(TSeries(row))
+    return Plane.of_rows(rows)
+
+
+def _random_plane(rnd, nz, nt) -> Plane:
+    """A zero, sparse, dense, zero-row or one-entry nz x nt plane."""
+    fill = rnd.choice(["zero", "sparse", "dense", "zero-rows", "one-entry"])
+    if fill == "one-entry":
+        return Plane._at(nz, nt, [(rnd.randrange(nz * nt), rnd.randint(1, 5), 0)], 1)
+    return Plane.of_rows(_plane_rows(rnd, nz, nt, fill, rnd.random() < 0.5))
+
+
+def test_linear_terms_match_entrywise_oracle():
+    rnd = random.Random(31)
+    checked = 0
+    for dk in (-1, 0, 1):
+        for dn in (0, 1):
+            for by in (None, "k", "n"):
+                for _ in range(20):
+                    nz, nt = rnd.randint(1, 4), rnd.randint(1, 4)
+                    # source windows smaller than, equal to and larger than the output
+                    a = _random_plane(rnd, max(1, nz + rnd.randint(-1, 2)),
+                                      max(1, nt + rnd.randint(-1, 2)))
+                    m = rnd.choice([1, 2, -1, -3])
+                    got = plane_dot([(m, a, dk, dn, by)], nz, nt)
+                    assert got == _linear_oracle(m, a, dk, dn, by, nz, nt)
+                    checked += not got.is_zero()
+    assert checked > 100
+    # the one-entry TSeries.one(1) adds m at (0, 0) of any window
+    assert plane_dot([(3, TSeries.one(1), 0, 0, None)], 2, 3) == Plane._at(2, 3, [(0, 3, 0)], 1)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_mixed_terms_on_larger_operands_match_truncated_sum(nz, nt, rnd):
+    def plane():
+        return _random_plane(rnd, nz + rnd.randint(0, 2), nt + rnd.randint(0, 2))
+
+    terms = []
+    for _ in range(rnd.randint(0, 5)):
+        m = rnd.choice([1, 2, -1, -3])
+        if rnd.random() < 0.5:
+            terms.append((m, plane(), plane()))
+        else:
+            terms.append((m, plane(), rnd.choice([-1, 0, 1]), rnd.choice([0, 1]),
+                          rnd.choice([None, "k", "n"])))
+    div = rnd.choice([1, 2, 6])
+    want = Plane.zero(nz, nt)
+    for term in terms:
+        if len(term) == 3:
+            # a product on larger operands is the product of the truncated ones
+            m, a, b = term
+            cut = plane_dot([(m, a.truncate(nz, nt), b.truncate(nz, nt))], nz, nt)
+            assert plane_dot([term], nz, nt) == cut
+        else:
+            cut = _linear_oracle(*term, nz, nt)
+        want = want + cut.scale(S(Fraction(1, div)))
+    assert plane_dot(terms, nz, nt, div) == want
+
+
+def test_product_term_must_cover_the_window():
+    a = Plane.of_rows([TSeries.one(3)] * 2)
+    with pytest.raises(OrderMismatchError):
+        plane_dot([(1, a, a)], 3, 3)
+    with pytest.raises(OrderMismatchError):
+        plane_dot([(1, a, a)], 2, 4)
+
+
+def test_zero_sum_gives_the_zero_window():
+    rnd = random.Random(7)
+    a = Plane.of_rows(_plane_rows(rnd, 3, 4, "dense", True))
+    b = Plane.of_rows(_plane_rows(rnd, 3, 4, "dense", True))
+    for terms, window in [
+        ([(1, a, b), (-1, b, a)], (3, 4)),
+        ([(2, a, 1, 1, "n"), (-1, a, 1, 1, "n"), (-1, a, 1, 1, "n")], (2, 3)),
+        ([(1, a, b), (-1, a.truncate(2, 3), b.truncate(2, 3))], (2, 3)),
+        ([(1, Plane.zero(3, 4), a), (5, Plane.zero(3, 4), 0, 1, "k")], (3, 4)),
+        ([], (3, 4)),
+    ]:
+        got = plane_dot(terms, *window)
+        assert got.is_zero() and got == Plane.zero(*window) and got.support() == []
+
+
+def test_ring_products_refuse_mismatched_windows():
+    with pytest.raises(OrderMismatchError):
+        TSeries.one(4) * TSeries.one(5)
+    with pytest.raises(OrderMismatchError):
+        Plane.zero(2, 3) * Plane.zero(3, 3)
+    a, b = Mat2.identity(2, 3), Mat2.identity(2, 4)
+    for pair in ((a, b), (b, a), (a, Mat2.identity(3, 3))):
+        with pytest.raises(OrderMismatchError):
+            pair[0] * pair[1]
+        with pytest.raises(OrderMismatchError):
+            pair[0].commutator(pair[1])
 
 
 def _criterion_2_inputs(count, nz=10, nt=6):

@@ -1,0 +1,71 @@
+"""Every backticked ``module.attr`` or ``Class.attr`` in README.md that
+names a connexa module or class must resolve to a real attribute, so the
+module table cannot keep naming a helper that was renamed or deleted."""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import connexa
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# a backticked dotted name, optionally called: `series.MAX_ORDER`,
+# `connexa.series`, `OriginRestriction.bz_components()`
+_DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+
+
+def _roots() -> dict:
+    """The names a README reference may start with: the package, its
+    modules and the classes they define."""
+    roots = {"connexa": connexa}
+    for info in pkgutil.iter_modules(connexa.__path__):
+        mod = importlib.import_module(f"connexa.{info.name}")
+        roots[info.name] = mod
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                roots[name] = obj
+    return roots
+
+
+def _resolves(obj, name: str) -> bool:
+    if hasattr(obj, name):
+        return True
+    # a dataclass field without a default is no class attribute
+    return dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}
+
+
+def _unresolved(text: str, roots: dict) -> tuple[list[str], int]:
+    """The references of ``text`` that name a connexa module or class but
+    do not resolve, and the number checked."""
+    bad = []
+    checked = 0
+    for ref in _DOTTED.findall(text):
+        head, *path = ref.split(".")
+        obj = roots.get(head)
+        if obj is None:
+            continue
+        checked += 1
+        for name in path:
+            if not _resolves(obj, name):
+                bad.append(ref)
+                break
+            obj = getattr(obj, name, None)
+    return bad, checked
+
+
+def test_readme_references_resolve():
+    bad, checked = _unresolved(README.read_text(encoding="utf-8"), _roots())
+    assert not bad, f"README names attributes that do not exist: {bad}"
+    assert checked >= 20
+
+
+def test_unresolved_reference_is_caught():
+    roots = _roots()
+    text = "`Plane.z_power`, `series.plane_dot`, `Classification.target`, `pyproject.toml`"
+    assert _unresolved(text, roots) == (["Plane.z_power"], 3)

@@ -727,7 +727,6 @@ def test_plane_ops_match_rows(pair, c, k):
     assert a.is_zero() == all(x.is_zero() for x in a_rows)
     assert a.is_t2_free() == all(x.is_t2_free() for x in a_rows)
     assert a.at_origin() == TSeries(tuple(x.const[0] for x in a_rows))
-    assert a.t1_slope_z() == TSeries(tuple(x.slope[0] for x in a_rows))
     def top_cut(t):
         return TSeries.of(t.truncate(nt - 1).coeffs, nt)
 
