@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Machine-independent counts of the plane layer over fixture-reports items.
+"""Machine-independent counts of the plane layer over benchmark items.
 
 Runs items 0..N-1 of the benchmark's fixture-reports workload (default: the
-99 items of its traced pass at seed 5) against the connexa sources of a
-checkout, with three counters wrapped around the plane layer, and prints
-them as one JSON object:
+99 items of its traced pass at seed 5), then the first 5 items of its
+dense-roundtrip workload at the same seed (where the gauge action does
+much of the work), against the connexa sources of a checkout, with three
+counters wrapped around the plane layer, and prints them as a JSON list of
+one object per workload:
 
     support_scans    Plane.support calls that scan the window (no support
                      recorded yet); calls that return a recorded one are
@@ -13,8 +15,9 @@ them as one JSON object:
                      the constructors every window goes through
     plane_dot_calls  calls of series.plane_dot, from any module
 
-Only the items' own work is counted: the workload's set-up (writing the
-fixture documents) runs before the counters start.  The counts repeat
+Only the items' own work is counted: the workloads' set-up (writing the
+fixture documents, building the dense items) runs before the counters
+start.  The counts repeat
 exactly for a given checkout, seed and item count.
 
     python scripts/plane_counts.py [--root DIR] [--seed 5] [--items 99]
@@ -40,15 +43,22 @@ def _counting(counts: dict, key: str, fn, when=None):
     return wrapper
 
 
-def count(root: str, seed: int, items: int) -> dict:
+# The dense-roundtrip items counted after the fixture-reports ones.
+DENSE_ITEMS = 5
+
+
+def count(root: str, seed: int, items: int) -> list[dict]:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
     from connexa import series
 
     counts = dict.fromkeys(("support_scans", "planes_built", "plane_dot_calls"), 0)
+    out = []
     with tempfile.TemporaryDirectory() as workdir:
-        wl = workloads.make("fixture-reports", seed, workdir)
-        todo = [wl.item(i) for i in range(items)]
+        runs = []
+        for name, n in (("fixture-reports", items), ("dense-roundtrip", DENSE_ITEMS)):
+            wl = workloads.make(name, seed, workdir)
+            runs.append((name, wl, [wl.item(i) for i in range(n)]))
         plane, tseries = series.Plane, series.TSeries
         plane.support = _counting(
             counts, "support_scans", plane.support, lambda p: p._support is None
@@ -61,12 +71,15 @@ def count(root: str, seed: int, items: int) -> dict:
         for name, mod in list(sys.modules.items()):
             if name.startswith("connexa") and getattr(mod, "plane_dot", None) is dot:
                 mod.plane_dot = wrapped
-        failed = 0
-        for item in todo:
-            result = wl.run(item)
-            failed += not wl.check(item, result, wl.render(item, result))
-    out = {"workload": "fixture-reports", "seed": seed, "items": items, "failed": failed}
-    return {**out, **counts}
+        for name, wl, todo in runs:
+            counts.update(dict.fromkeys(counts, 0))
+            failed = 0
+            for item in todo:
+                result = wl.run(item)
+                failed += not wl.check(item, result, wl.render(item, result))
+            head = {"workload": name, "seed": seed, "items": len(todo), "failed": failed}
+            out.append({**head, **counts})
+    return out
 
 
 def main(argv=None) -> int:

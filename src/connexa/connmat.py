@@ -194,15 +194,12 @@ class Mat2:
     def __mul__(self, o: Mat2) -> Mat2:
         """The product table above: one fused sum per coordinate for the
         t1-constant plane and one for the t1-slope plane."""
-        _check_orders(self, o)
+        if self.orders != o.orders:
+            raise OrderMismatchError(f"orders {self.orders} and {o.orders} differ")
         a, b = self.planes(), o.planes()
         if _t1_squared([p.slope for p in a], [p.slope for p in b]):
             raise T1DegreeError("product exceeds degree 1 in t1")
         return _fused(_PRODUCT, a, b, _NO_LINEAR, *self.orders)
-
-    def commutator(self, o: Mat2) -> Mat2:
-        _check_orders(self, o)
-        return _commutator(self.planes(), o.planes(), _NO_LINEAR, *self.orders)
 
     def planes(self) -> list[AffinePoly1]:
         """The planes of (c1, c2, d, e)."""
@@ -224,15 +221,6 @@ class Mat2:
 
     def truncate(self, nz: int, nt: int) -> Mat2:
         return self.map(lambda c: c.truncate(nz, nt))
-
-    def shift_z(self, k: int) -> Mat2:
-        return self.map(lambda c: c.shift_z(k))
-
-    def z2dz(self) -> Mat2:
-        return self.map(lambda c: c.z2dz())
-
-    def dt(self) -> Mat2:
-        return self.map(lambda c: c.dt())
 
     def compose_t2(self, lam: TSeries) -> Mat2:
         """Substitute lam for t2, with one power table for all components."""
@@ -273,11 +261,6 @@ class Mat2:
         q = ZTSeries._of(AffinePoly1(det, self.c1.planes.slope)).invert()
         nq = -q
         return Mat2(self.c1 * q, self.c2 * nq, self.d * nq, self.e * nq)
-
-
-def _check_orders(a: Mat2, b: Mat2):
-    if a.orders != b.orders:
-        raise OrderMismatchError(f"orders {a.orders} and {b.orders} differ")
 
 
 def _fused(table, a, b, linear, nz: int, nt: int) -> Mat2:
@@ -488,36 +471,43 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     canonical, so the image equals the full conjugation field for field.
     T and T^{-1} are t1-free, so no product exceeds degree 1 in t1, with
     the C1 part or without it.
+
+    The inner sum z di(T) + m T, m the traceless part, is one fused sum
+    per coordinate (see ``_fused``) over A_i, B and T as they stand:
+    z d2(T) and z^2 dz(T) are linear terms read in place, and T is cut to
+    the output window only for its inverse.
     """
     nz = min(s.orders[0], g.tmat.nz)
     nt = min(s.orders[1], g.tmat.nt)
     t = g.tmat.truncate(nz, nt)
-    if g.lam is None and t.is_t2_free():
-        ntr = nt
-        zdt2 = Mat2.zero(nz, ntr)
-    else:
-        ntr = nt - 1
-        zdt2 = t.dt().shift_z(1)
-    a1, a2, b = (m.truncate(nz, ntr) for m in (s.A1, s.A2, s.B))
+    ntr = nt if g.lam is None and t.is_t2_free() else nt - 1
+    a1, a2, b = s.A1, s.A2, s.B
     if g.lam is not None:
         lam = g.lam.truncate(nt)
         lam_dot = lam.derivative()
         lam_r = lam.truncate(ntr)
-        a1, a2, b = (m.compose_t2(lam_r) for m in (a1, a2, b))
+        a1, a2, b = (m.truncate(nz, ntr).compose_t2(lam_r) for m in (a1, a2, b))
         a2 = a2.map(lambda c: c.mul_t(lam_dot))
-    t_r = t.truncate(nz, ntr)
-    tinv_r = t_r.inverse()
-    zero = ZTSeries.zero(nz, ntr)
+    tinv_r = t.truncate(nz, ntr).inverse()
+    tp = t.planes()
+    zero = Plane.zero(nz, ntr)
+    no_c1 = AffinePoly1(zero, zero)
 
-    def conj(m: Mat2, lin: Mat2) -> Mat2:
-        """T^{-1}(lin + m T), with m's C1 part added back unconjugated."""
-        y = tinv_r * (lin + Mat2(zero, m.c2, m.d, m.e) * t_r)
-        return Mat2(m.c1 + y.c1, y.c2, y.d, y.e)
+    def z_d(dn: int, by: str):
+        """z d2(T) (dn = 1, by "n") or z^2 dz(T) (dn = 0, by "k") as linear
+        terms on T's t1-constant planes, each weighted by its coordinate's
+        divisor, which plane_dot divides by."""
+        return [([(div, p.const, -1, dn, by)], []) for (div, _), p in zip(_PRODUCT, tp)]
+
+    def conj(m: Mat2, linear) -> Mat2:
+        """T^{-1}(linear + m T), with m's C1 part added back unconjugated."""
+        y = tinv_r * _fused(_PRODUCT, [no_c1, *m.planes()[1:]], tp, linear, nz, ntr)
+        return Mat2(m.c1.truncate(nz, ntr) + y.c1, y.c2, y.d, y.e)
 
     return TEStruct(
-        conj(a1, Mat2.zero(nz, ntr)),
-        conj(a2, zdt2),
-        conj(b, t.z2dz().truncate(nz, ntr)),
+        conj(a1, _NO_LINEAR),
+        conj(a2, _NO_LINEAR if ntr == nt else z_d(1, "n")),
+        conj(b, z_d(0, "k")),
         s.kind,
     )
 

@@ -20,8 +20,7 @@ Three layers:
 A series of order N stores exactly the coefficients 0..N-1 and every
 operation is exact on that window.  Binary operations require equal
 orders; derivatives in a variable lower the order in that variable by
-one.  ``z*d/dz`` and ``z^2*d/dz`` keep the order (their coefficient at
-index n only involves inputs at index <= n).
+one.
 """
 
 from __future__ import annotations
@@ -341,29 +340,6 @@ class Plane:
         """(self - its z^0 row) / z, exact at z-order nz - 1."""
         nt = self.nt
         return Plane._ints(self.nz - 1, nt, self.re[nt:], self.im[nt:], self.den)
-
-    def _weighted_rows(self, k0: int, w0: int, nz: int, pad: int) -> Plane:
-        """z-order nz: ``pad`` zero rows, then rows k0, k0 + 1, ... of self
-        times w0, w0 + 1, ..."""
-        nt = self.nt
-        if self.is_zero():
-            return Plane.zero(nz, nt)
-        zeros = [0] * (pad * nt)
-        src = slice(k0 * nt, (k0 + nz - pad) * nt)
-        re = zeros + [x * (w0 + i // nt) for i, x in enumerate(self.re[src])]
-        im = zeros + [y * (w0 + i // nt) for i, y in enumerate(self.im[src])]
-        return Plane._ints(nz, nt, re, im, self.den)
-
-    def dz(self) -> Plane:
-        return self._weighted_rows(1, 1, self.nz - 1, 0)
-
-    def zdz(self) -> Plane:
-        """z * d/dz, exact at the same z-order."""
-        return self._weighted_rows(0, 0, self.nz, 0)
-
-    def z2dz(self) -> Plane:
-        """z^2 * d/dz: row k is (k - 1) times row k - 1."""
-        return self._weighted_rows(0, 0, self.nz, 1)
 
     def derivative(self) -> Plane:
         """d/dt2: the t2-order drops by one.  Built from the support, so it
@@ -1022,27 +998,12 @@ class ZTSeries:
 
     # -- calculus --------------------------------------------------------------
 
-    def dz(self) -> ZTSeries:
-        return self._map(Plane.dz)
-
-    def zdz(self) -> ZTSeries:
-        """z * d/dz, exact at the same z-order."""
-        return self._map(Plane.zdz)
-
-    def z2dz(self) -> ZTSeries:
-        """z^2 * d/dz: coefficient at z^n is (n-1) * coeff(z^{n-1})."""
-        return self._map(Plane.z2dz)
-
     def dt(self) -> ZTSeries:
         return ZTSeries._of(self.planes.dt2())
 
     def dt_exact(self) -> ZTSeries:
         """Same-order t2-derivative; requires polynomial (zero-top) data."""
         return self._map(Plane.derivative_exact)
-
-    def dt1(self) -> ZTSeries:
-        slope = self.planes.slope
-        return ZTSeries._of(AffinePoly1(slope, Plane.zero(*slope.order)))
 
     def invert(self) -> ZTSeries:
         """Inverse of a t1-free unit by the recursion in z: with g the

@@ -34,6 +34,7 @@ from connexa.errors import (
 )
 from connexa.scalars import HALF
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot
+from plane_oracle import dt1, each, z2dz, z_times
 
 
 def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
@@ -48,7 +49,7 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
         zdt2 = Mat2.zero(nz, ntr)
     else:
         ntr = nt - 1
-        zdt2 = t.dt().shift_z(1)
+        zdt2 = z_times(t.map(ZTSeries.dt))
     a1, a2, b = (m.truncate(nz, ntr) for m in (s.A1, s.A2, s.B))
     if g.lam is not None:
         lam = g.lam.truncate(nt)
@@ -61,7 +62,7 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     return TEStruct(
         tinv_r * (a1 * t_r),
         tinv_r * (zdt2 + a2 * t_r),
-        tinv_r * (t.z2dz().truncate(nz, ntr) + b * t_r),
+        tinv_r * (each(z2dz, t).truncate(nz, ntr) + b * t_r),
         s.kind,
     )
 
@@ -97,19 +98,19 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
     a1r = s.A1.truncate(nz, ntr)
     a2r = s.A2.truncate(nz, ntr)
     rt = (
-        s.A2.map(lambda c: c.dt1()).truncate(nz, ntr).shift_z(1)
-        - s.A1.dt().shift_z(1)
+        z_times(s.A2.map(dt1).truncate(nz, ntr))
+        - z_times(s.A1.map(ZTSeries.dt))
         + (a1r * a2r - a2r * a1r)
     )
     if s.kind == "T":
         return FlatnessReport(rt, None, None)
-    rz1 = _pole_residual(s.B.map(lambda c: c.dt1()).shift_z(1), s.A1, s.B)
-    rz2 = _pole_residual(s.B.dt().shift_z(1), a2r, s.B.truncate(nz, ntr))
+    rz1 = _pole_residual(z_times(s.B.map(dt1)), s.A1, s.B)
+    rz2 = _pole_residual(z_times(s.B.map(ZTSeries.dt)), a2r, s.B.truncate(nz, ntr))
     return FlatnessReport(rt, rz1, rz2)
 
 
 def _pole_residual(zdb: Mat2, a: Mat2, b: Mat2) -> Mat2:
-    return zdb - a.z2dz() + a.shift_z(1) + (a * b - b * a)
+    return zdb - each(z2dz, a) + z_times(a) + (a * b - b * a)
 
 
 def zt_invert(u: ZTSeries) -> ZTSeries:

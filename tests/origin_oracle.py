@@ -24,6 +24,7 @@ from connexa.errors import ExactFieldError, ReductionFailedError, ShapeError
 from connexa.origin import BirkhoffData
 from connexa.scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
 from connexa.series import Laurent, TSeries, ZTSeries
+from plane_oracle import each, z2dz
 
 
 def zmat(c1: TSeries, c2: TSeries, d: TSeries, e: TSeries) -> Mat2:
@@ -80,7 +81,7 @@ def _const_gauge(mat: Mat2, s: ConstMat) -> Mat2:
 
 def _z_gauge(mat: Mat2, t: Mat2) -> Mat2:
     """B -> T^{-1}(z^2 T' + B T) for z-only data."""
-    return t.inverse() * (t.z2dz() + mat * t)
+    return t.inverse() * (each(z2dz, t) + mat * t)
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def birkhoff_residual(b_in: Mat2, t: Mat2, b0: ConstMat, binf: ConstMat) -> Mat2
     """z^2 T' + B T - T (B0 + z Binf) on the Mat2 packing."""
     nz = b_in.nz
     target = zmat_from_consts([b0, binf], nz)
-    return t.z2dz() + b_in * t - t * target
+    return each(z2dz, t) + b_in * t - t * target
 
 
 # ---------------------------------------------------------------------------

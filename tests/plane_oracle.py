@@ -1,17 +1,20 @@
 """The linear Plane operations without their zero-window early return, for
-the oracle tests.
+the oracle tests, and the z-calculus the oracles build from them.
 
 Each function is the body connexa ran before a zero window cost O(1): it
 makes its full pass over the window whatever the window holds, and builds
 its result through the same constructors (``p._new`` keeps the operand's
 class, ``Plane._ints`` builds a Plane).  ``is_zero`` is the old full scan of
-the numerators.
+the numerators.  ``dz``, ``zdz`` and ``z2dz`` (and ``dt1`` below) are the
+copying calculus connexa once had on ``Plane``, ``ZTSeries`` and ``Mat2``;
+``each`` lifts a plane operation to the latter two.  The package reads
+these operators in place, as ``series.plane_dot`` linear terms.
 """
 
 from __future__ import annotations
 
 from connexa.errors import OrderMismatchError
-from connexa.series import Plane
+from connexa.series import AffinePoly1, Plane, ZTSeries
 
 
 def is_zero(p: Plane) -> bool:
@@ -90,3 +93,23 @@ def derivative_exact(p: Plane) -> Plane:
         [(i % nt) * y for i, y in enumerate(p.im[1:] + [0], 1)],
         p.den,
     )
+
+
+def each(fn, x):
+    """fn on both t1-part planes of a ZTSeries, or of every component of a
+    Mat2."""
+    if isinstance(x, ZTSeries):
+        p = x.planes
+        return ZTSeries._of(AffinePoly1(fn(p.const), fn(p.slope)))
+    return x.map(lambda c: each(fn, c))
+
+
+def z_times(x):
+    """z * x on the same window, for a ZTSeries or a Mat2."""
+    return each(lambda p: shift_z(p, 1), x)
+
+
+def dt1(c: ZTSeries) -> ZTSeries:
+    """d/dt1 of const + t1 * slope: the slope."""
+    slope = c.planes.slope
+    return ZTSeries._of(AffinePoly1(slope, Plane.zero(*slope.order)))

@@ -38,6 +38,7 @@ from connexa.formalnf import (  # bound here, so a test's monkeypatch passes the
 )
 from connexa.scalars import HALF, ONE, ZERO, S
 from connexa.series import Plane, TSeries, ZTSeries, plane_dot
+from plane_oracle import each, zdz
 
 _NEG_HALF = -HALF
 
@@ -54,7 +55,7 @@ def validate_against(s: TEStruct, p: PreNormalForm):
     zb4 = s.B.d.dt().shift_z(1) + fz * p.b2.truncate(nz, nt - 1)
     if s.B.e.truncate(nz, nt - 1) != zb4:
         raise ShapeError("E component does not match z b4")
-    z3fz = p.f.zdz().mul_z().shift_z(1).truncate(nz, nt - 1)
+    z3fz = each(zdz, p.f).mul_z().shift_z(1).truncate(nz, nt - 1)
     if s.B.e.dt().shift_z(1) != z3fz + (fz * bd).scale(S(2)):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
 
@@ -76,7 +77,7 @@ def pole_check(s: TEStruct, p: PreNormalForm):
         b3.dt().shift_z(1) + f * p.b2.truncate(*w)
     ):
         raise ShapeError("E component does not match z b4")
-    if b4.dt() != f.zdz() + (f * b3w).scale(S(2)):
+    if b4.dt() != each(zdz, f) + (f * b3w).scale(S(2)):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
         raise ShapeError("t-order too small to validate")
@@ -113,7 +114,7 @@ def fused_pole_check(s: TEStruct, p: PreNormalForm):
         raise ShapeError("E component does not match z b4")
     # d2(b4) - z dz(f) - 2 f b3
     if not plane_dot(
-        [(1, b4.derivative(), one), (-1, f.zdz(), one), (-2, f, b3w)], *w
+        [(1, b4.derivative(), one), (-1, zdz(f), one), (-2, f, b3w)], *w
     ).is_zero():
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
@@ -182,7 +183,7 @@ def master_residual(p: PreNormalForm) -> ZTSeries:
     term1 = p.b2.dt().dt().dt().truncate(nz, nt).shift_z(1).scale(_NEG_HALF)
     term2 = p.f.dt().truncate(nz, nt) * b2r
     term3 = (fr * p.b2.dt().truncate(nz, nt)).scale(S(2))
-    term4 = -p.f.zdz().truncate(nz, nt)
+    term4 = -each(zdz, p.f).truncate(nz, nt)
     return term1 + term2 + term3 + term4 + fr
 
 

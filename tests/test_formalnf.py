@@ -4,6 +4,7 @@ import random
 import pytest
 
 import gauge_oracle
+import plane_oracle
 import prenormal_oracle
 from connexa import formalnf, odekit
 from connexa.connmat import (
@@ -169,7 +170,7 @@ def _derived_e_residual(s, p):
     nz, nt = s.orders
     b3 = s.B.d.div_z().truncate(nz - 1, nt - 1)
     f = p.f.truncate(nz - 1, nt - 1)
-    return s.B.e.div_z().dt() - f.zdz() - (f * b3).scale(S(2))
+    return s.B.e.div_z().dt() - plane_oracle.each(plane_oracle.zdz, f) - (f * b3).scale(S(2))
 
 
 def _refusal(check, *args):

@@ -104,6 +104,30 @@ def test_mobius_base_changes_match_oracle():
             _same_as_oracle(s, _mobius_gauge(k, d, e, 8, 8))
 
 
+@pytest.mark.parametrize(
+    "s_window, g_window",
+    # the structure larger than the gauge, smaller, and larger in z but
+    # smaller in t
+    [((10, 8), (8, 6)), ((8, 6), (10, 8)), ((6, 9), (9, 5))],
+)
+def test_mismatched_windows_match_oracle(s_window, g_window):
+    # apply_gauge reads A1, A2, B and T in place on the smaller window:
+    # each family's gauge and a Mobius base change, on normal forms and on
+    # structures already moved at their own window
+    rng = random.Random(f"{s_window}{g_window}")
+    for i, shape in enumerate(("F1", "FR", "NF3-4", "NF3-6", "NF3-8")):
+        start = build_normal_form(NormalFormId(shape, _shape_params(rng, shape)), *s_window)
+        moved = _same_as_oracle(start, GAUGES[i % 3](rng, *s_window))
+        for s in (start, moved):
+            k, d, e = rand_nonzero(rng, 2), rand_nonzero(rng, 2), rand_scalar(rng, 2)
+            for g in [gauge(rng, *g_window) for gauge in GAUGES] + [
+                _mobius_gauge(k, d, e, *g_window)
+            ]:
+                assert s.orders != g.tmat.orders
+                out = _same_as_oracle(s, g)
+                assert out.orders[0] == min(s.orders[0], g_window[0])
+
+
 def test_raw_frame_shear_and_base_change_match_oracle(monkeypatch):
     # the shear by C1 + x E and the reparametrization that follow it
     calls = []

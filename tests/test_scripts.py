@@ -67,7 +67,9 @@ def test_edit_sweep_runs():
 def test_plane_counts_runs():
     out = _run_script("plane_counts.py", "--items", "5")
     assert out.returncode == 0, out.stderr
-    counts = json.loads(out.stdout)
-    assert (counts["items"], counts["failed"]) == (5, 0)
-    assert counts["planes_built"] > counts["support_scans"] > 0
-    assert counts["plane_dot_calls"] > 0
+    blocks = json.loads(out.stdout)
+    assert [b["workload"] for b in blocks] == ["fixture-reports", "dense-roundtrip"]
+    for counts in blocks:
+        assert (counts["seed"], counts["items"], counts["failed"]) == (5, 5, 0)
+        assert counts["planes_built"] > counts["support_scans"] > 0
+        assert counts["plane_dot_calls"] > 0

@@ -360,12 +360,7 @@ def test_ztseries_calculus():
     z = ZTSeries.z(nz, nt)
     t2 = ZTSeries.t2(nz, nt)
     s = z * z * t2  # z^2 t
-    assert s.dz() == ZTSeries.t2(nz - 1, nt).shift_z(1).scale(S(2))
-    assert s.zdz() == s.scale(S(2))
-    # z^2 dz(z^2 t) = 2 z^3 t
-    assert s.z2dz() == (z * z * z * t2).scale(S(2))
     assert s.dt() == (ZTSeries.z(nz, nt - 1) * ZTSeries.z(nz, nt - 1))
-    assert ZTSeries.t1(nz, nt).dt1() == ZTSeries.one(nz, nt)
 
 
 def test_ztseries_invert():
@@ -698,9 +693,6 @@ def test_plane_ops_match_rows(pair, c, k):
     zero = _affine_zero(nt)
     kz, kt = min(k, nz), min(k, nt)
 
-    def scaled(rows, w):
-        return [r.scale(S(n)) for r, n in zip(rows, w)]
-
     cases = [
         (a + b, [x + y for x, y in zip(a_rows, b_rows)]),
         (a - b, [x - y for x, y in zip(a_rows, b_rows)]),
@@ -711,11 +703,7 @@ def test_plane_ops_match_rows(pair, c, k):
             a.truncate(kz, kt),
             [AffinePoly1(x.const.truncate(kt), x.slope.truncate(kt)) for x in a_rows[:kz]],
         ),
-        (a.dz(), scaled(a_rows[1:], range(1, nz))),
-        (a.zdz(), scaled(a_rows, range(nz))),
-        (a.z2dz(), ([zero] + scaled(a_rows, range(nz)))[:nz]),
         (a.dt(), [x.dt2() for x in a_rows]),
-        (a.dt1(), [AffinePoly1(x.slope, TSeries.zero(nt)) for x in a_rows]),
         (a.mul_z(), [zero] + a_rows),
         (a.div_z(), a_rows[1:]),
     ]
@@ -960,9 +948,6 @@ def _linear_cases(p):
     cases = [
         (p.derivative, lambda: plane_oracle.derivative(p)),
         (p.derivative_exact, lambda: plane_oracle.derivative_exact(p)),
-        (p.dz, lambda: plane_oracle.dz(p)),
-        (p.zdz, lambda: plane_oracle.zdz(p)),
-        (p.z2dz, lambda: plane_oracle.z2dz(p)),
     ]
     for k in range(nz + 2):
         cases.append((lambda k=k: p.shift_z(k), lambda k=k: plane_oracle.shift_z(p, k)))
@@ -1009,8 +994,8 @@ def test_zero_windows_record_their_support():
         Plane.of_rows([TSeries.of([1, 2], 2)]).scale(ZERO),
     ):
         assert z._support == [] and z.is_zero()
-        for out in (z.derivative(), z.derivative_exact(), z.dz(), z.zdz(), z.z2dz(),
-                    z.shift_z(1), Plane.truncate(z, 1, 1)):
+        for out in (z.derivative(), z.derivative_exact(), z.shift_z(1),
+                    Plane.truncate(z, 1, 1)):
             assert out._support == [] and out.den == 1
 
 
@@ -1055,7 +1040,7 @@ def window_chains(draw):
         st.tuples(
             st.sampled_from([
                 "cancel", "add", "neg", "scale", "mul", "derivative",
-                "derivative_exact", "truncate", "shift_z", "dz", "zdz", "z2dz",
+                "derivative_exact", "truncate", "shift_z",
             ]),
             coefficient_kinds["sparse"],
             st.integers(0, 5),
@@ -1092,8 +1077,4 @@ def test_is_zero_agrees_with_a_full_scan(chain):
             w = Plane.truncate(w, 1 + i % w.nz, 1 + j % w.nt)
         elif name == "shift_z":
             w = w.shift_z(i)
-        elif name == "dz" and w.nz > 1:
-            w = w.dz()
-        elif name in ("zdz", "z2dz"):
-            w = getattr(w, name)()
         assert w.is_zero() == (not any(w.re) and not any(w.im))
