@@ -25,7 +25,7 @@ from .errors import (
     UnfoldingError,
 )
 from .euler import EulerField, is_euler
-from .scalars import HALF, ONE, ZERO, Scalar, dot
+from .scalars import HALF, ONE, ZERO, Scalar, dot, integer
 from .series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot, t2_powers
 
 _NEG_HALF = -HALF
@@ -166,13 +166,8 @@ class Mat2:
 
     @staticmethod
     def identity(nz: int, nt: int) -> Mat2:
-        return Mat2.basis("c1", nz, nt)
-
-    @staticmethod
-    def basis(which: str, nz: int, nt: int, coeff=ONE) -> Mat2:
-        comp = {k: ZTSeries.zero(nz, nt) for k in ("c1", "c2", "d", "e")}
-        comp[which] = ZTSeries.const(coeff, nz, nt)
-        return Mat2(**comp)
+        z = ZTSeries.zero(nz, nt)
+        return Mat2(ZTSeries.one(nz, nt), z, z, z)
 
     # -- linear structure ---------------------------------------------------
 
@@ -187,9 +182,6 @@ class Mat2:
 
     def scale(self, c: Scalar) -> Mat2:
         return Mat2(self.c1.scale(c), self.c2.scale(c), self.d.scale(c), self.e.scale(c))
-
-    def scale_zt(self, q: ZTSeries) -> Mat2:
-        return Mat2(self.c1 * q, self.c2 * q, self.d * q, self.e * q)
 
     def __mul__(self, o: Mat2) -> Mat2:
         """The product table above: one fused sum per coordinate for the
@@ -480,7 +472,9 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     nz = min(s.orders[0], g.tmat.nz)
     nt = min(s.orders[1], g.tmat.nt)
     t = g.tmat.truncate(nz, nt)
-    ntr = nt if g.lam is None and t.is_t2_free() else nt - 1
+    # z d2(T) at t2-degree nt - 1 reads T's column nt where T has one
+    t2_free = g.tmat.truncate(nz, min(g.tmat.nt, nt + 1)).is_t2_free()
+    ntr = nt if g.lam is None and t2_free else nt - 1
     a1, a2, b = s.A1, s.A2, s.B
     if g.lam is not None:
         lam = g.lam.truncate(nt)
@@ -569,10 +563,13 @@ class OriginRestriction:
     def of(f: ZTSeries, b2: ZTSeries, c: Scalar, alpha: Scalar) -> OriginRestriction:
         """The restriction of pre-normal data, A2 = C2 + z f E and B's C2
         part b2: eta, lam and beta are b2 and its first two t2-derivatives
-        at t2 = 0, gam is f there."""
-        b2t = b2.dt()
+        at t2 = 0, read as the t2-columns 0, 1 and 2 (times 2) of b2, and
+        gam is f there."""
+        if b2.nt < 3:
+            raise ShapeError("origin restriction needs t-order at least 3")
+        p = b2.planes.const
         return OriginRestriction(
-            b2.at_origin(), b2t.at_origin(), b2t.dt().at_origin(), f.at_origin(), c, alpha
+            p.column(0), p.column(1), p.column(2).scale(integer(2)), f.at_origin(), c, alpha
         )
 
     def window(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:

@@ -27,11 +27,21 @@ from .errors import (
     FlatnessError,
     NoExtensionError,
     NormalizationRequiredError,
+    OrderMismatchError,
     ShapeError,
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
-from .series import TSeries, ZTSeries, _scalar, exp_linear, geometric, plane_dot
+from .series import (
+    AffinePoly1,
+    Plane,
+    TSeries,
+    ZTSeries,
+    _scalar,
+    exp_linear,
+    geometric,
+    plane_dot,
+)
 
 _NEG_HALF = -HALF
 
@@ -105,27 +115,41 @@ class PreNormalForm:
 
 
 def build_prenormal_struct(p: PreNormalForm) -> TEStruct:
-    """The structure with A2 = C2 + z f E and the canonical pole matrix.
+    """The structure with A2 = C2 + z f E and the canonical pole matrix:
+    B.d = -(z/2)(d2 b2 + 1) and B.e = z f b2 - (z^2/2) d2^2 b2, which is
+    A2.e b2 + z d2(B.d), each one ``plane_dot`` over f and b2 as they
+    stand.
 
     b2 must be polynomial in t2 (zero top coefficients) so the derived
     components are exact at full order.
     """
     nz, nt = p.b2.orders
+    b2 = p.b2.planes.const
+    _refuse_top_column(b2)
     zero = ZTSeries.zero(nz, nt)
-    one = ZTSeries.one(nz, nt)
-    f_e = p.f.mul_z()  # exact: f has nz-1 slots
-    a2 = Mat2(zero, one, zero, f_e)
-    b2 = p.b2
-    b3 = (b2.dt_exact() + one).scale(_NEG_HALF)
-    # the E component is z*b4 = z*f*b2 - (z^2/2) d2^2(b2)
-    b4 = f_e * b2 - b2.dt_exact().dt_exact().shift_z(2).scale(HALF)
+    fz = plane_dot([(1, p.f.planes.const, -1, 0, None)], nz, nt)
+    bd = plane_dot([(-1, b2, -1, 1, "n"), (-1, TSeries.one(1), -1, 0, None)], nz, nt, 2)
+    be = plane_dot([(1, fz, b2), (1, bd, -1, 1, "n")], nz, nt)
     c1 = (
         -ZTSeries.t1(nz, nt)
         + ZTSeries.const(p.c, nz, nt)
         + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
     )
-    bmat = Mat2(c1, b2, b3.shift_z(1), b4)
+    a2 = Mat2(zero, ZTSeries.one(nz, nt), zero, _t1_free(fz))
+    bmat = Mat2(c1, p.b2, _t1_free(bd), _t1_free(be))
     return TEStruct(Mat2.identity(nz, nt), a2, bmat, "TE")
+
+
+def _refuse_top_column(p: Plane):
+    """A same-order d/dt2 of p reads its entries past the window as zero,
+    which is exact only when p's top t2-column vanishes: refuse it
+    otherwise, read off the support."""
+    if any(row[-1][0] == p.nt - 1 for _, row in p.support()):
+        raise OrderMismatchError("same-order derivative needs a vanishing top coefficient")
+
+
+def _t1_free(p: Plane) -> ZTSeries:
+    return ZTSeries._of(AffinePoly1(p, Plane.zero(p.nz, p.nt)))
 
 
 def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
@@ -359,18 +383,18 @@ def unit_family_gauge(tau1: TSeries, tau2: TSeries, nt: int) -> GaugeMap:
 
 
 def zero_family_gauge(tau1: TSeries, tau2: ZTSeries) -> GaugeMap:
-    """tau1 C1 + tau2 C2 - (z/2) d2(tau2) D - (z^2/2) d2^2(tau2) E for a
-    z-series tau1 and tau2 polynomial in t2: a gauge automorphism of the
+    """tau1 C1 + tau2 C2 + D + E for a z-series tau1 and tau2 polynomial in
+    t2, with D = -(z/2) d2(tau2) and E = z d2(D) = -(z^2/2) d2^2(tau2), each
+    one ``plane_dot`` over the plane before it: a gauge automorphism of the
     f = 0 family (A2 = C2)."""
     nz, nt = tau2.orders
-    d1 = tau2.dt_exact()
+    t = tau2.planes
+    _refuse_top_column(t.const)
+    _refuse_top_column(t.slope)
+    d = plane_dot([(-1, t.const, -1, 1, "n")], nz, nt, 2)
+    e = plane_dot([(1, d, -1, 1, "n")], nz, nt)
     return GaugeMap(
-        Mat2(
-            ZTSeries.from_zseries(tau1, nz, nt),
-            tau2,
-            d1.shift_z(1).scale(_NEG_HALF),
-            d1.dt_exact().shift_z(2).scale(_NEG_HALF),
-        )
+        Mat2(ZTSeries.from_zseries(tau1, nz, nt), tau2, _t1_free(d), _t1_free(e))
     )
 
 

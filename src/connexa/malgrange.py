@@ -282,7 +282,8 @@ def holo_normal_form(
     ident = Mat2.identity(nz, nt)
     fam = nfid.family
     if fam == "F1":
-        shear = ident + Mat2.basis("e", nz, nt).scale_zt(ZTSeries.t2(nz, nt))
+        zero = ZTSeries.zero(nz, nt)
+        shear = Mat2(ident.c1, zero, zero, ZTSeries.t2(nz, nt))
         steps = (GaugeMap(ident, st.x.reverse()), GaugeMap(shear))
     else:
         # The pencil roots are a and a + r/B21.  Their discriminant is
@@ -375,9 +376,8 @@ def _reduce_nilpotent_frame(s: TEStruct) -> TEStruct:
     # y = 1 there, the reduction would only drop the top t-order
     if x.truncate(nt - 1).is_zero() and y.truncate(nt - 1) == TSeries.one(nt - 1):
         raise ShapeError("frame reduction would leave the frame unchanged")
-    shear = Mat2.identity(nz, nt) + Mat2.basis("e", nz, nt).scale_zt(
-        ZTSeries.from_tpoly(x, nz)
-    )
+    zero = ZTSeries.zero(nz, nt)
+    shear = Mat2(ZTSeries.one(nz, nt), zero, zero, ZTSeries.from_tpoly(x, nz))
     out = apply_gauge(s, GaugeMap(shear))
     ntr = out.orders[1]
     mu2 = y.truncate(ntr).integral()

@@ -179,9 +179,12 @@ class Plane:
         a = k * self.nt
         return TSeries._ints(self.re[a : a + self.nt], self.im[a : a + self.nt], self.den)
 
-    def at_t0(self) -> TSeries:
-        """The z-series of entries (k, 0)."""
-        return TSeries._ints(self.re[:: self.nt], self.im[:: self.nt], self.den)
+    def column(self, n: int) -> TSeries:
+        """The z-series of entries (k, n), the t2^n coefficient."""
+        nt = self.nt
+        if not 0 <= n < nt:
+            raise OrderMismatchError(f"t2-column {n} outside the t-order {nt}")
+        return TSeries._ints(self.re[n::nt], self.im[n::nt], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Plane):
@@ -319,22 +322,6 @@ class Plane:
             [y for a in cut for y in self.im[a : a + nt]],
             self.den,
         )
-
-    def shift_z(self, k: int) -> Plane:
-        """Multiply by z^k (k >= 0); rows above the window drop."""
-        if k == 0:
-            return self
-        nz, nt = self.nz, self.nt
-        if k >= nz or self.is_zero():
-            return Plane.zero(nz, nt)
-        pad = [0] * (k * nt)
-        keep = (nz - k) * nt
-        return Plane._ints(nz, nt, pad + self.re[:keep], pad + self.im[:keep], self.den)
-
-    def mul_z(self) -> Plane:
-        """z * self, exact at z-order nz + 1."""
-        pad = [0] * self.nt
-        return Plane._ints(self.nz + 1, self.nt, pad + self.re, pad + self.im, self.den, 1)
 
     def div_z(self) -> Plane:
         """(self - its z^0 row) / z, exact at z-order nz - 1."""
@@ -714,9 +701,6 @@ class AffinePoly1:
             return AffinePoly1(const, self.const * other.slope)
         return AffinePoly1(const, self.slope * other.const)
 
-    def dt2(self) -> AffinePoly1:
-        return AffinePoly1(self.const.derivative(), self.slope.derivative())
-
     def is_t2_free(self) -> bool:
         return self.const.is_constant() and self.slope.is_constant()
 
@@ -954,7 +938,7 @@ class ZTSeries:
 
     def at_origin(self) -> TSeries:
         """Evaluate at t1 = t2 = 0, returning a z-series."""
-        return self.planes.const.at_t0()
+        return self.planes.const.column(0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -981,14 +965,6 @@ class ZTSeries:
         p = self.planes
         return ZTSeries._of(AffinePoly1(fn(p.const), fn(p.slope)))
 
-    def shift_z(self, k: int) -> ZTSeries:
-        """Multiply by z^k (k >= 0); coefficients above the window drop."""
-        return self._map(lambda p: p.shift_z(k))
-
-    def mul_z(self) -> ZTSeries:
-        """z * self, exact at z-order nz + 1."""
-        return self._map(Plane.mul_z)
-
     def div_z(self) -> ZTSeries:
         """(self - its z^0 coefficient) / z, exact at z-order nz - 1."""
         return self._map(Plane.div_z)
@@ -996,14 +972,7 @@ class ZTSeries:
     def truncate(self, nz: int, nt: int) -> ZTSeries:
         return self._map(lambda p: p.truncate(nz, nt))
 
-    # -- calculus --------------------------------------------------------------
-
-    def dt(self) -> ZTSeries:
-        return ZTSeries._of(self.planes.dt2())
-
-    def dt_exact(self) -> ZTSeries:
-        """Same-order t2-derivative; requires polynomial (zero-top) data."""
-        return self._map(Plane.derivative_exact)
+    # -- inversion -------------------------------------------------------------
 
     def invert(self) -> ZTSeries:
         """Inverse of a t1-free unit by the recursion in z: with g the

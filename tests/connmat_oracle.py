@@ -9,7 +9,8 @@ seven series products, the row-wise z-recursion for ``ZTSeries.invert``
 one-variable schoolbook product, Horner substitution (row by row for a
 z-series), the gauge inverse, the eager composition of a
 normalisation's steps and the gauge action that conjugates all of each
-matrix, its C1 part included.  The package now runs fused plane sums
+matrix, its C1 part included; and the basis matrices and their series
+multiples.  The package now runs fused plane sums
 (``series.plane_dot``) and a power table (``series.t2_powers``); the
 tests check it against these.
 """
@@ -34,7 +35,7 @@ from connexa.errors import (
 )
 from connexa.scalars import HALF
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot
-from plane_oracle import dt1, each, z2dz, z_times
+from plane_oracle import dt, dt1, each, z2dz, z_times
 
 
 def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
@@ -44,12 +45,13 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
     nz = min(s.orders[0], g.tmat.nz)
     nt = min(s.orders[1], g.tmat.nt)
     t = g.tmat.truncate(nz, nt)
-    if g.lam is None and t.is_t2_free():
+    # z d2(T) at t2-degree nt - 1 reads T's column nt where T has one
+    if g.lam is None and g.tmat.truncate(nz, min(g.tmat.nt, nt + 1)).is_t2_free():
         ntr = nt
         zdt2 = Mat2.zero(nz, ntr)
     else:
         ntr = nt - 1
-        zdt2 = z_times(t.map(ZTSeries.dt))
+        zdt2 = z_times(dt(t))
     a1, a2, b = (m.truncate(nz, ntr) for m in (s.A1, s.A2, s.B))
     if g.lam is not None:
         lam = g.lam.truncate(nt)
@@ -65,6 +67,19 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
         tinv_r * (each(z2dz, t).truncate(nz, ntr) + b * t_r),
         s.kind,
     )
+
+
+def basis(which: str, nz: int, nt: int) -> Mat2:
+    """The constant matrix C1, C2, D or E (``which`` "c1", "c2", "d" or
+    "e")."""
+    comp = {k: ZTSeries.zero(nz, nt) for k in ("c1", "c2", "d", "e")}
+    comp[which] = ZTSeries.one(nz, nt)
+    return Mat2(**comp)
+
+
+def scale_zt(m: Mat2, q: ZTSeries) -> Mat2:
+    """m times the series q, one ZTSeries product per coordinate."""
+    return m.map(lambda c: c * q)
 
 
 def entries(m: Mat2) -> tuple[ZTSeries, ZTSeries, ZTSeries, ZTSeries]:
@@ -99,13 +114,13 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
     a2r = s.A2.truncate(nz, ntr)
     rt = (
         z_times(s.A2.map(dt1).truncate(nz, ntr))
-        - z_times(s.A1.map(ZTSeries.dt))
+        - z_times(dt(s.A1))
         + (a1r * a2r - a2r * a1r)
     )
     if s.kind == "T":
         return FlatnessReport(rt, None, None)
     rz1 = _pole_residual(z_times(s.B.map(dt1)), s.A1, s.B)
-    rz2 = _pole_residual(z_times(s.B.map(ZTSeries.dt)), a2r, s.B.truncate(nz, ntr))
+    rz2 = _pole_residual(z_times(dt(s.B)), a2r, s.B.truncate(nz, ntr))
     return FlatnessReport(rt, rz1, rz2)
 
 

@@ -27,6 +27,7 @@ from connexa.malgrange import (
 )
 from connexa.scalars import HALF, ONE, Scalar, integer
 from connexa.series import TSeries, ZTSeries, exp_linear
+from connmat_oracle import basis, scale_zt
 
 _SIXTEEN = integer(16)
 
@@ -154,9 +155,7 @@ def first_type_normal_form(
     target = build_normal_form(nfid, nz, nt)
     lam_inv = st.x.reverse()
     step1 = GaugeMap(Mat2.identity(nz, nt), lam_inv)
-    t2e = Mat2.identity(nz, nt) + Mat2.basis("e", nz, nt).scale_zt(
-        ZTSeries.t2(nz, nt)
-    )
+    t2e = Mat2.identity(nz, nt) + scale_zt(basis("e", nz, nt), ZTSeries.t2(nz, nt))
     step2 = GaugeMap(t2e)
     return nfid, target, (step1, step2), st
 

@@ -5,16 +5,18 @@ Each function is the body connexa ran before a zero window cost O(1): it
 makes its full pass over the window whatever the window holds, and builds
 its result through the same constructors (``p._new`` keeps the operand's
 class, ``Plane._ints`` builds a Plane).  ``is_zero`` is the old full scan of
-the numerators.  ``dz``, ``zdz`` and ``z2dz`` (and ``dt1`` below) are the
-copying calculus connexa once had on ``Plane``, ``ZTSeries`` and ``Mat2``;
+the numerators.  ``shift_z``, ``mul_z``, ``at_t0``, ``dz``, ``zdz`` and
+``z2dz`` (and ``z_times``, ``dt`` and ``dt1`` below) are the copying
+calculus connexa once had on ``Plane``, ``ZTSeries`` and ``Mat2``;
 ``each`` lifts a plane operation to the latter two.  The package reads
-these operators in place, as ``series.plane_dot`` linear terms.
+these operators in place, as ``series.plane_dot`` linear terms and
+``Plane.column``.
 """
 
 from __future__ import annotations
 
 from connexa.errors import OrderMismatchError
-from connexa.series import AffinePoly1, Plane, ZTSeries
+from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries
 
 
 def is_zero(p: Plane) -> bool:
@@ -48,6 +50,17 @@ def shift_z(p: Plane, k: int) -> Plane:
     pad = [0] * (k * nt)
     keep = (nz - k) * nt
     return Plane._ints(nz, nt, pad + p.re[:keep], pad + p.im[:keep], p.den)
+
+
+def mul_z(p: Plane) -> Plane:
+    """z * p, exact at z-order nz + 1."""
+    pad = [0] * p.nt
+    return Plane._ints(p.nz + 1, p.nt, pad + p.re, pad + p.im, p.den, 1)
+
+
+def at_t0(p: Plane):
+    """The z-series of entries (k, 0)."""
+    return TSeries._ints(p.re[:: p.nt], p.im[:: p.nt], p.den)
 
 
 def weighted_rows(p: Plane, k0: int, w0: int, nz: int, pad: int) -> Plane:
@@ -104,9 +117,14 @@ def each(fn, x):
     return x.map(lambda c: each(fn, c))
 
 
-def z_times(x):
-    """z * x on the same window, for a ZTSeries or a Mat2."""
-    return each(lambda p: shift_z(p, 1), x)
+def z_times(x, k: int = 1):
+    """z^k * x on the same window, for a ZTSeries or a Mat2."""
+    return each(lambda p: shift_z(p, k), x)
+
+
+def dt(x):
+    """d/dt2 of a ZTSeries or a Mat2: the t2-order drops by one."""
+    return each(derivative, x)
 
 
 def dt1(c: ZTSeries) -> ZTSeries:

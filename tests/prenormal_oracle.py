@@ -22,12 +22,20 @@ slow way: build the full structure, apply the gauge and read the
 pre-normal data back (``reextract``).  ``normalize_zero_family`` is that
 pipeline; the package maps the rows of b2 in closed form
 (``formalnf._mobius_rows``), and the tests check it against these.
+
+The pre-normal structure and the origin restriction were once built from
+copies: f shifted up a z-order and b2 differentiated at the same order and
+shifted by z and z^2 (``prenormal_struct``), and b2's first two
+t2-derivatives built whole to read their t2^0 columns
+(``origin_restriction``).  The package sums each component as one
+``plane_dot`` over the planes as they stand, and reads b2's t2-columns in
+place.
 """
 
 from __future__ import annotations
 
 from connexa import formalnf, odekit
-from connexa.connmat import GaugeMap, Mat2, TEStruct, apply_gauge
+from connexa.connmat import GaugeMap, Mat2, OriginRestriction, TEStruct, apply_gauge
 from connexa.errors import FlatnessError, ShapeError, T1DegreeError
 from connexa.formalnf import (  # bound here, so a test's monkeypatch passes them by
     Classification,
@@ -36,11 +44,47 @@ from connexa.formalnf import (  # bound here, so a test's monkeypatch passes the
     build_prenormal_struct,
     normal_form_prenormal,
 )
-from connexa.scalars import HALF, ONE, ZERO, S
+from connexa.scalars import HALF, ONE, ZERO, S, Scalar
 from connexa.series import Plane, TSeries, ZTSeries, plane_dot
-from plane_oracle import each, zdz
+from plane_oracle import at_t0, derivative, derivative_exact, dt, each, mul_z, z_times, zdz
 
 _NEG_HALF = -HALF
+
+
+def prenormal_struct(p: PreNormalForm) -> TEStruct:
+    """A2 = C2 + z f E, B.d = -(z/2)(d2 b2 + 1) and
+    B.e = z f b2 - (z^2/2) d2^2 b2, from copies."""
+    nz, nt = p.b2.orders
+    zero = ZTSeries.zero(nz, nt)
+    one = ZTSeries.one(nz, nt)
+    f_e = each(mul_z, p.f)  # exact: f has nz-1 slots
+    a2 = Mat2(zero, one, zero, f_e)
+    d1 = each(derivative_exact, p.b2)
+    b3 = (d1 + one).scale(_NEG_HALF)
+    b4 = f_e * p.b2 - z_times(each(derivative_exact, d1), 2).scale(HALF)
+    c1 = (
+        -ZTSeries.t1(nz, nt)
+        + ZTSeries.const(p.c, nz, nt)
+        + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
+    )
+    bmat = Mat2(c1, p.b2, z_times(b3), b4)
+    return TEStruct(Mat2.identity(nz, nt), a2, bmat, "TE")
+
+
+def origin_restriction(
+    f: ZTSeries, b2: ZTSeries, c: Scalar, alpha: Scalar
+) -> OriginRestriction:
+    """eta, lam and beta as b2 and its first two t2-derivatives, each
+    built whole, at t2 = 0; gam as f there."""
+    b2t = dt(b2)
+    return OriginRestriction(
+        at_t0(b2.planes.const),
+        at_t0(b2t.planes.const),
+        at_t0(dt(b2t).planes.const),
+        at_t0(f.planes.const),
+        c,
+        alpha,
+    )
 
 
 def validate_against(s: TEStruct, p: PreNormalForm):
@@ -48,15 +92,15 @@ def validate_against(s: TEStruct, p: PreNormalForm):
     components of the pole-2 flatness equation on (nz, nt - 1)."""
     nz, nt = s.orders
     bd = s.B.d.truncate(nz, nt - 1)
-    b3 = (p.b2.dt() + ZTSeries.one(nz, nt - 1)).scale(_NEG_HALF)
-    if bd != b3.shift_z(1):
+    b3 = (dt(p.b2) + ZTSeries.one(nz, nt - 1)).scale(_NEG_HALF)
+    if bd != z_times(b3):
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
-    fz = p.f.mul_z().truncate(nz, nt - 1)
-    zb4 = s.B.d.dt().shift_z(1) + fz * p.b2.truncate(nz, nt - 1)
+    fz = each(mul_z, p.f).truncate(nz, nt - 1)
+    zb4 = z_times(dt(s.B.d)) + fz * p.b2.truncate(nz, nt - 1)
     if s.B.e.truncate(nz, nt - 1) != zb4:
         raise ShapeError("E component does not match z b4")
-    z3fz = each(zdz, p.f).mul_z().shift_z(1).truncate(nz, nt - 1)
-    if s.B.e.dt().shift_z(1) != z3fz + (fz * bd).scale(S(2)):
+    z3fz = z_times(each(mul_z, each(zdz, p.f))).truncate(nz, nt - 1)
+    if z_times(dt(s.B.e)) != z3fz + (fz * bd).scale(S(2)):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
 
 
@@ -70,14 +114,14 @@ def pole_check(s: TEStruct, p: PreNormalForm):
     f = p.f.truncate(*w)
     b3w = b3.truncate(*w)
     if not bd.truncate(1, nt).is_zero() or b3w != (
-        p.b2.dt().truncate(*w) + ZTSeries.one(*w)
+        dt(p.b2).truncate(*w) + ZTSeries.one(*w)
     ).scale(_NEG_HALF):
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
     if not be.truncate(1, nt).is_zero() or b4.truncate(*w) != (
-        b3.dt().shift_z(1) + f * p.b2.truncate(*w)
+        z_times(dt(b3)) + f * p.b2.truncate(*w)
     ):
         raise ShapeError("E component does not match z b4")
-    if b4.dt() != each(zdz, f) + (f * b3w).scale(S(2)):
+    if dt(b4) != each(zdz, f) + (f * b3w).scale(S(2)):
         raise ShapeError("E component does not match z^3 dz(f) + 2 z f B.d")
     if nt < 4:
         raise ShapeError("t-order too small to validate")
@@ -129,7 +173,7 @@ def validate_t1_profile(s: TEStruct):
         if not comp.is_t1_free():
             raise T1DegreeError("B carries t1 outside its C1 component")
     if s.kind == "TE":
-        slope = s.B.c1.planes.slope.at_t0()
+        slope = at_t0(s.B.c1.planes.slope)
         expected = TSeries.of([-1], slope.order)
         if slope != expected or not s.B.c1.planes.slope.is_constant():
             raise ShapeError("B's C1 component must have t1 slope -1")
@@ -180,9 +224,9 @@ def master_residual(p: PreNormalForm) -> ZTSeries:
         raise ShapeError("t-order too small to validate")
     b2r = p.b2.truncate(nz, nt)
     fr = p.f.truncate(nz, nt)
-    term1 = p.b2.dt().dt().dt().truncate(nz, nt).shift_z(1).scale(_NEG_HALF)
-    term2 = p.f.dt().truncate(nz, nt) * b2r
-    term3 = (fr * p.b2.dt().truncate(nz, nt)).scale(S(2))
+    term1 = z_times(dt(dt(dt(p.b2))).truncate(nz, nt)).scale(_NEG_HALF)
+    term2 = dt(p.f).truncate(nz, nt) * b2r
+    term3 = (fr * dt(p.b2).truncate(nz, nt)).scale(S(2))
     term4 = -each(zdz, p.f).truncate(nz, nt)
     return term1 + term2 + term3 + term4 + fr
 

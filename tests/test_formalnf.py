@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import connmat_oracle
 import gauge_oracle
 import plane_oracle
 import prenormal_oracle
@@ -170,7 +171,8 @@ def _derived_e_residual(s, p):
     nz, nt = s.orders
     b3 = s.B.d.div_z().truncate(nz - 1, nt - 1)
     f = p.f.truncate(nz - 1, nt - 1)
-    return s.B.e.div_z().dt() - plane_oracle.each(plane_oracle.zdz, f) - (f * b3).scale(S(2))
+    zdz_f = plane_oracle.each(plane_oracle.zdz, f)
+    return plane_oracle.dt(s.B.e.div_z()) - zdz_f - (f * b3).scale(S(2))
 
 
 def _refusal(check, *args):
@@ -516,7 +518,7 @@ def test_to_prenormal_rejects_family_only_kind():
     from connexa.errors import ShapeError
 
     s = TEStruct(
-        Mat2.identity(6, 6), Mat2.basis("c2", 6, 6), Mat2.zero(6, 6), "T"
+        Mat2.identity(6, 6), connmat_oracle.basis("c2", 6, 6), Mat2.zero(6, 6), "T"
     )
     with pytest.raises(ShapeError):
         to_prenormal(s)

@@ -128,6 +128,21 @@ def test_mismatched_windows_match_oracle(s_window, g_window):
                 assert out.orders[0] == min(s.orders[0], g_window[0])
 
 
+def test_gauge_larger_in_t_reads_its_column_past_the_window():
+    # T = C1 + z t2^4 E is t2-free on the structure's (6, 4) window, but
+    # z d2(T) at t2-degree 3 reads its column 4: the image loses a t-order
+    # and equals the image of the uncut structure on the same window
+    nf = NormalFormId("F1", {"c": S(1), "alpha": S("1/2"), "c0": S(2)})
+    full = build_normal_form(nf, 6, 6)
+    z0 = ZTSeries.zero(6, 6)
+    zt4 = ZTSeries.z(6, 6) * ZTSeries.from_tpoly(TSeries.monomial(S(1), 4, 6), 6)
+    g = GaugeMap(Mat2(ZTSeries.one(6, 6), z0, z0, zt4))
+    assert g.tmat.truncate(6, 4).is_t2_free()
+    out = _same_as_oracle(full.truncate(6, 4), g)
+    assert out.orders == (6, 3)
+    assert out == _same_as_oracle(full, g).truncate(6, 3)
+
+
 def test_raw_frame_shear_and_base_change_match_oracle(monkeypatch):
     # the shear by C1 + x E and the reparametrization that follow it
     calls = []

@@ -29,6 +29,7 @@ from connexa.series import (
     ZTSeries,
     exp_linear,
     geometric,
+    plane_dot,
     t2_powers,
 )
 
@@ -360,7 +361,9 @@ def test_ztseries_calculus():
     z = ZTSeries.z(nz, nt)
     t2 = ZTSeries.t2(nz, nt)
     s = z * z * t2  # z^2 t
-    assert s.dt() == (ZTSeries.z(nz, nt - 1) * ZTSeries.z(nz, nt - 1))
+    z2 = (ZTSeries.z(nz, nt - 1) * ZTSeries.z(nz, nt - 1)).planes.const
+    # d/dt2 as a plane_dot linear term, read in place
+    assert plane_dot([(1, s.planes.const, 0, 1, "n")], nz, nt - 1) == z2
 
 
 def test_ztseries_invert():
@@ -690,7 +693,6 @@ def test_plane_ops_match_rows(pair, c, k):
     a_rows, b_rows = pair
     a, b = ZTSeries(a_rows), ZTSeries(b_rows)
     nz, nt = a.orders
-    zero = _affine_zero(nt)
     kz, kt = min(k, nz), min(k, nt)
 
     cases = [
@@ -698,13 +700,10 @@ def test_plane_ops_match_rows(pair, c, k):
         (a - b, [x - y for x, y in zip(a_rows, b_rows)]),
         (-a, [-x for x in a_rows]),
         (a.scale(c), [x.scale(c) for x in a_rows]),
-        (a.shift_z(k), ([zero] * kz + a_rows)[:nz]),
         (
             a.truncate(kz, kt),
             [AffinePoly1(x.const.truncate(kt), x.slope.truncate(kt)) for x in a_rows[:kz]],
         ),
-        (a.dt(), [x.dt2() for x in a_rows]),
-        (a.mul_z(), [zero] + a_rows),
         (a.div_z(), a_rows[1:]),
     ]
     for got, want in cases:
@@ -715,15 +714,15 @@ def test_plane_ops_match_rows(pair, c, k):
     assert a.is_zero() == all(x.is_zero() for x in a_rows)
     assert a.is_t2_free() == all(x.is_t2_free() for x in a_rows)
     assert a.at_origin() == TSeries(tuple(x.const[0] for x in a_rows))
-    def top_cut(t):
-        return TSeries.of(t.truncate(nt - 1).coeffs, nt)
-
-    poly = [AffinePoly1(top_cut(x.const), top_cut(x.slope)) for x in a_rows]
-    exact = [
-        AffinePoly1(x.const.derivative_exact(), x.slope.derivative_exact())
-        for x in poly
-    ]
-    assert ZTSeries(poly).dt_exact() == ZTSeries(exact)
+    # Plane.column reads the t2^n entries of every z-row, inside [0, nt) only
+    for p, part in ((a.planes.const, "const"), (a.planes.slope, "slope")):
+        for n in range(nt):
+            want = TSeries(tuple(getattr(x, part)[n] for x in a_rows))
+            got = p.column(n)
+            assert got == want and (got.re, got.im, got.den) == (want.re, want.im, want.den)
+        for n in (-1, nt, nt + k):
+            with pytest.raises(OrderMismatchError):
+                p.column(n)
 
 
 def test_ztseries_canonical_form():
@@ -756,10 +755,6 @@ def test_ztseries_canonical_form():
             _affine_zero(nt),
             _affine_zero(nt),
         ])),
-        (
-            z.shift_z(2) + t2.shift_z(4),
-            ZTSeries([_affine_zero(nt)] * 3 + [_affine_of(TSeries.one(nt))]),
-        ),
         (a - a, ZTSeries.zero(nz, nt)),
         (t2 * t2 * t2, ZTSeries.zero(nz, nt)),  # t2^3 lies past the window
         (
@@ -949,8 +944,6 @@ def _linear_cases(p):
         (p.derivative, lambda: plane_oracle.derivative(p)),
         (p.derivative_exact, lambda: plane_oracle.derivative_exact(p)),
     ]
-    for k in range(nz + 2):
-        cases.append((lambda k=k: p.shift_z(k), lambda k=k: plane_oracle.shift_z(p, k)))
     for kz in range(nz + 2):
         for kt in range(nt + 2):
             cases.append((
@@ -994,8 +987,7 @@ def test_zero_windows_record_their_support():
         Plane.of_rows([TSeries.of([1, 2], 2)]).scale(ZERO),
     ):
         assert z._support == [] and z.is_zero()
-        for out in (z.derivative(), z.derivative_exact(), z.shift_z(1),
-                    Plane.truncate(z, 1, 1)):
+        for out in (z.derivative(), z.derivative_exact(), Plane.truncate(z, 1, 1)):
             assert out._support == [] and out.den == 1
 
 
@@ -1040,7 +1032,7 @@ def window_chains(draw):
         st.tuples(
             st.sampled_from([
                 "cancel", "add", "neg", "scale", "mul", "derivative",
-                "derivative_exact", "truncate", "shift_z",
+                "derivative_exact", "truncate",
             ]),
             coefficient_kinds["sparse"],
             st.integers(0, 5),
@@ -1075,6 +1067,4 @@ def test_is_zero_agrees_with_a_full_scan(chain):
                 pass
         elif name == "truncate":
             w = Plane.truncate(w, 1 + i % w.nz, 1 + j % w.nt)
-        elif name == "shift_z":
-            w = w.shift_z(i)
         assert w.is_zero() == (not any(w.re) and not any(w.im))
