@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Machine-independent counts of the plane layer over benchmark items.
+"""Machine-independent counts of the plane and gauge layers over benchmark
+items.
 
 Runs items 0..N-1 of the benchmark's fixture-reports workload (default: the
 99 items of its traced pass at seed 5), then the first 5 items of its
 dense-roundtrip workload at the same seed (where the gauge action does
 much of the work), against the connexa sources of a checkout, with three
-counters wrapped around the plane layer, and prints them as a JSON list of
-one object per workload:
+counters wrapped around the plane layer and one around the gauge
+constructor, and prints them as a JSON list of one object per workload:
 
     support_scans    Plane.support calls that scan the window (no support
                      recorded yet); calls that return a recorded one are
@@ -14,6 +15,7 @@ one object per workload:
     planes_built     calls of Plane._ints, Plane._new and TSeries._ints,
                      the constructors every window goes through
     plane_dot_calls  calls of series.plane_dot, from any module
+    gauges_built     connmat.GaugeMap constructions, from any module
 
 Only the items' own work is counted: the workloads' set-up (writing the
 fixture documents, building the dense items) runs before the counters
@@ -50,9 +52,10 @@ DENSE_ITEMS = 5
 def count(root: str, seed: int, items: int) -> list[dict]:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from connexa import series
+    from connexa import connmat, series
 
-    counts = dict.fromkeys(("support_scans", "planes_built", "plane_dot_calls"), 0)
+    keys = ("support_scans", "planes_built", "plane_dot_calls", "gauges_built")
+    counts = dict.fromkeys(keys, 0)
     out = []
     with tempfile.TemporaryDirectory() as workdir:
         runs = []
@@ -66,6 +69,8 @@ def count(root: str, seed: int, items: int) -> list[dict]:
         for cls, name in ((plane, "_ints"), (plane, "_new"), (tseries, "_ints")):
             fn = cls.__dict__[name].__func__
             setattr(cls, name, staticmethod(_counting(counts, "planes_built", fn)))
+        gauge = connmat.GaugeMap
+        gauge.__post_init__ = _counting(counts, "gauges_built", gauge.__post_init__)
         dot = series.plane_dot
         wrapped = _counting(counts, "plane_dot_calls", dot)
         for name, mod in list(sys.modules.items()):

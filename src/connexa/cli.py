@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from . import selftest
-from .connmat import ConstMat, Mat2, flatness_residuals
+from .connmat import ConstMat, flatness_residuals
 from .docio import (
     DEFAULT_ORDER,
     Report,
@@ -34,11 +34,34 @@ EXIT_PRECONDITION = 3
 EXIT_FLAGGED = 4
 
 
+# Largest height, in bits, of one scalar argument (--g, --c, --c0, --binf,
+# --left, --right): the bit lengths of every literal's canonical real and
+# imaginary numerators and denominator, summed.  Time grows with it, not
+# only with the orders: 64 --g coefficients of 400 digits over 400 digits
+# keep euler-nf busy for minutes at --order-t 64, and the slowest --g found
+# within the budget, t2^3 + t2^4/q with q of 2,040 bits, about 10 s on a
+# 2-vCPU host.  The benchmark's argument pool stays under 100 bits.
+MAX_ARG_BITS = 2048
+
+
+def _parse_scalars(flag: str, parts: list[str]) -> list[Scalar]:
+    """The literals of an argument, parsed and refused past the height
+    budget before the command computes anything."""
+    xs = [Scalar.parse(p) for p in parts]
+    if sum(x.a.bit_length() + x.b.bit_length() + x.d.bit_length() for x in xs) > MAX_ARG_BITS:
+        raise DocumentError(f"{flag} exceeds the height budget of {MAX_ARG_BITS} bits")
+    return xs
+
+
+def _parse_scalar(flag: str, text: str) -> Scalar:
+    return _parse_scalars(flag, [text])[0]
+
+
 def _parse_series(text: str, order: int) -> TSeries:
     parts = text.split(",")  # every part is parsed: an empty one is refused
     if len(parts) > order:
         raise DocumentError(f"{len(parts)} coefficients exceed the order {order}")
-    return TSeries.of([Scalar.parse(p) for p in parts], order)
+    return TSeries.of(_parse_scalars("--g", parts), order)
 
 
 def positive_int(text: str) -> int:
@@ -93,7 +116,7 @@ def cmd_verify(args) -> int:
 
 def cmd_prenormal(args) -> int:
     s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
-    p, gauge = to_prenormal(s)
+    p, sigma = to_prenormal(s)
     out = Report("prenormal")
     out.verdicts["c"] = str(p.c)
     out.verdicts["alpha"] = str(p.alpha)
@@ -103,21 +126,14 @@ def cmd_prenormal(args) -> int:
     # to_prenormal refuses data off the pole check, which implies the master equation
     out.residuals_zero["master_equation"] = True
     out.transform_log.append(
-        "identity"
-        if _is_identity_gauge(gauge)
-        else "scalar exponential gauge clearing the trace tail"
+        "identity" if sigma.is_zero() else "scalar exponential gauge clearing the trace tail"
     )
     return _emit(out)
 
 
-def _is_identity_gauge(g) -> bool:
-    return g.lam is None and g.tmat == Mat2.identity(*g.tmat.orders)
-
-
 def cmd_formal_nf(args) -> int:
     s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
-    p, pre_gauge = to_prenormal(s)
-    cls = formal_normal_form(p)
+    cls = formal_normal_form(to_prenormal(s)[0])
     out = Report("formal-nf")
     out.normal_forms.append(_nf_entry(cls.normal_form))
     for partner in cls.isomorphic_forms:
@@ -177,8 +193,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_birkhoff_iso(args) -> int:
-    left = [Scalar.parse(x) for x in args.left.split(",")]
-    right = [Scalar.parse(x) for x in args.right.split(",")]
+    left = _parse_scalars("--left", args.left.split(","))
+    right = _parse_scalars("--right", args.right.split(","))
     if len(left) != 4 or len(right) != 4:
         raise DocumentError("tuples must be c,alpha,c0,c1")
     d1 = BirkhoffData(*left)
@@ -194,13 +210,12 @@ def cmd_birkhoff_iso(args) -> int:
 
 
 def cmd_malgrange(args) -> int:
-    entries = [Scalar.parse(x) for x in args.binf.split(",")]
+    entries = _parse_scalars("--binf", args.binf.split(","))
     if len(entries) != 4:
         raise DocumentError("binf must be b11,b12,b21,b22")
-    b11, b12, b21, b22 = entries
-    binf = ConstMat.from_entries(b11, b12, b21, b22)
-    st = malgrange_xy(binf, Scalar.parse(args.c0), _order(args.order_t))
-    s = malgrange_connection(st, Scalar.parse(args.c), _order(args.order_z))
+    c0, c = _parse_scalar("--c0", args.c0), _parse_scalar("--c", args.c)
+    st = malgrange_xy(ConstMat.from_entries(*entries), c0, _order(args.order_t))
+    s = malgrange_connection(st, c, _order(args.order_z))
     text = dumps_document(structure_to_document(s))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -214,7 +229,7 @@ def _euler_report(args):
     """Parse --c and --g, normalize the Euler field, and start the report
     with its family and parameters."""
     g = _parse_series(args.g, _order(args.order_t))
-    nz = euler_normal_form(EulerField(Scalar.parse(args.c), g))
+    nz = euler_normal_form(EulerField(_parse_scalar("--c", args.c), g))
     out = Report(args.command)
     out.verdicts["family"] = nz.normal_form.family
     out.verdicts["params"] = {

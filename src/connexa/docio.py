@@ -124,6 +124,9 @@ def _plane_from_json(rows: list[list], nt: int, where: str) -> Plane:
 
 
 def _zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
+    zero = ["0"] * nt
+    if data == [[zero, zero]] * nz:  # the all-"0" block, in one comparison
+        return ZTSeries.zero(nz, nt)
     if not isinstance(data, list) or len(data) != nz:
         raise DocumentError("z-coefficient array has the wrong length")
     for entry in data:
@@ -213,7 +216,55 @@ def structure_from_document(doc: Any) -> TEStruct:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1)
+    """The text of ``json.dumps(doc, sort_keys=True, indent=1)`` for a tree
+    whose dicts have str keys.
+
+    That call runs the pure-Python encoder, as any indent does.  This one
+    appends each container's text to one list, and writes a list of strs,
+    such as a coefficient row, as one join; other leaves go to json.dumps."""
+    out: list[str] = []
+    _dump(doc, "\n", out)
+    return "".join(out)
+
+
+_ASCII = json.encoder.encode_basestring_ascii
+
+
+def _dump(o, nl: str, out: list[str]):
+    """Append the text of o to out; nl is the newline and indent of the
+    line o starts on, and each level indents one space more."""
+    if isinstance(o, str):
+        out.append(_ASCII(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if isinstance(o[0], str):
+            try:
+                out.append("[" + inner + ("," + inner).join(map(_ASCII, o)) + nl + "]")
+                return
+            except TypeError:  # not every item is a str
+                pass
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _dump(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + _ASCII(k) + ": ")  # a key that is no str: TypeError
+            _dump(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(o))
 
 
 def loads_document(text: str) -> dict:
@@ -266,4 +317,4 @@ class Report:
         }
 
     def render(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return dumps_document(self.to_dict())

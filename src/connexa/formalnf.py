@@ -19,7 +19,6 @@ from .connmat import (
     apply_gauge,
     compose_gauges,
     prenormal_components,
-    scalar_exp_gauge,
     z0_row_vanishes,
 )
 from .errors import (
@@ -152,22 +151,21 @@ def _t1_free(p: Plane) -> ZTSeries:
     return ZTSeries._of(AffinePoly1(p, Plane.zero(p.nz, p.nt)))
 
 
-def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, GaugeMap]:
-    """Pre-normal data, and the scalar gauge that kills the C1 pole tail.
+def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, TSeries]:
+    """Pre-normal data, and the exponent sigma(z) of the scalar gauge
+    exp(sigma(z)) C1 that kills the C1 pole tail; sigma is zero when there
+    is no tail, and ``scalar_exp_gauge(sigma, nz, nt)`` builds the gauge.
 
     The data are those after the gauge: exp(sigma(z)) C1 leaves the A_i
     alone and adds z^2 sigma'(z) C1 to B, which is minus the tail."""
     if s.kind != "TE":
         raise ShapeError("pre-normal reduction needs full pole data (kind TE)")
-    nz, nt = s.orders
     f, b2, b1 = prenormal_components(s)
     p = PreNormalForm(f, b2, b1[0], b1[1])
     _validate_against(s, p)
     # the C1 pole tail b1 - c - alpha z, divided by z^2
     tail = TSeries(b1.coeffs[2:] + (ZERO, ZERO))
-    if tail.is_zero():
-        return p, GaugeMap(Mat2.identity(nz, nt))
-    return p, scalar_exp_gauge(-tail.integral(), nz, nt)
+    return p, -tail.integral()
 
 
 def _validate_against(s: TEStruct, p: PreNormalForm):
@@ -620,8 +618,9 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
         gamma = ONE
     nfid, partners = _zero_family_id(shape, lam, gamma, res_order, p, warnings)
     target = normal_form_prenormal(nfid, nz, nt2)
-    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt2) for r in rows], nz)
-    if PreNormalForm(ZTSeries.zero(nz - 1, nt2), b2, p.c, p.alpha) != target:
+    # the target's f is zero and its rows quadratic, so comparing the rows
+    # (nt2 >= 3 holds them whole) and c, alpha compares the data
+    if (rows, p.c, p.alpha) != (_quad_rows(target.b2, nt2), target.c, target.alpha):
         raise FlatnessError("zero-family normalization missed its target")
     return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
 
@@ -688,12 +687,12 @@ def _zero_family_recursion(
         g_ys[2].extend((-v2, ZERO, -h2, h1))
         tau1.append(dot(xs, tau1_ys, ONE / integer(4 * m)))
         xs = [tau1[m], *x] + xs
+    if all(c.is_zero() for c in xs):  # tau1 = 1 and tau2 = 0: the identity
+        return b2_out, None, mono_mu, res_order
     gauge = zero_family_gauge(
         TSeries(tuple(tau1)),
         ZTSeries.from_zcoeffs([TSeries.of(x, nt) for x in tau2], nz),
     )
-    if gauge.tmat == Mat2.identity(nz, nt):
-        gauge = None
     return b2_out, gauge, mono_mu, res_order
 
 

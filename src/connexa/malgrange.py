@@ -396,7 +396,7 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
     only if it is flat on its own window: the frame reduction drops one
     t2-order, so it would never see a fault in the top one."""
     try:
-        p, _pre_gauge = to_prenormal(s)
+        p = to_prenormal(s)[0]
     except ShapeError as first:
         if not flatness_residuals(s).flat:
             raise first from None
@@ -404,7 +404,7 @@ def classify_holomorphic(s: TEStruct, k_max: int | None = None) -> HoloReport:
             raw = _reduce_nilpotent_frame(s)
         except ShapeError:
             raise first from None
-        p, _pre_gauge = to_prenormal(raw)
+        p = to_prenormal(raw)[0]
     notes_extra: tuple[str, ...] = ()
     restr = None  # formed here only when the search or the reduction needs it
     if k_max is not None:

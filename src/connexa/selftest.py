@@ -452,7 +452,7 @@ def criterion_cross_module(nz=8, nt=8, iso_samples=10):
         nf = euler_normal_form(e).normal_form
         if not realizable_by_te(nf):
             return False, f"fixture {name} induces a non-realizable field"
-        p, _g = to_prenormal(s)
+        p = to_prenormal(s)[0]
         base = is_elementary(p)
         for k in range(iso_samples):
             if k % 2 == 0 or not _fixture_is_zero_family(s):

@@ -23,6 +23,13 @@ pre-normal data back (``reextract``).  ``normalize_zero_family`` is that
 pipeline; the package maps the rows of b2 in closed form
 (``formalnf._mobius_rows``), and the tests check it against these.
 
+The row pipeline that replaced it (``rows_normalize_zero_family``) built
+the recursion's gauge whatever tau1 and tau2 came out, and compared it
+with the identity, and it checked its result by building b2 again from
+the rows and comparing pre-normal data with the target's.  The package
+builds that gauge only when (tau1, tau2) is not (1, 0), and compares the
+rows with the target's.
+
 The pre-normal structure and the origin restriction were once built from
 copies: f shifted up a z-order and b2 differentiated at the same order and
 shifted by z and z^2 (``prenormal_struct``), and b2's first two
@@ -44,7 +51,7 @@ from connexa.formalnf import (  # bound here, so a test's monkeypatch passes the
     build_prenormal_struct,
     normal_form_prenormal,
 )
-from connexa.scalars import HALF, ONE, ZERO, S, Scalar
+from connexa.scalars import HALF, ONE, ZERO, S, Scalar, dot
 from connexa.series import Plane, TSeries, ZTSeries, plane_dot
 from plane_oracle import at_t0, derivative, derivative_exact, dt, each, mul_z, z_times, zdz
 
@@ -300,3 +307,96 @@ def normalize_zero_family(p: PreNormalForm) -> Classification:
     if cur != target:
         raise FlatnessError("zero-family normalization missed its target")
     return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
+
+
+def rows_normalize_zero_family(p: PreNormalForm) -> Classification:
+    """The f = 0 normalizer on b2's rows, with the base changes in closed
+    form, its recursion ``rows_zero_family_recursion``, and b2 built again
+    for the final check."""
+    nz, nt = p.orders
+    if nt < 5:
+        raise ShapeError("t-order too small for the zero-family pipeline")
+    warnings: list[str] = []
+    cq, b, a = formalnf._quad_coeffs(p.b2[0].const)
+    shape, lam, consts = formalnf._reduce_b20(a, b, cq)
+    moves = [consts] if consts is not None and consts != (ONE, ONE, ZERO) else []
+    if shape == "affine" and lam.is_integer() and lam.re < 0:
+        moves.append((ONE, ONE, -lam))
+        lam = -lam
+    steps = [formalnf._mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
+    nt2 = nt - len(moves)
+    rows = formalnf._quad_rows(p.b2, nt)
+    for m in moves:
+        rows = formalnf._mobius_rows(rows, *m)
+    if rows[0] != formalnf._SHAPE_B20[shape](lam):
+        raise ShapeError("shape reduction did not land on the catalogue")
+    rows, gauge2, mu, res_order = rows_zero_family_recursion(rows, shape, nt2)
+    if gauge2 is not None:
+        steps.append(gauge2)
+    gamma = mu
+    if shape == "linear" and mu is not None and not mu.is_zero():
+        k_sc, d_sc = (ONE, mu) if lam.re > 0 else (mu, ONE)
+        steps.append(formalnf._mobius_gauge(k_sc, d_sc, ZERO, nz, nt2))
+        rows = formalnf._mobius_rows(rows, k_sc, d_sc, ZERO)
+        nt2 -= 1
+        gamma = ONE
+    nfid, partners = formalnf._zero_family_id(shape, lam, gamma, res_order, p, warnings)
+    target = normal_form_prenormal(nfid, nz, nt2)
+    b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt2) for r in rows], nz)
+    if PreNormalForm(ZTSeries.zero(nz - 1, nt2), b2, p.c, p.alpha) != target:
+        raise FlatnessError("zero-family normalization missed its target")
+    return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
+
+
+def rows_zero_family_recursion(b2_in: list[odekit.Quad], shape: str, nt: int):
+    """The recursion on triples, as ``formalnf._zero_family_recursion``
+    computes it, with the gauge built from tau1 and tau2 every time and
+    dropped when it equals the identity."""
+    nz = len(b2_in)
+    b = b2_in[0]
+    b2_out: list[odekit.Quad] = [b2_in[0]]
+    tau1: list[Scalar] = [ONE]
+    tau2: list[odekit.Quad] = []
+    xs: list[Scalar] = []
+    tau1_ys: list[Scalar] = []
+    g_ys: tuple[list[Scalar], ...] = ([], [], [])
+    mono_mu: Scalar | None = None
+    res_order: int | None = None
+    for n in range(nz - 1):
+        m = n + 1
+        mm = S(m)
+        g = [dot(xs, ys) - u for ys, u in zip(g_ys, b2_in[m])]
+        new_coeff = (ZERO, ZERO, ZERO)
+        res = None if shape == "zero" else odekit.third_der_resonance(mm, b)
+        if res is not None:
+            obstruction, k, _cond = odekit.third_der_obstruction(res, mm, g)
+            mu = -obstruction
+            if not mu.is_zero():
+                mono_mu = mu
+                new_coeff = tuple(mu if j == k else ZERO for j in range(3))
+                g[k] = g[k] + mu
+            elif mono_mu is None:
+                mono_mu = ZERO
+            res_order = m
+        if shape == "zero":
+            x = tuple(c / mm for c in g)
+        else:
+            x = odekit.solve_third_der(mm, b, g).x
+        tau2.append(x)
+        b2_out.append(new_coeff)
+        pairs = list(zip(b2_in[m], new_coeff))
+        v0, v1, v2 = (a - c for a, c in pairs)
+        h0, h1, h2 = ((a + c) * HALF for a, c in pairs)
+        tau1_ys += (ZERO, v2 + v2, -v1, v0 + v0)
+        g_ys[0].extend((-v0, -h1, h0, ZERO))
+        g_ys[1].extend((-v1, -(h2 + h2), ZERO, h0 + h0))
+        g_ys[2].extend((-v2, ZERO, -h2, h1))
+        tau1.append(dot(xs, tau1_ys, ONE / S(4 * m)))
+        xs = [tau1[m], *x] + xs
+    gauge = formalnf.zero_family_gauge(
+        TSeries(tuple(tau1)),
+        ZTSeries.from_zcoeffs([TSeries.of(x, nt) for x in tau2], nz),
+    )
+    if gauge.tmat == Mat2.identity(nz, nt):
+        gauge = None
+    return b2_out, gauge, mono_mu, res_order

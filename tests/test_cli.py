@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from connexa import cli, selftest
+from connexa import cli, docio, selftest
 from connexa.connmat import Mat2, TEStruct
 from connexa.docio import (
     dumps_document,
@@ -33,12 +33,36 @@ from conftest import rand_scalar
 from test_origin import IRREDUCIBILITY_K2
 
 
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_json_dumps(monkeypatch):
+    """Every report and document the CLI writes in this process is the text
+    of ``json.dumps(sort_keys=True, indent=1)``."""
+    write = docio.dumps_document
+
+    def checked(obj):
+        text = write(obj)
+        assert text == _json_dumps(obj)
+        return text
+
+    monkeypatch.setattr(docio, "dumps_document", checked)
+    monkeypatch.setattr(cli, "dumps_document", checked)
+
+
 def _run(*args):
-    return subprocess.run(
+    """The CLI in a subprocess; a report or document it prints is the text
+    of ``json.dumps(sort_keys=True, indent=1)`` and a newline."""
+    out = subprocess.run(
         [sys.executable, "-m", "connexa.cli", *args],
         capture_output=True,
         text=True,
     )
+    if out.stdout.startswith("{"):
+        assert out.stdout == _json_dumps(json.loads(out.stdout)) + "\n"
+    return out
 
 
 def test_round_trip_fixtures():
@@ -611,8 +635,8 @@ def test_cli_malgrange_writes_only_documents_that_load(tmp_path):
     cases = [
         ((), "2", "0,2,0,1/2", 0),
         ((), f"{3**40}/{7**20}", f"1/{3**20},{5**30}/7,{2**50}/11,1/13", 0),
-        ((), big, ",".join([big] * 4), 2),
-        ((), str(7**1800), f"1,{7**1800},2,3", 2),  # integers only, 1,521 digits
+        ((), big, ",".join([f"{3**150}/{7**85}"] * 4), 2),
+        ((), str(2**2040), f"1,{2**2000},2,3", 2),  # integers only, 615 digits
         (("--order-t", "64"), mid, ",".join([mid] * 4), 2),
     ]
     for i, (window, c0, binf, want) in enumerate(cases):
@@ -692,3 +716,72 @@ def test_cli_fixture_below_its_resonant_order():
         report = json.loads(out)
         assert report["verdicts"]["normal_form"] == "NF3-7(alpha=0, c=0, lam=2)"
         assert report["warnings"] == [WINDOW_WARNING]
+
+
+def _height(text: str) -> int:
+    """Bits of the literals' real and imaginary numerators and denominators."""
+    xs = [Scalar.parse(p) for p in text.split(",")]
+    return sum(x.a.bit_length() + x.b.bit_length() + x.d.bit_length() for x in xs)
+
+
+# Each scalar argument, with one literal {} that fills the budget, and the
+# rest of a command line that runs quickly at the budget.
+BUDGETED = [
+    ("--g", "{}", ("euler-nf",)),
+    ("--g", "0,0,1,{}/3", ("euler-realizable",)),
+    ("--c", "{}", ("euler-nf", "--g=1")),
+    ("--c", "-{}*i", ("malgrange", "--c0=1", "--binf=0,2,0,1/2")),
+    ("--c0", "1/{}", ("malgrange", "--binf=0,2,0,1/2")),
+    ("--binf", "0,{},0,1/2", ("malgrange", "--c0=1")),
+    ("--left", "{},0,1,0", ("birkhoff-iso", "--right=1,0,1,0")),
+    ("--right", "1,0,{},0", ("birkhoff-iso", "--left=1,0,1,0")),
+]
+
+
+@pytest.mark.parametrize("flag, value, command", BUDGETED, ids=[b[0] for b in BUDGETED])
+def test_scalar_argument_height_budget(monkeypatch, flag, value, command):
+    # at MAX_ARG_BITS the command runs; one bit past it, it exits 2 with one
+    # line naming the budget before any computation starts
+    rest = value.format(1)
+    base = _height(rest) - 1  # the literal 1 contributes one numerator bit
+    at = value.format(2 ** (cli.MAX_ARG_BITS - base - 1))
+    past = value.format(2 ** (cli.MAX_ARG_BITS - base))
+    assert (_height(at), _height(past)) == (cli.MAX_ARG_BITS, cli.MAX_ARG_BITS + 1)
+    code, out, err = _main(*command, f"{flag}={at}")
+    assert (code, err) == (0, "") and out
+    for name in ("euler_normal_form", "malgrange_xy", "birkhoff_iso_decision"):
+        monkeypatch.setattr(cli, name, None)  # computing now raises TypeError
+    code, out, err = _main(*command, f"{flag}={past}")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {flag} exceeds the height budget of {cli.MAX_ARG_BITS} bits\n"
+
+
+def test_benchmark_argument_pool_is_within_the_budget(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    pool = workloads.fixture_pool()
+    seen = 0
+    for argvs in pool.values():
+        for argv in argvs:
+            for arg in argv[1:]:
+                flag, value = arg.split("=", 1)
+                assert _height(value) <= cli.MAX_ARG_BITS // 20, arg
+                seen += 1
+    assert seen == 32 * 2 * 2 + 32 * 2 + 16 * 3
+
+
+def test_malgrange_arguments_once_refused_by_the_writer_stop_at_the_budget(monkeypatch):
+    # arguments that once ran malgrange to the end and were then refused by
+    # its writer now stop at the argument budget, before malgrange_xy
+    monkeypatch.setattr(cli, "malgrange_xy", None)  # computing now raises TypeError
+    big = f"{3**620}/{7**350}"
+    cases = [
+        ("--binf", big, ",".join([big] * 4)),
+        ("--binf", str(7**1800), f"1,{7**1800},2,3"),
+        ("--c0", str(7**1800), "0,2,0,1/2"),
+    ]
+    for flag, c0, binf in cases:
+        code, out, err = _main("malgrange", f"--c0={c0}", f"--binf={binf}")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {flag} exceeds the height budget of {cli.MAX_ARG_BITS} bits\n"

@@ -8,6 +8,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -549,3 +550,100 @@ def test_plane_height_budget(tmp_path):
     target.write_text(dumps_document(outside))
     code, out, err = _verify(target)
     assert (code, out) == (2, "") and err.startswith("parse error: A1.c2 constant part")
+
+
+# -- near the zero-component fast path ----------------------------------------
+
+
+def _z(nt):
+    return ["0"] * nt
+
+
+# Components of BASE's window (3, 3) that equal or nearly equal the all-"0"
+# block, and the text of the refusal each met before the block was read
+# whole (None: it loads as the zero component).
+NEAR_ZERO_BLOCKS = {
+    "one z-slot too many": (_zero_slots(4, 3), "z-coefficient array has the wrong length"),
+    "one z-slot too few": (_zero_slots(2, 3), "z-coefficient array has the wrong length"),
+    "no z-slot": ([], "z-coefficient array has the wrong length"),
+    "rows one t-order long": (_zero_slots(3, 4), "coefficient array has the wrong length"),
+    "rows one t-order short": (_zero_slots(3, 2), "coefficient array has the wrong length"),
+    "JSON 0 literals": ([[[0] * 3, [0] * 3]] * 3, None),
+    "one JSON 0 among the strs": (_zero_slots(3, 3, (1, 0, 0), 0), None),
+    "a str slot": ([[_z(3), _z(3)], "0", [_z(3), _z(3)]], "each z-slot must be [const, slope]"),
+    "an object slot": (
+        [[_z(3), _z(3)], {"0": _z(3)}, [_z(3), _z(3)]], "each z-slot must be [const, slope]"
+    ),
+    "a slot of one row": ([[_z(3), _z(3)], [_z(3)], [_z(3), _z(3)]], "each z-slot must be [const, slope]"),
+    "a slot of three rows": ([[_z(3), _z(3)], [_z(3)] * 3, [_z(3), _z(3)]], "each z-slot must be [const, slope]"),
+    "a str row": ([[_z(3), "000"], [_z(3), _z(3)], [_z(3), _z(3)]], "coefficient array has the wrong length"),
+    "a row of rows": ([[[_z(3)], _z(3)]] * 3, "coefficient array has the wrong length"),
+    "an object component": ({"0": 0}, "z-coefficient array has the wrong length"),
+    "a str component": ("0", "z-coefficient array has the wrong length"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_ZERO_BLOCKS))
+def test_components_near_the_zero_block_keep_their_verdict(tmp_path, name):
+    value, refusal = NEAR_ZERO_BLOCKS[name]
+    zero_doc = doc_with(BASE, ("matrices", "A2", "e"), _zero_slots(3, 3))
+    assert structure_from_document(zero_doc).A2.e == ZTSeries.zero(3, 3)
+    target = tmp_path / "doc.json"
+    target.write_text(dumps_document(doc_with(BASE, ("matrices", "A2", "e"), value)))
+    code, out, err = _verify(target)
+    if refusal is None:
+        assert load_structure(str(target)) == structure_from_document(zero_doc)
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (2, "", f"parse error: {refusal}\n")
+
+
+# -- the writer ---------------------------------------------------------------
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("nz, nt", SMALL_WINDOWS + [(16, 16)])
+def test_writer_matches_json_dumps_on_fixtures(nz, nt):
+    for full in FIXTURE_DOCUMENTS.values():
+        doc = _cut(full, nz, nt)
+        assert dumps_document(doc) == _json_dumps(doc)
+
+
+def test_writer_matches_json_dumps_on_the_malgrange_pool(monkeypatch):
+    # the benchmark's malgrange arguments, each document printed by the CLI
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    argvs = workloads.fixture_pool()["malgrange"]
+    assert len(argvs) == 16
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        text = out.getvalue()
+        assert text == _json_dumps(json.loads(text)) + "\n"
+
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | st.text()
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_trees, st.dictionaries(st.text(), json_trees, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps_on_any_tree(tree, verdicts):
+    # empty containers, lists of strs (written as one join) and mixed lists,
+    # non-ASCII and control characters, ints, floats, bools and None
+    assert dumps_document(tree) == _json_dumps(tree)
+    rep = docio.Report("x", verdicts=verdicts, normal_forms=[tree], warnings=["é\x00\n"])
+    assert rep.render() == _json_dumps(rep.to_dict())

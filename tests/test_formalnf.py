@@ -7,7 +7,7 @@ import connmat_oracle
 import gauge_oracle
 import plane_oracle
 import prenormal_oracle
-from connexa import formalnf, odekit
+from connexa import formalnf, odekit, selftest
 from connexa.connmat import (
     GaugeMap,
     Mat2,
@@ -54,13 +54,22 @@ from connexa.selftest import (
 )
 from connexa.series import TSeries, ZTSeries
 from conftest import rand_nonzero, rand_scalar
+from test_cli import SMALL_WINDOWS
 
 NZ = NT = 8
 
 
+def _prenormal_and_gauge(s):
+    """to_prenormal's data, and the tail-clearing gauge built from its
+    exponent sigma."""
+    p, sigma = to_prenormal(s)
+    return p, scalar_exp_gauge(sigma, *s.orders)
+
+
 def test_to_prenormal_identity():
     s = build_normal_form(NormalFormId("F1", dict(c=S(1), alpha=S(2), c0=S(3))), NZ, NT)
-    p, gauge = to_prenormal(s)
+    assert to_prenormal(s)[1].is_zero()
+    p, gauge = _prenormal_and_gauge(s)
     assert p.c == S(1) and p.alpha == S(2)
     assert gauge.lam is None
     assert build_prenormal_struct(p) == s
@@ -90,10 +99,10 @@ def test_to_prenormal_kills_tail(monkeypatch):
     s = build_normal_form(NormalFormId("F1", dict(c=S(1), alpha=S(2), c0=S(3))), NZ, NT)
     g = scalar_exp_gauge(TSeries.of([0, 0, "1/2"], NZ), NZ, NT)  # adds z^3 to b1
     moved = apply_gauge(s, g)
-    p, gauge = to_prenormal(moved)
+    p, gauge = _prenormal_and_gauge(moved)
     assert (p.c, p.alpha) == (S(1), S(2))
     out = apply_gauge(moved, gauge)
-    p2, gauge2 = to_prenormal(out)
+    p2, gauge2 = _prenormal_and_gauge(out)
     assert gauge2.tmat.is_t2_free()
     assert out == build_prenormal_struct(p)
     rng = random.Random(202)
@@ -101,7 +110,7 @@ def test_to_prenormal_kills_tail(monkeypatch):
     tails = 0
     for m in structures:
         nz, nt = m.orders
-        p, gauge = to_prenormal(m)
+        p, gauge = _prenormal_and_gauge(m)
         out = apply_gauge(m, gauge)
         assert out.orders == m.orders
         assert (out.A1, out.A2) == (m.A1, m.A2)
@@ -111,7 +120,7 @@ def test_to_prenormal_kills_tail(monkeypatch):
             + ZTSeries.const(p.c, nz, nt)
             + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
         )
-        q, gauge2 = to_prenormal(out)
+        q, gauge2 = _prenormal_and_gauge(out)
         assert q == p and gauge2.tmat == Mat2.identity(nz, nt)
         tails += out.B.c1 != m.B.c1
     assert tails == len(structures) == 10
@@ -144,7 +153,7 @@ def test_z_dependent_f_passes_the_pole_check():
     p = _z_dependent_f(6, 6)
     s = build_prenormal_struct(p)
     assert flatness_residuals(s).flat
-    q, gauge = to_prenormal(s)
+    q, gauge = _prenormal_and_gauge(s)
     assert q == p and gauge.tmat == Mat2.identity(6, 6)
 
 
@@ -993,3 +1002,123 @@ def test_zero_family_pipeline_matches_reextracting_body():
         seen.add((bool(high), got[1] if refused else len(got.steps)))
     assert {(False, 1), (False, 2), (False, 3), "top term refused"} <= seen
     assert (True, "b2 is not quadratic in t2 at z^1") in seen
+
+
+def _same_as_row_oracle(p, normalize=formalnf._normalize_zero_family):
+    """The f = 0 normalizer (bound at import, so a test's monkeypatch passes
+    it by) and the row oracle give the same classification field for field
+    (each step by its matrix and base map), or the same refusal; returns
+    the outcome."""
+    got = _outcome(normalize, p)
+    want = _outcome(prenormal_oracle.rows_normalize_zero_family, p)
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert got.normal_form == want.normal_form
+    assert [(g.tmat, g.lam) for g in got.steps] == [(g.tmat, g.lam) for g in want.steps]
+    assert got.target == want.target
+    assert got.isomorphic_forms == want.isomorphic_forms
+    assert got.warnings == want.warnings
+    return got
+
+
+def _nf3_fixture_data(nz, nt):
+    """The pre-normal data of the NF3 fixtures that pass the pole check at
+    the window."""
+    out = []
+    for name in fixture_names():
+        if name.startswith("nf3_"):
+            try:
+                out.append(to_prenormal(build_fixture(name, nz, nt))[0])
+            except ExactAlgebraError:
+                pass
+    return out
+
+
+def _dense_zero_family_data(rng, count):
+    """Seeded f = 0 data: a head of each catalogue shape, resonant integral
+    slopes among them, under dense quadratic rows."""
+    heads = (
+        [2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1], [1, "1/2"],
+        [0, 2], [0, -1], [0, 0, 1], [0], [3], [1, -2], [0, 1], [1, 3], [0, -3],
+        ["1+i", "1", "-1/2"],
+    )
+    for _ in range(count):
+        nz, nt = rng.randint(2, 10), rng.randint(5, 8)
+        rows = [TSeries.of(rng.choice(heads), nt)]
+        rows += [TSeries.of([_rand_scalar(rng, 3) for _ in range(3)], nt) for _ in range(nz - 1)]
+        yield PreNormalForm(
+            ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs(rows, nz),
+            _rand_scalar(rng), _rand_scalar(rng),
+        )
+
+
+@pytest.mark.parametrize("nz, nt", SMALL_WINDOWS + [(16, 16)])
+def test_zero_family_normalizer_matches_row_oracle_on_nf3_fixtures(nz, nt):
+    for p in _nf3_fixture_data(nz, nt):
+        _same_as_row_oracle(p)
+
+
+def test_zero_family_normalizer_matches_row_oracle_on_criterion_2(monkeypatch):
+    normalize = formalnf._normalize_zero_family
+    calls = []
+
+    def checked(p):
+        calls.append(_same_as_row_oracle(p))
+        return normalize(p)
+
+    monkeypatch.setattr(formalnf, "_normalize_zero_family", checked)
+    assert selftest.criterion_round_trip()[0]
+    assert len(calls) == 30 and any(len(c.steps) > 1 for c in calls)
+
+
+def test_zero_family_normalizer_matches_row_oracle_on_dense_data():
+    seen = set()
+    for p in _dense_zero_family_data(random.Random(3434), 200):
+        got = _same_as_row_oracle(p)
+        seen.add(got[0].__name__ if isinstance(got, tuple) else len(got.steps))
+    assert {1, 2, 3} <= seen
+    # b2 = z (1 + t2)^2 on the zero shape: tau2 = -(1 + t2)^2 at z^0 and
+    # tau1 = 1 + 0 z + (b1^2 - 4 b0 b2) z^2 / 8 = 1, so the gauge's top
+    # coefficients vanish and the lower ones do not
+    for nz in (3, 4, 6):
+        rows = [(ZERO, ZERO, ZERO), (ONE, S(2), ONE)] + [(ZERO, ZERO, ZERO)] * (nz - 2)
+        got = _same_as_row_oracle(_prenormal_of(rows, 6))
+        assert len(got.steps) == 1 and got.normal_form.family == "NF3-1"
+
+
+def test_every_row_mutant_is_refused_by_both(monkeypatch):
+    # one coefficient of the recursion's rows raised by 1: the new check and
+    # the oracle's both refuse it, on identity and non-identity recursions
+    data = _nf3_fixture_data(8, 8) + list(_dense_zero_family_data(random.Random(77), 12))
+    data = [p for p in data if isinstance(_outcome(formal_normal_form, p), formalnf.Classification)]
+    spot = []
+
+    def mutated(recursion):
+        def run(rows, shape, nt):
+            out, *rest = recursion(rows, shape, nt)
+            k, j = spot[0]
+            row = list(out[k])
+            row[j] = row[j] + ONE
+            return [*out[:k], tuple(row), *out[k + 1 :]], *rest
+
+        return run
+
+    monkeypatch.setattr(
+        formalnf, "_zero_family_recursion", mutated(formalnf._zero_family_recursion)
+    )
+    monkeypatch.setattr(
+        prenormal_oracle,
+        "rows_zero_family_recursion",
+        mutated(prenormal_oracle.rows_zero_family_recursion),
+    )
+    missed = (FlatnessError, "zero-family normalization missed its target")
+    mutants = 0
+    for p in data:
+        for k in range(p.orders[0]):
+            for j in range(3):
+                spot[:] = [(k, j)]
+                assert _outcome(formalnf._normalize_zero_family, p) == missed
+                assert _outcome(prenormal_oracle.rows_normalize_zero_family, p) == missed
+                mutants += 1
+    assert len(data) > 9 and mutants >= 9 * 8 * 3

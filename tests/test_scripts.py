@@ -73,3 +73,6 @@ def test_plane_counts_runs():
         assert (counts["seed"], counts["items"], counts["failed"]) == (5, 5, 0)
         assert counts["planes_built"] > counts["support_scans"] > 0
         assert counts["plane_dot_calls"] > 0
+        assert type(counts["gauges_built"]) is int and counts["gauges_built"] >= 0
+    # the dense items are moved by gauges and classified back
+    assert blocks[1]["gauges_built"] > 0
