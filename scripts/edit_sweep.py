@@ -111,7 +111,7 @@ def main():
         if not args.no_raw:
             raw = os.path.join(workdir, "raw.json")
             window = ["--order-z", str(nz), "--order-t", str(nt)]
-            if _run(window + [*RAW_ARGS, "--out", raw])[0] != 0:
+            if _run([*RAW_ARGS, *window, "--out", raw])[0] != 0:
                 raise SystemExit("the raw-frame document could not be written")
             with open(raw, encoding="utf-8") as fh:
                 documents.append(("raw", loads_document(fh.read())))

@@ -1,13 +1,15 @@
 """Batch front door: parse structure documents, run pipelines, emit reports.
 
-Exit codes: 0 success, 2 parse error or a path that cannot be read or
-written, 3 precondition violation, 4 known criterion discrepancy flagged
-by a decision certificate.
+Each command declares the flags it reads, so a flag it does not read is a
+parse error.  Exit codes: 0 success, 1 a failed selftest criterion, 2 parse
+error or a path that cannot be read or written, 3 precondition violation,
+4 known criterion discrepancy flagged by a decision certificate.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache
 
@@ -29,6 +31,7 @@ from .scalars import Scalar
 from .series import MAX_ORDER, TSeries
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_FLAGGED = 4
@@ -64,8 +67,19 @@ def _parse_series(text: str, order: int) -> TSeries:
     return TSeries.of(_parse_scalars("--g", parts), order)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """A decimal integer in ASCII digits: int() alone would also read
+    "1_6", " 8" and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def positive_int(text: str) -> int:
-    n = int(text)
+    n = _integer(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"order must be at least 1, not {n}")
     if n > MAX_ORDER:
@@ -75,13 +89,8 @@ def positive_int(text: str) -> int:
     return n
 
 
-def _order(value: int | None) -> int:
-    """An --order-z/--order-t value, DEFAULT_ORDER when the flag is omitted."""
-    return DEFAULT_ORDER if value is None else value
-
-
 def nonnegative_int(text: str) -> int:
-    n = int(text)
+    n = _integer(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"bound must be at least 0, not {n}")
     return n
@@ -102,7 +111,7 @@ def _emit(report: Report, code: int = EXIT_OK) -> int:
 
 
 def cmd_verify(args) -> int:
-    s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
+    s = resolve_structure(args.path, args.order_z, args.order_t)
     rep = flatness_residuals(s)
     out = Report("verify")
     out.verdicts["flat"] = rep.flat
@@ -115,7 +124,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_prenormal(args) -> int:
-    s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
+    s = resolve_structure(args.path, args.order_z, args.order_t)
     p, sigma = to_prenormal(s)
     out = Report("prenormal")
     out.verdicts["c"] = str(p.c)
@@ -132,7 +141,7 @@ def cmd_prenormal(args) -> int:
 
 
 def cmd_formal_nf(args) -> int:
-    s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
+    s = resolve_structure(args.path, args.order_z, args.order_t)
     cls = formal_normal_form(to_prenormal(s)[0])
     out = Report("formal-nf")
     out.normal_forms.append(_nf_entry(cls.normal_form))
@@ -148,8 +157,8 @@ def cmd_formal_nf(args) -> int:
 
 
 def cmd_formal_iso(args) -> int:
-    sa = resolve_structure(args.path_a, args.order_z, args.order_t, args.fixtures)
-    sb = resolve_structure(args.path_b, args.order_z, args.order_t, args.fixtures)
+    sa = resolve_structure(args.path_a, args.order_z, args.order_t)
+    sb = resolve_structure(args.path_b, args.order_z, args.order_t)
     na = formal_normal_form(to_prenormal(sa)[0]).normal_form
     nb = formal_normal_form(to_prenormal(sb)[0]).normal_form
     dec = formal_iso_decision(na, nb)
@@ -162,7 +171,7 @@ def cmd_formal_iso(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    s = resolve_structure(args.path, args.order_z, args.order_t, args.fixtures)
+    s = resolve_structure(args.path, args.order_z, args.order_t)
     rep = classify_holomorphic(s, k_max=args.kmax)
     out = Report("classify")
     out.verdicts["elementary"] = rep.elementary
@@ -214,8 +223,8 @@ def cmd_malgrange(args) -> int:
     if len(entries) != 4:
         raise DocumentError("binf must be b11,b12,b21,b22")
     c0, c = _parse_scalar("--c0", args.c0), _parse_scalar("--c", args.c)
-    st = malgrange_xy(ConstMat.from_entries(*entries), c0, _order(args.order_t))
-    s = malgrange_connection(st, c, _order(args.order_z))
+    st = malgrange_xy(ConstMat.from_entries(*entries), c0, args.order_t)
+    s = malgrange_connection(st, c, args.order_z)
     text = dumps_document(structure_to_document(s))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,7 +237,7 @@ def cmd_malgrange(args) -> int:
 def _euler_report(args):
     """Parse --c and --g, normalize the Euler field, and start the report
     with its family and parameters."""
-    g = _parse_series(args.g, _order(args.order_t))
+    g = _parse_series(args.g, args.order_t)
     nz = euler_normal_form(EulerField(_parse_scalar("--c", args.c), g))
     out = Report(args.command)
     out.verdicts["family"] = nz.normal_form.family
@@ -263,85 +272,69 @@ def cmd_selftest(args) -> int:
         ok = ok and passed
     out.verdicts["all"] = ok
     print(out.render())
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def cmd_write_fixtures(args) -> int:
-    paths = write_fixtures(args.directory, _order(args.order_z), _order(args.order_t))
+    paths = write_fixtures(args.directory, args.order_z, args.order_t)
     out = Report("write-fixtures")
     out.verdicts["written"] = len(paths)
     return _emit(out)
 
 
-_DOCUMENT_COMMANDS = ("verify", "prenormal", "formal-nf", "formal-iso", "classify")
-
-# Each global flag and the commands that read it; given to any other
-# command, it is refused rather than silently ignored.
-FLAG_READERS = {
-    "--order-z": _DOCUMENT_COMMANDS + ("malgrange", "write-fixtures"),
-    "--order-t": _DOCUMENT_COMMANDS
-    + ("malgrange", "euler-nf", "euler-realizable", "write-fixtures"),
-    "--kmax": ("classify",),
-    "--fixtures": _DOCUMENT_COMMANDS,
-}
-
-
-def _check_flags(args) -> None:
-    for flag, readers in FLAG_READERS.items():
-        given = getattr(args, flag[2:].replace("-", "_")) is not None
-        if given and args.command not in readers:
-            raise DocumentError(f"{flag} has no effect on {args.command}")
+def _window(default: int | None, *axes: str) -> argparse.ArgumentParser:
+    """A parent parser with the truncation-order flags of axes ("z", "t2")."""
+    keeps = "; a document keeps its own, and a different value exits 2"
+    p = argparse.ArgumentParser(add_help=False)
+    for axis in axes:
+        p.add_argument(
+            f"--order-{axis[0]}",
+            type=positive_int,
+            default=default,
+            help=f"{axis} truncation order (default {DEFAULT_ORDER})"
+            + (keeps if default is None else ""),
+        )
+    return p
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared after."""
+    """The command-line parser, built on first use and shared after.  Each
+    command declares exactly the flags it reads."""
     ap = argparse.ArgumentParser(
         prog="connexa",
         description="Exact classification of rank-2 pole-order-1 structures "
         "over the nilpotent base germ",
     )
-    ap.add_argument(
-        "--order-z",
-        type=positive_int,
-        default=None,
-        help=f"z truncation order (default {DEFAULT_ORDER}); a document "
-        "keeps its own, and a different value exits 2",
-    )
-    ap.add_argument(
-        "--order-t",
-        type=positive_int,
-        default=None,
-        help=f"t2 truncation order (default {DEFAULT_ORDER}); a document "
-        "keeps its own, and a different value exits 2",
-    )
-    ap.add_argument(
+    document = [_window(None, "z", "t2")]  # None: a document keeps its own window
+    window = [_window(DEFAULT_ORDER, "z", "t2")]
+    t_window = [_window(DEFAULT_ORDER, "t2")]
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", parents=document, help="flatness residuals of a document")
+    p.add_argument("path")
+    p.set_defaults(fn=cmd_verify)
+
+    p = sub.add_parser("prenormal", parents=document, help="reduce to pre-normal shape")
+    p.add_argument("path")
+    p.set_defaults(fn=cmd_prenormal)
+
+    p = sub.add_parser("formal-nf", parents=document, help="formal normal form")
+    p.add_argument("path")
+    p.set_defaults(fn=cmd_formal_nf)
+
+    p = sub.add_parser("formal-iso", parents=document, help="formal isomorphism decision")
+    p.add_argument("path_a")
+    p.add_argument("path_b")
+    p.set_defaults(fn=cmd_formal_iso)
+
+    p = sub.add_parser("classify", parents=document, help="full holomorphic classification")
+    p.add_argument(
         "--kmax",
         type=nonnegative_int,
         default=None,
         help="eigen-section search bound, |k| <= min(kmax, origin window order)",
     )
-    ap.add_argument("--fixtures", default=None, help="extra fixtures directory")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="flatness residuals of a document")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("prenormal", help="reduce to pre-normal shape")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_prenormal)
-
-    p = sub.add_parser("formal-nf", help="formal normal form")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_formal_nf)
-
-    p = sub.add_parser("formal-iso", help="formal isomorphism decision")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    p.set_defaults(fn=cmd_formal_iso)
-
-    p = sub.add_parser("classify", help="full holomorphic classification")
     p.add_argument("path")
     p.set_defaults(fn=cmd_classify)
 
@@ -350,19 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True, help="c,alpha,c0,c1")
     p.set_defaults(fn=cmd_birkhoff_iso)
 
-    p = sub.add_parser("malgrange", help="universal-deformation constructor")
+    p = sub.add_parser("malgrange", parents=window, help="universal-deformation constructor")
     p.add_argument("--c", default="0")
     p.add_argument("--c0", required=True)
     p.add_argument("--binf", required=True, help="entries b11,b12,b21,b22")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_malgrange)
 
-    p = sub.add_parser("euler-nf", help="Euler-field normal form")
+    p = sub.add_parser("euler-nf", parents=t_window, help="Euler-field normal form")
     p.add_argument("--c", default="0")
     p.add_argument("--g", required=True, help="comma-separated t2 coefficients")
     p.set_defaults(fn=cmd_euler_nf)
 
-    p = sub.add_parser("euler-realizable", help="realizability decision")
+    p = sub.add_parser("euler-realizable", parents=t_window, help="realizability decision")
     p.add_argument("--c", default="0")
     p.add_argument("--g", required=True)
     p.set_defaults(fn=cmd_euler_realizable)
@@ -370,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.set_defaults(fn=cmd_selftest)
 
-    p = sub.add_parser("write-fixtures", help="materialize built-in fixtures")
+    p = sub.add_parser("write-fixtures", parents=window, help="materialize built-in fixtures")
     p.add_argument("directory")
     p.set_defaults(fn=cmd_write_fixtures)
 
@@ -380,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_flags(args)
         return args.fn(args)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -48,27 +48,16 @@ def build_fixture(name: str, nz: int, nt: int) -> TEStruct:
 
 
 def resolve_structure(
-    name_or_path: str,
-    nz: int | None = None,
-    nt: int | None = None,
-    fixtures_dir: str | None = None,
+    name_or_path: str, nz: int | None = None, nt: int | None = None
 ) -> TEStruct:
-    """A path to a document, a file in the fixtures dir, or a built-in name.
+    """A path to a document, or a built-in fixture name.
 
     A built-in fixture is built at the window (nz, nt), DEFAULT_ORDER where
     an order is None.  A document keeps the window it declares, and an
     order given for it must agree with that window.
     """
-    if fixtures_dir and not os.path.isdir(fixtures_dir):
-        # searched nowhere, a name would silently fall to a built-in fixture
-        raise DocumentError(f"fixtures path {fixtures_dir!r} is not a directory")
     if os.path.exists(name_or_path):
         return _load_at(name_or_path, nz, nt)
-    if fixtures_dir:
-        candidate = os.path.join(fixtures_dir, name_or_path)
-        for path in (candidate, candidate + ".json"):
-            if os.path.exists(path):
-                return _load_at(path, nz, nt)
     if name_or_path in FIXTURES:
         return build_fixture(
             name_or_path,

@@ -69,8 +69,9 @@ def _rand_nonzero(rng, span=4) -> Scalar:
 # -- criterion 1 -------------------------------------------------------------
 
 
-def criterion_flatness_sweep(samples=20, nz=16, nt=16):
+def criterion_flatness_sweep():
     """Every formal normal form is exactly flat at orders (16, 16)."""
+    samples, nz, nt = 20, 16, 16
     rng = random.Random(101)
     count = 0
     for _ in range(samples):
@@ -134,8 +135,9 @@ def _random_scalar_gauge(rng, nz, nt) -> GaugeMap:
     return scalar_exp_gauge(sigma, nz, nt)
 
 
-def criterion_round_trip(samples=50, nz=10, nt=6):
+def criterion_round_trip(samples=50):
     """Gauge perturbations of normal forms classify back onto the start."""
+    nz, nt = 10, 6
     rng = random.Random(202)
     done = 0
     while done < samples:
@@ -232,9 +234,10 @@ def _random_prenormal(rng, nz, nt) -> PreNormalForm:
     return normal_form_prenormal(NormalFormId(family, params), nz, nt)
 
 
-def criterion_elementary_dichotomy(samples=200, nz=8, nt=6):
+def criterion_elementary_dichotomy():
     """Product test at the origin == twisted valuation test, plus the three
     closed one-variable cases."""
+    samples, nz, nt = 200, 8, 6
     rng = random.Random(303)
     for idx in range(samples):
         p = _random_prenormal(rng, nz, nt)
@@ -261,9 +264,10 @@ def criterion_elementary_dichotomy(samples=200, nz=8, nt=6):
 # -- criterion 4 -------------------------------------------------------------
 
 
-def criterion_birkhoff_table(outside_samples=50):
+def criterion_birkhoff_table():
     """With the right tuple's z-linear part zero, isomorphy holds exactly on
     the critical half-integer set."""
+    outside_samples = 50
     critical = set()
     for n in range(2, 11):
         critical.add(Fraction((n - 1) * (2 * n - 1), 2))
@@ -296,8 +300,9 @@ def criterion_birkhoff_table(outside_samples=50):
 # -- criterion 5 -------------------------------------------------------------
 
 
-def criterion_malgrange_fidelity(samples=30, order=16):
+def criterion_malgrange_fidelity():
     """Deformation coordinates have zero residual; closed forms match."""
+    samples, order = 30, 16
     rng = random.Random(505)
     for idx in range(samples):
         binf = ConstMat(
@@ -322,9 +327,10 @@ def criterion_malgrange_fidelity(samples=30, order=16):
 # -- criterion 6 -------------------------------------------------------------
 
 
-def criterion_holo_replay(nz=12, nt=13):
+def criterion_holo_replay():
     """The three branch normal forms are reproduced by the logged frame
     change and reparametrization."""
+    nz, nt = 12, 13
     c = S(1)
     for label, c0, b21 in (
         ("first branch", S(1), S("-1/16")),
@@ -345,7 +351,8 @@ def criterion_holo_replay(nz=12, nt=13):
 # -- criterion 7 -------------------------------------------------------------
 
 
-def criterion_euler_suite(nt=16):
+def criterion_euler_suite():
+    nt = 16
     t = TSeries.var(nt)
     cases = [
         (TSeries.const(S(2), nt), "E1", None, True),
@@ -383,7 +390,7 @@ def criterion_euler_suite(nt=16):
 # -- criterion 8 -------------------------------------------------------------
 
 
-def criterion_appendix_suite(riccati_samples=20):
+def criterion_appendix_suite():
     for l in range(2, 31):
         for b in range(l, 31):
             rep = odekit.check_convolution_inequality(l, b)
@@ -391,7 +398,7 @@ def criterion_appendix_suite(riccati_samples=20):
                 return False, f"inequality fails at l={l}, b={b}"
     rng = random.Random(606)
     deltas = (ONE, I, HALF)
-    for idx in range(riccati_samples):
+    for idx in range(20):
         order = 12
         f = TSeries.of(
             [_rand_nonzero(rng, 3)] + [_rand_scalar(rng, 2) for _ in range(4)],
@@ -444,7 +451,8 @@ def criterion_appendix_suite(riccati_samples=20):
 # -- criterion 9 -------------------------------------------------------------
 
 
-def criterion_cross_module(nz=8, nt=8, iso_samples=10):
+def criterion_cross_module():
+    nz = nt = 8
     rng = random.Random(707)
     for name in sorted(FIXTURES):
         s = build_fixture(name, nz, nt)
@@ -454,7 +462,7 @@ def criterion_cross_module(nz=8, nt=8, iso_samples=10):
             return False, f"fixture {name} induces a non-realizable field"
         p = to_prenormal(s)[0]
         base = is_elementary(p)
-        for k in range(iso_samples):
+        for k in range(10):
             if k % 2 == 0 or not _fixture_is_zero_family(s):
                 sigma = TSeries.of([ZERO] + [_rand_scalar(rng, 2) for _ in range(3)], nz)
                 g = scalar_exp_gauge(sigma, nz, nt)

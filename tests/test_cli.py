@@ -177,14 +177,14 @@ def test_cli_t1_free_document_declared_degree_zero_loads(tmp_path):
 
 
 def test_cli_verify_fixture():
-    out = _run("--order-z", "6", "--order-t", "6", "verify", "f1_r2")
+    out = _run("verify", "--order-z", "6", "--order-t", "6", "f1_r2")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["verdicts"]["flat"] is True
 
 
 def test_cli_classify_and_determinism():
-    args = ("--order-z", "8", "--order-t", "8", "classify", "mal2_lambda1")
+    args = ("classify", "--order-z", "8", "--order-t", "8", "mal2_lambda1")
     out1 = _run(*args)
     out2 = _run(*args)
     assert out1.returncode == 0
@@ -212,8 +212,8 @@ def test_cli_classify_refuses_a_non_flat_document(tmp_path):
     # pre-normal check's cause, not classified
     raw = tmp_path / "raw.json"
     out = _run(
-        "--order-z", "6", "--order-t", "6",
-        "malgrange", "--c0", "2", "--binf", "1/4,2,0,3/4", "--out", str(raw),
+        "malgrange", "--order-z", "6", "--order-t", "6",
+        "--c0", "2", "--binf", "1/4,2,0,3/4", "--out", str(raw),
     )
     assert out.returncode == 0
     assert _main("classify", str(raw))[0] == 0  # the unedited frame classifies
@@ -238,13 +238,13 @@ def test_cli_classify_refuses_a_non_flat_document(tmp_path):
 
 
 def test_cli_classify_below_z_order_3_names_the_window():
-    code, out, err = _main("--order-z", "2", "--order-t", "6", "classify", "mal1")
+    code, out, err = _main("classify", "--order-z", "2", "--order-t", "6", "mal1")
     assert (code, out) == (3, "")
     assert err == (
         "precondition violation: origin pencil reduction needs z-order at "
         "least 3, not 2\n"
     )
-    code, out, _err = _main("--order-z", "3", "--order-t", "6", "classify", "mal1")
+    code, out, _err = _main("classify", "--order-z", "3", "--order-t", "6", "mal1")
     assert code == 0 and json.loads(out)["verdicts"]["elementary"] is False
 
 
@@ -274,11 +274,11 @@ def test_cli_pole_e_component_is_checked_at_the_top_z_order(tmp_path):
 
 
 def test_cli_formal_nf_and_iso(tmp_path):
-    out = _run("--order-z", "8", "--order-t", "8", "formal-nf", "fminus1")
+    out = _run("formal-nf", "--order-z", "8", "--order-t", "8", "fminus1")
     data = json.loads(out.stdout)
     assert data["verdicts"]["normal_form"].startswith("F1")
     out = _run(
-        "--order-z", "8", "--order-t", "8", "formal-iso", "nf3_3", "nf3_3"
+        "formal-iso", "--order-z", "8", "--order-t", "8", "nf3_3", "nf3_3"
     )
     data = json.loads(out.stdout)
     assert data["verdicts"]["isomorphic"] is True
@@ -287,7 +287,7 @@ def test_cli_formal_nf_and_iso(tmp_path):
 def test_cli_euler_and_exit_codes():
     out = _run("euler-nf", "--g", "2")
     assert json.loads(out.stdout)["verdicts"]["family"] == "E1"
-    out = _run("--order-t", "10", "euler-realizable", "--g", "0,0,1")
+    out = _run("euler-realizable", "--order-t", "10", "--g", "0,0,1")
     data = json.loads(out.stdout)
     assert data["verdicts"]["family"] == "E4"
     assert data["verdicts"]["realizable"] is True
@@ -322,7 +322,7 @@ def test_cli_exponent_literal_exits_2():
 
 
 def test_cli_series_longer_than_order_exits_2():
-    out = _run("--order-t", "2", "euler-nf", "--g", "1,2,3")
+    out = _run("euler-nf", "--order-t", "2", "--g", "1,2,3")
     assert out.returncode == 2
     assert "parse error" in out.stderr
     assert "Traceback" not in out.stderr
@@ -337,19 +337,43 @@ def test_cli_order_below_one_exits_2(flag):
         ("65", "order must be at most 64"),
         ("100000", "order must be at most 64"),
     ):
-        out = _run(flag, value, "malgrange", "--c0", "1", "--binf", "0,0,0,0")
+        out = _run("malgrange", flag, value, "--c0", "1", "--binf", "0,0,0,0")
         assert out.returncode == 2
         assert message in out.stderr
         assert "Traceback" not in out.stderr
-    out = _run(flag, "64", "--help")
+    out = _run("malgrange", flag, "64", "--help")
     assert out.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("malgrange", "--order-z", "{}", "--c0", "1", "--binf", "0,0,0,0"), "positive_int"),
+        (("euler-nf", "--order-t", "{}", "--g", "1"), "positive_int"),
+        (("classify", "--kmax", "{}", "mal1"), "nonnegative_int"),
+    ],
+    ids=["order-z", "order-t", "kmax"],
+)
+def test_cli_integer_flags_take_ascii_digits_only(argv, kind):
+    # int() reads "1_6" as 16 and also accepts padding, a "+" sign and
+    # non-ASCII digits; a flag value is an optional "-" and ASCII digits
+    for value in ("1_6", " 8", "8 ", "+8", "\u0668", "\uff18", "8.0", "0x8", ""):
+        code, out, err = _main(*(a.format(value) for a in argv))
+        assert (code, out) == (2, ""), value
+        assert f"invalid {kind} value: {value!r}" in err
+        assert "Traceback" not in err
+    code, out, err = _main(*(a.format("08") for a in argv))
+    assert (code, err) == (0, "")
 
 
 def _main(*argv):
     """cli.main in this process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -358,9 +382,9 @@ def test_cli_kmax_heads_the_classify_log_of_every_structure():
     # left its report unchanged
     elementary = 0
     for name in fixture_names():
-        code, plain, _err = _main("--order-z", "6", "--order-t", "6", "classify", name)
+        code, plain, _err = _main("classify", "--order-z", "6", "--order-t", "6", name)
         code_k, searched, _err = _main(
-            "--order-z", "6", "--order-t", "6", "--kmax", "2", "classify", name
+            "classify", "--order-z", "6", "--order-t", "6", "--kmax", "2", name
         )
         assert code == code_k == 0
         plain, searched = json.loads(plain), json.loads(searched)
@@ -382,7 +406,7 @@ def test_cli_kmax_finds_the_eigen_section_of_an_elementary_structure(tmp_path):
     doc = tmp_path / "f0.json"
     save_structure(build_prenormal_struct(p), str(doc))
     code, plain, _err = _main("classify", str(doc))
-    code_k, searched, _err = _main("--kmax", "2", "classify", str(doc))
+    code_k, searched, _err = _main("classify", "--kmax", "2", str(doc))
     assert code == code_k == 0
     plain, searched = json.loads(plain), json.loads(searched)
     assert plain["verdicts"]["elementary"]
@@ -393,8 +417,8 @@ def test_cli_kmax_finds_the_eigen_section_of_an_elementary_structure(tmp_path):
 def test_cli_kmax_past_the_window_order_changes_nothing():
     # no eigen-section exists for |k| past the origin window order, and the
     # search stops there: a ten-digit bound once ran for hours
-    code, wide, _err = _main("--kmax", "1000000000", "classify", "fminus1")
-    assert (code, wide) == _main("--kmax", "16", "classify", "fminus1")[:2]
+    code, wide, _err = _main("classify", "--kmax", "1000000000", "fminus1")
+    assert (code, wide) == _main("classify", "--kmax", "16", "fminus1")[:2]
     assert json.loads(wide)["transform_log"][0] == "eigen-section search: irreducible"
 
 
@@ -441,18 +465,18 @@ def test_cli_order_flags_must_match_a_document(tmp_path):
     mismatched = (("--order-z", "8"), ("--order-t", "5"), ("--order-z", "6", "--order-t", "7"))
     for flags in mismatched:
         for cmd in ("verify", "prenormal", "formal-nf", "classify"):
-            code, out, err = _main(*flags, cmd, str(target))
+            code, out, err = _main(cmd, *flags, str(target))
             assert code == 2, (flags, cmd)
             assert "(nz, nt) = (6, 6)" in err
             assert out == ""
-        code, _out, err = _main(*flags, "formal-iso", "nf3_3", str(target))
+        code, _out, err = _main("formal-iso", *flags, "nf3_3", str(target))
         assert code == 2 and "(nz, nt) = (6, 6)" in err
     # flags equal to the window, or none, report on the document's window
     plain = _main("classify", str(target))
     assert plain[0] == 0
-    assert _main("--order-z", "6", "--order-t", "6", "classify", str(target)) == plain
-    assert _main("--order-t", "6", "classify", str(target)) == plain
-    assert _main("--order-z", "6", "--order-t", "6", "classify", "f1_r2") == plain
+    assert _main("classify", "--order-z", "6", "--order-t", "6", str(target)) == plain
+    assert _main("classify", "--order-t", "6", str(target)) == plain
+    assert _main("classify", "--order-z", "6", "--order-t", "6", "f1_r2") == plain
 
 
 def test_cli_orders_default_to_16_without_flags(tmp_path):
@@ -465,7 +489,7 @@ def test_cli_orders_default_to_16_without_flags(tmp_path):
         (t16, ("euler-nf", "--g", "0,1")),
         (z16 + t16, ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2")),
     ):
-        assert _main(*argv) == _main(*flags, *argv)
+        assert _main(*argv) == _main(argv[0], *flags, *argv[1:])
     code, out, _err = _main("write-fixtures", str(tmp_path))
     assert code == 0
     doc = loads_document((tmp_path / "nf3_2.json").read_text())
@@ -474,19 +498,19 @@ def test_cli_orders_default_to_16_without_flags(tmp_path):
 
 DOCUMENT_COMMANDS = {"verify", "prenormal", "formal-nf", "formal-iso", "classify"}
 
-# Each global flag, a value for it, and the commands that read it.
+# Each window or search flag, a value for it, and the commands that read it.
 FLAG_READERS = {
     ("--order-z", "6"): DOCUMENT_COMMANDS | {"malgrange", "write-fixtures"},
     ("--order-t", "6"): DOCUMENT_COMMANDS
     | {"malgrange", "euler-nf", "euler-realizable", "write-fixtures"},
     ("--kmax", "2"): {"classify"},
-    ("--fixtures", "."): DOCUMENT_COMMANDS,
 }
 
 
 def test_cli_flags_a_command_does_not_read_exit_2(tmp_path):
     # every (flag, command) pair: a flag the command reads runs (exit 0),
-    # one it does not read is refused instead of silently ignored
+    # one it does not read is refused by the parser instead of silently
+    # ignored, and so is every flag before the command
     doc = str(tmp_path / "f1_r2.json")
     save_structure(build_fixture("f1_r2", 6, 6), doc)
     runs = {  # one quick run of each command, on the (6, 6) document
@@ -505,16 +529,22 @@ def test_cli_flags_a_command_does_not_read_exit_2(tmp_path):
     }
     refused = 0
     for (flag, value), readers in FLAG_READERS.items():
-        for command, argv in runs.items():
-            code, out, err = _main(flag, value, *argv)
+        for command, (name, *rest) in runs.items():
+            code, out, err = _main(name, flag, value, *rest)
             if command in readers:
                 assert code == 0, (flag, command, err)
             else:
-                assert code == 2, (flag, command)
-                assert err == f"parse error: {flag} has no effect on {command}\n"
-                assert out == ""
+                assert (code, out) == (2, ""), (flag, command)
+                assert f"error: unrecognized arguments: {flag}" in err
+                assert "Traceback" not in err
                 refused += 1
-    assert refused == 22  # of the 44 pairs, 22 are read
+            code, out, err = _main(flag, value, name, *rest)
+            assert (code, out) == (2, ""), (flag, command)
+            assert "Traceback" not in err
+    assert refused == 16  # of the 33 pairs, 17 are read
+    for argv in (("--fixtures", ".", "verify", doc), ("verify", "--fixtures", ".", doc)):
+        code, out, err = _main(*argv)
+        assert (code, out) == (2, "") and "Traceback" not in err
 
 
 def test_cli_unwritable_paths_exit_2(tmp_path):
@@ -523,29 +553,16 @@ def test_cli_unwritable_paths_exit_2(tmp_path):
     blocker.write_text("")
     for argv in (
         ("malgrange", "--c0", "1", "--binf", "0,1,0,1/2", "--out", str(blocker / "x.json")),
-        ("--order-z", "4", "--order-t", "4", "write-fixtures", str(blocker / "x")),
+        ("write-fixtures", "--order-z", "4", "--order-t", "4", str(blocker / "x")),
     ):
         code, out, err = _main(*argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("I/O error: ") and err.count("\n") == 1
 
 
-def test_cli_missing_fixtures_dir_exits_2(tmp_path, monkeypatch):
-    # a name is not silently read as the built-in fixture of that name
-    missing = str(tmp_path / "missing")
-    argv = ("--order-z", "4", "--order-t", "4", "verify", "f1_r2")
-    code, out, err = _main("--fixtures", missing, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"parse error: fixtures path {missing!r} is not a directory\n"
-    # --fixtures is the one way to name the directory: $CONNEXA_FIXTURES
-    # is not read
-    monkeypatch.setenv("CONNEXA_FIXTURES", missing)
-    assert _main(*argv)[0] == 0
-
-
 def test_cli_negative_kmax_exits_2():
     # no k would be searched, so no verdict may be reported
-    out = _run("--order-z", "8", "--order-t", "8", "--kmax", "-1", "classify", "mal1")
+    out = _run("classify", "--order-z", "8", "--order-t", "8", "--kmax", "-1", "mal1")
     assert out.returncode == 2
     assert "bound must be at least 0" in out.stderr
     assert "Traceback" not in out.stderr
@@ -568,6 +585,20 @@ def test_cli_selftest_reports_every_criterion():
     assert err.count("pass  ") == 9 and "FAIL" not in err
 
 
+def test_cli_selftest_exits_1_on_a_failed_criterion(monkeypatch):
+    # every criterion is stubbed so the run is quick; the fourth fails
+    criteria = [(name, lambda: (True, "stub")) for name, _fn in selftest.CRITERIA]
+    failing = criteria[3][0]
+    criteria[3] = (failing, lambda: (False, "forced failure"))
+    monkeypatch.setattr(selftest, "CRITERIA", criteria)
+    code, out, err = _main("selftest")
+    assert code == cli.EXIT_FAILED == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["all"] is False
+    assert [name for name, passed in verdicts.items() if not passed] == [failing, "all"]
+    assert f"FAIL  {failing}  forced failure\n" in err
+
+
 def test_cli_selftest_fast_is_not_an_option():
     out = _run("selftest", "--fast")
     assert out.returncode == 2
@@ -586,7 +617,7 @@ def test_cli_small_windows_never_raise():
     for nz, nt in SMALL_WINDOWS:
         for name in fixture_names():
             for cmd in ("verify", "prenormal", "formal-nf", "classify"):
-                argv = ["--order-z", str(nz), "--order-t", str(nt), cmd, name]
+                argv = [cmd, "--order-z", str(nz), "--order-t", str(nt), name]
                 with contextlib.redirect_stdout(io.StringIO()):
                     with contextlib.redirect_stderr(io.StringIO()):
                         code = cli.main(argv)
@@ -599,8 +630,8 @@ def test_cli_small_windows_never_raise():
 def test_cli_malgrange_document(tmp_path):
     target = tmp_path / "univ.json"
     out = _run(
-        "--order-z", "6", "--order-t", "6",
-        "malgrange", "--c", "1", "--c0", "2",
+        "malgrange", "--order-z", "6", "--order-t", "6",
+        "--c", "1", "--c0", "2",
         "--binf", "0,2,0,1/2", "--out", str(target),
     )
     assert out.returncode == 0
@@ -614,7 +645,7 @@ def test_cli_malgrange_refuses_z_order_one(tmp_path, binf):
     # document command refuses it, or refused with a series-internal text
     target = tmp_path / "univ.json"
     code, out, err = _main(
-        "--order-z", "1", "malgrange", "--c0", "1", f"--binf={binf}", "--out", str(target)
+        "malgrange", "--order-z", "1", "--c0", "1", f"--binf={binf}", "--out", str(target)
     )
     assert (code, out) == (3, "")
     assert err == (
@@ -622,7 +653,7 @@ def test_cli_malgrange_refuses_z_order_one(tmp_path, binf):
         " at least 2, not 1\n"
     )
     assert not target.exists()
-    code, _out, err = _main("--order-z", "2", "malgrange", "--c0", "1", f"--binf={binf}")
+    code, _out, err = _main("malgrange", "--order-z", "2", "--c0", "1", f"--binf={binf}")
     assert (code, err) == (0, "")
 
 
@@ -642,7 +673,7 @@ def test_cli_malgrange_writes_only_documents_that_load(tmp_path):
     for i, (window, c0, binf, want) in enumerate(cases):
         target = tmp_path / f"m{i}.json"
         code, out, err = _main(
-            *window, "malgrange", f"--c0={c0}", f"--binf={binf}", "--out", str(target)
+            "malgrange", *window, f"--c0={c0}", f"--binf={binf}", "--out", str(target)
         )
         assert (code, out) == (want, ""), (i, err)
         if code == 0:
@@ -651,12 +682,6 @@ def test_cli_malgrange_writes_only_documents_that_load(tmp_path):
             assert err.startswith("parse error: ") and err.count("\n") == 1, err
             assert ("4096 bits" in err) != ("4300 digits" in err), err
             assert not target.exists()
-
-
-def test_cli_fixtures_dir(tmp_path):
-    write_fixtures(str(tmp_path), 6, 6)
-    out = _run("--fixtures", str(tmp_path), "verify", "nf3_5")
-    assert out.returncode == 0
 
 
 # Exit code and stdout digest of every fixture report at the CLI's default
@@ -708,10 +733,10 @@ def test_cli_fixture_below_its_resonant_order():
     # nf3_6 is NF3-6(lam=2): at --order-z 2 its z^2 t2^2 monomial is
     # outside the window, which reads as NF3-7 with the window warning
     window = ("--order-z", "2", "--order-t", "6")
-    code, out, _err = _main(*window, "verify", "nf3_6")
+    code, out, _err = _main("verify", *window, "nf3_6")
     assert code == 0 and json.loads(out)["verdicts"]["flat"] is True
     for cmd in ("formal-nf", "classify"):
-        code, out, err = _main(*window, cmd, "nf3_6")
+        code, out, err = _main(cmd, *window, "nf3_6")
         assert (code, err) == (0, ""), cmd
         report = json.loads(out)
         assert report["verdicts"]["normal_form"] == "NF3-7(alpha=0, c=0, lam=2)"

@@ -200,7 +200,7 @@ def test_pipelines_agree_with_oracle(monkeypatch, tmp_path):
             assert cli.main([cmd, str(tmp_path / f"{name}.json")]) in (0, 3), (cmd, name)
     # the raw deformation frame takes malgrange's shear and base change
     raw = str(tmp_path / "raw.json")
-    args = ["--order-z", "8", "--order-t", "8", "malgrange", "--c0", "2"]
+    args = ["malgrange", "--order-z", "8", "--order-t", "8", "--c0", "2"]
     assert cli.main([*args, "--binf", "1/4,2,0,3/4", "--out", raw]) == 0
     assert cli.main(["classify", raw]) == 0
     assert selftest.criterion_round_trip(samples=5)[0]

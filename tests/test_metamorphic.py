@@ -33,8 +33,8 @@ def _exit_code(*argv):
         return cli.main(list(argv))
 
 
-def _at(nz, nt, *argv):
-    return _verdict("--order-z", str(nz), "--order-t", str(nt), *argv)
+def _at(nz, nt, cmd, *argv):
+    return _verdict(cmd, "--order-z", str(nz), "--order-t", str(nt), *argv)
 
 
 def test_verdicts_are_stable_across_windows():
@@ -90,7 +90,7 @@ def test_no_verdict_on_a_sample_of_flagged_edits(tmp_path):
     raw = tmp_path / "raw.json"
     window = ("--order-z", str(nz), "--order-t", str(nt))
     assert _exit_code(
-        *window, "malgrange", "--c0", "2", "--binf", "1/4,2,0,3/4", "--out", str(raw)
+        "malgrange", *window, "--c0", "2", "--binf", "1/4,2,0,3/4", "--out", str(raw)
     ) == 0
     docs = [structure_to_document(build_fixture(name, nz, nt)) for name in NAMES]
     docs.append(loads_document(raw.read_text()))

@@ -1,9 +1,11 @@
 """Every backticked ``module.attr`` or ``Class.attr`` in README.md that
 names a connexa module or class must resolve to a real attribute, so the
-module table cannot keep naming a helper that was renamed or deleted."""
+module table cannot keep naming a helper that was renamed or deleted; and
+README lists, for each command, exactly the flags the CLI parser declares."""
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -69,3 +71,34 @@ def test_unresolved_reference_is_caught():
     roots = _roots()
     text = "`Plane.z_power`, `series.plane_dot`, `Classification.target`, `pyproject.toml`"
     assert _unresolved(text, roots) == (["Plane.z_power"], 3)
+
+
+def _declared_flags() -> dict[str, set[str]]:
+    """Each subcommand of the CLI parser and the long flags it declares."""
+    from connexa import cli
+
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            opt for a in parser._actions for opt in a.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for name, parser in sub.choices.items()
+    }
+
+
+def _listed_flags(text: str) -> dict[str, set[str]]:
+    """Each command in the first list of README's "Command line" section,
+    with the flags of its synopsis: a bullet that opens with the backticked
+    command line."""
+    section = text.split("\n## Command line\n", 1)[1]
+    commands = section[section.index("\n* `"):].split("\n\n", 1)[0]
+    listed = {}
+    for name, rest in re.findall(r"^\* `([a-z-]+)([^`]*)`", commands, re.M):
+        assert name not in listed, f"{name} is listed twice"
+        listed[name] = set(re.findall(r"--[a-z0-9-]+", rest))
+    return listed
+
+
+def test_readme_lists_the_flags_each_command_declares():
+    assert _listed_flags(README.read_text(encoding="utf-8")) == _declared_flags()
