@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 
-from connexa.connmat import flatness_residuals, induced_euler
-from connexa.euler import euler_normal_form, realizable_by_te
+from connexa.connmat import flatness_residuals
+from connexa.euler import euler_normal_form, induced_euler, realizable_by_te
 from connexa.fixtures import build_fixture, fixture_names
 from connexa.malgrange import classify_holomorphic
 

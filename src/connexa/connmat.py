@@ -1,4 +1,5 @@
-"""2x2 matrix algebra in the {C1, C2, D, E} basis and the structure model.
+"""2x2 matrix algebra in the {C1, C2, D, E} basis, the structure model,
+its flatness residuals, and the gauge and base-change actions on it.
 
 The basis is C1 = Id, C2 lower triangular, D diagonal, E upper triangular,
 with the product table (``_PRODUCT`` in coordinates)
@@ -22,13 +23,9 @@ from .errors import (
     OrderMismatchError,
     ShapeError,
     T1DegreeError,
-    UnfoldingError,
 )
-from .euler import EulerField, is_euler
-from .scalars import HALF, ONE, ZERO, Scalar, dot, integer
+from .scalars import HALF, ONE, ZERO, Scalar, dot
 from .series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot, t2_powers
-
-_NEG_HALF = -HALF
 
 # The product table per output coordinate of (c1, c2, d, e), as
 # (denominator, ((m, x, y), ...)) for sum m a_x b_y / denominator; e.g.
@@ -326,16 +323,6 @@ class TEStruct:
             self.kind,
         )
 
-    def validate_t1_profile(self):
-        """A_i must be t1-free; B may carry t1 only in its C1 slope, = -1."""
-        if not (self.A1.is_t1_free() and self.A2.is_t1_free()):
-            raise T1DegreeError("A-matrices must not depend on t1")
-        for comp in (self.B.c2, self.B.d, self.B.e):
-            if not comp.is_t1_free():
-                raise T1DegreeError("B carries t1 outside its C1 component")
-        if self.kind == "TE" and not _is_unit(self.B.c1.planes.slope, -1):
-            raise ShapeError("B's C1 component must have t1 slope -1")
-
 
 @dataclass(frozen=True)
 class FlatnessReport:
@@ -504,139 +491,3 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
         conj(b, z_d(0, "k")),
         s.kind,
     )
-
-
-# ---------------------------------------------------------------------------
-# induced rescaling field and the origin restriction
-
-
-def induced_euler(s: TEStruct) -> EulerField:
-    """Solve e1 A1^(0) + e2 A2^(0) = -B^(0) for the induced field."""
-    nz, nt = s.orders
-    a1_0 = s.A1.map(lambda c: c.truncate(1, nt))
-    if a1_0 != Mat2.identity(1, nt):
-        raise UnfoldingError("A1 must be the identity at z-order 0")
-    comps = []
-    for zt in (s.A2.c2, s.A2.d, s.A2.e):
-        ap = zt[0]
-        if not ap.is_t1_free():
-            raise T1DegreeError("A2 must be t1-free")
-        comps.append(ap.const)
-    b_comps = []
-    for zt in (s.B.c2, s.B.d, s.B.e):
-        ap = zt[0]
-        if not ap.is_t1_free():
-            raise T1DegreeError("B carries t1 outside its C1 component")
-        b_comps.append(-ap.const)
-    pivot = None
-    for idx, comp in enumerate(comps):
-        if not comp[0].is_zero():
-            pivot = idx
-            break
-    if pivot is None:
-        raise UnfoldingError("A2^(0) does not complete a frame at the origin")
-    e2 = b_comps[pivot].div(comps[pivot])
-    for idx in range(3):
-        if e2 * comps[idx] != b_comps[idx]:
-            raise UnfoldingError("-B^(0) is not in the span of A1^(0), A2^(0)")
-    a2c1 = s.A2.c1[0].const
-    bc1 = s.B.c1[0]
-    e1 = AffinePoly1(-bc1.const - e2 * a2c1, -bc1.slope)
-    field = is_euler(e1, AffinePoly1(e2, TSeries.zero(e2.order)))
-    if field is None:
-        raise ShapeError("induced field is not (t1 + c) d/dt1 + g(t2) d/dt2")
-    return field
-
-
-@dataclass(frozen=True)
-class OriginRestriction:
-    """One-variable data of the structure restricted to t1 = t2 = 0."""
-
-    eta: TSeries
-    lam: TSeries
-    beta: TSeries
-    gam: TSeries
-    c: Scalar
-    alpha: Scalar
-
-    @staticmethod
-    def of(f: ZTSeries, b2: ZTSeries, c: Scalar, alpha: Scalar) -> OriginRestriction:
-        """The restriction of pre-normal data, A2 = C2 + z f E and B's C2
-        part b2: eta, lam and beta are b2 and its first two t2-derivatives
-        at t2 = 0, read as the t2-columns 0, 1 and 2 (times 2) of b2, and
-        gam is f there."""
-        if b2.nt < 3:
-            raise ShapeError("origin restriction needs t-order at least 3")
-        p = b2.planes.const
-        return OriginRestriction(
-            p.column(0), p.column(1), p.column(2).scale(integer(2)), f.at_origin(), c, alpha
-        )
-
-    def window(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        """(eta, lam, beta, gam) truncated to their common order."""
-        series = (self.eta, self.lam, self.beta, self.gam)
-        n = min(s.order for s in series)
-        return tuple(s.truncate(n) for s in series)
-
-    def bz_components(self) -> tuple[ConstMat, ...]:
-        """The z-coefficients B_0, B_1, ... of the restricted pole matrix."""
-        eta, lam, beta, gam = self.window()
-        n = eta.order
-        c1 = TSeries.of([self.c, self.alpha], n)
-        d = (lam + TSeries.one(n)).scale(_NEG_HALF).shift(1)
-        e = (gam * eta).shift(1) - beta.scale(HALF).shift(2)
-        return tuple(map(ConstMat, c1.coeffs, eta.coeffs, d.coeffs, e.coeffs))
-
-
-def _is_unit(a: Plane, sign: int) -> bool:
-    """Whether the plane is the constant ``sign`` (1 or -1): den 1 and one
-    support entry, sign at (0, 0)."""
-    return a.den == 1 and a.support() == [(0, [(0, sign, 0)])]
-
-
-def z0_row_vanishes(a: Plane) -> bool:
-    """Whether the plane's z^0 row is zero, read off its support."""
-    sup = a.support()
-    return not sup or sup[0][0] > 0
-
-
-def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
-    """(f, b2, b1) read off a structure with A1 = C1, A2 = C2 + z f E.
-
-    Raises ShapeError if the structure is not of that shape or b1 is not
-    constant in t2.
-    """
-    s.validate_t1_profile()  # so every A-matrix slope below is zero
-    a1, a2 = s.A1, s.A2
-    if not (
-        _is_unit(a1.c1.planes.const, 1)
-        and a1.c2.is_zero()
-        and a1.d.is_zero()
-        and a1.e.is_zero()
-    ):
-        raise ShapeError("A1 must be C1")
-    if (
-        not a2.c1.is_zero()
-        or not a2.d.is_zero()
-        or not _is_unit(a2.c2.planes.const, 1)
-    ):
-        raise ShapeError("A2 must be C2 + z f E")
-    if not z0_row_vanishes(a2.e.planes.const):
-        raise ShapeError("A2's E component must be divisible by z")
-    if s.orders[0] < 2:
-        raise ShapeError("need z-order at least 2")
-    f = a2.e.div_z()  # exact to z-order nz - 1
-    b2 = s.B.c2
-    b1_zt = s.B.c1
-    if not b1_zt.planes.const.is_constant():
-        raise ShapeError("B's C1 part must not depend on t2")
-    b1 = b1_zt.at_origin()
-    return f, b2, b1
-
-
-def restrict_origin(s: TEStruct) -> OriginRestriction:
-    """Restriction at the origin of a structure in pre-normal shape."""
-    f, b2, b1 = prenormal_components(s)
-    if any(not c.is_zero() for c in b1.coeffs[2:]):
-        raise ShapeError("not pre-normal: C1 part has z-order above 1")
-    return OriginRestriction.of(f, b2, b1[0], b1[1])

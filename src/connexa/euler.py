@@ -1,12 +1,14 @@
-"""Rescaling vector fields on the nilpotent base germ: recognition,
-normal forms, orbit decision, realizability."""
+"""Rescaling vector fields on the nilpotent base germ: the field a
+structure induces, recognition, normal forms, orbit decision,
+realizability."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import odekit
-from .errors import UnsupportedShapeError
+from .connmat import Mat2, TEStruct
+from .errors import ShapeError, T1DegreeError, UnfoldingError, UnsupportedShapeError
 from .scalars import ONE, ZERO, Scalar, integer
 from .series import AffinePoly1, TSeries
 
@@ -67,6 +69,44 @@ def is_euler(d1_coeff: AffinePoly1, d2_coeff: AffinePoly1) -> EulerField | None:
     if not d1_coeff.const.is_constant():
         return None
     return EulerField(d1_coeff.const[0], d2_coeff.const)
+
+
+def induced_euler(s: TEStruct) -> EulerField:
+    """Solve e1 A1^(0) + e2 A2^(0) = -B^(0) for the induced field."""
+    nz, nt = s.orders
+    a1_0 = s.A1.map(lambda c: c.truncate(1, nt))
+    if a1_0 != Mat2.identity(1, nt):
+        raise UnfoldingError("A1 must be the identity at z-order 0")
+    comps = []
+    for zt in (s.A2.c2, s.A2.d, s.A2.e):
+        ap = zt[0]
+        if not ap.is_t1_free():
+            raise T1DegreeError("A2 must be t1-free")
+        comps.append(ap.const)
+    b_comps = []
+    for zt in (s.B.c2, s.B.d, s.B.e):
+        ap = zt[0]
+        if not ap.is_t1_free():
+            raise T1DegreeError("B carries t1 outside its C1 component")
+        b_comps.append(-ap.const)
+    pivot = None
+    for idx, comp in enumerate(comps):
+        if not comp[0].is_zero():
+            pivot = idx
+            break
+    if pivot is None:
+        raise UnfoldingError("A2^(0) does not complete a frame at the origin")
+    e2 = b_comps[pivot].div(comps[pivot])
+    for idx in range(3):
+        if e2 * comps[idx] != b_comps[idx]:
+            raise UnfoldingError("-B^(0) is not in the span of A1^(0), A2^(0)")
+    a2c1 = s.A2.c1[0].const
+    bc1 = s.B.c1[0]
+    e1 = AffinePoly1(-bc1.const - e2 * a2c1, -bc1.slope)
+    found = is_euler(e1, AffinePoly1(e2, TSeries.zero(e2.order)))
+    if found is None:
+        raise ShapeError("induced field is not (t1 + c) d/dt1 + g(t2) d/dt2")
+    return found
 
 
 def push_forward_g(g: TSeries, lam: TSeries) -> TSeries:

@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import odekit
-from .connmat import (
-    GaugeMap,
-    Mat2,
-    TEStruct,
-    apply_gauge,
-    compose_gauges,
-    prenormal_components,
-    z0_row_vanishes,
-)
+from .connmat import GaugeMap, Mat2, TEStruct, apply_gauge, compose_gauges
 from .errors import (
     ExactFieldError,
     FlatnessError,
@@ -28,6 +20,7 @@ from .errors import (
     NormalizationRequiredError,
     OrderMismatchError,
     ShapeError,
+    T1DegreeError,
     UnsupportedShapeError,
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
@@ -151,6 +144,63 @@ def _t1_free(p: Plane) -> ZTSeries:
     return ZTSeries._of(AffinePoly1(p, Plane.zero(p.nz, p.nt)))
 
 
+def _is_unit(a: Plane, sign: int) -> bool:
+    """Whether the plane is the constant ``sign`` (1 or -1): den 1 and one
+    support entry, sign at (0, 0)."""
+    return a.den == 1 and a.support() == [(0, [(0, sign, 0)])]
+
+
+def _z0_row_vanishes(a: Plane) -> bool:
+    """Whether the plane's z^0 row is zero, read off its support."""
+    sup = a.support()
+    return not sup or sup[0][0] > 0
+
+
+def _validate_t1_profile(s: TEStruct):
+    """A_i must be t1-free; B may carry t1 only in its C1 slope, = -1."""
+    if not (s.A1.is_t1_free() and s.A2.is_t1_free()):
+        raise T1DegreeError("A-matrices must not depend on t1")
+    for comp in (s.B.c2, s.B.d, s.B.e):
+        if not comp.is_t1_free():
+            raise T1DegreeError("B carries t1 outside its C1 component")
+    if s.kind == "TE" and not _is_unit(s.B.c1.planes.slope, -1):
+        raise ShapeError("B's C1 component must have t1 slope -1")
+
+
+def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
+    """(f, b2, b1) read off a structure with A1 = C1, A2 = C2 + z f E.
+
+    Raises ShapeError if the structure is not of that shape or b1 is not
+    constant in t2.
+    """
+    _validate_t1_profile(s)  # so every A-matrix slope below is zero
+    a1, a2 = s.A1, s.A2
+    if not (
+        _is_unit(a1.c1.planes.const, 1)
+        and a1.c2.is_zero()
+        and a1.d.is_zero()
+        and a1.e.is_zero()
+    ):
+        raise ShapeError("A1 must be C1")
+    if (
+        not a2.c1.is_zero()
+        or not a2.d.is_zero()
+        or not _is_unit(a2.c2.planes.const, 1)
+    ):
+        raise ShapeError("A2 must be C2 + z f E")
+    if not _z0_row_vanishes(a2.e.planes.const):
+        raise ShapeError("A2's E component must be divisible by z")
+    if s.orders[0] < 2:
+        raise ShapeError("need z-order at least 2")
+    f = a2.e.div_z()  # exact to z-order nz - 1
+    b2 = s.B.c2
+    b1_zt = s.B.c1
+    if not b1_zt.planes.const.is_constant():
+        raise ShapeError("B's C1 part must not depend on t2")
+    b1 = b1_zt.at_origin()
+    return f, b2, b1
+
+
 def to_prenormal(s: TEStruct) -> tuple[PreNormalForm, TSeries]:
     """Pre-normal data, and the exponent sigma(z) of the scalar gauge
     exp(sigma(z)) C1 that kills the C1 pole tail; sigma is zero when there
@@ -192,12 +242,12 @@ def _validate_against(s: TEStruct, p: PreNormalForm):
     bd, be = s.B.d.planes.const, s.B.e.planes.const
     f, b2 = p.f.planes.const, p.b2.planes.const
     # 2 b3 + d2 b2 + 1
-    if not z0_row_vanishes(bd) or not plane_dot(
+    if not _z0_row_vanishes(bd) or not plane_dot(
         [(2, bd, 1, 0, None), (1, b2, 0, 1, "n"), (1, TSeries.one(1), 0, 0, None)], *w
     ).is_zero():
         raise ShapeError("D component does not match -(z/2)(d2 b2 + 1)")
     # b4 - z d2(b3) - f b2
-    if not z0_row_vanishes(be) or not plane_dot(
+    if not _z0_row_vanishes(be) or not plane_dot(
         [(1, be, 1, 0, None), (-1, bd, 0, 1, "n"), (-1, f, b2)], *w
     ).is_zero():
         raise ShapeError("E component does not match z b4")
@@ -458,14 +508,8 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     out = apply_gauge(build_prenormal_struct(p), gauge)
     if out != build_prenormal_struct(target):
         raise FlatnessError("normalizing gauge failed to reach the target")
-    partners: tuple[NormalFormId, ...] = ()
-    warnings: tuple[str, ...] = ()
-    if not c0.is_zero():
-        partners = (
-            NormalFormId("F1", {"c": p.c, "alpha": p.alpha, "c0": -c0}),
-        )
-    else:
-        warnings = ("zero-parameter boundary: lone member of its class",)
+    partners = _sign_flip_partners(nfid)
+    warnings = () if partners else ("zero-parameter boundary: lone member of its class",)
     steps = () if gauge.tmat == Mat2.identity(nz, nt) else (gauge,)
     return Classification(nfid, steps, target, partners, warnings)
 
@@ -726,10 +770,8 @@ def _zero_family_id(
                 ),
                 (),
             )
-        partners = ()
-        if not lam.is_zero():
-            partners = (NormalFormId("NF3-4", {**base, "lam": -lam}),)
-        return NormalFormId("NF3-4", {**base, "lam": lam}), partners
+        nfid = NormalFormId("NF3-4", {**base, "lam": lam})
+        return nfid, _sign_flip_partners(nfid)
     # linear shape
     if resonant:
         if gamma is not None and not gamma.is_zero():
@@ -755,6 +797,16 @@ class IsoDecision:
 _SIGN_FLIP_PARAM = {"F1": "c0", "NF3-4": "lam"}
 
 
+def _sign_flip_partners(nfid: NormalFormId) -> tuple[NormalFormId, ...]:
+    """The form the order-two base automorphism pairs with nfid, which
+    negates its ``_SIGN_FLIP_PARAM``: none outside those families or when
+    the parameter is zero, where the form is the lone member of its class."""
+    key = _SIGN_FLIP_PARAM.get(nfid.family)
+    if key is None or nfid.params[key].is_zero():
+        return ()
+    return (NormalFormId(nfid.family, {**nfid.params, key: -nfid.params[key]}),)
+
+
 def formal_iso_decision(n1: NormalFormId, n2: NormalFormId) -> IsoDecision:
     """Formal normal forms are rigid except the two sign-flip pairs."""
     for n in (n1, n2):
@@ -762,20 +814,15 @@ def formal_iso_decision(n1: NormalFormId, n2: NormalFormId) -> IsoDecision:
             raise UnsupportedShapeError(f"{n.family} is not a formal family")
     if n1 == n2:
         return IsoDecision(True, "equal forms (identity gauge)")
-    key = _SIGN_FLIP_PARAM.get(n1.family)
-    if key is not None and n2.family == n1.family:
-        a, b = n1.params[key], n2.params[key]
-        same_ca = (
-            n1.params["c"] == n2.params["c"]
-            and n1.params["alpha"] == n2.params["alpha"]
+    if n2 in _sign_flip_partners(n1):
+        return IsoDecision(
+            True, "sign flip via the order-two base automorphism; "
+            "formally gauge non-isomorphic"
         )
-        if same_ca and not a.is_zero() and b == -a:
-            return IsoDecision(
-                True, "sign flip via the order-two base automorphism; "
-                "formally gauge non-isomorphic"
-            )
-        if n1.family == "F1" and (a.is_zero() or b.is_zero()):
-            return IsoDecision(
-                False, "distinct rigid forms", ("zero-parameter boundary case",)
-            )
+    if n1.family == n2.family == "F1" and not (
+        _sign_flip_partners(n1) and _sign_flip_partners(n2)
+    ):
+        return IsoDecision(
+            False, "distinct rigid forms", ("zero-parameter boundary case",)
+        )
     return IsoDecision(False, "distinct rigid forms")

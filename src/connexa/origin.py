@@ -1,6 +1,7 @@
-"""Origin-slice analysis: elementary test, cyclic-vector valuation test,
-eigen-section search, pole reduction to a constant pencil, and the
-isomorphism decision between such pencils."""
+"""Origin-slice analysis: the origin restriction of pre-normal data,
+elementary test, cyclic-vector valuation test, eigen-section search,
+pole reduction to a constant pencil, and the isomorphism decision
+between such pencils."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt
 
-from .connmat import ConstMat, OriginRestriction, const_dot
+from .connmat import ConstMat, const_dot
 from .errors import (
     ExactFieldError,
     ReductionFailedError,
@@ -16,7 +17,60 @@ from .errors import (
 )
 from .formalnf import PreNormalForm
 from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, dot, integer
-from .series import Laurent, TSeries
+from .series import Laurent, TSeries, ZTSeries
+
+_NEG_HALF = -HALF
+
+
+# ---------------------------------------------------------------------------
+# the origin restriction
+
+
+@dataclass(frozen=True)
+class OriginRestriction:
+    """One-variable data of the structure restricted to t1 = t2 = 0."""
+
+    eta: TSeries
+    lam: TSeries
+    beta: TSeries
+    gam: TSeries
+    c: Scalar
+    alpha: Scalar
+
+    @staticmethod
+    def of(f: ZTSeries, b2: ZTSeries, c: Scalar, alpha: Scalar) -> OriginRestriction:
+        """The restriction of pre-normal data, A2 = C2 + z f E and B's C2
+        part b2: eta, lam and beta are b2 and its first two t2-derivatives
+        at t2 = 0, read as the t2-columns 0, 1 and 2 (times 2) of b2, and
+        gam is f there."""
+        if b2.nt < 3:
+            raise ShapeError("origin restriction needs t-order at least 3")
+        p = b2.planes.const
+        return OriginRestriction(
+            p.column(0), p.column(1), p.column(2).scale(integer(2)), f.at_origin(), c, alpha
+        )
+
+    def window(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+        """(eta, lam, beta, gam) truncated to their common order."""
+        series = (self.eta, self.lam, self.beta, self.gam)
+        n = min(s.order for s in series)
+        return tuple(s.truncate(n) for s in series)
+
+    def bz_components(self) -> tuple[ConstMat, ...]:
+        """The z-coefficients B_0, B_1, ... of the restricted pole matrix."""
+        eta, lam, beta, gam = self.window()
+        n = eta.order
+        c1 = TSeries.of([self.c, self.alpha], n)
+        d = (lam + TSeries.one(n)).scale(_NEG_HALF).shift(1)
+        e = (gam * eta).shift(1) - beta.scale(HALF).shift(2)
+        return tuple(map(ConstMat, c1.coeffs, eta.coeffs, d.coeffs, e.coeffs))
+
+
+def restrict_prenormal(p: PreNormalForm) -> OriginRestriction:
+    """The origin restriction of pre-normal data, the one way into the
+    origin slice from a structure (through ``to_prenormal``); no structure
+    is rebuilt, so b2 need not be polynomial."""
+    return OriginRestriction.of(p.f, p.b2, p.c, p.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -27,12 +81,6 @@ def is_elementary(p: PreNormalForm) -> bool:
     """Exact product test at the base point."""
     f00, b200 = p.at_origin()
     return (f00 * b200).is_zero()
-
-
-def restrict_prenormal(p: PreNormalForm) -> OriginRestriction:
-    """Origin restriction straight from pre-normal data (no structure
-    rebuild, so b2 need not be polynomial)."""
-    return OriginRestriction.of(p.f, p.b2, p.c, p.alpha)
 
 
 def cyclic_fuchs(r: OriginRestriction) -> bool:
@@ -211,8 +259,9 @@ def birkhoff_reduce(coeffs: Sequence[ConstMat]) -> BirkhoffReduction:
     B_0 ... B_{nz-1}, to z^{-2}(B0 + z Binf) dz by a z-series frame
     T = sum_m T_m z^m, T_0 = Id, solving z^2 T' + B T = T (B0 + z Binf).
 
-    The residue must be regular with a single eigenvalue; it is conjugated
-    to B0 = c C1 + c0 C2.  At z-order m the equation is the block
+    The residue must be B0 = c C1 + c0 C2 with c0 != 0, as the origin
+    restriction's ``bz_components`` gives it.  At z-order m the equation
+    is the block
     [B0, T_m] = R_m = -(m-1) T_{m-1} - sum_{l=1..m} B_l T_{m-l} + T_{m-1} Binf,
     and [B0, X] = c0 (2 X.d C2 - X.e D), so block m sets T_m.d and T_m.e
     and needs R_m.c1 = R_m.e = 0.  The E condition fixes one earlier
@@ -225,31 +274,15 @@ def birkhoff_reduce(coeffs: Sequence[ConstMat]) -> BirkhoffReduction:
     """
     nz = len(coeffs)
     log: list[str] = []
-    pre = ConstMat.identity()
-    res = coeffs[0]
-    if res.d.is_zero() and res.e.is_zero():
-        c0 = res.c2
-        if c0.is_zero():
-            raise ShapeError("residue is scalar, not regular")
-    else:
-        nil = res - ConstMat.identity().scale(res.c1)
-        if not (nil * nil).is_zero():
-            raise ShapeError("residue has two distinct eigenvalues")
-        m11, m12, m21, m22 = nil.entries()
-        if not (m11.is_zero() and m21.is_zero()):
-            v = (ONE, ZERO)
-        else:
-            v = (ZERO, ONE)
-        u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
-        pre = ConstMat.from_entries(v[0], u[0], v[1], u[1])
-        coeffs = tuple(b.conjugate_by(pre) for b in coeffs)
-        log.append("residue conjugated to lower-triangular form")
-        res = coeffs[0]
-        c0 = res.c2
-    b0 = ConstMat(res.c1, c0, ZERO, ZERO)
+    b0 = coeffs[0]
+    if not (b0.d.is_zero() and b0.e.is_zero()):
+        raise ShapeError("residue must be c C1 + c0 C2")
+    c0 = b0.c2
+    if c0.is_zero():
+        raise ShapeError("residue is scalar, not regular")
     if all(c.is_zero() for c in coeffs[2:]):
-        frame = (pre,) + (ConstMat.zero(),) * (nz - 1)
-        return BirkhoffReduction(b0, coeffs[1], frame, tuple(log) + ("already a pencil",))
+        frame = (ConstMat.identity(),) + (ConstMat.zero(),) * (nz - 1)
+        return BirkhoffReduction(b0, coeffs[1], frame, ("already a pencil",))
 
     b1 = coeffs[1]
     if b1.e.is_zero():
@@ -298,7 +331,7 @@ def birkhoff_reduce(coeffs: Sequence[ConstMat]) -> BirkhoffReduction:
     if not all(c.is_zero() for c in birkhoff_residual(coeffs, t, b0, binf)):
         raise ReductionFailedError("frame fails the defining equation")
     log.append("frame found block by block")
-    return BirkhoffReduction(b0, binf, tuple(pre * tm for tm in t), tuple(log))
+    return BirkhoffReduction(b0, binf, tuple(t), tuple(log))
 
 
 def birkhoff_residual(

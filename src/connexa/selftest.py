@@ -16,12 +16,16 @@ from .connmat import (
     GaugeMap,
     apply_gauge,
     flatness_residuals,
-    induced_euler,
-    restrict_origin,
     scalar_exp_gauge,
 )
 from .errors import UnsupportedShapeError
-from .euler import EulerField, euler_normal_form, push_forward_g, realizable_by_te
+from .euler import (
+    EulerField,
+    euler_normal_form,
+    induced_euler,
+    push_forward_g,
+    realizable_by_te,
+)
 from .fixtures import FIXTURES, build_fixture
 from .formalnf import (
     NormalFormId,
@@ -48,6 +52,7 @@ from .origin import (
     birkhoff_iso_decision,
     cyclic_fuchs,
     is_elementary,
+    restrict_prenormal,
 )
 from .scalars import HALF, ONE, QUARTER, S, ZERO, Scalar, I, integer
 from .series import TSeries, ZTSeries
@@ -242,7 +247,7 @@ def criterion_elementary_dichotomy():
     for idx in range(samples):
         p = _random_prenormal(rng, nz, nt)
         s = build_prenormal_struct(p)
-        r = restrict_origin(s)
+        r = restrict_prenormal(to_prenormal(s)[0])
         lhs = is_elementary(p)
         rhs = cyclic_fuchs(r)
         if lhs != rhs:

@@ -2,12 +2,11 @@
 
 These are the bodies connexa once ran: the z-only restriction packed into
 a ``Mat2`` at t-order 1 and read back one ``ConstMat`` at a time, the
-block reduction on that packing with constant conjugation through
-``Mat2.inverse``, its residual as three ``Mat2`` products, and the
-d-generic Fuchs valuation rule behind the cyclic-vector test, and the
-eigen-section search that read each coefficient's equation off residuals
-at trial values and backtracked over the two roots by recursion, and the
-pencil normalization by two constant conjugations.  The package now
+block reduction on that packing, its residual as three ``Mat2``
+products, and the d-generic Fuchs valuation rule behind the
+cyclic-vector test, and the eigen-section search that read each
+coefficient's equation off residuals at trial values and backtracked
+over the two roots by recursion, and the pencil normalization by two constant conjugations.  The package now
 reduces lists of ``ConstMat`` coefficients (``origin.birkhoff_reduce``),
 applies the d = 2 rule in ``origin.cyclic_fuchs``, solves the search's
 coefficients in closed form (``origin._try_eigen_section``) and reads the
@@ -19,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from connexa.connmat import ConstMat, Mat2, OriginRestriction
+from connexa.connmat import ConstMat, Mat2
 from connexa.errors import ExactFieldError, ReductionFailedError, ShapeError
-from connexa.origin import BirkhoffData
+from connexa.origin import BirkhoffData, OriginRestriction
 from connexa.scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
 from connexa.series import Laurent, TSeries, ZTSeries
 from plane_oracle import each, z2dz
@@ -75,10 +74,6 @@ def restriction_zmat(r: OriginRestriction) -> Mat2:
     return zmat(c1, c2, d, e)
 
 
-def _const_gauge(mat: Mat2, s: ConstMat) -> Mat2:
-    return _z_gauge(mat, zmat_from_consts([s], mat.nz))
-
-
 def _z_gauge(mat: Mat2, t: Mat2) -> Mat2:
     """B -> T^{-1}(z^2 T' + B T) for z-only data."""
     return t.inverse() * (each(z2dz, t) + mat * t)
@@ -101,34 +96,17 @@ def birkhoff_reduce(bz: Mat2) -> ZmatReduction:
     if bz.nt != 1:
         raise ShapeError("expected a z-only matrix (t-order 1)")
     log: list[str] = []
-    pre = Mat2.identity(nz, 1)
-    cur = bz
-    res = zmat_coeff(cur, 0)
-    if res.d.is_zero() and res.e.is_zero():
-        c0 = res.c2
-        if c0.is_zero():
-            raise ShapeError("residue is scalar, not regular")
-    else:
-        nil = res - ConstMat.identity().scale(res.c1)
-        if not (nil * nil).is_zero():
-            raise ShapeError("residue has two distinct eigenvalues")
-        m11, m12, m21, m22 = nil.entries()
-        if not (m11.is_zero() and m21.is_zero()):
-            v = (ONE, ZERO)
-        else:
-            v = (ZERO, ONE)
-        u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
-        s = ConstMat.from_entries(v[0], u[0], v[1], u[1])
-        cur = _const_gauge(cur, s)
-        pre = pre * zmat_from_consts([s], nz)
-        log.append("residue conjugated to lower-triangular form")
-        res = zmat_coeff(cur, 0)
-        c0 = res.c2
-    b0 = ConstMat(res.c1, c0, ZERO, ZERO)
-    coeffs = [zmat_coeff(cur, k) for k in range(nz)]
+    res = zmat_coeff(bz, 0)
+    if not (res.d.is_zero() and res.e.is_zero()):
+        raise ShapeError("residue must be c C1 + c0 C2")
+    c0 = res.c2
+    if c0.is_zero():
+        raise ShapeError("residue is scalar, not regular")
+    b0 = res
+    coeffs = [zmat_coeff(bz, k) for k in range(nz)]
     if all(c.is_zero() for c in coeffs[2:]):
         binf = coeffs[1]
-        return ZmatReduction(b0, binf, pre, tuple(log) + ("already a pencil",))
+        return ZmatReduction(b0, binf, Mat2.identity(nz, 1), ("already a pencil",))
 
     b1 = coeffs[1]
     if b1.e.is_zero():
@@ -171,10 +149,10 @@ def birkhoff_reduce(bz: Mat2) -> ZmatReduction:
             rc2, rd = rc2 + x * (b1.d + b1.d - integer(m - 1)), ZERO
         t.append(ConstMat(ZERO, ZERO, rc2 * half_inv_c0, -rd * inv_c0))
     tser = zmat_from_consts(t, nz)
-    if not birkhoff_residual(cur, tser, b0, binf).is_zero():
+    if not birkhoff_residual(bz, tser, b0, binf).is_zero():
         raise ReductionFailedError("frame fails the defining equation")
     log.append("frame found block by block")
-    return ZmatReduction(b0, binf, pre * tser, tuple(log))
+    return ZmatReduction(b0, binf, tser, tuple(log))
 
 
 def birkhoff_residual(b_in: Mat2, t: Mat2, b0: ConstMat, binf: ConstMat) -> Mat2:

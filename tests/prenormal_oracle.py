@@ -42,7 +42,8 @@ place.
 from __future__ import annotations
 
 from connexa import formalnf, odekit
-from connexa.connmat import GaugeMap, Mat2, OriginRestriction, TEStruct, apply_gauge
+from connexa.connmat import GaugeMap, Mat2, TEStruct, apply_gauge
+from connexa.origin import OriginRestriction
 from connexa.errors import FlatnessError, ShapeError, T1DegreeError
 from connexa.formalnf import (  # bound here, so a test's monkeypatch passes them by
     Classification,

@@ -11,12 +11,11 @@ from connexa.connmat import (
     apply_gauge,
     compose_gauges,
     flatness_residuals,
-    induced_euler,
-    restrict_origin,
     scalar_exp_gauge,
 )
 from connexa.docio import structure_from_document, structure_to_document
 from connexa.errors import NotInvertibleError, T1DegreeError, UnfoldingError
+from connexa.euler import induced_euler
 from connexa.fixtures import build_fixture, fixture_names
 from connexa.formalnf import NormalFormId, build_normal_form
 from connexa.scalars import HALF, S, ZERO, Scalar, integer
@@ -375,21 +374,3 @@ def test_induced_euler_transforms_correctly(rng):
     n = min(pushed.order, e2.g.order)
     assert pushed.truncate(n) == e2.g.truncate(n)
     assert e2.c == e.c
-
-
-def test_restrict_origin():
-    s = _nf("F1", c=S(1), alpha=S("1/2"), c0=S(2))
-    r = restrict_origin(s)
-    assert r.c == S(1) and r.alpha == S("1/2")
-    assert r.eta == TSeries.const(S(2), NZ)  # b2 at the origin
-    assert r.lam == TSeries.const(S("-1/2"), NZ)
-    assert r.beta.is_zero()
-    assert r.gam == TSeries.one(NZ - 1)
-    # reconstruction matches the structure's pole matrix at the origin
-    coeffs = r.bz_components()
-    n = len(coeffs)
-    oc1, oc2, od, oe = (x.truncate(n).coeffs for x in s.B.at_origin())
-    assert coeffs == tuple(map(ConstMat, oc1, oc2, od, oe))
-    assert [b.c2 for b in coeffs] == list(TSeries.const(S(2), n).coeffs)
-    assert [b.d for b in coeffs] == list(TSeries.of([0, "-1/4"], n).coeffs)
-    assert [b.e for b in coeffs] == list(TSeries.of([0, 2], n).coeffs)

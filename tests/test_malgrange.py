@@ -5,9 +5,9 @@ import pytest
 
 import malgrange_oracle as oracle
 import plane_oracle
-from connexa.connmat import Mat2, apply_gauge, flatness_residuals, induced_euler
+from connexa.connmat import Mat2, apply_gauge, flatness_residuals
 from connexa.errors import ExactFieldError, ShapeError
-from connexa.euler import euler_normal_form, realizable_by_te
+from connexa.euler import euler_normal_form, induced_euler, realizable_by_te
 from connexa.formalnf import NormalFormId, build_normal_form, normal_form_prenormal
 from connexa.malgrange import (
     assign_c1,

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from connexa import cli, origin
-from connexa.connmat import Mat2, apply_gauge, restrict_origin
+from connexa.connmat import Mat2, apply_gauge
 from connexa.docio import save_structure
 from connexa.errors import ExactFieldError, ReductionFailedError, ShapeError
 from connexa.fixtures import build_fixture, fixture_names
@@ -49,6 +49,11 @@ from origin_oracle import (
 )
 
 NZ = NT = 8
+
+
+def _restrict(s):
+    """The origin restriction of a structure, through its pre-normal data."""
+    return restrict_prenormal(to_prenormal(s)[0])
 
 
 def _window(coeffs, nz):
@@ -105,6 +110,26 @@ def test_cyclic_fuchs_refuses_a_window_below_2():
     assert not cyclic_fuchs(OriginRestriction(two, two, two, two, ZERO, ZERO))
 
 
+def test_restrict_prenormal():
+    s = build_normal_form(
+        NormalFormId("F1", dict(c=S(1), alpha=S("1/2"), c0=S(2))), NZ, NT
+    )
+    r = _restrict(s)
+    assert r.c == S(1) and r.alpha == S("1/2")
+    assert r.eta == TSeries.const(S(2), NZ)  # b2 at the origin
+    assert r.lam == TSeries.const(S("-1/2"), NZ)
+    assert r.beta.is_zero()
+    assert r.gam == TSeries.one(NZ - 1)
+    # reconstruction matches the structure's pole matrix at the origin
+    coeffs = r.bz_components()
+    n = len(coeffs)
+    oc1, oc2, od, oe = (x.truncate(n).coeffs for x in s.B.at_origin())
+    assert coeffs == tuple(map(ConstMat, oc1, oc2, od, oe))
+    assert [b.c2 for b in coeffs] == list(TSeries.const(S(2), n).coeffs)
+    assert [b.d for b in coeffs] == list(TSeries.of([0, "-1/4"], n).coeffs)
+    assert [b.e for b in coeffs] == list(TSeries.of([0, 2], n).coeffs)
+
+
 def test_elementary_matches_twisted_fuchs():
     for family, params, want in [
         ("F1", dict(c0=S(2)), False),
@@ -114,7 +139,7 @@ def test_elementary_matches_twisted_fuchs():
     ]:
         nf = NormalFormId(family, dict(c=S(1), alpha=S("1/2"), **params))
         p = normal_form_prenormal(nf, NZ, NT)
-        r = restrict_origin(build_prenormal_struct(p))
+        r = _restrict(build_prenormal_struct(p))
         assert is_elementary(p) == want
         assert cyclic_fuchs(r) == want
         assert (r.eta[0] * r.gam[0]).is_zero() == want
@@ -124,7 +149,7 @@ def test_irreducibility_nonelementary():
     s = build_normal_form(
         NormalFormId("F1", dict(c=S(1), alpha=S(0), c0=S(2))), NZ, NT
     )
-    rep = irreducibility_check(restrict_origin(s))
+    rep = irreducibility_check(_restrict(s))
     assert rep.verdict == "irreducible"
 
 
@@ -393,7 +418,7 @@ def test_birkhoff_reduce_normal_form_restrictions():
     s = build_normal_form(
         NormalFormId("F1", dict(c=S(1), alpha=S("1/2"), c0=S(2))), NZ, NT
     )
-    red = birkhoff_reduce(restrict_origin(s).bz_components())
+    red = birkhoff_reduce(_restrict(s).bz_components())
     assert red.b0 == ConstMat(S(1), S(2), ZERO, ZERO)
     assert red.binf == ConstMat(S("1/2"), ZERO, -QUARTER, S(2))
     # restriction of the first second-type form: B0 = c C1 + C2,
@@ -401,7 +426,7 @@ def test_birkhoff_reduce_normal_form_restrictions():
     s = build_normal_form(
         NormalFormId("HNF-MAL1", dict(c=S(1), alpha=S(0), c0=S(3))), NZ, NT
     )
-    red = birkhoff_reduce(restrict_origin(s).bz_components())
+    red = birkhoff_reduce(_restrict(s).bz_components())
     assert red.b0 == ConstMat(S(1), S(1), ZERO, ZERO)
     assert red.binf == ConstMat(S(0), ZERO, ZERO, S(9))
 
@@ -432,20 +457,19 @@ def test_birkhoff_reduce_gauged(rng):
         assert i1[:3] == i2[:3]
 
 
-def test_birkhoff_reduce_conjugates_residue():
+def test_birkhoff_reduce_refuses_other_residues():
+    # the origin restriction's residue is c C1 + c0 C2; any other residue,
+    # triangular in the other position or not triangular, is refused
     binf = ConstMat(S(0), S(1), ZERO, S(1))
     for b0 in (
-        # residue given in upper-triangular position: nilpotent part in E
+        # nilpotent part in E
         ConstMat.from_entries(S(1), S(3), ZERO, S(1)),
-        # c Id + N with N's first column nonzero: the cyclic vector (1, 0)
+        # c Id + N with N not triangular
         ConstMat.from_entries(S(2), S(-1), S(1), S(0)),
         ConstMat.from_entries(S(1), S(-4), S(1), S(-3)),
     ):
-        pencil = _window([b0, binf], NZ)
-        red = birkhoff_reduce(pencil)
-        assert red.b0.d.is_zero() and red.b0.e.is_zero()
-        assert red.b0.c1 == b0.c1 and not red.b0.c2.is_zero()
-        assert _residual_is_zero(pencil, red)
+        with pytest.raises(ShapeError, match="residue must be c C1 \\+ c0 C2"):
+            birkhoff_reduce(_window([b0, binf], NZ))
 
 
 def test_birkhoff_reduce_rejects_semisimple():
@@ -462,26 +486,13 @@ def _birkhoff_reduce_global_solve(bz):
     checked against."""
     nz = bz.nz
     log = []
-    pre = Mat2.identity(nz, 1)
-    cur = bz
-    res = zmat_coeff(cur, 0)
-    if res.d.is_zero() and res.e.is_zero():
-        c0 = res.c2
-    else:
-        nil = res - ConstMat.identity().scale(res.c1)
-        m11, m12, m21, m22 = nil.entries()
-        v = (ONE, ZERO) if not (m11.is_zero() and m21.is_zero()) else (ZERO, ONE)
-        u = (m11 * v[0] + m12 * v[1], m21 * v[0] + m22 * v[1])
-        s = ConstMat.from_entries(v[0], u[0], v[1], u[1])
-        cur = _z_gauge(cur, zmat_from_consts([s], nz))
-        pre = pre * zmat_from_consts([s], nz)
-        log.append("residue conjugated to lower-triangular form")
-        res = zmat_coeff(cur, 0)
-        c0 = res.c2
-    b0 = ConstMat(res.c1, c0, ZERO, ZERO)
-    coeffs = [zmat_coeff(cur, k) for k in range(nz)]
+    b0 = zmat_coeff(bz, 0)
+    if not (b0.d.is_zero() and b0.e.is_zero()):
+        raise ShapeError("residue must be c C1 + c0 C2")
+    c0 = b0.c2
+    coeffs = [zmat_coeff(bz, k) for k in range(nz)]
     if all(c.is_zero() for c in coeffs[2:]):
-        return ZmatReduction(b0, coeffs[1], pre, tuple(log) + ("already a pencil",))
+        return ZmatReduction(b0, coeffs[1], Mat2.identity(nz, 1), ("already a pencil",))
     c2_unit = ConstMat(ZERO, ONE, ZERO, ZERO)
 
     def order2_obstruction(delta2):
@@ -554,10 +565,10 @@ def _birkhoff_reduce_global_solve(bz):
         ConstMat(*(sol[var(m, comp)] for comp in range(4))) for m in range(1, nz)
     ]
     tser = zmat_from_consts(tmats, nz)
-    if not oracle.birkhoff_residual(cur, tser, b0, binf).is_zero():
+    if not oracle.birkhoff_residual(bz, tser, b0, binf).is_zero():
         raise ReductionFailedError("frame fails the defining equation")
     log.append("frame found by one global linear solve")
-    return ZmatReduction(b0, binf, pre * tser, tuple(log))
+    return ZmatReduction(b0, binf, tser, tuple(log))
 
 
 BIRKHOFF_NZ = (3, 4, 5, 6, 8, 10, 12, 16)
@@ -570,7 +581,8 @@ def _rand_const(rng, span=2):
 def _random_birkhoff_input(rng, k):
     """A z-only matrix with regular residue: a pencil moved by a random
     z-polynomial frame, in turn with an arbitrary tail beyond z^1, and
-    with the residue's nilpotent part in E instead of C2."""
+    with the residue's nilpotent part in E instead of C2, which the
+    reduction refuses."""
     nz = BIRKHOFF_NZ[k % len(BIRKHOFF_NZ)]
     c, n0 = rand_scalar(rng, 2), rand_nonzero(rng, 2)
     if k % 3 == 2:
@@ -593,6 +605,12 @@ def test_birkhoff_reduce_matches_global_solve(rng):
         coeffs = zmat_coeffs(bz)
         try:
             want = _birkhoff_reduce_global_solve(bz)
+        except ShapeError as exc:
+            # the residue's nilpotent part in E: the same refusal
+            with pytest.raises(ShapeError) as got:
+                birkhoff_reduce(coeffs)
+            assert str(got.value) == str(exc) == "residue must be c C1 + c0 C2"
+            continue
         except ReductionFailedError as exc:
             # binf.e == 0 with an obstruction at z^2: the same refusal
             with pytest.raises(ReductionFailedError) as got:
@@ -658,7 +676,7 @@ def test_list_reduction_matches_mat2_oracle_on_random_inputs(rng):
 def test_list_reduction_matches_mat2_oracle_on_fixtures():
     outcomes = set()
     for name in fixture_names():
-        r = restrict_origin(build_fixture(name, 8, 8))
+        r = _restrict(build_fixture(name, 8, 8))
         bz = restriction_zmat(r)
         assert r.bz_components() == zmat_coeffs(bz)
         outcomes.add(_same_reduction(r.bz_components(), bz))
@@ -696,7 +714,7 @@ def test_cyclic_fuchs_matches_generic_rule():
     rng = random.Random(303)  # the samples of acceptance criterion 3
     verdicts = []
     for _ in range(200):
-        r = restrict_origin(build_prenormal_struct(_random_prenormal(rng, 8, 6)))
+        r = _restrict(build_prenormal_struct(_random_prenormal(rng, 8, 6)))
         verdicts.append(cyclic_fuchs(r))
         assert verdicts[-1] == oracle.cyclic_fuchs(r)
     assert True in verdicts and False in verdicts
@@ -943,13 +961,13 @@ def _search_past_the_window(r, k_max):
 def test_irreducibility_symmetric_k_range():
     got = {}
     for name in fixture_names():
-        rep = irreducibility_check(restrict_origin(build_fixture(name, 6, 6)), k_max=2)
+        rep = irreducibility_check(_restrict(build_fixture(name, 6, 6)), k_max=2)
         got[name] = (rep.verdict, rep.witness_k)
     assert got == IRREDUCIBILITY_K2
     # no |k| past the window order n adds a witness or a note; eta = 1,
     # lam = 0 and beta = z^(n-1) has its only witness at k = n itself
     restrictions = [
-        restrict_origin(build_fixture(name, nz, 6)) for name in fixture_names() for nz in (4, 6, 9)
+        _restrict(build_fixture(name, nz, 6)) for name in fixture_names() for nz in (4, 6, 9)
     ]
     for n in (2, 6):
         zero = TSeries.zero(n)

@@ -15,7 +15,7 @@ import pytest
 import gauge_oracle
 import prenormal_oracle
 from conftest import rand_nonzero, rand_scalar
-from connexa.connmat import OriginRestriction, TEStruct
+from connexa.connmat import TEStruct
 from connexa.errors import ExactAlgebraError, OrderMismatchError, ShapeError
 from connexa.fixtures import FIXTURES, fixture_names
 from connexa.formalnf import (
@@ -24,6 +24,7 @@ from connexa.formalnf import (
     normal_form_prenormal,
     zero_family_gauge,
 )
+from connexa.origin import OriginRestriction
 from connexa.scalars import S
 from connexa.series import Plane, TSeries, ZTSeries
 from test_cli import SMALL_WINDOWS
