@@ -6,8 +6,9 @@ Runs items 0..N-1 of the benchmark's fixture-reports workload (default: the
 99 items of its traced pass at seed 5), then the first 5 items of its
 dense-roundtrip workload at the same seed (where the gauge action does
 much of the work), against the connexa sources of a checkout, with three
-counters wrapped around the plane layer and one around the gauge
-constructor, and prints them as a JSON list of one object per workload:
+counters wrapped around the plane layer, one around the gauge constructor
+and one around the f = 0 recursion's solver, and prints them as a JSON list
+of one object per workload:
 
     support_scans    Plane.support calls that scan the window (no support
                      recorded yet); calls that return a recorded one are
@@ -16,6 +17,8 @@ constructor, and prints them as a JSON list of one object per workload:
                      the constructors every window goes through
     plane_dot_calls  calls of series.plane_dot, from any module
     gauges_built     connmat.GaugeMap constructions, from any module
+    third_der_solves odekit.solve_third_der calls, one per z-order the f = 0
+                     normalizing recursion solves
 
 Only the items' own work is counted: the workloads' set-up (writing the
 fixture documents, building the dense items) runs before the counters
@@ -52,9 +55,12 @@ DENSE_ITEMS = 5
 def count(root: str, seed: int, items: int) -> list[dict]:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from connexa import connmat, series
+    from connexa import connmat, odekit, series
 
-    keys = ("support_scans", "planes_built", "plane_dot_calls", "gauges_built")
+    keys = (
+        "support_scans", "planes_built", "plane_dot_calls", "gauges_built",
+        "third_der_solves",
+    )
     counts = dict.fromkeys(keys, 0)
     out = []
     with tempfile.TemporaryDirectory() as workdir:
@@ -71,6 +77,7 @@ def count(root: str, seed: int, items: int) -> list[dict]:
             setattr(cls, name, staticmethod(_counting(counts, "planes_built", fn)))
         gauge = connmat.GaugeMap
         gauge.__post_init__ = _counting(counts, "gauges_built", gauge.__post_init__)
+        odekit.solve_third_der = _counting(counts, "third_der_solves", odekit.solve_third_der)
         dot = series.plane_dot
         wrapped = _counting(counts, "plane_dot_calls", dot)
         for name, mod in list(sys.modules.items()):

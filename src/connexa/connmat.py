@@ -92,9 +92,6 @@ class ConstMat:
             raise NotInvertibleError("singular constant matrix")
         return ConstMat(self.c1 / dt, -self.c2 / dt, -self.d / dt, -self.e / dt)
 
-    def conjugate_by(self, s: ConstMat) -> ConstMat:
-        return s.inverse() * self * s
-
     def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         """(m11, m12, m21, m22)."""
         return (self.c1 + self.d, self.e, self.c2, self.c1 - self.d)

@@ -8,8 +8,9 @@ family and decide formal isomorphism between the resulting forms.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import odekit
 from .connmat import GaugeMap, Mat2, TEStruct, apply_gauge, compose_gauges
@@ -452,13 +453,26 @@ def zero_family_gauge(tau1: TSeries, tau2: ZTSeries) -> GaugeMap:
 
 @dataclass(frozen=True)
 class Classification:
+    """A formal verdict: the normal form, its pre-normal data (``target``),
+    the forms isomorphic to it and the warnings.  The normalizing gauges
+    (``steps``) and their composite (``net_map``) are built from
+    ``build_steps`` on first read, so a caller that reads only the verdict
+    never builds them."""
+
     normal_form: NormalFormId
-    steps: tuple[GaugeMap, ...]
     target: PreNormalForm
     isomorphic_forms: tuple[NormalFormId, ...]
     warnings: tuple[str, ...] = ()
+    build_steps: Callable[[], tuple[GaugeMap, ...]] = field(
+        default=tuple, repr=False, compare=False
+    )
 
-    @property
+    @cached_property
+    def steps(self) -> tuple[GaugeMap, ...]:
+        """The gauges taking the input to ``target``, in order."""
+        return self.build_steps()
+
+    @cached_property
     def net_map(self) -> GaugeMap | None:
         """The steps composed into one map, None when there are none."""
         return reduce(compose_gauges, self.steps) if self.steps else None
@@ -511,7 +525,7 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
     partners = _sign_flip_partners(nfid)
     warnings = () if partners else ("zero-parameter boundary: lone member of its class",)
     steps = () if gauge.tmat == Mat2.identity(nz, nt) else (gauge,)
-    return Classification(nfid, steps, target, partners, warnings)
+    return Classification(nfid, target, partners, warnings, lambda: steps)
 
 
 def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
@@ -519,7 +533,7 @@ def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
     target = normal_form_prenormal(nfid, *p.orders)
     if p.b2 != target.b2:
         raise FlatnessError("pole part does not match the unique extension")
-    return Classification(nfid, (), target, ())
+    return Classification(nfid, target, ())
 
 
 # -- the f = 0 family ---------------------------------------------------------
@@ -640,42 +654,55 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
         # move the affine slope into the nonnegative-resonance range
         moves.append((ONE, ONE, -lam))
         lam = -lam
-    steps = [_mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
     nt2 = nt - len(moves)
     rows = _quad_rows(p.b2, nt)
     for m in moves:
         rows = _mobius_rows(rows, *m)
     if rows[0] != _SHAPE_B20[shape](lam):
         raise ShapeError("shape reduction did not land on the catalogue")
-    # step 2: triangular normalization of the z-tail
-    rows, gauge2, mu, res_order = _zero_family_recursion(rows, shape, nt2)
-    if gauge2 is not None:
-        steps.append(gauge2)
+    # step 2: triangular normalization of the z-tail, up to the one resonant
+    # z-order |lam|; past it each step is a unique solve that leaves b2 zero
+    resonant = shape in ("linear", "affine") and lam.is_integer() and not lam.is_zero()
+    top = min(abs(lam.as_int()), nz - 1) if resonant else 0
+    out, _tau1, _tau2, mu, res_order = _zero_family_recursion(rows[: top + 1], shape)
+    out += [(ZERO, ZERO, ZERO)] * (nz - len(out))
     # step 3: rescale the resonant coefficient to 1 for the bare shapes;
     # the t2^2 z^lam monomial scales by k/d, the z^{-lam} constant by d/k
-    gamma = mu
+    gamma, scale = mu, None
     if shape == "linear" and mu is not None and not mu.is_zero():
-        k_sc, d_sc = (ONE, mu) if lam.re > 0 else (mu, ONE)
-        steps.append(_mobius_gauge(k_sc, d_sc, ZERO, nz, nt2))
-        rows = _mobius_rows(rows, k_sc, d_sc, ZERO)
-        nt2 -= 1
+        scale = (ONE, mu, ZERO) if lam.re > 0 else (mu, ONE, ZERO)
+        out = _mobius_rows(out, *scale)
         gamma = ONE
+    nt_out = nt2 - (scale is not None)
     nfid, partners = _zero_family_id(shape, lam, gamma, res_order, p, warnings)
-    target = normal_form_prenormal(nfid, nz, nt2)
+    target = normal_form_prenormal(nfid, nz, nt_out)
     # the target's f is zero and its rows quadratic, so comparing the rows
-    # (nt2 >= 3 holds them whole) and c, alpha compares the data
-    if (rows, p.c, p.alpha) != (_quad_rows(target.b2, nt2), target.c, target.alpha):
+    # (nt_out >= 3 holds them whole) and c, alpha compares the data
+    if (out, p.c, p.alpha) != (_quad_rows(target.b2, nt_out), target.c, target.alpha):
         raise FlatnessError("zero-family normalization missed its target")
-    return Classification(nfid, tuple(steps), target, partners, tuple(warnings))
+
+    def build_steps() -> tuple[GaugeMap, ...]:
+        steps = [_mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
+        _out, tau1, tau2, _mu, _res = _zero_family_recursion(rows, shape)
+        gauge = _recursion_gauge(tau1, tau2, nt2)
+        if gauge is not None:
+            steps.append(gauge)
+        if scale is not None:
+            steps.append(_mobius_gauge(*scale, nz, nt2))
+        return tuple(steps)
+
+    return Classification(nfid, target, partners, tuple(warnings), build_steps)
 
 
 def _zero_family_recursion(
-    b2_in: list[odekit.Quad], shape: str, nt: int
-) -> tuple[list[odekit.Quad], GaugeMap | None, Scalar | None, int | None]:
-    """Kill the killable z-tail of b2, leaving one resonant monomial.
+    b2_in: list[odekit.Quad], shape: str
+) -> tuple[list[odekit.Quad], list[Scalar], list[odekit.Quad], Scalar | None, int | None]:
+    """Kill the killable z-tail of b2, leaving one resonant monomial, on the
+    z-orders of ``b2_in``.
 
-    Returns the updated rows, the gauge, the resonant coefficient (None if
-    no resonance occurred inside the window) and the resonant z-order.
+    Returns the updated rows, the gauge's tau1 (z-coefficients) and tau2
+    (one triple per z-order), the resonant coefficient (None if no
+    resonance occurred inside the window) and the resonant z-order.
 
     The z-coefficients are quadratics in t2, read as triples (u0, u1, u2),
     so with u = tau2[k], v = b2_in[l] - b2_out[l], w = b2_in[l] + b2_out[l]
@@ -731,13 +758,20 @@ def _zero_family_recursion(
         g_ys[2].extend((-v2, ZERO, -h2, h1))
         tau1.append(dot(xs, tau1_ys, ONE / integer(4 * m)))
         xs = [tau1[m], *x] + xs
-    if all(c.is_zero() for c in xs):  # tau1 = 1 and tau2 = 0: the identity
-        return b2_out, None, mono_mu, res_order
-    gauge = zero_family_gauge(
+    return b2_out, tau1, tau2, mono_mu, res_order
+
+
+def _recursion_gauge(
+    tau1: list[Scalar], tau2: list[odekit.Quad], nt: int
+) -> GaugeMap | None:
+    """The gauge of the recursion's tau1 and tau2 on t-order nt, or None
+    when it is the identity (tau1 = 1, tau2 = 0)."""
+    if all(c.is_zero() for c in tau1[1:]) and all(c.is_zero() for x in tau2 for c in x):
+        return None
+    return zero_family_gauge(
         TSeries(tuple(tau1)),
-        ZTSeries.from_zcoeffs([TSeries.of(x, nt) for x in tau2], nz),
+        ZTSeries.from_zcoeffs([TSeries.of(x, nt) for x in tau2], len(tau1)),
     )
-    return b2_out, gauge, mono_mu, res_order
 
 
 def _zero_family_id(

@@ -12,6 +12,8 @@ applies the d = 2 rule in ``origin.cyclic_fuchs``, solves the search's
 coefficients in closed form (``origin._try_eigen_section``) and reads the
 normalized pencil off its invariants (``origin.birkhoff_invariants``,
 ``origin.normalize_birkhoff``); the tests check it against these.
+The constant conjugation s^-1 m s (``conjugate``) was the method
+``ConstMat.conjugate_by`` while the package's block reduction still used it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from connexa.origin import BirkhoffData, OriginRestriction
 from connexa.scalars import HALF, ONE, QUARTER, ZERO, Scalar, integer
 from connexa.series import Laurent, TSeries, ZTSeries
 from plane_oracle import each, z2dz
+
+
+def conjugate(m: ConstMat, s: ConstMat) -> ConstMat:
+    """s^-1 m s."""
+    return s.inverse() * m * s
 
 
 def zmat(c1: TSeries, c2: TSeries, d: TSeries, e: TSeries) -> Mat2:
@@ -307,8 +314,8 @@ def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> tuple[BirkhoffData, list
     cur_b0, cur_binf = b0, binf
     t1 = triangular_gauge(binf)
     if t1 is not None:
-        cur_b0 = cur_b0.conjugate_by(t1)
-        cur_binf = cur_binf.conjugate_by(t1)
+        cur_b0 = conjugate(cur_b0, t1)
+        cur_binf = conjugate(cur_binf, t1)
         gauges.append(t1)
     if cur_b0 != b0 or cur_binf.d != -QUARTER or cur_binf.e != binf.e:
         raise ShapeError("triangular conjugation left an unexpected shape")
@@ -323,8 +330,8 @@ def normalize_birkhoff(b0: ConstMat, binf: ConstMat) -> tuple[BirkhoffData, list
             )
         denom = c0 - c0_new
         t2 = ConstMat(-(c0_new + c0) / denom, ZERO, -(c0_new - c0) / denom, ZERO)
-        cur_b0 = cur_b0.conjugate_by(t2)
-        cur_binf = cur_binf.conjugate_by(t2)
+        cur_b0 = conjugate(cur_b0, t2)
+        cur_binf = conjugate(cur_binf, t2)
         gauges.append(t2)
     if not (
         cur_b0.d.is_zero()
@@ -347,5 +354,5 @@ def birkhoff_invariants(b0: ConstMat, binf: ConstMat) -> tuple[Scalar, Scalar, S
     if c0.is_zero() or f.is_zero():
         raise ShapeError("degenerate pencil")
     t1 = triangular_gauge(binf)
-    cur_binf = binf if t1 is None else binf.conjugate_by(t1)
+    cur_binf = binf if t1 is None else conjugate(binf, t1)
     return (b0.c1, cur_binf.c1, c0 * f, cur_binf.c2 * f)

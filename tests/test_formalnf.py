@@ -779,12 +779,19 @@ def test_a_wrong_zero_family_id_misses_its_target(monkeypatch, key):
 
 
 def test_zero_family_recursion_matches_rebuilt(monkeypatch):
+    # each recursion the pipeline runs, for its verdict (up to the resonant
+    # z-order) and for its steps (over the whole window), read at t-order 6
     recursion = formalnf._zero_family_recursion
     calls = []
 
-    def checked(rows, shape, nt):
-        out = recursion(rows, shape, nt)
-        p, got = _prenormal_of(rows, nt), (_prenormal_of(out[0], nt), *out[1:])
+    def checked(rows, shape):
+        out = recursion(rows, shape)
+        if len(rows) == 1:  # no z-order to normalize: no step, no resonance
+            assert out == (rows, [ONE], [], None, None)
+            calls.append(False)
+            return out
+        p = _prenormal_of(rows, 6)
+        got = _recursion(p, shape)
         # b = lam t2 (+ 1) on the catalogue; the other shapes ignore lam
         lam = p.b2[0].const[1]
         assert got == _zero_family_recursion_rebuilt(p, shape, lam)
@@ -806,8 +813,8 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
             gauge = _random_zero_family_gauge(rng, 10, 6)
             structures.append(apply_gauge(build_normal_form(nf, 10, 6), gauge))
     for s in structures:
-        formal_normal_form(to_prenormal(s)[0])
-    assert len(calls) == len(structures) and sum(calls) >= 9
+        formal_normal_form(to_prenormal(s)[0]).steps
+    assert len(calls) == 2 * len(structures) and sum(calls) >= 9
 
 
 _prenormal_of = prenormal_oracle.prenormal_of
@@ -903,22 +910,26 @@ def test_flat_data_with_a_cubic_top_row_are_refused_naming_b2(nz):
 
 def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
     # nt = 5 data whose b2^(0) needs a Mobius base change first, so the
-    # recursion runs at t-order 4, the lowest the pipeline reaches; the
-    # pipeline reads the rows once, on the full window, and refuses a row
-    # that is not quadratic there, before the recursion
+    # recursion's gauge is built at t-order 4, the lowest the pipeline
+    # reaches; the pipeline reads the rows once, on the full window, and
+    # refuses a row that is not quadratic there, before the recursion
     recursion = formalnf._zero_family_recursion
-    orders = []
+    calls = []
 
-    def checked(rows, shape, nt):
-        p = _prenormal_of(rows, nt)
+    def checked(rows, shape):
+        calls.append(len(rows))
+        out = recursion(rows, shape)
+        if len(rows) == 1:  # no z-order to normalize: no step, no resonance
+            assert out == (rows, [ONE], [], None, None)
+            return out
+        p = _prenormal_of(rows, 4)
         got = _outcome(_recursion, p, shape)
         want = _outcome(_zero_family_recursion_rebuilt, p, shape, p.b2[0].const[1])
         assert got == _as_refused_up_front(want, p)
-        orders.append(nt)
-        return recursion(rows, shape, nt)
+        return out
 
     monkeypatch.setattr(formalnf, "_zero_family_recursion", checked)
-    read_refusals = 0
+    read_refusals, orders = 0, set()
     heads = ([2, 3, 1], [1, 2, 1], [0, 1, 1], [0, 0, 2], [1, -3], [0, 2, -1])
     rng = random.Random(55)
     for _ in range(60):
@@ -929,8 +940,15 @@ def test_zero_family_recursion_matches_rebuilt_after_a_base_change(monkeypatch):
             ZTSeries.zero(nz - 1, 5), ZTSeries.from_zcoeffs([head] + rows, nz), ZERO, ZERO
         )
         got = _outcome(formal_normal_form, p)
-        read_refusals += isinstance(got, tuple) and got[1].startswith("b2 is not quadratic")
-    assert len(orders) + read_refusals == 60 and set(orders) == {4}
+        if isinstance(got, tuple):
+            assert got[1].startswith("b2 is not quadratic")
+            read_refusals += 1
+            continue
+        # the steps run the recursion over the whole window, and its gauge
+        # is the one step without a base map
+        orders |= {g.tmat.c1.orders[1] for g in got.steps if g.lam is None}
+        assert calls[-1] == nz
+    assert len(calls) == 2 * (60 - read_refusals) and orders == {4}
 
 
 def _mobius_matches_reextract(p, k, d, e):
@@ -1094,9 +1112,11 @@ def test_every_row_mutant_is_refused_by_both(monkeypatch):
     spot = []
 
     def mutated(recursion):
-        def run(rows, shape, nt):
-            out, *rest = recursion(rows, shape, nt)
+        def run(rows, shape, *nt):
+            out, *rest = recursion(rows, shape, *nt)
             k, j = spot[0]
+            # rows past a recursion that stops short of z^k are zero
+            out = out + [(ZERO, ZERO, ZERO)] * (k + 1 - len(out))
             row = list(out[k])
             row[j] = row[j] + ONE
             return [*out[:k], tuple(row), *out[k + 1 :]], *rest
@@ -1121,3 +1141,99 @@ def test_every_row_mutant_is_refused_by_both(monkeypatch):
                 assert _outcome(prenormal_oracle.rows_normalize_zero_family, p) == missed
                 mutants += 1
     assert len(data) > 9 and mutants >= 9 * 8 * 3
+
+
+# -- the verdict up to the resonant order, the steps on read ------------------
+
+
+def _same_as_eager(p):
+    """formal_normal_form and the normalizer that ran the recursion over the
+    whole window and built every gauge before it returned: the same verdict,
+    target and warnings, or the same refusal, and equal steps and net map
+    once read; returns the outcome."""
+    got = _outcome(formal_normal_form, p)
+    want = _outcome(prenormal_oracle.eager_normalize_zero_family, p)
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert (got.normal_form, got.target, got.isomorphic_forms, got.warnings) == (
+        want.normal_form, want.target, want.isomorphic_forms, want.warnings
+    )
+    assert got.steps == want.steps and got.steps is got.steps
+    assert got.net_map == want.net_map
+    return got
+
+
+def test_zero_family_verdict_matches_eager_normalizer_on_fixtures():
+    # every fixture whose f is zero at the window, on the small windows and
+    # on two that hold each fixture's resonance
+    outcomes = []
+    for nz, nt in SMALL_WINDOWS + [(8, 8), (16, 16)]:
+        for name in fixture_names():
+            try:
+                p = to_prenormal(build_fixture(name, nz, nt))[0]
+            except ExactAlgebraError:
+                continue
+            if p.f.is_zero():
+                outcomes.append(_same_as_eager(p))
+    classified = [c for c in outcomes if isinstance(c, formalnf.Classification)]
+    # the nine NF3 fixtures on (2, 16), (3, 16), (8, 8) and (16, 16)
+    assert len(classified) == 4 * 9 and len(outcomes) > len(classified)
+    assert any(c.steps for c in classified)
+
+
+def _seeded_zero_family_inputs(rng):
+    """Seeded f = 0 data on windows nz = 2 .. 7: heads of each shape, bare
+    and needing a base change, with integral slopes resonant at each z-order
+    1 .. nz - 1 and one past the window, under dense quadratic rows, or rows
+    that vanish up to the resonant order (a zero obstruction).  Yields the
+    data, the resonance a bare catalogue head meets at z-order |lam| (None
+    for other heads) and |lam| (None when not an integer)."""
+    fixed = ([0], [1], [1, 2, 1], [0, 0, 1], [0, 0, 2], [1, "1/2"], [0, "1/2"],
+             ["1+i", "1", "-1/2"])
+    for nz in range(2, 8):
+        heads = [(h, None) for h in fixed]
+        for k in range(1, nz + 1):
+            heads += [([0, k], k), ([0, -k], k), ([1, k], k), ([1, -k], k)]
+            heads += [([1, k + 2, k + 1], k), ([0, k, 1], k), ([0, -k, 2], k)]
+        for head, k in heads:
+            nt = rng.randint(5, 7)
+            quiet = 0 if k is None or rng.random() < 0.6 else min(k, nz - 1)
+            rows = [TSeries.of(head, nt)]
+            for m in range(1, nz):
+                row = [ZERO] * 3 if m <= quiet else [_rand_scalar(rng, 3) for _ in range(3)]
+                rows.append(TSeries.of(row, nt))
+            b = tuple(TSeries.of(head, nt).coeffs[:3])
+            kind = None
+            if k is not None and len(head) == 2:
+                kind = odekit.third_der_resonance(integer(k), b)
+            p = PreNormalForm(
+                ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs(rows, nz),
+                _rand_scalar(rng), _rand_scalar(rng),
+            )
+            yield p, kind, k
+
+
+def test_zero_family_verdict_matches_eager_normalizer_on_seeded_data():
+    families, kinds, orders, gammas, warned = set(), set(), set(), set(), 0
+    count = 0
+    for p, kind, k in _seeded_zero_family_inputs(random.Random(3737)):
+        got = _same_as_eager(p)
+        count += 1
+        kinds.add(kind)
+        if isinstance(got, tuple):
+            continue
+        nfid = got.normal_form
+        families.add(nfid.family)
+        nz = p.orders[0]
+        if k is not None:
+            orders.add((nz, min(k, nz)))  # k = nz: past the window
+        if nfid.family == "NF3-5":
+            gammas.add(nfid.params["gamma"].is_zero())
+        warned += any("beyond the z-window" in w for w in got.warnings)
+    assert count >= 200
+    assert families == {f"NF3-{i}" for i in range(1, 10)}
+    assert {"g2", "g0", "quad"} <= kinds
+    assert {(nz, k) for nz in range(2, 8) for k in range(1, nz + 1)} <= orders
+    # zero and nonzero obstructions: NF3-7 and NF3-9 above, and gamma here
+    assert gammas == {True, False} and warned > 0

@@ -42,6 +42,7 @@ from linear_system_oracle import solve_linear_system
 from origin_oracle import (
     ZmatReduction,
     _z_gauge,
+    conjugate,
     restriction_zmat,
     zmat_coeff,
     zmat_coeffs,
@@ -802,8 +803,8 @@ def test_diag_flip_conjugation():
     d_mat = ConstMat(ZERO, ZERO, ONE, ZERO)
     b0 = ConstMat(S(1), S(2), ZERO, ZERO)
     binf = ConstMat(S(0), S(3), -QUARTER, S(2))
-    assert b0.conjugate_by(d_mat) == ConstMat(S(1), S(-2), ZERO, ZERO)
-    assert binf.conjugate_by(d_mat) == ConstMat(S(0), S(-3), -QUARTER, S(-2))
+    assert conjugate(b0, d_mat) == ConstMat(S(1), S(-2), ZERO, ZERO)
+    assert conjugate(binf, d_mat) == ConstMat(S(0), S(-3), -QUARTER, S(-2))
 
 
 def test_birkhoff_iso_decision_table():
@@ -859,8 +860,8 @@ def test_normalize_preserves_class():
         assert gauges
         cur0, curi = b0, binf
         for g in gauges:
-            cur0 = cur0.conjugate_by(g)
-            curi = curi.conjugate_by(g)
+            cur0 = conjugate(cur0, g)
+            curi = conjugate(curi, g)
         assert cur0 == ConstMat(data.c, data.c0, ZERO, ZERO)
         assert curi == ConstMat(data.alpha, data.c1, -QUARTER, data.c0)
 

@@ -1,6 +1,7 @@
 """Series products on the one-variable paths, counted as calls of
-``series.plane_dot``, the one product kernel: counts that do not depend on
-the machine.
+``series.plane_dot``, the one product kernel, and the f = 0 normalizer's
+solves, counted as calls of ``odekit.solve_third_der``: counts that do not
+depend on the machine.
 
 The Euler replay ``verify_normalization`` checks (lam' g) o lam^{-1} = g_NF:
 one product for lam' g, the reversion of lam and the substitution.
@@ -12,10 +13,11 @@ import random
 
 import pytest
 
-from connexa import series
+from connexa import odekit, series
 from connexa.euler import EulerField, euler_normal_form, verify_normalization
+from connexa.formalnf import PreNormalForm, formal_normal_form
 from connexa.scalars import ZERO
-from connexa.series import TSeries
+from connexa.series import TSeries, ZTSeries
 
 import series_oracle
 from conftest import rand_nonzero, rand_scalar
@@ -140,3 +142,38 @@ def test_each_replay_takes_fewer_products_than_before(products, shape):
         before = products[0]
         assert verify_normalization(e, nz)
         assert products[0] - before < parent
+
+
+def test_zero_family_verdict_solves_up_to_the_resonant_order(monkeypatch):
+    """The f = 0 verdict solves one z-order at a time up to the resonant
+    order min(|lam|, nz - 1) of an integral slope, and no z-order on any
+    other head; reading the steps runs the recursion over the whole window
+    once, nz - 1 solves on every head but the zero one."""
+    solves = [0]
+    solve = odekit.solve_third_der
+
+    def counted(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(odekit, "solve_third_der", counted)
+    nz, nt = 6, 6
+    heads = [([0], None), ([1], None), ([0, 0, 1], None), ([1, "1/2"], None),
+             ([0, "3/2"], None), ([1, 2, 1], None)]
+    for k in range(1, nz + 2):
+        heads += [([0, k], k), ([0, -k], k), ([1, k], k), ([1, -k], k), ([1, k + 2, k + 1], k)]
+    rng = random.Random(37)
+    families = set()
+    for head, k in heads:
+        rows = [TSeries.of(head, nt)] + [
+            TSeries.of([rand_scalar(rng, 3) for _ in range(3)], nt) for _ in range(nz - 1)
+        ]
+        p = PreNormalForm(ZTSeries.zero(nz - 1, nt), ZTSeries.from_zcoeffs(rows, nz), ZERO, ZERO)
+        before = solves[0]
+        cls = formal_normal_form(p)
+        families.add(cls.normal_form.family)
+        assert solves[0] - before == (0 if k is None else min(k, nz - 1)), head
+        before = solves[0]
+        cls.steps, cls.steps, cls.net_map
+        assert solves[0] - before == (0 if head == [0] else nz - 1), head
+    assert families == {f"NF3-{i}" for i in range(1, 10)}

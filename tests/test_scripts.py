@@ -74,5 +74,6 @@ def test_plane_counts_runs():
         assert counts["planes_built"] > counts["support_scans"] > 0
         assert counts["plane_dot_calls"] > 0
         assert type(counts["gauges_built"]) is int and counts["gauges_built"] >= 0
+        assert type(counts["third_der_solves"]) is int and counts["third_der_solves"] >= 0
     # the dense items are moved by gauges and classified back
     assert blocks[1]["gauges_built"] > 0
