@@ -457,7 +457,8 @@ class Classification:
     the forms isomorphic to it and the warnings.  The normalizing gauges
     (``steps``) and their composite (``net_map``) are built from
     ``build_steps`` on first read, so a caller that reads only the verdict
-    never builds them."""
+    never builds them; comparing two classifications compares their steps
+    too, and so builds them."""
 
     normal_form: NormalFormId
     target: PreNormalForm
@@ -466,6 +467,14 @@ class Classification:
     build_steps: Callable[[], tuple[GaugeMap, ...]] = field(
         default=tuple, repr=False, compare=False
     )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Classification):
+            return NotImplemented
+        verdict = (self.normal_form, self.target, self.isomorphic_forms, self.warnings)
+        return verdict == (
+            other.normal_form, other.target, other.isomorphic_forms, other.warnings
+        ) and self.steps == other.steps
 
     @cached_property
     def steps(self) -> tuple[GaugeMap, ...]:
@@ -661,9 +670,13 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     if rows[0] != _SHAPE_B20[shape](lam):
         raise ShapeError("shape reduction did not land on the catalogue")
     # step 2: triangular normalization of the z-tail, up to the one resonant
-    # z-order |lam|; past it each step is a unique solve that leaves b2 zero
-    resonant = shape in ("linear", "affine") and lam.is_integer() and not lam.is_zero()
-    top = min(abs(lam.as_int()), nz - 1) if resonant else 0
+    # z-order in the window; past it each step is a unique solve that leaves
+    # b2 zero
+    top = 0
+    if shape != "zero":  # the zero shape never resonates, and odekit refuses b = 0
+        top = next(
+            (m for m in range(1, nz) if odekit.third_der_resonance(integer(m), rows[0])), 0
+        )
     out, _tau1, _tau2, mu, res_order = _zero_family_recursion(rows[: top + 1], shape)
     out += [(ZERO, ZERO, ZERO)] * (nz - len(out))
     # step 3: rescale the resonant coefficient to 1 for the bare shapes;

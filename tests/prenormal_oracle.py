@@ -30,10 +30,10 @@ the rows and comparing pre-normal data with the target's.  The package
 builds that gauge only when (tau1, tau2) is not (1, 0), and compares the
 rows with the target's.
 
-That normalizer (``eager_normalize_zero_family``) ran the recursion over
-the whole z-window and built every gauge before it returned.  The package
-runs the recursion only up to the resonant z-order |lam| for its verdict,
-and builds the gauges when ``steps`` is first read.
+That row pipeline also ran the recursion over the whole z-window and
+built every gauge before it returned.  The package runs the recursion
+only up to the resonant z-order for its verdict, and builds the gauges
+when ``steps`` is first read.
 
 The pre-normal structure and the origin restriction were once built from
 copies: f shifted up a z-order and b2 differentiated at the same order and
@@ -357,46 +357,6 @@ def rows_normalize_zero_family(p: PreNormalForm) -> Classification:
     target = normal_form_prenormal(nfid, nz, nt2)
     b2 = ZTSeries.from_zcoeffs([TSeries.of(r, nt2) for r in rows], nz)
     if PreNormalForm(ZTSeries.zero(nz - 1, nt2), b2, p.c, p.alpha) != target:
-        raise FlatnessError("zero-family normalization missed its target")
-    return _classification(nfid, steps, target, partners, warnings)
-
-
-def eager_normalize_zero_family(p: PreNormalForm) -> Classification:
-    """The f = 0 normalizer with the recursion run over the whole z-window
-    and every gauge built before it returns, its result checked on the
-    rows; ``rows_zero_family_recursion`` returns what its recursion did."""
-    nz, nt = p.orders
-    if nt < 5:
-        raise ShapeError("t-order too small for the zero-family pipeline")
-    warnings: list[str] = []
-    cq, b, a = formalnf._quad_coeffs(p.b2[0].const)
-    shape, lam, consts = formalnf._reduce_b20(a, b, cq)
-    moves = [consts] if consts is not None and consts != (ONE, ONE, ZERO) else []
-    if shape == "affine" and lam.is_integer() and lam.re < 0:
-        moves.append((ONE, ONE, -lam))
-        lam = -lam
-    steps = [formalnf._mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
-    nt2 = nt - len(moves)
-    rows = formalnf._quad_rows(p.b2, nt)
-    for m in moves:
-        rows = formalnf._mobius_rows(rows, *m)
-    if rows[0] != formalnf._SHAPE_B20[shape](lam):
-        raise ShapeError("shape reduction did not land on the catalogue")
-    rows, gauge2, mu, res_order = rows_zero_family_recursion(rows, shape, nt2)
-    if gauge2 is not None:
-        steps.append(gauge2)
-    gamma = mu
-    if shape == "linear" and mu is not None and not mu.is_zero():
-        k_sc, d_sc = (ONE, mu) if lam.re > 0 else (mu, ONE)
-        steps.append(formalnf._mobius_gauge(k_sc, d_sc, ZERO, nz, nt2))
-        rows = formalnf._mobius_rows(rows, k_sc, d_sc, ZERO)
-        nt2 -= 1
-        gamma = ONE
-    nfid, partners = formalnf._zero_family_id(shape, lam, gamma, res_order, p, warnings)
-    target = normal_form_prenormal(nfid, nz, nt2)
-    if (rows, p.c, p.alpha) != (
-        formalnf._quad_rows(target.b2, nt2), target.c, target.alpha
-    ):
         raise FlatnessError("zero-family normalization missed its target")
     return _classification(nfid, steps, target, partners, warnings)
 

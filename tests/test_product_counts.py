@@ -146,8 +146,8 @@ def test_each_replay_takes_fewer_products_than_before(products, shape):
 
 def test_zero_family_verdict_solves_up_to_the_resonant_order(monkeypatch):
     """The f = 0 verdict solves one z-order at a time up to the resonant
-    order min(|lam|, nz - 1) of an integral slope, and no z-order on any
-    other head; reading the steps runs the recursion over the whole window
+    order |lam| of an integral slope when the window holds it (|lam| < nz),
+    and no z-order on any other head; reading the steps runs the recursion over the whole window
     once, nz - 1 solves on every head but the zero one."""
     solves = [0]
     solve = odekit.solve_third_der
@@ -172,7 +172,7 @@ def test_zero_family_verdict_solves_up_to_the_resonant_order(monkeypatch):
         before = solves[0]
         cls = formal_normal_form(p)
         families.add(cls.normal_form.family)
-        assert solves[0] - before == (0 if k is None else min(k, nz - 1)), head
+        assert solves[0] - before == (k if k is not None and k < nz else 0), head
         before = solves[0]
         cls.steps, cls.steps, cls.net_map
         assert solves[0] - before == (0 if head == [0] else nz - 1), head
