@@ -149,9 +149,7 @@ def cmd_formal_nf(args) -> int:
         out.normal_forms.append(_nf_entry(partner))
     out.verdicts["normal_form"] = cls.normal_form.describe()
     out.verdicts["isomorphic_partners"] = len(cls.isomorphic_forms)
-    out.transform_log = [
-        "base map" if g.lam is not None else "gauge" for g in cls.steps
-    ]
+    out.transform_log = list(cls.step_kinds)
     out.warnings = list(cls.warnings)
     return _emit(out)
 

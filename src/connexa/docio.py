@@ -91,26 +91,27 @@ def _literal(x) -> Scalar:
     raise DocumentError("coefficient must be a string or an integer")
 
 
-def _plane_from_json(rows: list[list], nt: int, where: str) -> Plane:
-    """The plane whose z-row k holds the literals ``rows[k]``, read row by
-    row: a row equal to the all-"0" row is skipped whole, and of the others
-    only the non-"0" literals are read.  If all are plain integers they are
-    read by int(), else each goes through ``_literal`` and the plane is
-    placed at the lcm of their denominators, which is canonical again and
-    at most ``MAX_DEN_BITS`` bits."""
+def _plane_from_json(rows: list[tuple[int, list]], nz: int, nt: int, where: str) -> Plane:
+    """The nz x nt plane whose z-row k holds the literals ``row`` for each
+    pair (k, row) of ``rows``, and is zero at every other k.  A row equal
+    to the all-"0" row is skipped whole, and of the others only the non-"0"
+    literals are read.  If all are plain integers they are read by int(),
+    else each goes through ``_literal`` and the plane is placed at the lcm
+    of their denominators, which is canonical again and at most
+    ``MAX_DEN_BITS`` bits."""
     zero = ["0"] * nt
     live: list[int] = []
     vals: list = []
-    for a, row in zip(range(0, len(rows) * nt, nt), rows):
+    for k, row in rows:
         if row != zero:
             mask = list(map(ne, row, zero))
-            live += compress(range(a, a + nt), mask)
+            live += compress(range(k * nt, k * nt + nt), mask)
             vals += compress(row, mask)
     if not live:
-        return Plane.zero(len(rows), nt)
+        return Plane.zero(nz, nt)
     ints = _ints_from_json(vals)
     if ints is not None:
-        return Plane._at(len(rows), nt, zip(live, ints, repeat(0)), 1)
+        return Plane._at(nz, nt, zip(live, ints, repeat(0)), 1)
     cs = [_literal(x) for x in vals]
     den = 1
     for c in cs:  # refused as soon as the budget is passed, so never slow
@@ -120,16 +121,21 @@ def _plane_from_json(rows: list[list], nt: int, where: str) -> Plane:
                 f"{where}: common denominator exceeds the budget of {MAX_DEN_BITS} bits"
             )
     entries = [(i, c.a * (den // c.d), c.b * (den // c.d)) for i, c in zip(live, cs)]
-    return Plane._at(len(rows), nt, entries, den)
+    return Plane._at(nz, nt, entries, den)
 
 
 def _zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
-    zero = ["0"] * nt
-    if data == [[zero, zero]] * nz:  # the all-"0" block, in one comparison
-        return ZTSeries.zero(nz, nt)
+    """The component whose z-slots are ``data``.  The slots equal to the
+    all-"0" slot, well-formed by that equality, are found in one pass and
+    skipped; only the others are checked and read."""
     if not isinstance(data, list) or len(data) != nz:
         raise DocumentError("z-coefficient array has the wrong length")
-    for entry in data:
+    zero = ["0"] * nt
+    ks = list(compress(range(nz), map(ne, data, repeat([zero, zero]))))
+    if not ks:
+        return ZTSeries.zero(nz, nt)
+    slots = list(map(data.__getitem__, ks))
+    for entry in slots:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentError("each z-slot must be [const, slope]")
         for row in entry:
@@ -137,8 +143,12 @@ def _zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
                 raise DocumentError("coefficient array has the wrong length")
     return ZTSeries._of(
         AffinePoly1(
-            _plane_from_json([e[0] for e in data], nt, f"{where} constant part"),
-            _plane_from_json([e[1] for e in data], nt, f"{where} t1-slope"),
+            _plane_from_json(
+                [(k, e[0]) for k, e in zip(ks, slots)], nz, nt, f"{where} constant part"
+            ),
+            _plane_from_json(
+                [(k, e[1]) for k, e in zip(ks, slots)], nz, nt, f"{where} t1-slope"
+            ),
         )
     )
 

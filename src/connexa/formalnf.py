@@ -454,16 +454,18 @@ def zero_family_gauge(tau1: TSeries, tau2: ZTSeries) -> GaugeMap:
 @dataclass(frozen=True)
 class Classification:
     """A formal verdict: the normal form, its pre-normal data (``target``),
-    the forms isomorphic to it and the warnings.  The normalizing gauges
-    (``steps``) and their composite (``net_map``) are built from
-    ``build_steps`` on first read, so a caller that reads only the verdict
-    never builds them; comparing two classifications compares their steps
-    too, and so builds them."""
+    the forms isomorphic to it, the warnings and the kind of each
+    normalizing step ("base map" or "gauge"), known without building it.
+    The normalizing gauges (``steps``) and their composite (``net_map``)
+    are built from ``build_steps`` on first read, so a caller that reads
+    only the verdict never builds them; comparing two classifications
+    compares their steps too, and so builds them."""
 
     normal_form: NormalFormId
     target: PreNormalForm
     isomorphic_forms: tuple[NormalFormId, ...]
     warnings: tuple[str, ...] = ()
+    step_kinds: tuple[str, ...] = ()
     build_steps: Callable[[], tuple[GaugeMap, ...]] = field(
         default=tuple, repr=False, compare=False
     )
@@ -471,10 +473,13 @@ class Classification:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Classification):
             return NotImplemented
-        verdict = (self.normal_form, self.target, self.isomorphic_forms, self.warnings)
-        return verdict == (
-            other.normal_form, other.target, other.isomorphic_forms, other.warnings
-        ) and self.steps == other.steps
+        return self._verdict() == other._verdict() and self.steps == other.steps
+
+    def _verdict(self) -> tuple:
+        return (
+            self.normal_form, self.target, self.isomorphic_forms, self.warnings,
+            self.step_kinds,
+        )
 
     @cached_property
     def steps(self) -> tuple[GaugeMap, ...]:
@@ -502,7 +507,13 @@ def formal_normal_form(p: PreNormalForm) -> Classification:
 
 
 def _normalize_unit_family(p: PreNormalForm) -> Classification:
-    """f = 1: kill the z-tail constants of b2 by the triangular recursion."""
+    """f = 1: kill the z-tail constants of b2 by the triangular recursion.
+
+    The gauge is checked on t-order min(nt, 3): b2 = -t2/2 + sum c_k z^k
+    makes every entry of the structure and of the target affine in t2
+    (B.d = -z/4, B.e = z b2), and the gauge is t2-free, so the t2-columns
+    from 2 on are zero on both sides; 3 is the least t-order on which
+    ``build_prenormal_struct``'s same-order d/dt2 is exact."""
     nz, nt = p.orders
     target_b20 = TSeries.var(nt).scale(_NEG_HALF)
     head = p.b2[0].const - target_b20
@@ -516,7 +527,6 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
         cks.append(ck[0])
     c0 = cks[0]
     nfid = NormalFormId("F1", {"c": p.c, "alpha": p.alpha, "c0": c0})
-    target = normal_form_prenormal(nfid, nz, nt)
     # gauge recursion: tau1^{(0)} = 1, then for n = 1, 2, ... one dot each
     #   tau1^{(n-1)} = -(1/(n-1)) sum_{l=2..n} tau2^{(n-l)} c_{l-1}   (n >= 2)
     #   tau2^{(n-1)} = -(1/(n-1/2)) sum_{l=1..n} tau1^{(n-l)} c_l
@@ -527,14 +537,21 @@ def _normalize_unit_family(p: PreNormalForm) -> Classification:
         if n > 1:
             tau1.append(dot(tau2[::-1], diffs[1:n], -ONE / integer(n - 1)))
         tau2.append(dot(tau1[::-1], diffs[1 : n + 1], -ONE / (integer(n) - HALF)))
-    gauge = unit_family_gauge(TSeries(tuple(tau1)), TSeries(tuple(tau2)), nt)
-    out = apply_gauge(build_prenormal_struct(p), gauge)
-    if out != build_prenormal_struct(target):
+    tau1s, tau2s = TSeries(tuple(tau1)), TSeries(tuple(tau2))
+    w = min(nt, 3)
+    cut = PreNormalForm(p.f.truncate(nz - 1, w), p.b2.truncate(nz, w), p.c, p.alpha)
+    out = apply_gauge(build_prenormal_struct(cut), unit_family_gauge(tau1s, tau2s, w))
+    if out != build_normal_form(nfid, nz, w):
         raise FlatnessError("normalizing gauge failed to reach the target")
     partners = _sign_flip_partners(nfid)
     warnings = () if partners else ("zero-parameter boundary: lone member of its class",)
-    steps = () if gauge.tmat == Mat2.identity(nz, nt) else (gauge,)
-    return Classification(nfid, target, partners, warnings, lambda: steps)
+    kinds = () if tau1s == TSeries.one(nz) and tau2s.is_zero() else ("gauge",)
+
+    def build_steps() -> tuple[GaugeMap, ...]:
+        return (unit_family_gauge(tau1s, tau2s, nt),) if kinds else ()
+
+    target = normal_form_prenormal(nfid, nz, nt)
+    return Classification(nfid, target, partners, warnings, kinds, build_steps)
 
 
 def _normalize_monomial_family(p: PreNormalForm, r: int) -> Classification:
@@ -677,7 +694,7 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
         top = next(
             (m for m in range(1, nz) if odekit.third_der_resonance(integer(m), rows[0])), 0
         )
-    out, _tau1, _tau2, mu, res_order = _zero_family_recursion(rows[: top + 1], shape)
+    out, tau1, tau2, mu, res_order = _zero_family_recursion(rows[: top + 1], shape)
     out += [(ZERO, ZERO, ZERO)] * (nz - len(out))
     # step 3: rescale the resonant coefficient to 1 for the bare shapes;
     # the t2^2 z^lam monomial scales by k/d, the z^{-lam} constant by d/k
@@ -693,18 +710,24 @@ def _normalize_zero_family(p: PreNormalForm) -> Classification:
     # (nt_out >= 3 holds them whole) and c, alpha compares the data
     if (out, p.c, p.alpha) != (_quad_rows(target.b2, nt_out), target.c, target.alpha):
         raise FlatnessError("zero-family normalization missed its target")
+    # past the resonant order each z-order m solves m x + b'x - b x' = g
+    # uniquely; with the earlier x zero, g is minus the row, so the
+    # whole-window gauge is the identity exactly when the verdict's is and
+    # every row past top is zero
+    tail = rows[top + 1 :]
+    gauged = not _is_identity(tau1, tau2) or tail != [(ZERO, ZERO, ZERO)] * len(tail)
+    kinds = ("base map",) * len(moves) + ("gauge",) * gauged + ("base map",) * (scale is not None)
 
     def build_steps() -> tuple[GaugeMap, ...]:
         steps = [_mobius_gauge(*m, nz, nt - i) for i, m in enumerate(moves)]
-        _out, tau1, tau2, _mu, _res = _zero_family_recursion(rows, shape)
-        gauge = _recursion_gauge(tau1, tau2, nt2)
-        if gauge is not None:
-            steps.append(gauge)
+        if gauged:
+            _out, tau1, tau2, _mu, _res = _zero_family_recursion(rows, shape)
+            steps.append(_recursion_gauge(tau1, tau2, nt2))
         if scale is not None:
             steps.append(_mobius_gauge(*scale, nz, nt2))
         return tuple(steps)
 
-    return Classification(nfid, target, partners, tuple(warnings), build_steps)
+    return Classification(nfid, target, partners, tuple(warnings), kinds, build_steps)
 
 
 def _zero_family_recursion(
@@ -774,13 +797,13 @@ def _zero_family_recursion(
     return b2_out, tau1, tau2, mono_mu, res_order
 
 
-def _recursion_gauge(
-    tau1: list[Scalar], tau2: list[odekit.Quad], nt: int
-) -> GaugeMap | None:
-    """The gauge of the recursion's tau1 and tau2 on t-order nt, or None
-    when it is the identity (tau1 = 1, tau2 = 0)."""
-    if all(c.is_zero() for c in tau1[1:]) and all(c.is_zero() for x in tau2 for c in x):
-        return None
+def _is_identity(tau1: list[Scalar], tau2: list[odekit.Quad]) -> bool:
+    """Whether the recursion's tau1 is 1 and its tau2 zero."""
+    return all(c.is_zero() for c in tau1[1:]) and all(c.is_zero() for x in tau2 for c in x)
+
+
+def _recursion_gauge(tau1: list[Scalar], tau2: list[odekit.Quad], nt: int) -> GaugeMap:
+    """The gauge of the recursion's tau1 and tau2 on t-order nt."""
     return zero_family_gauge(
         TSeries(tuple(tau1)),
         ZTSeries.from_zcoeffs([TSeries.of(x, nt) for x in tau2], len(tau1)),

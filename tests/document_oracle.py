@@ -9,6 +9,9 @@ writes rows from their numerators; the tests check it against these.
 ``flat_plane_from_json`` is the plane reader that came between: it flattens
 every plane and counts its "0" literals, where the package now skips the
 all-"0" rows whole; its structures and its error texts are the package's.
+``slotwise_zt_from_json`` reads a component with it after checking the type
+and length of every z-slot, where the package now finds the all-"0" slots
+in one comparison each and checks and reads only the others.
 """
 
 from __future__ import annotations
@@ -69,3 +72,20 @@ def flat_plane_from_json(rows: list[list], nt: int, where: str) -> Plane:
     entries = [(i, c.a * (den // c.d), c.b * (den // c.d)) for i, c in zip(live, cs)]
     return Plane._at(len(rows), nt, entries, den)
 
+
+
+def slotwise_zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
+    if not isinstance(data, list) or len(data) != nz:
+        raise DocumentError("z-coefficient array has the wrong length")
+    for entry in data:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise DocumentError("each z-slot must be [const, slope]")
+        for row in entry:
+            if not isinstance(row, list) or len(row) != nt:
+                raise DocumentError("coefficient array has the wrong length")
+    return ZTSeries._of(
+        AffinePoly1(
+            flat_plane_from_json([e[0] for e in data], nt, f"{where} constant part"),
+            flat_plane_from_json([e[1] for e in data], nt, f"{where} t1-slope"),
+        )
+    )

@@ -35,6 +35,11 @@ built every gauge before it returned.  The package runs the recursion
 only up to the resonant z-order for its verdict, and builds the gauges
 when ``steps`` is first read.
 
+The f = 1 normalizer once checked its gauge on the full window and built
+it before it returned (``normalize_unit_family``); the package checks it
+on t-order min(nt, 3), where every entry is affine in t2, and builds the
+full-window gauge when ``steps`` is first read.
+
 The pre-normal structure and the origin restriction were once built from
 copies: f shifted up a z-order and b2 differentiated at the same order and
 shifted by z and z^2 (``prenormal_struct``), and b2's first two
@@ -52,12 +57,13 @@ from connexa.origin import OriginRestriction
 from connexa.errors import FlatnessError, ShapeError, T1DegreeError
 from connexa.formalnf import (  # bound here, so a test's monkeypatch passes them by
     Classification,
+    NormalFormId,
     PreNormalForm,
     _zero_family_recursion,
     build_prenormal_struct,
     normal_form_prenormal,
 )
-from connexa.scalars import HALF, ONE, ZERO, S, Scalar, dot
+from connexa.scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
 from connexa.series import Plane, TSeries, ZTSeries, plane_dot
 from plane_oracle import at_t0, derivative, derivative_exact, dt, each, mul_z, z_times, zdz
 
@@ -273,14 +279,50 @@ def zero_family_recursion(p: PreNormalForm, shape: str):
     data."""
     nt = p.orders[1]
     rows, tau1, tau2, mu, res_order = _zero_family_recursion(quad_rows(p.b2, nt), shape)
-    gauge = formalnf._recursion_gauge(tau1, tau2, nt)
+    gauge = None
+    if not formalnf._is_identity(tau1, tau2):
+        gauge = formalnf._recursion_gauge(tau1, tau2, nt)
     return prenormal_of(rows, nt, p.c, p.alpha), gauge, mu, res_order
 
 
 def _classification(nfid, steps, target, partners, warnings) -> Classification:
-    """A classification whose steps were built before it."""
+    """A classification whose steps were built before it, and whose step
+    kinds are read off them."""
     steps = tuple(steps)
-    return Classification(nfid, target, partners, tuple(warnings), lambda: steps)
+    kinds = tuple("base map" if g.lam is not None else "gauge" for g in steps)
+    return Classification(nfid, target, partners, tuple(warnings), kinds, lambda: steps)
+
+
+def normalize_unit_family(p: PreNormalForm) -> Classification:
+    """The f = 1 normalizer with its gauge built and checked on p's full
+    window; ``formalnf.unit_family_gauge`` is read at call time, so a
+    test's monkeypatch reaches it."""
+    nz, nt = p.orders
+    head = p.b2[0].const - TSeries.var(nt).scale(_NEG_HALF)
+    if not head.is_constant():
+        raise ShapeError("b2 + t2/2 must be constant at z-order 0")
+    cks = [head[0]]
+    for k in range(1, nz):
+        ck = p.b2[k].const
+        if not ck.is_constant():
+            raise ShapeError("b2 z-coefficients must be constants for f = 1")
+        cks.append(ck[0])
+    nfid = NormalFormId("F1", {"c": p.c, "alpha": p.alpha, "c0": cks[0]})
+    target = normal_form_prenormal(nfid, nz, nt)
+    diffs = [ZERO] + cks[1:]
+    tau1 = [ONE]
+    tau2: list[Scalar] = []
+    for n in range(1, nz + 1):
+        if n > 1:
+            tau1.append(dot(tau2[::-1], diffs[1:n], -ONE / integer(n - 1)))
+        tau2.append(dot(tau1[::-1], diffs[1 : n + 1], -ONE / (integer(n) - HALF)))
+    gauge = formalnf.unit_family_gauge(TSeries(tuple(tau1)), TSeries(tuple(tau2)), nt)
+    if apply_gauge(build_prenormal_struct(p), gauge) != build_prenormal_struct(target):
+        raise FlatnessError("normalizing gauge failed to reach the target")
+    partners = formalnf._sign_flip_partners(nfid)
+    warnings = () if partners else ("zero-parameter boundary: lone member of its class",)
+    steps = () if gauge.tmat == Mat2.identity(nz, nt) else (gauge,)
+    return _classification(nfid, steps, target, partners, warnings)
 
 
 def normalize_zero_family(p: PreNormalForm) -> Classification:

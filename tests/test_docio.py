@@ -211,6 +211,20 @@ def test_fixture_documents_match_row_oracle(nz, nt):
                     assert _fields(p) == _fields(q), (name, m, c)
 
 
+def _component(read, *args):
+    """The planes' fields ``read`` makes of a component, or its error text."""
+    try:
+        z = read(*args)
+    except DocumentError as exc:
+        return str(exc)
+    return _fields(z.planes.const), _fields(z.planes.slope)
+
+
+def _package_plane(rows, nt, where):
+    """``docio._plane_from_json`` on every row of ``rows``, keyed by its z-order."""
+    return docio._plane_from_json(list(enumerate(rows)), len(rows), nt, where)
+
+
 def _read(read, rows, nt):
     """The plane ``read`` makes of ``rows``, or the error it raises."""
     try:
@@ -247,7 +261,7 @@ def test_zero_rows_between_live_rows_match_the_flat_reader(tmp_path):
                     if k is not None:
                         case[k][n] = value
                     want = _read(document_oracle.flat_plane_from_json, case, nt)
-                    assert _read(docio._plane_from_json, case, nt) == want, case
+                    assert _read(_package_plane, case, nt) == want, case
                     if isinstance(want, str):
                         refused += 1
                         doc = copy.deepcopy(BASE)
@@ -596,6 +610,62 @@ def test_components_near_the_zero_block_keep_their_verdict(tmp_path, name):
         assert (code, err) == (0, "")
     else:
         assert (code, out, err) == (2, "", f"parse error: {refusal}\n")
+    # the reader gives both oracles' component, or their refusal text
+    got = _component(docio._zt_from_json, value, 3, 3, "A2.e")
+    assert got == _component(document_oracle.slotwise_zt_from_json, value, 3, 3, "A2.e")
+    assert got == _component(document_oracle._zt_from_json, value, 3, 3)
+
+
+@st.composite
+def components_with_zero_slots(draw):
+    """A component of all-"0" slots among slots from ``components``, some
+    of the wrong type or length: which slots are checked and read must not
+    change which refusal comes first."""
+    data, nz, nt = draw(components())
+    zero = [["0"] * nt, ["0"] * nt]
+    odd = st.sampled_from([zero[:1], zero * 2, "0", None, [["0"] * (nt + 1), zero[1]]])
+    slots = [draw(st.sampled_from([zero, zero, slot]) | odd) for slot in data]
+    return slots, len(slots), nt
+
+
+@given(components_with_zero_slots())
+@settings(max_examples=300, deadline=None)
+def test_reader_refuses_as_the_slotwise_reader(case):
+    data, nz, nt = case
+    got = _component(docio._zt_from_json, data, nz, nt, "A1.c1")
+    assert got == _component(document_oracle.slotwise_zt_from_json, data, nz, nt, "A1.c1")
+
+
+def _pool_documents(monkeypatch):
+    """The benchmark's malgrange documents, printed by the CLI at (64, 64)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    docs = []
+    for argv in workloads.fixture_pool()["malgrange"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + ["--order-z", "64", "--order-t", "64"]) == 0
+        docs.append(json.loads(out.getvalue()))
+    return docs
+
+
+def test_reader_matches_the_oracles_on_fixture_and_pool_documents(monkeypatch):
+    # every component of every fixture and malgrange pool document at
+    # (64, 64), cut to every window (n, n) up to 16 and four beyond, reads
+    # as the slot-wise reader reads it, field for field, and up to 8 as the
+    # row-wise reader does
+    docs = [structure_to_document(build_fixture(n, 64, 64)) for n in fixture_names()]
+    docs += _pool_documents(monkeypatch)
+    comps = [c for doc in docs for mat in doc["matrices"].values() for c in mat.values()]
+    assert len(comps) == 12 * 33
+    for n in [*range(1, 17), 24, 32, 48, 64]:
+        for comp in comps:
+            data = [[row[:n] for row in slot] for slot in comp[:n]]
+            got = _component(docio._zt_from_json, data, n, n, "A1.c1")
+            assert got == _component(document_oracle.slotwise_zt_from_json, data, n, n, "A1.c1")
+            if n <= 8:
+                assert got == _component(document_oracle._zt_from_json, data, n, n)
 
 
 # -- the writer ---------------------------------------------------------------

@@ -43,7 +43,7 @@ from connexa.formalnf import (
     _SHAPE_B20,
     _quad_coeffs,
 )
-from connexa.fixtures import build_fixture, fixture_names
+from connexa.fixtures import FIXTURES, build_fixture, fixture_names
 from connexa.scalars import HALF, ONE, S, ZERO, Scalar, integer
 from connexa.selftest import (
     _rand_nonzero,
@@ -817,10 +817,15 @@ def test_zero_family_recursion_matches_rebuilt(monkeypatch):
     for s in structures:
         p = to_prenormal(s)[0]
         calls.clear()
-        formal_normal_form(p).steps
-        # the verdict's recursion, then the steps' over the whole window
-        assert len(calls) == 2 and calls[1][0] == p.orders[0]
-        whole.append(calls[1][1])
+        cls = formal_normal_form(p)
+        cls.steps
+        # the verdict's recursion, then the steps' over the whole window,
+        # which runs only when the verdict names a gauge among the steps
+        gauge = "gauge" in cls.step_kinds
+        assert len(calls) == 1 + gauge
+        if gauge:
+            assert calls[1] == (p.orders[0], True)
+        whole.append(gauge)
     assert len(whole) == len(structures) and sum(whole) >= 9
 
 
@@ -1044,6 +1049,7 @@ def _same_as_row_oracle(p, normalize=formalnf._normalize_zero_family):
     assert got.target == want.target
     assert got.isomorphic_forms == want.isomorphic_forms
     assert got.warnings == want.warnings
+    assert got.step_kinds == want.step_kinds
     return got
 
 
@@ -1155,6 +1161,17 @@ def test_every_row_mutant_is_refused_by_both(monkeypatch):
 # -- the verdict up to the resonant order, the steps on read ------------------
 
 
+def _kinds_of_steps(cls):
+    return tuple("base map" if g.lam is not None else "gauge" for g in cls.steps)
+
+
+def _with_zero_rows(p, start):
+    """f = 0 data p with its z-rows from ``start`` on set to zero."""
+    nz, nt = p.orders
+    rows = [p.b2[k].const if k < start else TSeries.zero(nt) for k in range(nz)]
+    return PreNormalForm(p.f, ZTSeries.from_zcoeffs(rows, nz), p.c, p.alpha)
+
+
 def _seeded_zero_family_inputs(rng):
     """Seeded f = 0 data on windows nz = 2 .. 7: heads of each shape, bare
     and needing a base change, with integral slopes resonant at each z-order
@@ -1189,22 +1206,35 @@ def _seeded_zero_family_inputs(rng):
 
 def test_zero_family_normalizer_matches_row_oracle_on_resonant_data():
     families, kinds, orders, gammas, warned = set(), set(), set(), set(), 0
+    tails = set()
     count = 0
     for p, kind, k in _seeded_zero_family_inputs(random.Random(3737)):
         got = _same_as_row_oracle(p, formal_normal_form)
         count += 1
         kinds.add(kind)
+        # the step kinds, as drawn, with the rows past the resonant order
+        # zeroed and with every row past z^0 zeroed: a gauge is named
+        # exactly when the verdict's recursion is not the identity or a
+        # later row is not zero
+        nz = p.orders[0]
+        top = k if k is not None and k < nz else 0
+        for q in (p, _with_zero_rows(p, top + 1), _with_zero_rows(p, 1)):
+            cls = got if q is p else _same_as_row_oracle(q, formal_normal_form)
+            if not isinstance(cls, tuple):
+                assert cls.step_kinds == _kinds_of_steps(cls)
+                tail = any(not q.b2[m].is_zero() for m in range(top + 1, nz))
+                tails.add((tail, "gauge" in cls.step_kinds))
         if isinstance(got, tuple):
             continue
         nfid = got.normal_form
         families.add(nfid.family)
-        nz = p.orders[0]
         if k is not None:
             orders.add((nz, min(k, nz)))  # k = nz: past the window
         if nfid.family == "NF3-5":
             gammas.add(nfid.params["gamma"].is_zero())
         warned += any("beyond the z-window" in w for w in got.warnings)
     assert count >= 200
+    assert tails == {(True, True), (False, True), (False, False)}
     assert families == {f"NF3-{i}" for i in range(1, 10)}
     assert {"g2", "g0", "quad"} <= kinds
     assert {(nz, k) for nz in range(2, 8) for k in range(1, nz + 1)} <= orders
@@ -1218,3 +1248,129 @@ def test_classifications_with_other_steps_are_not_equal():
     steps = c.steps
     assert c == dataclasses.replace(c, build_steps=lambda: steps)
     assert c != dataclasses.replace(c, build_steps=tuple)
+
+
+# -- step kinds, and the f = 1 check on t-order 3 -----------------------------
+
+
+def test_step_kinds_match_the_steps_on_fixtures():
+    classified = set()
+    for nz, nt in SMALL_WINDOWS:
+        for name in fixture_names():
+            cls = _outcome(
+                lambda: formal_normal_form(to_prenormal(build_fixture(name, nz, nt))[0])
+            )
+            if isinstance(cls, tuple):
+                continue
+            assert cls.step_kinds == _kinds_of_steps(cls), (name, nz, nt)
+            classified.add(name)
+    assert {"fminus1", "f1_r1", "nf3_1", "nf3_9"} <= classified
+
+
+def test_step_kinds_and_the_unit_family_check_on_criterion_2(monkeypatch):
+    families = []
+
+    def checked(p):
+        cls = formal_normal_form(p)
+        assert cls.step_kinds == _kinds_of_steps(cls)
+        if cls.normal_form.family == "F1":
+            assert cls == prenormal_oracle.normalize_unit_family(p)
+        families.append(cls.normal_form.family)
+        return cls
+
+    monkeypatch.setattr(selftest, "formal_normal_form", checked)
+    assert selftest.criterion_round_trip()[0]
+    assert len(families) == 50 and families.count("F1") == 10
+
+
+def _unit_family_data(rng, count):
+    """Seeded f = 1 data on z-orders 2 .. 16 and t-orders 2 .. 8: b2 =
+    -t2/2 + sum c_k z^k with no tail, a dense tail or a sparse one, and now
+    and then a z-coefficient that depends on t2."""
+    for i in range(count):
+        nz, nt = rng.randint(2, 16), rng.randint(2, 8)
+        fill = (0.0, 1.0, 0.3, 1.0)[i % 4]
+        rows = [TSeries.of([_rand_scalar(rng), -HALF], nt)]
+        rows += [
+            TSeries.of([_rand_scalar(rng) if rng.random() < fill else ZERO], nt)
+            for _ in range(nz - 1)
+        ]
+        if i % 4 == 3 and rng.random() < 0.5:
+            k = rng.randrange(nz)
+            rows[k] = rows[k] + TSeries.monomial(_rand_nonzero(rng), rng.randint(1, nt - 1), nt)
+        yield PreNormalForm(
+            ZTSeries.one(nz - 1, nt), ZTSeries.from_zcoeffs(rows, nz),
+            _rand_scalar(rng), _rand_scalar(rng),
+        )
+
+
+def _same_as_unit_oracle(p):
+    """The f = 1 normalizer and the full-window replay give the same
+    classification, steps field for field, or the same refusal."""
+    got = _outcome(formal_normal_form, p)
+    want = _outcome(prenormal_oracle.normalize_unit_family, p)
+    assert got == want
+    if not isinstance(got, tuple):
+        assert [(g.tmat, g.lam) for g in got.steps] == [(g.tmat, g.lam) for g in want.steps]
+        assert got.net_map == want.net_map
+    return got
+
+
+def _f1_fixture_data():
+    """The pre-normal data of the f = 1 fixtures at each small window."""
+    out = []
+    for nz, nt in SMALL_WINDOWS:
+        for name, nfid in FIXTURES.items():
+            if nfid.family == "F1":
+                p = _outcome(normal_form_prenormal, nfid, nz, nt)
+                if not isinstance(p, tuple):
+                    out.append(p)
+    return out
+
+
+def test_unit_family_check_on_t_order_3_matches_the_full_window_replay(monkeypatch):
+    fixtures = _f1_fixture_data()
+    seeded = list(_unit_family_data(random.Random(3838), 200))
+    outcomes = set()
+    for p in fixtures + seeded:
+        got = _same_as_unit_oracle(p)
+        outcomes.add(got[1] if isinstance(got, tuple) else got.step_kinds)
+    assert len(fixtures) >= 8
+    assert {(), ("gauge",), "b2 z-coefficients must be constants for f = 1",
+            "same-order derivative needs a vanishing top coefficient"} <= outcomes
+    # every one-coefficient mutant of tau1 or tau2, as the check builds its
+    # gauge: both checks refuse it with the same text, or both accept it,
+    # which they do only where the mutant moves nothing on the window: at
+    # the top z-order, and tau1 = 2 in place of the identity gauge
+    data = [p for p in fixtures + seeded[:40] if p.orders[1] >= 3 and p.orders[0] <= 10]
+    accepted = [_outcome(formal_normal_form, p) for p in data]
+    gauge = formalnf.unit_family_gauge
+    spot = []
+
+    def mutated(tau1, tau2, nt):
+        which, j = spot
+        taus = [tau1, tau2]
+        cs = list(taus[which].coeffs)
+        cs[j] = cs[j] + ONE
+        taus[which] = TSeries(tuple(cs))
+        return gauge(*taus, nt)
+
+    monkeypatch.setattr(formalnf, "unit_family_gauge", mutated)
+    mutants = refused = 0
+    for p, cls in zip(data, accepted):
+        if isinstance(cls, tuple):
+            continue
+        nz = p.orders[0]
+        for which in (0, 1):
+            for j in range(nz):
+                spot[:] = [which, j]
+                got = _outcome(formal_normal_form, p)
+                want = _outcome(prenormal_oracle.normalize_unit_family, p)
+                if isinstance(want, tuple):
+                    assert got == want
+                    refused += 1
+                else:
+                    assert not isinstance(got, tuple)
+                    assert j == nz - 1 or (which, j, cls.step_kinds) == (0, 0, ())
+                mutants += 1
+    assert mutants >= 180 and refused >= 130

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from connexa import odekit, series
+from connexa import cli, connmat, odekit, series
 from connexa.euler import EulerField, euler_normal_form, verify_normalization
-from connexa.formalnf import PreNormalForm, formal_normal_form
+from connexa.fixtures import FIXTURES, build_fixture
+from connexa.formalnf import PreNormalForm, formal_normal_form, to_prenormal
 from connexa.scalars import ZERO
 from connexa.series import TSeries, ZTSeries
 
@@ -177,3 +178,38 @@ def test_zero_family_verdict_solves_up_to_the_resonant_order(monkeypatch):
         cls.steps, cls.steps, cls.net_map
         assert solves[0] - before == (0 if head == [0] else nz - 1), head
     assert families == {f"NF3-{i}" for i in range(1, 10)}
+
+
+def test_formal_nf_on_the_f0_fixtures_builds_no_gauge(monkeypatch, capsys):
+    """formal-nf logs the verdict's step kinds: on each f = 0 fixture it
+    constructs no gauge and solves only the z-orders the verdict solves,
+    up to the resonant order |lam| of an integral slope."""
+    gauges, solves = [0], [0]
+    post_init = connmat.GaugeMap.__post_init__
+    solve = odekit.solve_third_der
+
+    def counted_post_init(self):
+        gauges[0] += 1
+        post_init(self)
+
+    def counted_solve(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(connmat.GaugeMap, "__post_init__", counted_post_init)
+    monkeypatch.setattr(odekit, "solve_third_der", counted_solve)
+    resonant = {}
+    for name, nfid in FIXTURES.items():
+        if not nfid.family.startswith("NF3"):
+            continue
+        lam = nfid.params.get("lam")
+        solves[0] = 0
+        formal_normal_form(to_prenormal(build_fixture(name, 16, 16))[0])
+        verdict = solves[0]
+        assert verdict == (abs(lam.as_int()) if lam is not None and lam.is_integer() else 0)
+        gauges[0] = solves[0] = 0
+        assert cli.main(["formal-nf", name]) == 0
+        assert (gauges[0], solves[0]) == (0, verdict), name
+        resonant[name] = verdict
+    capsys.readouterr()
+    assert len(resonant) == 9 and sorted(resonant.values()) == [0, 0, 0, 0, 1, 1, 1, 2, 2]

@@ -903,7 +903,7 @@ def _zero_windows(rnd, nz, nt):
         Plane.zero(nz, nt),
         a - a,
         a.scale(ZERO),
-        docio._plane_from_json([["0"] * nt] * nz, nt, "A1.c1 constant part"),
+        docio._plane_from_json(list(enumerate([["0"] * nt] * nz)), nz, nt, "A1.c1 constant part"),
         Plane._ints(nz, nt, [0] * n, [0] * n, 6),
     ]
     if nz == 1:
@@ -983,7 +983,7 @@ def test_zero_windows_record_their_support():
         Plane.zero(3, 4),
         TSeries.zero(5),
         ZTSeries.zero(2, 3).planes.slope,
-        docio._plane_from_json([["0"] * 4] * 2, 4, "A1.c1 constant part"),
+        docio._plane_from_json(list(enumerate([["0"] * 4] * 2)), 2, 4, "A1.c1 constant part"),
         Plane.of_rows([TSeries.of([1, 2], 2)]).scale(ZERO),
     ):
         assert z._support == [] and z.is_zero()
