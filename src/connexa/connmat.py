@@ -25,7 +25,7 @@ from .errors import (
     T1DegreeError,
 )
 from .scalars import HALF, ONE, ZERO, Scalar, dot
-from .series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot, t2_powers
+from .series import Plane, TSeries, ZTSeries, plane_dot, t2_powers
 
 # The product table per output coordinate of (c1, c2, d, e), as
 # (denominator, ((m, x, y), ...)) for sum m a_x b_y / denominator; e.g.
@@ -182,14 +182,11 @@ class Mat2:
         t1-constant plane and one for the t1-slope plane."""
         if self.orders != o.orders:
             raise OrderMismatchError(f"orders {self.orders} and {o.orders} differ")
-        a, b = self.planes(), o.planes()
+        a = (self.c1, self.c2, self.d, self.e)
+        b = (o.c1, o.c2, o.d, o.e)
         if _t1_squared([p.slope for p in a], [p.slope for p in b]):
             raise T1DegreeError("product exceeds degree 1 in t1")
         return _fused(_PRODUCT, a, b, _NO_LINEAR, *self.orders)
-
-    def planes(self) -> list[AffinePoly1]:
-        """The planes of (c1, c2, d, e)."""
-        return [c.planes for c in (self.c1, self.c2, self.d, self.e)]
 
     # -- queries ------------------------------------------------------------
 
@@ -242,16 +239,16 @@ class Mat2:
             raise T1DegreeError("only t1-free matrices are inverted")
         if ConstMat(*self.const_term()).det().is_zero():
             raise NotInvertibleError("constant term is singular")
-        c1, c2, d, e = (c.planes.const for c in (self.c1, self.c2, self.d, self.e))
+        c1, c2, d, e = (c.const for c in (self.c1, self.c2, self.d, self.e))
         det = plane_dot([(1, c1, c1), (-1, d, d), (-1, c2, e)], *self.orders)
-        q = ZTSeries._of(AffinePoly1(det, self.c1.planes.slope)).invert()
+        q = ZTSeries(det, self.c1.slope).invert()
         nq = -q
         return Mat2(self.c1 * q, self.c2 * nq, self.d * nq, self.e * nq)
 
 
 def _fused(table, a, b, linear, nz: int, nt: int) -> Mat2:
     """Per coordinate of ``table`` (rows as in ``_PRODUCT``), sum m a_x b_y
-    over the planes a and b of two matrices plus the terms linear[i] =
+    over the components a and b of two matrices plus the terms linear[i] =
     (t1-constant terms, t1-slope terms) of coordinate i, as one plane_dot
     per t1-part on the nz x nt window.  The linear terms are plane_dot's,
     read in place, and a and b may be larger than the window."""
@@ -260,9 +257,7 @@ def _fused(table, a, b, linear, nz: int, nt: int) -> Mat2:
         const = [*lin_const, *((m, a[x].const, b[y].const) for m, x, y in terms)]
         slope = [*lin_slope, *((m, a[x].const, b[y].slope) for m, x, y in terms)]
         slope += [(m, a[x].slope, b[y].const) for m, x, y in terms]
-        out.append(ZTSeries._of(AffinePoly1(
-            plane_dot(const, nz, nt, div), plane_dot(slope, nz, nt, div)
-        )))
+        out.append(ZTSeries(plane_dot(const, nz, nt, div), plane_dot(slope, nz, nt, div)))
     return Mat2(*out)
 
 
@@ -350,7 +345,7 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
     """
     nz, nt = s.orders
     ntr = nt - 1
-    a1, a2, b = s.A1.planes(), s.A2.planes(), s.B.planes()
+    a1, a2, b = ((m.c1, m.c2, m.d, m.e) for m in (s.A1, s.A2, s.B))
     lin_t = [
         ([(1, q.slope, -1, 0, None), (-1, p.const, -1, 1, "n")],
          [(-1, p.slope, -1, 1, "n")])
@@ -369,7 +364,7 @@ def flatness_residuals(s: TEStruct) -> FlatnessReport:
 def _pole_residual(zdb, a, b, nz: int, nt: int) -> Mat2:
     """R_z,i = z di(B) - z^2 dz(A_i) + z A_i + [A_i, B] on the nz x nt
     window, given the linear terms of z di(B) per coordinate and t1-part
-    and the planes of A_i and B."""
+    and the components of A_i and B."""
 
     def linear(p):  # one t1-part of -z^2 dz(A_i) + z A_i
         return [(-1, p, -1, 0, "k"), (1, p, -1, 0, None)]
@@ -467,9 +462,8 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
         a1, a2, b = (m.truncate(nz, ntr).compose_t2(lam_r) for m in (a1, a2, b))
         a2 = a2.map(lambda c: c.mul_t(lam_dot))
     tinv_r = t.truncate(nz, ntr).inverse()
-    tp = t.planes()
-    zero = Plane.zero(nz, ntr)
-    no_c1 = AffinePoly1(zero, zero)
+    tp = (t.c1, t.c2, t.d, t.e)
+    no_c1 = ZTSeries.zero(nz, ntr)
 
     def z_d(dn: int, by: str):
         """z d2(T) (dn = 1, by "n") or z^2 dz(T) (dn = 0, by "k") as linear
@@ -479,7 +473,7 @@ def apply_gauge(s: TEStruct, g: GaugeMap) -> TEStruct:
 
     def conj(m: Mat2, linear) -> Mat2:
         """T^{-1}(linear + m T), with m's C1 part added back unconjugated."""
-        y = tinv_r * _fused(_PRODUCT, [no_c1, *m.planes()[1:]], tp, linear, nz, ntr)
+        y = tinv_r * _fused(_PRODUCT, (no_c1, m.c2, m.d, m.e), tp, linear, nz, ntr)
         return Mat2(m.c1.truncate(nz, ntr) + y.c1, y.c2, y.d, y.e)
 
     return TEStruct(

@@ -18,7 +18,7 @@ from typing import Any
 from .connmat import Mat2, TEStruct
 from .errors import DocumentError
 from .scalars import Scalar, integer
-from .series import MAX_ORDER, AffinePoly1, Plane, ZTSeries, _scalar
+from .series import MAX_ORDER, Plane, ZTSeries, _scalar
 
 FORMAT_TAG = "connexa-structure/1"
 
@@ -62,8 +62,7 @@ def _plane_to_json(p: Plane) -> list[list[str]]:
 
 
 def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
-    p = z.planes
-    return [list(slot) for slot in zip(_plane_to_json(p.const), _plane_to_json(p.slope))]
+    return [list(slot) for slot in zip(_plane_to_json(z.const), _plane_to_json(z.slope))]
 
 
 # Coefficient arrays of plain integers, joined with ",": the integer
@@ -141,15 +140,13 @@ def _zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
         for row in entry:
             if not isinstance(row, list) or len(row) != nt:
                 raise DocumentError("coefficient array has the wrong length")
-    return ZTSeries._of(
-        AffinePoly1(
-            _plane_from_json(
-                [(k, e[0]) for k, e in zip(ks, slots)], nz, nt, f"{where} constant part"
-            ),
-            _plane_from_json(
-                [(k, e[1]) for k, e in zip(ks, slots)], nz, nt, f"{where} t1-slope"
-            ),
-        )
+    return ZTSeries(
+        _plane_from_json(
+            [(k, e[0]) for k, e in zip(ks, slots)], nz, nt, f"{where} constant part"
+        ),
+        _plane_from_json(
+            [(k, e[1]) for k, e in zip(ks, slots)], nz, nt, f"{where} t1-slope"
+        ),
     )
 
 

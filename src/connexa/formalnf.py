@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scalars import HALF, ONE, ZERO, S, Scalar, dot, integer
 from .series import (
-    AffinePoly1,
     Plane,
     TSeries,
     ZTSeries,
@@ -117,15 +116,15 @@ def build_prenormal_struct(p: PreNormalForm) -> TEStruct:
     components are exact at full order.
     """
     nz, nt = p.b2.orders
-    b2 = p.b2.planes.const
+    b2 = p.b2.const
     _refuse_top_column(b2)
     zero = ZTSeries.zero(nz, nt)
-    fz = plane_dot([(1, p.f.planes.const, -1, 0, None)], nz, nt)
+    fz = plane_dot([(1, p.f.const, -1, 0, None)], nz, nt)
     bd = plane_dot([(-1, b2, -1, 1, "n"), (-1, TSeries.one(1), -1, 0, None)], nz, nt, 2)
     be = plane_dot([(1, fz, b2), (1, bd, -1, 1, "n")], nz, nt)
     c1 = (
         -ZTSeries.t1(nz, nt)
-        + ZTSeries.const(p.c, nz, nt)
+        + ZTSeries.from_tpoly(TSeries.const(p.c, nt), nz)
         + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
     )
     a2 = Mat2(zero, ZTSeries.one(nz, nt), zero, _t1_free(fz))
@@ -142,7 +141,7 @@ def _refuse_top_column(p: Plane):
 
 
 def _t1_free(p: Plane) -> ZTSeries:
-    return ZTSeries._of(AffinePoly1(p, Plane.zero(p.nz, p.nt)))
+    return ZTSeries(p, Plane.zero(p.nz, p.nt))
 
 
 def _is_unit(a: Plane, sign: int) -> bool:
@@ -164,7 +163,7 @@ def _validate_t1_profile(s: TEStruct):
     for comp in (s.B.c2, s.B.d, s.B.e):
         if not comp.is_t1_free():
             raise T1DegreeError("B carries t1 outside its C1 component")
-    if s.kind == "TE" and not _is_unit(s.B.c1.planes.slope, -1):
+    if s.kind == "TE" and not _is_unit(s.B.c1.slope, -1):
         raise ShapeError("B's C1 component must have t1 slope -1")
 
 
@@ -177,7 +176,7 @@ def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
     _validate_t1_profile(s)  # so every A-matrix slope below is zero
     a1, a2 = s.A1, s.A2
     if not (
-        _is_unit(a1.c1.planes.const, 1)
+        _is_unit(a1.c1.const, 1)
         and a1.c2.is_zero()
         and a1.d.is_zero()
         and a1.e.is_zero()
@@ -186,17 +185,17 @@ def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
     if (
         not a2.c1.is_zero()
         or not a2.d.is_zero()
-        or not _is_unit(a2.c2.planes.const, 1)
+        or not _is_unit(a2.c2.const, 1)
     ):
         raise ShapeError("A2 must be C2 + z f E")
-    if not _z0_row_vanishes(a2.e.planes.const):
+    if not _z0_row_vanishes(a2.e.const):
         raise ShapeError("A2's E component must be divisible by z")
     if s.orders[0] < 2:
         raise ShapeError("need z-order at least 2")
     f = a2.e.div_z()  # exact to z-order nz - 1
     b2 = s.B.c2
     b1_zt = s.B.c1
-    if not b1_zt.planes.const.is_constant():
+    if not b1_zt.const.is_constant():
         raise ShapeError("B's C1 part must not depend on t2")
     b1 = b1_zt.at_origin()
     return f, b2, b1
@@ -240,8 +239,8 @@ def _validate_against(s: TEStruct, p: PreNormalForm):
     """
     nz, nt = s.orders
     w = (nz - 1, nt - 1)
-    bd, be = s.B.d.planes.const, s.B.e.planes.const
-    f, b2 = p.f.planes.const, p.b2.planes.const
+    bd, be = s.B.d.const, s.B.e.const
+    f, b2 = p.f.const, p.b2.const
     # 2 b3 + d2 b2 + 1
     if not _z0_row_vanishes(bd) or not plane_dot(
         [(2, bd, 1, 0, None), (1, b2, 0, 1, "n"), (1, TSeries.one(1), 0, 0, None)], *w
@@ -437,10 +436,9 @@ def zero_family_gauge(tau1: TSeries, tau2: ZTSeries) -> GaugeMap:
     one ``plane_dot`` over the plane before it: a gauge automorphism of the
     f = 0 family (A2 = C2)."""
     nz, nt = tau2.orders
-    t = tau2.planes
-    _refuse_top_column(t.const)
-    _refuse_top_column(t.slope)
-    d = plane_dot([(-1, t.const, -1, 1, "n")], nz, nt, 2)
+    _refuse_top_column(tau2.const)
+    _refuse_top_column(tau2.slope)
+    d = plane_dot([(-1, tau2.const, -1, 1, "n")], nz, nt, 2)
     e = plane_dot([(1, d, -1, 1, "n")], nz, nt)
     return GaugeMap(
         Mat2(ZTSeries.from_zseries(tau1, nz, nt), tau2, _t1_free(d), _t1_free(e))
@@ -641,7 +639,7 @@ def _quad_rows(b2: ZTSeries, nt: int) -> list[odekit.Quad]:
     """The z-coefficients of b2 on t-order nt, each read as a triple off
     the support of b2's constant plane; entries at t2^n, n >= nt, are
     not read."""
-    a = b2.planes.const
+    a = b2.const
     rows = [(ZERO, ZERO, ZERO)] * a.nz
     for k, row in a.support():
         quad = [ZERO, ZERO, ZERO]
@@ -819,7 +817,6 @@ def _zero_family_id(
     warnings: list[str],
 ) -> tuple[NormalFormId, tuple[NormalFormId, ...]]:
     base = {"c": p.c, "alpha": p.alpha}
-    nz = p.orders[0]
     if shape == "zero":
         return NormalFormId("NF3-1", base), ()
     if shape == "square":
@@ -827,7 +824,7 @@ def _zero_family_id(
     if shape == "one":
         return NormalFormId("NF3-4", {**base, "lam": ZERO}), ()
     resonant = lam.is_integer() and not lam.is_zero()
-    if resonant and res_order is None and abs(lam.as_int()) > nz - 2:
+    if resonant and res_order is None:
         warnings.append(
             "resonant order beyond the z-window; tail coefficient reported as 0"
         )

@@ -187,7 +187,7 @@ def malgrange_connection(
     binf = st.binf
     b = Mat2(
         -ZTSeries.t1(nz, nt)
-        + ZTSeries.const(c, nz, nt)
+        + ZTSeries.from_tpoly(TSeries.const(c, nt), nz)
         + ZTSeries.z_monomial(binf.c1, 1, nz, nt),
         ZTSeries.from_tpoly(y, nz) + ZTSeries.z_monomial(binf.c2, 1, nz, nt),
         ZTSeries.from_tpoly(xy, nz) + ZTSeries.z_monomial(binf.d, 1, nz, nt),

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .formalnf import PreNormalForm
 from .scalars import HALF, ONE, QUARTER, ZERO, Scalar, dot, integer
-from .series import Laurent, TSeries, ZTSeries
+from .series import Laurent, TSeries
 
 _NEG_HALF = -HALF
 
@@ -37,19 +37,6 @@ class OriginRestriction:
     c: Scalar
     alpha: Scalar
 
-    @staticmethod
-    def of(f: ZTSeries, b2: ZTSeries, c: Scalar, alpha: Scalar) -> OriginRestriction:
-        """The restriction of pre-normal data, A2 = C2 + z f E and B's C2
-        part b2: eta, lam and beta are b2 and its first two t2-derivatives
-        at t2 = 0, read as the t2-columns 0, 1 and 2 (times 2) of b2, and
-        gam is f there."""
-        if b2.nt < 3:
-            raise ShapeError("origin restriction needs t-order at least 3")
-        p = b2.planes.const
-        return OriginRestriction(
-            p.column(0), p.column(1), p.column(2).scale(integer(2)), f.at_origin(), c, alpha
-        )
-
     def window(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
         """(eta, lam, beta, gam) truncated to their common order."""
         series = (self.eta, self.lam, self.beta, self.gam)
@@ -67,10 +54,18 @@ class OriginRestriction:
 
 
 def restrict_prenormal(p: PreNormalForm) -> OriginRestriction:
-    """The origin restriction of pre-normal data, the one way into the
-    origin slice from a structure (through ``to_prenormal``); no structure
-    is rebuilt, so b2 need not be polynomial."""
-    return OriginRestriction.of(p.f, p.b2, p.c, p.alpha)
+    """The origin restriction of pre-normal data, A2 = C2 + z f E and B's
+    C2 part b2, the one way into the origin slice from a structure
+    (through ``to_prenormal``): eta, lam and beta are b2 and its first two
+    t2-derivatives at t2 = 0, read as the t2-columns 0, 1 and 2 (times 2)
+    of b2, and gam is f there.  No structure is rebuilt, so b2 need not be
+    polynomial."""
+    if p.b2.nt < 3:
+        raise ShapeError("origin restriction needs t-order at least 3")
+    b2 = p.b2.const
+    return OriginRestriction(
+        b2.column(0), b2.column(1), b2.column(2).scale(integer(2)), p.f.at_origin(), p.c, p.alpha
+    )
 
 
 # ---------------------------------------------------------------------------

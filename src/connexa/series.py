@@ -13,9 +13,8 @@ Three layers:
   ``TSeries`` or ``Plane`` coefficients.  Degree-1 truncation is an
   invariant of every structure in scope, so products that would create a
   t1^2 term raise.
-* ``ZTSeries`` -- truncated series in z and t2, stored as an
-  ``AffinePoly1`` of two ``Plane`` windows (the t1-constant part and the
-  t1-slope).
+* ``ZTSeries`` -- truncated series in z and t2: the ``AffinePoly1`` of
+  two ``Plane`` windows, the t1-constant part and the t1-slope.
 
 A series of order N stores exactly the coefficients 0..N-1 and every
 operation is exact on that window.  Binary operations require equal
@@ -653,7 +652,8 @@ class AffinePoly1:
     """const + t1 * slope; every matrix entry in scope is of this form.
 
     The coefficients are both TSeries (a z-coefficient of a ZTSeries, the
-    row ``zt[k]``) or both Planes (the whole ZTSeries).
+    row ``zt[k]``) or both Planes (a ZTSeries).  The ring operations build
+    the operand's own class, so on z-series they return a ZTSeries.
     """
 
     const: TSeries | Plane
@@ -665,10 +665,6 @@ class AffinePoly1:
                 f"orders {self.const.order} and {self.slope.order} differ"
             )
 
-    @property
-    def order(self):
-        return self.const.order
-
     def is_zero(self) -> bool:
         return self.const.is_zero() and self.slope.is_zero()
 
@@ -676,16 +672,16 @@ class AffinePoly1:
         return self.slope.is_zero()
 
     def __add__(self, other: AffinePoly1) -> AffinePoly1:
-        return AffinePoly1(self.const + other.const, self.slope + other.slope)
+        return type(self)(self.const + other.const, self.slope + other.slope)
 
     def __sub__(self, other: AffinePoly1) -> AffinePoly1:
-        return AffinePoly1(self.const - other.const, self.slope - other.slope)
+        return type(self)(self.const - other.const, self.slope - other.slope)
 
     def __neg__(self) -> AffinePoly1:
-        return AffinePoly1(-self.const, -self.slope)
+        return type(self)(-self.const, -self.slope)
 
     def scale(self, c: Scalar) -> AffinePoly1:
-        return AffinePoly1(self.const.scale(c), self.slope.scale(c))
+        return type(self)(self.const.scale(c), self.slope.scale(c))
 
     def __mul__(self, other: AffinePoly1) -> AffinePoly1:
         """const * const plus the one nonzero cross term; a zero slope is
@@ -696,10 +692,10 @@ class AffinePoly1:
             raise T1DegreeError("product exceeds degree 1 in t1")
         const = self.const * other.const
         if s_sl and o_sl:
-            return AffinePoly1(const, self.slope)
+            return type(self)(const, self.slope)
         if s_sl:
-            return AffinePoly1(const, self.const * other.slope)
-        return AffinePoly1(const, self.slope * other.const)
+            return type(self)(const, self.const * other.slope)
+        return type(self)(const, self.slope * other.const)
 
     def is_t2_free(self) -> bool:
         return self.const.is_constant() and self.slope.is_constant()
@@ -806,49 +802,26 @@ def t2_powers(lam: TSeries, rows: int) -> tuple[list[list[int]], list[list[int]]
     return re, [[y * (den // p.den) for y in p.im] for p in powers], den
 
 
-class ZTSeries:
+class ZTSeries(AffinePoly1):
     """Truncated series in z and t2, of degree at most one in t1.
 
-    Stored as one AffinePoly1 whose const and slope are nz x nt Planes, so
-    a product is two or three plane products behind AffinePoly1's t1 rule.
-    ``ZTSeries(rows)`` builds one from its z-coefficients, AffinePoly1
-    values of order-nt TSeries; ``zt[k]`` returns z-coefficient k.
+    The AffinePoly1 whose const and slope are nz x nt Planes, so the ring
+    operations are AffinePoly1's and a product is two or three plane
+    products behind its t1 rule.  ``zt[k]`` returns z-coefficient k, an
+    AffinePoly1 of order-nt TSeries.
     """
-
-    __slots__ = ("planes",)
-
-    def __init__(self, rows) -> None:
-        rows = list(rows)
-        self.planes = AffinePoly1(
-            Plane.of_rows([a.const for a in rows]),
-            Plane.of_rows([a.slope for a in rows]),
-        )
-
-    @staticmethod
-    def _of(planes: AffinePoly1) -> ZTSeries:
-        out = object.__new__(ZTSeries)
-        out.planes = planes
-        return out
 
     @property
     def nz(self) -> int:
-        return self.planes.const.nz
+        return self.const.nz
 
     @property
     def nt(self) -> int:
-        return self.planes.const.nt
+        return self.const.nt
 
     @property
     def orders(self) -> tuple[int, int]:
-        return self.planes.const.order
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZTSeries):
-            return NotImplemented
-        return self.planes == other.planes
-
-    def __hash__(self) -> int:
-        return hash(self.planes)
+        return self.const.order
 
     def __repr__(self) -> str:
         return f"ZTSeries({tuple(self[k] for k in range(self.nz))!r})"
@@ -858,22 +831,18 @@ class ZTSeries:
     @staticmethod
     def zero(nz: int, nt: int) -> ZTSeries:
         z = Plane.zero(nz, nt)
-        return ZTSeries._of(AffinePoly1(z, z))
-
-    @staticmethod
-    def const(c, nz: int, nt: int) -> ZTSeries:
-        return ZTSeries.from_tpoly(TSeries.const(S(c), nt), nz)
+        return ZTSeries(z, z)
 
     @staticmethod
     def one(nz: int, nt: int) -> ZTSeries:
-        return ZTSeries.const(ONE, nz, nt)
+        return ZTSeries.from_tpoly(TSeries.one(nt), nz)
 
     @staticmethod
     def from_tpoly(t: TSeries, nz: int) -> ZTSeries:
         nt = t.order
         pad = [0] * ((nz - 1) * nt)
         const = Plane._ints(nz, nt, t.re + pad, t.im + pad, t.den, 1)
-        return ZTSeries._of(AffinePoly1(const, Plane.zero(nz, nt)))
+        return ZTSeries(const, Plane.zero(nz, nt))
 
     @staticmethod
     def from_zcoeffs(tlist: list[TSeries], nz: int) -> ZTSeries:
@@ -882,7 +851,7 @@ class ZTSeries:
             raise OrderMismatchError("more z-coefficients than the truncation order")
         nt = tlist[0].order
         rows = list(tlist) + [TSeries.zero(nt)] * (nz - len(tlist))
-        return ZTSeries._of(AffinePoly1(Plane.of_rows(rows), Plane.zero(nz, nt)))
+        return ZTSeries(Plane.of_rows(rows), Plane.zero(nz, nt))
 
     @staticmethod
     def from_zseries(zser: TSeries, nz: int, nt: int) -> ZTSeries:
@@ -898,13 +867,11 @@ class ZTSeries:
             zser.den,
             1,
         )
-        return ZTSeries._of(AffinePoly1(const, Plane.zero(nz, nt)))
+        return ZTSeries(const, Plane.zero(nz, nt))
 
     @staticmethod
     def t1(nz: int, nt: int) -> ZTSeries:
-        return ZTSeries._of(
-            AffinePoly1(Plane.zero(nz, nt), ZTSeries.one(nz, nt).planes.const)
-        )
+        return ZTSeries(Plane.zero(nz, nt), ZTSeries.one(nz, nt).const)
 
     @staticmethod
     def t2(nz: int, nt: int) -> ZTSeries:
@@ -920,50 +887,31 @@ class ZTSeries:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.planes.is_zero()
-
-    def is_t1_free(self) -> bool:
-        return self.planes.is_t1_free()
-
-    def is_t2_free(self) -> bool:
-        return self.planes.is_t2_free()
-
     def __getitem__(self, k: int) -> AffinePoly1:
         """z-coefficient k, built on demand."""
         if not 0 <= k < self.nz:
             raise IndexError(f"z-coefficient {k} outside the window")
-        p = self.planes
-        return AffinePoly1(p.const.row(k), p.slope.row(k))
+        return AffinePoly1(self.const.row(k), self.slope.row(k))
 
     def at_origin(self) -> TSeries:
         """Evaluate at t1 = t2 = 0, returning a z-series."""
-        return self.planes.const.column(0)
+        return self.const.column(0)
 
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: ZTSeries) -> ZTSeries:
-        return ZTSeries._of(self.planes + other.planes)
-
-    def __sub__(self, other: ZTSeries) -> ZTSeries:
-        return ZTSeries._of(self.planes - other.planes)
-
-    def __neg__(self) -> ZTSeries:
-        return ZTSeries._of(-self.planes)
-
-    def scale(self, c: Scalar) -> ZTSeries:
-        return ZTSeries._of(self.planes.scale(c))
+    # -- products ------------------------------------------------------------
+    #
+    # Both are AffinePoly1's product, defined here rather than inherited so
+    # that the z-series product is a method of ZTSeries of its own, which a
+    # tracer (perfbench/tracer.py) wraps apart from the product of rows.
 
     def __mul__(self, other: ZTSeries) -> ZTSeries:
-        return ZTSeries._of(self.planes * other.planes)
+        return AffinePoly1.__mul__(self, other)
 
     def mul_t(self, t: TSeries) -> ZTSeries:
         """Multiply by a t-only series."""
-        return ZTSeries._of(self.planes * ZTSeries.from_tpoly(t, self.nz).planes)
+        return AffinePoly1.__mul__(self, ZTSeries.from_tpoly(t, self.nz))
 
     def _map(self, fn) -> ZTSeries:
-        p = self.planes
-        return ZTSeries._of(AffinePoly1(fn(p.const), fn(p.slope)))
+        return ZTSeries(fn(self.const), fn(self.slope))
 
     def div_z(self) -> ZTSeries:
         """(self - its z^0 coefficient) / z, exact at z-order nz - 1."""
@@ -981,14 +929,14 @@ class ZTSeries:
         if not self.is_t1_free():
             raise T1DegreeError("inverse would exceed degree 1 in t1")
         nz, nt = self.orders
-        p = self.planes.const
+        p = self.const
         g = p.row(0).invert()
         out = [g]
         gf = [None] + [plane_dot([(-1, g, p.row(k))], 1, nt) for k in range(1, nz)]
         for m in range(1, nz):
             terms = [(1, gf[k], out[m - k]) for k in range(1, m + 1)]
             out.append(plane_dot(terms, 1, nt))
-        return ZTSeries._of(AffinePoly1(Plane.of_rows(out), Plane.zero(nz, nt)))
+        return ZTSeries(Plane.of_rows(out), Plane.zero(nz, nt))
 
 
 @dataclass(frozen=True)

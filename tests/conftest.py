@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from connexa.scalars import Scalar
+from connexa.series import Plane, ZTSeries
 
 
 def rand_scalar(rng: random.Random, span: int = 4, gauss: bool = True) -> Scalar:
@@ -21,6 +22,15 @@ def rand_nonzero(rng: random.Random, span: int = 4) -> Scalar:
         s = rand_scalar(rng, span)
         if not s.is_zero():
             return s
+
+
+def zt_of_rows(rows) -> ZTSeries:
+    """The z-series whose z-coefficient k is rows[k], an AffinePoly1 of
+    order-nt TSeries."""
+    rows = list(rows)
+    return ZTSeries(
+        Plane.of_rows([a.const for a in rows]), Plane.of_rows([a.slope for a in rows])
+    )
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from connexa.errors import (
 )
 from connexa.scalars import HALF
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot
+from conftest import zt_of_rows
 from plane_oracle import dt, dt1, each, z2dz, z_times
 
 
@@ -151,7 +152,7 @@ def zt_invert_planes(u: ZTSeries) -> ZTSeries:
     if not u.is_t1_free():
         raise T1DegreeError("inverse would exceed degree 1 in t1")
     nz, nt = u.orders
-    p = u.planes.const
+    p = u.const
     rows = [p.row(k) for k in range(nz)]
     f = [Plane._ints(1, nt, r.re, r.im, r.den, 1) for r in rows]
     g = rows[0].invert()
@@ -160,7 +161,7 @@ def zt_invert_planes(u: ZTSeries) -> ZTSeries:
     for m in range(1, nz):
         terms = [(1, gf[k], out[m - k]) for k in range(1, m + 1)]
         out.append(plane_dot(terms, 1, nt))
-    return ZTSeries._of(AffinePoly1(Plane.of_rows(out), Plane.zero(nz, nt)))
+    return ZTSeries(Plane.of_rows(out), Plane.zero(nz, nt))
 
 
 def ts_mul(a: TSeries, b: TSeries) -> TSeries:
@@ -212,8 +213,8 @@ def ts_compose(f: TSeries, lam: TSeries) -> TSeries:
 def zt_compose_t2(u: ZTSeries, lam: TSeries) -> ZTSeries:
     """Horner substitution row by row."""
     rows = [u[k] for k in range(u.nz)]
-    return ZTSeries(
-        [AffinePoly1(ts_compose(r.const, lam), ts_compose(r.slope, lam)) for r in rows]
+    return zt_of_rows(
+        AffinePoly1(ts_compose(r.const, lam), ts_compose(r.slope, lam)) for r in rows
     )
 
 

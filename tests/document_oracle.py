@@ -2,7 +2,7 @@
 
 ``_zt_from_json`` is the row-wise reader connexa once ran: every literal
 goes through ``Scalar.parse``, every z-slot becomes an ``AffinePoly1`` of
-two ``TSeries`` rows, and ``ZTSeries(rows)`` stacks them.  ``_zt_to_json``
+two ``TSeries`` rows, and the rows are stacked into the two planes.  ``_zt_to_json``
 is the writer it ran: a ``TSeries`` row and a ``Scalar`` per entry.  The
 package now reads each component straight into its two integer planes and
 writes rows from their numerators; the tests check it against these.
@@ -25,6 +25,7 @@ from connexa.docio import MAX_DEN_BITS, _ints_from_json, _literal
 from connexa.errors import DocumentError
 from connexa.scalars import Scalar
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries
+from conftest import zt_of_rows
 
 
 def _ts_from_json(data: Any, nt: int) -> TSeries:
@@ -43,7 +44,7 @@ def _zt_from_json(data: Any, nz: int, nt: int) -> ZTSeries:
         rows.append(
             AffinePoly1(_ts_from_json(entry[0], nt), _ts_from_json(entry[1], nt))
         )
-    return ZTSeries(tuple(rows))
+    return zt_of_rows(rows)
 
 
 def _zt_to_json(z: ZTSeries) -> list[list[list[str]]]:
@@ -83,9 +84,7 @@ def slotwise_zt_from_json(data: Any, nz: int, nt: int, where: str) -> ZTSeries:
         for row in entry:
             if not isinstance(row, list) or len(row) != nt:
                 raise DocumentError("coefficient array has the wrong length")
-    return ZTSeries._of(
-        AffinePoly1(
-            flat_plane_from_json([e[0] for e in data], nt, f"{where} constant part"),
-            flat_plane_from_json([e[1] for e in data], nt, f"{where} t1-slope"),
-        )
+    return ZTSeries(
+        flat_plane_from_json([e[0] for e in data], nt, f"{where} constant part"),
+        flat_plane_from_json([e[1] for e in data], nt, f"{where} t1-slope"),
     )

@@ -16,7 +16,7 @@ these operators in place, as ``series.plane_dot`` linear terms and
 from __future__ import annotations
 
 from connexa.errors import OrderMismatchError
-from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries
+from connexa.series import Plane, TSeries, ZTSeries
 
 
 def is_zero(p: Plane) -> bool:
@@ -112,8 +112,7 @@ def each(fn, x):
     """fn on both t1-part planes of a ZTSeries, or of every component of a
     Mat2."""
     if isinstance(x, ZTSeries):
-        p = x.planes
-        return ZTSeries._of(AffinePoly1(fn(p.const), fn(p.slope)))
+        return ZTSeries(fn(x.const), fn(x.slope))
     return x.map(lambda c: each(fn, c))
 
 
@@ -129,5 +128,5 @@ def dt(x):
 
 def dt1(c: ZTSeries) -> ZTSeries:
     """d/dt1 of const + t1 * slope: the slope."""
-    slope = c.planes.slope
-    return ZTSeries._of(AffinePoly1(slope, Plane.zero(*slope.order)))
+    slope = c.slope
+    return ZTSeries(slope, Plane.zero(*slope.order))

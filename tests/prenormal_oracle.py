@@ -83,7 +83,7 @@ def prenormal_struct(p: PreNormalForm) -> TEStruct:
     b4 = f_e * p.b2 - z_times(each(derivative_exact, d1), 2).scale(HALF)
     c1 = (
         -ZTSeries.t1(nz, nt)
-        + ZTSeries.const(p.c, nz, nt)
+        + ZTSeries.from_tpoly(TSeries.const(p.c, nt), nz)
         + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
     )
     bmat = Mat2(c1, p.b2, z_times(b3), b4)
@@ -97,10 +97,10 @@ def origin_restriction(
     built whole, at t2 = 0; gam as f there."""
     b2t = dt(b2)
     return OriginRestriction(
-        at_t0(b2.planes.const),
-        at_t0(b2t.planes.const),
-        at_t0(dt(b2t).planes.const),
-        at_t0(f.planes.const),
+        at_t0(b2.const),
+        at_t0(b2t.const),
+        at_t0(dt(b2t).const),
+        at_t0(f.const),
         c,
         alpha,
     )
@@ -160,11 +160,11 @@ def fused_pole_check(s: TEStruct, p: PreNormalForm):
     nz, nt = s.orders
     w = (nz - 1, nt - 1)
     one, z = _z_power(0, *w), _z_power(1, *w)
-    bd, be = s.B.d.planes.const, s.B.e.planes.const
+    bd, be = s.B.d.const, s.B.e.const
     b3, b4 = bd.div_z(), be.div_z()
     b3w = b3.truncate(*w)
-    f = p.f.planes.const.truncate(*w)
-    b2 = p.b2.planes.const.truncate(nz - 1, nt)
+    f = p.f.const.truncate(*w)
+    b2 = p.b2.const.truncate(nz - 1, nt)
     # 2 b3 + d2 b2 + 1
     if not bd.row(0).is_zero() or not plane_dot(
         [(2, b3w, one), (1, b2.derivative(), one), (1, one, one)], *w
@@ -192,9 +192,9 @@ def validate_t1_profile(s: TEStruct):
         if not comp.is_t1_free():
             raise T1DegreeError("B carries t1 outside its C1 component")
     if s.kind == "TE":
-        slope = at_t0(s.B.c1.planes.slope)
+        slope = at_t0(s.B.c1.slope)
         expected = TSeries.of([-1], slope.order)
-        if slope != expected or not s.B.c1.planes.slope.is_constant():
+        if slope != expected or not s.B.c1.slope.is_constant():
             raise ShapeError("B's C1 component must have t1 slope -1")
 
 
@@ -219,7 +219,7 @@ def prenormal_components(s: TEStruct) -> tuple[ZTSeries, ZTSeries, TSeries]:
     f = e_comp.div_z()  # exact to z-order nz - 1
     b2 = s.B.c2
     b1_zt = s.B.c1
-    if not b1_zt.planes.const.is_constant():
+    if not b1_zt.const.is_constant():
         raise ShapeError("B's C1 part must not depend on t2")
     b1 = b1_zt.at_origin()
     return f, b2, b1

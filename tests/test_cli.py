@@ -29,7 +29,7 @@ from connexa.formalnf import (
 from connexa.scalars import S, Scalar, integer
 from connexa.series import AffinePoly1, TSeries, ZTSeries
 
-from conftest import rand_scalar
+from conftest import rand_scalar, zt_of_rows
 from test_origin import IRREDUCIBILITY_K2
 
 
@@ -88,7 +88,7 @@ def test_round_trip_random_documents(rng):
                         TSeries.of([rand_scalar(rng, 3) for _ in range(nt)], nt),
                     )
                 )
-            return ZTSeries(tuple(rows))
+            return zt_of_rows(rows)
 
         s = TEStruct(
             Mat2(r_zt(), r_zt(), r_zt(), r_zt()),
@@ -450,7 +450,7 @@ NO_ROOT_REPORT = """{
 
 def test_cli_classify_reports_invariants_when_c0_has_no_root(tmp_path):
     nz, nt = 6, 6
-    f = ZTSeries.const(integer(2), nz - 1, nt)
+    f = ZTSeries.from_tpoly(TSeries.const(integer(2), nt), nz - 1)
     b2 = ZTSeries.one(nz, nt) - ZTSeries.t2(nz, nt).scale(S("1/2"))
     doc = tmp_path / "no_root.json"
     save_structure(build_prenormal_struct(PreNormalForm(f, b2, S(0), S(0))), str(doc))
@@ -712,20 +712,27 @@ WINDOW_WARNING = "resonant order beyond the z-window; tail coefficient reported 
 def test_cli_normal_form_below_its_resonant_order(tmp_path):
     # NF3-4 with the integral slope 3 reads back as NF3-5(lam=3), whose
     # resonant monomial z^3 t2^2 lies outside a z-window of 3: the target
-    # drops it, and the window warning says so
-    for nz, lam, warned in ((3, 3, True), (4, 3, False), (6, 10**30, True)):
-        nfid = NormalFormId("NF3-4", dict(c=S(0), alpha=S(0), lam=S(lam)))
-        target = tmp_path / f"nf3_4_{nz}_{lam}.json"
+    # drops it, and the window warning says so.  NF3-8(lam=-3) keeps its
+    # z^3 tail at a z-window of 4 and loses it, reading as NF3-9, at 3: the
+    # warning fires exactly when |lam| >= nz
+    cases = [
+        ("NF3-4", 3, 3, "NF3-5(alpha=0, c=0, gamma=0, lam=3)", True),
+        ("NF3-4", 4, 3, "NF3-5(alpha=0, c=0, gamma=0, lam=3)", False),
+        ("NF3-4", 6, 10**30, f"NF3-5(alpha=0, c=0, gamma=0, lam={10**30})", True),
+        ("NF3-8", 4, -3, "NF3-8(alpha=0, c=0, lam=-3)", False),
+        ("NF3-8", 3, -3, "NF3-9(alpha=0, c=0, lam=-3)", True),
+    ]
+    for fam, nz, lam, want, warned in cases:
+        nfid = NormalFormId(fam, dict(c=S(0), alpha=S(0), lam=S(lam)))
+        target = tmp_path / f"{fam}_{nz}_{lam}.json"
         save_structure(build_normal_form(nfid, nz, 6), str(target))
         code, out, _err = _main("verify", str(target))
         assert code == 0 and json.loads(out)["verdicts"]["flat"] is True
         for cmd in ("formal-nf", "classify"):
             code, out, err = _main(cmd, str(target))
-            assert (code, err) == (0, ""), (cmd, nz)
+            assert (code, err) == (0, ""), (cmd, fam, nz)
             report = json.loads(out)
-            assert report["verdicts"]["normal_form"] == (
-                f"NF3-5(alpha=0, c=0, gamma=0, lam={lam})"
-            )
+            assert report["verdicts"]["normal_form"] == want, (cmd, fam, nz)
             assert report["warnings"] == ([WINDOW_WARNING] if warned else [])
 
 

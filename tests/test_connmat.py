@@ -23,7 +23,7 @@ from connexa.series import AffinePoly1, TSeries, ZTSeries
 
 import connmat_oracle
 import plane_oracle
-from conftest import rand_nonzero, rand_scalar
+from conftest import rand_nonzero, rand_scalar, zt_of_rows
 from connmat_oracle import invert_gauge
 
 NZ = NT = 8
@@ -47,7 +47,7 @@ PRODUCT_TABLE = {
 
 
 def _const_mat2(coords, nz, nt) -> Mat2:
-    return Mat2(*(ZTSeries.const(S(x), nz, nt) for x in coords))
+    return Mat2(*(ZTSeries.from_tpoly(TSeries.const(S(x), nt), nz) for x in coords))
 
 
 def test_product_table():
@@ -67,7 +67,9 @@ def test_product_table():
 def _bracket(a: Mat2, b: Mat2) -> Mat2:
     """[a, b] through the ``_COMMUTATOR`` table that the flatness
     residuals use."""
-    return _commutator(a.planes(), b.planes(), _NO_LINEAR, *a.orders)
+    return _commutator(
+        (a.c1, a.c2, a.d, a.e), (b.c1, b.c2, b.d, b.e), _NO_LINEAR, *a.orders
+    )
 
 
 def test_mat_mul_matches_entrywise(rng):
@@ -213,7 +215,7 @@ def _dense_zt(rng, nz, nt, sloped):
         return TSeries.of([rand_scalar(rng, 3) for _ in range(nt)], nt)
 
     zero = TSeries.zero(nt)
-    return ZTSeries([AffinePoly1(row(), row() if sloped else zero) for _ in range(nz)])
+    return zt_of_rows(AffinePoly1(row(), row() if sloped else zero) for _ in range(nz))
 
 
 def _dense_mat(rng, nz, nt, p_slope=0.0):

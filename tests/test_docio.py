@@ -28,7 +28,7 @@ from connexa.fixtures import build_fixture, fixture_names
 from connexa.scalars import Scalar
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries
 
-from conftest import rand_scalar
+from conftest import rand_scalar, zt_of_rows
 from test_cli import SMALL_WINDOWS
 
 # A literal past the int/str conversion limit of 4,300 digits.
@@ -100,13 +100,13 @@ def test_writer_matches_row_oracle():
                 return TSeries.zero(nt)
             return TSeries.of([rand_scalar(rnd, 5) for _ in range(nt)], nt)
 
-        comps.append(ZTSeries([AffinePoly1(row(), row()) for _ in range(nz)]))
+        comps.append(zt_of_rows(AffinePoly1(row(), row()) for _ in range(nz)))
     for c in comps:
         data = docio._zt_to_json(c)
         assert data == document_oracle._zt_to_json(c)
         got = docio._zt_from_json(data, c.nz, c.nt, "A1.c1")
         assert got == c
-        for p in (got.planes.const, got.planes.slope):
+        for p in (got.const, got.slope):
             # the support recorded while reading is the one a scan finds
             assert p.support() == Plane._ints(p.nz, p.nt, p.re, p.im, p.den).support()
 
@@ -168,7 +168,7 @@ def test_zero_planes_match_row_oracle(value):
         want = document_oracle._zt_from_json(data, nz, nt)
         got = docio._zt_from_json(data, nz, nt, "A1.c1")
         assert got == want
-        for p, q in zip((got.planes.const, got.planes.slope), (want.planes.const, want.planes.slope)):
+        for p, q in zip((got.const, got.slope), (want.const, want.slope)):
             assert type(p) is Plane and p.order == (nz, nt)
             assert (p.re, p.im, p.den) == (q.re, q.im, q.den)
             assert p.is_zero() == q.is_zero()
@@ -206,8 +206,8 @@ def test_fixture_documents_match_row_oracle(nz, nt):
             for c in ("c1", "c2", "d", "e"):
                 want = document_oracle._zt_from_json(doc["matrices"][m][c], nz, nt)
                 have = getattr(getattr(got, m), c)
-                for p, q in zip((have.planes.const, have.planes.slope),
-                                (want.planes.const, want.planes.slope)):
+                for p, q in zip((have.const, have.slope),
+                                (want.const, want.slope)):
                     assert _fields(p) == _fields(q), (name, m, c)
 
 
@@ -217,7 +217,7 @@ def _component(read, *args):
         z = read(*args)
     except DocumentError as exc:
         return str(exc)
-    return _fields(z.planes.const), _fields(z.planes.slope)
+    return _fields(z.const), _fields(z.slope)
 
 
 def _package_plane(rows, nt, where):
@@ -553,7 +553,7 @@ def test_plane_height_budget(tmp_path):
     three = 3 ** (docio.MAX_DEN_BITS // 4)
     at = docio.MAX_DEN_BITS - three.bit_length()
     inside = structure_from_document(_over_denominators(2**at, three))
-    assert inside.A1.c2.planes.const.den.bit_length() == docio.MAX_DEN_BITS
+    assert inside.A1.c2.const.den.bit_length() == docio.MAX_DEN_BITS
     outside = _over_denominators(2 ** (at + 1), three)
     with pytest.raises(DocumentError) as err:
         structure_from_document(outside)

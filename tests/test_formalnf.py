@@ -117,7 +117,7 @@ def test_to_prenormal_kills_tail(monkeypatch):
         assert (out.B.c2, out.B.d, out.B.e) == (m.B.c2, m.B.d, m.B.e)
         assert out.B.c1 == (
             -ZTSeries.t1(nz, nt)
-            + ZTSeries.const(p.c, nz, nt)
+            + ZTSeries.from_tpoly(TSeries.const(p.c, nt), nz)
             + ZTSeries.z_monomial(p.alpha, 1, nz, nt)
         )
         q, gauge2 = _prenormal_and_gauge(out)
@@ -1326,6 +1326,34 @@ def _f1_fixture_data():
                 if not isinstance(p, tuple):
                     out.append(p)
     return out
+
+
+def test_unit_family_check_applies_its_gauge_on_t_order_3(monkeypatch):
+    # the f = 1 self-check is exact on t-order min(nt, 3), where every entry
+    # is affine in t2; a larger window gives the same verdicts, so only the
+    # orders of what reaches apply_gauge show a return to a wider check
+    seen = []
+    real = formalnf.apply_gauge
+
+    def recorded(s, g):
+        seen.append((s.orders, g.tmat.orders))
+        return real(s, g)
+
+    monkeypatch.setattr(formalnf, "apply_gauge", recorded)
+    checked = 0
+    for nz, nt in SMALL_WINDOWS + [(16, 16)]:
+        for nfid in FIXTURES.values():
+            p = _outcome(normal_form_prenormal, nfid, nz, nt)
+            if nfid.family != "F1" or isinstance(p, tuple):
+                continue
+            seen.clear()
+            _outcome(formalnf._normalize_unit_family, p)
+            w = min(nt, 3)
+            assert seen in ([], [((nz, w), (nz, w))]), (nfid, nz, nt)
+            if nt >= 3:  # b2 = -t2/2 + c0 has a zero top column: it is built
+                assert seen, (nfid, nz, nt)
+            checked += len(seen)
+    assert checked >= 10
 
 
 def test_unit_family_check_on_t_order_3_matches_the_full_window_replay(monkeypatch):

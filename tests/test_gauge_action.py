@@ -10,7 +10,7 @@ import random
 import pytest
 
 import connmat_oracle
-from conftest import rand_nonzero, rand_scalar
+from conftest import rand_nonzero, rand_scalar, zt_of_rows
 from connexa import cli, formalnf, malgrange, selftest
 from connexa.connmat import GaugeMap, Mat2, TEStruct, apply_gauge
 from connexa.fixtures import fixture_names, write_fixtures
@@ -34,7 +34,7 @@ def _fields(s: TEStruct):
         (p.nz, p.nt, p.re, p.im, p.den)
         for m in (s.A1, s.A2, s.B)
         for c in (m.c1, m.c2, m.d, m.e)
-        for p in (c.planes.const, c.planes.slope)
+        for p in (c.const, c.slope)
     ]
     return s.kind, planes
 
@@ -66,7 +66,7 @@ def _rand_zt(rng, nz: int, nt: int, sloped: bool) -> ZTSeries:
         return TSeries.of([rand_scalar(rng, 2) for _ in range(nt)], nt)
 
     zero = TSeries.zero(nt)
-    return ZTSeries([AffinePoly1(row(), row() if sloped else zero) for _ in range(nz)])
+    return zt_of_rows(AffinePoly1(row(), row() if sloped else zero) for _ in range(nz))
 
 
 def _rand_struct(rng, nz: int, nt: int, kind: str = "TE") -> TEStruct:

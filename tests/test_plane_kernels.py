@@ -39,6 +39,7 @@ from connexa.selftest import (
     _random_zero_family_gauge,
 )
 from connexa.series import AffinePoly1, Plane, TSeries, ZTSeries, plane_dot
+from conftest import zt_of_rows
 
 COMPONENTS = ("c1", "c2", "d", "e")
 
@@ -66,12 +67,12 @@ def _plane_rows(rnd, nz, nt, fill, gauss) -> list[TSeries]:
 
 
 def _zt(const: list[TSeries], slope: list[TSeries]) -> ZTSeries:
-    return ZTSeries([AffinePoly1(c, s) for c, s in zip(const, slope)])
+    return zt_of_rows(AffinePoly1(c, s) for c, s in zip(const, slope))
 
 
 def _assert_canonical(m: Mat2):
     for c in (m.c1, m.c2, m.d, m.e):
-        for p in (c.planes.const, c.planes.slope):
+        for p in (c.const, c.slope):
             assert p.den > 0 and gcd(p.den, *p.re, *p.im) == 1
             if p.is_zero():
                 assert p.den == 1
@@ -179,7 +180,7 @@ def test_zt_invert_matches_row_oracle(m):
             u.invert()
         return
     got = u.invert()
-    assert gcd(got.planes.const.den, *got.planes.const.re, *got.planes.const.im) == 1
+    assert gcd(got.const.den, *got.const.re, *got.const.im) == 1
     assert got == want
     assert got == oracle.zt_invert_planes(u)
     assert u * got == ZTSeries.one(*u.orders)

@@ -2,7 +2,7 @@
 
 ``formalnf.build_prenormal_struct`` and ``formalnf.zero_family_gauge`` sum
 each derived component as one ``plane_dot`` over f, b2 and tau2 as they
-stand, and ``OriginRestriction.of`` reads b2's t2-columns in place.  Each
+stand, and ``origin.restrict_prenormal`` reads b2's t2-columns in place.  Each
 must equal the copying body it replaced (``prenormal_oracle`` and
 ``gauge_oracle``) field for field, and refuse what it refused with the
 same class and text.
@@ -24,7 +24,7 @@ from connexa.formalnf import (
     normal_form_prenormal,
     zero_family_gauge,
 )
-from connexa.origin import OriginRestriction
+from connexa.origin import OriginRestriction, restrict_prenormal
 from connexa.scalars import S
 from connexa.series import Plane, TSeries, ZTSeries
 from test_cli import SMALL_WINDOWS
@@ -40,7 +40,7 @@ def _mat_fields(m):
     return [
         _plane_fields(p)
         for c in (m.c1, m.c2, m.d, m.e)
-        for p in (c.planes.const, c.planes.slope)
+        for p in (c.const, c.slope)
     ]
 
 
@@ -69,7 +69,7 @@ def _same_build(p: PreNormalForm):
 
 def _same_restriction(p: PreNormalForm):
     args = (p.f, p.b2, p.c, p.alpha)
-    got = _outcome(OriginRestriction.of, _restriction_fields, *args)
+    got = _outcome(restrict_prenormal, _restriction_fields, p)
     if p.orders[1] < 3:  # the copying body failed here outside the error tree
         assert got == (ShapeError, "origin restriction needs t-order at least 3")
         with pytest.raises(ValueError):
@@ -154,4 +154,4 @@ def test_origin_restriction_refuses_a_window_without_second_derivatives():
     for nt in (1, 2):
         b2 = ZTSeries.from_zcoeffs([TSeries.of([1, 2][:nt], nt)] * 3, 3)
         with pytest.raises(ShapeError, match="t-order at least 3"):
-            OriginRestriction.of(ZTSeries.zero(2, nt), b2, S(1), S(2))
+            restrict_prenormal(PreNormalForm(ZTSeries.zero(2, nt), b2, S(1), S(2)))

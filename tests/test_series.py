@@ -36,7 +36,7 @@ from connexa.series import (
 import connmat_oracle as oracle
 import plane_oracle
 import series_oracle
-from conftest import rand_nonzero
+from conftest import rand_nonzero, zt_of_rows
 from fraction_scalar import (
     F_ONE,
     F_ZERO,
@@ -361,9 +361,9 @@ def test_ztseries_calculus():
     z = ZTSeries.z(nz, nt)
     t2 = ZTSeries.t2(nz, nt)
     s = z * z * t2  # z^2 t
-    z2 = (ZTSeries.z(nz, nt - 1) * ZTSeries.z(nz, nt - 1)).planes.const
+    z2 = (ZTSeries.z(nz, nt - 1) * ZTSeries.z(nz, nt - 1)).const
     # d/dt2 as a plane_dot linear term, read in place
-    assert plane_dot([(1, s.planes.const, 0, 1, "n")], nz, nt - 1) == z2
+    assert plane_dot([(1, s.const, 0, 1, "n")], nz, nt - 1) == z2
 
 
 def test_ztseries_invert():
@@ -375,7 +375,7 @@ def test_ztseries_invert():
 
 
 zt_series = st.builds(
-    lambda rows: ZTSeries(
+    lambda rows: zt_of_rows(
         tuple(AffinePoly1(TSeries.of(r, 4), TSeries.zero(4)) for r in rows)
     ),
     st.lists(st.lists(small_scalars, max_size=4), min_size=3, max_size=3),
@@ -585,7 +585,7 @@ def _affine_of(const):
 
 def _oracle_zt_mul(a_rows, b_rows):
     """The row-wise ZTSeries product the planes replaced, kept verbatim."""
-    nz, nt = len(a_rows), a_rows[0].order
+    nz, nt = len(a_rows), a_rows[0].const.order
     if all(a.is_zero() for a in a_rows) or all(b.is_zero() for b in b_rows):
         return [_affine_zero(nt) for _ in range(nz)]
     support = [
@@ -608,7 +608,7 @@ def _rows(zt):
 
 
 def _assert_planes_canonical(zt):
-    for p in (zt.planes.const, zt.planes.slope):
+    for p in (zt.const, zt.slope):
         assert p.den > 0 and len(p.re) == len(p.im) == p.nz * p.nt
         assert gcd(p.den, *p.re, *p.im) == 1
         if p.is_zero():
@@ -668,7 +668,7 @@ def zt_operands(draw):
 @settings(max_examples=120, deadline=None)
 def test_plane_product_matches_row_oracle(pair):
     a_rows, b_rows = pair
-    a, b = ZTSeries(a_rows), ZTSeries(b_rows)
+    a, b = zt_of_rows(a_rows), zt_of_rows(b_rows)
     assert _rows(a) == a_rows and _rows(b) == b_rows
     if not (a.is_t1_free() or b.is_t1_free()):
         with pytest.raises(T1DegreeError):
@@ -679,19 +679,24 @@ def test_plane_product_matches_row_oracle(pair):
     want = _oracle_zt_mul(a_rows, b_rows)
     got = a * b
     _assert_planes_canonical(got)
+    # a product of z-series is a ZTSeries, a product of rows an AffinePoly1
+    assert type(got) is ZTSeries
+    assert all(type(x) is AffinePoly1 for x in want)
     assert _rows(got) == want
-    assert got == ZTSeries(want)
+    assert got == zt_of_rows(want)
     if b.is_t1_free():
         t = b_rows[0].const
         t_rows = [_affine_of(t)] + [_affine_zero(a.nt)] * (a.nz - 1)
-        assert a.mul_t(t) == ZTSeries(_oracle_zt_mul(a_rows, t_rows))
+        got = a.mul_t(t)
+        assert type(got) is ZTSeries
+        assert got == zt_of_rows(_oracle_zt_mul(a_rows, t_rows))
 
 
 @given(zt_operands(), coefficient_kinds["sparse"], st.integers(0, 17))
 @settings(max_examples=80, deadline=None)
 def test_plane_ops_match_rows(pair, c, k):
     a_rows, b_rows = pair
-    a, b = ZTSeries(a_rows), ZTSeries(b_rows)
+    a, b = zt_of_rows(a_rows), zt_of_rows(b_rows)
     nz, nt = a.orders
     kz, kt = min(k, nz), min(k, nt)
 
@@ -708,14 +713,18 @@ def test_plane_ops_match_rows(pair, c, k):
     ]
     for got, want in cases:
         _assert_planes_canonical(got)
+        # the operations on z-series build ZTSeries; zt[k] and the sums,
+        # differences, negations and multiples of rows are AffinePoly1
+        assert type(got) is ZTSeries
+        assert all(type(x) is AffinePoly1 for x in _rows(got) + want)
         assert _rows(got) == want
         if want:
-            assert got == ZTSeries(want)
+            assert got == zt_of_rows(want)
     assert a.is_zero() == all(x.is_zero() for x in a_rows)
     assert a.is_t2_free() == all(x.is_t2_free() for x in a_rows)
     assert a.at_origin() == TSeries(tuple(x.const[0] for x in a_rows))
     # Plane.column reads the t2^n entries of every z-row, inside [0, nt) only
-    for p, part in ((a.planes.const, "const"), (a.planes.slope, "slope")):
+    for p, part in ((a.const, "const"), (a.slope, "slope")):
         for n in range(nt):
             want = TSeries(tuple(getattr(x, part)[n] for x in a_rows))
             got = p.column(n)
@@ -733,9 +742,9 @@ def test_ztseries_canonical_form():
         AffinePoly1(TSeries.of([0, S("-5/6")], nt), TSeries.of([S("3/4")], nt)),
         AffinePoly1(TSeries.of([2], nt), TSeries.zero(nt)),
     ]
-    a = ZTSeries(rows)
+    a = zt_of_rows(rows)
     assert _rows(a) == rows
-    assert a.planes.const.den == 6 and a.planes.slope.den == 4
+    assert a.const.den == 6 and a.slope.den == 4
     z, t2 = ZTSeries.z(nz, nt), ZTSeries.t2(nz, nt)
     one, t1 = ZTSeries.one(nz, nt), ZTSeries.t1(nz, nt)
     third = S("1/3")
@@ -743,13 +752,13 @@ def test_ztseries_canonical_form():
     pairs = [
         ((a + z) - z, a),
         (a.scale(S(3)).scale(third), a),
-        ((z + t2) * (z - t2), ZTSeries([
+        ((z + t2) * (z - t2), zt_of_rows([
             AffinePoly1(TSeries.of([0, 0, -1], nt), TSeries.zero(nt)),
             _affine_zero(nt),
             _affine_of(TSeries.one(nt)),
             _affine_zero(nt),
         ])),
-        ((one + t1.scale(third)) * z.scale(S(3)), ZTSeries([
+        ((one + t1.scale(third)) * z.scale(S(3)), zt_of_rows([
             _affine_zero(nt),
             AffinePoly1(TSeries.const(S(3), nt), TSeries.one(nt)),
             _affine_zero(nt),
@@ -759,7 +768,7 @@ def test_ztseries_canonical_form():
         (t2 * t2 * t2, ZTSeries.zero(nz, nt)),  # t2^3 lies past the window
         (
             (z + t2.scale(S(0, 1))) * (z - t2.scale(S(0, 1))),
-            ZTSeries([
+            zt_of_rows([
                 _affine_of(TSeries.of([0, 0, 1], nt)),
                 _affine_zero(nt),
                 _affine_of(TSeries.one(nt)),
@@ -774,12 +783,12 @@ def test_ztseries_canonical_form():
         assert built == direct
         assert hash(built) == hash(direct)
         for bp, dp in zip(
-            (built.planes.const, built.planes.slope),
-            (direct.planes.const, direct.planes.slope),
+            (built.const, built.slope),
+            (direct.const, direct.slope),
         ):
             assert (bp.re, bp.im, bp.den, bp.order) == (dp.re, dp.im, dp.den, dp.order)
     zero = a - a
-    assert zero.planes.const.den == 1 and zero.is_zero()
+    assert zero.const.den == 1 and zero.is_zero()
     assert a != a.scale(S(2)) and a != a.truncate(nz, nt - 1)
     with pytest.raises(OrderMismatchError):
         a + a.truncate(nz, nt - 1)
@@ -982,7 +991,7 @@ def test_zero_windows_record_their_support():
     for z in (
         Plane.zero(3, 4),
         TSeries.zero(5),
-        ZTSeries.zero(2, 3).planes.slope,
+        ZTSeries.zero(2, 3).slope,
         docio._plane_from_json(list(enumerate([["0"] * 4] * 2)), 2, 4, "A1.c1 constant part"),
         Plane.of_rows([TSeries.of([1, 2], 2)]).scale(ZERO),
     ):
@@ -994,8 +1003,8 @@ def test_zero_windows_record_their_support():
 def test_zero_windows_are_shared_up_to_the_document_bound(tmp_path):
     # one zero window per class and window, up to the largest window a
     # document admits; none of the pipelines changes a shared one
-    assert Plane.zero(3, 4) is Plane.zero(3, 4) is ZTSeries.zero(3, 4).planes.slope
-    assert Mat2.zero(3, 4).e.planes.const is Plane.zero(3, 4)
+    assert Plane.zero(3, 4) is Plane.zero(3, 4) is ZTSeries.zero(3, 4).slope
+    assert Mat2.zero(3, 4).e.const is Plane.zero(3, 4)
     z = TSeries.zero(5)
     assert type(z) is TSeries and z is TSeries.zero(5) and z is not Plane.zero(1, 5)
     assert z.coeffs == (ZERO,) * 5 and z == Plane.zero(1, 5)
